@@ -5,74 +5,98 @@ integer reduction of golden-point powers, band/collective Schur curvature of
 D_N-equivariant Hessian families, and the quadratic-law stationarity story
 at ``q⋆ = (3 − √5)/2`` — plus the verification suites behind the
 ``goldenschur`` command.
+
+The public names below are loaded on first access (PEP 562), so importing
+the package, or an exact-arithmetic layer of it, does not import numpy.
 """
 
-from .folded import (
-    FoldedMoments,
-    FoldedSums,
-    folded_weights,
-    moments,
-    moments_from_sums,
-    sums_bruteforce,
-    sums_closed,
-    theta_derivatives,
-    theta_derivatives_fd,
-)
-from .golden import (
-    GoldenPower,
-    LambdaValue,
-    fibonacci,
-    golden_power_table,
-    lambda_n,
-    moments_at_qstar,
-    reduce_power,
-    sums_at_qstar,
-)
-from .lockin import (
-    QuadLawCoeffs,
-    StationarityReport,
-    bracket_residual,
-    f_red,
-    f_red_prime,
-    f_red_prime_direct,
-    f_red_prime_direct_q,
-    f_red_prime_q,
-    f_red_q,
-    kappa_quadratic,
-    stationarity_check,
-    synthesize_consistent_ab,
-    uniqueness_scan,
-)
-from .qfield import PHI, QSTAR, SQRT5, GoldenBasis, Q5, decimal_str
-from .schur import (
-    BlockHessian,
-    ConvexityGapReport,
-    CurvatureScan,
-    ExpTerm,
-    FamilyValidationError,
-    HessianFamily,
-    QuadLawFit,
-    SplitGeometry,
-    StrictWitnessReport,
-    VariationalReport,
-    assemble_hessian,
-    block_hessian,
-    build_split,
-    circulant,
-    family_from_dict,
-    kappa_convexity_scan,
-    load_family,
-    make_family,
-    matrix_convexity_check,
-    q_class_functional,
-    q_class_functional_from_weights,
-    quadratic_law_fit,
-    random_family,
-    schur_complement,
-    schur_curvature,
-    strict_convexity_witness,
-    variational_check,
-    variational_expression,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "folded": (
+        "FoldedMoments",
+        "FoldedSums",
+        "folded_weights",
+        "moments",
+        "moments_from_sums",
+        "sums_bruteforce",
+        "sums_closed",
+        "theta_derivatives",
+        "theta_derivatives_fd",
+    ),
+    "golden": (
+        "GoldenPower",
+        "LambdaValue",
+        "fibonacci",
+        "golden_power_table",
+        "lambda_n",
+        "moments_at_qstar",
+        "reduce_power",
+        "sums_at_qstar",
+    ),
+    "lockin": (
+        "QuadLawCoeffs",
+        "QuadLawFit",
+        "StationarityReport",
+        "bracket_residual",
+        "f_red",
+        "f_red_prime",
+        "f_red_prime_direct",
+        "f_red_prime_direct_q",
+        "f_red_prime_q",
+        "f_red_q",
+        "kappa_quadratic",
+        "quadratic_law_fit",
+        "stationarity_check",
+        "synthesize_consistent_ab",
+        "uniqueness_scan",
+    ),
+    "qfield": ("PHI", "QSTAR", "SQRT5", "GoldenBasis", "Q5", "decimal_str"),
+    "schur": (
+        "BlockHessian",
+        "ConvexityGapReport",
+        "CurvatureScan",
+        "ExpTerm",
+        "FamilyValidationError",
+        "HessianFamily",
+        "SplitGeometry",
+        "StrictWitnessReport",
+        "VariationalReport",
+        "assemble_hessian",
+        "block_hessian",
+        "build_split",
+        "circulant",
+        "family_from_dict",
+        "kappa_convexity_scan",
+        "load_family",
+        "make_family",
+        "matrix_convexity_check",
+        "q_class_functional",
+        "q_class_functional_from_weights",
+        "random_family",
+        "schur_complement",
+        "schur_curvature",
+        "strict_convexity_witness",
+        "variational_check",
+        "variational_expression",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

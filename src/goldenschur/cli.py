@@ -17,30 +17,27 @@ deterministic for a fixed ``--seed``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .folded import Scalar, moments, sums_closed, theta_derivatives
 from .golden import golden_power_table, lambda_n
 from .lockin import (
-    QuadLawCoeffs,
     bracket_residual,
+    quadratic_law_fit,
     stationarity_check,
     synthesize_consistent_ab,
     uniqueness_scan,
 )
 from .qfield import QSTAR, Q5, decimal_str
-from .schur import (
-    FamilyValidationError,
-    kappa_convexity_scan,
-    load_family,
-    quadratic_law_fit,
-    schur_curvature,
-)
-from .verify import SUITES, run_suite
+from .report import SUITES
+
+# ``schur`` and ``verify`` need numpy; they are imported inside the
+# subcommands that use them, so the exact-arithmetic commands start fast.
 
 __all__ = ["main", "build_parser"]
 
@@ -101,13 +98,23 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     doc = run_suite(args.suite, args.seed)
     sys.stdout.write(doc.render(args.format))
     return doc.exit_code
 
 
 def _cmd_schur(args: argparse.Namespace) -> int:
-    fam = load_family(args.hessian_file)
+    from .schur import FamilyValidationError, kappa_convexity_scan, load_family
+
+    try:
+        fam = load_family(args.hessian_file)
+    except FamilyValidationError as exc:
+        print("family validation failed:", file=sys.stderr)
+        for violation in exc.violations:
+            print(f"  - {violation}", file=sys.stderr)
+        return 2
     if args.points < 3:
         raise ValueError("need at least 3 grid points")
     if not args.theta_min < args.theta_max:
@@ -359,16 +366,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift Python's int↔str digit limit so exact values print at any size,
+    then restore the caller's setting."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except FamilyValidationError as exc:
-        print("family validation failed:", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 2
+        with _unlimited_int_digits():
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

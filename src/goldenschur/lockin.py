@@ -15,7 +15,8 @@ factorization ``F′(θ⋆) = (1/N)·bracket(θ⋆)·I₁·I₁′`` holds as ex
 algebra and whose zero at q⋆ characterizes consistent coefficients.  The
 plain chain-rule derivative of F_red is kept alongside as
 :func:`f_red_prime_direct`; the two differ by exactly
-``B·I₂′·(I₁ − 1)/N`` and coincide when B = 0.
+``B·I₂′·(I₁ − 1)/N`` and coincide when B = 0.  :func:`quadratic_law_fit`
+recovers (A, B) from (q, κ) samples.
 
 Everything is generic over the scalar type: exact inputs (Fraction, Q5) stay
 exact; any float input routes the whole computation through floats.
@@ -35,6 +36,8 @@ from .qfield import QSTAR, Q5
 __all__ = [
     "QuadLawCoeffs",
     "kappa_quadratic",
+    "QuadLawFit",
+    "quadratic_law_fit",
     "f_red_q",
     "f_red",
     "f_red_prime_q",
@@ -102,6 +105,48 @@ def kappa_quadratic(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     c, qq = _route(coeffs, q)
     m = moments(c.n, qq)
     return c.a * (m.i1 * m.i1) + c.b * m.var
+
+
+@dataclass(frozen=True)
+class QuadLawFit:
+    """Coefficients of κ = A·I₁² + B·Var identified from (q, κ) samples."""
+
+    a: Scalar
+    b: Scalar
+    n: int
+    residuals: tuple[Scalar, ...]  # κ_i − (A·I₁² + B·Var) at the extra points
+
+    @property
+    def max_abs_residual(self) -> float:
+        return max((abs(float(r)) for r in self.residuals), default=0.0)
+
+
+def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLawFit:
+    """Two-point identification of (A, B), exact for exact inputs.
+
+    The first two samples fix the coefficients through
+
+        Δ = M_a·V_b − M_b·V_a,
+        A = (κ_a·V_b − κ_b·V_a)/Δ,   B = (M_a·κ_b − M_b·κ_a)/Δ,
+
+    with M = I₁² and V = Var; remaining samples become residual diagnostics.
+    """
+    if len(points) < 2:
+        raise ValueError("need at least two (q, kappa) samples")
+    ms, vs, ks = [], [], []
+    for q, kappa in points:
+        mom = moments(n, q)
+        ms.append(mom.i1 * mom.i1)
+        vs.append(mom.var)
+        ks.append(kappa)
+    delta = ms[0] * vs[1] - ms[1] * vs[0]
+    is_exact = not isinstance(delta, float)
+    if (delta == 0) if is_exact else (abs(delta) < 1e-14):
+        raise ValueError("degenerate sample pair: moment determinant vanishes")
+    a = (ks[0] * vs[1] - ks[1] * vs[0]) / delta
+    b = (ms[0] * ks[1] - ms[1] * ks[0]) / delta
+    residuals = tuple(ks[i] - (a * ms[i] + b * vs[i]) for i in range(2, len(points)))
+    return QuadLawFit(a, b, n, residuals)
 
 
 def f_red_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:

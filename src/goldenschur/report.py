@@ -17,7 +17,20 @@ import io
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["CheckRecord", "ReportDocument", "BASIS_TAGS", "STATUSES"]
+__all__ = ["CheckRecord", "ReportDocument", "BASIS_TAGS", "STATUSES", "SUITES"]
+
+#: Names of the verification suites in :mod:`goldenschur.verify`; ``all`` runs
+#: the others in order.  Kept here so the CLI can offer them without loading
+#: the suites' numerical dependencies.
+SUITES = (
+    "appendix-b",
+    "appendix-c",
+    "appendix-d",
+    "appendix-h",
+    "schur-properties",
+    "lockin",
+    "all",
+)
 
 BASIS_TAGS = ("reference", "direct", "derived")
 STATUSES = ("pass", "fail", "info")

@@ -27,9 +27,8 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import null_space
 
-from .folded import Scalar, folded_weights, moments
+from .folded import folded_weights
 
 __all__ = [
     "FamilyValidationError",
@@ -61,8 +60,6 @@ __all__ = [
     "strict_convexity_witness",
     "q_class_functional",
     "q_class_functional_from_weights",
-    "QuadLawFit",
-    "quadratic_law_fit",
 ]
 
 FloatArray = NDArray[np.float64]
@@ -71,7 +68,7 @@ FloatArray = NDArray[np.float64]
 PSD_TOL = 1e-10
 SYM_TOL = 1e-10
 EQUIVARIANCE_TOL = 1e-10
-#: Collective block conditioning guard.
+#: Collective block guard: H_OO must exceed ‖H‖/COND_LIMIT.
 COND_LIMIT = 1e12
 
 
@@ -154,7 +151,9 @@ def build_split(n: int, m_rho_sq: float, u_raw: Sequence[float]) -> SplitGeometr
     u = v / nrm
     p_band = np.eye(n) - np.full((n, n), 1.0 / n) - np.outer(u, u)
     rows = np.vstack([np.full(n, 1.0 / math.sqrt(n)), u])
-    basis = null_space(rows)
+    # the two rows are orthonormal, so the last n − 2 right singular vectors
+    # span their null space exactly
+    basis = np.linalg.svd(rows, full_matrices=True)[2][2:].T
     if basis.shape != (n, n - 2):
         raise ValueError(f"band basis has unexpected shape {basis.shape}")
     return SplitGeometry(n, float(m_rho_sq), u, p_band, basis)
@@ -365,14 +364,20 @@ def block_hessian(fam: HessianFamily, theta: float) -> BlockHessian:
 def schur_complement(
     h_bb: FloatArray, h_bo: FloatArray, h_oo: FloatArray, *, context: str = ""
 ) -> FloatArray:
-    """``H_BB − H_BO H_OO⁻¹ H_OB`` with a conditioning guard on H_OO."""
-    w = np.linalg.eigvalsh((h_oo + h_oo.T) / 2)
-    cond = float(np.linalg.cond(h_oo))
-    if w[0] <= 0 or not np.isfinite(cond) or cond > COND_LIMIT:
+    """``H_BB − H_BO H_OO⁻¹ H_OB`` for the 1×1 collective block ``H_OO``.
+
+    The block is rejected as numerically singular unless it exceeds
+    ``‖H‖_F / COND_LIMIT``, with ``‖H‖_F`` taken over the three blocks.
+    """
+    if h_oo.shape != (1, 1):
+        raise ValueError(f"collective block must be 1x1, got shape {h_oo.shape}")
+    h = float(h_oo[0, 0])
+    scale = math.sqrt(float(np.vdot(h_bb, h_bb) + 2 * np.vdot(h_bo, h_bo)) + h * h)
+    if not h > scale / COND_LIMIT:
         where = f" at {context}" if context else ""
         raise ValueError(
             f"collective block is numerically singular{where} "
-            f"(min eigenvalue {w[0]:.3e}, condition {cond:.3e})"
+            f"(h_oo = {h:.3e}, ‖H‖_F = {scale:.3e})"
         )
     return h_bb - h_bo @ np.linalg.solve(h_oo, h_bo.T)
 
@@ -582,49 +587,3 @@ def q_class_functional(k1: FloatArray, k2: FloatArray, split: SplitGeometry, q: 
     return q_class_functional_from_weights(
         k1, k2, split, [float(w) for w in folded_weights(split.n, float(q))]
     )
-
-
-# ---------------------------------------------------------------------------
-# quadratic-law identification
-
-
-@dataclass(frozen=True)
-class QuadLawFit:
-    """Coefficients of κ = A·I₁² + B·Var identified from (q, κ) samples."""
-
-    a: Scalar
-    b: Scalar
-    n: int
-    residuals: tuple[Scalar, ...]  # κ_i − (A·I₁² + B·Var) at the extra points
-
-    @property
-    def max_abs_residual(self) -> float:
-        return max((abs(float(r)) for r in self.residuals), default=0.0)
-
-
-def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLawFit:
-    """Two-point identification of (A, B), exact for exact inputs.
-
-    The first two samples fix the coefficients through
-
-        Δ = M_a·V_b − M_b·V_a,
-        A = (κ_a·V_b − κ_b·V_a)/Δ,   B = (M_a·κ_b − M_b·κ_a)/Δ,
-
-    with M = I₁² and V = Var; remaining samples become residual diagnostics.
-    """
-    if len(points) < 2:
-        raise ValueError("need at least two (q, kappa) samples")
-    ms, vs, ks = [], [], []
-    for q, kappa in points:
-        mom = moments(n, q)
-        ms.append(mom.i1 * mom.i1)
-        vs.append(mom.var)
-        ks.append(kappa)
-    delta = ms[0] * vs[1] - ms[1] * vs[0]
-    is_exact = not isinstance(delta, float)
-    if (delta == 0) if is_exact else (abs(delta) < 1e-14):
-        raise ValueError("degenerate sample pair: moment determinant vanishes")
-    a = (ks[0] * vs[1] - ks[1] * vs[0]) / delta
-    b = (ms[0] * ks[1] - ms[1] * ks[0]) / delta
-    residuals = tuple(ks[i] - (a * ms[i] + b * vs[i]) for i in range(2, len(points)))
-    return QuadLawFit(a, b, n, residuals)

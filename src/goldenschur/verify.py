@@ -31,12 +31,13 @@ from .lockin import (
     f_red_prime_direct_q,
     f_red_prime_q,
     kappa_quadratic,
+    quadratic_law_fit,
     stationarity_check,
     synthesize_consistent_ab,
     uniqueness_scan,
 )
 from .qfield import QSTAR, GoldenBasis, Q5, decimal_str
-from .report import ReportDocument
+from .report import SUITES, ReportDocument
 from .schur import (
     FamilyValidationError,
     build_split,
@@ -44,7 +45,6 @@ from .schur import (
     make_family,
     matrix_convexity_check,
     q_class_functional_from_weights,
-    quadratic_law_fit,
     random_family,
     random_symmetric_psd_circulant,
     schur_curvature,
@@ -53,16 +53,6 @@ from .schur import (
 )
 
 __all__ = ["SUITES", "run_suite"]
-
-SUITES = (
-    "appendix-b",
-    "appendix-c",
-    "appendix-d",
-    "appendix-h",
-    "schur-properties",
-    "lockin",
-    "all",
-)
 
 # Tabulated golden-point values for N = 12, √5 basis (a, b) meaning a + b·√5.
 _SUMS_SQRT5 = {

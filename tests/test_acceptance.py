@@ -19,6 +19,7 @@ from goldenschur.lockin import (
     bracket_residual,
     f_red_prime_q,
     kappa_quadratic,
+    quadratic_law_fit,
     stationarity_check,
     synthesize_consistent_ab,
     uniqueness_scan,
@@ -30,7 +31,6 @@ from goldenschur.schur import (
     kappa_convexity_scan,
     make_family,
     matrix_convexity_check,
-    quadratic_law_fit,
     random_family,
     schur_complement,
     schur_curvature,

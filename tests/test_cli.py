@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import goldenschur
 from goldenschur.cli import main
 
 FAMILY_DOC = {
@@ -279,6 +281,83 @@ def test_module_invocation():
     )
     assert proc.returncode == 0, proc.stderr
     assert "appendix-d" in proc.stdout
+
+
+_LOADED_HEAVY = """
+import contextlib, io, sys
+from goldenschur.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda", "--N", "12"],
+        ["moments", "--N", "12", "--q", "phi^-2"],
+        ["golden-table", "--max-m", "12"],
+        ["stationarity", "--B", "-1"],
+        ["fit-ab", "--points", "{points}", "--N", "12"],
+    ],
+)
+def test_exact_commands_load_no_numpy(tmp_path, argv):
+    points = tmp_path / "points.csv"
+    points.write_text("q,kappa\n1/2,3/7\n1/3,5/11\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_HEAVY, *(a.format(points=points) for a in argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+
+
+def test_schur_module_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, goldenschur.schur; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_package_namespace_resolves_lazily():
+    assert len(goldenschur.__all__) == 64
+    assert set(goldenschur.__all__) <= set(dir(goldenschur))
+    for name in goldenschur.__all__:
+        assert getattr(goldenschur, name) is not None
+    assert goldenschur.quadratic_law_fit is goldenschur.lockin.quadratic_law_fit
+    assert goldenschur.schur_curvature is goldenschur.schur.schur_curvature
+    assert goldenschur.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        goldenschur.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv", [["lambda", "--N", "12000"], ["moments", "--N", "1500", "--q", "997/1000"]]
+)
+def test_exact_values_print_beyond_int_digit_limit(capsys, argv):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 0, err
+    assert max(len(run) for run in re.findall(r"\d+", out)) > 5000
+
+
+def test_int_digit_limit_restored_after_error(capsys):
+    before = sys.get_int_max_str_digits()
+    code, _, _ = run_cli(capsys, "lambda", "--N", "1")
+    assert code == 2
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_console_script():

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import minimize
 
 from goldenschur.folded import folded_weights
+from goldenschur.lockin import quadratic_law_fit
 from goldenschur.qfield import Q5, QSTAR
 from goldenschur.schur import (
     FamilyValidationError,
@@ -23,7 +24,6 @@ from goldenschur.schur import (
     matrix_convexity_check,
     q_class_functional,
     q_class_functional_from_weights,
-    quadratic_law_fit,
     random_family,
     random_symmetric_psd_circulant,
     reversal_matrix,
@@ -211,6 +211,17 @@ def test_schur_complement_hand_case():
 def test_schur_complement_singular_block():
     with pytest.raises(ValueError):
         schur_complement(np.eye(2), np.zeros((2, 1)), np.array([[0.0]]), context="theta=0")
+
+
+def test_schur_complement_negligible_collective_block():
+    # positive, but negligible next to ‖H‖_F = 1; a 1×1 condition number is always 1
+    with pytest.raises(ValueError, match="numerically singular"):
+        schur_complement(np.array([[1.0]]), np.array([[0.0]]), np.array([[1e-300]]))
+
+
+def test_schur_complement_needs_one_collective_direction():
+    with pytest.raises(ValueError, match="1x1"):
+        schur_complement(np.eye(2), np.zeros((2, 2)), np.eye(2))
 
 
 def test_block_hessian_shapes_and_values():

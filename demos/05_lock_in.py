@@ -19,7 +19,7 @@ from fractions import Fraction
 from goldenschur import (
     QSTAR,
     QuadLawCoeffs,
-    moments_at_qstar,
+    moments,
     theta_derivatives,
     bracket_residual,
     f_red_prime_q,
@@ -36,7 +36,7 @@ print("== the bracket identity, exactly ==")
 coeffs = QuadLawCoeffs(Fraction(7, 3), Fraction(-5, 4), 12)
 lam = lambda_n(12).value
 bracket = coeffs.b * lam + 2 * coeffs.a - 2 * coeffs.b - 8 / coeffs.m_rho_sq
-m = moments_at_qstar(12)
+m = moments(12, QSTAR)
 i1p, _ = theta_derivatives(m)
 print(f"  F'(θ⋆)                 = {f_red_prime_q(coeffs, QSTAR)}")
 print(f"  bracket · I₁ · I₁' / N = {bracket * m.i1 * i1p / 12}")

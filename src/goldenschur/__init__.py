@@ -32,7 +32,6 @@ _EXPORTS = {
         "fibonacci",
         "golden_power_table",
         "lambda_n",
-        "moments_at_qstar",
         "reduce_power",
         "sums_at_qstar",
     ),

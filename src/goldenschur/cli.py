@@ -75,6 +75,19 @@ def _decimal(v: Scalar, digits: int) -> str:
     return decimal_str(v, digits)
 
 
+def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str]) -> None:
+    """Print a flat payload as json, as ``key,value`` csv rows (lists as json),
+    or as the command's own table lines."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif fmt == "csv":
+        print("key,value")
+        for key, value in payload.items():
+            print(f"{key},{json.dumps(value) if isinstance(value, list) else value}")
+    else:
+        print("\n".join(table_lines))
+
+
 def _cmd_moments(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
     s = sums_closed(args.N, q)
@@ -115,10 +128,6 @@ def _cmd_schur(args: argparse.Namespace) -> int:
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
-    if args.points < 3:
-        raise ValueError("need at least 3 grid points")
-    if not args.theta_min < args.theta_max:
-        raise ValueError("need theta_min < theta_max")
     scan = kappa_convexity_scan(fam, args.theta_min, args.theta_max, args.points)
     curve = [
         {"theta": t, "q": math.exp(t), "kappa": k}
@@ -196,23 +205,17 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
             [math.exp(a), math.exp(b_)] for a, b_ in scan.sign_change_intervals
         ],
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print("key,value")
-        for key, value in payload.items():
-            print(f"{key},{json.dumps(value) if isinstance(value, list) else value}")
-    else:
-        print(f"N = {args.N}, m_ρ² = {m2}, B = {b}")
-        print(f"Λ(N) = {payload['lambda_exact']} ≈ {payload['lambda_decimal']}")
-        print(f"A = {payload['A_exact']} ≈ {payload['A_decimal']}")
-        print(f"bracket residual = {payload['bracket_residual']}")
-        print(f"F'(θ⋆) = {payload['f_prime_at_golden_point']}")
-        print(f"stationary at the golden point: {'yes' if rep.stationary else 'NO'}")
-        print(
-            f"scan: {scan.sign_changes} sign change(s); q intervals "
-            + str([[f"{a:.6f}", f"{c:.6f}"] for a, c in payload["sign_change_intervals_q"]])
-        )
+    table = [
+        f"N = {args.N}, m_ρ² = {m2}, B = {b}",
+        f"Λ(N) = {payload['lambda_exact']} ≈ {payload['lambda_decimal']}",
+        f"A = {payload['A_exact']} ≈ {payload['A_decimal']}",
+        f"bracket residual = {payload['bracket_residual']}",
+        f"F'(θ⋆) = {payload['f_prime_at_golden_point']}",
+        f"stationary at the golden point: {'yes' if rep.stationary else 'NO'}",
+        f"scan: {scan.sign_changes} sign change(s); q intervals "
+        + str([[f"{a:.6f}", f"{c:.6f}"] for a, c in payload["sign_change_intervals_q"]]),
+    ]
+    _print_payload(payload, args.format, table)
     return 0 if rep.stationary and scan.sign_changes == 1 else 1
 
 
@@ -254,17 +257,13 @@ def _cmd_fit_ab(args: argparse.Namespace) -> int:
         "residuals": [str(r) for r in fit.residuals],
         "max_abs_residual": fit.max_abs_residual,
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print("key,value")
-        for key, value in payload.items():
-            print(f"{key},{json.dumps(value) if isinstance(value, list) else value}")
-    else:
-        print(f"N = {args.N}, {len(points)} samples")
-        print(f"A = {payload['A']} ≈ {payload['A_decimal']}")
-        print(f"B = {payload['B']} ≈ {payload['B_decimal']}")
-        print(f"residuals: {payload['residuals']} (max |r| = {fit.max_abs_residual:.6e})")
+    table = [
+        f"N = {args.N}, {len(points)} samples",
+        f"A = {payload['A']} ≈ {payload['A_decimal']}",
+        f"B = {payload['B']} ≈ {payload['B_decimal']}",
+        f"residuals: {payload['residuals']} (max |r| = {fit.max_abs_residual:.6e})",
+    ]
+    _print_payload(payload, args.format, table)
     return 0
 
 
@@ -290,22 +289,14 @@ def _cmd_golden_table(args: argparse.Namespace) -> int:
 
 def _cmd_lambda(args: argparse.Namespace) -> int:
     lam = lambda_n(args.N)
-    if args.format == "json":
-        payload = {
-            "N": args.N,
-            "sqrt5_basis": str(lam.value),
-            "golden_basis": str(lam.golden),
-            "decimal": lam.decimal(args.digits),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print("key,value")
-        print(f"N,{args.N}")
-        print(f"sqrt5_basis,{lam.value}")
-        print(f"golden_basis,{lam.golden}")
-        print(f"decimal,{lam.decimal(args.digits)}")
-    else:
-        print(f"Λ({args.N}) = {lam.value} = {lam.golden} ≈ {lam.decimal(args.digits)}")
+    payload = {
+        "N": args.N,
+        "sqrt5_basis": str(lam.value),
+        "golden_basis": str(lam.golden),
+        "decimal": lam.decimal(args.digits),
+    }
+    exact = f"{payload['sqrt5_basis']} = {payload['golden_basis']}"
+    _print_payload(payload, args.format, [f"Λ({args.N}) = {exact} ≈ {payload['decimal']}"])
     return 0
 
 

@@ -5,18 +5,20 @@ Since ``q⋆ = (3 − √5)/2`` satisfies ``q⋆² = 3q⋆ − 1``, every power 
 ``c_{m+2} = 3c_{m+1} − c_m``.  In closed form ``a_m = F_{2m}`` and
 ``b_m = −F_{2m−2}`` with the Fibonacci convention ``F_{−2} = −1, F_{−1} = 1``.
 
-That reduction gives a second, independent route to the exact power sums at
-the golden point (integer bookkeeping only, no field division), which is
-cross-checked against the closed forms from :mod:`.folded`.  On top sit the
-exact golden-point moments and the ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)``.
+The golden-point moments and the ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)`` come from
+the closed forms of :mod:`.folded` at ``q = q⋆``.  The reduction gives a
+second, independent route to the same power sums (integer bookkeeping only,
+no field division); :func:`sums_at_qstar` keeps it as the oracle that the
+verification suites and the tests check the closed forms against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
-from .folded import FoldedMoments, FoldedSums, moments_from_sums, theta_derivatives
+from .folded import FoldedSums, moments, theta_derivatives
 from .qfield import QSTAR, GoldenBasis, Q5, decimal_str
 
 __all__ = [
@@ -25,7 +27,6 @@ __all__ = [
     "golden_power_table",
     "fibonacci",
     "sums_at_qstar",
-    "moments_at_qstar",
     "LambdaValue",
     "lambda_n",
 ]
@@ -43,36 +44,39 @@ class GoldenPower:
         return GoldenBasis(self.b, self.a).to_q5()
 
 
+def _coefficients() -> Iterator[tuple[int, int]]:
+    """Yield ``(a_m, b_m)`` of ``q⋆^m = a_m·q⋆ + b_m`` for m = 0, 1, 2, …
+
+    The one place the recurrence ``c_{m+2} = 3c_{m+1} − c_m`` is written.
+    """
+    a, b = 0, 1  # q⋆^0
+    a1, b1 = 1, 0  # q⋆^1
+    while True:
+        yield a, b
+        a, a1 = a1, 3 * a1 - a
+        b, b1 = b1, 3 * b1 - b
+
+
 def reduce_power(m: int) -> GoldenPower:
     """Reduce ``q⋆^m`` by the minimal polynomial (m ≥ 0)."""
     if m < 0:
         raise ValueError(f"power must be nonnegative, got {m}")
-    a, b = 0, 1  # q⋆^0
-    a1, b1 = 1, 0  # q⋆^1
-    if m == 0:
-        return GoldenPower(0, a, b)
-    for _ in range(m - 1):
-        a, a1 = a1, 3 * a1 - a
-        b, b1 = b1, 3 * b1 - b
-    return GoldenPower(m, a1, b1)
+    return GoldenPower(m, *next(islice(_coefficients(), m, None)))
 
 
 def golden_power_table(max_m: int) -> list[GoldenPower]:
     """Rows ``(m, a_m, b_m)`` for m = 0..max_m, by running the recurrence once."""
     if max_m < 0:
         raise ValueError(f"max_m must be nonnegative, got {max_m}")
-    rows = [GoldenPower(0, 0, 1)]
-    a, b = 0, 1
-    a1, b1 = 1, 0
-    for m in range(1, max_m + 1):
-        rows.append(GoldenPower(m, a1, b1))
-        a, a1 = a1, 3 * a1 - a
-        b, b1 = b1, 3 * b1 - b
-    return rows
+    return [GoldenPower(m, a, b) for m, (a, b) in zip(range(max_m + 1), _coefficients())]
 
 
 def fibonacci(n: int) -> int:
-    """Fibonacci number F_n for n ≥ −2, with F_{−2} = −1 and F_{−1} = 1."""
+    """Fibonacci number F_n for n ≥ −2, with F_{−2} = −1 and F_{−1} = 1.
+
+    Runs its own loop rather than :func:`_coefficients`, so that it stays an
+    independent check of ``a_m = F_{2m}`` and ``b_m = −F_{2m−2}``.
+    """
     if n < -2:
         raise ValueError(f"index must be >= -2, got {n}")
     prev, cur = -1, 1  # F_{-2}, F_{-1}
@@ -85,30 +89,22 @@ def sums_at_qstar(n: int) -> FoldedSums:
     """Exact golden-point power sums via the integer reduction route.
 
     ``S_k(q⋆) = (Σ s^k a_s)·q⋆ + Σ s^k b_s`` — pure integer accumulation,
-    deliberately independent of the rational closed forms so the two can be
-    compared structurally.
+    deliberately independent of the rational closed forms.  The library
+    computes golden-point values by ``moments(N, QSTAR)``; this route is kept
+    as the oracle those closed forms are checked against.
     """
     if n < 1:
         raise ValueError(f"family size must be a positive integer, got {n!r}")
     acc_a = [0, 0, 0, 0]
     acc_b = [0, 0, 0, 0]
-    a, b = 1, 0  # coefficients of q⋆^1
-    a_next, b_next = 3, -1  # q⋆^2
-    for s in range(1, n + 1):
+    for s, (a, b) in enumerate(islice(_coefficients(), 1, n + 1), 1):
         w = 1
         for k in range(4):
             acc_a[k] += w * a
             acc_b[k] += w * b
             w *= s
-        a, a_next = a_next, 3 * a_next - a
-        b, b_next = b_next, 3 * b_next - b
     values = [GoldenBasis(acc_b[k], acc_a[k]).to_q5() for k in range(4)]
     return FoldedSums(n, QSTAR, *values)
-
-
-def moments_at_qstar(n: int) -> FoldedMoments:
-    """Exact golden-point moments in Q(√5)."""
-    return moments_from_sums(sums_at_qstar(n))
 
 
 @dataclass(frozen=True)
@@ -134,6 +130,5 @@ def lambda_n(n: int) -> LambdaValue:
     """
     if n < 2:
         raise ValueError(f"Λ(N) needs N >= 2 (zero variance at N={n})")
-    m = moments_at_qstar(n)
-    i1p, i2p = theta_derivatives(m)
+    i1p, i2p = theta_derivatives(moments(n, QSTAR))
     return LambdaValue(n, i2p / i1p)

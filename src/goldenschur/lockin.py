@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .folded import Scalar, moments, theta_derivatives
-from .golden import LambdaValue, lambda_n, moments_at_qstar
+from .golden import LambdaValue, lambda_n
 from .qfield import QSTAR, Q5
 
 __all__ = [
@@ -93,11 +93,11 @@ class QuadLawCoeffs:
         return QuadLawCoeffs(float(self.a), float(self.b), self.n, float(self.m_rho_sq))
 
 
-def _route(coeffs: QuadLawCoeffs, q: Scalar) -> tuple[QuadLawCoeffs, Scalar]:
-    """Pick the exact or the float lane for a (coefficients, q) evaluation."""
-    if coeffs.is_exact and _is_exact(q):
-        return coeffs, q
-    return coeffs.as_floats(), float(q)
+def _route(coeffs: QuadLawCoeffs, x: Scalar) -> tuple[QuadLawCoeffs, Scalar]:
+    """Pick the exact or the float lane for coefficients and one scalar (q or Λ)."""
+    if coeffs.is_exact and _is_exact(x):
+        return coeffs, x
+    return coeffs.as_floats(), float(x)
 
 
 def kappa_quadratic(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
@@ -196,12 +196,7 @@ def bracket_residual(coeffs: QuadLawCoeffs, lam: Union[LambdaValue, Scalar, None
     """``B·Λ(N) + 2A − 2B − 8/m_ρ²`` — zero exactly for consistent coefficients."""
     if lam is None:
         lam = lambda_n(coeffs.n)
-    lam_value: Scalar = lam.value if isinstance(lam, LambdaValue) else lam
-    if coeffs.is_exact and _is_exact(lam_value):
-        c = coeffs
-    else:
-        c = coeffs.as_floats()
-        lam_value = float(lam_value)
+    c, lam_value = _route(coeffs, lam.value if isinstance(lam, LambdaValue) else lam)
     return c.b * lam_value + 2 * c.a - 2 * c.b - 8 / c.m_rho_sq
 
 
@@ -257,23 +252,12 @@ def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
     n = coeffs.n
     if n == 1:
         return StationarityReport(1, _THETA_STAR, Fraction(0), None, 0.0, True)
-    exact = coeffs.is_exact
-    if exact:
-        fp = f_red_prime_q(coeffs, QSTAR)
-        m = moments_at_qstar(n)
-        i1p, _ = theta_derivatives(m)
-        bracket = bracket_residual(coeffs)
-        via_bracket = bracket * m.i1 * i1p / n
-        gap = abs(float(fp - via_bracket))
-    else:
-        c = coeffs.as_floats()
-        q = float(QSTAR)
-        fp = f_red_prime_q(c, q)
-        m = moments(n, q)
-        i1p, i2p = theta_derivatives(m)
-        bracket = float(bracket_residual(c, i2p / i1p))
-        via_bracket = bracket * m.i1 * i1p / n
-        gap = abs(fp - via_bracket)
+    c, q = _route(coeffs, QSTAR)
+    fp = f_red_prime_q(c, q)
+    m = moments(n, q)
+    i1p, i2p = theta_derivatives(m)
+    bracket = bracket_residual(c, i2p / i1p)
+    gap = abs(float(fp - bracket * m.i1 * i1p / n))
     rel = gap / max(1.0, abs(float(fp)))
     if rel > 1e-10:
         raise ArithmeticError(

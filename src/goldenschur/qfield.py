@@ -6,11 +6,12 @@ irrational, so the coordinates are unique), which makes equality structural
 and lets :meth:`Q5.sign` decide order by pure rational case analysis — no
 floating point anywhere on the exact path.
 
-The module also provides the golden basis ``{1, q⋆}`` with
-``q⋆ = (3 − √5)/2`` (the inverse square of the golden ratio), related to the
-√5 basis by ``√5 = 3 − 2·q⋆`` and reduced by the minimal polynomial
-``q⋆² = 3·q⋆ − 1``, plus certified decimal rendering based on integer
-square-root interval bounds.
+The module also provides :class:`GoldenBasis`, the coordinates of an
+element in the golden basis ``{1, q⋆}`` with ``q⋆ = (3 − √5)/2`` (the inverse
+square of the golden ratio), related to the √5 basis by ``√5 = 3 − 2·q⋆``.
+It is a view for reading and printing values; all arithmetic happens in
+:class:`Q5`.  Certified decimal rendering is based on integer square-root
+interval bounds.
 """
 
 from __future__ import annotations
@@ -256,10 +257,10 @@ class Q5:
 
 
 class GoldenBasis:
-    """An element ``c0 + c1·q⋆`` of Q(√5) in the golden basis ``{1, q⋆}``.
+    """Coordinates ``(c0, c1)`` of ``c0 + c1·q⋆`` in the golden basis ``{1, q⋆}``.
 
-    Multiplication reduces by the minimal polynomial ``q⋆² = 3·q⋆ − 1`` and
-    agrees exactly with :class:`Q5` multiplication after conversion.
+    A view of an element of Q(√5), not a second field implementation: convert
+    with :meth:`to_q5` to compute.
     """
 
     __slots__ = ("_c0", "_c1")
@@ -284,46 +285,6 @@ class GoldenBasis:
     def to_q5(self) -> Q5:
         """Rewrite in the √5 basis via ``q⋆ = (3 − √5)/2``."""
         return Q5(self._c0 + Fraction(3, 2) * self._c1, -self._c1 / 2)
-
-    def __add__(self, other: object) -> "GoldenBasis":
-        if isinstance(other, GoldenBasis):
-            return GoldenBasis(self._c0 + other._c0, self._c1 + other._c1)
-        r = _coerce_rational(other)
-        if r is None:
-            return NotImplemented
-        return GoldenBasis(self._c0 + r, self._c1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "GoldenBasis":
-        if isinstance(other, GoldenBasis):
-            return GoldenBasis(self._c0 - other._c0, self._c1 - other._c1)
-        r = _coerce_rational(other)
-        if r is None:
-            return NotImplemented
-        return GoldenBasis(self._c0 - r, self._c1)
-
-    def __rsub__(self, other: object) -> "GoldenBasis":
-        r = _coerce_rational(other)
-        if r is None:
-            return NotImplemented
-        return GoldenBasis(r - self._c0, -self._c1)
-
-    def __mul__(self, other: object) -> "GoldenBasis":
-        if isinstance(other, GoldenBasis):
-            # (c0 + c1 q)(d0 + d1 q) with q² = 3q − 1
-            cross = self._c0 * other._c1 + self._c1 * other._c0
-            sq = self._c1 * other._c1
-            return GoldenBasis(self._c0 * other._c0 - sq, cross + 3 * sq)
-        r = _coerce_rational(other)
-        if r is None:
-            return NotImplemented
-        return GoldenBasis(self._c0 * r, self._c1 * r)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GoldenBasis":
-        return GoldenBasis(-self._c0, -self._c1)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GoldenBasis):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from goldenschur.folded import moments, sums_bruteforce, sums_closed, theta_derivatives
-from goldenschur.golden import golden_power_table, lambda_n, moments_at_qstar, sums_at_qstar
+from goldenschur.golden import golden_power_table, lambda_n, sums_at_qstar
 from goldenschur.lockin import (
     QuadLawCoeffs,
     bracket_residual,
@@ -79,7 +79,7 @@ def test_criterion_01_exact_power_sums_at_golden_point():
 
 def test_criterion_02_exact_moments_and_derivatives():
     with budget(2, "exact I1, I2, I3, I1', I2' at q⋆, N = 12", 1.0):
-        m = moments_at_qstar(12)
+        m = moments(12, QSTAR)
         assert m.i1 == Q5(Fraction(13, 2), Fraction(-131, 60))
         assert m.i2 == Q5(Fraction(805, 12), Fraction(-1703, 60))
         assert m.i3 == Q5(Fraction(6071, 8), Fraction(-13373, 40))
@@ -203,7 +203,7 @@ def test_criterion_09_kappa_convexity_scans():
 def test_criterion_10_bracket_identity_exact():
     with budget(10, "stationarity bracket identity, 100 random exact coefficient sets", 10.0):
         rng = random.Random(1010)
-        m = moments_at_qstar(12)
+        m = moments(12, QSTAR)
         i1p, _ = theta_derivatives(m)
         lam = lambda_n(12).value
         for _ in range(100):

@@ -142,6 +142,33 @@ def test_lambda_command(capsys):
     assert "5.4583242762" in out
 
 
+LAMBDA_12_OUTPUT = {
+    "table": "Λ(12) = 13 - 2425/719·√5 = 2072/719 + 4850/719·q⋆ ≈ 5.4583242762\n",
+    "csv": (
+        "key,value\n"
+        "N,12\n"
+        "sqrt5_basis,13 - 2425/719·√5\n"
+        "golden_basis,2072/719 + 4850/719·q⋆\n"
+        "decimal,5.4583242762\n"
+    ),
+    "json": (
+        "{\n"
+        '  "N": 12,\n'
+        '  "decimal": "5.4583242762",\n'
+        '  "golden_basis": "2072/719 + 4850/719\\u00b7q\\u22c6",\n'
+        '  "sqrt5_basis": "13 - 2425/719\\u00b7\\u221a5"\n'
+        "}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_lambda_output_pinned(capsys, fmt):
+    code, out, err = run_cli(capsys, "lambda", "--N", "12", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == LAMBDA_12_OUTPUT[fmt]
+
+
 def test_lambda_rejects_degenerate(capsys):
     code, _, err = run_cli(capsys, "lambda", "--N", "1")
     assert code == 2
@@ -175,6 +202,50 @@ def test_stationarity_reports_interval_bracketing_qstar(capsys):
     assert "0.381" in out or "0.382" in out
 
 
+STATIONARITY_B1 = {
+    "N": 12,
+    "B": "-1",
+    "m_rho_sq": "2",
+    "A_exact": "15/2 - 2425/1438·√5 = 1755/719 + 2425/719·q⋆",
+    "A_decimal": "3.729162138083",
+    "lambda_exact": "13 - 2425/719·√5 = 2072/719 + 4850/719·q⋆",
+    "lambda_decimal": "5.4583242762",
+    "bracket_residual": "0",
+    "f_prime_at_golden_point": "0",
+    "stationary": True,
+    "sign_changes": 1,
+}
+STATIONARITY_B1_INTERVALS = [[0.38133791614149487, 0.3832138924990984]]
+
+
+def assert_intervals_close(got, want):
+    assert len(got) == len(want)
+    for (lo, hi), (want_lo, want_hi) in zip(got, want):
+        assert math.isclose(lo, want_lo, rel_tol=1e-12)
+        assert math.isclose(hi, want_hi, rel_tol=1e-12)
+
+
+def test_stationarity_csv_pinned(capsys):
+    code, out, err = run_cli(capsys, "stationarity", "--B", "-1", "--format", "csv")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert out.endswith("\n")
+    assert lines[:-1] == ["key,value"] + [f"{k},{v}" for k, v in STATIONARITY_B1.items()]
+    key, _, value = lines[-1].partition(",")
+    assert key == "sign_change_intervals_q"
+    assert_intervals_close(json.loads(value), STATIONARITY_B1_INTERVALS)
+
+
+def test_stationarity_json_pinned(capsys):
+    code, out, err = run_cli(capsys, "stationarity", "--B", "-1", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "\\u221a5" in out  # ASCII-escaped, as json.dumps writes by default
+    assert_intervals_close(doc.pop("sign_change_intervals_q"), STATIONARITY_B1_INTERVALS)
+    assert doc == STATIONARITY_B1
+
+
 def test_stationarity_rejects_bad_b(capsys):
     code, _, err = run_cli(capsys, "stationarity", "--B", "nope")
     assert code == 2
@@ -185,7 +256,8 @@ def test_stationarity_rejects_bad_b(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_fit_ab_round_trip(capsys, tmp_path):
+def write_round_trip_points(tmp_path):
+    """Exact κ samples of A = 7/3, B = −5/4 at N = 12, q = 1/2, 1/3, 2/3."""
     from fractions import Fraction
 
     from goldenschur.lockin import QuadLawCoeffs, kappa_quadratic
@@ -196,11 +268,59 @@ def test_fit_ab_round_trip(capsys, tmp_path):
         lines.append(f"{q},{kappa_quadratic(coeffs, q)}")
     path = tmp_path / "points.csv"
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_fit_ab_round_trip(capsys, tmp_path):
+    path = write_round_trip_points(tmp_path)
     code, out, _ = run_cli(capsys, "fit-ab", "--points", str(path), "--N", "12")
     assert code == 0
     assert "7/3" in out
     assert "-5/4" in out
     assert "0" in out  # zero held-out residual
+
+
+FIT_AB_OUTPUT = {
+    "table": (
+        "N = 12, 3 samples\n"
+        "A = 7/3 ≈ 2.333333333333\n"
+        "B = -5/4 ≈ -1.250000000000\n"
+        "residuals: ['0'] (max |r| = 0.000000e+00)\n"
+    ),
+    "csv": (
+        "key,value\n"
+        "N,12\n"
+        "A,7/3\n"
+        "B,-5/4\n"
+        "A_decimal,2.333333333333\n"
+        "B_decimal,-1.250000000000\n"
+        'residuals,["0"]\n'
+        "max_abs_residual,0.0\n"
+    ),
+    "json": (
+        "{\n"
+        '  "A": "7/3",\n'
+        '  "A_decimal": "2.333333333333",\n'
+        '  "B": "-5/4",\n'
+        '  "B_decimal": "-1.250000000000",\n'
+        '  "N": 12,\n'
+        '  "max_abs_residual": 0.0,\n'
+        '  "residuals": [\n'
+        '    "0"\n'
+        "  ]\n"
+        "}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_fit_ab_output_pinned(capsys, tmp_path, fmt):
+    path = write_round_trip_points(tmp_path)
+    code, out, err = run_cli(
+        capsys, "fit-ab", "--points", str(path), "--N", "12", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert out == FIT_AB_OUTPUT[fmt]
 
 
 def test_fit_ab_missing_file(capsys, tmp_path):
@@ -260,6 +380,21 @@ def test_schur_rejects_invalid_family(capsys, tmp_path):
     assert code == 2
     assert "validation failed" in err
     assert "commutator" in err
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["-2.0", "-0.1", "2"], "at least 3 grid points"),
+        (["-0.1", "-2.0", "11"], "theta_min < theta_max"),
+        (["-0.5", "-0.5", "11"], "theta_min < theta_max"),
+    ],
+)
+def test_schur_rejects_bad_grid(capsys, family_file, grid, message):
+    code, out, err = run_cli(capsys, "schur", family_file, *grid)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_schur_missing_file(capsys):
@@ -327,7 +462,8 @@ def test_schur_module_loads_no_scipy():
 
 
 def test_package_namespace_resolves_lazily():
-    assert len(goldenschur.__all__) == 64
+    assert len(goldenschur.__all__) == 63
+    assert "moments_at_qstar" not in goldenschur.__all__
     assert set(goldenschur.__all__) <= set(dir(goldenschur))
     for name in goldenschur.__all__:
         assert getattr(goldenschur, name) is not None

@@ -4,13 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from goldenschur.folded import moments, sums_closed, theta_derivatives, theta_derivatives_fd
+from goldenschur.folded import (
+    moments,
+    moments_from_sums,
+    sums_closed,
+    theta_derivatives,
+    theta_derivatives_fd,
+)
 from goldenschur.golden import (
     GoldenPower,
     fibonacci,
     golden_power_table,
     lambda_n,
-    moments_at_qstar,
     reduce_power,
     sums_at_qstar,
 )
@@ -131,7 +136,7 @@ def test_sums_at_qstar_agrees_with_closed_forms():
 
 
 def test_moments_at_qstar_frozen():
-    m = moments_at_qstar(12)
+    m = moments(12, QSTAR)
     assert m.i1 == Q5(Fraction(13, 2), Fraction(-131, 60))
     assert m.i2 == Q5(Fraction(805, 12), Fraction(-1703, 60))
     assert m.i3 == Q5(Fraction(6071, 8), Fraction(-13373, 40))
@@ -140,8 +145,18 @@ def test_moments_at_qstar_frozen():
 
 
 def test_moments_at_qstar_matches_generic_route():
+    # library route (closed forms) against the integer-reduction oracle
     for n in (1, 2, 3, 12, 24):
-        assert moments_at_qstar(n) == moments(n, QSTAR)
+        assert moments(n, QSTAR) == moments_from_sums(sums_at_qstar(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 25, 100, 377, 1000])
+def test_closed_form_route_matches_integer_oracle(n):
+    oracle = sums_at_qstar(n)
+    assert sums_closed(n, QSTAR) == oracle
+    assert moments(n, QSTAR) == moments_from_sums(oracle)
+    d1, d2 = theta_derivatives(moments_from_sums(oracle))
+    assert lambda_n(n).value == d2 / d1
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +174,7 @@ def test_lambda_12_exact():
 
 def test_lambda_is_derivative_ratio():
     for n in (2, 3, 12, 24):
-        d1, d2 = theta_derivatives(moments_at_qstar(n))
+        d1, d2 = theta_derivatives(moments_from_sums(sums_at_qstar(n)))
         assert lambda_n(n).value == d2 / d1
 
 

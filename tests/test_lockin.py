@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from goldenschur.folded import moments, theta_derivatives
-from goldenschur.golden import lambda_n, moments_at_qstar
+from goldenschur.golden import lambda_n
 from goldenschur.lockin import (
     QuadLawCoeffs,
     bracket_residual,
@@ -80,7 +80,7 @@ def test_kappa_quadratic_components():
 
 
 def test_kappa_quadratic_exact_at_qstar():
-    m = moments_at_qstar(12)
+    m = moments(12, QSTAR)
     got = kappa_quadratic(QuadLawCoeffs(Fraction(7, 3), Fraction(-5, 4), 12), QSTAR)
     assert got == Fraction(7, 3) * m.i1 * m.i1 - Fraction(5, 4) * m.var
     assert isinstance(got, Q5)
@@ -173,7 +173,7 @@ def test_f_red_prime_direct_matches_finite_differences():
 
 def test_bracket_identity_exact():
     rng = random.Random(12345)
-    m = moments_at_qstar(12)
+    m = moments(12, QSTAR)
     i1p, _ = theta_derivatives(m)
     lam = lambda_n(12).value
     for _ in range(100):

@@ -63,6 +63,14 @@ def _normalize(x: Scalar) -> Scalar:
     return Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else x
 
 
+def _positive_m_rho_sq(m_rho_sq: Scalar) -> Scalar:
+    """The normalized m_ρ², rejected unless it is positive (a NaN is rejected)."""
+    m2 = _normalize(m_rho_sq)
+    if not (m2.sign() > 0 if isinstance(m2, Q5) else m2 > 0):
+        raise ValueError(f"m_rho_sq must be positive, got {m2}")
+    return m2
+
+
 @dataclass(frozen=True)
 class QuadLawCoeffs:
     """Coefficients of the quadratic folded law at fixed (N, m_ρ²)."""
@@ -77,13 +85,7 @@ class QuadLawCoeffs:
             raise ValueError(f"family size must be >= 1, got {self.n}")
         object.__setattr__(self, "a", _normalize(self.a))
         object.__setattr__(self, "b", _normalize(self.b))
-        m2 = _normalize(self.m_rho_sq)
-        if _is_exact(m2):
-            if not (m2 > 0 if not isinstance(m2, Q5) else m2.sign() > 0):
-                raise ValueError(f"m_rho_sq must be positive, got {m2}")
-        elif not m2 > 0:
-            raise ValueError(f"m_rho_sq must be positive, got {m2}")
-        object.__setattr__(self, "m_rho_sq", m2)
+        object.__setattr__(self, "m_rho_sq", _positive_m_rho_sq(self.m_rho_sq))
 
     @property
     def is_exact(self) -> bool:
@@ -210,7 +212,7 @@ def synthesize_consistent_ab(
     """
     lam = lambda_n(n).value
     b = _normalize(b)
-    m2 = _normalize(m_rho_sq)
+    m2 = _positive_m_rho_sq(m_rho_sq)  # before 8/m_ρ² can divide by zero
     if _is_exact(b) and _is_exact(m2):
         a = (8 / m2 - b * lam + 2 * b) / 2
     else:

@@ -15,6 +15,12 @@ The central quantity is the band-normalized Schur curvature
 together with its variational characterization (the Schur complement is the
 minimum of ``H_BB + H_BO Y + Yᵀ H_OB + Yᵀ H_OO Y`` over couplings ``Y`` in
 the Loewner order) and convexity diagnostics in θ.
+
+Because ``H_OO`` is 1×1, κ_Schur reduces to three scalars of ``H(θ)``, each a
+form in the weights ``(1, e^{s₁θ}, …)`` over K×K data computed once per
+family: a whole θ-grid then costs O(K²) per point, independent of N.  The
+dense blocks (:func:`block_hessian`, :func:`schur_complement`) are the oracle
+for that route.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -106,10 +113,6 @@ def reversal_matrix(n: int) -> FloatArray:
     return r
 
 
-def _commutator_norm(c: FloatArray, p: FloatArray) -> float:
-    return float(np.linalg.norm(c @ p - p @ c))
-
-
 # ---------------------------------------------------------------------------
 # split geometry
 
@@ -183,6 +186,24 @@ class HessianFamily:
     def n(self) -> int:
         return self.split.n
 
+    @cached_property
+    def _gram(self) -> _SchurGram:
+        """K×K data of the rank-one Schur identity, built once per family."""
+        n = self.n
+        u = self.split.u
+        coefs = [self.c0] + [t.coef for t in self.terms]
+        cu = np.array([c @ u for c in coefs])
+        c1 = np.array([c @ np.ones(n) for c in coefs])
+        total = c1.sum(axis=1)  # 1ᵀC_k1
+        a = cu @ u
+        b = np.array([np.trace(c) for c in coefs]) - total / n - a
+        # P_B x = x − mean(x)·1 − (uᵀx)·u; projected first, so the Gram matrix
+        # is PSD by construction
+        v = cu - cu.mean(axis=1, keepdims=True) - a[:, None] * u
+        inner = np.array([[np.vdot(cj, ck) for ck in coefs] for cj in coefs])
+        frob = inner - 2 * (c1 @ c1.T) / n + np.outer(total, total) / (n * n)
+        return _SchurGram(a, b, v @ v.T, frob)
+
 
 def _validate_coef(name: str, c: FloatArray, n: int, violations: list[str]) -> None:
     if c.shape != (n, n):
@@ -196,8 +217,11 @@ def _validate_coef(name: str, c: FloatArray, n: int, violations: list[str]) -> N
     w = np.linalg.eigvalsh((c + c.T) / 2)
     if w[0] < -PSD_TOL * scale:
         violations.append(f"{name}: not PSD (min eigenvalue = {w[0]:.3e})")
-    cs = _commutator_norm(c, shift_matrix(n))
-    cr = _commutator_norm(c, reversal_matrix(n))
+    # C·S − S·C and C·R − R·C by indexing: right-multiplying by a permutation
+    # permutes columns, left-multiplying permutes rows
+    rev = (n - np.arange(n)) % n
+    cs = float(np.linalg.norm(np.roll(c, 1, axis=1) - np.roll(c, -1, axis=0)))
+    cr = float(np.linalg.norm(c[:, rev] - c[rev, :]))
     if cs > EQUIVARIANCE_TOL * scale or cr > EQUIVARIANCE_TOL * scale:
         violations.append(
             f"{name}: not dihedral-equivariant "
@@ -382,11 +406,66 @@ def schur_complement(
     return h_bb - h_bo @ np.linalg.solve(h_oo, h_bo.T)
 
 
+@dataclass(frozen=True, eq=False)
+class _SchurGram:
+    """Coefficient data of the rank-one identity for κ_Schur, K = 1 + len(terms).
+
+    With weights ``w(θ) = (1, e^{s₁θ}, …)`` and ``H = Σ w_k C_k``, the
+    collective block is ``h = a·w``, the band trace ``t = Tr(P_B H) = b·w``,
+    the coupling ``g = ‖P_B H u‖² = wᵀ·gram·w`` and the guard's
+    ``‖P H P‖_F² = wᵀ·frob·w`` (P = I − 11ᵀ/N, so the band and collective
+    blocks together); then ``κ = (t − g/h)/(N − 2)``.
+    """
+
+    a: FloatArray  # uᵀC_k u
+    b: FloatArray  # Tr C_k − 1ᵀC_k1/N − a_k
+    gram: FloatArray  # (P_B C_j u)·(P_B C_k u)
+    frob: FloatArray  # ⟨P C_j P, P C_k P⟩ for symmetric C_j, C_k
+
+
+def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
+    """κ_Schur at each θ from the family's :class:`_SchurGram`.
+
+    Raises the dense route's errors in grid order: ``OverflowError`` from
+    ``math.exp``, or the singular-block ``ValueError`` of
+    :func:`schur_complement` at the first θ whose ``h ≤ ‖P H P‖_F/COND_LIMIT``.
+    """
+    rows = []
+    for theta in thetas:
+        try:
+            rows.append([1.0] + [math.exp(t.s * theta) for t in fam.terms])
+        except OverflowError:
+            _curvatures(fam, thetas[: len(rows)])  # a singular block earlier in the grid wins
+            raise
+    w = np.array(rows).reshape(len(rows), 1 + len(fam.terms))
+    gram = fam._gram
+    # Elementwise products summed per row, so that a θ gives the same bits
+    # alone or inside a grid (a matmul may change its summation order with
+    # the number of rows).  An overflow to inf is reported by the guard, as on
+    # the dense route; ‖P H P‖_F ≥ |h|, and fmax keeps that floor where the
+    # quadratic form overflows to nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (w * gram.a).sum(axis=1)
+        wjk = w[:, :, None] * w[:, None, :]
+        scale = np.sqrt(np.fmax((wjk * gram.frob).sum(axis=(1, 2)), h * h))
+    singular = ~(h > scale / COND_LIMIT)
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise ValueError(
+            f"collective block is numerically singular at theta={thetas[i]:g} "
+            f"(h_oo = {h[i]:.3e}, ‖H‖_F = {scale[i]:.3e})"
+        )
+    g = (wjk * gram.gram).sum(axis=(1, 2))
+    return ((w * gram.b).sum(axis=1) - g / h) / fam.split.dim_band
+
+
 def schur_curvature(fam: HessianFamily, theta: float) -> float:
-    """Band-normalized trace of the Schur complement at θ."""
-    blocks = block_hessian(fam, theta)
-    s = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
-    return float(np.trace(s)) / fam.split.dim_band
+    """Band-normalized trace of the Schur complement at θ (rank-one route).
+
+    :func:`block_hessian` and :func:`schur_complement` give the same value
+    from dense blocks; they are kept as the oracle.
+    """
+    return float(_curvatures(fam, [theta])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +591,7 @@ def kappa_convexity_scan(
     if not theta_min < theta_max:
         raise ValueError("need theta_min < theta_max")
     thetas = np.linspace(theta_min, theta_max, points)
-    kappas = np.array([schur_curvature(fam, t) for t in thetas])
+    kappas = _curvatures(fam, thetas)
     d2 = kappas[2:] - 2 * kappas[1:-1] + kappas[:-2]
     bad = tuple(
         int(i + 1) for i in range(len(d2)) if d2[i] < -tol * max(1.0, abs(kappas[i + 1]))

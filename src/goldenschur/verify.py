@@ -33,6 +33,7 @@ from .qfield import QSTAR, GoldenBasis, Q5, decimal_str
 from .report import SUITES, ReportDocument
 from .schur import (
     FamilyValidationError,
+    block_hessian,
     build_split,
     kappa_convexity_scan,
     make_family,
@@ -40,6 +41,7 @@ from .schur import (
     q_class_functional_from_weights,
     random_family,
     random_symmetric_psd_circulant,
+    schur_complement,
     schur_curvature,
     strict_convexity_witness,
     variational_check,
@@ -364,18 +366,25 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
         "derived",
     )
 
-    worst_gap, worst_eig = 0.0, math.inf
+    worst_gap, worst_eig, worst_route = 0.0, math.inf, 0.0
     for _ in range(6):
         fam = random_family(int(rng.integers(4, 9)), rng)
-        rep = variational_check(fam, float(rng.uniform(-1.5, 0.5)), trials=60, rng=rng)
+        theta = float(rng.uniform(-1.5, 0.5))
+        rep = variational_check(fam, theta, trials=60, rng=rng)
         worst_gap = max(worst_gap, rep.minimizer_gap)
         worst_eig = min(worst_eig, rep.min_loewner_eig)
+        # the dense blocks are the oracle for the rank-one κ route
+        blocks = block_hessian(fam, theta)
+        dense = float(np.trace(schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo)))
+        dense /= fam.split.dim_band
+        worst_route = max(worst_route, abs(schur_curvature(fam, theta) - dense) / abs(dense))
     doc.add(
         "s.variational",
         "optimal coupling attains the Schur complement; random couplings dominate it (Loewner)",
-        worst_gap <= 1e-10 and worst_eig >= -1e-10,
-        "gap <= 1e-10 and min eigenvalue >= -1e-10",
-        f"gap = {worst_gap:.3e}, min eigenvalue = {worst_eig:.3e}",
+        worst_gap <= 1e-10 and worst_eig >= -1e-10 and worst_route <= 1e-12,
+        "gap <= 1e-10, min eigenvalue >= -1e-10 and rank-one vs dense κ <= 1e-12 relative",
+        f"gap = {worst_gap:.3e}, min eigenvalue = {worst_eig:.3e}, "
+        f"rank-one vs dense κ = {worst_route:.3e} relative",
         "derived",
     )
 

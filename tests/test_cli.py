@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -251,6 +252,13 @@ def test_stationarity_rejects_bad_b(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("m_rho_sq", ["0", "-2"])
+def test_stationarity_rejects_nonpositive_m_rho_sq(capsys, m_rho_sq):
+    code, out, err = run_cli(capsys, "stationarity", "--B", "-1", "--m-rho-sq", m_rho_sq)
+    assert (code, out) == (2, "")
+    assert err == f"error: m_rho_sq must be positive, got {m_rho_sq}\n"
+
+
 # ---------------------------------------------------------------------------
 # fit-ab
 # ---------------------------------------------------------------------------
@@ -368,6 +376,62 @@ def test_schur_csv_and_fit(capsys, family_file):
     fam = family_from_dict(FAMILY_DOC)
     theta0 = float(rows[1][0])
     assert math.isclose(float(rows[1][2]), schur_curvature(fam, theta0), rel_tol=1e-12)
+
+
+#: ``schur <FAMILY_DOC> -2.0 -0.1 11 --fit-law`` stdout, by format.
+SCHUR_PINNED = {
+    "table": """\
+κ_Schur curve, N = 6, 11 points
+       theta           q           kappa
+   -2.000000    0.135335      7.78548451
+   -1.810000    0.163654      7.10878960
+   -1.620000    0.197899      6.52227458
+   -1.430000    0.239309      6.01594510
+   -1.240000    0.289384      5.58131011
+   -1.050000    0.349938      5.21124883
+   -0.860000    0.423162      4.89990549
+   -0.670000    0.511709      4.64261098
+   -0.480000    0.618783      4.43583078
+   -0.290000    0.748264      4.27713937
+   -0.100000    0.904837      4.16522214
+convexity: pass (min second difference 4.677417e-02)
+quadratic-law fit: A = 9.910640404, B = -30.25251335, max |residual| = 1.371987e+01
+""",
+    "csv": """\
+theta,q,kappa
+-2,0.135335283237,7.78548450643
+-1.81,0.163654136803,7.10878960268
+-1.62,0.197898699084,6.52227458302
+-1.43,0.239308922244,6.01594509749
+-1.24,0.289384217939,5.58131011459
+-1.05,0.349937749111,5.21124883289
+-0.86,0.423162082318,4.89990549286
+-0.67,0.511708577787,4.6426109844
+-0.48,0.618783391806,4.43583077899
+-0.29,0.748263567579,4.27713937358
+-0.1,0.904837418036,4.1652221355
+# convex_ok=True min_second_difference=4.677417e-02
+# fit A=9.91064040439 B=-30.2525133544 max_abs_residual=1.371987e+01
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SCHUR_PINNED))
+def test_schur_output_pinned(capsys, family_file, fmt):
+    code, out, err = run_cli(
+        capsys, "schur", family_file, "-2.0", "-0.1", "11", "--fit-law", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert out == SCHUR_PINNED[fmt]
+
+
+def test_schur_overflow_is_a_computation_failure(capsys, family_file):
+    # e^{1500} overflows math.exp; numpy must not turn it into a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "schur", family_file, "-2", "1500", "3")
+    assert (code, out, err) == (1, "", "computation failed: math range error\n")
+    assert caught == []
 
 
 def test_schur_rejects_invalid_family(capsys, tmp_path):

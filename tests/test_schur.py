@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from goldenschur.folded import folded_weights
@@ -383,6 +385,84 @@ def test_kappa_scan_flags_concave_curve():
     assert not scan.convex_ok
     assert len(scan.violations) > 0
     assert scan.min_second_difference < -1e-6
+
+
+def dense_curvature(fam, theta):
+    """κ_Schur from the dense band/collective blocks: the oracle route."""
+    blocks = block_hessian(fam, theta)
+    s = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
+    return float(np.trace(s)) / fam.split.dim_band
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(3, 64),
+    n_terms=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(-3.0, 1.0),
+)
+def test_rank_one_curvature_matches_dense_blocks(n, n_terms, seed, theta):
+    fam = random_family(n, np.random.default_rng(seed), n_terms=n_terms)
+    dense = dense_curvature(fam, theta)
+    assert abs(schur_curvature(fam, theta) - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+def test_kappa_scan_matches_pointwise_curvature():
+    fam = random_family(9, np.random.default_rng(RNG_SEED), n_terms=3)
+    scan = kappa_convexity_scan(fam, -2.5, 0.5, points=31)
+    assert scan.kappas == tuple(schur_curvature(fam, t) for t in scan.thetas)
+
+
+def dense_scan_error(fam, thetas):
+    """The first error of a θ-by-θ dense scan, which stops at its first failure."""
+    for theta in thetas:
+        try:
+            dense_curvature(fam, theta)
+        except (ValueError, OverflowError) as exc:
+            return exc
+    raise AssertionError("dense scan raised no error")
+
+
+def assert_same_scan_error(fam, theta_min, theta_max, points):
+    """The rank-one scan fails like the dense one: same type, same θ.
+
+    The h_oo and ‖H‖_F figures may differ in the last printed digit, since
+    they are rounding noise on both routes when h_oo is this small.
+    """
+    expected = dense_scan_error(fam, np.linspace(theta_min, theta_max, points))
+    with pytest.raises(type(expected)) as exc:
+        kappa_convexity_scan(fam, theta_min, theta_max, points)
+    assert str(exc.value).split(" (h_oo")[0] == str(expected).split(" (h_oo")[0]
+    return str(exc.value)
+
+
+def kernel_family(terms):
+    """n = 6, u = cos(2πk/6), and a PSD circulant C0 with C0·u = 0."""
+    n = 6
+    u = [math.cos(2 * math.pi * k / n) for k in range(n)]
+    c0 = circulant([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    return make_family(n, 2.0, u, c0, [(s, c0 if c is None else c) for s, c in terms])
+
+
+def test_rank_one_guard_fails_where_dense_guard_fails():
+    # h_oo = e^{−θ} sinks below ‖H‖_F/COND_LIMIT (‖P C0 P‖_F = √8) part-way
+    # along the grid, at θ = 28
+    fam = kernel_family([(-1.0, np.eye(6))])
+    message = assert_same_scan_error(fam, 0.0, 40.0, 11)
+    assert "singular at theta=28 " in message
+    with pytest.raises(ValueError, match="singular at theta=28 "):
+        schur_curvature(fam, 28.0)
+    # a vanishing collective block fails at the first grid point
+    null = kernel_family([])
+    assert "singular at theta=-1 " in assert_same_scan_error(null, -1.0, 0.0, 5)
+
+
+def test_singular_block_before_overflow_is_reported_first():
+    # θ = 28 is singular and e^{800} overflows later in the same grid
+    fam = kernel_family([(-1.0, np.eye(6)), (1.0, None)])
+    assert "singular at theta=28 " in assert_same_scan_error(fam, 28.0, 800.0, 3)
+    fam = kernel_family([(-1.0, np.eye(6))])
+    assert_same_scan_error(fam, -800.0, 0.0, 3)  # OverflowError at the first point
 
 
 def test_strict_convexity_witness_positive():

@@ -18,21 +18,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .folded import Scalar, moments, sums_closed, theta_derivatives
+from .folded import Scalar, moments_from_sums, sums_closed, theta_derivatives
 from .golden import golden_power_table, lambda_n
-from .lockin import (
-    bracket_residual,
-    quadratic_law_fit,
-    stationarity_check,
-    synthesize_consistent_ab,
-    uniqueness_scan,
-)
+from .lockin import bracket_residual, quadratic_law_fit, synthesize_consistent_ab, uniqueness_scan
 from .qfield import QSTAR, Q5, decimal_str
 from .report import SUITES
 
@@ -50,9 +45,12 @@ def _parse_rational(text: str, name: str) -> Fraction | float:
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"{name}: cannot parse {text!r} as a rational or float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: {text!r} is not a finite number")
+    return value
 
 
 def _parse_q(text: str) -> Scalar:
@@ -75,38 +73,46 @@ def _decimal(v: Scalar, digits: int) -> str:
     return decimal_str(v, digits)
 
 
-def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str]) -> None:
-    """Print a flat payload as json, as ``key,value`` csv rows (lists as json),
-    or as the command's own table lines."""
+def _json(doc: object, indent: int | None = None) -> str:
+    """The CLI's json: sorted keys, non-ASCII characters escaped."""
+    return json.dumps(doc, indent=indent, sort_keys=True)
+
+
+def _render(fmt: str, doc: object, csv_lines: list[str], table_lines: list[str]) -> None:
+    """Print ``doc`` as json, or the command's csv or table lines."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif fmt == "csv":
-        print("key,value")
-        for key, value in payload.items():
-            print(f"{key},{json.dumps(value) if isinstance(value, list) else value}")
+        print(_json(doc, indent=2))
     else:
-        print("\n".join(table_lines))
+        print("\n".join(csv_lines if fmt == "csv" else table_lines))
+
+
+def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str]) -> None:
+    """Render a flat payload; its csv is ``key,value`` rows, with lists as json."""
+    csv_lines = ["key,value"] + [
+        f"{key},{_json(value) if isinstance(value, list) else value}"
+        for key, value in payload.items()
+    ]
+    _render(fmt, payload, csv_lines, table_lines)
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
     s = sums_closed(args.N, q)
-    m = moments(args.N, q)
+    m = moments_from_sums(s)
     i1p, i2p = theta_derivatives(m)
     rows = [
         ("S0", s.s0), ("S1", s.s1), ("S2", s.s2), ("S3", s.s3),
         ("I1", m.i1), ("I2", m.i2), ("I3", m.i3), ("Var", m.var),
         ("I1'", i1p), ("I2'", i2p),
     ]
+    show = {
+        "exact": _exact_str,
+        "decimal": lambda v: _decimal(v, args.digits),
+        "both": lambda v: f"{_exact_str(v)} ≈ {_decimal(v, args.digits)}",
+    }[args.format]
     q_label = "q⋆ = (3 − √5)/2" if isinstance(q, Q5) else str(q)
     print(f"N = {args.N}, q = {q_label}")
-    for name, value in rows:
-        if args.format == "exact":
-            print(f"{name:>4} = {_exact_str(value)}")
-        elif args.format == "decimal":
-            print(f"{name:>4} = {_decimal(value, args.digits)}")
-        else:
-            print(f"{name:>4} = {_exact_str(value)} ≈ {_decimal(value, args.digits)}")
+    print("\n".join(f"{name:>4} = {show(value)}" for name, value in rows))
     return 0
 
 
@@ -129,52 +135,37 @@ def _cmd_schur(args: argparse.Namespace) -> int:
             print(f"  - {violation}", file=sys.stderr)
         return 2
     scan = kappa_convexity_scan(fam, args.theta_min, args.theta_max, args.points)
-    curve = [
-        {"theta": t, "q": math.exp(t), "kappa": k}
-        for t, k in zip(scan.thetas, scan.kappas)
-    ]
-    convexity = {
-        "min_second_difference": scan.min_second_difference,
-        "violations": list(scan.violations),
-        "convex_ok": scan.convex_ok,
+    curve = [(t, math.exp(t), k) for t, k in zip(scan.thetas, scan.kappas)]
+    d2_min, violations = scan.min_second_difference, list(scan.violations)
+    doc: dict[str, object] = {
+        "N": fam.n,
+        "curve": [{"theta": t, "q": q, "kappa": k} for t, q, k in curve],
+        "convexity": {
+            "min_second_difference": d2_min,
+            "violations": violations,
+            "convex_ok": scan.convex_ok,
+        },
     }
-    fit_info = None
+    csv_lines = ["theta,q,kappa"] + [f"{t:.12g},{q:.12g},{k:.12g}" for t, q, k in curve]
+    csv_lines.append(f"# convex_ok={scan.convex_ok} min_second_difference={d2_min:.6e}")
+    if violations:
+        csv_lines.append(f"# violations at grid indices {violations}")
+    status = "pass" if scan.convex_ok else f"FAIL at indices {violations}"
+    table = [
+        f"κ_Schur curve, N = {fam.n}, {args.points} points",
+        f"{'theta':>12}  {'q':>10}  {'kappa':>14}",
+        *(f"{t:>12.6f}  {q:>10.6f}  {k:>14.8f}" for t, q, k in curve),
+        f"convexity: {status} (min second difference {d2_min:.6e})",
+    ]
     if args.fit_law:
-        fit = quadratic_law_fit([(row["q"], row["kappa"]) for row in curve], fam.n)
-        fit_info = {
-            "A": float(fit.a),
-            "B": float(fit.b),
-            "max_abs_residual": fit.max_abs_residual,
-        }
-    if args.format == "json":
-        doc = {"N": fam.n, "curve": curve, "convexity": convexity}
-        if fit_info is not None:
-            doc["fit"] = fit_info
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    elif args.format == "csv":
-        print("theta,q,kappa")
-        for row in curve:
-            print(f"{row['theta']:.12g},{row['q']:.12g},{row['kappa']:.12g}")
-        print(f"# convex_ok={scan.convex_ok} min_second_difference={scan.min_second_difference:.6e}")
-        if scan.violations:
-            print(f"# violations at grid indices {list(scan.violations)}")
-        if fit_info is not None:
-            print(
-                f"# fit A={fit_info['A']:.12g} B={fit_info['B']:.12g} "
-                f"max_abs_residual={fit_info['max_abs_residual']:.6e}"
-            )
-    else:
-        print(f"κ_Schur curve, N = {fam.n}, {args.points} points")
-        print(f"{'theta':>12}  {'q':>10}  {'kappa':>14}")
-        for row in curve:
-            print(f"{row['theta']:>12.6f}  {row['q']:>10.6f}  {row['kappa']:>14.8f}")
-        status = "pass" if scan.convex_ok else f"FAIL at indices {list(scan.violations)}"
-        print(f"convexity: {status} (min second difference {scan.min_second_difference:.6e})")
-        if fit_info is not None:
-            print(
-                f"quadratic-law fit: A = {fit_info['A']:.10g}, B = {fit_info['B']:.10g}, "
-                f"max |residual| = {fit_info['max_abs_residual']:.6e}"
-            )
+        fit = quadratic_law_fit([(q, k) for _, q, k in curve], fam.n)
+        a, b, residual = float(fit.a), float(fit.b), fit.max_abs_residual
+        doc["fit"] = {"A": a, "B": b, "max_abs_residual": residual}
+        csv_lines.append(f"# fit A={a:.12g} B={b:.12g} max_abs_residual={residual:.6e}")
+        table.append(
+            f"quadratic-law fit: A = {a:.10g}, B = {b:.10g}, max |residual| = {residual:.6e}"
+        )
+    _render(args.format, doc, csv_lines, table)
     return 0 if scan.convex_ok else 1
 
 
@@ -185,9 +176,8 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
     m2 = _parse_rational(args.m_rho_sq, "m-rho-sq")
     coeffs = synthesize_consistent_ab(b, args.N, m2)
     lam = lambda_n(args.N)
-    rep = stationarity_check(coeffs)
     grid = [math.log(0.05) + i * (math.log(0.95) - math.log(0.05)) / 600 for i in range(601)]
-    scan = uniqueness_scan(coeffs, grid)
+    rep = uniqueness_scan(coeffs, grid)
     residual = bracket_residual(coeffs, lam)
     payload = {
         "N": args.N,
@@ -200,9 +190,9 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
         "bracket_residual": str(residual),
         "f_prime_at_golden_point": str(rep.f_prime_at_star),
         "stationary": rep.stationary,
-        "sign_changes": scan.sign_changes,
+        "sign_changes": rep.sign_changes,
         "sign_change_intervals_q": [
-            [math.exp(a), math.exp(b_)] for a, b_ in scan.sign_change_intervals
+            [math.exp(a), math.exp(b_)] for a, b_ in rep.sign_change_intervals
         ],
     }
     table = [
@@ -212,15 +202,18 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
         f"bracket residual = {payload['bracket_residual']}",
         f"F'(θ⋆) = {payload['f_prime_at_golden_point']}",
         f"stationary at the golden point: {'yes' if rep.stationary else 'NO'}",
-        f"scan: {scan.sign_changes} sign change(s); q intervals "
+        f"scan: {rep.sign_changes} sign change(s); q intervals "
         + str([[f"{a:.6f}", f"{c:.6f}"] for a, c in payload["sign_change_intervals_q"]]),
     ]
     _print_payload(payload, args.format, table)
-    return 0 if rep.stationary and scan.sign_changes == 1 else 1
+    return 0 if rep.stationary and rep.sign_changes == 1 else 1
 
 
 def _read_points(path: str) -> list[tuple[Scalar, Scalar]]:
+    """(q, κ) rows of a CSV file.  Blank lines and ``#`` comments are skipped;
+    the first other row is a header if it has no digit."""
     points: list[tuple[Scalar, Scalar]] = []
+    header_possible = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -229,20 +222,15 @@ def _read_points(path: str) -> list[tuple[Scalar, Scalar]]:
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'q,kappa', got {raw!r}")
-            if lineno == 1 and not _looks_numeric(parts[0]):
-                continue  # header row
-            points.append(
-                (_parse_rational(parts[0], "q"), _parse_rational(parts[1], "kappa"))
-            )
+            try:
+                points.append(
+                    (_parse_rational(parts[0], "q"), _parse_rational(parts[1], "kappa"))
+                )
+            except ValueError:
+                if not header_possible or any(c.isdigit() for c in line):
+                    raise
+            header_possible = False
     return points
-
-
-def _looks_numeric(text: str) -> bool:
-    try:
-        _parse_rational(text, "probe")
-        return True
-    except ValueError:
-        return False
 
 
 def _cmd_fit_ab(args: argparse.Namespace) -> int:
@@ -250,8 +238,8 @@ def _cmd_fit_ab(args: argparse.Namespace) -> int:
     fit = quadratic_law_fit(points, args.N)
     payload = {
         "N": args.N,
-        "A": _exact_str(fit.a) if not isinstance(fit.a, float) else repr(fit.a),
-        "B": _exact_str(fit.b) if not isinstance(fit.b, float) else repr(fit.b),
+        "A": _exact_str(fit.a),
+        "B": _exact_str(fit.b),
         "A_decimal": _decimal(fit.a, 12),
         "B_decimal": _decimal(fit.b, 12),
         "residuals": [str(r) for r in fit.residuals],
@@ -269,21 +257,14 @@ def _cmd_fit_ab(args: argparse.Namespace) -> int:
 
 def _cmd_golden_table(args: argparse.Namespace) -> int:
     rows = golden_power_table(args.max_m)
-    if args.format == "json":
-        print(
-            json.dumps(
-                [{"m": r.m, "a": r.a, "b": r.b} for r in rows], indent=2, sort_keys=True
-            )
-        )
-    elif args.format == "table":
-        width = len(str(rows[-1].a))
-        print(f"{'m':>4}  {'a_m':>{width}}  {'b_m':>{width + 1}}")
-        for r in rows:
-            print(f"{r.m:>4}  {r.a:>{width}}  {r.b:>{width + 1}}")
-    else:
-        print("m,a,b")
-        for r in rows:
-            print(f"{r.m},{r.a},{r.b}")
+    width = len(str(rows[-1].a))
+    _render(
+        args.format,
+        [{"m": r.m, "a": r.a, "b": r.b} for r in rows],
+        ["m,a,b"] + [f"{r.m},{r.a},{r.b}" for r in rows],
+        [f"{'m':>4}  {'a_m':>{width}}  {'b_m':>{width + 1}}"]
+        + [f"{r.m:>4}  {r.a:>{width}}  {r.b:>{width + 1}}" for r in rows],
+    )
     return 0
 
 
@@ -372,9 +353,12 @@ def _unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(previous)
 
 
+#: The parser ``main`` reuses; building it costs far more than a parse.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with _unlimited_int_digits():
             return args.func(args)

@@ -25,11 +25,11 @@ exact; any float input routes the whole computation through floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .folded import Scalar, moments, theta_derivatives
+from .folded import FoldedMoments, Scalar, moments, theta_derivatives
 from .golden import LambdaValue, lambda_n
 from .qfield import QSTAR, Q5
 
@@ -102,11 +102,21 @@ def _route(coeffs: QuadLawCoeffs, x: Scalar) -> tuple[QuadLawCoeffs, Scalar]:
     return coeffs.as_floats(), float(x)
 
 
+def _kappa(c: QuadLawCoeffs, m: FoldedMoments) -> Scalar:
+    """κ = A·I₁² + B·Var from moments already evaluated in the lane of ``c``."""
+    return c.a * (m.i1 * m.i1) + c.b * m.var
+
+
+def _f_prime(c: QuadLawCoeffs, m: FoldedMoments) -> Scalar:
+    """Bracket-form F′_red (see :func:`f_red_prime_q`) from the same moments."""
+    i1p, i2p = theta_derivatives(m)
+    return (c.b * i2p + (2 * c.a - 2 * c.b - 8 / c.m_rho_sq) * i1p) * m.i1 / c.n
+
+
 def kappa_quadratic(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """κ(q) = A·I₁² + B·Var under the quadratic folded law."""
     c, qq = _route(coeffs, q)
-    m = moments(c.n, qq)
-    return c.a * (m.i1 * m.i1) + c.b * m.var
+    return _kappa(c, moments(c.n, qq))
 
 
 @dataclass(frozen=True)
@@ -155,9 +165,7 @@ def f_red_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """Reduced functional ``N − 4I₁²/(N·m_ρ²) + κ/N`` as a function of q."""
     c, qq = _route(coeffs, q)
     m = moments(c.n, qq)
-    i1sq = m.i1 * m.i1
-    kappa = c.a * i1sq + c.b * m.var
-    return c.n - 4 * i1sq / (c.n * c.m_rho_sq) + kappa / c.n
+    return c.n - 4 * (m.i1 * m.i1) / (c.n * c.m_rho_sq) + _kappa(c, m) / c.n
 
 
 def f_red(coeffs: QuadLawCoeffs, theta: float) -> float:
@@ -172,9 +180,7 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     the chain-rule derivative of :func:`f_red_q` by ``B·I₂′·(I₁−1)/N``.
     """
     c, qq = _route(coeffs, q)
-    m = moments(c.n, qq)
-    i1p, i2p = theta_derivatives(m)
-    return (c.b * i2p + (2 * c.a - 2 * c.b - 8 / c.m_rho_sq) * i1p) * m.i1 / c.n
+    return _f_prime(c, moments(c.n, qq))
 
 
 def f_red_prime(coeffs: QuadLawCoeffs, theta: float) -> float:
@@ -255,8 +261,8 @@ def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
     if n == 1:
         return StationarityReport(1, _THETA_STAR, Fraction(0), None, 0.0, True)
     c, q = _route(coeffs, QSTAR)
-    fp = f_red_prime_q(c, q)
     m = moments(n, q)
+    fp = _f_prime(c, m)
     i1p, i2p = theta_derivatives(m)
     bracket = bracket_residual(c, i2p / i1p)
     gap = abs(float(fp - bracket * m.i1 * i1p / n))
@@ -283,20 +289,13 @@ def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> Stationar
     if coeffs.n == 1:
         # degenerate family: F′_red ≡ 0, so there is nothing to scan (float
         # evaluation would only count rounding noise)
-        base = stationarity_check(coeffs)
-        return StationarityReport(
-            base.n,
-            base.theta_star,
-            base.f_prime_at_star,
-            base.bracket,
-            base.identity_gap,
-            base.degenerate,
-            sign_changes=0,
-            sign_change_intervals=(),
-        )
+        return replace(stationarity_check(coeffs), sign_changes=0)
     c = coeffs.as_floats()
-    values = [f_red_prime(c, t) for t in grid]
-    kappas = [float(kappa_quadratic(c, math.exp(t))) for t in grid]
+    values, kappas = [], []
+    for t in grid:
+        m = moments(c.n, math.exp(t))
+        values.append(_f_prime(c, m))
+        kappas.append(_kappa(c, m))
 
     # a sign change is a flip between consecutive nonzero values; exact grid
     # zeros are spanned by the surrounding flip (or, if the function is flat
@@ -321,14 +320,8 @@ def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> Stationar
             "certifies strictly convex κ — scan grid or coefficients are inconsistent"
         )
 
-    base = stationarity_check(coeffs)
-    return StationarityReport(
-        base.n,
-        base.theta_star,
-        base.f_prime_at_star,
-        base.bracket,
-        base.identity_gap,
-        base.degenerate,
+    return replace(
+        stationarity_check(coeffs),
         sign_changes=count,
         sign_change_intervals=tuple(sorted(intervals)),
     )

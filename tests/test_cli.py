@@ -131,6 +131,96 @@ def test_moments_rejects_negative_q(capsys):
     assert code == 2
 
 
+#: ``moments --N 12 --q <q> --format <fmt>`` stdout, by q and format.
+MOMENTS_12_OUTPUT = {
+    ("phi^-2", "exact"): """\
+N = 12, q = q⋆ = (3 − √5)/2
+  S0 = 83880 - 37512·√5 = -28656 + 75024·q⋆
+  S1 = 954726 - 426966·√5 = -326172 + 853932·q⋆
+  S2 = 10950528 - 4897224·√5 = -3741144 + 9794448·q⋆
+  S3 = 126360432 - 56510100·√5 = -43169868 + 113020200·q⋆
+  I1 = 13/2 - 131/60·√5 = -1/20 + 131/30·q⋆
+  I2 = 805/12 - 1703/60·√5 = -271/15 + 1703/30·q⋆
+  I3 = 6071/8 - 13373/40·√5 = -2441/10 + 13373/20·q⋆
+ Var = 719/720
+ I1' = 719/720
+ I2' = 9347/720 - 485/144·√5 = 259/90 + 485/72·q⋆
+""",
+    ("phi^-2", "decimal"): """\
+N = 12, q = q⋆ = (3 − √5)/2
+  S0 = 0.618028027889
+  S1 = 0.999918824792
+  S2 = 2.234956569904
+  S3 = 6.984689134277
+  I1 = 1.617918249125
+  I2 = 3.616270571964
+  I3 = 11.301573422383
+ Var = 0.998611111111
+ I1' = 0.998611111111
+ I2' = 5.450743270226
+""",
+    ("phi^-2", "both"): """\
+N = 12, q = q⋆ = (3 − √5)/2
+  S0 = 83880 - 37512·√5 = -28656 + 75024·q⋆ ≈ 0.618028027889
+  S1 = 954726 - 426966·√5 = -326172 + 853932·q⋆ ≈ 0.999918824792
+  S2 = 10950528 - 4897224·√5 = -3741144 + 9794448·q⋆ ≈ 2.234956569904
+  S3 = 126360432 - 56510100·√5 = -43169868 + 113020200·q⋆ ≈ 6.984689134277
+  I1 = 13/2 - 131/60·√5 = -1/20 + 131/30·q⋆ ≈ 1.617918249125
+  I2 = 805/12 - 1703/60·√5 = -271/15 + 1703/30·q⋆ ≈ 3.616270571964
+  I3 = 6071/8 - 13373/40·√5 = -2441/10 + 13373/20·q⋆ ≈ 11.301573422383
+ Var = 719/720 ≈ 0.998611111111
+ I1' = 719/720 ≈ 0.998611111111
+ I2' = 9347/720 - 485/144·√5 = 259/90 + 485/72·q⋆ ≈ 5.450743270226
+""",
+    ("1/2", "exact"): """\
+N = 12, q = 1/2
+  S0 = 4095/4096
+  S1 = 4089/2048
+  S2 = 12189/2048
+  S3 = 51831/2048
+  I1 = 2726/1365
+  I2 = 8126/1365
+  I3 = 886/35
+ Var = 3660914/1863225
+ I1' = 3660914/1863225
+ I2' = 25014734/1863225
+""",
+    ("1/2", "decimal"): """\
+N = 12, q = 1/2
+  S0 = 0.999755859375
+  S1 = 1.996582031250
+  S2 = 5.951660156250
+  S3 = 25.308105468750
+  I1 = 1.997069597070
+  I2 = 5.953113553114
+  I3 = 25.314285714286
+ Var = 1.964826577574
+ I1' = 1.964826577574
+ I2' = 13.425503629460
+""",
+    ("1/2", "both"): """\
+N = 12, q = 1/2
+  S0 = 4095/4096 ≈ 0.999755859375
+  S1 = 4089/2048 ≈ 1.996582031250
+  S2 = 12189/2048 ≈ 5.951660156250
+  S3 = 51831/2048 ≈ 25.308105468750
+  I1 = 2726/1365 ≈ 1.997069597070
+  I2 = 8126/1365 ≈ 5.953113553114
+  I3 = 886/35 ≈ 25.314285714286
+ Var = 3660914/1863225 ≈ 1.964826577574
+ I1' = 3660914/1863225 ≈ 1.964826577574
+ I2' = 25014734/1863225 ≈ 13.425503629460
+""",
+}
+
+
+@pytest.mark.parametrize("q, fmt", sorted(MOMENTS_12_OUTPUT))
+def test_moments_output_pinned(capsys, q, fmt):
+    code, out, err = run_cli(capsys, "moments", "--N", "12", "--q", q, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == MOMENTS_12_OUTPUT[q, fmt]
+
+
 # ---------------------------------------------------------------------------
 # lambda / golden-table
 # ---------------------------------------------------------------------------
@@ -183,6 +273,35 @@ def test_golden_table(capsys):
     assert rows[0] == ["m", "a", "b"]
     assert rows[1] == ["0", "0", "1"]
     assert rows[-1] == ["12", "46368", "-17711"]
+
+
+#: ``golden-table --max-m 5 --format <fmt>`` stdout, by format.
+GOLDEN_TABLE_5_OUTPUT = {
+    "table": """\
+   m  a_m  b_m
+   0   0    1
+   1   1    0
+   2   3   -1
+   3   8   -3
+   4  21   -8
+   5  55  -21
+""",
+    "csv": "m,a,b\n0,0,1\n1,1,0\n2,3,-1\n3,8,-3\n4,21,-8\n5,55,-21\n",
+    "json": json.dumps(
+        [{"a": a, "b": b, "m": m} for m, a, b in [
+            (0, 0, 1), (1, 1, 0), (2, 3, -1), (3, 8, -3), (4, 21, -8), (5, 55, -21)
+        ]],
+        indent=2,
+    )
+    + "\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_golden_table_output_pinned(capsys, fmt):
+    code, out, err = run_cli(capsys, "golden-table", "--max-m", "5", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_TABLE_5_OUTPUT[fmt]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +376,41 @@ def test_stationarity_rejects_nonpositive_m_rho_sq(capsys, m_rho_sq):
     code, out, err = run_cli(capsys, "stationarity", "--B", "-1", "--m-rho-sq", m_rho_sq)
     assert (code, out) == (2, "")
     assert err == f"error: m_rho_sq must be positive, got {m_rho_sq}\n"
+
+
+def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
+    # Λ for the synthesis, Λ for the printed value, and the golden-point check
+    # are the exact evaluations; the 601-point scan evaluates each point once
+    import goldenschur.folded as folded
+
+    calls = {"exact": 0, "float": 0}
+    original = folded.sums_closed
+
+    def counted(n, q):
+        calls["float" if isinstance(q, float) else "exact"] += 1
+        return original(n, q)
+
+    monkeypatch.setattr(folded, "sums_closed", counted)
+    code, _, err = run_cli(capsys, "stationarity", "--B", "-1")
+    assert (code, err) == (0, "")
+    assert calls["exact"] <= 3
+    assert calls["float"] == 601
+
+
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["stationarity", "--B", "nan"], "B", "nan"),
+        (["stationarity", "--B", "inf"], "B", "inf"),
+        (["stationarity", "--B=-inf"], "B", "-inf"),
+        (["stationarity", "--B", "-1", "--m-rho-sq", "inf"], "m-rho-sq", "inf"),
+        (["moments", "--N", "12", "--q", "nan"], "q", "nan"),
+    ],
+)
+def test_non_finite_numbers_are_bad_input(capsys, argv, option, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option}: {text!r} is not a finite number\n"
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +498,33 @@ def test_fit_ab_malformed_row(capsys, tmp_path):
     assert "expected" in err
 
 
+def test_fit_ab_header_after_comment(capsys, tmp_path):
+    path = write_round_trip_points(tmp_path)
+    path.write_text("# exact samples\n\n" + path.read_text())
+    code, out, err = run_cli(capsys, "fit-ab", "--points", str(path), "--N", "12")
+    assert (code, err) == (0, "")
+    assert out == FIT_AB_OUTPUT["table"]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("q,kappa\n1/2,nan\n1/3,5/11\n", "kappa: 'nan' is not a finite number"),
+        ("nan,3/7\n1/2,3/7\n1/3,5/11\n", "q: 'nan' is not a finite number"),
+        ("q,kappa\nq,kappa\n1/3,5/11\n", "q: cannot parse 'q' as a rational or float"),
+        ("1/2,3/7\nq,kappa\n1/3,5/11\n", "q: cannot parse 'q' as a rational or float"),
+    ],
+)
+def test_fit_ab_rejects_bad_rows(capsys, tmp_path, rows, message):
+    # only the first row that is not blank or a comment may be a header, and
+    # a header has no number in it
+    path = tmp_path / "points.csv"
+    path.write_text(rows)
+    code, out, err = run_cli(capsys, "fit-ab", "--points", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # schur
 # ---------------------------------------------------------------------------
@@ -423,6 +604,55 @@ def test_schur_output_pinned(capsys, family_file, fmt):
     )
     assert (code, err) == (0, "")
     assert out == SCHUR_PINNED[fmt]
+
+
+#: ``schur <FAMILY_DOC> -2.0 -0.5 4 --fit-law --format json`` stdout, parsed.
+SCHUR_JSON_PINNED = {
+    "N": 6,
+    "convexity": {
+        "convex_ok": True,
+        "min_second_difference": 0.4013569320576291,
+        "violations": [],
+    },
+    "curve": [
+        {"kappa": 7.785484506434311, "q": 0.1353352832366127, "theta": -2.0},
+        {"kappa": 6.193726637429618, "q": 0.22313016014842982, "theta": -1.5},
+        {"kappa": 5.123834623504057, "q": 0.36787944117144233, "theta": -1.0},
+        {"kappa": 4.4552995416361245, "q": 0.6065306597126334, "theta": -0.5},
+    ],
+    "fit": {
+        "A": 9.106848407411844,
+        "B": -24.306361849873248,
+        "max_abs_residual": 6.25976411843771,
+    },
+}
+
+
+def assert_doc_close(got, want):
+    """Same keys, lengths and types; floats equal to 1e-12 relative."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12)
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert_doc_close(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_doc_close(g, w)
+    else:
+        assert got == want
+
+
+def test_schur_json_pinned(capsys, family_file):
+    code, out, err = run_cli(
+        capsys, "schur", family_file, "-2.0", "-0.5", "4", "--fit-law", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert_doc_close(doc, SCHUR_JSON_PINNED)
 
 
 def test_schur_overflow_is_a_computation_failure(capsys, family_file):
@@ -574,3 +804,13 @@ def test_console_script():
 def test_no_arguments_shows_usage(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    from goldenschur import cli
+
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main rebuilt the parser"))
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "lambda", "--N", "12")
+        assert (code, out) == (0, LAMBDA_12_OUTPUT["table"])

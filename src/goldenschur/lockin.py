@@ -53,6 +53,10 @@ __all__ = [
 
 _ExactScalar = (int, Fraction, Q5)
 
+#: Relative size of the moment determinant at or below which two float samples
+#: are a degenerate pair in :func:`quadratic_law_fit`.
+DEGENERACY_RTOL = 1e-8
+
 
 def _is_exact(x: object) -> bool:
     return isinstance(x, _ExactScalar) and not isinstance(x, bool)
@@ -142,6 +146,11 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
         A = (κ_a·V_b − κ_b·V_a)/Δ,   B = (M_a·κ_b − M_b·κ_a)/Δ,
 
     with M = I₁² and V = Var; remaining samples become residual diagnostics.
+    Exact samples are degenerate when Δ = 0.  Float samples are degenerate
+    when |Δ| ≤ DEGENERACY_RTOL·(|M_a·V_b| + |M_b·V_a|), with
+    DEGENERACY_RTOL = 1e-8: so little of the two products survives their
+    difference that (A, B) would be fitted to rounding noise (near q = 1 the
+    float moments carry relative errors up to about 1e-7).
     """
     if len(points) < 2:
         raise ValueError("need at least two (q, kappa) samples")
@@ -152,8 +161,11 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
         vs.append(mom.var)
         ks.append(kappa)
     delta = ms[0] * vs[1] - ms[1] * vs[0]
-    is_exact = not isinstance(delta, float)
-    if (delta == 0) if is_exact else (abs(delta) < 1e-14):
+    if isinstance(delta, float):
+        degenerate = abs(delta) <= DEGENERACY_RTOL * (abs(ms[0] * vs[1]) + abs(ms[1] * vs[0]))
+    else:
+        degenerate = delta == 0
+    if degenerate:
         raise ValueError("degenerate sample pair: moment determinant vanishes")
     a = (ks[0] * vs[1] - ks[1] * vs[0]) / delta
     b = (ms[0] * ks[1] - ms[1] * ks[0]) / delta

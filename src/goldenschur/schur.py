@@ -16,11 +16,23 @@ together with its variational characterization (the Schur complement is the
 minimum of ``H_BB + H_BO Y + Yᵀ H_OB + Yᵀ H_OO Y`` over couplings ``Y`` in
 the Loewner order) and convexity diagnostics in θ.
 
-Because ``H_OO`` is 1×1, κ_Schur reduces to three scalars of ``H(θ)``, each a
-form in the weights ``(1, e^{s₁θ}, …)`` over K×K data computed once per
-family: a whole θ-grid then costs O(K²) per point, independent of N.  The
-dense blocks (:func:`block_hessian`, :func:`schur_complement`) are the oracle
-for that route.
+The DFT diagonalizes every symmetric circulant, so a family is kept as the
+K generator rows of its coefficients, and ``H(θ)`` has the real eigenvalues
+``λ_j(θ) = Σ_k w_k(θ)·ĉ_k[j]`` with ``w = (1, e^{s₁θ}, …)`` and ``ĉ_k`` the
+rfft of row k.  Because ``H_OO`` is 1×1 and ``u ⟂ 1``, κ_Schur needs only
+``p_j = |û_j|²`` (unitary DFT of u, folded over ±j):
+
+    h = Σ p λ,   κ = (Σ_{j≠0} λ_j − h − Σ p (λ − h)²/h)/(N − 2),
+
+and the singular-block guard compares h with ``‖P H P‖_F = (Σ_{j≠0} λ_j²)^½``
+(P = I − 11ᵀ/N).  Set-up costs O(K·N log N) and each θ O(K·N); validation
+reads symmetry and positivity off the same rows.  No N×N array is built on
+this route: the dense coefficients, ``p_band`` and ``band_basis`` are made on
+first use by the dense oracle (:func:`block_hessian`,
+:func:`schur_complement`, :func:`variational_check`), by
+:func:`strict_convexity_witness` and by the class functional.  The oracle is
+also the κ route of an unvalidated family whose coefficients are not all
+symmetric circulants (a negative control).
 """
 
 from __future__ import annotations
@@ -109,8 +121,13 @@ def shift_matrix(n: int) -> FloatArray:
 def reversal_matrix(n: int) -> FloatArray:
     """Index reversal ``(Rx)_i = x_{(n−i) mod n}``."""
     r = np.zeros((n, n))
-    r[np.arange(n), (n - np.arange(n)) % n] = 1.0
+    r[np.arange(n), _reversal(n)] = 1.0
     return r
+
+
+def _reversal(n: int) -> NDArray[np.intp]:
+    """Indices of the reversal ``j ↦ (n − j) mod n``."""
+    return (n - np.arange(n)) % n
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +141,33 @@ class SplitGeometry:
     n: int
     m_rho_sq: float
     u: FloatArray  # unit-norm, mean-zero collective direction
-    p_band: FloatArray  # projector onto B = span{1, u}^⊥
-    band_basis: FloatArray  # (n, n−2) orthonormal columns spanning B
 
     @property
     def dim_band(self) -> int:
         return self.n - 2
 
+    @cached_property
+    def p_band(self) -> FloatArray:
+        """Projector onto B = span{1, u}^⊥."""
+        n = self.n
+        return np.eye(n) - np.full((n, n), 1.0 / n) - np.outer(self.u, self.u)
+
+    @cached_property
+    def band_basis(self) -> FloatArray:
+        """(n, n−2) orthonormal columns spanning B."""
+        rows = np.vstack([np.full(self.n, 1.0 / math.sqrt(self.n)), self.u])
+        # the two rows are orthonormal, so the last n − 2 right singular vectors
+        # span their null space exactly
+        return np.linalg.svd(rows, full_matrices=True)[2][2:].T
+
 
 def build_split(n: int, m_rho_sq: float, u_raw: Sequence[float]) -> SplitGeometry:
     """Build the split from a raw collective direction.
 
-    ``u_raw`` is shifted to mean zero and normalized; a direction parallel to
-    the uniform vector (or zero) is rejected since the collective mode would
-    collapse onto the simplex constraint.
+    ``u_raw`` is shifted to mean zero and normalized; a direction with a
+    non-finite entry, or parallel to the uniform vector (or zero), is rejected
+    since the collective mode would be undefined or collapse onto the simplex
+    constraint.
     """
     if n < 3:
         raise ValueError(f"split needs n >= 3 (band dimension n-2 > 0), got n={n}")
@@ -146,20 +176,14 @@ def build_split(n: int, m_rho_sq: float, u_raw: Sequence[float]) -> SplitGeometr
     v = np.asarray(u_raw, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"collective direction must have shape ({n},), got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("collective direction has non-finite entries")
     scale = float(np.linalg.norm(v))
     v = v - v.mean()
     nrm = float(np.linalg.norm(v))
     if nrm <= 1e-12 * max(scale, 1.0):
         raise ValueError("collective direction is parallel to the uniform vector")
-    u = v / nrm
-    p_band = np.eye(n) - np.full((n, n), 1.0 / n) - np.outer(u, u)
-    rows = np.vstack([np.full(n, 1.0 / math.sqrt(n)), u])
-    # the two rows are orthonormal, so the last n − 2 right singular vectors
-    # span their null space exactly
-    basis = np.linalg.svd(rows, full_matrices=True)[2][2:].T
-    if basis.shape != (n, n - 2):
-        raise ValueError(f"band basis has unexpected shape {basis.shape}")
-    return SplitGeometry(n, float(m_rho_sq), u, p_band, basis)
+    return SplitGeometry(n, float(m_rho_sq), v / nrm)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +192,20 @@ def build_split(n: int, m_rho_sq: float, u_raw: Sequence[float]) -> SplitGeometr
 
 @dataclass(frozen=True, eq=False)
 class ExpTerm:
-    """One exponential term ``e^{sθ}·C`` of the Hessian sum."""
+    """One exponential term ``e^{sθ}·C`` of the Hessian sum.
+
+    ``generator`` is the first row of C when C is a symmetric circulant, else
+    None.  ``given`` is C as it was passed in dense form, or None for a
+    generator row, whose dense ``coef`` is then built on first use.
+    """
 
     s: float
-    coef: FloatArray
+    generator: FloatArray | None
+    given: FloatArray | None = None
+
+    @cached_property
+    def coef(self) -> FloatArray:
+        return circulant(self.generator) if self.given is None else self.given
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,85 +213,122 @@ class HessianFamily:
     """PSD exponential-sum Hessian family with its band/collective split."""
 
     split: SplitGeometry
-    c0: FloatArray
+    base: ExpTerm  # C₀, whose weight is 1 (s = 0)
     terms: tuple[ExpTerm, ...]
 
     @property
     def n(self) -> int:
         return self.split.n
 
+    @property
+    def c0(self) -> FloatArray:
+        return self.base.coef
+
     @cached_property
-    def _gram(self) -> _SchurGram:
-        """K×K data of the rank-one Schur identity, built once per family."""
+    def _spectral(self) -> tuple[FloatArray, FloatArray, FloatArray] | None:
+        """``(ĉ, p, m)`` of the spectral route, or None when some coefficient
+        is not a symmetric circulant.
+
+        ``ĉ`` holds the eigenvalues of C₀, C₁, … on the rfft bins j = 0 … N//2
+        (K rows), ``m_j`` is the multiplicity of bin j in the range of
+        P = I − 11ᵀ/N (0 at j = 0, 1 at j = N/2, else 2) and
+        ``p_j = m_j·|û_j|²/N`` the collective weights, Σp = ‖u‖² = 1.
+        """
+        rows = [t.generator for t in (self.base, *self.terms)]
+        if any(g is None for g in rows):
+            return None
         n = self.n
-        u = self.split.u
-        coefs = [self.c0] + [t.coef for t in self.terms]
-        cu = np.array([c @ u for c in coefs])
-        c1 = np.array([c @ np.ones(n) for c in coefs])
-        total = c1.sum(axis=1)  # 1ᵀC_k1
-        a = cu @ u
-        b = np.array([np.trace(c) for c in coefs]) - total / n - a
-        # P_B x = x − mean(x)·1 − (uᵀx)·u; projected first, so the Gram matrix
-        # is PSD by construction
-        v = cu - cu.mean(axis=1, keepdims=True) - a[:, None] * u
-        inner = np.array([[np.vdot(cj, ck) for ck in coefs] for cj in coefs])
-        frob = inner - 2 * (c1 @ c1.T) / n + np.outer(total, total) / (n * n)
-        return _SchurGram(a, b, v @ v.T, frob)
+        m = np.full(n // 2 + 1, 2.0)
+        m[0] = 0.0
+        if n % 2 == 0:
+            m[-1] = 1.0
+        u_hat = np.fft.rfft(self.split.u)
+        p = m * (u_hat.real**2 + u_hat.imag**2) / n
+        return np.fft.rfft(np.array(rows), axis=1).real, p, m
 
 
-def _validate_coef(name: str, c: FloatArray, n: int, violations: list[str]) -> None:
-    if c.shape != (n, n):
+def _validate_coef(name: str, c: FloatArray, n: int, violations: list[str]) -> FloatArray | None:
+    """Validate one coefficient, given as an (n, n) matrix or a generator row.
+
+    Returns the symmetrized generator row, or None after appending the
+    violations found.  The shift and reversal commutator norms are computed
+    only when ``c`` is not exactly a symmetric circulant; a matrix they show
+    is not a circulant gets no PSD test.  A symmetric circulant is PSD when
+    the rfft of its row, its spectrum, is.
+    """
+    if c.shape not in ((n,), (n, n)):
         violations.append(f"{name}: shape {c.shape} != ({n}, {n})")
-        return
-    scale = max(1.0, float(np.linalg.norm(c)))
-    asym = float(np.max(np.abs(c - c.T)))
+        return None
+    if not np.isfinite(c).all():
+        violations.append(f"{name}: has non-finite entries")
+        return None
+    rev = _reversal(n)
+    dense = c.ndim == 2
+    row = c[0] if dense else c
+    # ‖C‖_F and max |C − Cᵀ|; a circulant's entries are its row's, n times over
+    scale = max(1.0, float(np.linalg.norm(c)) * (1.0 if dense else math.sqrt(n)))
+    asym = float(np.max(np.abs(c - c.T if dense else c - c[rev])))
     if asym > SYM_TOL * scale:
         violations.append(f"{name}: not symmetric (max |C - C^T| = {asym:.3e})")
-        return
-    w = np.linalg.eigvalsh((c + c.T) / 2)
-    if w[0] < -PSD_TOL * scale:
-        violations.append(f"{name}: not PSD (min eigenvalue = {w[0]:.3e})")
-    # C·S − S·C and C·R − R·C by indexing: right-multiplying by a permutation
-    # permutes columns, left-multiplying permutes rows
-    rev = (n - np.arange(n)) % n
-    cs = float(np.linalg.norm(np.roll(c, 1, axis=1) - np.roll(c, -1, axis=0)))
-    cr = float(np.linalg.norm(c[:, rev] - c[rev, :]))
-    if cs > EQUIVARIANCE_TOL * scale or cr > EQUIVARIANCE_TOL * scale:
-        violations.append(
-            f"{name}: not dihedral-equivariant "
-            f"(shift commutator norm = {cs:.3e}, reversal commutator norm = {cr:.3e})"
-        )
+        return None
+    found = len(violations)
+    if asym or (dense and not np.array_equal(c, circulant(row))):
+        # ‖C·S − S·C‖_F and ‖C·R − R·C‖_F by indexing: right-multiplying by a
+        # permutation permutes columns, left-multiplying permutes rows
+        if dense:
+            cs = float(np.linalg.norm(np.roll(c, 1, axis=1) - np.roll(c, -1, axis=0)))
+            cr = float(np.linalg.norm(c[:, rev] - c[rev, :]))
+        else:
+            cs, cr = 0.0, math.sqrt(n) * float(np.linalg.norm(c - c[rev]))
+        if cs > EQUIVARIANCE_TOL * scale or cr > EQUIVARIANCE_TOL * scale:
+            violations.append(
+                f"{name}: not dihedral-equivariant "
+                f"(shift commutator norm = {cs:.3e}, reversal commutator norm = {cr:.3e})"
+            )
+            if dense:
+                return None
+    g = (row + row[rev]) / 2
+    low = float(np.fft.rfft(g).real.min())
+    if low < -PSD_TOL * scale:
+        violations.append(f"{name}: not PSD (min eigenvalue = {low:.3e})")
+    return g if len(violations) == found else None
 
 
 def make_family(
     n: int,
     m_rho_sq: float,
     u_raw: Sequence[float],
-    c0: Sequence[Sequence[float]],
-    terms: Sequence[tuple[float, Sequence[Sequence[float]]]],
+    c0: Sequence[float] | Sequence[Sequence[float]],
+    terms: Sequence[tuple[float, Sequence[float] | Sequence[Sequence[float]]]],
     *,
     validate: bool = True,
 ) -> HessianFamily:
     """Assemble and (by default) validate a Hessian family.
 
-    Validation collects *all* violations — asymmetry, indefiniteness, broken
-    equivariance, bad shapes — and raises one :class:`FamilyValidationError`
-    listing every offender.  ``validate=False`` is the escape hatch for
-    negative-control experiments.
+    Each coefficient is an (n, n) matrix or the length-n generator row g of
+    the circulant ``C[i, j] = g[(j − i) mod n]``.  Validation collects *all*
+    violations — bad shapes, non-finite entries, asymmetry, broken
+    equivariance, indefiniteness — and raises one
+    :class:`FamilyValidationError` listing every offender.
+    ``validate=False`` is the escape hatch for negative-control experiments:
+    nothing is raised, and κ of a family with an invalid coefficient takes
+    the dense route.
     """
     split = build_split(n, m_rho_sq, u_raw)
-    c0a = np.asarray(c0, dtype=float)
-    built = tuple(ExpTerm(float(s), np.asarray(c, dtype=float)) for s, c in terms)
-    if validate:
-        violations: list[str] = []
-        _validate_coef("C0", c0a, n, violations)
-        for k, t in enumerate(built):
-            if not math.isfinite(t.s):
-                violations.append(f"terms[{k}]: exponent s = {t.s} is not finite")
-            _validate_coef(f"terms[{k}].C (s={t.s:g})", t.coef, n, violations)
-        if violations:
-            raise FamilyValidationError(violations)
-    return HessianFamily(split, c0a, built)
+    violations: list[str] = []
+    built = []
+    for k, (s, c) in enumerate([(0.0, c0), *terms]):
+        s, arr = float(s), np.asarray(c, dtype=float)
+        if k and not math.isfinite(s):
+            violations.append(f"terms[{k - 1}]: exponent s = {s} is not finite")
+        name = f"terms[{k - 1}].C (s={s:g})" if k else "C0"
+        g = _validate_coef(name, arr, n, violations)
+        if g is None and arr.shape == (n,):
+            arr = circulant(arr)
+        built.append(ExpTerm(s, g, arr if arr.ndim == 2 else None))
+    if validate and violations:
+        raise FamilyValidationError(violations)
+    return HessianFamily(split, built[0], tuple(built[1:]))
 
 
 def random_symmetric_psd_circulant(
@@ -294,14 +365,15 @@ def random_family(
 
 
 def _matrix_from_spec(obj: object, n: int, name: str) -> FloatArray:
-    """Decode a matrix entry: circulant generator, nested rows, or flat row-major."""
+    """Decode a matrix entry: circulant generator (kept as its row), nested
+    rows, or flat row-major."""
     if isinstance(obj, dict):
         if set(obj.keys()) != {"circulant"}:
             raise ValueError(f"{name}: matrix object must have exactly the key 'circulant'")
         g = obj["circulant"]
         if not isinstance(g, list) or len(g) != n:
             raise ValueError(f"{name}: circulant generator must be a list of {n} numbers")
-        return circulant([float(x) for x in g])
+        return np.array([float(x) for x in g])
     if isinstance(obj, list):
         if len(obj) == n and all(isinstance(row, list) for row in obj):
             return np.asarray(obj, dtype=float)
@@ -406,30 +478,24 @@ def schur_complement(
     return h_bb - h_bo @ np.linalg.solve(h_oo, h_bo.T)
 
 
-@dataclass(frozen=True, eq=False)
-class _SchurGram:
-    """Coefficient data of the rank-one identity for κ_Schur, K = 1 + len(terms).
-
-    With weights ``w(θ) = (1, e^{s₁θ}, …)`` and ``H = Σ w_k C_k``, the
-    collective block is ``h = a·w``, the band trace ``t = Tr(P_B H) = b·w``,
-    the coupling ``g = ‖P_B H u‖² = wᵀ·gram·w`` and the guard's
-    ``‖P H P‖_F² = wᵀ·frob·w`` (P = I − 11ᵀ/N, so the band and collective
-    blocks together); then ``κ = (t − g/h)/(N − 2)``.
-    """
-
-    a: FloatArray  # uᵀC_k u
-    b: FloatArray  # Tr C_k − 1ᵀC_k1/N − a_k
-    gram: FloatArray  # (P_B C_j u)·(P_B C_k u)
-    frob: FloatArray  # ⟨P C_j P, P C_k P⟩ for symmetric C_j, C_k
+def _dense_curvature(fam: HessianFamily, theta: float) -> float:
+    blocks = block_hessian(fam, theta)
+    s = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
+    return float(np.trace(s)) / fam.split.dim_band
 
 
 def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
-    """κ_Schur at each θ from the family's :class:`_SchurGram`.
+    """κ_Schur at each θ, from the spectra of the coefficients.
 
     Raises the dense route's errors in grid order: ``OverflowError`` from
     ``math.exp``, or the singular-block ``ValueError`` of
     :func:`schur_complement` at the first θ whose ``h ≤ ‖P H P‖_F/COND_LIMIT``.
+    A family without spectra takes the dense route θ by θ.
     """
+    spectral = fam._spectral
+    if spectral is None:
+        return np.array([_dense_curvature(fam, float(t)) for t in thetas])
+    c_hat, p, m = spectral
     rows = []
     for theta in thetas:
         try:
@@ -437,30 +503,33 @@ def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
         except OverflowError:
             _curvatures(fam, thetas[: len(rows)])  # a singular block earlier in the grid wins
             raise
-    w = np.array(rows).reshape(len(rows), 1 + len(fam.terms))
-    gram = fam._gram
-    # Elementwise products summed per row, so that a θ gives the same bits
-    # alone or inside a grid (a matmul may change its summation order with
-    # the number of rows).  An overflow to inf is reported by the guard, as on
-    # the dense route; ‖P H P‖_F ≥ |h|, and fmax keeps that floor where the
-    # quadratic form overflows to nan.
+    w = np.array(rows).reshape(len(rows), len(c_hat))
+    # Elementwise products, and sums along each θ's own row, so that a θ
+    # gives the same bits alone or inside a grid (a matmul may change its
+    # summation order with the number of rows).  An overflow to inf is
+    # reported by the guard, as on the dense route.
     with np.errstate(over="ignore", invalid="ignore"):
-        h = (w * gram.a).sum(axis=1)
-        wjk = w[:, :, None] * w[:, None, :]
-        scale = np.sqrt(np.fmax((wjk * gram.frob).sum(axis=(1, 2)), h * h))
-    singular = ~(h > scale / COND_LIMIT)
-    if singular.any():
-        i = int(np.argmax(singular))
-        raise ValueError(
-            f"collective block is numerically singular at theta={thetas[i]:g} "
-            f"(h_oo = {h[i]:.3e}, ‖H‖_F = {scale[i]:.3e})"
-        )
-    g = (wjk * gram.gram).sum(axis=(1, 2))
-    return ((w * gram.b).sum(axis=1) - g / h) / fam.split.dim_band
+        lam = w[:, :1] * c_hat[0]
+        for k in range(1, len(c_hat)):
+            lam = lam + w[:, k : k + 1] * c_hat[k]
+        h = (p * lam).sum(axis=1)
+        scale = np.sqrt((m * lam * lam).sum(axis=1))
+        singular = ~(h > scale / COND_LIMIT)
+        if singular.any():
+            i = int(np.argmax(singular))
+            raise ValueError(
+                f"collective block is numerically singular at theta={thetas[i]:g} "
+                f"(h_oo = {h[i]:.3e}, ‖H‖_F = {scale[i]:.3e})"
+            )
+        # Tr(P_B H) = Σ (m − p) λ and ‖P_B H u‖² = Σ p (λ − h)², since
+        # P_B H u = H u − h·u; both are sums of terms of one sign for PSD H
+        band_trace = ((m - p) * lam).sum(axis=1)
+        coupling = (p * (lam - h[:, None]) ** 2).sum(axis=1)
+        return (band_trace - coupling / h) / fam.split.dim_band
 
 
 def schur_curvature(fam: HessianFamily, theta: float) -> float:
-    """Band-normalized trace of the Schur complement at θ (rank-one route).
+    """Band-normalized trace of the Schur complement at θ (spectral route).
 
     :func:`block_hessian` and :func:`schur_complement` give the same value
     from dense blocks; they are kept as the oracle.
@@ -588,6 +657,9 @@ def kappa_convexity_scan(
     difference below ``−tol·max(1, |κ|)`` at its center point."""
     if points < 3:
         raise ValueError("scan needs at least 3 grid points")
+    for name, bound in (("theta_min", theta_min), ("theta_max", theta_max)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} = {bound} is not finite")
     if not theta_min < theta_max:
         raise ValueError("need theta_min < theta_max")
     thetas = np.linspace(theta_min, theta_max, points)

@@ -373,7 +373,7 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
         rep = variational_check(fam, theta, trials=60, rng=rng)
         worst_gap = max(worst_gap, rep.minimizer_gap)
         worst_eig = min(worst_eig, rep.min_loewner_eig)
-        # the dense blocks are the oracle for the rank-one κ route
+        # the dense blocks are the oracle for the spectral κ route
         blocks = block_hessian(fam, theta)
         dense = float(np.trace(schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo)))
         dense /= fam.split.dim_band

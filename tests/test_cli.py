@@ -682,13 +682,67 @@ def test_schur_rejects_invalid_family(capsys, tmp_path):
         (["-2.0", "-0.1", "2"], "at least 3 grid points"),
         (["-0.1", "-2.0", "11"], "theta_min < theta_max"),
         (["-0.5", "-0.5", "11"], "theta_min < theta_max"),
+        (["--", "-inf", "-0.1", "11"], "theta_min = -inf is not finite"),
+        (["-2", "inf", "5"], "theta_max = inf is not finite"),
     ],
 )
 def test_schur_rejects_bad_grid(capsys, family_file, grid, message):
-    code, out, err = run_cli(capsys, "schur", family_file, *grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "schur", family_file, *grid)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+    assert caught == [] and "Warning" not in err
+
+
+def _set_nan_generator(doc):
+    doc["C0"]["circulant"][2] = math.nan
+
+
+def _set_inf_dense(doc):
+    g = [1.5, 0.0, 0.5, 0.0, 0.5, 0.0]
+    dense = [[g[(j - i) % 6] for j in range(6)] for i in range(6)]
+    dense[4][1] = math.inf
+    doc["terms"][1]["C"] = dense
+
+
+def _set_nan_u(doc):
+    doc["u"][3] = math.nan
+
+
+@pytest.mark.parametrize(
+    "corrupt, expected",
+    [
+        (_set_nan_generator, "family validation failed:\n  - C0: has non-finite entries\n"),
+        (_set_inf_dense, "family validation failed:\n  - terms[1].C (s=-0.7): has non-finite entries\n"),
+        (_set_nan_u, "error: collective direction has non-finite entries\n"),
+    ],
+)
+def test_schur_rejects_non_finite_family(capsys, tmp_path, corrupt, expected):
+    doc = json.loads(json.dumps(FAMILY_DOC))
+    corrupt(doc)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity, as Python's json writes them
+    code, out, err = run_cli(capsys, "schur", str(path), "-2.0", "-0.1", "11")
+    assert (code, out, err) == (2, "", expected)
+
+
+def test_schur_circulant_family_needs_no_dense_linear_algebra(capsys, family_file, monkeypatch):
+    # a circulant-encoded family is validated and scanned from the DFT of its
+    # rows: no eigendecomposition, and no SVD for the band basis
+    import goldenschur.schur as schur
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra on the spectral route")
+
+    monkeypatch.setattr(schur.np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(schur.np.linalg, "svd", refuse)
+    code, out, err = run_cli(
+        capsys, "schur", family_file, "-2.0", "-0.1", "11", "--fit-law", "--format", "table"
+    )
+    assert (code, err) == (0, "")
+    assert out == SCHUR_PINNED["table"]
 
 
 def test_schur_missing_file(capsys):

@@ -14,6 +14,9 @@ from goldenschur.folded import folded_weights
 from goldenschur.lockin import quadratic_law_fit
 from goldenschur.qfield import Q5, QSTAR
 from goldenschur.schur import (
+    EQUIVARIANCE_TOL,
+    PSD_TOL,
+    SYM_TOL,
     FamilyValidationError,
     assemble_hessian,
     block_hessian,
@@ -137,6 +140,8 @@ def test_build_split_rejects_bad_inputs():
         build_split(5, 2.0, [2.0] * 5)  # u parallel to the uniform direction
     with pytest.raises(ValueError):
         build_split(5, 2.0, [1.0, 0.0, 0.0])  # wrong length
+    with pytest.raises(ValueError, match="non-finite"):
+        build_split(5, 2.0, [1.0, math.nan, 0.0, 0.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +192,84 @@ def test_validation_rejects_non_equivariant():
     with pytest.raises(FamilyValidationError) as err:
         make_family(n, 2.0, u, non_circ, [])
     assert any("commutator norm" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("circulant_encoded", [True, False])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validation_names_non_finite_entries(circulant_encoded, bad):
+    n = 5
+    u = [math.cos(2 * math.pi * k / n) for k in range(n)]
+    g = [2.0, 0.5, 0.0, 0.0, 0.5]
+    broken = g[:2] + [bad] + g[3:]
+    encode = (lambda row: row) if circulant_encoded else circulant
+    with pytest.raises(FamilyValidationError) as err:
+        make_family(n, 2.0, u, encode(broken), [(1.0, encode(g)), (-0.5, encode(broken))])
+    assert err.value.violations == [
+        "C0: has non-finite entries",
+        "terms[1].C (s=-0.5): has non-finite entries",
+    ]
+
+
+def parent_rule_accepts(c):
+    """The dense validation rule: symmetry, eigvalsh and both commutator norms."""
+    n = c.shape[0]
+    scale = max(1.0, float(np.linalg.norm(c)))
+    if np.max(np.abs(c - c.T)) > SYM_TOL * scale:
+        return False
+    psd = np.linalg.eigvalsh((c + c.T) / 2)[0] >= -PSD_TOL * scale
+    s, r = shift_matrix(n), reversal_matrix(n)
+    cs = np.linalg.norm(c @ s - s @ c)
+    cr = np.linalg.norm(c @ r - r @ c)
+    return psd and max(cs, cr) <= EQUIVARIANCE_TOL * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.sampled_from([-1e-3, -1e-9, -3e-10, -3e-11, 0.0, 1e-3]),
+    delta=st.sampled_from([0.0, 1e-12, 2e-11, 6e-11, 3e-10, 1e-3]),
+    mirrored=st.booleans(),
+    circulant_encoded=st.booleans(),
+)
+def test_validation_matches_dense_rule(n, seed, shift, delta, mirrored, circulant_encoded):
+    # a symmetric circulant whose smallest eigenvalue is shift·‖C‖_F, then one
+    # entry (of the row, or of the matrix and, when mirrored, its transpose)
+    # moved by delta·‖C‖_F
+    rng = np.random.default_rng(seed)
+    half = rng.uniform(0.5, 1.5, n // 2 + 1)
+    spectrum = np.concatenate([half, half[1 : (n + 1) // 2][::-1]])
+    spectrum -= spectrum.min()
+    spectrum += shift * np.linalg.norm(spectrum)
+    g = np.fft.ifft(spectrum).real
+    g = (g + np.roll(g[::-1], 1)) / 2
+    scale = np.linalg.norm(spectrum)
+    if circulant_encoded:
+        k = int(rng.integers(n))
+        g[k] += delta * scale
+        coef, c = g, circulant(g)
+    else:
+        c = circulant(g)
+        i, j = (int(x) for x in rng.integers(n, size=2))
+        c[i, j] += delta * scale
+        if mirrored and i != j:
+            c[j, i] += delta * scale
+        coef = c
+    u = [math.cos(2 * math.pi * k / n) for k in range(n)]
+    try:
+        make_family(n, 2.0, u, coef, [])
+        accepted = True
+    except FamilyValidationError:
+        accepted = False
+    assert accepted == parent_rule_accepts(c)
+
+
+def test_circulant_family_builds_no_dense_array():
+    fam = family_from_dict(family_doc())
+    kappa_convexity_scan(fam, -2.0, -0.1, 11)
+    assert "band_basis" not in vars(fam.split) and "p_band" not in vars(fam.split)
+    assert all(t.given is None and "coef" not in vars(t) for t in (fam.base, *fam.terms))
+    assert fam.c0.shape == (6, 6)  # built on first use
 
 
 def test_random_family_is_valid():
@@ -396,13 +479,20 @@ def dense_curvature(fam, theta):
 
 @settings(max_examples=60)
 @given(
-    n=st.integers(3, 64),
+    half=st.integers(2, 32),
+    odd=st.booleans(),
     n_terms=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
     theta=st.floats(-3.0, 1.0),
+    circulant_encoded=st.booleans(),
 )
-def test_rank_one_curvature_matches_dense_blocks(n, n_terms, seed, theta):
+def test_rank_one_curvature_matches_dense_blocks(half, odd, n_terms, seed, theta, circulant_encoded):
+    n = 2 * half - odd
     fam = random_family(n, np.random.default_rng(seed), n_terms=n_terms)
+    if circulant_encoded:
+        rows = [(t.s, t.generator) for t in fam.terms]
+        fam = make_family(n, 2.0, fam.split.u, fam.base.generator, rows)
+        assert fam.base.given is None
     dense = dense_curvature(fam, theta)
     assert abs(schur_curvature(fam, theta) - dense) <= 1e-12 * max(1.0, abs(dense))
 
@@ -571,6 +661,21 @@ def test_quadratic_law_fit_degenerate_pair():
     pts = [(Fraction(1, 2), Fraction(1)), (Fraction(1, 2), Fraction(1))]
     with pytest.raises(ValueError):
         quadratic_law_fit(pts, 12)
+
+
+def test_quadratic_law_fit_degeneracy_is_relative():
+    from goldenschur.lockin import QuadLawCoeffs, kappa_quadratic
+
+    # |Δ| ≈ 1.6e-15 is small, but a third of its scale: M ≈ 1 and V ≈ q.  B·V
+    # is about 1e-15 of κ, so only A is recovered to full precision.
+    coeffs = QuadLawCoeffs(0.9, -1.1, 12)
+    fit = quadratic_law_fit([(q, kappa_quadratic(coeffs, q)) for q in (1e-15, 3e-15)], 12)
+    assert math.isclose(fit.a, 0.9, rel_tol=1e-12)
+    # |Δ| ≈ 0.09 is large, but 5e-10 of the products it is the difference of
+    coeffs = QuadLawCoeffs(0.9, -1.1, 256)
+    pts = [(q, kappa_quadratic(coeffs, q)) for q in (0.999, 0.999 + 1e-13)]
+    with pytest.raises(ValueError, match="degenerate sample pair"):
+        quadratic_law_fit(pts, 256)
 
 
 def test_quadratic_law_fit_needs_two_points():

@@ -67,6 +67,7 @@ _EXPORTS = {
         "block_hessian",
         "build_split",
         "circulant",
+        "dense_curvature",
         "family_from_dict",
         "kappa_convexity_scan",
         "load_family",

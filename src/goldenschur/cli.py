@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from .folded import Scalar, moments_from_sums, sums_closed, theta_derivatives
 from .golden import golden_power_table, lambda_n
-from .lockin import bracket_residual, quadratic_law_fit, synthesize_consistent_ab, uniqueness_scan
+from .lockin import quadratic_law_fit, synthesize_consistent_ab, uniqueness_scan
 from .qfield import QSTAR, Q5, decimal_str
 from .report import SUITES
 
@@ -170,15 +170,18 @@ def _cmd_schur(args: argparse.Namespace) -> int:
 
 
 def _cmd_stationarity(args: argparse.Namespace) -> int:
-    if args.N < 2:
-        raise ValueError("stationarity synthesis needs N >= 2")
+    if args.N < 3:
+        raise ValueError(
+            "stationarity synthesis needs N >= 3 (for N <= 2, Λ does not vary with q, so the "
+            "synthesized F'_red vanishes identically and there is no lock-in to check), "
+            f"got N = {args.N}"
+        )
     b = _parse_rational(args.B, "B")
     m2 = _parse_rational(args.m_rho_sq, "m-rho-sq")
     coeffs = synthesize_consistent_ab(b, args.N, m2)
     lam = lambda_n(args.N)
     grid = [math.log(0.05) + i * (math.log(0.95) - math.log(0.05)) / 600 for i in range(601)]
     rep = uniqueness_scan(coeffs, grid)
-    residual = bracket_residual(coeffs, lam)
     payload = {
         "N": args.N,
         "B": str(b),
@@ -187,7 +190,7 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
         "A_decimal": _decimal(coeffs.a, 12),
         "lambda_exact": _exact_str(lam.value),
         "lambda_decimal": lam.decimal(10),
-        "bracket_residual": str(residual),
+        "bracket_residual": str(rep.bracket),
         "f_prime_at_golden_point": str(rep.f_prime_at_star),
         "stationary": rep.stationary,
         "sign_changes": rep.sign_changes,

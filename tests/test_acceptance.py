@@ -190,7 +190,7 @@ def test_criterion_09_kappa_convexity_scans():
         rng = np.random.default_rng(909)
         for _ in range(50):
             fam = random_family(int(rng.integers(3, 9)), rng)
-            scan = kappa_convexity_scan(fam, -2.5, -0.05, points=101, tol=1e-8)
+            scan = kappa_convexity_scan(fam, -2.5, -0.05, points=101)
             assert scan.convex_ok, f"violations at indices {scan.violations}"
             assert len(scan.kappas) == 101
         for label, kappa, first, second in KAPPA_TABLE:

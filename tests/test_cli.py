@@ -79,6 +79,33 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
+#: ``verify --suite all`` records in order: 33 checks and 4 informational rows.
+#: The benchmark counts them, so a change here is a change to the benchmark.
+VERIFY_ALL_IDS = [
+    "b.closed-vs-brute", "b.sums-qstar", "b.moments-qstar", "b.derivatives-qstar",
+    "b.decimals",
+    "c.sums-golden", "c.moments-golden", "c.lambda-12", "c.basis-round-trip",
+    "d.reduction-table", "d.fibonacci-closed-form", "d.power-identity",
+    "d.fibonacci-convention",
+    "h.moments-half", "h.moments-third", "h.two-point-round-trip", "h.bracket-consistency",
+    "s.split-projector", "s.variational", "s.matrix-convexity", "s.kappa-convexity",
+    "s.exp-identity-family", "s.constant-family", "s.strict-witness",
+    "s.negative-control-psd", "s.negative-control-equivariance", "s.q-class-uniform",
+    "s.reported-kappa[0.38]", "s.reported-kappa[phi^-2]", "s.reported-kappa[0.40]",
+    "l.bracket-identity", "l.synthesized-stationarity", "l.uniqueness",
+    "l.zero-coefficients", "l.derivative-gap", "l.degenerate-n1", "l.reported-constants",
+]
+
+
+def test_verify_all_check_ids_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["id"] for c in checks] == VERIFY_ALL_IDS
+    statuses = [c["status"] for c in checks]
+    assert (statuses.count("pass"), statuses.count("info")) == (33, 4)
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "appendix-z"])
@@ -369,6 +396,15 @@ def test_stationarity_json_pinned(capsys):
 def test_stationarity_rejects_bad_b(capsys):
     code, _, err = run_cli(capsys, "stationarity", "--B", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_stationarity_rejects_n_below_3(capsys, n):
+    # Λ(2) = 3 at every q: the synthesized F′_red vanishes identically
+    code, out, err = run_cli(capsys, "stationarity", "--B", "-1", "--N", n)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: stationarity synthesis needs N >= 3 (")
+    assert err.endswith(f"got N = {n}\n")
 
 
 @pytest.mark.parametrize("m_rho_sq", ["0", "-2"])
@@ -810,7 +846,7 @@ def test_schur_module_loads_no_scipy():
 
 
 def test_package_namespace_resolves_lazily():
-    assert len(goldenschur.__all__) == 63
+    assert len(goldenschur.__all__) == 64
     assert "moments_at_qstar" not in goldenschur.__all__
     assert set(goldenschur.__all__) <= set(dir(goldenschur))
     for name in goldenschur.__all__:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldenschur.folded import moments, theta_derivatives
 from goldenschur.golden import lambda_n
@@ -237,8 +239,27 @@ def test_stationarity_of_synthesized_coeffs(b):
     assert rep.stationary
     assert rep.f_prime_at_star == 0
     assert rep.bracket == 0
-    assert rep.identity_gap == 0.0
     assert math.isclose(rep.theta_star, THETA_STAR, rel_tol=1e-15)
+
+
+@settings(max_examples=200)
+@given(
+    log_b=st.floats(-3.0, 9.0),
+    negative=st.booleans(),
+    n=st.integers(3, 60),
+    log_m2=st.floats(-2.0, 2.0),
+)
+def test_float_synthesized_coeffs_are_stationary(log_b, negative, n, log_m2):
+    # |B| and m_ρ² log-uniform over many decades: the relative bracket test
+    # accepts the synthesized family and rejects it once A moves by 1e-6
+    c = synthesize_consistent_ab((-1 if negative else 1) * 10**log_b, n, 10**log_m2)
+    rep = stationarity_check(c)
+    assert rep.stationary and not rep.degenerate
+    m = moments(n, float(QSTAR))
+    i1p, _ = theta_derivatives(m)
+    assert rep.f_prime_at_star == rep.bracket * m.i1 * i1p / n
+    moved = QuadLawCoeffs(c.a * (1 + 1e-6), c.b, n, c.m_rho_sq)
+    assert not stationarity_check(moved).stationary
 
 
 def test_stationarity_generic_coeffs_not_stationary():
@@ -284,6 +305,21 @@ def test_uniqueness_scan_zero_coefficients():
 def test_uniqueness_scan_degenerate_family():
     rep = uniqueness_scan(QuadLawCoeffs(2, 1, 1), qgrid())
     assert rep.degenerate
+    assert rep.sign_changes == 0
+
+
+@pytest.mark.parametrize("b", [Fraction(-1), Fraction(5, 7), -1.0, 2.5])
+def test_uniqueness_scan_n2_synthesized_is_degenerate(b):
+    # Λ ≡ 3 at N = 2, so synthesized coefficients make F′_red vanish identically
+    rep = uniqueness_scan(synthesize_consistent_ab(b, 2), qgrid())
+    assert rep.stationary and rep.degenerate
+    assert rep.sign_changes == 0
+
+
+@pytest.mark.parametrize("coeffs", [QuadLawCoeffs(1, 1, 2), QuadLawCoeffs(0.5, -3.0, 2)])
+def test_uniqueness_scan_n2_generic_coeffs(coeffs):
+    rep = uniqueness_scan(coeffs, qgrid())
+    assert not rep.stationary and not rep.degenerate
     assert rep.sign_changes == 0
 
 

@@ -22,6 +22,7 @@ from goldenschur.schur import (
     block_hessian,
     build_split,
     circulant,
+    dense_curvature,
     family_from_dict,
     kappa_convexity_scan,
     load_family,
@@ -268,7 +269,7 @@ def test_circulant_family_builds_no_dense_array():
     fam = family_from_dict(family_doc())
     kappa_convexity_scan(fam, -2.0, -0.1, 11)
     assert "band_basis" not in vars(fam.split) and "p_band" not in vars(fam.split)
-    assert all(t.given is None and "coef" not in vars(t) for t in (fam.base, *fam.terms))
+    assert all(t.generator is not None and "coef" not in vars(t) for t in (fam.base, *fam.terms))
     assert fam.c0.shape == (6, 6)  # built on first use
 
 
@@ -470,13 +471,6 @@ def test_kappa_scan_flags_concave_curve():
     assert scan.min_second_difference < -1e-6
 
 
-def dense_curvature(fam, theta):
-    """κ_Schur from the dense band/collective blocks: the oracle route."""
-    blocks = block_hessian(fam, theta)
-    s = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
-    return float(np.trace(s)) / fam.split.dim_band
-
-
 @settings(max_examples=60)
 @given(
     half=st.integers(2, 32),
@@ -492,7 +486,7 @@ def test_rank_one_curvature_matches_dense_blocks(half, odd, n_terms, seed, theta
     if circulant_encoded:
         rows = [(t.s, t.generator) for t in fam.terms]
         fam = make_family(n, 2.0, fam.split.u, fam.base.generator, rows)
-        assert fam.base.given is None
+        assert fam.base.generator is not None
     dense = dense_curvature(fam, theta)
     assert abs(schur_curvature(fam, theta) - dense) <= 1e-12 * max(1.0, abs(dense))
 

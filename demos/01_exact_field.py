@@ -8,7 +8,7 @@ basis {1, q⋆} is often the more natural coordinate system for it.
 
 from fractions import Fraction
 
-from goldenschur import PHI, QSTAR, SQRT5, GoldenBasis, Q5, decimal_str
+from goldenschur import PHI, QSTAR, SQRT5, Q5, decimal_str
 
 print("== the field ==")
 x = Q5(1, 1)  # 1 + √5
@@ -31,7 +31,7 @@ print(f"q⋆ < 1/2 < φ: {QSTAR < Fraction(1, 2) < PHI}")
 
 print()
 print("== the {1, q⋆} basis ==")
-g = GoldenBasis.from_q5(SQRT5)
+g = SQRT5.to_golden()
 print(f"√5 = {g}   (so the two bases are exactly interconvertible)")
 value = Q5(Fraction(13, 2), Fraction(-131, 60))
 print(f"{value}  =  {value.to_golden()}")

@@ -34,7 +34,7 @@ from goldenschur.reference import REPORTED_A, REPORTED_B
 
 print("== the bracket identity, exactly ==")
 coeffs = QuadLawCoeffs(Fraction(7, 3), Fraction(-5, 4), 12)
-lam = lambda_n(12).value
+lam = lambda_n(12)
 bracket = coeffs.b * lam + 2 * coeffs.a - 2 * coeffs.b - 8 / coeffs.m_rho_sq
 m = moments(12, QSTAR)
 i1p, _ = theta_derivatives(m)

@@ -28,11 +28,9 @@ _EXPORTS = {
     ),
     "golden": (
         "GoldenPower",
-        "LambdaValue",
         "fibonacci",
         "golden_power_table",
         "lambda_n",
-        "reduce_power",
         "sums_at_qstar",
     ),
     "lockin": (
@@ -40,9 +38,6 @@ _EXPORTS = {
         "QuadLawFit",
         "StationarityReport",
         "bracket_residual",
-        "f_red",
-        "f_red_prime",
-        "f_red_prime_direct",
         "f_red_prime_direct_q",
         "f_red_prime_q",
         "f_red_q",

@@ -119,6 +119,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_suite
 
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     doc = run_suite(args.suite, args.seed)
     sys.stdout.write(doc.render(args.format))
     return doc.exit_code
@@ -188,8 +190,8 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
         "m_rho_sq": str(m2),
         "A_exact": _exact_str(coeffs.a),
         "A_decimal": _decimal(coeffs.a, 12),
-        "lambda_exact": _exact_str(lam.value),
-        "lambda_decimal": lam.decimal(10),
+        "lambda_exact": _exact_str(lam),
+        "lambda_decimal": decimal_str(lam, 10),
         "bracket_residual": str(rep.bracket),
         "f_prime_at_golden_point": str(rep.f_prime_at_star),
         "stationary": rep.stationary,
@@ -275,9 +277,9 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
     lam = lambda_n(args.N)
     payload = {
         "N": args.N,
-        "sqrt5_basis": str(lam.value),
-        "golden_basis": str(lam.golden),
-        "decimal": lam.decimal(args.digits),
+        "sqrt5_basis": str(lam),
+        "golden_basis": str(lam.to_golden()),
+        "decimal": decimal_str(lam, args.digits),
     }
     exact = f"{payload['sqrt5_basis']} = {payload['golden_basis']}"
     _print_payload(payload, args.format, [f"Λ({args.N}) = {exact} ≈ {payload['decimal']}"])

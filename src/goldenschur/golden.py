@@ -19,15 +19,13 @@ from itertools import islice
 from typing import Iterator
 
 from .folded import FoldedSums, moments, theta_derivatives
-from .qfield import QSTAR, GoldenBasis, Q5, decimal_str
+from .qfield import QSTAR, GoldenBasis, Q5
 
 __all__ = [
     "GoldenPower",
-    "reduce_power",
     "golden_power_table",
     "fibonacci",
     "sums_at_qstar",
-    "LambdaValue",
     "lambda_n",
 ]
 
@@ -55,13 +53,6 @@ def _coefficients() -> Iterator[tuple[int, int]]:
         yield a, b
         a, a1 = a1, 3 * a1 - a
         b, b1 = b1, 3 * b1 - b
-
-
-def reduce_power(m: int) -> GoldenPower:
-    """Reduce ``q⋆^m`` by the minimal polynomial (m ≥ 0)."""
-    if m < 0:
-        raise ValueError(f"power must be nonnegative, got {m}")
-    return GoldenPower(m, *next(islice(_coefficients(), m, None)))
 
 
 def golden_power_table(max_m: int) -> list[GoldenPower]:
@@ -107,23 +98,8 @@ def sums_at_qstar(n: int) -> FoldedSums:
     return FoldedSums(n, QSTAR, *values)
 
 
-@dataclass(frozen=True)
-class LambdaValue:
-    """The exact three-cycle ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)``."""
-
-    n: int
-    value: Q5
-
-    @property
-    def golden(self) -> GoldenBasis:
-        return self.value.to_golden()
-
-    def decimal(self, digits: int = 10) -> str:
-        return decimal_str(self.value, digits)
-
-
-def lambda_n(n: int) -> LambdaValue:
-    """Λ(N) for N ≥ 2, exactly in Q(√5).
+def lambda_n(n: int) -> Q5:
+    """The three-cycle ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)`` for N ≥ 2, exactly in Q(√5).
 
     N = 1 is rejected: the index variance vanishes identically, so the ratio
     is undefined.
@@ -131,4 +107,4 @@ def lambda_n(n: int) -> LambdaValue:
     if n < 2:
         raise ValueError(f"Λ(N) needs N >= 2 (zero variance at N={n})")
     i1p, i2p = theta_derivatives(moments(n, QSTAR))
-    return LambdaValue(n, i2p / i1p)
+    return i2p / i1p

@@ -9,14 +9,14 @@ Its stationarity analysis runs through the bracket
 
     bracket(θ) = B·Λ(θ) + 2A − 2B − 8/m_ρ²,   Λ(θ) = I₂′(θ)/I₁′(θ),
 
-and :func:`f_red_prime` is the bracket-form derivative
+and :func:`f_red_prime_q` is the bracket-form derivative
 ``(I₁/N)·(B·I₂′ + (2A − 2B − 8/m_ρ²)·I₁′)``, the quantity whose golden-point
 factorization ``F′(θ⋆) = (1/N)·bracket(θ⋆)·I₁·I₁′`` holds as exact field
 algebra and whose zero at q⋆ characterizes consistent coefficients.  The
 plain chain-rule derivative of F_red is kept alongside as
-:func:`f_red_prime_direct`; the two differ by exactly
-``B·I₂′·(I₁ − 1)/N`` and coincide when B = 0.  :func:`quadratic_law_fit`
-recovers (A, B) from (q, κ) samples.
+:func:`f_red_prime_direct_q`; the two differ by exactly
+``B·I₂′·(I₁ − 1)/N`` and coincide when B = 0.  Every form takes q = e^θ.
+:func:`quadratic_law_fit` recovers (A, B) from (q, κ) samples.
 
 Everything is generic over the scalar type: exact inputs (Fraction, Q5) stay
 exact; any float input routes the whole computation through floats.
@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .folded import FoldedMoments, Scalar, moments, theta_derivatives
-from .golden import LambdaValue, lambda_n
+from .golden import lambda_n
 from .qfield import QSTAR, Q5
 
 __all__ = [
@@ -39,11 +39,8 @@ __all__ = [
     "QuadLawFit",
     "quadratic_law_fit",
     "f_red_q",
-    "f_red",
     "f_red_prime_q",
-    "f_red_prime",
     "f_red_prime_direct_q",
-    "f_red_prime_direct",
     "bracket_residual",
     "synthesize_consistent_ab",
     "StationarityReport",
@@ -67,14 +64,6 @@ def _normalize(x: Scalar) -> Scalar:
     return Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else x
 
 
-def _positive_m_rho_sq(m_rho_sq: Scalar) -> Scalar:
-    """The normalized m_ρ², rejected unless it is positive (a NaN is rejected)."""
-    m2 = _normalize(m_rho_sq)
-    if not (m2.sign() > 0 if isinstance(m2, Q5) else m2 > 0):
-        raise ValueError(f"m_rho_sq must be positive, got {m2}")
-    return m2
-
-
 @dataclass(frozen=True)
 class QuadLawCoeffs:
     """Coefficients of the quadratic folded law at fixed (N, m_ρ²)."""
@@ -89,7 +78,10 @@ class QuadLawCoeffs:
             raise ValueError(f"family size must be >= 1, got {self.n}")
         object.__setattr__(self, "a", _normalize(self.a))
         object.__setattr__(self, "b", _normalize(self.b))
-        object.__setattr__(self, "m_rho_sq", _positive_m_rho_sq(self.m_rho_sq))
+        m2 = _normalize(self.m_rho_sq)
+        if not (m2.sign() > 0 if isinstance(m2, Q5) else m2 > 0):  # a NaN is rejected
+            raise ValueError(f"m_rho_sq must be positive, got {m2}")
+        object.__setattr__(self, "m_rho_sq", m2)
 
     @property
     def is_exact(self) -> bool:
@@ -180,10 +172,6 @@ def f_red_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     return c.n - 4 * (m.i1 * m.i1) / (c.n * c.m_rho_sq) + _kappa(c, m) / c.n
 
 
-def f_red(coeffs: QuadLawCoeffs, theta: float) -> float:
-    return float(f_red_q(coeffs, math.exp(theta)))
-
-
 def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """Bracket-form stationarity derivative, ``(I₁/N)·(B·I₂′ + (2A−2B−8/m_ρ²)·I₁′)``.
 
@@ -195,10 +183,6 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     return _f_prime(c, moments(c.n, qq))
 
 
-def f_red_prime(coeffs: QuadLawCoeffs, theta: float) -> float:
-    return float(f_red_prime_q(coeffs, math.exp(theta)))
-
-
 def f_red_prime_direct_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """Chain-rule θ-derivative of :func:`f_red_q` (matches finite differences)."""
     c, qq = _route(coeffs, q)
@@ -208,16 +192,13 @@ def f_red_prime_direct_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     return -8 * m.i1 * i1p / (c.n * c.m_rho_sq) + kappa_p / c.n
 
 
-def f_red_prime_direct(coeffs: QuadLawCoeffs, theta: float) -> float:
-    return float(f_red_prime_direct_q(coeffs, math.exp(theta)))
-
-
-def bracket_residual(coeffs: QuadLawCoeffs, lam: Union[LambdaValue, Scalar, None] = None) -> Scalar:
-    """``B·Λ(N) + 2A − 2B − 8/m_ρ²`` — zero exactly for consistent coefficients."""
+def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Scalar:
+    """``B·Λ + 2A − 2B − 8/m_ρ²``, with Λ = Λ(N) unless given — zero exactly
+    for consistent coefficients."""
     if lam is None:
         lam = lambda_n(coeffs.n)
-    c, lam_value = _route(coeffs, lam.value if isinstance(lam, LambdaValue) else lam)
-    return c.b * lam_value + 2 * c.a - 2 * c.b - 8 / c.m_rho_sq
+    c, lam = _route(coeffs, lam)
+    return c.b * lam + 2 * c.a - 2 * c.b - 8 / c.m_rho_sq
 
 
 def synthesize_consistent_ab(
@@ -225,17 +206,14 @@ def synthesize_consistent_ab(
 ) -> QuadLawCoeffs:
     """Solve the bracket identity for A given B: ``A = (8/m_ρ² − B·Λ + 2B)/2``.
 
-    Exact inputs give an exact A in Q(√5); the returned coefficients make the
-    golden point stationary by construction.
+    Exact inputs give an exact A in Q(√5), and any float input a float A; B
+    and m_ρ² come back as given.  The returned coefficients make the golden
+    point stationary by construction.
     """
-    lam = lambda_n(n).value
-    b = _normalize(b)
-    m2 = _positive_m_rho_sq(m_rho_sq)  # before 8/m_ρ² can divide by zero
-    if _is_exact(b) and _is_exact(m2):
-        a = (8 / m2 - b * lam + 2 * b) / 2
-    else:
-        a = (8 / float(m2) - float(b) * float(lam) + 2 * float(b)) / 2
-    return QuadLawCoeffs(a, b, n, m2)
+    lam = lambda_n(n)
+    coeffs = QuadLawCoeffs(0, b, n, m_rho_sq)
+    c, lam = _route(coeffs, lam)
+    return replace(coeffs, a=(8 / c.m_rho_sq - c.b * lam + 2 * c.b) / 2)
 
 
 @dataclass(frozen=True)
@@ -243,7 +221,6 @@ class StationarityReport:
     """Golden-point stationarity summary, optionally with scan results."""
 
     n: int
-    theta_star: float
     f_prime_at_star: Scalar
     bracket: Optional[Scalar]  # None when N = 1 (Λ undefined)
     stationary: bool
@@ -251,8 +228,6 @@ class StationarityReport:
     sign_changes: Optional[int] = None
     sign_change_intervals: tuple[tuple[float, float], ...] = ()
 
-
-_THETA_STAR = math.log((3 - math.sqrt(5)) / 2)
 
 #: Relative size of the float bracket, against the sum of its terms'
 #: magnitudes, at or below which the golden point counts as stationary.
@@ -272,7 +247,7 @@ def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
     """
     n = coeffs.n
     if n == 1:
-        return StationarityReport(1, _THETA_STAR, Fraction(0), None, True, True)
+        return StationarityReport(1, Fraction(0), None, True, True)
     c, q = _route(coeffs, QSTAR)
     m = moments(n, q)
     i1p, i2p = theta_derivatives(m)
@@ -284,7 +259,7 @@ def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
     else:
         stationary = bracket == 0
     f_prime = bracket * m.i1 * i1p / n
-    return StationarityReport(n, _THETA_STAR, f_prime, bracket, stationary, n == 2 and stationary)
+    return StationarityReport(n, f_prime, bracket, stationary, n == 2 and stationary)
 
 
 def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> StationarityReport:

@@ -66,19 +66,11 @@ class Q5:
         """Coefficient of √5."""
         return self._b
 
-    @classmethod
-    def from_rational(cls, value: _RationalLike) -> "Q5":
-        return cls(value, 0)
-
     # -- basic structure ---------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
         return self._b == 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self._a == 0 and self._b == 0
 
     def conjugate(self) -> "Q5":
         """Galois conjugate ``a − b·√5``."""
@@ -277,10 +269,6 @@ class GoldenBasis:
     def c1(self) -> Fraction:
         """Coefficient of q⋆."""
         return self._c1
-
-    @classmethod
-    def from_q5(cls, value: Q5) -> "GoldenBasis":
-        return value.to_golden()
 
     def to_q5(self) -> Q5:
         """Rewrite in the √5 basis via ``q⋆ = (3 − √5)/2``."""

@@ -261,7 +261,8 @@ class HessianFamily:
 
 
 def _validate_coef(name: str, c: FloatArray, n: int, violations: list[str]) -> FloatArray | None:
-    """Validate one coefficient, given as an (n, n) matrix or a generator row.
+    """Validate one coefficient, given as an (n, n) matrix or a length-n
+    generator row.
 
     Appends the violations found, and returns the symmetrized generator row
     when ``c`` is a symmetric circulant, PSD or not, else None.  A matrix that
@@ -269,9 +270,6 @@ def _validate_coef(name: str, c: FloatArray, n: int, violations: list[str]) -> F
     PSD test.  A symmetric circulant is PSD when the rfft of its row, its
     spectrum, is.
     """
-    if c.shape not in ((n,), (n, n)):
-        violations.append(f"{name}: shape {c.shape} != ({n}, {n})")
-        return None
     if not np.isfinite(c).all():
         violations.append(f"{name}: has non-finite entries")
         return None
@@ -323,23 +321,30 @@ def make_family(
     equivariance, indefiniteness — and raises one
     :class:`FamilyValidationError` listing every offender.
     ``validate=False`` is the escape hatch for negative-control experiments:
-    nothing is raised, and κ of a family with an invalid coefficient takes
-    the dense route.
+    only a coefficient of the wrong shape is raised, and κ of a family with
+    an invalid coefficient takes the dense route.
     """
     split = build_split(n, m_rho_sq, u_raw)
     violations: list[str] = []
+    misshapen: list[str] = []
     built = []
     for k, (s, c) in enumerate([(0.0, c0), *terms]):
         s, arr = float(s), np.asarray(c, dtype=float)
         if k and not math.isfinite(s):
             violations.append(f"terms[{k - 1}]: exponent s = {s} is not finite")
         name = f"terms[{k - 1}].C (s={s:g})" if k else "C0"
+        if arr.shape not in ((n,), (n, n)):
+            misshapen.append(f"{name}: shape {arr.shape} != ({n}, {n})")
+            violations.append(misshapen[-1])
+            continue
         g = _validate_coef(name, arr, n, violations)
-        if g is None and arr.shape == (n,):
+        if g is None and arr.ndim == 1:
             arr = circulant(arr)
         built.append(ExpTerm(s, arr if g is None else g))
     if validate and violations:
         raise FamilyValidationError(violations)
+    if misshapen:  # no family can hold a coefficient of the wrong shape
+        raise FamilyValidationError(misshapen)
     return HessianFamily(split, built[0], tuple(built[1:]))
 
 

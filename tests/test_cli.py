@@ -111,6 +111,17 @@ def test_verify_rejects_unknown_suite(capsys):
         main(["verify", "--suite", "appendix-z"])
 
 
+@pytest.mark.parametrize(
+    "suite",
+    ["appendix-b", "appendix-c", "appendix-d", "appendix-h", "schur-properties", "lockin", "all"],
+)
+def test_verify_rejects_negative_seed(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -846,8 +857,11 @@ def test_schur_module_loads_no_scipy():
 
 
 def test_package_namespace_resolves_lazily():
-    assert len(goldenschur.__all__) == 64
+    assert len(goldenschur.__all__) == 59
     assert "moments_at_qstar" not in goldenschur.__all__
+    for removed in ("LambdaValue", "reduce_power", "f_red", "f_red_prime", "f_red_prime_direct"):
+        assert removed not in goldenschur.__all__
+        assert not hasattr(goldenschur, removed)
     assert set(goldenschur.__all__) <= set(dir(goldenschur))
     for name in goldenschur.__all__:
         assert getattr(goldenschur, name) is not None

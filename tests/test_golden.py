@@ -16,10 +16,9 @@ from goldenschur.golden import (
     fibonacci,
     golden_power_table,
     lambda_n,
-    reduce_power,
     sums_at_qstar,
 )
-from goldenschur.qfield import Q5, QSTAR
+from goldenschur.qfield import Q5, QSTAR, decimal_str
 
 # (m, a_m, b_m) rows of q⋆^m = a_m q⋆ + b_m.
 REDUCTION_ROWS = [
@@ -46,7 +45,7 @@ REDUCTION_ROWS = [
 
 @pytest.mark.parametrize("m, a, b", REDUCTION_ROWS)
 def test_reduce_power_rows(m, a, b):
-    p = reduce_power(m)
+    p = golden_power_table(m)[m]
     assert (p.m, p.a, p.b) == (m, a, b)
 
 
@@ -58,7 +57,8 @@ def test_golden_power_table():
 
 def test_reduction_convention():
     # q⋆² = 3q⋆ − 1 fixes the sign convention for the whole table.
-    assert (reduce_power(2).a, reduce_power(2).b) == (3, -1)
+    p = golden_power_table(2)[2]
+    assert (p.a, p.b) == (3, -1)
     assert QSTAR * QSTAR == 3 * QSTAR - 1
 
 
@@ -70,15 +70,15 @@ def test_recurrence():
 
 
 def test_reduce_power_is_qstar_power():
-    for m in range(0, 201):
-        p = reduce_power(m)
+    for m, p in enumerate(golden_power_table(200)):
+        assert p.m == m
         assert QSTAR**m == p.a * QSTAR + p.b
         assert p.as_q5() == QSTAR**m
 
 
 def test_reduce_power_rejects_negative():
     with pytest.raises(ValueError):
-        reduce_power(-1)
+        golden_power_table(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,7 @@ def test_fibonacci_recurrence():
 
 def test_closed_form_coefficients():
     # a_m = F_{2m}, b_m = −F_{2m−2} for 0 ≤ m ≤ 200.
-    for m in range(0, 201):
-        p = reduce_power(m)
+    for m, p in enumerate(golden_power_table(200)):
         assert p.a == fibonacci(2 * m)
         assert p.b == -fibonacci(2 * m - 2)
 
@@ -156,7 +155,7 @@ def test_closed_form_route_matches_integer_oracle(n):
     assert sums_closed(n, QSTAR) == oracle
     assert moments(n, QSTAR) == moments_from_sums(oracle)
     d1, d2 = theta_derivatives(moments_from_sums(oracle))
-    assert lambda_n(n).value == d2 / d1
+    assert lambda_n(n) == d2 / d1
 
 
 # ---------------------------------------------------------------------------
@@ -166,25 +165,26 @@ def test_closed_form_route_matches_integer_oracle(n):
 
 def test_lambda_12_exact():
     lam = lambda_n(12)
-    assert lam.value == Q5(13, Fraction(-2425, 719))
-    assert (lam.golden.c0, lam.golden.c1) == (Fraction(2072, 719), Fraction(4850, 719))
-    assert lam.decimal(10) == "5.4583242762"
-    assert abs(float(lam.value) - 5.4583242762) <= 1e-10
+    assert lam == Q5(13, Fraction(-2425, 719))
+    g = lam.to_golden()
+    assert (g.c0, g.c1) == (Fraction(2072, 719), Fraction(4850, 719))
+    assert decimal_str(lam, 10) == "5.4583242762"
+    assert abs(float(lam) - 5.4583242762) <= 1e-10
 
 
 def test_lambda_is_derivative_ratio():
     for n in (2, 3, 12, 24):
         d1, d2 = theta_derivatives(moments_from_sums(sums_at_qstar(n)))
-        assert lambda_n(n).value == d2 / d1
+        assert lambda_n(n) == d2 / d1
 
 
 def test_lambda_2_is_three():
     # For a two-point family I₃ − I₁I₂ = 3·Var identically, so Λ(2) = 3.
-    assert lambda_n(2).value == Q5(3, 0)
+    assert lambda_n(2) == Q5(3, 0)
 
 
 def test_lambda_monotone_in_family_size():
-    vals = [float(lambda_n(n).value) for n in range(2, 25)]
+    vals = [float(lambda_n(n)) for n in range(2, 25)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -197,4 +197,4 @@ def test_lambda_rejects_degenerate():
 
 def test_lambda_fd_cross_check():
     f1, f2 = theta_derivatives_fd(12, float(QSTAR), h=1e-5)
-    assert abs(f2 / f1 - float(lambda_n(12).value)) < 1e-6
+    assert abs(f2 / f1 - float(lambda_n(12))) < 1e-6

@@ -211,6 +211,27 @@ def test_validation_names_non_finite_entries(circulant_encoded, bad):
     ]
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_unvalidated_family_rejects_wrong_shape(n):
+    # validate=False lets an invalid coefficient through, but never one of the
+    # wrong shape: validated or not, the same shape message is raised
+    u = [math.cos(2 * math.pi * k / n) for k in range(n)]
+    short = [2.0, 0.5, 0.0, 0.5]
+    expected = [
+        f"C0: shape (4,) != ({n}, {n})",
+        f"terms[0].C (s=1): shape (4,) != ({n}, {n})",
+    ]
+    for validate in (True, False):
+        with pytest.raises(FamilyValidationError) as err:
+            make_family(n, 2.0, u, short, [(1.0, short)], validate=validate)
+        assert err.value.violations == expected
+    # an unvalidated family keeps its other violations to itself
+    indefinite = np.eye(n) - 0.75 * circulant([0.0, 1.0] + [0.0] * (n - 3) + [1.0])
+    with pytest.raises(FamilyValidationError) as err:
+        make_family(n, 2.0, u, indefinite, [(1.0, np.ones((n, n + 1)))], validate=False)
+    assert err.value.violations == [f"terms[0].C (s=1): shape ({n}, {n + 1}) != ({n}, {n})"]
+
+
 def parent_rule_accepts(c):
     """The dense validation rule: symmetry, eigvalsh and both commutator norms."""
     n = c.shape[0]

@@ -67,6 +67,12 @@ def _exact_str(v: Scalar) -> str:
     return str(v)
 
 
+def _check_digits(digits: int) -> None:
+    """Reject a negative ``--digits`` whatever the format (decimal_str's message)."""
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
+
+
 def _decimal(v: Scalar, digits: int) -> str:
     if isinstance(v, float):
         return f"{v:.{digits}g}"
@@ -96,6 +102,7 @@ def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str])
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
+    _check_digits(args.digits)
     q = _parse_q(args.q)
     s = sums_closed(args.N, q)
     m = moments_from_sums(s)
@@ -274,6 +281,7 @@ def _cmd_golden_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda(args: argparse.Namespace) -> int:
+    _check_digits(args.digits)
     lam = lambda_n(args.N)
     payload = {
         "N": args.N,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .folded import FoldedSums, moments, theta_derivatives
+from .folded import FoldedSums, sums_closed
 from .qfield import QSTAR, GoldenBasis, Q5
 
 __all__ = [
@@ -101,10 +101,12 @@ def sums_at_qstar(n: int) -> FoldedSums:
 def lambda_n(n: int) -> Q5:
     """The three-cycle ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)`` for N ≥ 2, exactly in Q(√5).
 
-    N = 1 is rejected: the index variance vanishes identically, so the ratio
-    is undefined.
+    With ``I₁′ = Var = V/S₀²`` and ``I₂′ = I₃ − I₁I₂ = U/S₀²`` the ratio is
+    ``U/V``, where ``U = S₃S₀ − S₁S₂`` and ``V = S₂S₀ − S₁²``: one field
+    division of the golden-point power sums.  N = 1 is rejected: the index
+    variance vanishes identically, so the ratio is undefined.
     """
     if n < 2:
         raise ValueError(f"Λ(N) needs N >= 2 (zero variance at N={n})")
-    i1p, i2p = theta_derivatives(moments(n, QSTAR))
-    return i2p / i1p
+    s0, s1, s2, s3 = sums_closed(n, QSTAR).as_tuple()
+    return (s3 * s0 - s1 * s2) / (s2 * s0 - s1 * s1)

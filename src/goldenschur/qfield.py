@@ -1,17 +1,20 @@
-"""Exact arithmetic in the real quadratic field Q(√5).
+"""Exact arithmetic in the real quadratic field Q(√5), on plain integers.
 
-Every element is ``a + b·√5`` with rational ``a``, ``b`` kept as
-:class:`fractions.Fraction`.  The representation is canonical (√5 is
-irrational, so the coordinates are unique), which makes equality structural
-and lets :meth:`Q5.sign` decide order by pure rational case analysis — no
-floating point anywhere on the exact path.
+Every element is stored as three ints ``(p, q, d)`` meaning
+``(p + q·√5)/d``, with ``d > 0`` and ``gcd(p, q, d) = 1``: one common
+denominator for both coordinates (Cohen, *A Course in Computational
+Algebraic Number Theory*, §4.2).  √5 is irrational, so this form is
+canonical, which makes equality structural and lets :meth:`Q5.sign` decide
+order by integer case analysis — no floating point and no
+:class:`fractions.Fraction` arithmetic in any field operation.  The
+rational coordinates ``a = p/d`` and ``b = q/d`` are built on demand.
 
 The module also provides :class:`GoldenBasis`, the coordinates of an
 element in the golden basis ``{1, q⋆}`` with ``q⋆ = (3 − √5)/2`` (the inverse
 square of the golden ratio), related to the √5 basis by ``√5 = 3 − 2·q⋆``.
 It is a view for reading and printing values; all arithmetic happens in
-:class:`Q5`.  Certified decimal rendering is based on integer square-root
-interval bounds.
+:class:`Q5`.  :func:`decimal_str` renders certified decimals from one
+integer square root.
 """
 
 from __future__ import annotations
@@ -30,134 +33,190 @@ __all__ = [
 ]
 
 _RationalLike = Union[int, Fraction]
+_Coords = tuple[int, int, int]
+
+_SQRT5_FLOAT = math.sqrt(5.0)
 
 
-def _coerce_rational(value: object) -> Fraction | None:
-    """Return ``value`` as a Fraction if it is exactly rational, else None."""
+def _coords(value: object) -> _Coords | None:
+    """``(p, q, d)`` of a Q5, int or Fraction; None for anything else (floats too)."""
+    if isinstance(value, Q5):
+        return value._p, value._q, value._d
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, 0, value.denominator
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 0, 1
     return None
 
 
-class Q5:
-    """An element ``a + b·√5`` of Q(√5) with exact Fraction coordinates.
+def _q5(p: int, q: int, d: int) -> "Q5":
+    """The element ``(p + q·√5)/d`` for ``d > 0``, in lowest terms.
 
-    Arithmetic is closed and total; division by a nonzero element is exact
-    via the Galois conjugate (the field norm ``a² − 5b²`` vanishes only at
-    zero, since √5 is irrational).  Ints and Fractions mix freely on either
-    side of every operator.
+    The gcd starts from ``d``, which is small on the golden-point path, and
+    takes in ``q`` only when ``d`` and ``p`` share a factor.
+    """
+    g = math.gcd(d, p)
+    if g != 1:
+        g = math.gcd(g, q)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+    x = object.__new__(Q5)
+    x._p, x._q, x._d = p, q, d
+    return x
+
+
+def _sign(p: int, q: int) -> int:
+    """Exact sign of ``p + q·√5``.
+
+    When the coordinates have opposite signs the larger of ``p²`` and
+    ``5q²`` decides; they cannot tie for nonzero coordinates because √5 is
+    irrational.
+    """
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0 or (p > 0) == (q > 0) or p * p < 5 * q * q:
+        return 1 if q > 0 else -1
+    return 1 if p > 0 else -1
+
+
+def _add(x: _Coords, y: _Coords) -> "Q5":
+    """``x + y`` over the common denominator, or over ``d₁d₂`` if they differ."""
+    p1, q1, d1 = x
+    p2, q2, d2 = y
+    if d1 == d2:
+        return _q5(p1 + p2, q1 + q2, d1)
+    return _q5(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
+
+
+def _mul(x: _Coords, y: _Coords) -> "Q5":
+    p1, q1, d1 = x
+    p2, q2, d2 = y
+    return _q5(p1 * p2 + 5 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
+
+
+def _div(x: _Coords, y: _Coords, message: str) -> "Q5":
+    """``x / y`` by the conjugate of ``y``, with one normalisation:
+    ``(p₁ + q₁√5)(p₂ − q₂√5)·d₂ / (d₁(p₂² − 5q₂²))``."""
+    p1, q1, d1 = x
+    p2, q2, d2 = y
+    n = p2 * p2 - 5 * q2 * q2
+    if n == 0:
+        raise ZeroDivisionError(message)
+    if n < 0:
+        n, d2 = -n, -d2
+    return _q5((p1 * p2 - 5 * q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * n)
+
+
+class Q5:
+    """An element ``a + b·√5`` of Q(√5), stored as ``(p + q·√5)/d`` in ints.
+
+    ``Q5(a, b)`` takes rational coordinates; ``.a`` and ``.b`` return them
+    as Fractions.  Arithmetic is closed and total; division by a nonzero
+    element is exact via the Galois conjugate (the field norm ``a² − 5b²``
+    vanishes only at zero, since √5 is irrational).  Ints and Fractions mix
+    freely on either side of every operator; floats are rejected.
     """
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a: _RationalLike = 0, b: _RationalLike = 0) -> None:
-        self._a = a if isinstance(a, Fraction) else Fraction(a)
-        self._b = b if isinstance(b, Fraction) else Fraction(b)
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        b = b if isinstance(b, Fraction) else Fraction(b)
+        # over lcm(den a, den b) the triple is already in lowest terms
+        d = math.lcm(a.denominator, b.denominator)
+        self._p = a.numerator * (d // a.denominator)
+        self._q = b.numerator * (d // b.denominator)
+        self._d = d
 
     @property
     def a(self) -> Fraction:
         """Rational coordinate (coefficient of 1)."""
-        return self._a
+        return Fraction(self._p, self._d)
 
     @property
     def b(self) -> Fraction:
         """Coefficient of √5."""
-        return self._b
+        return Fraction(self._q, self._d)
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self._b == 0
+        return self._q == 0
 
     def conjugate(self) -> "Q5":
         """Galois conjugate ``a − b·√5``."""
-        return Q5(self._a, -self._b)
+        return _q5(self._p, -self._q, self._d)
 
     def norm(self) -> Fraction:
         """Field norm ``a² − 5b²`` (rational; zero only for the zero element)."""
-        return self._a * self._a - 5 * self._b * self._b
+        return Fraction(self._p * self._p - 5 * self._q * self._q, self._d * self._d)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: object) -> "Q5":
-        if isinstance(other, Q5):
-            return Q5(self._a + other._a, self._b + other._b)
-        r = _coerce_rational(other)
-        if r is None:
+        y = _coords(other)
+        if y is None:
             return NotImplemented
-        return Q5(self._a + r, self._b)
+        return _add((self._p, self._q, self._d), y)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "Q5":
-        if isinstance(other, Q5):
-            return Q5(self._a - other._a, self._b - other._b)
-        r = _coerce_rational(other)
-        if r is None:
+        y = _coords(other)
+        if y is None:
             return NotImplemented
-        return Q5(self._a - r, self._b)
+        p, q, d = y
+        return _add((self._p, self._q, self._d), (-p, -q, d))
 
     def __rsub__(self, other: object) -> "Q5":
-        r = _coerce_rational(other)
-        if r is None:
+        x = _coords(other)
+        if x is None:
             return NotImplemented
-        return Q5(r - self._a, -self._b)
+        return _add(x, (-self._p, -self._q, self._d))
 
     def __mul__(self, other: object) -> "Q5":
-        if isinstance(other, Q5):
-            return Q5(
-                self._a * other._a + 5 * self._b * other._b,
-                self._a * other._b + self._b * other._a,
-            )
-        r = _coerce_rational(other)
-        if r is None:
+        y = _coords(other)
+        if y is None:
             return NotImplemented
-        return Q5(self._a * r, self._b * r)
+        return _mul((self._p, self._q, self._d), y)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Q5":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(√5)")
-        return Q5(self._a / n, -self._b / n)
+        return _div((1, 0, 1), (self._p, self._q, self._d), "inverse of zero in Q(√5)")
 
     def __truediv__(self, other: object) -> "Q5":
-        if isinstance(other, Q5):
-            return self * other.inverse()
-        r = _coerce_rational(other)
-        if r is None:
+        y = _coords(other)
+        if y is None:
             return NotImplemented
-        if r == 0:
-            raise ZeroDivisionError("division by zero")
-        return Q5(self._a / r, self._b / r)
+        message = "inverse of zero in Q(√5)" if isinstance(other, Q5) else "division by zero"
+        return _div((self._p, self._q, self._d), y, message)
 
     def __rtruediv__(self, other: object) -> "Q5":
-        r = _coerce_rational(other)
-        if r is None:
+        x = _coords(other)
+        if x is None:
             return NotImplemented
-        return Q5(r) * self.inverse()
+        return _div(x, (self._p, self._q, self._d), "inverse of zero in Q(√5)")
 
     def __pow__(self, exponent: int) -> "Q5":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Q5(1)
-        base = self
-        n = exponent
+        base = self.inverse() if exponent < 0 else self
+        x = (base._p, base._q, base._d)
+        result = _q5(1, 0, 1)
+        n = abs(exponent)
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _mul((result._p, result._q, result._d), x)
             n >>= 1
+            if n:
+                square = _mul(x, x)
+                x = (square._p, square._q, square._d)
         return result
 
     def __neg__(self) -> "Q5":
-        return Q5(-self._a, -self._b)
+        return _q5(-self._p, -self._q, self._d)
 
     def __pos__(self) -> "Q5":
         return self
@@ -168,45 +227,27 @@ class Q5:
     # -- order -------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign (−1, 0, +1) by rational case analysis.
-
-        When the coordinates have opposite signs the comparison reduces to
-        ``a²`` versus ``5b²``; the tie ``a² = 5b²`` cannot occur for nonzero
-        coordinates because √5 is irrational.
-        """
-        a, b = self._a, self._b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        if a > 0:  # b < 0
-            return 1 if a * a > 5 * b * b else -1
-        return 1 if a * a < 5 * b * b else -1
+        """Exact sign (−1, 0, +1) by integer case analysis on ``p + q·√5``."""
+        return _sign(self._p, self._q)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Q5):
-            return self._a == other._a and self._b == other._b
-        r = _coerce_rational(other)
-        if r is None:
+        y = _coords(other)
+        if y is None:
             return NotImplemented
-        return self._b == 0 and self._a == r
+        return self._p == y[0] and self._q == y[1] and self._d == y[2]
 
     def __hash__(self) -> int:
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b))
+        if self._q == 0:
+            return hash(Fraction(self._p, self._d))
+        return hash((self._p, self._q, self._d))
 
     def _compare(self, other: object) -> int | None:
-        if isinstance(other, Q5):
-            return (self - other).sign()
-        r = _coerce_rational(other)
-        if r is None:
+        y = _coords(other)
+        if y is None:
             return None
-        return (self - Q5(r)).sign()
+        p2, q2, d2 = y
+        # both denominators are positive, so cross-multiplying keeps the sign
+        return _sign(self._p * d2 - p2 * self._d, self._q * d2 - q2 * self._d)
 
     def __lt__(self, other: object) -> bool:
         c = self._compare(other)
@@ -236,16 +277,18 @@ class Q5:
 
     def to_golden(self) -> "GoldenBasis":
         """Rewrite in the golden basis via ``√5 = 3 − 2·q⋆``."""
-        return GoldenBasis(self._a + 3 * self._b, -2 * self._b)
+        p, q, d = self._p, self._q, self._d
+        return GoldenBasis(Fraction(p + 3 * q, d), Fraction(-2 * q, d))
 
     def __float__(self) -> float:
-        return float(self._a) + float(self._b) * math.sqrt(5.0)
+        # the same bits as float(a) + float(b)·√5: int / int is correctly rounded
+        return self._p / self._d + self._q / self._d * _SQRT5_FLOAT
 
     def __repr__(self) -> str:
-        return f"Q5({self._a!r}, {self._b!r})"
+        return f"Q5({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        return _format_linear(self._a, self._b, "√5")
+        return _format_linear(self.a, self.b, "√5")
 
 
 class GoldenBasis:
@@ -272,15 +315,16 @@ class GoldenBasis:
 
     def to_q5(self) -> Q5:
         """Rewrite in the √5 basis via ``q⋆ = (3 − √5)/2``."""
-        return Q5(self._c0 + Fraction(3, 2) * self._c1, -self._c1 / 2)
+        n0, d0 = self._c0.numerator, self._c0.denominator
+        n1, d1 = self._c1.numerator, self._c1.denominator
+        return _q5(2 * n0 * d1 + 3 * n1 * d0, -n1 * d0, 2 * d0 * d1)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GoldenBasis):
             return self._c0 == other._c0 and self._c1 == other._c1
-        r = _coerce_rational(other)
-        if r is None:
+        if isinstance(other, Q5) or _coords(other) is None:
             return NotImplemented
-        return self._c1 == 0 and self._c0 == r
+        return self._c1 == 0 and self._c0 == other
 
     def __hash__(self) -> int:
         if self._c1 == 0:
@@ -316,49 +360,37 @@ QSTAR = Q5(Fraction(3, 2), Fraction(-1, 2))
 PHI = Q5(Fraction(1, 2), Fraction(1, 2))
 
 
-def _round_half_up(value: Fraction) -> int:
-    """Nearest integer, ties away from zero (``decimal.ROUND_HALF_UP``)."""
-    if value < 0:
-        return -math.floor(-value + Fraction(1, 2))
-    return math.floor(value + Fraction(1, 2))
-
-
 def decimal_str(value: Q5 | GoldenBasis | Fraction | int, digits: int) -> str:
     """Correctly rounded decimal string with ``digits`` digits after the point.
 
-    The √5 part is bracketed by ``math.isqrt`` interval bounds which are
-    tightened until both endpoints round to the same digit string, so every
-    printed digit is certified.  Exact rational ties round half up.
+    Exact rational ties round half up (away from zero).  Every digit is
+    certified by one integer square root, with no loop: for
+    ``x = (p + q·√5)/d ≥ 0`` let ``P = p·10^digits`` and ``Q = q·10^digits``;
+    then ``round(x·10^digits) = ⌊(2P + d + 2Q√5)/(2d)⌋``, and because the
+    numerator's only irrational part is ``2Q√5``, its floor may replace it:
+    ``⌊2Q√5⌋ = isqrt(20Q²)``, or ``−isqrt(20Q²) − 1`` for ``Q < 0`` (20Q² is
+    never a square unless Q = 0).  A negative value is rendered as its
+    mirror ``(−P, −Q)`` with a minus sign, so ties round away from zero;
+    ties occur only when ``Q = 0``.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
     if isinstance(value, GoldenBasis):
         value = value.to_q5()
-    elif not isinstance(value, Q5):
-        r = _coerce_rational(value)
-        if r is None:
-            raise TypeError(f"cannot render {type(value).__name__} exactly")
-        value = Q5(r)
-    a, b = value.a, value.b
+    x = _coords(value)
+    if x is None:
+        raise TypeError(f"cannot render {type(value).__name__} exactly")
+    p, q, d = x
     scale = 10**digits
-    guard = 12
-    while True:
-        gscale = 10 ** (digits + guard)
-        t = math.isqrt(5 * gscale * gscale)
-        lo5 = Fraction(t, gscale)
-        hi5 = Fraction(t + 1, gscale)
-        if b >= 0:
-            lo, hi = a + b * lo5, a + b * hi5
-        else:
-            lo, hi = a + b * hi5, a + b * lo5
-        n_lo = _round_half_up(lo * scale)
-        n_hi = _round_half_up(hi * scale)
-        if n_lo == n_hi:
-            break
-        guard *= 2
-    n = n_lo
-    sign = "-" if n < 0 else ""
-    n = abs(n)
+    negative = _sign(p, q) < 0
+    if negative:
+        p, q = -p, -q
+    big_q = q * scale
+    floor_2q_sqrt5 = math.isqrt(20 * big_q * big_q)
+    if big_q < 0:
+        floor_2q_sqrt5 = -floor_2q_sqrt5 - 1
+    n = (2 * p * scale + d + floor_2q_sqrt5) // (2 * d)
+    sign = "-" if negative and n else ""
     if digits == 0:
         return f"{sign}{n}"
     return f"{sign}{n // scale}.{n % scale:0{digits}d}"

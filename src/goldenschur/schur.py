@@ -321,21 +321,22 @@ def make_family(
     equivariance, indefiniteness — and raises one
     :class:`FamilyValidationError` listing every offender.
     ``validate=False`` is the escape hatch for negative-control experiments:
-    only a coefficient of the wrong shape is raised, and κ of a family with
-    an invalid coefficient takes the dense route.
+    only a coefficient of the wrong shape or a non-finite exponent is raised,
+    and κ of a family with an invalid coefficient takes the dense route.
     """
     split = build_split(n, m_rho_sq, u_raw)
     violations: list[str] = []
-    misshapen: list[str] = []
+    fatal: list[str] = []  # no family can hold these, validated or not
     built = []
     for k, (s, c) in enumerate([(0.0, c0), *terms]):
         s, arr = float(s), np.asarray(c, dtype=float)
         if k and not math.isfinite(s):
-            violations.append(f"terms[{k - 1}]: exponent s = {s} is not finite")
+            fatal.append(f"terms[{k - 1}]: exponent s = {s} is not finite")
+            violations.append(fatal[-1])
         name = f"terms[{k - 1}].C (s={s:g})" if k else "C0"
         if arr.shape not in ((n,), (n, n)):
-            misshapen.append(f"{name}: shape {arr.shape} != ({n}, {n})")
-            violations.append(misshapen[-1])
+            fatal.append(f"{name}: shape {arr.shape} != ({n}, {n})")
+            violations.append(fatal[-1])
             continue
         g = _validate_coef(name, arr, n, violations)
         if g is None and arr.ndim == 1:
@@ -343,8 +344,8 @@ def make_family(
         built.append(ExpTerm(s, arr if g is None else g))
     if validate and violations:
         raise FamilyValidationError(violations)
-    if misshapen:  # no family can hold a coefficient of the wrong shape
-        raise FamilyValidationError(misshapen)
+    if fatal:
+        raise FamilyValidationError(fatal)
     return HessianFamily(split, built[0], tuple(built[1:]))
 
 

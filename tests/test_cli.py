@@ -304,6 +304,22 @@ def test_lambda_rejects_degenerate(capsys):
     assert "N >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--N", "12", "--q", q, "--format", fmt)
+        for q in ("1/2", "phi^-2")
+        for fmt in ("exact", "decimal", "both")
+    ]
+    + [("lambda", "--N", "12", "--format", fmt) for fmt in ("table", "csv", "json")]
+    + [("lambda", "--N", "1")],
+)
+def test_negative_digits_rejected_in_every_format(capsys, argv):
+    # rejected before anything is computed or printed, whatever the format
+    code, out, err = run_cli(capsys, *argv, "--digits", "-1")
+    assert (code, out, err) == (2, "", "error: digits must be >= 0\n")
+
+
 def test_golden_table(capsys):
     code, out, _ = run_cli(capsys, "golden-table", "--max-m", "12")
     assert code == 0

@@ -178,6 +178,45 @@ def test_lambda_is_derivative_ratio():
         assert lambda_n(n) == d2 / d1
 
 
+@pytest.mark.parametrize("n", [*range(2, 61), 1000])
+def test_lambda_is_u_over_v(n):
+    # lambda_n divides U = S₃S₀ − S₁S₂ by V = S₂S₀ − S₁² once; the moment
+    # route divides I₂′ by I₁′ after three divisions by S₀
+    i1p, i2p = theta_derivatives(moments(n, QSTAR))
+    assert lambda_n(n) == i2p / i1p
+
+
+def test_golden_point_values_at_n_10000_match_mpmath():
+    # the coordinates have about 4180 digits and cancel to O(1) values, so the
+    # exact values are evaluated at 4400 digits; the references are direct
+    # sums of positive terms, well conditioned at 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    n = 10_000
+    s = sums_closed(n, QSTAR)
+    m = moments_from_sums(s)
+    with mpmath.workdps(60):
+        q = (3 - mpmath.sqrt(5)) / 2
+        ref = [mpmath.mpf(0)] * 4
+        p = mpmath.mpf(1)
+        for r in range(1, 400):  # q⋆^400·400³ < 1e-150: the tail is below 60 digits
+            p *= q
+            for k in range(4):
+                ref[k] += r**k * p
+        i1, i2, i3 = (x / ref[0] for x in ref[1:])
+        var = i2 - i1 * i1
+        ref += [var, (i3 - i1 * i2) / var]
+    with mpmath.workdps(4400):
+        root5 = mpmath.sqrt(5)
+        for value, expected in zip([*s.as_tuple(), m.var, lambda_n(n)], ref):
+            a, b = value.a, value.b
+            assert max(len(str(a.numerator)), len(str(b.numerator))) > 4000
+            got = mpmath.mpf(a.numerator) / a.denominator
+            got += mpmath.mpf(b.numerator) / b.denominator * root5
+            assert abs(got - expected) <= mpmath.mpf(10) ** -50 * abs(expected)
+            text = decimal_str(value, 40)
+            assert abs(mpmath.mpf(text) - expected) <= mpmath.mpf(10) ** -40 * 0.5000001
+
+
 def test_lambda_2_is_three():
     # For a two-point family I₃ − I₁I₂ = 3·Var identically, so Λ(2) = 3.
     assert lambda_n(2) == Q5(3, 0)

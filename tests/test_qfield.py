@@ -1,10 +1,13 @@
 """Tests for the exact Q(√5) field layer."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from goldenschur.qfield import PHI, QSTAR, SQRT5, GoldenBasis, Q5, decimal_str
 
@@ -259,3 +262,217 @@ def test_golden_str():
 def test_float_conversion():
     assert math.isclose(float(QSTAR), (3 - math.sqrt(5)) / 2, rel_tol=1e-15)
     assert math.isclose(float(PHI), (1 + math.sqrt(5)) / 2, rel_tol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a Fraction-pair reference
+# ---------------------------------------------------------------------------
+
+
+class PairQ5:
+    """``a + b·√5`` on two Fractions: the reference the integer kernel must match."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, PairQ5) else PairQ5(x)
+
+    def __add__(self, other):
+        y = PairQ5.lift(other)
+        return PairQ5(self.a + y.a, self.b + y.b)
+
+    def __sub__(self, other):
+        y = PairQ5.lift(other)
+        return PairQ5(self.a - y.a, self.b - y.b)
+
+    def __mul__(self, other):
+        y = PairQ5.lift(other)
+        return PairQ5(self.a * y.a + 5 * self.b * y.b, self.a * y.b + self.b * y.a)
+
+    def norm(self):
+        return self.a * self.a - 5 * self.b * self.b
+
+    def inverse(self):
+        n = self.norm()
+        return PairQ5(self.a / n, -self.b / n)
+
+    def __truediv__(self, other):
+        return self * PairQ5.lift(other).inverse()
+
+    def __pow__(self, m):
+        base = self.inverse() if m < 0 else self
+        out = PairQ5(1)
+        for _ in range(abs(m)):
+            out = out * base
+        return out
+
+    def sign(self):
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0 or (a > 0) == (b > 0):
+            return 1 if b > 0 else -1
+        if a > 0:
+            return 1 if a * a > 5 * b * b else -1
+        return 1 if a * a < 5 * b * b else -1
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(5.0)
+
+
+def assert_same(x, ref):
+    """``x`` is the reference value, in canonical (p, q, d) form."""
+    assert isinstance(x, Q5)
+    assert (x.a, x.b) == (ref.a, ref.b)
+    p, q, d = x._p, x._q, x._d
+    assert all(type(v) is int for v in (p, q, d))
+    assert d > 0 and math.gcd(math.gcd(p, q), d) == 1
+    assert (Fraction(p, d), Fraction(q, d)) == (ref.a, ref.b)
+
+
+small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+big_rationals = st.builds(
+    Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30)
+)
+rationals = st.one_of(small_rationals, big_rationals, st.integers(-(10**25), 10**25))
+elements = st.builds(lambda a, b: (Q5(a, b), PairQ5(a, b)), rationals, rationals)
+# an operand is a Q5 or a plain int/Fraction, paired with its reference
+operands = st.one_of(elements, rationals.map(lambda r: (r, r)))
+
+OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@given(x=elements, y=operands, op=st.sampled_from(OPS), flip=st.booleans())
+def test_kernel_arithmetic_matches_fraction_pairs(x, y, op, flip):
+    (xq, xr), (yq, yr) = x, y
+    if flip:  # the plain scalar, if any, on the left
+        xq, yq, xr, yr = yq, xq, yr, xr
+    divisor = yr if op is operator.truediv else 1
+    if PairQ5.lift(divisor).norm() == 0:
+        with pytest.raises(ZeroDivisionError):
+            op(xq, yq)
+        return
+    assert_same(op(xq, yq), op(PairQ5.lift(xr), yr))
+
+
+@given(x=elements, m=st.integers(-6, 9))
+def test_kernel_inverse_and_powers_match_fraction_pairs(x, m):
+    xq, xr = x
+    if xr.norm() == 0:
+        with pytest.raises(ZeroDivisionError):
+            xq.inverse()
+        assume(m >= 0)
+    else:
+        assert_same(xq.inverse(), xr.inverse())
+        assert xq.norm() == xr.norm()
+    assert_same(xq**m, xr**m)
+    assert_same(-xq, PairQ5(-xr.a, -xr.b))
+    assert_same(xq.conjugate(), PairQ5(xr.a, -xr.b))
+
+
+@given(x=elements, y=operands)
+def test_kernel_order_equality_hash_and_float(x, y):
+    (xq, xr), (yq, yr) = x, y
+    diff = xr - yr
+    assert xq.sign() == xr.sign()
+    assert (xq < yq) == (diff.sign() < 0)
+    assert (xq >= yq) == (diff.sign() >= 0)
+    assert (yq > xq) == (diff.sign() < 0)
+    assert (xq == yq) == (diff.a == 0 and diff.b == 0)
+    if xq == yq:
+        assert hash(xq) == hash(yq)
+    if xr.b == 0:
+        assert hash(xq) == hash(xr.a)
+    assert float(xq).hex() == float(xr).hex()
+    assert (xq.a, xq.b) == (xr.a, xr.b)
+
+
+def test_kernel_rejects_floats_on_both_sides():
+    for op in OPS:
+        with pytest.raises(TypeError):
+            op(QSTAR, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, QSTAR)
+    with pytest.raises(TypeError):
+        QSTAR < 0.5  # noqa: B015
+    assert (QSTAR == 0.5) is False
+
+
+# ---------------------------------------------------------------------------
+# decimal_str against the guard-doubling renderer it replaced
+# ---------------------------------------------------------------------------
+
+
+def _round_half_up(value):
+    if value < 0:
+        return -math.floor(-value + Fraction(1, 2))
+    return math.floor(value + Fraction(1, 2))
+
+
+def decimal_oracle(a, b, digits):
+    """Bracket √5 by isqrt bounds, doubling the guard digits until both ends
+    of ``a + b·√5`` round to the same string."""
+    a, b = Fraction(a), Fraction(b)
+    scale = 10**digits
+    guard = 12
+    while True:
+        gscale = 10 ** (digits + guard)
+        t = math.isqrt(5 * gscale * gscale)
+        lo5, hi5 = Fraction(t, gscale), Fraction(t + 1, gscale)
+        lo, hi = (a + b * lo5, a + b * hi5) if b >= 0 else (a + b * hi5, a + b * lo5)
+        n_lo, n_hi = _round_half_up(lo * scale), _round_half_up(hi * scale)
+        if n_lo == n_hi:
+            break
+        guard *= 2
+    sign = "-" if n_lo < 0 else ""
+    n = abs(n_lo)
+    return f"{sign}{n}" if digits == 0 else f"{sign}{n // scale}.{n % scale:0{digits}d}"
+
+
+@given(a=rationals, b=rationals, digits=st.integers(0, 40))
+def test_decimal_str_matches_guard_doubling_oracle(a, b, digits):
+    assert decimal_str(Q5(a, b), digits) == decimal_oracle(a, b, digits)
+
+
+@given(
+    k=st.integers(-(10**12), 10**12),
+    digits=st.integers(0, 40),
+    shift=st.integers(0, 3),
+)
+def test_decimal_str_rational_ties_round_away_from_zero(k, digits, shift):
+    # (2k + 1)/(2·10^digits) sits exactly halfway between two printed values
+    tie = Fraction(2 * k + 1, 2 * 10**digits)
+    text = decimal_str(tie, digits)
+    assert text == decimal_oracle(tie, 0, digits)
+    away = math.floor(abs(tie) * 10**digits + Fraction(1, 2))
+    assert int(text.replace(".", "").lstrip("-")) == away
+    assert text.startswith("-") == (tie < 0)
+    # a value just short of the tie rounds toward zero
+    near = tie - Fraction(1, 10 ** (digits + 1 + shift)) * (1 if tie > 0 else -1)
+    assert decimal_str(near, digits) == decimal_oracle(near, 0, digits)
+
+
+@pytest.mark.parametrize("digits", [0, 1, 3, 12, 40])
+def test_decimal_str_tiny_negatives_print_unsigned_zero(digits):
+    # 682² − 5·305² = −1, so 682 − 305√5 ≈ −7.3e-4 with both coordinates large
+    # next to it; scaled down it rounds to zero at any digit count
+    scale = Fraction(1, 10**digits)
+    zero = "0" if digits == 0 else "0." + "0" * digits
+    for value in (Q5(682, -305) * scale, Q5(-scale / 3), Q5(-scale / 2 + scale / 10**9)):
+        assert value < 0
+        assert decimal_str(value, digits) == decimal_oracle(value.a, value.b, digits) == zero
+    # the exact half rounds away from zero
+    assert decimal_str(-scale / 2, digits) == "-" + zero[:-1] + "1"
+
+
+@pytest.mark.parametrize("digits", [0, 12, 40])
+def test_decimal_str_large_coordinates(digits):
+    # coordinates of thousands of digits that cancel to a small value, as at q⋆
+    x = QSTAR**3000
+    assert max(abs(x.a.numerator), abs(x.b.numerator)) > 10**600
+    assert decimal_str(x, digits) == decimal_oracle(x.a, x.b, digits)
+    y = (PHI**2500 - 1) / PHI**2499
+    assert decimal_str(y, digits) == decimal_oracle(y.a, y.b, digits)
+    assert decimal_str(-y, digits) == decimal_oracle(-y.a, -y.b, digits)

@@ -232,6 +232,19 @@ def test_unvalidated_family_rejects_wrong_shape(n):
     assert err.value.violations == [f"terms[0].C (s=1): shape ({n}, {n + 1}) != ({n}, {n})"]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_unvalidated_family_rejects_non_finite_exponent(bad):
+    # κ of such a family could only fail later as a "singular" collective
+    # block; the exponent is named up front, validated or not
+    n = 6
+    u = [math.cos(2 * math.pi * k / n) for k in range(n)]
+    g = [2.0, 0.5, 0.0, 0.0, 0.0, 0.5]
+    for validate in (True, False):
+        with pytest.raises(FamilyValidationError) as err:
+            make_family(n, 2.0, u, g, [(1.0, g), (bad, g)], validate=validate)
+        assert err.value.violations == [f"terms[1]: exponent s = {bad} is not finite"]
+
+
 def parent_rule_accepts(c):
     """The dense validation rule: symmetry, eigvalsh and both commutator norms."""
     n = c.shape[0]

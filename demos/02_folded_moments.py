@@ -10,15 +10,8 @@ I₂′ = I₃ − I₁I₂.
 
 from fractions import Fraction
 
-from goldenschur import (
-    QSTAR,
-    folded_weights,
-    moments,
-    sums_bruteforce,
-    sums_closed,
-    theta_derivatives,
-    theta_derivatives_fd,
-)
+from goldenschur import QSTAR, folded_weights, moments, sums_closed, theta_derivatives
+from goldenschur.oracle import sums_bruteforce, theta_derivatives_fd
 
 N = 12
 

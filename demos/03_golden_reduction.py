@@ -7,13 +7,8 @@ beyond it, and uses the reduction to evaluate the derivative ratio
 Λ(N) = I₂′(θ⋆)/I₁′(θ⋆) exactly.
 """
 
-from goldenschur import (
-    QSTAR,
-    decimal_str,
-    fibonacci,
-    golden_power_table,
-    lambda_n,
-)
+from goldenschur import QSTAR, decimal_str, golden_power_table, lambda_n
+from goldenschur.oracle import fibonacci
 
 table = golden_power_table(200)
 

@@ -4,12 +4,17 @@ A family H(θ) = C₀ + Σ e^{sθ}C_s of symmetric PSD circulants (so it commute
 with the dihedral action of shift and reversal) is split into one collective
 direction u and the banded complement B.  Eliminating the collective mode
 leaves the Schur complement; its normalized trace κ(θ) is the curvature this
-package studies.  The demo verifies, numerically but at tight tolerances:
+package studies.  The library takes κ from the spectra of the circulants;
+the demo checks it against the second routes in ``goldenschur.oracle``,
+numerically but at tight tolerances:
 
-* the variational description — the Schur complement is the Loewner-minimal
-  value of H_BB + H_BO Y + Yᵀ H_OB + Yᵀ H_OO Y over all couplings Y;
-* matrix convexity of θ ↦ H(θ) along segments;
-* convexity of the scalar curve κ(θ), plus a strict-convexity witness.
+* the variational description (``variational_check``) — the Schur
+  complement is the Loewner-minimal value of H_BB + H_BO Y + Yᵀ H_OB +
+  Yᵀ H_OO Y over all couplings Y — and κ from the dense blocks
+  (``dense_curvature``);
+* matrix convexity of θ ↦ H(θ) along segments (``matrix_convexity_check``);
+* convexity of the scalar curve κ(θ), plus a strict-convexity witness, from
+  the library itself.
 """
 
 import math
@@ -18,14 +23,12 @@ import numpy as np
 
 from goldenschur import (
     circulant,
-    dense_curvature,
     kappa_convexity_scan,
     make_family,
-    matrix_convexity_check,
     schur_curvature,
     strict_convexity_witness,
-    variational_check,
 )
+from goldenschur.oracle import dense_curvature, matrix_convexity_check, variational_check
 
 N = 8
 u = [math.cos(2 * math.pi * k / N) for k in range(N)]

@@ -21,24 +21,19 @@ _EXPORTS = {
         "folded_weights",
         "moments",
         "moments_from_sums",
-        "sums_bruteforce",
         "sums_closed",
         "theta_derivatives",
-        "theta_derivatives_fd",
     ),
     "golden": (
         "GoldenPower",
-        "fibonacci",
         "golden_power_table",
         "lambda_n",
-        "sums_at_qstar",
     ),
     "lockin": (
         "QuadLawCoeffs",
         "QuadLawFit",
         "StationarityReport",
         "bracket_residual",
-        "f_red_prime_direct_q",
         "f_red_prime_q",
         "f_red_q",
         "kappa_quadratic",
@@ -49,33 +44,23 @@ _EXPORTS = {
     ),
     "qfield": ("PHI", "QSTAR", "SQRT5", "GoldenBasis", "Q5", "decimal_str"),
     "schur": (
-        "BlockHessian",
-        "ConvexityGapReport",
         "CurvatureScan",
         "ExpTerm",
         "FamilyValidationError",
         "HessianFamily",
         "SplitGeometry",
         "StrictWitnessReport",
-        "VariationalReport",
-        "assemble_hessian",
-        "block_hessian",
         "build_split",
         "circulant",
-        "dense_curvature",
         "family_from_dict",
         "kappa_convexity_scan",
         "load_family",
         "make_family",
-        "matrix_convexity_check",
         "q_class_functional",
         "q_class_functional_from_weights",
         "random_family",
-        "schur_complement",
         "schur_curvature",
         "strict_convexity_witness",
-        "variational_check",
-        "variational_expression",
     ),
 }
 

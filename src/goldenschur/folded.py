@@ -13,7 +13,6 @@ Because the family is exponential, ``dI₁/dθ = Var`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -24,13 +23,11 @@ __all__ = [
     "Scalar",
     "FoldedSums",
     "FoldedMoments",
-    "sums_bruteforce",
     "sums_closed",
     "moments",
     "moments_from_sums",
     "folded_weights",
     "theta_derivatives",
-    "theta_derivatives_fd",
 ]
 
 Scalar = Union[Fraction, Q5, float]
@@ -74,27 +71,13 @@ class FoldedMoments:
     var: Scalar
 
 
-def sums_bruteforce(n: int, q: Scalar) -> FoldedSums:
-    """Direct summation — the oracle the closed forms are tested against."""
-    _check_domain(n, q)
-    s0 = s1 = s2 = s3 = 0 * q
-    p = q * 0 + 1  # multiplicative identity of the scalar type
-    for s in range(1, n + 1):
-        p = p * q
-        s0 = s0 + p
-        s1 = s1 + s * p
-        s2 = s2 + s * s * p
-        s3 = s3 + s**3 * p
-    return FoldedSums(n, q, s0, s1, s2, s3)
-
-
 def sums_closed(n: int, q: Scalar) -> FoldedSums:
     """Closed-form power sums via the geometric-series derivatives.
 
     The cubic-weight numerator coefficients are ``3N³+6N²−4`` and
     ``3N³+3N²−3N+1`` (obtained by differentiating the quadratic-weight form
-    once more in θ); with these the closed forms agree with
-    :func:`sums_bruteforce` exactly for every scalar type.
+    once more in θ); with these the closed forms agree with direct summation
+    exactly for every scalar type.
     """
     _check_domain(n, q)
     qn = q**n
@@ -152,16 +135,3 @@ def theta_derivatives(m: FoldedMoments) -> tuple[Scalar, Scalar]:
     """
     return m.var, m.i3 - m.i1 * m.i2
 
-
-def theta_derivatives_fd(n: int, q: float, h: float = 1e-4) -> tuple[float, float]:
-    """Central finite differences of I₁, I₂ in θ = ln q (float only)."""
-    qf = float(q)
-    _check_domain(n, qf)
-    q_hi = qf * math.exp(h)
-    q_lo = qf * math.exp(-h)
-    if not q_hi < 1:
-        raise ValueError(f"step h={h} leaves the domain at q={qf}")
-    # direct summation: positive terms only, so no (1-q)^k cancellation noise
-    hi = moments_from_sums(sums_bruteforce(n, q_hi))
-    lo = moments_from_sums(sums_bruteforce(n, q_lo))
-    return (hi.i1 - lo.i1) / (2 * h), (hi.i2 - lo.i2) / (2 * h)

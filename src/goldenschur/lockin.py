@@ -12,11 +12,10 @@ Its stationarity analysis runs through the bracket
 and :func:`f_red_prime_q` is the bracket-form derivative
 ``(I₁/N)·(B·I₂′ + (2A − 2B − 8/m_ρ²)·I₁′)``, the quantity whose golden-point
 factorization ``F′(θ⋆) = (1/N)·bracket(θ⋆)·I₁·I₁′`` holds as exact field
-algebra and whose zero at q⋆ characterizes consistent coefficients.  The
-plain chain-rule derivative of F_red is kept alongside as
-:func:`f_red_prime_direct_q`; the two differ by exactly
-``B·I₂′·(I₁ − 1)/N`` and coincide when B = 0.  Every form takes q = e^θ.
-:func:`quadratic_law_fit` recovers (A, B) from (q, κ) samples.
+algebra and whose zero at q⋆ characterizes consistent coefficients.  It
+differs from the plain chain-rule derivative of F_red by exactly
+``B·I₂′·(I₁ − 1)/N``, so the two coincide when B = 0.  Every form takes
+q = e^θ.  :func:`quadratic_law_fit` recovers (A, B) from (q, κ) samples.
 
 Everything is generic over the scalar type: exact inputs (Fraction, Q5) stay
 exact; any float input routes the whole computation through floats.
@@ -40,7 +39,6 @@ __all__ = [
     "quadratic_law_fit",
     "f_red_q",
     "f_red_prime_q",
-    "f_red_prime_direct_q",
     "bracket_residual",
     "synthesize_consistent_ab",
     "StationarityReport",
@@ -181,15 +179,6 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """
     c, qq = _route(coeffs, q)
     return _f_prime(c, moments(c.n, qq))
-
-
-def f_red_prime_direct_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
-    """Chain-rule θ-derivative of :func:`f_red_q` (matches finite differences)."""
-    c, qq = _route(coeffs, q)
-    m = moments(c.n, qq)
-    i1p, i2p = theta_derivatives(m)
-    kappa_p = c.b * i2p + (2 * c.a - 2 * c.b) * m.i1 * i1p
-    return -8 * m.i1 * i1p / (c.n * c.m_rho_sq) + kappa_p / c.n
 
 
 def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Scalar:

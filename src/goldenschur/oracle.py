@@ -1,0 +1,316 @@
+"""Second routes, kept only to check the library's one route to each quantity.
+
+``verify``, the tests and the demos compare each library route with the
+independent route here.  Each oracle, and the library route it checks:
+
+* :func:`sums_bruteforce`, direct summation: the closed forms of
+  :func:`.folded.sums_closed`, exactly for exact q.
+* :func:`theta_derivatives_fd`, central differences of direct sums in θ:
+  :func:`.folded.theta_derivatives`.
+* :func:`fibonacci`, its own loop: ``a_m = F_{2m}`` and ``b_m = −F_{2m−2}``
+  in the rows of :func:`.golden.golden_power_table`.
+* :func:`sums_at_qstar`, integer sums over those rows with no field
+  division: ``sums_closed(N, QSTAR)``, and so :func:`.golden.lambda_n`.
+* :func:`f_red_prime_direct_q`, the chain rule on :func:`.lockin.f_red_q`:
+  the bracket form :func:`.lockin.f_red_prime_q`, which differs from it by
+  exactly ``B·I₂′·(I₁ − 1)/N``.
+* :func:`dense_curvature`, the trace of the dense Schur complement
+  (:func:`assemble_hessian`, :func:`band_basis`, :func:`block_hessian`,
+  :func:`schur_complement`): the spectral :func:`.schur.schur_curvature`.
+  It is also the κ route of an unvalidated family without spectra.
+* :func:`variational_check`: the Schur complement as the Loewner minimum of
+  :func:`variational_expression` over couplings Y.
+* :func:`matrix_convexity_check`: the Loewner convexity of θ ↦ H(θ) that
+  validation implies, since each ``e^{sθ}·C`` with C ⪰ 0 is convex.
+* :func:`shift_matrix` and :func:`reversal_matrix`, the dense generators of
+  D_N: the index-based commutator norms of family validation.
+
+Importing this module loads only the standard library; the matrix oracles
+import numpy where they run.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
+
+from .folded import (
+    FoldedSums, Scalar, _check_domain, moments, moments_from_sums, theta_derivatives,
+)
+from .golden import golden_power_table
+from .lockin import QuadLawCoeffs, _route
+from .qfield import QSTAR, GoldenBasis
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .schur import FloatArray, HessianFamily, SplitGeometry
+
+__all__ = [
+    "sums_bruteforce", "theta_derivatives_fd", "fibonacci", "sums_at_qstar",
+    "f_red_prime_direct_q", "shift_matrix", "reversal_matrix", "band_basis",
+    "assemble_hessian", "BlockHessian", "block_hessian", "schur_complement",
+    "dense_curvature", "variational_expression", "VariationalReport", "variational_check",
+    "ConvexityGapReport", "matrix_convexity_check", "LOEWNER_TOL",
+]
+
+#: Loewner slack of the variational and matrix-convexity checks.
+LOEWNER_TOL = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# exact and float scalar oracles
+
+
+def sums_bruteforce(n: int, q: Scalar) -> FoldedSums:
+    """Direct summation — the oracle the closed forms are tested against."""
+    _check_domain(n, q)
+    s0 = s1 = s2 = s3 = 0 * q
+    p = q * 0 + 1  # multiplicative identity of the scalar type
+    for s in range(1, n + 1):
+        p = p * q
+        s0 = s0 + p
+        s1 = s1 + s * p
+        s2 = s2 + s * s * p
+        s3 = s3 + s**3 * p
+    return FoldedSums(n, q, s0, s1, s2, s3)
+
+
+def theta_derivatives_fd(n: int, q: float, h: float = 1e-4) -> tuple[float, float]:
+    """Central finite differences of I₁, I₂ in θ = ln q (float only)."""
+    qf = float(q)
+    _check_domain(n, qf)
+    q_hi = qf * math.exp(h)
+    q_lo = qf * math.exp(-h)
+    if not q_hi < 1:
+        raise ValueError(f"step h={h} leaves the domain at q={qf}")
+    # direct summation: positive terms only, so no (1-q)^k cancellation noise
+    hi = moments_from_sums(sums_bruteforce(n, q_hi))
+    lo = moments_from_sums(sums_bruteforce(n, q_lo))
+    return (hi.i1 - lo.i1) / (2 * h), (hi.i2 - lo.i2) / (2 * h)
+
+
+def fibonacci(n: int) -> int:
+    """Fibonacci number F_n for n ≥ −2, with F_{−2} = −1 and F_{−1} = 1.
+
+    Runs its own loop rather than reading :func:`.golden.golden_power_table`,
+    so that it stays an independent check of ``a_m = F_{2m}`` and
+    ``b_m = −F_{2m−2}``.
+    """
+    if n < -2:
+        raise ValueError(f"index must be >= -2, got {n}")
+    prev, cur = -1, 1  # F_{-2}, F_{-1}
+    for _ in range(n + 2):
+        prev, cur = cur, prev + cur
+    return prev
+
+
+def sums_at_qstar(n: int) -> FoldedSums:
+    """Exact golden-point power sums via the integer reduction route.
+
+    ``S_k(q⋆) = (Σ s^k a_s)·q⋆ + Σ s^k b_s`` — pure integer accumulation,
+    deliberately independent of the rational closed forms.
+    """
+    if n < 1:
+        raise ValueError(f"family size must be a positive integer, got {n!r}")
+    acc_a = [0, 0, 0, 0]
+    acc_b = [0, 0, 0, 0]
+    for row in golden_power_table(n)[1:]:
+        w = 1
+        for k in range(4):
+            acc_a[k] += w * row.a
+            acc_b[k] += w * row.b
+            w *= row.m
+    values = [GoldenBasis(acc_b[k], acc_a[k]).to_q5() for k in range(4)]
+    return FoldedSums(n, QSTAR, *values)
+
+
+def f_red_prime_direct_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
+    """Chain-rule θ-derivative of :func:`.lockin.f_red_q` (matches finite differences)."""
+    c, qq = _route(coeffs, q)
+    m = moments(c.n, qq)
+    i1p, i2p = theta_derivatives(m)
+    kappa_p = c.b * i2p + (2 * c.a - 2 * c.b) * m.i1 * i1p
+    return -8 * m.i1 * i1p / (c.n * c.m_rho_sq) + kappa_p / c.n
+
+
+# ---------------------------------------------------------------------------
+# dense matrix oracles
+
+
+def shift_matrix(n: int) -> FloatArray:
+    """Cyclic shift permutation ``(Sx)_i = x_{(i+1) mod n}``."""
+    import numpy as np
+    s = np.zeros((n, n))
+    s[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    return s
+
+
+def reversal_matrix(n: int) -> FloatArray:
+    """Index reversal ``(Rx)_i = x_{(n−i) mod n}``."""
+    import numpy as np
+    r = np.zeros((n, n))
+    r[np.arange(n), (n - np.arange(n)) % n] = 1.0
+    return r
+
+
+def band_basis(split: SplitGeometry) -> FloatArray:
+    """(n, n−2) orthonormal columns spanning B = span{1, u}^⊥."""
+    import numpy as np
+    rows = np.vstack([np.full(split.n, 1.0 / math.sqrt(split.n)), split.u])
+    # the two rows are orthonormal, so the last n − 2 right singular vectors
+    # span their null space exactly
+    return np.linalg.svd(rows, full_matrices=True)[2][2:].T
+
+
+def assemble_hessian(fam: HessianFamily, theta: float) -> FloatArray:
+    """``H(θ) = C₀ + Σ e^{sθ}·C_s``."""
+    h = fam.c0.copy()
+    for t in fam.terms:
+        h = h + math.exp(t.s * theta) * t.coef
+    return h
+
+
+@dataclass(frozen=True, eq=False)
+class BlockHessian:
+    """H in the orthonormal (band ⊕ collective) frame."""
+
+    h_bb: FloatArray  # (n−2, n−2)
+    h_bo: FloatArray  # (n−2, 1)
+    h_oo: FloatArray  # (1, 1)
+
+    @property
+    def h_ob(self) -> FloatArray:
+        return self.h_bo.T
+
+
+def block_hessian(fam: HessianFamily, theta: float) -> BlockHessian:
+    h = assemble_hessian(fam, theta)
+    qb = band_basis(fam.split)
+    u = fam.split.u[:, None]
+    return BlockHessian(qb.T @ h @ qb, qb.T @ h @ u, u.T @ h @ u)
+
+
+def schur_complement(
+    h_bb: FloatArray, h_bo: FloatArray, h_oo: FloatArray, *, context: str = ""
+) -> FloatArray:
+    """``H_BB − H_BO H_OO⁻¹ H_OB`` for the 1×1 collective block ``H_OO``.
+
+    The block is rejected as numerically singular unless it exceeds
+    ``‖H‖_F / COND_LIMIT``, with ``‖H‖_F`` taken over the three blocks.
+    """
+    import numpy as np
+
+    from .schur import COND_LIMIT
+
+    if h_oo.shape != (1, 1):
+        raise ValueError(f"collective block must be 1x1, got shape {h_oo.shape}")
+    h = float(h_oo[0, 0])
+    scale = math.sqrt(float(np.vdot(h_bb, h_bb) + 2 * np.vdot(h_bo, h_bo)) + h * h)
+    if not h > scale / COND_LIMIT:
+        where = f" at {context}" if context else ""
+        raise ValueError(
+            f"collective block is numerically singular{where} "
+            f"(h_oo = {h:.3e}, ‖H‖_F = {scale:.3e})"
+        )
+    return h_bb - h_bo @ np.linalg.solve(h_oo, h_bo.T)
+
+
+def dense_curvature(fam: HessianFamily, theta: float) -> float:
+    """κ_Schur at θ from the dense band/collective blocks: the oracle route of
+    :func:`.schur.schur_curvature`, and the κ route of a family whose
+    coefficients are not all symmetric circulants."""
+    import numpy as np
+    blocks = block_hessian(fam, theta)
+    s = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
+    return float(np.trace(s)) / fam.split.dim_band
+
+
+# ---------------------------------------------------------------------------
+# variational characterization
+
+
+def variational_expression(blocks: BlockHessian, y: FloatArray) -> FloatArray:
+    """``H_BB + H_BO Y + Yᵀ H_OB + Yᵀ H_OO Y`` for a coupling ``Y`` (1 × n−2)."""
+    return blocks.h_bb + blocks.h_bo @ y + y.T @ blocks.h_ob + y.T @ blocks.h_oo @ y
+
+
+@dataclass(frozen=True)
+class VariationalReport:
+    """Outcome of the completing-the-square check at one θ."""
+
+    theta: float
+    minimizer_gap: float  # ‖expression(Y⋆) − Schur complement‖₂
+    min_loewner_eig: float  # worst min-eigenvalue of expression(Y) − Schur over trials
+    trials: int
+
+    def passed(self) -> bool:
+        return self.minimizer_gap <= LOEWNER_TOL and self.min_loewner_eig >= -LOEWNER_TOL
+
+
+def variational_check(
+    fam: HessianFamily,
+    theta: float,
+    *,
+    trials: int = 100,
+    rng: np.random.Generator,
+) -> VariationalReport:
+    """Check that Y⋆ = −H_OO⁻¹H_OB attains the Schur complement and that every
+    random coupling dominates it in the Loewner order."""
+    import numpy as np
+    blocks = block_hessian(fam, theta)
+    schur = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
+    y_star = -np.linalg.solve(blocks.h_oo, blocks.h_ob)
+    gap = float(np.linalg.norm(variational_expression(blocks, y_star) - schur, 2))
+    worst = math.inf
+    for _ in range(trials):
+        y = rng.standard_normal(y_star.shape)
+        diff = variational_expression(blocks, y) - schur
+        w = np.linalg.eigvalsh((diff + diff.T) / 2)
+        worst = min(worst, float(w[0]))
+    return VariationalReport(theta, gap, worst, trials)
+
+
+# ---------------------------------------------------------------------------
+# matrix convexity in θ
+
+
+@dataclass(frozen=True)
+class ConvexityGapReport:
+    """Loewner convexity gaps ``t·H(θ₁) + (1−t)·H(θ₂) − H(tθ₁+(1−t)θ₂)``."""
+
+    theta1: float
+    theta2: float
+    t_values: tuple[float, ...]
+    min_eigs: tuple[float, ...]
+
+    @property
+    def min_eig(self) -> float:
+        return min(self.min_eigs)
+
+    def passed(self) -> bool:
+        return self.min_eig >= -LOEWNER_TOL
+
+
+def matrix_convexity_check(
+    fam: HessianFamily,
+    theta1: float,
+    theta2: float,
+    t_grid: Sequence[float] | int = 11,
+) -> ConvexityGapReport:
+    """Midpoint-style matrix convexity of θ ↦ H(θ) on a t-grid in [0, 1]."""
+    import numpy as np
+    if isinstance(t_grid, int):
+        ts = np.linspace(0.0, 1.0, t_grid)
+    else:
+        ts = np.asarray(list(t_grid), dtype=float)
+    if np.any(ts < 0) or np.any(ts > 1):
+        raise ValueError("t grid must lie in [0, 1]")
+    h1 = assemble_hessian(fam, theta1)
+    h2 = assemble_hessian(fam, theta2)
+    eigs = []
+    for t in ts:
+        gap = t * h1 + (1 - t) * h2 - assemble_hessian(fam, t * theta1 + (1 - t) * theta2)
+        w = np.linalg.eigvalsh((gap + gap.T) / 2)
+        eigs.append(float(w[0]))
+    return ConvexityGapReport(theta1, theta2, tuple(float(t) for t in ts), tuple(eigs))

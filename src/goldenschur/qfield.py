@@ -49,6 +49,15 @@ def _coords(value: object) -> _Coords | None:
     return None
 
 
+def _rational(x: object) -> Fraction:
+    """An int (not a bool) or a Fraction as a Fraction; TypeError for anything else."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__} {x!r}")
+
+
 def _q5(p: int, q: int, d: int) -> "Q5":
     """The element ``(p + q·√5)/d`` for ``d > 0``, in lowest terms.
 
@@ -110,8 +119,8 @@ def _div(x: _Coords, y: _Coords, message: str) -> "Q5":
 class Q5:
     """An element ``a + b·√5`` of Q(√5), stored as ``(p + q·√5)/d`` in ints.
 
-    ``Q5(a, b)`` takes rational coordinates; ``.a`` and ``.b`` return them
-    as Fractions.  Arithmetic is closed and total; division by a nonzero
+    ``Q5(a, b)`` takes int or Fraction coordinates; ``.a`` and ``.b`` return
+    them as Fractions.  Arithmetic is closed and total; division by a nonzero
     element is exact via the Galois conjugate (the field norm ``a² − 5b²``
     vanishes only at zero, since √5 is irrational).  Ints and Fractions mix
     freely on either side of every operator; floats are rejected.
@@ -120,8 +129,7 @@ class Q5:
     __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a: _RationalLike = 0, b: _RationalLike = 0) -> None:
-        a = a if isinstance(a, Fraction) else Fraction(a)
-        b = b if isinstance(b, Fraction) else Fraction(b)
+        a, b = _rational(a), _rational(b)
         # over lcm(den a, den b) the triple is already in lowest terms
         d = math.lcm(a.denominator, b.denominator)
         self._p = a.numerator * (d // a.denominator)
@@ -301,8 +309,7 @@ class GoldenBasis:
     __slots__ = ("_c0", "_c1")
 
     def __init__(self, c0: _RationalLike = 0, c1: _RationalLike = 0) -> None:
-        self._c0 = c0 if isinstance(c0, Fraction) else Fraction(c0)
-        self._c1 = c1 if isinstance(c1, Fraction) else Fraction(c1)
+        self._c0, self._c1 = _rational(c0), _rational(c1)
 
     @property
     def c0(self) -> Fraction:

@@ -12,9 +12,7 @@ The central quantity is the band-normalized Schur curvature
 
     κ_Schur(θ) = Tr(H_BB − H_BO H_OO⁻¹ H_OB) / dim B,
 
-together with its variational characterization (the Schur complement is the
-minimum of ``H_BB + H_BO Y + Yᵀ H_OB + Yᵀ H_OO Y`` over couplings ``Y`` in
-the Loewner order) and convexity diagnostics in θ.
+and its convexity in θ.
 
 The DFT diagonalizes every symmetric circulant, so a family is kept as the
 K generator rows of its coefficients, and ``H(θ)`` has the real eigenvalues
@@ -27,13 +25,10 @@ rfft of row k.  Because ``H_OO`` is 1×1 and ``u ⟂ 1``, κ_Schur needs only
 and the singular-block guard compares h with ``‖P H P‖_F = (Σ_{j≠0} λ_j²)^½``
 (P = I − 11ᵀ/N).  Set-up costs O(K·N log N) and each θ O(K·N); validation
 reads symmetry and positivity off the same rows.  No N×N array is built on
-this route: the dense coefficients, ``p_band`` and ``band_basis`` are made on
-first use by the dense oracle (:func:`dense_curvature`, which takes
-:func:`block_hessian` and :func:`schur_complement`, and
-:func:`variational_check`), by :func:`strict_convexity_witness` and by the
-class functional.  The oracle evaluates the circulant of the same generator
-rows, and is also the κ route of an unvalidated family whose coefficients are
-not all symmetric circulants (a negative control).
+this route: the dense coefficients and ``p_band`` are made on first use, by
+:func:`strict_convexity_witness` and the class functional.  An unvalidated
+family whose coefficients are not all symmetric circulants (a negative
+control) has no spectra, so its κ comes from the dense Schur complement.
 """
 
 from __future__ import annotations
@@ -58,23 +53,11 @@ __all__ = [
     "HessianFamily",
     "make_family",
     "circulant",
-    "shift_matrix",
-    "reversal_matrix",
     "random_symmetric_psd_circulant",
     "random_family",
     "family_from_dict",
     "load_family",
-    "assemble_hessian",
-    "BlockHessian",
-    "block_hessian",
-    "schur_complement",
     "schur_curvature",
-    "dense_curvature",
-    "variational_expression",
-    "VariationalReport",
-    "variational_check",
-    "ConvexityGapReport",
-    "matrix_convexity_check",
     "CurvatureScan",
     "kappa_convexity_scan",
     "StrictWitnessReport",
@@ -91,8 +74,6 @@ SYM_TOL = 1e-10
 EQUIVARIANCE_TOL = 1e-10
 #: Collective block guard: H_OO must exceed ‖H‖/COND_LIMIT.
 COND_LIMIT = 1e12
-#: Loewner slack of the variational and matrix-convexity checks.
-LOEWNER_TOL = 1e-10
 #: Relative slack of a κ second difference in :func:`kappa_convexity_scan`.
 CONVEXITY_RTOL = 1e-8
 #: Smallest band-projected term norm that witnesses strict convexity.
@@ -117,20 +98,6 @@ def circulant(generator: Sequence[float]) -> FloatArray:
     n = g.shape[0]
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     return g[idx]
-
-
-def shift_matrix(n: int) -> FloatArray:
-    """Cyclic shift permutation ``(Sx)_i = x_{(i+1) mod n}``."""
-    s = np.zeros((n, n))
-    s[np.arange(n), (np.arange(n) + 1) % n] = 1.0
-    return s
-
-
-def reversal_matrix(n: int) -> FloatArray:
-    """Index reversal ``(Rx)_i = x_{(n−i) mod n}``."""
-    r = np.zeros((n, n))
-    r[np.arange(n), _reversal(n)] = 1.0
-    return r
 
 
 def _reversal(n: int) -> NDArray[np.intp]:
@@ -159,14 +126,6 @@ class SplitGeometry:
         """Projector onto B = span{1, u}^⊥."""
         n = self.n
         return np.eye(n) - np.full((n, n), 1.0 / n) - np.outer(self.u, self.u)
-
-    @cached_property
-    def band_basis(self) -> FloatArray:
-        """(n, n−2) orthonormal columns spanning B."""
-        rows = np.vstack([np.full(self.n, 1.0 / math.sqrt(self.n)), self.u])
-        # the two rows are orthonormal, so the last n − 2 right singular vectors
-        # span their null space exactly
-        return np.linalg.svd(rows, full_matrices=True)[2][2:].T
 
 
 def build_split(n: int, m_rho_sq: float, u_raw: Sequence[float]) -> SplitGeometry:
@@ -434,77 +393,21 @@ def load_family(path: str | Path) -> HessianFamily:
 
 
 # ---------------------------------------------------------------------------
-# assembly and Schur curvature
-
-
-def assemble_hessian(fam: HessianFamily, theta: float) -> FloatArray:
-    """``H(θ) = C₀ + Σ e^{sθ}·C_s``."""
-    h = fam.c0.copy()
-    for t in fam.terms:
-        h = h + math.exp(t.s * theta) * t.coef
-    return h
-
-
-@dataclass(frozen=True, eq=False)
-class BlockHessian:
-    """H in the orthonormal (band ⊕ collective) frame."""
-
-    h_bb: FloatArray  # (n−2, n−2)
-    h_bo: FloatArray  # (n−2, 1)
-    h_oo: FloatArray  # (1, 1)
-
-    @property
-    def h_ob(self) -> FloatArray:
-        return self.h_bo.T
-
-
-def block_hessian(fam: HessianFamily, theta: float) -> BlockHessian:
-    h = assemble_hessian(fam, theta)
-    qb = fam.split.band_basis
-    u = fam.split.u[:, None]
-    return BlockHessian(qb.T @ h @ qb, qb.T @ h @ u, u.T @ h @ u)
-
-
-def schur_complement(
-    h_bb: FloatArray, h_bo: FloatArray, h_oo: FloatArray, *, context: str = ""
-) -> FloatArray:
-    """``H_BB − H_BO H_OO⁻¹ H_OB`` for the 1×1 collective block ``H_OO``.
-
-    The block is rejected as numerically singular unless it exceeds
-    ``‖H‖_F / COND_LIMIT``, with ``‖H‖_F`` taken over the three blocks.
-    """
-    if h_oo.shape != (1, 1):
-        raise ValueError(f"collective block must be 1x1, got shape {h_oo.shape}")
-    h = float(h_oo[0, 0])
-    scale = math.sqrt(float(np.vdot(h_bb, h_bb) + 2 * np.vdot(h_bo, h_bo)) + h * h)
-    if not h > scale / COND_LIMIT:
-        where = f" at {context}" if context else ""
-        raise ValueError(
-            f"collective block is numerically singular{where} "
-            f"(h_oo = {h:.3e}, ‖H‖_F = {scale:.3e})"
-        )
-    return h_bb - h_bo @ np.linalg.solve(h_oo, h_bo.T)
-
-
-def dense_curvature(fam: HessianFamily, theta: float) -> float:
-    """κ_Schur at θ from the dense band/collective blocks: the oracle route of
-    :func:`schur_curvature`, and the κ route of a family whose coefficients
-    are not all symmetric circulants."""
-    blocks = block_hessian(fam, theta)
-    s = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
-    return float(np.trace(s)) / fam.split.dim_band
+# Schur curvature
 
 
 def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
     """κ_Schur at each θ, from the spectra of the coefficients.
 
-    Raises the dense route's errors in grid order: ``OverflowError`` from
-    ``math.exp``, or the singular-block ``ValueError`` of
-    :func:`schur_complement` at the first θ whose ``h ≤ ‖P H P‖_F/COND_LIMIT``.
-    A family without spectra takes the dense route θ by θ.
+    Raises the errors of a θ-by-θ dense scan in grid order: ``OverflowError``
+    from ``math.exp``, or the singular-block ``ValueError`` at the first θ
+    whose ``h ≤ ‖P H P‖_F/COND_LIMIT``.  A family without spectra is scanned
+    θ by θ from its dense blocks.
     """
     spectral = fam._spectral
     if spectral is None:
+        from .oracle import dense_curvature
+
         return np.array([dense_curvature(fam, float(t)) for t in thetas])
     c_hat, p, m = spectral
     rows = []
@@ -540,100 +443,8 @@ def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
 
 
 def schur_curvature(fam: HessianFamily, theta: float) -> float:
-    """Band-normalized trace of the Schur complement at θ (spectral route).
-
-    :func:`dense_curvature` gives the same value from dense blocks; it is
-    kept as the oracle.
-    """
+    """Band-normalized trace of the Schur complement at θ (spectral route)."""
     return float(_curvatures(fam, [theta])[0])
-
-
-# ---------------------------------------------------------------------------
-# variational characterization
-
-
-def variational_expression(blocks: BlockHessian, y: FloatArray) -> FloatArray:
-    """``H_BB + H_BO Y + Yᵀ H_OB + Yᵀ H_OO Y`` for a coupling ``Y`` (1 × n−2)."""
-    return blocks.h_bb + blocks.h_bo @ y + y.T @ blocks.h_ob + y.T @ blocks.h_oo @ y
-
-
-@dataclass(frozen=True)
-class VariationalReport:
-    """Outcome of the completing-the-square check at one θ."""
-
-    theta: float
-    minimizer_gap: float  # ‖expression(Y⋆) − Schur complement‖₂
-    min_loewner_eig: float  # worst min-eigenvalue of expression(Y) − Schur over trials
-    trials: int
-
-    def passed(self) -> bool:
-        return self.minimizer_gap <= LOEWNER_TOL and self.min_loewner_eig >= -LOEWNER_TOL
-
-
-def variational_check(
-    fam: HessianFamily,
-    theta: float,
-    *,
-    trials: int = 100,
-    rng: np.random.Generator,
-) -> VariationalReport:
-    """Check that Y⋆ = −H_OO⁻¹H_OB attains the Schur complement and that every
-    random coupling dominates it in the Loewner order."""
-    blocks = block_hessian(fam, theta)
-    schur = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
-    y_star = -np.linalg.solve(blocks.h_oo, blocks.h_ob)
-    gap = float(np.linalg.norm(variational_expression(blocks, y_star) - schur, 2))
-    worst = math.inf
-    for _ in range(trials):
-        y = rng.standard_normal(y_star.shape)
-        diff = variational_expression(blocks, y) - schur
-        w = np.linalg.eigvalsh((diff + diff.T) / 2)
-        worst = min(worst, float(w[0]))
-    return VariationalReport(theta, gap, worst, trials)
-
-
-# ---------------------------------------------------------------------------
-# convexity diagnostics
-
-
-@dataclass(frozen=True)
-class ConvexityGapReport:
-    """Loewner convexity gaps ``t·H(θ₁) + (1−t)·H(θ₂) − H(tθ₁+(1−t)θ₂)``."""
-
-    theta1: float
-    theta2: float
-    t_values: tuple[float, ...]
-    min_eigs: tuple[float, ...]
-
-    @property
-    def min_eig(self) -> float:
-        return min(self.min_eigs)
-
-    def passed(self) -> bool:
-        return self.min_eig >= -LOEWNER_TOL
-
-
-def matrix_convexity_check(
-    fam: HessianFamily,
-    theta1: float,
-    theta2: float,
-    t_grid: Sequence[float] | int = 11,
-) -> ConvexityGapReport:
-    """Midpoint-style matrix convexity of θ ↦ H(θ) on a t-grid in [0, 1]."""
-    if isinstance(t_grid, int):
-        ts = np.linspace(0.0, 1.0, t_grid)
-    else:
-        ts = np.asarray(list(t_grid), dtype=float)
-    if np.any(ts < 0) or np.any(ts > 1):
-        raise ValueError("t grid must lie in [0, 1]")
-    h1 = assemble_hessian(fam, theta1)
-    h2 = assemble_hessian(fam, theta2)
-    eigs = []
-    for t in ts:
-        gap = t * h1 + (1 - t) * h2 - assemble_hessian(fam, t * theta1 + (1 - t) * theta2)
-        w = np.linalg.eigvalsh((gap + gap.T) / 2)
-        eigs.append(float(w[0]))
-    return ConvexityGapReport(theta1, theta2, tuple(float(t) for t in ts), tuple(eigs))
 
 
 @dataclass(frozen=True)
@@ -733,7 +544,7 @@ def q_class_functional_from_weights(
 ) -> float:
     """``Tr(P_B K₁ D K₂ P_B)/dim B`` with ``D = diag(1/x_r)`` from weights x."""
     x = np.asarray([float(w) for w in weights])
-    if x.shape != (split.n,) or np.any(x <= 0):
+    if x.shape != (split.n,) or not (np.isfinite(x) & (x > 0)).all():
         raise ValueError(f"need {split.n} positive weights")
     d = np.diag(1.0 / x)
     pb = split.p_band

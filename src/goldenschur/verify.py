@@ -15,12 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import reference
-from .folded import moments, sums_bruteforce, sums_closed, theta_derivatives
-from .golden import fibonacci, golden_power_table, lambda_n, sums_at_qstar
+from .folded import moments, sums_closed, theta_derivatives
+from .golden import golden_power_table, lambda_n
 from .lockin import (
     QuadLawCoeffs,
     bracket_residual,
-    f_red_prime_direct_q,
     f_red_prime_q,
     kappa_quadratic,
     quadratic_law_fit,
@@ -28,22 +27,28 @@ from .lockin import (
     synthesize_consistent_ab,
     uniqueness_scan,
 )
+from .oracle import (
+    dense_curvature,
+    f_red_prime_direct_q,
+    fibonacci,
+    matrix_convexity_check,
+    sums_at_qstar,
+    sums_bruteforce,
+    variational_check,
+)
 from .qfield import QSTAR, GoldenBasis, Q5, decimal_str
 from .report import SUITES, ReportDocument
 from .schur import (
     FamilyValidationError,
     build_split,
     circulant,
-    dense_curvature,
     kappa_convexity_scan,
     make_family,
-    matrix_convexity_check,
     q_class_functional_from_weights,
     random_family,
     random_symmetric_psd_circulant,
     schur_curvature,
     strict_convexity_witness,
-    variational_check,
 )
 
 __all__ = ["SUITES", "run_suite"]

@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from goldenschur.folded import moments, sums_bruteforce, sums_closed, theta_derivatives
-from goldenschur.golden import golden_power_table, lambda_n, sums_at_qstar
+from goldenschur.folded import moments, sums_closed, theta_derivatives
+from goldenschur.golden import golden_power_table, lambda_n
 from goldenschur.lockin import (
     QuadLawCoeffs,
     bracket_residual,
@@ -24,18 +24,22 @@ from goldenschur.lockin import (
     synthesize_consistent_ab,
     uniqueness_scan,
 )
+from goldenschur.oracle import (
+    block_hessian,
+    matrix_convexity_check,
+    schur_complement,
+    sums_at_qstar,
+    sums_bruteforce,
+    variational_check,
+    variational_expression,
+)
 from goldenschur.qfield import Q5, QSTAR, decimal_str
 from goldenschur.reference import KAPPA_TABLE, REPORTED_A, REPORTED_B, REPORTED_M_RHO_SQ
 from goldenschur.schur import (
-    block_hessian,
     kappa_convexity_scan,
     make_family,
-    matrix_convexity_check,
     random_family,
-    schur_complement,
     schur_curvature,
-    variational_check,
-    variational_expression,
 )
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -861,6 +862,26 @@ def test_exact_commands_load_no_numpy(tmp_path, argv):
     assert proc.stdout.split() == ["0", "[]"]
 
 
+_ORACLE_LOADS = """
+import sys
+from fractions import Fraction
+from goldenschur.lockin import QuadLawCoeffs
+from goldenschur.oracle import f_red_prime_direct_q, fibonacci, sums_at_qstar, sums_bruteforce
+from goldenschur.qfield import QSTAR
+sums_bruteforce(12, Fraction(1, 2)), fibonacci(24), sums_at_qstar(12)
+f_red_prime_direct_q(QuadLawCoeffs(Fraction(3, 5), -1, 12), QSTAR)
+print("numpy" in sys.modules)
+"""
+
+
+def test_exact_oracles_load_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORACLE_LOADS], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_schur_module_loads_no_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, goldenschur.schur; print('scipy' in sys.modules)"],
@@ -872,12 +893,34 @@ def test_schur_module_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
+_MOVED_TO_ORACLE = {
+    "folded": ("sums_bruteforce", "theta_derivatives_fd"),
+    "golden": ("sums_at_qstar", "fibonacci"),
+    "lockin": ("f_red_prime_direct_q",),
+    "schur": (
+        "assemble_hessian", "BlockHessian", "block_hessian", "schur_complement",
+        "dense_curvature", "variational_expression", "VariationalReport", "variational_check",
+        "ConvexityGapReport", "matrix_convexity_check", "shift_matrix", "reversal_matrix",
+        "LOEWNER_TOL",
+    ),
+}
+
+
 def test_package_namespace_resolves_lazily():
-    assert len(goldenschur.__all__) == 59
+    assert len(goldenschur.__all__) == 44
     assert "moments_at_qstar" not in goldenschur.__all__
-    for removed in ("LambdaValue", "reduce_power", "f_red", "f_red_prime", "f_red_prime_direct"):
+    moved = [name for names in _MOVED_TO_ORACLE.values() for name in names]
+    for removed in ("LambdaValue", "reduce_power", "f_red", "f_red_prime", "f_red_prime_direct",
+                    *moved):
         assert removed not in goldenschur.__all__
         assert not hasattr(goldenschur, removed)
+    oracle = importlib.import_module("goldenschur.oracle")
+    for module, names in _MOVED_TO_ORACLE.items():
+        old = importlib.import_module(f"goldenschur.{module}")
+        for name in names:
+            assert name not in old.__all__ and not hasattr(old, name)
+            assert name in oracle.__all__ and hasattr(oracle, name)
+    assert not hasattr(importlib.import_module("goldenschur.schur").SplitGeometry, "band_basis")
     assert set(goldenschur.__all__) <= set(dir(goldenschur))
     for name in goldenschur.__all__:
         assert getattr(goldenschur, name) is not None

@@ -10,11 +10,10 @@ from goldenschur.folded import (
     folded_weights,
     moments,
     moments_from_sums,
-    sums_bruteforce,
     sums_closed,
     theta_derivatives,
-    theta_derivatives_fd,
 )
+from goldenschur.oracle import sums_bruteforce, theta_derivatives_fd
 from goldenschur.qfield import Q5, QSTAR
 
 

@@ -9,15 +9,9 @@ from goldenschur.folded import (
     moments_from_sums,
     sums_closed,
     theta_derivatives,
-    theta_derivatives_fd,
 )
-from goldenschur.golden import (
-    GoldenPower,
-    fibonacci,
-    golden_power_table,
-    lambda_n,
-    sums_at_qstar,
-)
+from goldenschur.golden import GoldenPower, golden_power_table, lambda_n
+from goldenschur.oracle import fibonacci, sums_at_qstar, theta_derivatives_fd
 from goldenschur.qfield import Q5, QSTAR, decimal_str
 
 # (m, a_m, b_m) rows of q⋆^m = a_m q⋆ + b_m.

@@ -13,7 +13,6 @@ from goldenschur.golden import lambda_n
 from goldenschur.lockin import (
     QuadLawCoeffs,
     bracket_residual,
-    f_red_prime_direct_q,
     f_red_prime_q,
     f_red_q,
     kappa_quadratic,
@@ -21,6 +20,7 @@ from goldenschur.lockin import (
     synthesize_consistent_ab,
     uniqueness_scan,
 )
+from goldenschur.oracle import f_red_prime_direct_q
 from goldenschur.qfield import Q5, QSTAR, decimal_str
 
 # Reported reference constants for the N = 12 lock-in discussion; the

@@ -64,6 +64,18 @@ def test_float_mixing_is_rejected():
         0.5 * SQRT5  # noqa: B018
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, False, "1/3", None, 1j])
+def test_constructors_take_only_int_and_fraction(bad):
+    # a float would keep its binary value silently, and a bool is not a number
+    # here; both constructors reject what every operator rejects
+    for build in (lambda x: Q5(x), lambda x: Q5(1, x), lambda x: GoldenBasis(x),
+                  lambda x: GoldenBasis(0, x)):
+        with pytest.raises(TypeError):
+            build(bad)
+    assert Q5(3, Fraction(-1, 2)) == Q5(Fraction(3), Fraction(-1, 2))
+    assert GoldenBasis(2, Fraction(1, 3)).c0 == Fraction(2)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Q5(1, 1) / Q5(0, 0)

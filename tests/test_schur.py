@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,33 +14,36 @@ from scipy.optimize import minimize
 
 from goldenschur.folded import folded_weights
 from goldenschur.lockin import quadratic_law_fit
+from goldenschur.oracle import (
+    assemble_hessian,
+    band_basis,
+    block_hessian,
+    dense_curvature,
+    matrix_convexity_check,
+    reversal_matrix,
+    schur_complement,
+    shift_matrix,
+    variational_check,
+    variational_expression,
+)
 from goldenschur.qfield import Q5, QSTAR
 from goldenschur.schur import (
     EQUIVARIANCE_TOL,
     PSD_TOL,
     SYM_TOL,
     FamilyValidationError,
-    assemble_hessian,
-    block_hessian,
     build_split,
     circulant,
-    dense_curvature,
     family_from_dict,
     kappa_convexity_scan,
     load_family,
     make_family,
-    matrix_convexity_check,
     q_class_functional,
     q_class_functional_from_weights,
     random_family,
     random_symmetric_psd_circulant,
-    reversal_matrix,
-    schur_complement,
     schur_curvature,
-    shift_matrix,
     strict_convexity_witness,
-    variational_check,
-    variational_expression,
 )
 
 RNG_SEED = 20260819
@@ -114,7 +119,7 @@ def test_build_split_geometry():
     assert np.allclose(p @ split.u, 0.0)
     assert math.isclose(np.trace(p), n - 2, rel_tol=1e-13)
     # band basis spans the range of P_B
-    b = split.band_basis
+    b = band_basis(split)
     assert b.shape == (n, n - 2)
     assert np.allclose(b.T @ b, np.eye(n - 2))
     assert np.allclose(b @ b.T, p)
@@ -299,12 +304,33 @@ def test_validation_matches_dense_rule(n, seed, shift, delta, mirrored, circulan
     assert accepted == parent_rule_accepts(c)
 
 
-def test_circulant_family_builds_no_dense_array():
+_SCHUR_LOADS_ORACLE = """
+import contextlib, io, sys
+from goldenschur.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["schur", *sys.argv[1:]])
+print(code, "goldenschur.oracle" in sys.modules)
+"""
+
+
+def test_circulant_family_builds_no_dense_array(tmp_path):
     fam = family_from_dict(family_doc())
     kappa_convexity_scan(fam, -2.0, -0.1, 11)
-    assert "band_basis" not in vars(fam.split) and "p_band" not in vars(fam.split)
+    assert "p_band" not in vars(fam.split)
     assert all(t.generator is not None and "coef" not in vars(t) for t in (fam.base, *fam.terms))
     assert fam.c0.shape == (6, 6)  # built on first use
+    # the dense blocks live in the oracle module, which `schur` never loads
+    # for a validated circulant family
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family_doc()))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCHUR_LOADS_ORACLE, str(path), "-2.0", "-0.1", "11", "--fit-law"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_random_family_is_valid():
@@ -350,7 +376,7 @@ def test_block_hessian_shapes_and_values():
     blocks = block_hessian(fam, theta)
     n = fam.split.n
     h = assemble_hessian(fam, theta)
-    b, u = fam.split.band_basis, fam.split.u.reshape(-1, 1)
+    b, u = band_basis(fam.split), fam.split.u.reshape(-1, 1)
     assert np.allclose(blocks.h_bb, b.T @ h @ b)
     assert np.allclose(blocks.h_bo, b.T @ h @ u)
     assert np.allclose(blocks.h_oo, u.T @ h @ u)
@@ -385,7 +411,7 @@ def test_schur_complement_invariant_to_band_basis_choice():
     split = fam.split
     rng = np.random.default_rng(3)
     m, _ = np.linalg.qr(rng.standard_normal((split.dim_band, split.dim_band)))
-    b2 = split.band_basis @ m
+    b2 = band_basis(split) @ m
     u = split.u.reshape(-1, 1)
     s2 = schur_complement(b2.T @ h @ b2, b2.T @ h @ u, u.T @ h @ u)
     assert math.isclose(np.trace(s2) / split.dim_band, schur_curvature(fam, theta), rel_tol=1e-12)
@@ -644,6 +670,16 @@ def test_q_class_functional_uniform_weights():
     p = split.p_band
     expected = n * np.trace(p @ k1 @ k2 @ p) / split.dim_band
     assert math.isclose(got, expected, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_q_class_functional_rejects_weights_that_are_not_positive_and_finite(bad):
+    n = 4
+    split = build_split(n, 2.0, [1.0, 0.0, -1.0, 0.0])
+    k = circulant([2.0, 0.5, 0.0, 0.5])
+    for weights in ([bad] * n, [0.25, 0.25, bad, 0.25]):
+        with pytest.raises(ValueError, match="need 4 positive weights"):
+            q_class_functional_from_weights(k, k, split, weights)
 
 
 # ---------------------------------------------------------------------------

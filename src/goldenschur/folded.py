@@ -9,6 +9,11 @@ The power sums are ``S_k(q) = Σ_{s=1}^N s^k q^s`` for ``k = 0..3``, the
 folded moments ``I_k = S_k / S₀``, and the variance ``Var = I₂ − I₁²``.
 Because the family is exponential, ``dI₁/dθ = Var`` and
 ``dI₂/dθ = I₃ − I₁·I₂``.
+
+A Fraction ``q = a/b`` takes an integer route through the power sums: each
+closed form is multiplied through by powers of b, so its numerator and
+denominator are plain integers and the sum is normalised once, by a single
+``Fraction(num, den)``.  Floats and Q5 run the closed forms as written.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ Scalar = Union[Fraction, Q5, float]
 
 
 def _check_domain(n: int, q: Scalar) -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a bool is not a family size
         raise ValueError(f"family size must be a positive integer, got {n!r}")
     if isinstance(q, Q5):
         inside = q.sign() > 0 and (1 - q).sign() > 0
@@ -78,8 +83,16 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     ``3N³+3N²−3N+1`` (obtained by differentiating the quadratic-weight form
     once more in θ); with these the closed forms agree with direct summation
     exactly for every scalar type.
+
+    For a Fraction ``q = a/b`` the same forms are multiplied through by powers
+    of b: ``S_k = a·X_k / (b^N·(b − a)^{k+1})`` with ``X_k = b^N·U_k + a^N·V_k``,
+    where ``U_k`` and ``V_k`` are integer polynomials in a and b.  Each sum is
+    then one ``Fraction(num, den)``, so one gcd per sum instead of one per
+    Fraction operation.
     """
     _check_domain(n, q)
+    if type(q) is Fraction:
+        return _sums_closed_rational(n, q)
     qn = q**n
     r = 1 - q
     s0 = q * (1 - qn) / r
@@ -103,6 +116,31 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
         / r**4
     )
     return FoldedSums(n, q, s0, s1, s2, s3)
+
+
+def _sums_closed_rational(n: int, q: Fraction) -> FoldedSums:
+    """The closed forms of :func:`sums_closed` over the integers, for q = a/b."""
+    a, b = q.numerator, q.denominator
+    an, bn = a**n, b**n
+    c = b - a
+    ab, aa, bb = a * b, a * a, b * b
+    x0 = bn - an
+    x1 = bn * b + an * (n * a - (n + 1) * b)
+    x2 = bn * (bb + ab) + an * (
+        -((n + 1) ** 2) * bb + (2 * n * n + 2 * n - 1) * ab - n * n * aa
+    )
+    x3 = bn * (bb * b + 4 * ab * b + ab * a) + an * (
+        -((n + 1) ** 3) * bb * b
+        + (3 * n**3 + 6 * n**2 - 4) * ab * b
+        - (3 * n**3 + 3 * n**2 - 3 * n + 1) * ab * a
+        + n**3 * aa * a
+    )
+    den = bn * c
+    sums = []
+    for x in (x0, x1, x2, x3):
+        sums.append(Fraction(a * x, den))
+        den *= c
+    return FoldedSums(n, q, *sums)
 
 
 def moments_from_sums(sums: FoldedSums) -> FoldedMoments:

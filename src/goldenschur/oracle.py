@@ -4,11 +4,14 @@
 independent route here.  Each oracle, and the library route it checks:
 
 * :func:`sums_bruteforce`, direct summation: the closed forms of
-  :func:`.folded.sums_closed`, exactly for exact q.
+  :func:`.folded.sums_closed`, exactly for exact q.  For a Fraction
+  ``q = a/b`` the terms ``s^k·a^s·b^{N−s}`` are summed as integers over the
+  one denominator ``b^N``, which is divided out once per sum.
 * :func:`theta_derivatives_fd`, central differences of direct sums in θ:
   :func:`.folded.theta_derivatives`.
-* :func:`fibonacci`, its own loop: ``a_m = F_{2m}`` and ``b_m = −F_{2m−2}``
-  in the rows of :func:`.golden.golden_power_table`.
+* :func:`fibonacci`, fast doubling in O(log n) steps, not the table's
+  three-term recurrence: ``a_m = F_{2m}`` and ``b_m = −F_{2m−2}`` in the
+  rows of :func:`.golden.golden_power_table`.
 * :func:`sums_at_qstar`, integer sums over those rows with no field
   division: ``sums_closed(N, QSTAR)``, and so :func:`.golden.lambda_n`.
 * :func:`f_red_prime_direct_q`, the chain rule on :func:`.lockin.f_red_q`:
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .folded import (
@@ -63,8 +67,24 @@ LOEWNER_TOL = 1e-10
 
 
 def sums_bruteforce(n: int, q: Scalar) -> FoldedSums:
-    """Direct summation — the oracle the closed forms are tested against."""
+    """Direct summation — the oracle the closed forms are tested against.
+
+    A Fraction ``q = a/b`` sums the integers ``s^k·a^s·b^{N−s}`` (Horner in b)
+    and divides by ``b^N`` once per sum; other scalars sum ``s^k·q^s`` as is.
+    """
     _check_domain(n, q)
+    if type(q) is Fraction:
+        a, b = q.numerator, q.denominator
+        h0 = h1 = h2 = h3 = 0
+        p = 1
+        for s in range(1, n + 1):
+            p *= a
+            h0 = h0 * b + p
+            h1 = h1 * b + s * p
+            h2 = h2 * b + s * s * p
+            h3 = h3 * b + s**3 * p
+        bn = b**n
+        return FoldedSums(n, q, *(Fraction(h, bn) for h in (h0, h1, h2, h3)))
     s0 = s1 = s2 = s3 = 0 * q
     p = q * 0 + 1  # multiplicative identity of the scalar type
     for s in range(1, n + 1):
@@ -93,16 +113,20 @@ def theta_derivatives_fd(n: int, q: float, h: float = 1e-4) -> tuple[float, floa
 def fibonacci(n: int) -> int:
     """Fibonacci number F_n for n ≥ −2, with F_{−2} = −1 and F_{−1} = 1.
 
-    Runs its own loop rather than reading :func:`.golden.golden_power_table`,
-    so that it stays an independent check of ``a_m = F_{2m}`` and
-    ``b_m = −F_{2m−2}``.
+    Fast doubling, ``F_{2k} = F_k·(2F_{k+1} − F_k)`` and
+    ``F_{2k+1} = F_k² + F_{k+1}²``, rather than the three-term recurrence of
+    :func:`.golden.golden_power_table`, so that it stays an independent check
+    of ``a_m = F_{2m}`` and ``b_m = −F_{2m−2}``.  Negative indices use
+    ``F_{−m} = (−1)^{m+1}·F_m``.
     """
     if n < -2:
         raise ValueError(f"index must be >= -2, got {n}")
-    prev, cur = -1, 1  # F_{-2}, F_{-1}
-    for _ in range(n + 2):
-        prev, cur = cur, prev + cur
-    return prev
+    f, g = 0, 1  # F_k, F_{k+1} for k = 0
+    for bit in bin(abs(n))[2:]:
+        f, g = f * (2 * g - f), f * f + g * g  # k → 2k
+        if bit == "1":
+            f, g = g, f + g  # 2k → 2k + 1
+    return -f if n < 0 and n % 2 == 0 else f
 
 
 def sums_at_qstar(n: int) -> FoldedSums:
@@ -111,8 +135,7 @@ def sums_at_qstar(n: int) -> FoldedSums:
     ``S_k(q⋆) = (Σ s^k a_s)·q⋆ + Σ s^k b_s`` — pure integer accumulation,
     deliberately independent of the rational closed forms.
     """
-    if n < 1:
-        raise ValueError(f"family size must be a positive integer, got {n!r}")
+    _check_domain(n, QSTAR)
     acc_a = [0, 0, 0, 0]
     acc_b = [0, 0, 0, 0]
     for row in golden_power_table(n)[1:]:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from goldenschur.folded import (
     folded_weights,
@@ -13,7 +15,7 @@ from goldenschur.folded import (
     sums_closed,
     theta_derivatives,
 )
-from goldenschur.oracle import sums_bruteforce, theta_derivatives_fd
+from goldenschur.oracle import sums_at_qstar, sums_bruteforce, theta_derivatives_fd
 from goldenschur.qfield import Q5, QSTAR
 
 
@@ -66,6 +68,46 @@ def test_closed_equals_bruteforce_q5():
             assert sums_closed(n, q).as_tuple() == sums_bruteforce(n, q).as_tuple()
 
 
+@st.composite
+def _proper_fractions(draw):
+    b = draw(st.integers(2, 10**12))
+    return Fraction(draw(st.integers(1, b - 1)), b)
+
+
+@given(
+    q=st.one_of(
+        _proper_fractions(), st.sampled_from([Fraction(1, 10**9), 1 - Fraction(1, 10**9)])
+    ),
+    n=st.integers(1, 80),
+)
+def test_rational_sums_equal_direct_fraction_sums(q, n):
+    expected = tuple(sum(Fraction(s) ** k * q**s for s in range(1, n + 1)) for k in range(4))
+    for route in (sums_closed, sums_bruteforce):
+        sums = route(n, q)
+        assert sums.as_tuple() == expected
+        assert all(type(x) is Fraction for x in sums.as_tuple())
+        assert sums.q is q and sums.n == n
+
+
+# float.hex of sums_closed(12, q), recorded before the rational lane got its
+# integer route: the float lane must keep these bits.
+_FLOAT_SUMS_N12 = {
+    0.3: ("0x1.b6db5e6df6787p-2", "0x1.3977c32b76df5p-1",
+          "0x1.23117368e8705p+0", "0x1.6e2d118dd4528p+1"),
+    0.9: ("0x1.9d5211fd2072bp+2", "0x1.10a1b178193b4p+5",
+          "0x1.f5f022ac760f7p+7", "0x1.105e0ce35027fp+11"),
+    1e-6: ("0x1.0c6f8ba2f9812p-20", "0x1.0c6f9d3a9550ap-20",
+           "0x1.0c6fc069cf3ddp-20", "0x1.0c7006c84a035p-20"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_FLOAT_SUMS_N12))
+def test_float_sums_keep_their_bits(q):
+    sums = sums_closed(12, q).as_tuple()
+    assert all(type(x) is float for x in sums)
+    assert tuple(x.hex() for x in sums) == _FLOAT_SUMS_N12[q]
+
+
 def test_closed_matches_bruteforce_float():
     # The closed forms divide by (1-q)^4, which costs a few digits in floating
     # point as q -> 1; 1e-9 relative still leaves ~100x observed headroom.
@@ -102,6 +144,23 @@ def test_domain_rejects_bad_n():
         sums_closed(0, Fraction(1, 2))
     with pytest.raises(ValueError):
         moments(-3, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda n: sums_closed(n, Fraction(1, 2)),
+        lambda n: sums_bruteforce(n, Fraction(1, 2)),
+        lambda n: moments(n, 0.5),
+        lambda n: folded_weights(n, Fraction(1, 2)),
+        sums_at_qstar,
+    ],
+    ids=["sums_closed", "sums_bruteforce", "moments", "folded_weights", "sums_at_qstar"],
+)
+def test_size_guards_reject_bool(route, flag):
+    with pytest.raises(ValueError, match=f"family size must be a positive integer, got {flag}"):
+        route(flag)
 
 
 def test_domain_rejects_irrational_outside_unit_interval():

@@ -93,6 +93,12 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     _check_domain(n, q)
     if type(q) is Fraction:
         return _sums_closed_rational(n, q)
+    return FoldedSums(n, q, *_closed_sums(n, q))
+
+
+def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """``(S₀, S₁, S₂, S₃)`` from the closed forms of :func:`sums_closed`, for a
+    float or Q5 q already known to satisfy 0 < q < 1."""
     qn = q**n
     r = 1 - q
     s0 = q * (1 - qn) / r
@@ -115,7 +121,7 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
         )
         / r**4
     )
-    return FoldedSums(n, q, s0, s1, s2, s3)
+    return s0, s1, s2, s3
 
 
 def _sums_closed_rational(n: int, q: Fraction) -> FoldedSums:

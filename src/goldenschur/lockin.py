@@ -28,7 +28,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .folded import FoldedMoments, Scalar, moments, theta_derivatives
+from .folded import (
+    FoldedMoments, Scalar, _check_domain, _closed_sums, moments, theta_derivatives,
+)
 from .golden import lambda_n
 from .qfield import QSTAR, Q5
 
@@ -101,10 +103,15 @@ def _kappa(c: QuadLawCoeffs, m: FoldedMoments) -> Scalar:
     return c.a * (m.i1 * m.i1) + c.b * m.var
 
 
-def _f_prime(c: QuadLawCoeffs, m: FoldedMoments) -> Scalar:
-    """Bracket-form F′_red (see :func:`f_red_prime_q`) from the same moments."""
-    i1p, i2p = theta_derivatives(m)
-    return (c.b * i2p + (2 * c.a - 2 * c.b - 8 / c.m_rho_sq) * i1p) * m.i1 / c.n
+def _slope(c: QuadLawCoeffs) -> Scalar:
+    """``2A − 2B − 8/m_ρ²``, the I₁′ coefficient of the bracket-form F′_red."""
+    return 2 * c.a - 2 * c.b - 8 / c.m_rho_sq
+
+
+def _f_prime(c: QuadLawCoeffs, slope: Scalar, i1: Scalar, i1p: Scalar, i2p: Scalar) -> Scalar:
+    """Bracket-form F′_red (see :func:`f_red_prime_q`), ``(B·I₂′ + slope·I₁′)·I₁/N``
+    with ``slope = _slope(c)``."""
+    return (c.b * i2p + slope * i1p) * i1 / c.n
 
 
 def kappa_quadratic(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
@@ -178,7 +185,9 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     the chain-rule derivative of :func:`f_red_q` by ``B·I₂′·(I₁−1)/N``.
     """
     c, qq = _route(coeffs, q)
-    return _f_prime(c, moments(c.n, qq))
+    m = moments(c.n, qq)
+    i1p, i2p = theta_derivatives(m)
+    return _f_prime(c, _slope(c), m.i1, i1p, i2p)
 
 
 def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Scalar:
@@ -258,6 +267,11 @@ def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> Stationar
     Λ does not depend on q (it is undefined at N = 1 and 3 at N = 2), so F′_red
     keeps one sign or vanishes identically: the scan is skipped and reports 0
     sign changes (float evaluation would only count rounding noise).
+
+    The grid is evaluated in one pass: at each q = e^θ the closed-form power
+    sums give I₁, Var and I₂′ as plain floats, and the bracket's constant
+    2A − 2B − 8/m_ρ² is formed once.  The values are bit for bit those of
+    :func:`f_red_prime_q` at the same q.
     """
     grid = [float(t) for t in thetas]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -268,7 +282,15 @@ def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> Stationar
     if coeffs.n <= 2:
         return replace(report, sign_changes=0)
     c = coeffs.as_floats()
-    values = [_f_prime(c, moments(c.n, math.exp(t))) for t in grid]
+    n, slope = c.n, _slope(c)
+    values = []
+    for t in grid:
+        q = math.exp(t)
+        if not 0.0 < q < 1.0:  # e^θ underflowed to 0, rounded to 1, or is NaN
+            _check_domain(n, q)
+        s0, s1, s2, s3 = _closed_sums(n, q)
+        i1, i2, i3 = s1 / s0, s2 / s0, s3 / s0
+        values.append(_f_prime(c, slope, i1, i2 - i1 * i1, i3 - i1 * i2))
 
     # a sign change is a flip between consecutive nonzero values; exact grid
     # zeros are spanned by the surrounding flip (or, if the function is flat

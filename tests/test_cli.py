@@ -444,17 +444,20 @@ def test_stationarity_rejects_nonpositive_m_rho_sq(capsys, m_rho_sq):
 
 def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
     # Λ for the synthesis, Λ for the printed value, and the golden-point check
-    # are the exact evaluations; the 601-point scan evaluates each point once
+    # are the exact evaluations; the 601-point scan evaluates each point once.
+    # Both reach the closed forms through the one helper behind sums_closed.
     import goldenschur.folded as folded
+    import goldenschur.lockin as lockin
 
     calls = {"exact": 0, "float": 0}
-    original = folded.sums_closed
+    original = folded._closed_sums
 
     def counted(n, q):
         calls["float" if isinstance(q, float) else "exact"] += 1
         return original(n, q)
 
-    monkeypatch.setattr(folded, "sums_closed", counted)
+    monkeypatch.setattr(folded, "_closed_sums", counted)
+    monkeypatch.setattr(lockin, "_closed_sums", counted)
     code, _, err = run_cli(capsys, "stationarity", "--B", "-1")
     assert (code, err) == (0, "")
     assert calls["exact"] <= 3

@@ -349,3 +349,56 @@ def test_uniqueness_scan_rejects_bad_grid():
         uniqueness_scan(QuadLawCoeffs(1, 1, 12), [math.log(0.5), math.log(0.4)])
     with pytest.raises(ValueError):
         uniqueness_scan(QuadLawCoeffs(1, 1, 12), [math.log(0.5), 0.1])  # θ must stay below 0
+
+
+_LAW_SCALARS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(-50, 50, max_denominator=1000),
+    st.floats(-50, 50),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=_LAW_SCALARS,
+    b=_LAW_SCALARS,
+    m2=st.one_of(
+        st.integers(1, 12),
+        st.fractions(Fraction(1, 100), 100, max_denominator=1000).filter(lambda x: x > 0),
+        st.floats(1e-2, 1e2),
+    ),
+    n=st.integers(3, 200),
+    grid=st.lists(
+        st.floats(-30, -1e-3, exclude_min=True, exclude_max=True),
+        min_size=2, max_size=24, unique=True,
+    ).map(sorted),
+)
+def test_uniqueness_scan_values_are_f_red_prime_bits(a, b, m2, n, grid):
+    # the one-pass scan evaluates F′_red with the bits of f_red_prime_q at the
+    # same float q = e^θ
+    import goldenschur.lockin as lockin
+
+    coeffs = QuadLawCoeffs(a, b, n, m2)
+    seen = []
+    original = lockin._f_prime
+
+    def recorded(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lockin, "_f_prime", recorded)
+        uniqueness_scan(coeffs, grid)
+    floats = coeffs.as_floats()
+    expected = [f_red_prime_q(floats, math.exp(t)) for t in grid]
+    assert [v.hex() for v in seen] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize(
+    "grid, q",
+    [([-800.0, -1.0], "0.0"), ([-1.0, -1e-20], "1.0"), ([-2.0, math.nan, -1.0], "nan")],
+)
+def test_uniqueness_scan_rejects_q_outside_domain(grid, q):
+    # e^θ underflows to 0, rounds to 1, or is NaN: the point is not in 0 < q < 1
+    with pytest.raises(ValueError, match=rf"^weight ratio must satisfy 0 < q < 1, got {q}$"):
+        uniqueness_scan(QuadLawCoeffs(1, -1, 12), grid)

@@ -442,6 +442,65 @@ def test_variational_check_random_families():
         assert rep.passed()
 
 
+def _variational_reference(fam, theta, trials, rng):
+    """One coupling, one expression and one eigvalsh call per trial."""
+    blocks = block_hessian(fam, theta)
+    schur = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo)
+    y_star = -np.linalg.solve(blocks.h_oo, blocks.h_ob)
+    gap = float(np.linalg.norm(variational_expression(blocks, y_star) - schur, 2))
+    worst = math.inf
+    for _ in range(trials):
+        diff = variational_expression(blocks, rng.standard_normal(y_star.shape)) - schur
+        worst = min(worst, float(np.linalg.eigvalsh((diff + diff.T) / 2)[0]))
+    return (theta, gap, worst, trials)
+
+
+def _convexity_reference(fam, theta1, theta2, ts):
+    """One gap and one eigvalsh call per grid point."""
+    h1, h2 = assemble_hessian(fam, theta1), assemble_hessian(fam, theta2)
+    eigs = []
+    for t in ts:
+        gap = t * h1 + (1 - t) * h2 - assemble_hessian(fam, t * theta1 + (1 - t) * theta2)
+        eigs.append(float(np.linalg.eigvalsh((gap + gap.T) / 2)[0]))
+    return (theta1, theta2, tuple(float(t) for t in ts), tuple(eigs))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stacked_loewner_checks_match_per_trial_loops(seed):
+    # one stacked eigvalsh call gives the fields of the per-trial loop, bit for
+    # bit, and leaves the generator where the loop leaves it
+    draw = np.random.default_rng(seed)
+    fam = random_family(int(draw.integers(3, 10)), draw)
+    theta = float(draw.uniform(-1.5, 0.5))
+    t1, t2 = sorted(float(t) for t in draw.uniform(-2.0, 0.5, size=2))
+    trials = int(draw.integers(1, 80))
+
+    rng, ref_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    rep = variational_check(fam, theta, trials=trials, rng=rng)
+    got = (rep.theta, rep.minimizer_gap, rep.min_loewner_eig, rep.trials)
+    want = _variational_reference(fam, theta, trials, ref_rng)
+    assert repr(got) == repr(want)  # a float's repr round-trips its bits
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+    rep = matrix_convexity_check(fam, t1, t2, 11)
+    want = _convexity_reference(fam, t1, t2, np.linspace(0.0, 1.0, 11))
+    assert repr((rep.theta1, rep.theta2, rep.t_values, rep.min_eigs)) == repr(want)
+    assert all(type(x) is float for x in rep.t_values + rep.min_eigs)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_variational_check_rejects_no_trials(trials):
+    fam = ring_family()
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        variational_check(fam, -0.5, trials=trials, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("t_grid", [0, []])
+def test_matrix_convexity_check_rejects_empty_t_grid(t_grid):
+    with pytest.raises(ValueError, match="t grid must have at least one point"):
+        matrix_convexity_check(ring_family(), -1.0, 0.5, t_grid=t_grid)
+
+
 def test_variational_minimum_matches_bfgs():
     # brute-force minimization of tr(expression(Y)) over Y recovers the trace
     # of the Schur complement

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -27,12 +26,13 @@ from typing import Iterator, Sequence
 
 from .folded import Scalar, moments_from_sums, sums_closed, theta_derivatives
 from .golden import golden_power_table, lambda_n
-from .lockin import quadratic_law_fit, synthesize_consistent_ab, uniqueness_scan
 from .qfield import QSTAR, Q5, decimal_str
 from .report import SUITES
 
-# ``schur`` and ``verify`` need numpy; they are imported inside the
-# subcommands that use them, so the exact-arithmetic commands start fast.
+# Each subcommand imports only the layers it computes with: ``schur`` and
+# ``verify`` (numpy) inside their subcommands, ``lockin`` inside
+# ``stationarity``, ``fit-ab`` and ``schur --fit-law``, and ``json`` only
+# where json is rendered.  A cold start then pays for no unused module.
 
 __all__ = ["main", "build_parser"]
 
@@ -81,6 +81,8 @@ def _decimal(v: Scalar, digits: int) -> str:
 
 def _json(doc: object, indent: int | None = None) -> str:
     """The CLI's json: sorted keys, non-ASCII characters escaped."""
+    import json
+
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
@@ -167,6 +169,8 @@ def _cmd_schur(args: argparse.Namespace) -> int:
         f"convexity: {status} (min second difference {d2_min:.6e})",
     ]
     if args.fit_law:
+        from .lockin import quadratic_law_fit
+
         fit = quadratic_law_fit([(q, k) for _, q, k in curve], fam.n)
         a, b, residual = float(fit.a), float(fit.b), fit.max_abs_residual
         doc["fit"] = {"A": a, "B": b, "max_abs_residual": residual}
@@ -179,6 +183,8 @@ def _cmd_schur(args: argparse.Namespace) -> int:
 
 
 def _cmd_stationarity(args: argparse.Namespace) -> int:
+    from .lockin import synthesize_consistent_ab, uniqueness_scan
+
     if args.N < 3:
         raise ValueError(
             "stationarity synthesis needs N >= 3 (for N <= 2, Λ does not vary with q, so the "
@@ -246,6 +252,8 @@ def _read_points(path: str) -> list[tuple[Scalar, Scalar]]:
 
 
 def _cmd_fit_ab(args: argparse.Namespace) -> int:
+    from .lockin import quadratic_law_fit
+
     points = _read_points(args.points)
     fit = quadratic_law_fit(points, args.N)
     payload = {

@@ -18,9 +18,8 @@ denominator are plain integers and the sum is normalised once, by a single
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .qfield import Q5
 
@@ -38,9 +37,13 @@ __all__ = [
 Scalar = Union[Fraction, Q5, float]
 
 
-def _check_domain(n: int, q: Scalar) -> None:
+def _check_size(n: int) -> None:
     if type(n) is not int or n < 1:  # a bool is not a family size
         raise ValueError(f"family size must be a positive integer, got {n!r}")
+
+
+def _check_domain(n: int, q: Scalar) -> None:
+    _check_size(n)
     if isinstance(q, Q5):
         inside = q.sign() > 0 and (1 - q).sign() > 0
     else:
@@ -49,8 +52,7 @@ def _check_domain(n: int, q: Scalar) -> None:
         raise ValueError(f"weight ratio must satisfy 0 < q < 1, got {q!r}")
 
 
-@dataclass(frozen=True)
-class FoldedSums:
+class FoldedSums(NamedTuple):
     """Power sums ``S_k = Σ_{s=1}^N s^k q^s`` for k = 0..3."""
 
     n: int
@@ -64,8 +66,7 @@ class FoldedSums:
         return (self.s0, self.s1, self.s2, self.s3)
 
 
-@dataclass(frozen=True)
-class FoldedMoments:
+class FoldedMoments(NamedTuple):
     """Folded moments ``I_k = S_k/S₀`` and the index variance."""
 
     n: int

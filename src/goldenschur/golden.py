@@ -11,7 +11,7 @@ the closed forms of :mod:`.folded` at ``q = q⋆``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .folded import sums_closed
 from .qfield import QSTAR, GoldenBasis, Q5
@@ -23,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GoldenPower:
+class GoldenPower(NamedTuple):
     """Integer coefficients of ``q⋆^m = a·q⋆ + b``."""
 
     m: int

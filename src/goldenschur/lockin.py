@@ -24,12 +24,12 @@ exact; any float input routes the whole computation through floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from ._record import FrozenRecord
 from .folded import (
-    FoldedMoments, Scalar, _check_domain, _closed_sums, moments, theta_derivatives,
+    FoldedMoments, Scalar, _check_domain, _check_size, _closed_sums, moments, theta_derivatives,
 )
 from .golden import lambda_n
 from .qfield import QSTAR, Q5
@@ -64,24 +64,20 @@ def _normalize(x: Scalar) -> Scalar:
     return Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else x
 
 
-@dataclass(frozen=True)
-class QuadLawCoeffs:
-    """Coefficients of the quadratic folded law at fixed (N, m_ρ²)."""
+class QuadLawCoeffs(FrozenRecord):
+    """Coefficients of the quadratic folded law at fixed (N, m_ρ²).
 
-    a: Scalar
-    b: Scalar
-    n: int
-    m_rho_sq: Scalar = Fraction(2)
+    ints in ``a``, ``b`` and ``m_rho_sq`` are stored as Fractions.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"family size must be >= 1, got {self.n}")
-        object.__setattr__(self, "a", _normalize(self.a))
-        object.__setattr__(self, "b", _normalize(self.b))
-        m2 = _normalize(self.m_rho_sq)
+    __slots__ = ("a", "b", "n", "m_rho_sq")
+
+    def __init__(self, a: Scalar, b: Scalar, n: int, m_rho_sq: Scalar = Fraction(2)) -> None:
+        _check_size(n)
+        m2 = _normalize(m_rho_sq)
         if not (m2.sign() > 0 if isinstance(m2, Q5) else m2 > 0):  # a NaN is rejected
             raise ValueError(f"m_rho_sq must be positive, got {m2}")
-        object.__setattr__(self, "m_rho_sq", m2)
+        self._set_fields(_normalize(a), _normalize(b), n, m2)
 
     @property
     def is_exact(self) -> bool:
@@ -120,8 +116,7 @@ def kappa_quadratic(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     return _kappa(c, moments(c.n, qq))
 
 
-@dataclass(frozen=True)
-class QuadLawFit:
+class QuadLawFit(NamedTuple):
     """Coefficients of κ = A·I₁² + B·Var identified from (q, κ) samples."""
 
     a: Scalar
@@ -211,11 +206,10 @@ def synthesize_consistent_ab(
     lam = lambda_n(n)
     coeffs = QuadLawCoeffs(0, b, n, m_rho_sq)
     c, lam = _route(coeffs, lam)
-    return replace(coeffs, a=(8 / c.m_rho_sq - c.b * lam + 2 * c.b) / 2)
+    return QuadLawCoeffs((8 / c.m_rho_sq - c.b * lam + 2 * c.b) / 2, coeffs.b, n, coeffs.m_rho_sq)
 
 
-@dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(NamedTuple):
     """Golden-point stationarity summary, optionally with scan results."""
 
     n: int
@@ -280,7 +274,7 @@ def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> Stationar
         raise ValueError("scan grid must stay below theta = 0 (q < 1)")
     report = stationarity_check(coeffs)
     if coeffs.n <= 2:
-        return replace(report, sign_changes=0)
+        return report._replace(sign_changes=0)
     c = coeffs.as_floats()
     n, slope = c.n, _slope(c)
     values = []
@@ -303,8 +297,7 @@ def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> Stationar
         if last_nonzero is not None and (v > 0) != (values[last_nonzero] > 0):
             intervals.append((grid[last_nonzero], grid[i]))
         last_nonzero = i
-    return replace(
-        report,
+    return report._replace(
         sign_changes=len(intervals),
         sign_change_intervals=tuple(sorted(intervals)),
     )

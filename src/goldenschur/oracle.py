@@ -336,13 +336,16 @@ def matrix_convexity_check(
     ``eigvalsh`` call.
     """
     import numpy as np
+    for name, bound in (("theta1", theta1), ("theta2", theta2)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} = {bound} is not finite")
     if isinstance(t_grid, int):
         ts = np.linspace(0.0, 1.0, t_grid)
     else:
         ts = np.asarray(list(t_grid), dtype=float)
     if ts.size == 0:
         raise ValueError("t grid must have at least one point")
-    if np.any(ts < 0) or np.any(ts > 1):
+    if not np.all((ts >= 0) & (ts <= 1)):  # a NaN fails both comparisons
         raise ValueError("t grid must lie in [0, 1]")
     h1 = assemble_hessian(fam, theta1)
     h2 = assemble_hessian(fam, theta2)

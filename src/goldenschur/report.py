@@ -12,10 +12,9 @@ layout — rerunning with the same inputs and seed gives byte-identical output.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
-from dataclasses import dataclass, field
+
+from ._record import FrozenRecord
 
 __all__ = ["CheckRecord", "ReportDocument", "BASIS_TAGS", "STATUSES", "SUITES"]
 
@@ -36,29 +35,37 @@ BASIS_TAGS = ("reference", "direct", "derived")
 STATUSES = ("pass", "fail", "info")
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """One verified (or reported) fact."""
+class CheckRecord(FrozenRecord):
+    """One verified (or reported) fact; ``status`` is one of STATUSES and
+    ``basis`` one of BASIS_TAGS."""
 
-    check_id: str
-    description: str
-    status: str  # pass | fail | info
-    expected: str
-    actual: str
-    basis: str  # reference | direct | derived
+    __slots__ = ("check_id", "description", "status", "expected", "actual", "basis")
 
-    def __post_init__(self) -> None:
-        if self.status not in STATUSES:
-            raise ValueError(f"bad status {self.status!r}")
-        if self.basis not in BASIS_TAGS:
-            raise ValueError(f"bad basis tag {self.basis!r}")
+    def __init__(
+        self, check_id: str, description: str, status: str, expected: str, actual: str, basis: str
+    ) -> None:
+        if status not in STATUSES:
+            raise ValueError(f"bad status {status!r}")
+        if basis not in BASIS_TAGS:
+            raise ValueError(f"bad basis tag {basis!r}")
+        self._set_fields(check_id, description, status, expected, actual, basis)
 
 
-@dataclass
 class ReportDocument:
-    suite: str
-    seed: int
-    records: list[CheckRecord] = field(default_factory=list)
+    """A suite's check records, in the order they were added."""
+
+    def __init__(self, suite: str, seed: int, records: list[CheckRecord] | None = None) -> None:
+        self.suite = suite
+        self.seed = seed
+        self.records = [] if records is None else records
+
+    def __repr__(self) -> str:
+        return f"ReportDocument(suite={self.suite!r}, seed={self.seed!r}, records={self.records!r})"
+
+    def __eq__(self, other: object) -> bool:  # also makes a document unhashable
+        if other.__class__ is self.__class__:
+            return (self.suite, self.seed, self.records) == (other.suite, other.seed, other.records)
+        return NotImplemented
 
     def add(
         self,
@@ -99,6 +106,8 @@ class ReportDocument:
     # -- rendering ----------------------------------------------------------
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "suite": self.suite,
             "seed": self.seed,
@@ -123,6 +132,8 @@ class ReportDocument:
         return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["id", "status", "basis", "description", "expected", "actual"])

@@ -833,12 +833,15 @@ def test_module_invocation():
     assert "appendix-d" in proc.stdout
 
 
+# the modules of these that importing the CLI and running argv (if any) loads
 _LOADED_HEAVY = """
 import contextlib, io, sys
+before = set(sys.modules)
 from goldenschur.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
+    code = main(sys.argv[1:]) if sys.argv[1:] else 0
+heavy = {"numpy", "scipy", "dataclasses", "goldenschur.lockin"}
+print(code, sorted(heavy & (set(sys.modules) - before)))
 """
 
 
@@ -850,6 +853,7 @@ print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
         ["golden-table", "--max-m", "12"],
         ["stationarity", "--B", "-1"],
         ["fit-ab", "--points", "{points}", "--N", "12"],
+        [],  # import goldenschur.cli alone
     ],
 )
 def test_exact_commands_load_no_numpy(tmp_path, argv):
@@ -862,7 +866,9 @@ def test_exact_commands_load_no_numpy(tmp_path, argv):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "[]"]
+    # lockin is loaded only by the subcommands that compute with it
+    lockin = argv[:1] in (["stationarity"], ["fit-ab"])
+    assert proc.stdout.strip() == f"0 {['goldenschur.lockin'] if lockin else []}"
 
 
 _ORACLE_LOADS = """
@@ -894,6 +900,80 @@ def test_schur_module_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+
+def _records():
+    from fractions import Fraction
+
+    from goldenschur.folded import moments, sums_closed
+    from goldenschur.golden import golden_power_table
+    from goldenschur.lockin import QuadLawCoeffs, quadratic_law_fit, stationarity_check
+    from goldenschur.report import CheckRecord
+
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    return {
+        "FoldedSums": sums_closed(3, half),
+        "FoldedMoments": moments(3, half),
+        "GoldenPower": golden_power_table(3)[3],
+        "QuadLawCoeffs": QuadLawCoeffs(1, -2, 12),
+        "QuadLawFit": quadratic_law_fit(
+            [(half, Fraction(3, 7)), (third, Fraction(5, 11)), (Fraction(1, 4), 1)], 3
+        ),
+        "StationarityReport": stationarity_check(QuadLawCoeffs(1, 1, 3)),
+        "CheckRecord": CheckRecord("x.id", "desc", "pass", "1", "1", "direct"),
+    }
+
+
+# the repr of each record as the frozen dataclasses of earlier versions printed it
+_RECORD_REPRS = {
+    "FoldedSums": "FoldedSums(n=3, q=Fraction(1, 2), s0=Fraction(7, 8), s1=Fraction(11, 8), "
+    "s2=Fraction(21, 8), s3=Fraction(47, 8))",
+    "FoldedMoments": "FoldedMoments(n=3, q=Fraction(1, 2), i1=Fraction(11, 7), i2=Fraction(3, 1), "
+    "i3=Fraction(47, 7), var=Fraction(26, 49))",
+    "GoldenPower": "GoldenPower(m=3, a=8, b=-3)",
+    "QuadLawCoeffs": "QuadLawCoeffs(a=Fraction(1, 1), b=Fraction(-2, 1), n=12, "
+    "m_rho_sq=Fraction(2, 1))",
+    "QuadLawFit": "QuadLawFit(a=Fraction(3362, 2409), b=Fraction(-2491, 438), n=3, "
+    "residuals=(Fraction(19997, 50589),))",
+    "StationarityReport": "StationarityReport(n=3, f_prime_at_star=Q5(Fraction(5, 192), "
+    "Fraction(-1, 24)), bracket=Q5(Fraction(0, 1), Fraction(-1, 7)), stationary=False, "
+    "degenerate=False, sign_changes=None, sign_change_intervals=())",
+    "CheckRecord": "CheckRecord(check_id='x.id', description='desc', status='pass', "
+    "expected='1', actual='1', basis='direct')",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_REPRS))
+def test_records_are_frozen_and_keep_their_repr(name):
+    import copy
+    import pickle
+
+    rec, twin = _records()[name], _records()[name]
+    assert repr(rec) == _RECORD_REPRS[name]
+    assert rec is not twin and rec == twin and hash(rec) == hash(twin)
+    first_field = repr(rec).split("(", 1)[1].split("=", 1)[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, first_field, None)
+    assert repr(rec) == _RECORD_REPRS[name]
+    assert copy.deepcopy(rec) == rec and pickle.loads(pickle.dumps(rec)) == rec
+
+
+def test_report_document_stays_mutable():
+    from goldenschur.report import ReportDocument
+
+    doc = ReportDocument("lockin", 7)
+    doc.add("x.id", "desc", None, "1", "2", "derived")
+    assert repr(doc) == (
+        "ReportDocument(suite='lockin', seed=7, records=[CheckRecord(check_id='x.id', "
+        "description='desc', status='info', expected='1', actual='2', basis='derived')])"
+    )
+    twin = ReportDocument("lockin", 7, list(doc.records))
+    assert doc == twin
+    twin.seed = 8
+    assert doc != twin
+    with pytest.raises(TypeError):
+        hash(doc)
 
 
 _MOVED_TO_ORACLE = {

@@ -59,8 +59,10 @@ def test_coeffs_reject_bad_mass():
 
 
 def test_coeffs_reject_bad_n():
-    with pytest.raises(ValueError):
-        QuadLawCoeffs(1, 1, 0)
+    # folded's rule: a bool or a float is not a family size
+    for n in (0, True, 12.0, 3.5):
+        with pytest.raises(ValueError, match=f"family size must be a positive integer, got {n!r}"):
+            QuadLawCoeffs(1, 1, n)
 
 
 # ---------------------------------------------------------------------------

@@ -501,6 +501,18 @@ def test_matrix_convexity_check_rejects_empty_t_grid(t_grid):
         matrix_convexity_check(ring_family(), -1.0, 0.5, t_grid=t_grid)
 
 
+@pytest.mark.parametrize("t_grid", [[0.5, math.nan], [math.nan], [-0.5, 0.5], [0.5, 2.0]])
+def test_matrix_convexity_check_rejects_t_outside_unit_interval(t_grid):
+    with pytest.raises(ValueError, match=r"t grid must lie in \[0, 1\]"):
+        matrix_convexity_check(ring_family(), -1.0, 0.5, t_grid=t_grid)
+
+
+@pytest.mark.parametrize("theta1, theta2", [(math.nan, 0.5), (-1.0, math.inf), (-math.inf, 0.5)])
+def test_matrix_convexity_check_rejects_non_finite_theta(theta1, theta2):
+    with pytest.raises(ValueError, match="is not finite"):
+        matrix_convexity_check(ring_family(), theta1, theta2)
+
+
 def test_variational_minimum_matches_bfgs():
     # brute-force minimization of tr(expression(Y)) over Y recovers the trace
     # of the Schur complement

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from .folded import Scalar, moments_from_sums, sums_closed, theta_derivatives
 from .golden import golden_power_table, lambda_n
 from .qfield import QSTAR, Q5, decimal_str
-from .report import SUITES
+from .reference import SUITES
 
 # Each subcommand imports only the layers it computes with: ``schur`` and
 # ``verify`` (numpy) inside their subcommands, ``lockin`` inside

@@ -10,10 +10,19 @@ folded moments ``I_k = S_k / S₀``, and the variance ``Var = I₂ − I₁²``.
 Because the family is exponential, ``dI₁/dθ = Var`` and
 ``dI₂/dθ = I₃ − I₁·I₂``.
 
-A Fraction ``q = a/b`` takes an integer route through the power sums: each
-closed form is multiplied through by powers of b, so its numerator and
-denominator are plain integers and the sum is normalised once, by a single
-``Fraction(num, den)``.  Floats and Q5 run the closed forms as written.
+Two exact values of q take integer routes through the power sums, both
+evaluating the same integer polynomials in (a, b), the numerators of the
+closed forms multiplied through by powers of b:
+
+* a Fraction ``q = a/b``: the numerator and denominator of each sum are plain
+  integers, and the sum is normalised once, by a single ``Fraction(num, den)``;
+* the golden point ``q = q⋆``, with a = q⋆ and b = 1: every sum is an
+  algebraic integer in Z[q⋆], since q⋆ and ``1 − q⋆ = φ⁻¹`` are units and
+  ``1/(1 − q⋆) = 2 − q⋆``.  The polynomials run on integer pairs
+  ``(c₀, c₁)`` meaning ``c₀ + c₁·q⋆``, reduced with ``q⋆² = 3q⋆ − 1``, q⋆ᴺ
+  comes from pair squaring, and each sum becomes a Q5 once.
+
+Floats and every other Q5 run the closed forms as written.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .qfield import Q5
+from .qfield import QSTAR, Q5, _q5
 
 __all__ = [
     "Scalar",
@@ -89,11 +98,14 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     of b: ``S_k = a·X_k / (b^N·(b − a)^{k+1})`` with ``X_k = b^N·U_k + a^N·V_k``,
     where ``U_k`` and ``V_k`` are integer polynomials in a and b.  Each sum is
     then one ``Fraction(num, den)``, so one gcd per sum instead of one per
-    Fraction operation.
+    Fraction operation.  At ``q = q⋆`` the same polynomials run in Z[q⋆] with
+    a = q⋆ and b = 1, and each sum is converted to a Q5 once.
     """
     _check_domain(n, q)
     if type(q) is Fraction:
         return _sums_closed_rational(n, q)
+    if type(q) is Q5 and q == QSTAR:  # the type first: a float q never compares
+        return _sums_closed_golden(n)
     return FoldedSums(n, q, *_closed_sums(n, q))
 
 
@@ -125,11 +137,12 @@ def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     return s0, s1, s2, s3
 
 
-def _sums_closed_rational(n: int, q: Fraction) -> FoldedSums:
-    """The closed forms of :func:`sums_closed` over the integers, for q = a/b."""
-    a, b = q.numerator, q.denominator
-    an, bn = a**n, b**n
-    c = b - a
+def _numerators(
+    n: int, a: int | _GoldenInt, b: int, an: int | _GoldenInt, bn: int
+) -> tuple[int | _GoldenInt, ...]:
+    """``(X₀, X₁, X₂, X₃)`` with ``X_k = b^N·U_k + a^N·V_k``, where U_k and V_k
+    are the integer polynomials in a and b of :func:`sums_closed`.  ``a`` and
+    ``an = a^N`` are ints or :class:`_GoldenInt` values, ``b`` and ``bn`` ints."""
     ab, aa, bb = a * b, a * a, b * b
     x0 = bn - an
     x1 = bn * b + an * (n * a - (n + 1) * b)
@@ -142,12 +155,88 @@ def _sums_closed_rational(n: int, q: Fraction) -> FoldedSums:
         - (3 * n**3 + 3 * n**2 - 3 * n + 1) * ab * a
         + n**3 * aa * a
     )
+    return x0, x1, x2, x3
+
+
+def _sums_closed_rational(n: int, q: Fraction) -> FoldedSums:
+    """The closed forms of :func:`sums_closed` over the integers, for q = a/b."""
+    a, b = q.numerator, q.denominator
+    bn = b**n
+    c = b - a
     den = bn * c
     sums = []
-    for x in (x0, x1, x2, x3):
+    for x in _numerators(n, a, b, a**n, bn):
         sums.append(Fraction(a * x, den))
         den *= c
     return FoldedSums(n, q, *sums)
+
+
+class _GoldenInt:
+    """The algebraic integer ``c0 + c1·q⋆`` of Z[q⋆], reduced by ``q⋆² = 3q⋆ − 1``.
+
+    Only the ring operations :func:`_numerators` uses, with ints on either
+    side; :meth:`to_q5` leaves the ring for the field.
+    """
+
+    __slots__ = ("c0", "c1")
+
+    def __init__(self, c0: int, c1: int) -> None:
+        self.c0, self.c1 = c0, c1
+
+    def __add__(self, other: "_GoldenInt | int") -> "_GoldenInt":
+        if type(other) is int:
+            return _GoldenInt(self.c0 + other, self.c1)
+        return _GoldenInt(self.c0 + other.c0, self.c1 + other.c1)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_GoldenInt":
+        return _GoldenInt(-self.c0, -self.c1)
+
+    def __sub__(self, other: "_GoldenInt | int") -> "_GoldenInt":
+        return self + -other
+
+    def __rsub__(self, other: int) -> "_GoldenInt":
+        return -self + other
+
+    def __mul__(self, other: "_GoldenInt | int") -> "_GoldenInt":
+        if type(other) is int:
+            return _GoldenInt(self.c0 * other, self.c1 * other)
+        t = self.c1 * other.c1
+        return _GoldenInt(self.c0 * other.c0 - t, self.c0 * other.c1 + self.c1 * other.c0 + 3 * t)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "_GoldenInt":
+        """``self^n`` for n ≥ 0 by repeated squaring."""
+        result, x = _GoldenInt(1, 0), self
+        while n:
+            if n & 1:
+                result = result * x
+            n >>= 1
+            if n:
+                x = x * x
+        return result
+
+    def to_q5(self) -> Q5:
+        """``c0 + c1·(3 − √5)/2 = (2c0 + 3c1 − c1·√5)/2``."""
+        return _q5(2 * self.c0 + 3 * self.c1, -self.c1, 2)
+
+
+def _sums_closed_golden(n: int) -> FoldedSums:
+    """The closed forms of :func:`sums_closed` in Z[q⋆], for q = q⋆.
+
+    With a = q⋆ and b = 1, ``S_k = q⋆·X_k·(2 − q⋆)^{k+1}``, since
+    ``1/(1 − q⋆) = 2 − q⋆``: no division anywhere.
+    """
+    a = _GoldenInt(0, 1)
+    inverse_gap = _GoldenInt(2, -1)  # 1/(1 − q⋆)
+    scale = a
+    sums = []
+    for x in _numerators(n, a, 1, a**n, 1):
+        scale = scale * inverse_gap
+        sums.append((x * scale).to_q5())
+    return FoldedSums(n, QSTAR, *sums)
 
 
 def moments_from_sums(sums: FoldedSums) -> FoldedMoments:

@@ -84,7 +84,22 @@ class QuadLawCoeffs(FrozenRecord):
         return all(_is_exact(x) for x in (self.a, self.b, self.m_rho_sq))
 
     def as_floats(self) -> "QuadLawCoeffs":
-        return QuadLawCoeffs(float(self.a), float(self.b), self.n, float(self.m_rho_sq))
+        """The coefficients as floats.  A ValueError names every coefficient
+        whose float overflows, or is 0.0 although the coefficient is not."""
+        values, lost = [], []
+        for name, x in (("A", self.a), ("B", self.b), ("m_rho_sq", self.m_rho_sq)):
+            try:
+                f = float(x)
+            except OverflowError:
+                f = math.inf
+            if not math.isfinite(f):
+                lost.append(f"{name} is too large for a float")
+            elif f == 0.0 and x != 0:
+                lost.append(f"{name} is nonzero but underflows to 0.0 as a float")
+            values.append(f)
+        if lost:
+            raise ValueError("coefficient " + "; coefficient ".join(lost))
+        return QuadLawCoeffs(values[0], values[1], self.n, values[2])
 
 
 def _route(coeffs: QuadLawCoeffs, x: Scalar) -> tuple[QuadLawCoeffs, Scalar]:

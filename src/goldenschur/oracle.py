@@ -189,12 +189,21 @@ def band_basis(split: SplitGeometry) -> FloatArray:
     return np.linalg.svd(rows, full_matrices=True)[2][2:].T
 
 
+def _assemble_hessians(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
+    """``H(θ)`` for each θ, stacked (len(thetas) × n × n).  The weights come
+    from ``math.exp`` and the terms are added in order, so each matrix has the
+    same bits whatever the other θ of the stack."""
+    import numpy as np
+    w = np.array([[math.exp(t.s * theta) for t in fam.terms] for theta in thetas])
+    h = np.tile(fam.c0, (len(thetas), 1, 1))
+    for k, t in enumerate(fam.terms):
+        h = h + w[:, k, None, None] * t.coef
+    return h
+
+
 def assemble_hessian(fam: HessianFamily, theta: float) -> FloatArray:
     """``H(θ) = C₀ + Σ e^{sθ}·C_s``."""
-    h = fam.c0.copy()
-    for t in fam.terms:
-        h = h + math.exp(t.s * theta) * t.coef
-    return h
+    return _assemble_hessians(fam, [theta])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,8 +341,8 @@ def matrix_convexity_check(
 ) -> ConvexityGapReport:
     """Midpoint-style matrix convexity of θ ↦ H(θ) on a t-grid in [0, 1].
 
-    The gaps of all grid points are stacked and diagonalized by one
-    ``eigvalsh`` call.
+    H(θ₁), H(θ₂) and every H(tθ₁ + (1−t)θ₂) are built in one stack, and the
+    gaps of all grid points are diagonalized by one ``eigvalsh`` call.
     """
     import numpy as np
     for name, bound in (("theta1", theta1), ("theta2", theta2)):
@@ -347,11 +356,8 @@ def matrix_convexity_check(
         raise ValueError("t grid must have at least one point")
     if not np.all((ts >= 0) & (ts <= 1)):  # a NaN fails both comparisons
         raise ValueError("t grid must lie in [0, 1]")
-    h1 = assemble_hessian(fam, theta1)
-    h2 = assemble_hessian(fam, theta2)
-    gaps = np.stack([
-        t * h1 + (1 - t) * h2 - assemble_hessian(fam, t * theta1 + (1 - t) * theta2)
-        for t in ts
-    ])
+    hs = _assemble_hessians(fam, [theta1, theta2, *(ts * theta1 + (1 - ts) * theta2).tolist()])
+    t = ts[:, None, None]
+    gaps = t * hs[0] + (1 - t) * hs[1] - hs[2:]
     w = np.linalg.eigvalsh((gaps + gaps.swapaxes(-1, -2)) / 2)
     return ConvexityGapReport(theta1, theta2, tuple(ts.tolist()), tuple(w[:, 0].tolist()))

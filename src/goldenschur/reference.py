@@ -10,6 +10,10 @@ asserting them:
 * the fitted law constants :data:`REPORTED_A` / :data:`REPORTED_B`, whose
   bracket residual is decidedly nonzero (≈ −6.2514498) and is surfaced as a
   diagnostic rather than asserted away.
+
+:data:`SUITES` names the verification suites, after the tables they
+reproduce.  The module imports nothing, so the CLI offers the names without
+loading the suites or their report records.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "REPORTED_M_RHO_SQ",
     "REPORTED_N",
     "KAPPA_TABLE",
+    "SUITES",
 ]
 
 #: Reported quadratic-law constants for (N, m_ρ²) = (12, 2).
@@ -34,4 +39,16 @@ KAPPA_TABLE: tuple[tuple[str, float, float, float], ...] = (
     ("0.38", 0.125, 0.031, 0.003),
     ("phi^-2", 0.121, 0.0, 0.0),
     ("0.40", 0.127, 0.029, -0.004),
+)
+
+#: Names of the verification suites in :mod:`goldenschur.verify`; ``all`` runs
+#: the others in order.
+SUITES = (
+    "appendix-b",
+    "appendix-c",
+    "appendix-d",
+    "appendix-h",
+    "schur-properties",
+    "lockin",
+    "all",
 )

@@ -16,20 +16,7 @@ import io
 
 from ._record import FrozenRecord
 
-__all__ = ["CheckRecord", "ReportDocument", "BASIS_TAGS", "STATUSES", "SUITES"]
-
-#: Names of the verification suites in :mod:`goldenschur.verify`; ``all`` runs
-#: the others in order.  Kept here so the CLI can offer them without loading
-#: the suites' numerical dependencies.
-SUITES = (
-    "appendix-b",
-    "appendix-c",
-    "appendix-d",
-    "appendix-h",
-    "schur-properties",
-    "lockin",
-    "all",
-)
+__all__ = ["CheckRecord", "ReportDocument", "BASIS_TAGS", "STATUSES"]
 
 BASIS_TAGS = ("reference", "direct", "derived")
 STATUSES = ("pass", "fail", "info")

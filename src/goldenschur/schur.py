@@ -317,15 +317,20 @@ def random_symmetric_psd_circulant(n: int, rng: np.random.Generator) -> FloatArr
 
 def random_family(n: int, rng: np.random.Generator, *, n_terms: int = 2) -> HessianFamily:
     """Random validated family with m_ρ² = 2; a ridge of 0.5 on C₀ keeps
-    ``H_OO`` well conditioned."""
+    ``H_OO`` well conditioned.
+
+    Each coefficient reaches :func:`make_family` as the first row of its dense
+    symmetric circulant, so it takes the row validation path; both paths
+    store ``(row + row[rev])/2`` of that same row.
+    """
     u_raw = rng.standard_normal(n)
     while np.linalg.norm(u_raw - u_raw.mean()) < 1e-6:
         u_raw = rng.standard_normal(n)
-    c0 = random_symmetric_psd_circulant(n, rng) + 0.5 * np.eye(n)
+    c0 = (random_symmetric_psd_circulant(n, rng) + 0.5 * np.eye(n))[0]
     terms = []
     for _ in range(n_terms):
         s = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-        terms.append((s, random_symmetric_psd_circulant(n, rng)))
+        terms.append((s, random_symmetric_psd_circulant(n, rng)[0]))
     return make_family(n, 2.0, u_raw, c0, terms)
 
 

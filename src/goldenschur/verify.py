@@ -37,7 +37,8 @@ from .oracle import (
     variational_check,
 )
 from .qfield import QSTAR, GoldenBasis, Q5, decimal_str
-from .report import SUITES, ReportDocument
+from .reference import SUITES
+from .report import ReportDocument
 from .schur import (
     FamilyValidationError,
     build_split,
@@ -421,8 +422,8 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
 
     n = 6
     ident_fam = make_family(n, 2.0, [1.0] + [0.0] * (n - 1), np.zeros((n, n)), [(1.0, np.eye(n))])
-    thetas = np.linspace(math.log(0.05), math.log(0.95), 25)
-    dev = max(abs(schur_curvature(ident_fam, float(t)) - math.exp(float(t))) for t in thetas)
+    scan = kappa_convexity_scan(ident_fam, math.log(0.05), math.log(0.95), 25)
+    dev = max(abs(k - math.exp(t)) for t, k in zip(scan.thetas, scan.kappas))
     doc.add(
         "s.exp-identity-family",
         "the e^θ·I family has κ_Schur(θ) = e^θ",

@@ -426,6 +426,20 @@ def test_stationarity_rejects_bad_b(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "b, message",
+    [
+        ("-1e-400", "coefficient B is nonzero but underflows to 0.0 as a float"),
+        ("1e400", "coefficient A is too large for a float; coefficient B is too large for a float"),
+    ],
+)
+def test_stationarity_rejects_b_the_float_scan_cannot_hold(capsys, b, message):
+    # the exact golden point is stationary, but the float scan would see B as
+    # -0.0 (no sign change) or could not convert it at all
+    code, out, err = run_cli(capsys, "stationarity", f"--B={b}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("n", ["1", "2"])
 def test_stationarity_rejects_n_below_3(capsys, n):
     # Λ(2) = 3 at every q: the synthesized F′_red vanishes identically
@@ -840,7 +854,7 @@ before = set(sys.modules)
 from goldenschur.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:]) if sys.argv[1:] else 0
-heavy = {"numpy", "scipy", "dataclasses", "goldenschur.lockin"}
+heavy = {"numpy", "scipy", "dataclasses", "goldenschur.lockin", "goldenschur.report"}
 print(code, sorted(heavy & (set(sys.modules) - before)))
 """
 

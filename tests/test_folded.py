@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from goldenschur import folded
 from goldenschur.folded import (
     folded_weights,
     moments,
@@ -66,6 +67,33 @@ def test_closed_equals_bruteforce_q5():
             q = Q5(Fraction(rng.randint(1, 8), 16), Fraction(rng.randint(1, 3), 100))
             assert 0 < float(q) < 1
             assert sums_closed(n, q).as_tuple() == sums_bruteforce(n, q).as_tuple()
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_golden_route_equals_bruteforce(n):
+    # q⋆ takes the Z[q⋆] integer route; the oracle sums q⋆^s in the field
+    assert sums_closed(n, QSTAR) == sums_bruteforce(n, QSTAR)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10_000])
+def test_golden_route_equals_reduction_oracle_at_large_n(n):
+    assert sums_closed(n, QSTAR) == sums_at_qstar(n)
+
+
+def test_only_qstar_takes_the_golden_route(monkeypatch):
+    # q⋆, however it was built, skips the operator route; a Q5 next to it and
+    # a float take it
+    calls = []
+    operator_route = folded._closed_sums
+    monkeypatch.setattr(
+        folded, "_closed_sums", lambda n, q: calls.append(q) or operator_route(n, q)
+    )
+    assert sums_closed(12, Q5(3, -1) / 2) == sums_bruteforce(12, QSTAR)
+    assert calls == []
+    near = QSTAR * Fraction(999, 1000)
+    assert sums_closed(12, near) == sums_bruteforce(12, near)
+    sums_closed(12, float(QSTAR))
+    assert calls == [near, float(QSTAR)]
 
 
 @st.composite

@@ -180,6 +180,11 @@ def test_lambda_is_u_over_v(n):
     assert lambda_n(n) == i2p / i1p
 
 
+def test_lambda_10000_is_u_over_v_of_the_reduction_oracle():
+    s0, s1, s2, s3 = sums_at_qstar(10_000).as_tuple()
+    assert lambda_n(10_000) == (s3 * s0 - s1 * s2) / (s2 * s0 - s1 * s1)
+
+
 def test_golden_point_values_at_n_10000_match_mpmath():
     # the coordinates have about 4180 digits and cancel to O(1) values, so the
     # exact values are evaluated at 4400 digits; the references are direct

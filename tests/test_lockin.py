@@ -51,6 +51,22 @@ def test_coeffs_normalization_and_exactness():
     assert not cf.is_exact
 
 
+@pytest.mark.parametrize(
+    "a, b, m_rho_sq, message",
+    [
+        (1, Fraction(-1, 10**400), 2, "coefficient B is nonzero but underflows to 0.0"),
+        (Q5(0, Fraction(1, 10**400)), 1, 2, "coefficient A is nonzero but underflows to 0.0"),
+        (1, 1, Fraction(1, 10**400), "coefficient m_rho_sq is nonzero but underflows to 0.0"),
+        (10**400, 1, 2, "coefficient A is too large for a float"),
+        (Q5(0, 10**308), 1, 2, "coefficient A is too large for a float"),  # √5·10³⁰⁸ is inf
+    ],
+)
+def test_as_floats_rejects_coefficients_a_float_cannot_hold(a, b, m_rho_sq, message):
+    coeffs = QuadLawCoeffs(a, b, 12, m_rho_sq)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        coeffs.as_floats()
+
+
 def test_coeffs_reject_bad_mass():
     with pytest.raises(ValueError):
         QuadLawCoeffs(1, 1, 12, 0)

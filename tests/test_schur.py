@@ -343,6 +343,31 @@ def test_random_family_is_valid():
         assert np.linalg.eigvalsh(h).min() >= -1e-10
 
 
+def _dense_random_family(n, rng, n_terms=2):
+    """random_family's draws, passed to make_family as dense matrices."""
+    u_raw = rng.standard_normal(n)
+    while np.linalg.norm(u_raw - u_raw.mean()) < 1e-6:
+        u_raw = rng.standard_normal(n)
+    c0 = random_symmetric_psd_circulant(n, rng) + 0.5 * np.eye(n)
+    terms = []
+    for _ in range(n_terms):
+        s = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
+        terms.append((s, random_symmetric_psd_circulant(n, rng)))
+    return make_family(n, 2.0, u_raw, c0, terms)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 11, 42, 2024])
+def test_random_family_stores_the_rows_of_the_dense_path(seed):
+    n = 3 + seed % 7
+    fam = random_family(n, np.random.default_rng(seed), n_terms=1 + seed % 3)
+    dense = _dense_random_family(n, np.random.default_rng(seed), n_terms=1 + seed % 3)
+    assert np.array_equal(fam.split.u, dense.split.u)
+    assert len(fam.terms) == len(dense.terms)
+    for got, want in zip((fam.base, *fam.terms), (dense.base, *dense.terms)):
+        assert got.s == want.s
+        assert got.c.ndim == 1 and np.array_equal(got.c, want.c)
+
+
 # ---------------------------------------------------------------------------
 # block extraction and the Schur complement
 # ---------------------------------------------------------------------------
@@ -486,6 +511,29 @@ def test_stacked_loewner_checks_match_per_trial_loops(seed):
     want = _convexity_reference(fam, t1, t2, np.linspace(0.0, 1.0, 11))
     assert repr((rep.theta1, rep.theta2, rep.t_values, rep.min_eigs)) == repr(want)
     assert all(type(x) is float for x in rep.t_values + rep.min_eigs)
+
+
+@pytest.mark.parametrize("n_terms", [0, 1, 2, 3])
+def test_convexity_gaps_match_a_per_t_assembly(n_terms):
+    # the Hessians are built in one stack; each gap keeps the bits of a per-t
+    # assemble_hessian, so the same stacked eigvalsh gives the same min_eigs
+    draw = np.random.default_rng(40 + n_terms)
+    fams = [random_family(int(draw.integers(3, 10)), draw, n_terms=n_terms)]
+    if n_terms:
+        n = fams[0].n
+        fams.append(make_family(  # unvalidated, with a dense non-circulant term
+            n, 2.0, draw.standard_normal(n), np.eye(n),
+            [(0.7, draw.standard_normal((n, n)))] * n_terms, validate=False,
+        ))
+    for fam in fams:
+        t1, t2 = sorted(float(t) for t in draw.uniform(-2.0, 0.5, size=2))
+        ts = np.linspace(0.0, 1.0, 11)
+        h1, h2 = assemble_hessian(fam, t1), assemble_hessian(fam, t2)
+        gaps = np.stack([
+            t * h1 + (1 - t) * h2 - assemble_hessian(fam, t * t1 + (1 - t) * t2) for t in ts
+        ])
+        w = np.linalg.eigvalsh((gaps + gaps.swapaxes(-1, -2)) / 2)
+        assert matrix_convexity_check(fam, t1, t2, 11).min_eigs == tuple(w[:, 0].tolist())
 
 
 @pytest.mark.parametrize("trials", [0, -3])

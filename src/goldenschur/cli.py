@@ -86,21 +86,18 @@ def _json(doc: object, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
-def _render(fmt: str, doc: object, csv_lines: list[str], table_lines: list[str]) -> None:
-    """Print ``doc`` as json, or the command's csv or table lines."""
-    if fmt == "json":
-        print(_json(doc, indent=2))
-    else:
-        print("\n".join(csv_lines if fmt == "csv" else table_lines))
-
-
 def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str]) -> None:
     """Render a flat payload; its csv is ``key,value`` rows, with lists as json."""
-    csv_lines = ["key,value"] + [
-        f"{key},{_json(value) if isinstance(value, list) else value}"
-        for key, value in payload.items()
-    ]
-    _render(fmt, payload, csv_lines, table_lines)
+    if fmt == "json":
+        lines = [_json(payload, indent=2)]
+    elif fmt == "csv":
+        lines = ["key,value"] + [
+            f"{key},{_json(value) if isinstance(value, list) else value}"
+            for key, value in payload.items()
+        ]
+    else:
+        lines = table_lines
+    print("\n".join(lines))
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
@@ -147,38 +144,46 @@ def _cmd_schur(args: argparse.Namespace) -> int:
         return 2
     scan = kappa_convexity_scan(fam, args.theta_min, args.theta_max, args.points)
     curve = [(t, math.exp(t), k) for t, k in zip(scan.thetas, scan.kappas)]
-    d2_min, violations = scan.min_second_difference, list(scan.violations)
-    doc: dict[str, object] = {
-        "N": fam.n,
-        "curve": [{"theta": t, "q": q, "kappa": k} for t, q, k in curve],
-        "convexity": {
-            "min_second_difference": d2_min,
-            "violations": violations,
-            "convex_ok": scan.convex_ok,
-        },
-    }
-    csv_lines = ["theta,q,kappa"] + [f"{t:.12g},{q:.12g},{k:.12g}" for t, q, k in curve]
-    csv_lines.append(f"# convex_ok={scan.convex_ok} min_second_difference={d2_min:.6e}")
-    if violations:
-        csv_lines.append(f"# violations at grid indices {violations}")
-    status = "pass" if scan.convex_ok else f"FAIL at indices {violations}"
-    table = [
-        f"κ_Schur curve, N = {fam.n}, {args.points} points",
-        f"{'theta':>12}  {'q':>10}  {'kappa':>14}",
-        *(f"{t:>12.6f}  {q:>10.6f}  {k:>14.8f}" for t, q, k in curve),
-        f"convexity: {status} (min second difference {d2_min:.6e})",
-    ]
-    if args.fit_law:
+    if args.fit_law:  # before any output: a degenerate fit prints nothing
         from .lockin import quadratic_law_fit
 
         fit = quadratic_law_fit([(q, k) for _, q, k in curve], fam.n)
         a, b, residual = float(fit.a), float(fit.b), fit.max_abs_residual
-        doc["fit"] = {"A": a, "B": b, "max_abs_residual": residual}
-        csv_lines.append(f"# fit A={a:.12g} B={b:.12g} max_abs_residual={residual:.6e}")
-        table.append(
-            f"quadratic-law fit: A = {a:.10g}, B = {b:.10g}, max |residual| = {residual:.6e}"
-        )
-    _render(args.format, doc, csv_lines, table)
+    d2_min, violations = scan.min_second_difference, list(scan.violations)
+    if args.format == "json":
+        doc: dict[str, object] = {
+            "N": fam.n,
+            "curve": [{"theta": t, "q": q, "kappa": k} for t, q, k in curve],
+            "convexity": {
+                "min_second_difference": d2_min,
+                "violations": violations,
+                "convex_ok": scan.convex_ok,
+            },
+        }
+        if args.fit_law:
+            doc["fit"] = {"A": a, "B": b, "max_abs_residual": residual}
+        lines = [_json(doc, indent=2)]
+    elif args.format == "csv":
+        lines = ["theta,q,kappa"]
+        lines += [f"{t:.12g},{q:.12g},{k:.12g}" for t, q, k in curve]
+        lines.append(f"# convex_ok={scan.convex_ok} min_second_difference={d2_min:.6e}")
+        if violations:
+            lines.append(f"# violations at grid indices {violations}")
+        if args.fit_law:
+            lines.append(f"# fit A={a:.12g} B={b:.12g} max_abs_residual={residual:.6e}")
+    else:
+        status = "pass" if scan.convex_ok else f"FAIL at indices {violations}"
+        lines = [
+            f"κ_Schur curve, N = {fam.n}, {args.points} points",
+            f"{'theta':>12}  {'q':>10}  {'kappa':>14}",
+            *(f"{t:>12.6f}  {q:>10.6f}  {k:>14.8f}" for t, q, k in curve),
+            f"convexity: {status} (min second difference {d2_min:.6e})",
+        ]
+        if args.fit_law:
+            lines.append(
+                f"quadratic-law fit: A = {a:.10g}, B = {b:.10g}, max |residual| = {residual:.6e}"
+            )
+    print("\n".join(lines))
     return 0 if scan.convex_ok else 1
 
 
@@ -277,14 +282,15 @@ def _cmd_fit_ab(args: argparse.Namespace) -> int:
 
 def _cmd_golden_table(args: argparse.Namespace) -> int:
     rows = golden_power_table(args.max_m)
-    width = len(str(rows[-1].a))
-    _render(
-        args.format,
-        [{"m": r.m, "a": r.a, "b": r.b} for r in rows],
-        ["m,a,b"] + [f"{r.m},{r.a},{r.b}" for r in rows],
-        [f"{'m':>4}  {'a_m':>{width}}  {'b_m':>{width + 1}}"]
-        + [f"{r.m:>4}  {r.a:>{width}}  {r.b:>{width + 1}}" for r in rows],
-    )
+    if args.format == "json":
+        lines = [_json([{"m": r.m, "a": r.a, "b": r.b} for r in rows], indent=2)]
+    elif args.format == "csv":
+        lines = ["m,a,b"] + [f"{r.m},{r.a},{r.b}" for r in rows]
+    else:
+        width = len(str(rows[-1].a))
+        lines = [f"{'m':>4}  {'a_m':>{width}}  {'b_m':>{width + 1}}"]
+        lines += [f"{r.m:>4}  {r.a:>{width}}  {r.b:>{width + 1}}" for r in rows]
+    print("\n".join(lines))
     return 0
 
 

@@ -22,7 +22,10 @@ closed forms multiplied through by powers of b:
   ``(c₀, c₁)`` meaning ``c₀ + c₁·q⋆``, reduced with ``q⋆² = 3q⋆ − 1``, q⋆ᴺ
   comes from pair squaring, and each sum becomes a Q5 once.
 
-Floats and every other Q5 run the closed forms as written.
+Floats and every other Q5 run the closed forms as written.  The float callers
+that need only I₁, Var and I₂′ (the fit and the stationarity scan of
+:mod:`.lockin`) read them from one kernel, ``_float_moments``, with the bits
+of :func:`moments` and :func:`theta_derivatives`.
 """
 
 from __future__ import annotations
@@ -135,6 +138,20 @@ def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         / r**4
     )
     return s0, s1, s2, s3
+
+
+def _float_moments(n: int, q: float) -> tuple[float, float, float]:
+    """``(I₁, Var, I₂′)`` at a float q, for a family size n already checked.
+
+    The float lane's one kernel: the bits of :func:`moments` and
+    :func:`theta_derivatives` at the same (n, q), without their type dispatch
+    or records.  A q outside 0 < q < 1 (NaN included) is rejected as there.
+    """
+    if not 0.0 < q < 1.0:
+        _check_domain(n, q)
+    s0, s1, s2, s3 = _closed_sums(n, q)
+    i1, i2 = s1 / s0, s2 / s0
+    return i1, i2 - i1 * i1, s3 / s0 - i1 * i2
 
 
 def _numerators(

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from ._record import FrozenRecord
 from .folded import (
-    FoldedMoments, Scalar, _check_domain, _check_size, _closed_sums, moments, theta_derivatives,
+    FoldedMoments, Scalar, _check_size, _float_moments, moments, theta_derivatives,
 )
 from .golden import lambda_n
 from .qfield import QSTAR, Q5
@@ -119,6 +119,23 @@ def _slope(c: QuadLawCoeffs) -> Scalar:
     return 2 * c.a - 2 * c.b - 8 / c.m_rho_sq
 
 
+def _float_lane(coeffs: QuadLawCoeffs) -> tuple[QuadLawCoeffs, float]:
+    """The coefficients as floats, and ``2A − 2B − 8/m_ρ²`` rounded once.
+
+    Exact coefficients form the slope exactly: a synthesized
+    A = (8/m_ρ² − B·Λ + 2B)/2 rounded to a float loses B·Λ once |B| is below
+    about 1e-16 of 8/m_ρ², and a slope formed from it is −2B, not −B·Λ.
+    A slope too large for a float is a ValueError, as a coefficient is.
+    """
+    c = coeffs.as_floats()
+    if not coeffs.is_exact:
+        return c, _slope(c)
+    try:
+        return c, float(_slope(coeffs))
+    except OverflowError:
+        raise ValueError("slope 2A - 2B - 8/m_rho_sq is too large for a float") from None
+
+
 def _f_prime(c: QuadLawCoeffs, slope: Scalar, i1: Scalar, i1p: Scalar, i2p: Scalar) -> Scalar:
     """Bracket-form F′_red (see :func:`f_red_prime_q`), ``(B·I₂′ + slope·I₁′)·I₁/N``
     with ``slope = _slope(c)``."""
@@ -156,16 +173,26 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
     Exact samples are degenerate when Δ = 0.  Float samples are degenerate
     when |Δ| ≤ DEGENERACY_RTOL·(|M_a·V_b| + |M_b·V_a|), with
     DEGENERACY_RTOL = 1e-8: so little of the two products survives their
-    difference that (A, B) would be fitted to rounding noise (near q = 1 the
-    float moments carry relative errors up to about 1e-7).
+    difference that (A, B) would be fitted to rounding noise.  The float
+    moments themselves lose digits as q → 1: at N = 12, against exact
+    Fractions at the same binary q, the relative error of Var is 3e-8 at
+    q = 0.999, 5e-5 at 0.9999 and 0.17 at 0.99999 (ROADMAP item 2).
+
+    A float q takes the float kernel of :mod:`.folded`, with the bits of
+    :func:`~.folded.moments`.
     """
     if len(points) < 2:
         raise ValueError("need at least two (q, kappa) samples")
+    _check_size(n)
     ms, vs, ks = [], [], []
     for q, kappa in points:
-        mom = moments(n, q)
-        ms.append(mom.i1 * mom.i1)
-        vs.append(mom.var)
+        if type(q) is float:
+            i1, var, _ = _float_moments(n, q)
+        else:
+            mom = moments(n, q)
+            i1, var = mom.i1, mom.var
+        ms.append(i1 * i1)
+        vs.append(var)
         ks.append(kappa)
     delta = ms[0] * vs[1] - ms[1] * vs[0]
     if isinstance(delta, float):
@@ -193,11 +220,17 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     Equal to ``(1/N)·(B·Λ(θ) + 2A − 2B − 8/m_ρ²)·I₁·I₁′`` wherever
     Λ(θ) = I₂′/I₁′ is defined, and identically zero at N = 1.  Differs from
     the chain-rule derivative of :func:`f_red_q` by ``B·I₂′·(I₁−1)/N``.
+
+    Exact coefficients and an exact q stay exact.  Otherwise the float lane
+    evaluates the float kernel, with the slope 2A − 2B − 8/m_ρ² formed
+    exactly, if the coefficients are exact, and rounded once.
     """
-    c, qq = _route(coeffs, q)
-    m = moments(c.n, qq)
-    i1p, i2p = theta_derivatives(m)
-    return _f_prime(c, _slope(c), m.i1, i1p, i2p)
+    if coeffs.is_exact and _is_exact(q):
+        m = moments(coeffs.n, q)
+        i1p, i2p = theta_derivatives(m)
+        return _f_prime(coeffs, _slope(coeffs), m.i1, i1p, i2p)
+    c, slope = _float_lane(coeffs)
+    return _f_prime(c, slope, *_float_moments(c.n, float(q)))
 
 
 def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Scalar:
@@ -277,9 +310,10 @@ def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> Stationar
     keeps one sign or vanishes identically: the scan is skipped and reports 0
     sign changes (float evaluation would only count rounding noise).
 
-    The grid is evaluated in one pass: at each q = e^θ the closed-form power
-    sums give I₁, Var and I₂′ as plain floats, and the bracket's constant
-    2A − 2B − 8/m_ρ² is formed once.  The values are bit for bit those of
+    The grid is evaluated in one pass: at each q = e^θ the float kernel of
+    :mod:`.folded` gives I₁, Var and I₂′, and the bracket's constant
+    2A − 2B − 8/m_ρ² is formed once, exactly if the coefficients are exact,
+    and rounded once.  The values are bit for bit those of
     :func:`f_red_prime_q` at the same q.
     """
     grid = [float(t) for t in thetas]
@@ -290,16 +324,13 @@ def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> Stationar
     report = stationarity_check(coeffs)
     if coeffs.n <= 2:
         return report._replace(sign_changes=0)
-    c = coeffs.as_floats()
-    n, slope = c.n, _slope(c)
+    c, slope = _float_lane(coeffs)
+    n = c.n
     values = []
     for t in grid:
-        q = math.exp(t)
-        if not 0.0 < q < 1.0:  # e^θ underflowed to 0, rounded to 1, or is NaN
-            _check_domain(n, q)
-        s0, s1, s2, s3 = _closed_sums(n, q)
-        i1, i2, i3 = s1 / s0, s2 / s0, s3 / s0
-        values.append(_f_prime(c, slope, i1, i2 - i1 * i1, i3 - i1 * i2))
+        # the kernel rejects an e^θ that underflowed to 0, rounded to 1, or is NaN
+        i1, var, i2p = _float_moments(n, math.exp(t))
+        values.append(_f_prime(c, slope, i1, var, i2p))
 
     # a sign change is a flip between consecutive nonzero values; exact grid
     # zeros are spanned by the surrounding flip (or, if the function is flat

@@ -489,14 +489,12 @@ def kappa_convexity_scan(
     thetas = np.linspace(theta_min, theta_max, points)
     kappas = _curvatures(fam, thetas)
     d2 = kappas[2:] - 2 * kappas[1:-1] + kappas[:-2]
-    bad = tuple(
-        int(i + 1) for i in range(len(d2)) if d2[i] < -CONVEXITY_RTOL * max(1.0, abs(kappas[i + 1]))
-    )
+    (bad,) = np.nonzero(d2 < -CONVEXITY_RTOL * np.maximum(1.0, np.abs(kappas[1:-1])))
     return CurvatureScan(
-        tuple(float(t) for t in thetas),
-        tuple(float(k) for k in kappas),
-        tuple(float(x) for x in d2),
-        bad,
+        tuple(thetas.tolist()),
+        tuple(kappas.tolist()),
+        tuple(d2.tolist()),
+        tuple((bad + 1).tolist()),
     )
 
 

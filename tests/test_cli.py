@@ -440,6 +440,27 @@ def test_stationarity_rejects_b_the_float_scan_cannot_hold(capsys, b, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("b", ["1e-16", "1e-17", "1e-200", "1e-300"])
+def test_stationarity_small_b_brackets_the_golden_point(capsys, b):
+    # the float scan's slope 2A − 2B − 8/m_ρ² is formed exactly and rounded
+    # once: formed from a rounded A, which has lost B·Λ, it would be −2B, and
+    # the scan would see no sign change
+    code, out, err = run_cli(capsys, "stationarity", f"--B={b}", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["stationary"], doc["sign_changes"]) == (True, 1)
+    [[lo, hi]] = doc["sign_change_intervals_q"]
+    assert lo < (3 - math.sqrt(5)) / 2 < hi
+
+
+@pytest.mark.parametrize("b", ["1e308", "-1e308"])
+def test_stationarity_rejects_a_slope_too_large_for_a_float(capsys, b):
+    # at N = 3, A and B are floats but the exact slope −B·Λ(3) is not
+    code, out, err = run_cli(capsys, "stationarity", f"--B={b}", "--N", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: slope 2A - 2B - 8/m_rho_sq is too large for a float\n"
+
+
 @pytest.mark.parametrize("n", ["1", "2"])
 def test_stationarity_rejects_n_below_3(capsys, n):
     # Λ(2) = 3 at every q: the synthesized F′_red vanishes identically
@@ -459,9 +480,9 @@ def test_stationarity_rejects_nonpositive_m_rho_sq(capsys, m_rho_sq):
 def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
     # Λ for the synthesis, Λ for the printed value, and the golden-point check
     # are the exact evaluations; the 601-point scan evaluates each point once.
-    # Both reach the closed forms through the one helper behind sums_closed.
+    # Both reach the closed forms through the one helper behind sums_closed,
+    # the scan by way of the float kernel.
     import goldenschur.folded as folded
-    import goldenschur.lockin as lockin
 
     calls = {"exact": 0, "float": 0}
     original = folded._closed_sums
@@ -471,7 +492,6 @@ def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
         return original(n, q)
 
     monkeypatch.setattr(folded, "_closed_sums", counted)
-    monkeypatch.setattr(lockin, "_closed_sums", counted)
     code, _, err = run_cli(capsys, "stationarity", "--B", "-1")
     assert (code, err) == (0, "")
     assert calls["exact"] <= 3
@@ -687,43 +707,106 @@ def test_schur_output_pinned(capsys, family_file, fmt):
     assert out == SCHUR_PINNED[fmt]
 
 
-#: ``schur <FAMILY_DOC> -2.0 -0.5 4 --fit-law --format json`` stdout, parsed.
-SCHUR_JSON_PINNED = {
-    "N": 6,
-    "convexity": {
-        "convex_ok": True,
-        "min_second_difference": 0.4013569320576291,
-        "violations": [],
+#: ``schur <FAMILY_DOC> -2.0 -0.5 4 --format <fmt>`` stdout.  Each format has
+#: its own render branch, so each is pinned.
+SCHUR_NO_FIT_PINNED = {
+    "table": """\
+κ_Schur curve, N = 6, 4 points
+       theta           q           kappa
+   -2.000000    0.135335      7.78548451
+   -1.500000    0.223130      6.19372664
+   -1.000000    0.367879      5.12383462
+   -0.500000    0.606531      4.45529954
+convexity: pass (min second difference 4.013569e-01)
+""",
+    "csv": """\
+theta,q,kappa
+-2,0.135335283237,7.78548450643
+-1.5,0.223130160148,6.19372663743
+-1,0.367879441171,5.1238346235
+-0.5,0.606530659713,4.45529954164
+# convex_ok=True min_second_difference=4.013569e-01
+""",
+    "json": """\
+{
+  "N": 6,
+  "convexity": {
+    "convex_ok": true,
+    "min_second_difference": 0.4013569320576291,
+    "violations": []
+  },
+  "curve": [
+    {
+      "kappa": 7.78548450643431,
+      "q": 0.1353352832366127,
+      "theta": -2.0
     },
-    "curve": [
-        {"kappa": 7.785484506434311, "q": 0.1353352832366127, "theta": -2.0},
-        {"kappa": 6.193726637429618, "q": 0.22313016014842982, "theta": -1.5},
-        {"kappa": 5.123834623504057, "q": 0.36787944117144233, "theta": -1.0},
-        {"kappa": 4.4552995416361245, "q": 0.6065306597126334, "theta": -0.5},
-    ],
-    "fit": {
-        "A": 9.106848407411844,
-        "B": -24.306361849873248,
-        "max_abs_residual": 6.25976411843771,
+    {
+      "kappa": 6.193726637429618,
+      "q": 0.22313016014842982,
+      "theta": -1.5
     },
+    {
+      "kappa": 5.123834623504057,
+      "q": 0.36787944117144233,
+      "theta": -1.0
+    },
+    {
+      "kappa": 4.4552995416361245,
+      "q": 0.6065306597126334,
+      "theta": -0.5
+    }
+  ]
+}
+""",
 }
 
 
-def assert_doc_close(got, want):
-    """Same keys, lengths and types; floats equal to 1e-12 relative."""
-    assert type(got) is type(want)
-    if isinstance(want, float):
-        assert math.isclose(got, want, rel_tol=1e-12)
-    elif isinstance(want, dict):
-        assert sorted(got) == sorted(want)
-        for key in want:
-            assert_doc_close(got[key], want[key])
-    elif isinstance(want, list):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert_doc_close(g, w)
-    else:
-        assert got == want
+@pytest.mark.parametrize("fmt", sorted(SCHUR_NO_FIT_PINNED))
+def test_schur_output_pinned_without_fit(capsys, family_file, fmt):
+    code, out, err = run_cli(capsys, "schur", family_file, "-2.0", "-0.5", "4", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == SCHUR_NO_FIT_PINNED[fmt]
+
+
+#: ``schur <FAMILY_DOC> -2.0 -0.5 4 --fit-law --format json`` stdout.
+SCHUR_JSON_PINNED = """\
+{
+  "N": 6,
+  "convexity": {
+    "convex_ok": true,
+    "min_second_difference": 0.4013569320576291,
+    "violations": []
+  },
+  "curve": [
+    {
+      "kappa": 7.78548450643431,
+      "q": 0.1353352832366127,
+      "theta": -2.0
+    },
+    {
+      "kappa": 6.193726637429618,
+      "q": 0.22313016014842982,
+      "theta": -1.5
+    },
+    {
+      "kappa": 5.123834623504057,
+      "q": 0.36787944117144233,
+      "theta": -1.0
+    },
+    {
+      "kappa": 4.4552995416361245,
+      "q": 0.6065306597126334,
+      "theta": -0.5
+    }
+  ],
+  "fit": {
+    "A": 9.10684840741184,
+    "B": -24.306361849873237,
+    "max_abs_residual": 6.25976411843771
+  }
+}
+"""
 
 
 def test_schur_json_pinned(capsys, family_file):
@@ -731,9 +814,105 @@ def test_schur_json_pinned(capsys, family_file):
         capsys, "schur", family_file, "-2.0", "-0.5", "4", "--fit-law", "--format", "json"
     )
     assert (code, err) == (0, "")
-    doc = json.loads(out)
-    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert_doc_close(doc, SCHUR_JSON_PINNED)
+    assert out == SCHUR_JSON_PINNED
+
+
+@pytest.fixture()
+def concave_family(monkeypatch):
+    """``schur`` reads κ = 1 − 2e^θ/3 (strictly concave) from any file name.
+
+    C₀ = I, and the term −e^θ·Q, with Q the circulant projector onto the
+    Fourier modes 2 and 3, is band-supported (Q u = 0), so H_OO = 1.  No valid
+    family is concave, so the family is built unvalidated and handed to the
+    command in place of the loaded one.
+    """
+    import goldenschur.schur as schur
+
+    n = 5
+    fam = schur.make_family(
+        n,
+        2.0,
+        [math.cos(2 * math.pi * k / n) for k in range(n)],
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [(1.0, [-0.4 * math.cos(4 * math.pi * k / n) for k in range(n)])],
+        validate=False,
+    )
+    monkeypatch.setattr(schur, "load_family", lambda path: fam)
+    return "concave.json"
+
+
+#: ``schur <concave family> -1.0 -0.2 5 --format <fmt>`` stdout: the failing
+#: convexity lines of each format.
+SCHUR_CONCAVE_PINNED = {
+    "table": """\
+κ_Schur curve, N = 5, 5 points
+       theta           q           kappa
+   -1.000000    0.367879      0.75474704
+   -0.800000    0.449329      0.70044736
+   -0.600000    0.548812      0.63412558
+   -0.400000    0.670320      0.55311997
+   -0.200000    0.818731      0.45417950
+convexity: FAIL at indices [1, 2, 3] (min second difference -1.793486e-02)
+""",
+    "csv": """\
+theta,q,kappa
+-1,0.367879441171,0.754747039219
+-0.8,0.449328964117,0.700447357255
+-0.6,0.548811636094,0.634125575937
+-0.4,0.670320046036,0.55311996931
+-0.2,0.818730753078,0.454179497948
+# convex_ok=False min_second_difference=-1.793486e-02
+# violations at grid indices [1, 2, 3]
+""",
+    "json": """\
+{
+  "N": 5,
+  "convexity": {
+    "convex_ok": false,
+    "min_second_difference": -0.01793486473381989,
+    "violations": [
+      1,
+      2,
+      3
+    ]
+  },
+  "curve": [
+    {
+      "kappa": 0.7547470392190384,
+      "q": 0.36787944117144233,
+      "theta": -1.0
+    },
+    {
+      "kappa": 0.7004473572551855,
+      "q": 0.44932896411722156,
+      "theta": -0.8
+    },
+    {
+      "kappa": 0.6341255759373156,
+      "q": 0.5488116360940264,
+      "theta": -0.6
+    },
+    {
+      "kappa": 0.5531199693095736,
+      "q": 0.6703200460356393,
+      "theta": -0.3999999999999999
+    },
+    {
+      "kappa": 0.4541794979480119,
+      "q": 0.8187307530779818,
+      "theta": -0.2
+    }
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SCHUR_CONCAVE_PINNED))
+def test_schur_concave_output_pinned(capsys, concave_family, fmt):
+    code, out, err = run_cli(capsys, "schur", concave_family, "-1.0", "-0.2", "5", "--format", fmt)
+    assert (code, err) == (1, "")
+    assert out == SCHUR_CONCAVE_PINNED[fmt]
 
 
 def test_schur_overflow_is_a_computation_failure(capsys, family_file):

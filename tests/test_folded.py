@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -312,6 +313,36 @@ def test_theta_derivatives_identities():
         d1, d2 = theta_derivatives(m)
         assert d1 == m.var
         assert d2 == m.i3 - m.i1 * m.i2
+
+
+# ---------------------------------------------------------------------------
+# the float kernel
+# ---------------------------------------------------------------------------
+
+#: Float q in (0, 1), with extra weight within 1e-9 of either end.
+UNIT_FLOATS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1e-9, exclude_min=True),
+    st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
+)
+
+
+@given(n=st.integers(1, 512), q=UNIT_FLOATS)
+def test_float_kernel_has_the_bits_of_moments(n, q):
+    i1, var, i2p = folded._float_moments(n, q)
+    m = moments(n, q)
+    i1p, want_i2p = theta_derivatives(m)
+    got = (i1, i1 * i1, var, i2p)
+    want = (m.i1, m.i1 * m.i1, i1p, want_i2p)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+def test_float_kernel_rejects_q_as_moments_does(q):
+    with pytest.raises(ValueError) as want:
+        moments(12, q)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        folded._float_moments(12, q)
 
 
 def test_fd_matches_exact_at_spec_points():

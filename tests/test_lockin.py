@@ -393,7 +393,7 @@ _LAW_SCALARS = st.one_of(
 )
 def test_uniqueness_scan_values_are_f_red_prime_bits(a, b, m2, n, grid):
     # the one-pass scan evaluates F′_red with the bits of f_red_prime_q at the
-    # same float q = e^θ
+    # same float q = e^θ, both forming the slope of exact coefficients exactly
     import goldenschur.lockin as lockin
 
     coeffs = QuadLawCoeffs(a, b, n, m2)
@@ -407,8 +407,7 @@ def test_uniqueness_scan_values_are_f_red_prime_bits(a, b, m2, n, grid):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lockin, "_f_prime", recorded)
         uniqueness_scan(coeffs, grid)
-    floats = coeffs.as_floats()
-    expected = [f_red_prime_q(floats, math.exp(t)) for t in grid]
+    expected = [f_red_prime_q(coeffs, math.exp(t)) for t in grid]
     assert [v.hex() for v in seen] == [v.hex() for v in expected]
 
 

@@ -839,6 +839,44 @@ def test_quadratic_law_fit_float_points():
     assert fit.max_abs_residual < 1e-9
 
 
+_FIT_Q = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1e-9, exclude_min=True),
+    st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
+)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 512),
+    points=st.lists(st.tuples(_FIT_Q, st.floats(-50, 50)), min_size=2, max_size=6),
+)
+def test_quadratic_law_fit_float_points_have_the_bits_of_moments(n, points):
+    # float samples take the float kernel, with the bits of the formula on
+    # moments(): Δ = M_a·V_b − M_b·V_a with M = I₁², V = Var
+    from goldenschur.folded import moments
+    from goldenschur.lockin import DEGENERACY_RTOL
+
+    ms, vs, ks = [], [], []
+    for q, kappa in points:
+        m = moments(n, q)
+        ms.append(m.i1 * m.i1)
+        vs.append(m.var)
+        ks.append(kappa)
+    delta = ms[0] * vs[1] - ms[1] * vs[0]
+    if abs(delta) <= DEGENERACY_RTOL * (abs(ms[0] * vs[1]) + abs(ms[1] * vs[0])):
+        with pytest.raises(ValueError, match="degenerate sample pair"):
+            quadratic_law_fit(points, n)
+        return
+    a = (ks[0] * vs[1] - ks[1] * vs[0]) / delta
+    b = (ms[0] * ks[1] - ms[1] * ks[0]) / delta
+    residuals = [ks[i] - (a * ms[i] + b * vs[i]) for i in range(2, len(points))]
+    fit = quadratic_law_fit(points, n)
+    assert [x.hex() for x in (fit.a, fit.b, *fit.residuals)] == [
+        x.hex() for x in (a, b, *residuals)
+    ]
+
+
 def test_quadratic_law_fit_degenerate_pair():
     # two points with proportional (I₁², Var) rows cannot identify (A, B)
     pts = [(Fraction(1, 2), Fraction(1)), (Fraction(1, 2), Fraction(1))]

@@ -56,7 +56,6 @@ _EXPORTS = {
         "kappa_convexity_scan",
         "load_family",
         "make_family",
-        "q_class_functional",
         "q_class_functional_from_weights",
         "random_family",
         "schur_curvature",

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .folded import Scalar, moments_from_sums, sums_closed, theta_derivatives
 from .golden import golden_power_table, lambda_n
-from .qfield import QSTAR, Q5, decimal_str
+from .qfield import QSTAR, Q5, _golden_str, _ratio_str, decimal_str
 from .reference import SUITES
 
 # Each subcommand imports only the layers it computes with: ``schur`` and
@@ -62,8 +62,10 @@ def _parse_q(text: str) -> Scalar:
 def _exact_str(v: Scalar) -> str:
     if isinstance(v, Q5):
         if v.is_rational:
-            return str(v.a)
-        return f"{v} = {v.to_golden()}"
+            return str(v)
+        return f"{v} = {_golden_str(v)}"
+    if isinstance(v, Fraction):
+        return _ratio_str(v.numerator, v.denominator)
     return str(v)
 
 
@@ -118,7 +120,11 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     }[args.format]
     q_label = "q⋆ = (3 − √5)/2" if isinstance(q, Q5) else str(q)
     print(f"N = {args.N}, q = {q_label}")
-    print("\n".join(f"{name:>4} = {show(value)}" for name, value in rows))
+    shown: dict[int, str] = {}  # by id: I1' is the Var object, rendered once
+    for _, value in rows:
+        if id(value) not in shown:
+            shown[id(value)] = show(value)
+    print("\n".join(f"{name:>4} = {shown[id(value)]}" for name, value in rows))
     return 0
 
 
@@ -300,7 +306,7 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
     payload = {
         "N": args.N,
         "sqrt5_basis": str(lam),
-        "golden_basis": str(lam.to_golden()),
+        "golden_basis": _golden_str(lam),
         "decimal": decimal_str(lam, args.digits),
     }
     exact = f"{payload['sqrt5_basis']} = {payload['golden_basis']}"

@@ -257,9 +257,15 @@ def _sums_closed_golden(n: int) -> FoldedSums:
 
 
 def moments_from_sums(sums: FoldedSums) -> FoldedMoments:
-    i1 = sums.s1 / sums.s0
-    i2 = sums.s2 / sums.s0
-    i3 = sums.s3 / sums.s0
+    """``I_k = S_k/S₀`` and ``Var = I₂ − I₁²``.  Q5 sums share one inverse
+    of S₀ (one field norm); Fraction and float sums divide, so the float bits
+    are those of the closed forms."""
+    s0 = sums.s0
+    if type(s0) is Q5:
+        inverse = s0.inverse()
+        i1, i2, i3 = sums.s1 * inverse, sums.s2 * inverse, sums.s3 * inverse
+    else:
+        i1, i2, i3 = sums.s1 / s0, sums.s2 / s0, sums.s3 / s0
     return FoldedMoments(sums.n, sums.q, i1, i2, i3, i2 - i1 * i1)
 
 

@@ -43,7 +43,6 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .folded import folded_weights
 
 __all__ = [
     "FamilyValidationError",
@@ -62,7 +61,6 @@ __all__ = [
     "kappa_convexity_scan",
     "StrictWitnessReport",
     "strict_convexity_witness",
-    "q_class_functional",
     "q_class_functional_from_weights",
 ]
 
@@ -552,10 +550,3 @@ def q_class_functional_from_weights(
     d = np.diag(1.0 / x)
     pb = split.p_band
     return float(np.trace(pb @ k1 @ d @ k2 @ pb)) / split.dim_band
-
-
-def q_class_functional(k1: FloatArray, k2: FloatArray, split: SplitGeometry, q: float) -> float:
-    """The functional at the folded weights ``x_r = q^r/S₀`` (D entries S₀/q^r)."""
-    return q_class_functional_from_weights(
-        k1, k2, split, [float(w) for w in folded_weights(split.n, float(q))]
-    )

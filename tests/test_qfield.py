@@ -6,10 +6,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from goldenschur.qfield import PHI, QSTAR, SQRT5, GoldenBasis, Q5, decimal_str
+from goldenschur.cli import _exact_str, _unlimited_int_digits
+from goldenschur.qfield import (
+    _SPLIT_DIGITS,
+    PHI,
+    QSTAR,
+    SQRT5,
+    GoldenBasis,
+    Q5,
+    _golden_str,
+    _int_str,
+    _q5,
+    decimal_str,
+)
 
 
 def rand_q5(rng, span=40):
@@ -274,6 +286,125 @@ def test_golden_str():
 def test_float_conversion():
     assert math.isclose(float(QSTAR), (3 - math.sqrt(5)) / 2, rel_tol=1e-15)
     assert math.isclose(float(PHI), (1 + math.sqrt(5)) / 2, rel_tol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# exact rendering from integers against the Fraction-based renderer
+# ---------------------------------------------------------------------------
+
+
+def _digits_at(k):
+    """10ᵏ − 1, 10ᵏ and 10ᵏ + 1: all nines, and low halves of zeros."""
+    return (10**k - 1, 10**k, 10**k + 1)
+
+
+# the str() threshold and each split point 1000·2^j that 40 000-bit ints reach
+_SPLIT_POINTS = [_SPLIT_DIGITS * 2**j for j in range(4)]
+
+
+@settings(max_examples=200)
+@given(
+    # the second range puts most draws above 2000 digits, where the routine splits
+    bits=st.one_of(st.integers(0, 40_000), st.integers(6_700, 40_000)),
+    seed=st.integers(0, 2**32),
+    negative=st.booleans(),
+)
+def test_int_str_matches_str(bits, seed, negative):
+    n = random.Random(seed).getrandbits(bits) | (1 << bits >> 1)  # exactly `bits` bits
+    n = -n if negative else n
+    with _unlimited_int_digits():
+        assert _int_str(n) == str(n)
+
+
+@pytest.mark.parametrize("k", sorted({k + dk for k in _SPLIT_POINTS for dk in (-1, 0, 1)}))
+def test_int_str_near_powers_of_ten(k):
+    with _unlimited_int_digits():
+        for n in (*_digits_at(k), *_digits_at(2 * k)):
+            assert _int_str(n) == str(n)
+            assert _int_str(-n) == str(-n)
+
+
+def fraction_format_linear(c0, c1, symbol):
+    """``c0 + c1·symbol`` from Fraction coordinates: the renderer the integer
+    one replaced, kept as its oracle."""
+    if c1 == 0:
+        return str(c0)
+    mag = abs(c1)
+    term = symbol if mag == 1 else f"{mag}·{symbol}"
+    if c0 == 0:
+        return term if c1 > 0 else f"-{term}"
+    joiner = " + " if c1 > 0 else " - "
+    return f"{c0}{joiner}{term}"
+
+
+def fraction_exact_str(v):
+    """The CLI's exact column through ``Q5.a``/``.b``, ``to_golden()`` and
+    ``Fraction.__str__``."""
+    if isinstance(v, Q5):
+        if v.is_rational:
+            return str(v.a)
+        g = v.to_golden()
+        sqrt5 = fraction_format_linear(v.a, v.b, "√5")
+        return f"{sqrt5} = {fraction_format_linear(g.c0, g.c1, 'q⋆')}"
+    return str(v)
+
+
+def _big_int(digits, seed):
+    """A random int of at most ``digits`` digits."""
+    return random.Random(seed).randrange(10**digits)
+
+
+_digit_counts = st.one_of(st.integers(1, 5000), st.just(5000))
+big_naturals = st.builds(_big_int, _digit_counts, st.integers(0, 2**32))
+# coordinates from 0 and ±1 to 5000 digits, denominators from 1
+big_coords = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**6), 10**6),
+    st.builds(lambda n, negative: -n if negative else n, big_naturals, st.booleans()),
+)
+denominators = st.one_of(st.integers(1, 12), big_naturals.map(lambda n: n + 1))
+exact_values = st.one_of(
+    st.builds(
+        lambda a, da, b, db: Q5(Fraction(a, da), Fraction(b, db)),
+        big_coords, denominators, big_coords, denominators,
+    ),
+    st.builds(_q5, big_coords, big_coords, denominators),
+    st.builds(Fraction, big_coords, denominators),
+)
+_P5000, _Q5000, _D5000 = (random.Random(seed).randrange(10**4999, 10**5000) for seed in (1, 2, 3))
+
+
+@given(value=exact_values)
+@example(value=SQRT5)
+@example(value=-SQRT5)
+@example(value=Q5(0, 0))
+@example(value=Q5(-7, 0))
+@example(value=Q5(-3, 1))
+@example(value=Q5(Fraction(-5, 2), Fraction(-1, 2)))
+@example(value=QSTAR)
+@example(value=-QSTAR)
+@example(value=Q5(Fraction(3, 2), Fraction(1, 2)))
+@example(value=Q5(Fraction(-3, 2), Fraction(1, 2)))
+@example(value=Fraction(-4, 1))
+@example(value=Fraction(0))
+@example(value=_q5(_P5000, -_Q5000, _D5000))
+@example(value=_q5(-_P5000, _Q5000, 1))
+@example(value=Fraction(-_P5000, _D5000))
+def _check_exact_rendering(value):
+    expected = fraction_exact_str(value)
+    assert _exact_str(value) == expected
+    if isinstance(value, Q5):
+        golden = value.to_golden()
+        assert str(value) == fraction_format_linear(value.a, value.b, "√5")
+        assert str(golden) == fraction_format_linear(golden.c0, golden.c1, "q⋆")
+        assert _golden_str(value) == str(golden)
+
+
+def test_exact_rendering_matches_fraction_renderer():
+    # hypothesis takes the repr of each explicit example, 5000-digit ones
+    # too, so the limit is lifted around it as well as around the renderers
+    with _unlimited_int_digits():
+        _check_exact_rendering()
 
 
 # ---------------------------------------------------------------------------

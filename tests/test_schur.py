@@ -38,7 +38,6 @@ from goldenschur.schur import (
     kappa_convexity_scan,
     load_family,
     make_family,
-    q_class_functional,
     q_class_functional_from_weights,
     random_family,
     random_symmetric_psd_circulant,
@@ -771,7 +770,11 @@ def test_q_class_functional_hand_loop():
                 for c in range(n):
                     acc += p[i, a] * k1[a, b] * d_inv[b, b] * k2[b, c] * p[c, i]
     expected = acc / split.dim_band
-    assert math.isclose(q_class_functional(k1, k2, split, q), expected, rel_tol=1e-12)
+    assert math.isclose(
+        q_class_functional_from_weights(k1, k2, split, folded_weights(n, q)),
+        expected,
+        rel_tol=1e-12,
+    )
     assert math.isclose(
         q_class_functional_from_weights(k1, k2, split, w), expected, rel_tol=1e-12
     )

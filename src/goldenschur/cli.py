@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .folded import Scalar, moments_from_sums, sums_closed, theta_derivatives
 from .golden import golden_power_table, lambda_n
-from .qfield import QSTAR, Q5, _golden_str, _ratio_str, decimal_str
+from .qfield import QSTAR, Q5, decimal_str, fraction_str
 from .reference import SUITES
 
 # Each subcommand imports only the layers it computes with: ``schur`` and
@@ -62,10 +62,10 @@ def _parse_q(text: str) -> Scalar:
 def _exact_str(v: Scalar) -> str:
     if isinstance(v, Q5):
         if v.is_rational:
-            return str(v)
-        return f"{v} = {_golden_str(v)}"
+            return fraction_str(v.a)
+        return f"{v} = {v.to_golden()}"
     if isinstance(v, Fraction):
-        return _ratio_str(v.numerator, v.denominator)
+        return fraction_str(v)
     return str(v)
 
 
@@ -306,7 +306,7 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
     payload = {
         "N": args.N,
         "sqrt5_basis": str(lam),
-        "golden_basis": _golden_str(lam),
+        "golden_basis": str(lam.to_golden()),
         "decimal": decimal_str(lam, args.digits),
     }
     exact = f"{payload['sqrt5_basis']} = {payload['golden_basis']}"

@@ -1,8 +1,10 @@
 """Tests for the exact Q(√5) field layer."""
 
+import contextlib
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,10 +19,10 @@ from goldenschur.qfield import (
     SQRT5,
     GoldenBasis,
     Q5,
-    _golden_str,
-    _int_str,
     _q5,
+    _split_int_str,
     decimal_str,
+    fraction_str,
 )
 
 
@@ -289,7 +291,7 @@ def test_float_conversion():
 
 
 # ---------------------------------------------------------------------------
-# exact rendering from integers against the Fraction-based renderer
+# divide-and-conquer digits, and exact rendering against the str() renderer
 # ---------------------------------------------------------------------------
 
 
@@ -309,24 +311,74 @@ _SPLIT_POINTS = [_SPLIT_DIGITS * 2**j for j in range(4)]
     seed=st.integers(0, 2**32),
     negative=st.booleans(),
 )
-def test_int_str_matches_str(bits, seed, negative):
+def test_split_int_str_matches_str(bits, seed, negative):
     n = random.Random(seed).getrandbits(bits) | (1 << bits >> 1)  # exactly `bits` bits
     n = -n if negative else n
     with _unlimited_int_digits():
-        assert _int_str(n) == str(n)
+        assert _split_int_str(n) == str(n)
 
 
 @pytest.mark.parametrize("k", sorted({k + dk for k in _SPLIT_POINTS for dk in (-1, 0, 1)}))
-def test_int_str_near_powers_of_ten(k):
+def test_split_int_str_near_powers_of_ten(k):
     with _unlimited_int_digits():
         for n in (*_digits_at(k), *_digits_at(2 * k)):
-            assert _int_str(n) == str(n)
-            assert _int_str(-n) == str(-n)
+            assert _split_int_str(n) == str(n)
+            assert _split_int_str(-n) == str(-n)
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _str_outcome(render, n):
+    """``render(n)``, or the message of the ValueError it raises."""
+    try:
+        return render(n)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("limit", [4300, 6000])
+def test_split_int_str_raises_where_str_does(limit):
+    # around the limit: 10ᵏ ± 1 by digit count, and 2ᵇ ± 1 by bit count, where
+    # the width estimate ⌊b/log₂10⌋ is one below the digit count or equal to it
+    bits = int(limit * math.log2(10))
+    near = [m for k in range(limit - 1, limit + 3) for m in _digits_at(k)]
+    near += [m for b in range(bits - 4, bits + 5) for m in (2**b - 1, 2**b, 2**b + 1)]
+    with _int_digit_limit(limit):
+        raised = 0
+        for n in (*near, *(-m for m in near)):
+            expected = _str_outcome(str, n)
+            assert _str_outcome(_split_int_str, n) == expected
+            raised += isinstance(expected, tuple)
+    assert 0 < raised < 2 * len(near)
+
+
+def test_str_of_exact_values_keeps_the_digit_limit():
+    # without the CLI lifting it, str() of values past the limit raises as
+    # Fraction.__str__ does; with the limit lifted they print
+    big = 10**5000 + 1
+    values = [Q5(big, 1), Q5(1, Fraction(big, 3)), GoldenBasis(Fraction(1, big), 1)]
+    with _int_digit_limit(4300):
+        for value in values:
+            with pytest.raises(ValueError, match="limit"):
+                str(value)
+        with pytest.raises(ValueError, match="limit"):
+            fraction_str(Fraction(big, 3))
+    with _unlimited_int_digits():
+        assert str(values[0]) == f"{big} + √5"
+        assert fraction_str(Fraction(big, 3)) == f"{big}/3"
 
 
 def fraction_format_linear(c0, c1, symbol):
-    """``c0 + c1·symbol`` from Fraction coordinates: the renderer the integer
-    one replaced, kept as its oracle."""
+    """``c0 + c1·symbol`` with ``Fraction.__str__`` digits: the renderer
+    before ``fraction_str``, kept as its oracle."""
     if c1 == 0:
         return str(c0)
     mag = abs(c1)
@@ -339,7 +391,7 @@ def fraction_format_linear(c0, c1, symbol):
 
 def fraction_exact_str(v):
     """The CLI's exact column through ``Q5.a``/``.b``, ``to_golden()`` and
-    ``Fraction.__str__``."""
+    ``Fraction.__str__``, the renderer before ``fraction_str``."""
     if isinstance(v, Q5):
         if v.is_rational:
             return str(v.a)
@@ -397,7 +449,8 @@ def _check_exact_rendering(value):
         golden = value.to_golden()
         assert str(value) == fraction_format_linear(value.a, value.b, "√5")
         assert str(golden) == fraction_format_linear(golden.c0, golden.c1, "q⋆")
-        assert _golden_str(value) == str(golden)
+    else:
+        assert fraction_str(value) == str(value)
 
 
 def test_exact_rendering_matches_fraction_renderer():

@@ -24,9 +24,9 @@ import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .folded import Scalar, moments_from_sums, sums_closed, theta_derivatives
+from .folded import Scalar, _moments_and_i2_prime, sums_closed
 from .golden import golden_power_table, lambda_n
-from .qfield import QSTAR, Q5, decimal_str, fraction_str
+from .qfield import QSTAR, Q5, decimal_str, exact_forms, fraction_str
 from .reference import SUITES
 
 # Each subcommand imports only the layers it computes with: ``schur`` and
@@ -63,7 +63,7 @@ def _exact_str(v: Scalar) -> str:
     if isinstance(v, Q5):
         if v.is_rational:
             return fraction_str(v.a)
-        return f"{v} = {v.to_golden()}"
+        return " = ".join(exact_forms(v))
     if isinstance(v, Fraction):
         return fraction_str(v)
     return str(v)
@@ -106,12 +106,11 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     _check_digits(args.digits)
     q = _parse_q(args.q)
     s = sums_closed(args.N, q)
-    m = moments_from_sums(s)
-    i1p, i2p = theta_derivatives(m)
+    m, i2p = _moments_and_i2_prime(args.N, q, s)
     rows = [
         ("S0", s.s0), ("S1", s.s1), ("S2", s.s2), ("S3", s.s3),
         ("I1", m.i1), ("I2", m.i2), ("I3", m.i3), ("Var", m.var),
-        ("I1'", i1p), ("I2'", i2p),
+        ("I1'", m.var), ("I2'", i2p),
     ]
     show = {
         "exact": _exact_str,
@@ -303,10 +302,11 @@ def _cmd_golden_table(args: argparse.Namespace) -> int:
 def _cmd_lambda(args: argparse.Namespace) -> int:
     _check_digits(args.digits)
     lam = lambda_n(args.N)
+    sqrt5_basis, golden_basis = exact_forms(lam)
     payload = {
         "N": args.N,
-        "sqrt5_basis": str(lam),
-        "golden_basis": str(lam.to_golden()),
+        "sqrt5_basis": sqrt5_basis,
+        "golden_basis": golden_basis,
         "decimal": decimal_str(lam, args.digits),
     }
     exact = f"{payload['sqrt5_basis']} = {payload['golden_basis']}"

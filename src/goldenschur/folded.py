@@ -16,6 +16,8 @@ closed forms multiplied through by powers of b:
 
 * a Fraction ``q = a/b``: the numerator and denominator of each sum are plain
   integers, and the sum is normalised once, by a single ``Fraction(num, den)``;
+  the moments and I₂′ are formed from the same integer numerators, again with
+  one normalisation each;
 * the golden point ``q = q⋆``, with a = q⋆ and b = 1: every sum is an
   algebraic integer in Z[q⋆], since q⋆ and ``1 − q⋆ = φ⁻¹`` are units and
   ``1/(1 − q⋆) = 2 − q⋆``.  The polynomials run on integer pairs
@@ -175,17 +177,39 @@ def _numerators(
     return x0, x1, x2, x3
 
 
-def _sums_closed_rational(n: int, q: Fraction) -> FoldedSums:
-    """The closed forms of :func:`sums_closed` over the integers, for q = a/b."""
+def _rational_numerators(n: int, q: Fraction) -> tuple[int, int, int, tuple[int, ...]]:
+    """``(a, b^N, c, (X₀, X₁, X₂, X₃))`` for q = a/b and c = b − a > 0, so that
+    ``S_k = a·X_k/(b^N·c^{k+1})``."""
     a, b = q.numerator, q.denominator
     bn = b**n
-    c = b - a
+    return a, bn, b - a, _numerators(n, a, b, a**n, bn)
+
+
+def _sums_closed_rational(n: int, q: Fraction) -> FoldedSums:
+    """The closed forms of :func:`sums_closed` over the integers, for q = a/b."""
+    a, bn, c, xs = _rational_numerators(n, q)
     den = bn * c
     sums = []
-    for x in _numerators(n, a, b, a**n, bn):
+    for x in xs:
         sums.append(Fraction(a * x, den))
         den *= c
     return FoldedSums(n, q, *sums)
+
+
+def _moments_rational(n: int, q: Fraction) -> tuple[FoldedMoments, Fraction]:
+    """The moments and I₂′ for q = a/b from the numerators of
+    :func:`sums_closed`, one normalisation each: with c = b − a,
+    ``I_k = X_k/(X₀c^k)``, ``Var = (X₂X₀ − X₁²)/(X₀c)²`` and
+    ``I₂′ = (X₃X₀ − X₁X₂)/(X₀²c³)``."""
+    _, _, c, (x0, x1, x2, x3) = _rational_numerators(n, q)
+    d1 = x0 * c
+    d2 = d1 * c
+    d3 = d2 * c
+    m = FoldedMoments(
+        n, q, Fraction(x1, d1), Fraction(x2, d2), Fraction(x3, d3),
+        Fraction(x2 * x0 - x1 * x1, d1 * d1),
+    )
+    return m, Fraction(x3 * x0 - x1 * x2, x0 * d3)
 
 
 class _GoldenInt:
@@ -271,7 +295,21 @@ def moments_from_sums(sums: FoldedSums) -> FoldedMoments:
 
 def moments(n: int, q: Scalar) -> FoldedMoments:
     """Folded moments I₁, I₂, I₃ and Var at (N, q), exact for exact q."""
-    return moments_from_sums(sums_closed(n, q))
+    return _moments_and_i2_prime(n, q)[0]
+
+
+def _moments_and_i2_prime(
+    n: int, q: Scalar, sums: FoldedSums | None = None
+) -> tuple[FoldedMoments, Scalar]:
+    """The moments at (N, q) and ``I₂′ = dI₂/dθ``.  A Fraction q forms each
+    from the integer numerators of the power sums; any other q goes through
+    :func:`moments_from_sums` (of ``sums``, if the caller has them) and
+    :func:`theta_derivatives`."""
+    if type(q) is Fraction:
+        _check_domain(n, q)
+        return _moments_rational(n, q)
+    m = moments_from_sums(sums_closed(n, q) if sums is None else sums)
+    return m, theta_derivatives(m)[1]
 
 
 def folded_weights(n: int, q: Scalar) -> list[Scalar]:

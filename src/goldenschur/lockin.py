@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from ._record import FrozenRecord
 from .folded import (
-    FoldedMoments, Scalar, _check_size, _float_moments, moments, theta_derivatives,
+    FoldedMoments, Scalar, _check_size, _float_moments, _moments_and_i2_prime, moments,
 )
 from .golden import lambda_n
 from .qfield import QSTAR, Q5
@@ -226,9 +226,8 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     exactly, if the coefficients are exact, and rounded once.
     """
     if coeffs.is_exact and _is_exact(q):
-        m = moments(coeffs.n, q)
-        i1p, i2p = theta_derivatives(m)
-        return _f_prime(coeffs, _slope(coeffs), m.i1, i1p, i2p)
+        m, i2p = _moments_and_i2_prime(coeffs.n, q)
+        return _f_prime(coeffs, _slope(coeffs), m.i1, m.var, i2p)
     c, slope = _float_lane(coeffs)
     return _f_prime(c, slope, *_float_moments(c.n, float(q)))
 
@@ -289,8 +288,8 @@ def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
     if n == 1:
         return StationarityReport(1, Fraction(0), None, True, True)
     c, q = _route(coeffs, QSTAR)
-    m = moments(n, q)
-    i1p, i2p = theta_derivatives(m)
+    m, i2p = _moments_and_i2_prime(n, q)
+    i1p = m.var
     lam = i2p / i1p
     bracket = bracket_residual(c, lam)
     if isinstance(bracket, float):

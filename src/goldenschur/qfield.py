@@ -13,10 +13,23 @@ The module also provides :class:`GoldenBasis`, the coordinates of an
 element in the golden basis ``{1, q⋆}`` with ``q⋆ = (3 − √5)/2`` (the inverse
 square of the golden ratio), related to the √5 basis by ``√5 = 3 − 2·q⋆``.
 It is a view for reading and printing values; all arithmetic happens in
-:class:`Q5`.  :func:`decimal_str` renders certified decimals from one
-integer square root.  Exact forms (``str`` of a Q5 and of a GoldenBasis)
-are rendered by ``_format_linear``, whose rational coordinates go through
-:func:`fraction_str`.  On Python < 3.12 it takes its digits from
+:class:`Q5`.
+
+Decimals and floats are read off one process-wide fixed-point expansion
+``⌊√5·2^B⌋``, built on first use and extended only as far as a call needs.
+``_sqrt5_floor`` encloses ``⌊a·√5⌋`` for an int ``a ≥ 1`` between two
+integers at most one apart; :func:`decimal_str` and ``float(Q5)`` take a
+result when both ends of the enclosure give it, and otherwise retry (Ziv,
+*Fast evaluation of elementary mathematical functions with correctly
+rounded last bit*, ACM TOMS 17, 1991).  A retry of ``decimal_str`` is exact
+and happens at most once: ``5a² − m²`` is a nonzero integer for every
+integer m, so ``|a·√5 − m| ≥ 1/(a·√5 + m) > 2^−(bits(a)+3)``, and
+``bits(a) + 3`` guard bits decide the floor.
+
+Exact forms (``str`` of a Q5 and of a GoldenBasis, and :func:`exact_forms`,
+which renders both forms of a Q5 at once) are rendered by
+``_format_linear`` from reduced integer pairs, each distinct integer
+converted to digits once.  On Python < 3.12 the digits come from
 ``_split_int_str``, a divide-and-conquer radix conversion (Knuth, *TAOCP*
 vol. 2 §4.4; Brent & Zimmermann, *Modern Computer Arithmetic* §1.7) with a
 smaller constant than ``str(int)``; later versions convert that way natively.
@@ -36,13 +49,12 @@ __all__ = [
     "SQRT5",
     "PHI",
     "decimal_str",
+    "exact_forms",
     "fraction_str",
 ]
 
 _RationalLike = Union[int, Fraction]
 _Coords = tuple[int, int, int]
-
-_SQRT5_FLOAT = math.sqrt(5.0)
 
 
 def _coords(value: object) -> _Coords | None:
@@ -93,6 +105,59 @@ def _sign(p: int, q: int) -> int:
     if p == 0 or (p > 0) == (q > 0) or p * p < 5 * q * q:
         return 1 if q > 0 else -1
     return 1 if p > 0 else -1
+
+
+#: ``(B, ⌊√5·2^B⌋)``, extended by ``_sqrt5_floor`` on demand: the only state
+#: this module keeps between calls.  One tuple, replaced whole, so a reader
+#: never pairs a precision with another precision's digits.
+_sqrt5_cache = (0, 2)
+#: Guard bits of a first enclosure; its ends differ for fewer than one ``a`` in 2³².
+_GUARD_BITS = 32
+
+
+def _sqrt5_floor(a: int, guard: int) -> tuple[int, int]:
+    """``(lo, hi)`` with ``lo ≤ ⌊a·√5⌋ ≤ hi ≤ lo + 1``, for an int ``a ≥ 1``.
+
+    With ``B = bits(a) + guard`` and ``r = ⌊√5·2^B⌋``, a·√5 lies strictly
+    inside ``(a·r/2^B, (a·r + a)/2^B)``, an interval narrower than
+    ``2^−guard``; ``lo`` and ``hi`` are the floors of its ends.  ``r`` is
+    the cached expansion truncated to B bits.  When B exceeds it, the cache
+    is rebuilt by one ``isqrt`` at B plus a sixteenth: enough for the
+    values of similar size printed next, without the cost of doubling.
+    ``guard = bits(a) + 3`` gives ``lo = hi`` (see the module docstring).
+    """
+    global _sqrt5_cache
+    bits = a.bit_length() + guard
+    cached_bits, fixed = _sqrt5_cache
+    if bits > cached_bits:
+        cached_bits = bits + (bits >> 4)
+        fixed = math.isqrt(5 << 2 * cached_bits)
+        _sqrt5_cache = (cached_bits, fixed)
+    low = a * (fixed >> (cached_bits - bits))
+    return low >> bits, (low + a) >> bits
+
+
+def _irrational_float(p: int, q: int, d: int) -> float:
+    """The correctly rounded float of ``(p + q·√5)/d``, for ``q ≠ 0``.
+
+    For a shift s, ``_sqrt5_floor`` puts ``q·√5·2^s`` strictly between two
+    integers ``lo`` and ``hi``, so the value lies strictly between
+    ``(p·2^s + lo)/(d·2^s)`` and ``(p·2^s + hi)/(d·2^s)``, and int / int
+    rounds each end correctly.  When both ends round to the same float, so
+    does every number between them; otherwise s grows.  The value is
+    irrational, so it is never a rounding boundary and the loop ends.
+    """
+    a = abs(q)
+    shift = max(0, 64 - max(p.bit_length(), a.bit_length()))
+    while True:
+        lo, hi = _sqrt5_floor(a << shift, _GUARD_BITS)
+        lo, hi = (lo, hi + 1) if q > 0 else (-hi - 1, -lo)
+        base, den = p << shift, d << shift
+        low = (base + lo) / den
+        if low == (base + hi) / den:
+            # both ends underflow alike: the zero takes the value's sign
+            return low if low else math.copysign(0.0, _sign(p, q))
+        shift = 2 * shift + 64
 
 
 def _add(x: _Coords, y: _Coords) -> "Q5":
@@ -296,14 +361,17 @@ class Q5:
         return GoldenBasis(Fraction(p + 3 * q, d), Fraction(-2 * q, d))
 
     def __float__(self) -> float:
-        # the same bits as float(a) + float(b)·√5: int / int is correctly rounded
-        return self._p / self._d + self._q / self._d * _SQRT5_FLOAT
+        """The correctly rounded float; OverflowError beyond the float range."""
+        if self._q == 0:
+            return self._p / self._d  # int / int is correctly rounded
+        return _irrational_float(self._p, self._q, self._d)
 
     def __repr__(self) -> str:
         return f"Q5({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        return _format_linear(self.a, self.b, "√5")
+        p, q, d = self._p, self._q, self._d
+        return _format_linear((_reduced(p, d), _reduced(q, d), "√5"))[0]
 
 
 class GoldenBasis:
@@ -352,7 +420,9 @@ class GoldenBasis:
         return f"GoldenBasis({self._c0!r}, {self._c1!r})"
 
     def __str__(self) -> str:
-        return _format_linear(self._c0, self._c1, "q⋆")
+        c0, c1 = self._c0, self._c1
+        pairs = (c0.numerator, c0.denominator), (c1.numerator, c1.denominator)
+        return _format_linear((*pairs, "q⋆"))[0]
 
 
 #: Numbers under twice this many digits go to ``str``; above it
@@ -400,16 +470,55 @@ def fraction_str(x: Fraction) -> str:
     return _int_str(n) if d == 1 else f"{_int_str(n)}/{_int_str(d)}"
 
 
-def _format_linear(c0: Fraction, c1: Fraction, symbol: str) -> str:
-    """Render ``c0 + c1·symbol`` the way it would be written by hand."""
-    if c1 == 0:
-        return fraction_str(c0)
-    mag = abs(c1)
-    term = symbol if mag == 1 else f"{fraction_str(mag)}·{symbol}"
-    if c0 == 0:
-        return term if c1 > 0 else f"-{term}"
-    joiner = " + " if c1 > 0 else " - "
-    return f"{fraction_str(c0)}{joiner}{term}"
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """``n/d`` in lowest terms, for ``d > 0``."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+_Pair = tuple[int, int]
+
+
+def _format_linear(*forms: tuple[_Pair, _Pair, str]) -> list[str]:
+    """Render each ``(c0, c1, symbol)`` as ``c0 + c1·symbol``, the way it would
+    be written by hand, with the coefficients as ``Fraction.__str__`` writes
+    them.  Coefficients are reduced ``(numerator, denominator)`` pairs; each
+    distinct |integer| of all the forms is converted to digits once."""
+    ints = {abs(k) for c0, c1, _ in forms for k in (*c0, *c1)}
+    digits = {k: _int_str(k) for k in ints}
+
+    def text(n: int, d: int) -> str:
+        body = digits[abs(n)] if d == 1 else f"{digits[abs(n)]}/{digits[d]}"
+        return f"-{body}" if n < 0 else body
+
+    out = []
+    for (n0, d0), (n1, d1), symbol in forms:
+        if n1 == 0:
+            out.append(text(n0, d0))
+            continue
+        term = symbol if abs(n1) == d1 == 1 else f"{text(abs(n1), d1)}·{symbol}"
+        if n0 == 0:
+            out.append(term if n1 > 0 else f"-{term}")
+        else:
+            out.append(f"{text(n0, d0)}{' + ' if n1 > 0 else ' - '}{term}")
+    return out
+
+
+def exact_forms(x: Q5) -> tuple[str, str]:
+    """``(str(x), str(x.to_golden()))`` in one pass.
+
+    The golden coordinates of ``(p + q·√5)/d`` are ``(p + 3q)/d`` and
+    ``−2q/d``; ``gcd(2q, d) = gcd(q, d)·gcd(2, d/gcd(q, d))`` comes from the
+    √5 form's gcd, so the two forms take three gcds.
+    """
+    p, q, d = x._p, x._q, x._d
+    g = math.gcd(q, d)
+    g2 = g if (d // g) & 1 else 2 * g  # gcd(2q, d)
+    sqrt5, golden = _format_linear(
+        (_reduced(p, d), (q // g, d // g), "√5"),
+        (_reduced(p + 3 * q, d), (-2 * q // g2, d // g2), "q⋆"),
+    )
+    return sqrt5, golden
 
 
 SQRT5 = Q5(0, 1)
@@ -419,18 +528,33 @@ QSTAR = Q5(Fraction(3, 2), Fraction(-1, 2))
 PHI = Q5(Fraction(1, 2), Fraction(1, 2))
 
 
+def _rounded(two_p: int, floor_2q_sqrt5: int, d: int) -> tuple[bool, int]:
+    """Whether ``y = (P + Q·√5)/d`` is negative, and ``|y|`` rounded to an
+    integer, from ``2P`` and ``⌊2Q√5⌋`` (``Q ≠ 0``, ``d > 0``).
+
+    2Q√5 is irrational, so ``y < 0`` exactly when ``2P + ⌊2Q√5⌋ < 0``.
+    A ``y > 0`` rounds to ``⌊(2P + d + 2Q√5)/(2d)⌋``, where the floor of the
+    irrational part may replace it; a negative ``y`` is rounded as its
+    mirror ``(−P, −Q)``, whose floor is ``−⌊2Q√5⌋ − 1``.
+    """
+    if two_p + floor_2q_sqrt5 < 0:
+        return True, (d - two_p - floor_2q_sqrt5 - 1) // (2 * d)
+    return False, (two_p + d + floor_2q_sqrt5) // (2 * d)
+
+
 def decimal_str(value: Q5 | GoldenBasis | Fraction | int, digits: int) -> str:
     """Correctly rounded decimal string with ``digits`` digits after the point.
 
-    Exact rational ties round half up (away from zero).  Every digit is
-    certified by one integer square root, with no loop: for
-    ``x = (p + q·√5)/d ≥ 0`` let ``P = p·10^digits`` and ``Q = q·10^digits``;
-    then ``round(x·10^digits) = ⌊(2P + d + 2Q√5)/(2d)⌋``, and because the
-    numerator's only irrational part is ``2Q√5``, its floor may replace it:
-    ``⌊2Q√5⌋ = isqrt(20Q²)``, or ``−isqrt(20Q²) − 1`` for ``Q < 0`` (20Q² is
-    never a square unless Q = 0).  A negative value is rendered as its
-    mirror ``(−P, −Q)`` with a minus sign, so ties round away from zero;
-    ties occur only when ``Q = 0``.
+    Ties, which only rational values have, round half up (away from zero).
+    For ``x = (p + q·√5)/d`` let ``P = p·10^digits`` and
+    ``Q = q·10^digits``: the sign and the rounded digits follow from ``2P``
+    and ``⌊2Q√5⌋`` (``_rounded``).  That floor is enclosed with 32 guard
+    bits on the cached √5 expansion, and when the two ends of the enclosure
+    give the same sign and digits, those are certified.  Otherwise the floor
+    is taken again with ``bits(2|Q|) + 3`` guard bits, which is exact
+    because ``|a·√5 − m| > 2^−(bits(a)+3)`` for all integers ``a ≥ 1`` and
+    m, since ``5a² − m²`` is a nonzero integer: one retry at most, and no
+    integer square root beyond extending the cache.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
@@ -441,14 +565,18 @@ def decimal_str(value: Q5 | GoldenBasis | Fraction | int, digits: int) -> str:
         raise TypeError(f"cannot render {type(value).__name__} exactly")
     p, q, d = x
     scale = 10**digits
-    negative = _sign(p, q) < 0
-    if negative:
-        p, q = -p, -q
-    big_q = q * scale
-    floor_2q_sqrt5 = math.isqrt(20 * big_q * big_q)
-    if big_q < 0:
-        floor_2q_sqrt5 = -floor_2q_sqrt5 - 1
-    n = (2 * p * scale + d + floor_2q_sqrt5) // (2 * d)
+    if q == 0:
+        negative, n = p < 0, (2 * abs(p) * scale + d) // (2 * d)
+    else:
+        two_p, a = 2 * p * scale, 2 * abs(q) * scale
+
+        def rounded(floor_a_sqrt5: int) -> tuple[bool, int]:
+            return _rounded(two_p, floor_a_sqrt5 if q > 0 else -floor_a_sqrt5 - 1, d)
+
+        lo, hi = _sqrt5_floor(a, _GUARD_BITS)
+        negative, n = rounded(lo)
+        if hi != lo and rounded(hi) != (negative, n):
+            negative, n = rounded(_sqrt5_floor(a, a.bit_length() + 3)[0])
     sign = "-" if negative and n else ""
     if digits == 0:
         return f"{sign}{n}"

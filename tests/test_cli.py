@@ -1247,7 +1247,8 @@ def _exact_large_digests():
 @pytest.mark.parametrize("args,digest", _exact_large_digests())
 def test_exact_large_output_matches_fixture(capsys, args, digest):
     # values of thousands of digits, printed by the divide-and-conquer digit
-    # routine; the digests were taken from the str()-based renderer
+    # routine, and their certified decimals; the digests were taken from the
+    # str()-based renderer and from decimals certified by an isqrt each
     code, out, err = run_cli(capsys, *args.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -256,6 +256,23 @@ def test_moments_from_sums_consistent():
     assert moments(7, Fraction(2, 5)) == m
 
 
+@given(
+    n=st.integers(1, 300),
+    a=st.integers(1, 10**6),
+    gap=st.integers(1, 10**6),
+)
+def test_rational_moments_from_numerators_match_the_sums(n, a, gap):
+    # one normalisation per value from the integer numerators X_k, against
+    # Fraction division of the normalised sums
+    q = Fraction(a, a + gap)
+    m = moments_from_sums(sums_closed(n, q))
+    _, i2p = theta_derivatives(m)
+    got, got_i2p = folded._moments_and_i2_prime(n, q)
+    assert got == m and got_i2p == i2p
+    assert all(type(x) is Fraction for x in (*got[2:], got_i2p))
+    assert moments(n, q) == m
+
+
 # ---------------------------------------------------------------------------
 # folded weights
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from goldenschur import cli, qfield
 from goldenschur.cli import _exact_str, _unlimited_int_digits
+from goldenschur.folded import _moments_and_i2_prime, sums_closed
 from goldenschur.qfield import (
     _SPLIT_DIGITS,
     PHI,
@@ -21,7 +24,9 @@ from goldenschur.qfield import (
     Q5,
     _q5,
     _split_int_str,
+    _sqrt5_floor,
     decimal_str,
+    exact_forms,
     fraction_str,
 )
 
@@ -290,6 +295,82 @@ def test_float_conversion():
     assert math.isclose(float(PHI), (1 + math.sqrt(5)) / 2, rel_tol=1e-15)
 
 
+def _pell(d, x, y, count):
+    """``count`` solutions of ``x² − d·y² = ±1`` from the fundamental one,
+    by powers of ``x + y·√d``."""
+    out = [(x, y)]
+    for _ in range(count - 1):
+        m, a = out[-1]
+        out.append((x * m + d * y * a, y * m + x * a))
+    return out
+
+
+#: ``m² − 5a² = ±1``: a·√5 is within ``1/(2a√5)`` of the integer m.
+PELL = _pell(5, 2, 1, 60)
+
+
+def _mp_float(p, q, d):
+    """The float nearest ``(p + q·√5)/d`` from mpmath at 60 digits; a value
+    with cancelling coordinates is evaluated as ``(p² − 5q²)/((p − q√5)·d)``."""
+    with mpmath.workdps(60):
+        root = mpmath.sqrt(5)
+        if p * q < 0:
+            value = mpmath.mpf(p * p - 5 * q * q) / ((p - q * root) * d)
+        else:
+            value = (p + q * root) / d
+        return float(value)
+
+
+def _mp_sums(n):
+    """S₀…S₃ at q⋆ by direct summation in mpmath at 60 digits, stopping once
+    the terms fall far below that precision."""
+    with mpmath.workdps(60):
+        q = (3 - mpmath.sqrt(5)) / 2
+        sums, power = [mpmath.mpf(0)] * 4, mpmath.mpf(1)
+        for r in range(1, min(n, 400) + 1):
+            power *= q
+            sums = [s + power * r**k for k, s in enumerate(sums)]
+        return [float(s) for s in sums]
+
+
+@pytest.mark.parametrize("n", [12, 40, 500, 10_000])
+def test_float_of_golden_sums_is_correctly_rounded(n):
+    # the coordinates of S_k cancel to O(1): 17 digits at N = 40 and 4180 at
+    # N = 10⁴, where float(a) + float(b)·√5 gave 0.0, −9.1e192 or an OverflowError
+    s = sums_closed(n, QSTAR)
+    assert [float(v) for v in s.as_tuple()] == _mp_sums(n)
+    m, i2p = _moments_and_i2_prime(n, QSTAR, s)
+    for v in (m.i1, m.i2, m.i3, m.var, i2p):
+        assert float(v) == _mp_float(v._p, v._q, v._d)
+
+
+def test_float_is_correctly_rounded_on_random_and_pell_values():
+    assert float(QSTAR) == 0.38196601125010515 == _mp_float(3, -1, 2)
+    rng = random.Random(18)
+    for _ in range(2000):
+        p, q = rng.randint(-(10**30), 10**30), rng.randint(-(10**30), 10**30) or 1
+        d = rng.randint(1, 10 ** rng.randint(0, 30))
+        x = _q5(p, q, d)
+        assert float(x) == _mp_float(x._p, x._q, x._d)
+        assert float(x.to_golden()) == float(x)
+    for m, a in PELL:
+        for d in (1, 7, 10**40):
+            for x in (_q5(m, -a, d), _q5(-m, a, d)):  # ±(m − a√5)/d, near zero
+                assert float(x) == _mp_float(x._p, x._q, x._d)
+    assert float(Q5(Fraction(1, 3))) == 1 / 3  # a rational value: int / int
+
+
+def test_float_at_the_ends_of_the_range():
+    with pytest.raises(OverflowError):
+        float(Q5(0, 10**400))
+    tiny = SQRT5 / 10**400
+    assert float(tiny) == 0.0 and math.copysign(1, float(tiny)) == 1
+    assert float(-tiny) == 0.0 and math.copysign(1, float(-tiny)) == -1
+    # subnormals round correctly too: √5·2⁻¹⁰⁷⁴ is 2.24 units of the last place
+    assert float(SQRT5 / 2**1074) == 2 * 5e-324
+    assert float(SQRT5 / 2**1075) == 5e-324
+
+
 # ---------------------------------------------------------------------------
 # divide-and-conquer digits, and exact rendering against the str() renderer
 # ---------------------------------------------------------------------------
@@ -442,13 +523,32 @@ _P5000, _Q5000, _D5000 = (random.Random(seed).randrange(10**4999, 10**5000) for 
 @example(value=_q5(_P5000, -_Q5000, _D5000))
 @example(value=_q5(-_P5000, _Q5000, 1))
 @example(value=Fraction(-_P5000, _D5000))
+# d even or odd, with gcd(2q, d) = 2·gcd(q, d) or = gcd(q, d)
+@example(value=_q5(1, 1, 4))
+@example(value=_q5(1, 3, 6))
+@example(value=_q5(-5, -3, 6))
+@example(value=_q5(2, 3, 9))
+@example(value=_q5(4, 3, 9))
+@example(value=_q5(7, 6, 15))
+@example(value=_q5(_P5000, 6 * _Q5000, 12 * _D5000 + 6))
+# golden coordinates 0 and ±1: p + 3q = 0, and −2q/d = ±1
+@example(value=_q5(-3, 1, 1))
+@example(value=_q5(9, -3, 2))
+@example(value=_q5(1, -1, 2))
+@example(value=_q5(5, 1, 2))
+@example(value=Q5(2, 1))
+@example(value=Q5(-2, -1))
+@example(value=Q5(0, 5))
 def _check_exact_rendering(value):
     expected = fraction_exact_str(value)
     assert _exact_str(value) == expected
     if isinstance(value, Q5):
         golden = value.to_golden()
-        assert str(value) == fraction_format_linear(value.a, value.b, "√5")
-        assert str(golden) == fraction_format_linear(golden.c0, golden.c1, "q⋆")
+        sqrt5_form = fraction_format_linear(value.a, value.b, "√5")
+        golden_form = fraction_format_linear(golden.c0, golden.c1, "q⋆")
+        assert str(value) == sqrt5_form
+        assert str(golden) == golden_form
+        assert exact_forms(value) == (sqrt5_form, golden_form)
     else:
         assert fraction_str(value) == str(value)
 
@@ -515,7 +615,19 @@ class PairQ5:
         return 1 if a * a < 5 * b * b else -1
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(5.0)
+        """Correctly rounded: bracket √5 by isqrt bounds, doubling the bits
+        until both ends round to the same float (Fraction → float rounds
+        correctly)."""
+        if self.b == 0:
+            return float(self.a)
+        bits = 64
+        while True:
+            t = math.isqrt(5 << 2 * bits)
+            ends = sorted(self.a + self.b * Fraction(r, 1 << bits) for r in (t, t + 1))
+            lo, hi = (float(e) for e in ends)
+            if lo == hi and (lo != 0 or ends[0] * ends[1] > 0):
+                return lo
+            bits *= 2
 
 
 def assert_same(x, ref):
@@ -672,3 +784,105 @@ def test_decimal_str_large_coordinates(digits):
     y = (PHI**2500 - 1) / PHI**2499
     assert decimal_str(y, digits) == decimal_oracle(y.a, y.b, digits)
     assert decimal_str(-y, digits) == decimal_oracle(-y.a, -y.b, digits)
+
+
+# ---------------------------------------------------------------------------
+# the cached √5 expansion: enclosures, the one exact retry, the isqrt count
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cleared_sqrt5_cache(monkeypatch):
+    """Start from an empty √5 expansion; the cache is restored afterwards."""
+    monkeypatch.setattr(qfield, "_sqrt5_cache", (0, 2))
+
+
+def _check_enclosure(a):
+    exact = math.isqrt(5 * a * a)  # 5a² is never a square
+    lo, hi = _sqrt5_floor(a, 32)
+    assert lo <= exact <= hi <= lo + 1
+    assert _sqrt5_floor(a, a.bit_length() + 3) == (exact, exact)
+    return hi - lo
+
+
+@pytest.mark.usefixtures("cleared_sqrt5_cache")
+def test_sqrt5_floor_encloses_isqrt_on_random_values():
+    rng = random.Random(1805)
+    sizes = [1, 2, 3, 31, 32, 33, 64, 1000, 13_900, 60_000]
+    sizes += [rng.randint(1, 60_000) for _ in range(40)]
+    for bits in sizes:
+        for a in (rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1, 1 << (bits - 1)):
+            _check_enclosure(a)
+
+
+@pytest.mark.usefixtures("cleared_sqrt5_cache")
+def test_sqrt5_floor_encloses_isqrt_on_pell_values():
+    # a√5 is nearest an integer here: the 32-bit enclosure cannot decide once
+    # a passes about 2^16, and the exact floor must still come out
+    undecided = [_check_enclosure(a) for _, a in PELL]
+    undecided += [_check_enclosure(2 * a) for _, a in PELL]
+    assert sum(undecided) > len(PELL)
+
+
+def _spy_guards(monkeypatch):
+    """Record the guard bits of every ``_sqrt5_floor`` call."""
+    guards = []
+    real = qfield._sqrt5_floor
+
+    def spy(a, guard):
+        guards.append(guard)
+        return real(a, guard)
+
+    monkeypatch.setattr(qfield, "_sqrt5_floor", spy)
+    return guards
+
+
+@pytest.mark.parametrize("digits", [0, 12, 60])
+def test_decimal_str_of_golden_sums_near_integers(monkeypatch, digits):
+    # S₁ = 1 − ε and S₃ = 7 − ε with ε < 10⁻⁴¹⁰⁰ at N = 10⁴: 2Q√5 lies so
+    # close to an integer that 32 guard bits leave its floor undecided, yet
+    # both ends of the enclosure give the same digits, so there is no retry
+    s = sums_closed(10_000, QSTAR)
+    for value, whole in ((s.s1, 1), (s.s3, 7)):
+        lo, hi = _sqrt5_floor(2 * abs(value._q) * 10**digits, 32)
+        assert hi == lo + 1
+        guards = _spy_guards(monkeypatch)
+        text = decimal_str(value, digits)
+        assert guards == [32]
+        assert text == decimal_oracle(value.a, value.b, digits)
+        assert text == (f"{whole}" if digits == 0 else f"{whole}.{'0' * digits}")
+
+
+@pytest.mark.parametrize("digits", [0, 3, 12])
+def test_decimal_str_retries_when_the_digits_hinge_on_the_floor(monkeypatch, digits):
+    # x² − 20y² = 1 puts 2y√5 just below the odd integer x, so
+    # (p + y√5)/10^digits lies just below the halfway point p + x/2 of two
+    # printed values: the ends of the 32-bit enclosure round apart, and the
+    # exact floor decides (toward zero)
+    x, y = _pell(20, 9, 2, 30)[-1]
+    assert x % 2 == 1 and x * x - 20 * y * y == 1
+    for p in (0, 1, -5 * y):
+        value = Q5(p, y) / 10**digits
+        for v in (value, -value):
+            guards = _spy_guards(monkeypatch)
+            text = decimal_str(v, digits)
+            assert len(guards) == 2 and guards[0] == 32 < guards[1]
+            assert text == decimal_oracle(v.a, v.b, digits)
+            n = abs(p + (x - 1) // 2)  # rounded toward zero, not away
+            body = f"{n}" if digits == 0 else f"{n // 10**digits}.{n % 10**digits:0{digits}d}"
+            assert text == ("-" if v < 0 and n else "") + body
+
+
+@pytest.mark.usefixtures("cleared_sqrt5_cache")
+def test_golden_moments_print_with_at_most_one_isqrt(monkeypatch, capsys):
+    calls = []
+    real = math.isqrt
+
+    def counted(n):
+        calls.append(n.bit_length())
+        return real(n)
+
+    monkeypatch.setattr(qfield.math, "isqrt", counted)
+    assert cli.main(["moments", "--q", "phi^-2", "--N", "10000"]) == 0
+    assert capsys.readouterr().out.count("≈") == 10
+    assert len(calls) <= 1

@@ -295,7 +295,10 @@ def moments_from_sums(sums: FoldedSums) -> FoldedMoments:
 
 def moments(n: int, q: Scalar) -> FoldedMoments:
     """Folded moments I₁, I₂, I₃ and Var at (N, q), exact for exact q."""
-    return _moments_and_i2_prime(n, q)[0]
+    if type(q) is Fraction:
+        _check_domain(n, q)
+        return _moments_rational(n, q)[0]
+    return moments_from_sums(sums_closed(n, q))
 
 
 def _moments_and_i2_prime(

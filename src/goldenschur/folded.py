@@ -196,11 +196,11 @@ def _sums_closed_rational(n: int, q: Fraction) -> FoldedSums:
     return FoldedSums(n, q, *sums)
 
 
-def _moments_rational(n: int, q: Fraction) -> tuple[FoldedMoments, Fraction]:
-    """The moments and I₂′ for q = a/b from the numerators of
-    :func:`sums_closed`, one normalisation each: with c = b − a,
-    ``I_k = X_k/(X₀c^k)``, ``Var = (X₂X₀ − X₁²)/(X₀c)²`` and
-    ``I₂′ = (X₃X₀ − X₁X₂)/(X₀²c³)``."""
+def _moments_rational(n: int, q: Fraction) -> tuple[FoldedMoments, int, int]:
+    """The moments for q = a/b from the numerators of :func:`sums_closed`, one
+    normalisation each, and the numerator and denominator of I₂′, which only
+    a caller that needs it normalises: with c = b − a, ``I_k = X_k/(X₀c^k)``,
+    ``Var = (X₂X₀ − X₁²)/(X₀c)²`` and ``I₂′ = (X₃X₀ − X₁X₂)/(X₀²c³)``."""
     _, _, c, (x0, x1, x2, x3) = _rational_numerators(n, q)
     d1 = x0 * c
     d2 = d1 * c
@@ -209,7 +209,7 @@ def _moments_rational(n: int, q: Fraction) -> tuple[FoldedMoments, Fraction]:
         n, q, Fraction(x1, d1), Fraction(x2, d2), Fraction(x3, d3),
         Fraction(x2 * x0 - x1 * x1, d1 * d1),
     )
-    return m, Fraction(x3 * x0 - x1 * x2, x0 * d3)
+    return m, x3 * x0 - x1 * x2, x0 * d3
 
 
 class _GoldenInt:
@@ -310,7 +310,8 @@ def _moments_and_i2_prime(
     :func:`theta_derivatives`."""
     if type(q) is Fraction:
         _check_domain(n, q)
-        return _moments_rational(n, q)
+        m, i2p_num, i2p_den = _moments_rational(n, q)
+        return m, Fraction(i2p_num, i2p_den)
     m = moments_from_sums(sums_closed(n, q) if sums is None else sums)
     return m, theta_derivatives(m)[1]
 

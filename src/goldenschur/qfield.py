@@ -22,9 +22,9 @@ integers at most one apart; :func:`decimal_str` and ``float(Q5)`` take a
 result when both ends of the enclosure give it, and otherwise retry (Ziv,
 *Fast evaluation of elementary mathematical functions with correctly
 rounded last bit*, ACM TOMS 17, 1991).  A retry of ``decimal_str`` is exact
-and happens at most once: ``5a² − m²`` is a nonzero integer for every
-integer m, so ``|a·√5 − m| ≥ 1/(a·√5 + m) > 2^−(bits(a)+3)``, and
-``bits(a) + 3`` guard bits decide the floor.
+and happens at most once: ``5a² − m²`` is a nonzero integer, so
+``|a·√5 − m| = |5a² − m²|/(a·√5 + m) > 2^−(bits(a)+3)`` for every integer
+``0 ≤ m < a·√5 + 1``, and ``bits(a) + 3`` guard bits decide the floor.
 
 Exact forms (``str`` of a Q5 and of a GoldenBasis, and :func:`exact_forms`,
 which renders both forms of a Q5 at once) are rendered by
@@ -528,18 +528,19 @@ QSTAR = Q5(Fraction(3, 2), Fraction(-1, 2))
 PHI = Q5(Fraction(1, 2), Fraction(1, 2))
 
 
-def _rounded(two_p: int, floor_2q_sqrt5: int, d: int) -> tuple[bool, int]:
+def _rounded(two_p: int, q: int, floor_a_sqrt5: int, d: int) -> tuple[bool, int]:
     """Whether ``y = (P + Q·√5)/d`` is negative, and ``|y|`` rounded to an
-    integer, from ``2P`` and ``⌊2Q√5⌋`` (``Q ≠ 0``, ``d > 0``).
+    integer, from ``2P``, the sign of ``Q ≠ 0`` and ``⌊a√5⌋`` with ``a = 2|Q|``.
 
-    2Q√5 is irrational, so ``y < 0`` exactly when ``2P + ⌊2Q√5⌋ < 0``.
-    A ``y > 0`` rounds to ``⌊(2P + d + 2Q√5)/(2d)⌋``, where the floor of the
-    irrational part may replace it; a negative ``y`` is rounded as its
-    mirror ``(−P, −Q)``, whose floor is ``−⌊2Q√5⌋ − 1``.
+    2Q√5 is irrational, so ``⌊2Q√5⌋`` is ``⌊a√5⌋`` or ``−⌊a√5⌋ − 1``, and
+    ``y < 0`` exactly when ``2P + ⌊2Q√5⌋ < 0``.  A ``y > 0`` rounds to
+    ``⌊(2P + d + 2Q√5)/(2d)⌋``, where the floor of the irrational part may
+    replace it; a negative ``y`` is rounded as its mirror ``(−P, −Q)``.
     """
-    if two_p + floor_2q_sqrt5 < 0:
-        return True, (d - two_p - floor_2q_sqrt5 - 1) // (2 * d)
-    return False, (two_p + d + floor_2q_sqrt5) // (2 * d)
+    f = floor_a_sqrt5 if q > 0 else -floor_a_sqrt5 - 1
+    if two_p + f < 0:
+        return True, (d - two_p - f - 1) // (2 * d)
+    return False, (two_p + d + f) // (2 * d)
 
 
 def decimal_str(value: Q5 | GoldenBasis | Fraction | int, digits: int) -> str:
@@ -551,10 +552,10 @@ def decimal_str(value: Q5 | GoldenBasis | Fraction | int, digits: int) -> str:
     and ``⌊2Q√5⌋`` (``_rounded``).  That floor is enclosed with 32 guard
     bits on the cached √5 expansion, and when the two ends of the enclosure
     give the same sign and digits, those are certified.  Otherwise the floor
-    is taken again with ``bits(2|Q|) + 3`` guard bits, which is exact
-    because ``|a·√5 − m| > 2^−(bits(a)+3)`` for all integers ``a ≥ 1`` and
-    m, since ``5a² − m²`` is a nonzero integer: one retry at most, and no
-    integer square root beyond extending the cache.
+    is taken again with ``bits(a) + 3`` guard bits for ``a = 2|Q|``, which is
+    exact because ``|5a² − m²| ≥ 1`` keeps ``a√5`` more than
+    ``2^−(bits(a)+3)`` from every integer m (module docstring): one retry at
+    most, and no integer square root beyond extending the cache.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
@@ -569,14 +570,10 @@ def decimal_str(value: Q5 | GoldenBasis | Fraction | int, digits: int) -> str:
         negative, n = p < 0, (2 * abs(p) * scale + d) // (2 * d)
     else:
         two_p, a = 2 * p * scale, 2 * abs(q) * scale
-
-        def rounded(floor_a_sqrt5: int) -> tuple[bool, int]:
-            return _rounded(two_p, floor_a_sqrt5 if q > 0 else -floor_a_sqrt5 - 1, d)
-
         lo, hi = _sqrt5_floor(a, _GUARD_BITS)
-        negative, n = rounded(lo)
-        if hi != lo and rounded(hi) != (negative, n):
-            negative, n = rounded(_sqrt5_floor(a, a.bit_length() + 3)[0])
+        negative, n = _rounded(two_p, q, lo, d)
+        if hi != lo and _rounded(two_p, q, hi, d) != (negative, n):
+            negative, n = _rounded(two_p, q, _sqrt5_floor(a, a.bit_length() + 3)[0], d)
     sign = "-" if negative and n else ""
     if digits == 0:
         return f"{sign}{n}"

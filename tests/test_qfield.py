@@ -886,3 +886,9 @@ def test_golden_moments_print_with_at_most_one_isqrt(monkeypatch, capsys):
     assert cli.main(["moments", "--q", "phi^-2", "--N", "10000"]) == 0
     assert capsys.readouterr().out.count("≈") == 10
     assert len(calls) <= 1
+    # and the expansion stops a little past the bits the largest value needs
+    s = sums_closed(10_000, QSTAR)
+    m, i2p = _moments_and_i2_prime(10_000, QSTAR, s)
+    values = (*s.as_tuple(), m.i1, m.i2, m.i3, m.var, i2p)
+    needed = max((2 * abs(v._q) * 10**12).bit_length() + 32 for v in values)
+    assert needed <= qfield._sqrt5_cache[0] < 1.1 * needed

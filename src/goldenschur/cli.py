@@ -22,17 +22,19 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .folded import Scalar, _moments_and_i2_prime, sums_closed
-from .golden import golden_power_table, lambda_n
-from .qfield import QSTAR, Q5, decimal_str, exact_forms, fraction_str
 from .reference import SUITES
+
+if TYPE_CHECKING:
+    from .folded import Scalar
 
 # Each subcommand imports only the layers it computes with: ``schur`` and
 # ``verify`` (numpy) inside their subcommands, ``lockin`` inside
-# ``stationarity``, ``fit-ab`` and ``schur --fit-law``, and ``json`` only
-# where json is rendered.  A cold start then pays for no unused module.
+# ``stationarity``, ``fit-ab`` and ``schur --fit-law``, the exact layers
+# (``qfield``, ``folded``, ``golden``) inside the subcommands and helpers that
+# compute or print exact values, and ``json`` only where json is rendered.
+# A cold start then pays for no unused module.
 
 __all__ = ["main", "build_parser"]
 
@@ -54,12 +56,16 @@ def _parse_rational(text: str, name: str) -> Fraction | float:
 
 
 def _parse_q(text: str) -> Scalar:
+    from .qfield import QSTAR
+
     if text.strip().lower() in _GOLDEN_TOKENS:
         return QSTAR
     return _parse_rational(text, "q")
 
 
 def _exact_str(v: Scalar) -> str:
+    from .qfield import Q5, exact_forms, fraction_str
+
     if isinstance(v, Q5):
         if v.is_rational:
             return fraction_str(v.a)
@@ -78,6 +84,8 @@ def _check_digits(digits: int) -> None:
 def _decimal(v: Scalar, digits: int) -> str:
     if isinstance(v, float):
         return f"{v:.{digits}g}"
+    from .qfield import decimal_str
+
     return decimal_str(v, digits)
 
 
@@ -103,6 +111,9 @@ def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str])
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
+    from .folded import _moments_and_i2_prime, sums_closed
+    from .qfield import Q5
+
     _check_digits(args.digits)
     q = _parse_q(args.q)
     s = sums_closed(args.N, q)
@@ -193,7 +204,9 @@ def _cmd_schur(args: argparse.Namespace) -> int:
 
 
 def _cmd_stationarity(args: argparse.Namespace) -> int:
+    from .golden import lambda_n
     from .lockin import synthesize_consistent_ab, uniqueness_scan
+    from .qfield import decimal_str
 
     if args.N < 3:
         raise ValueError(
@@ -286,6 +299,8 @@ def _cmd_fit_ab(args: argparse.Namespace) -> int:
 
 
 def _cmd_golden_table(args: argparse.Namespace) -> int:
+    from .golden import golden_power_table
+
     rows = golden_power_table(args.max_m)
     if args.format == "json":
         lines = [_json([{"m": r.m, "a": r.a, "b": r.b} for r in rows], indent=2)]
@@ -300,6 +315,9 @@ def _cmd_golden_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda(args: argparse.Namespace) -> int:
+    from .golden import lambda_n
+    from .qfield import decimal_str, exact_forms
+
     _check_digits(args.digits)
     lam = lambda_n(args.N)
     sqrt5_basis, golden_basis = exact_forms(lam)

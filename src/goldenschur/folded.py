@@ -20,9 +20,18 @@ closed forms multiplied through by powers of b:
   one normalisation each;
 * the golden point ``q = q⋆``, with a = q⋆ and b = 1: every sum is an
   algebraic integer in Z[q⋆], since q⋆ and ``1 − q⋆ = φ⁻¹`` are units and
-  ``1/(1 − q⋆) = 2 − q⋆``.  The polynomials run on integer pairs
+  ``1/(1 − q⋆) = φ = 2 − q⋆``.  The polynomials run on integer pairs
   ``(c₀, c₁)`` meaning ``c₀ + c₁·q⋆``, reduced with ``q⋆² = 3q⋆ − 1``, q⋆ᴺ
-  comes from pair squaring, and each sum becomes a Q5 once.
+  comes from pair squaring, and each sum becomes a Q5 once.  The moments,
+  I₂′ and Λ are ratios of polynomials of equal degree in the numerators, so
+  they run on ``Y_k = φᴺ·X_k`` instead: the same polynomials at
+  ``(bᴺ, aᴺ) = (φᴺ, φ⁻ᴺ)``, with half the digits of q⋆ᴺ, and
+  ``φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)``.  ``I_k = φᵏY_k/Y₀``, where ``Y₀ = φᴺ − φ⁻ᴺ`` is
+  ``√5·F_N`` for even N and ``L_N`` for odd N; ``Var = R/Y₀²`` and
+  ``I₂′ = T/Y₀²`` with ``R = φ²(Y₂Y₀ − Y₁²)`` a rational integer (the
+  mirror symmetry ``Var(1/q) = Var(q)``).  Every division is then by an
+  integer or by √5 times one, which :class:`~.qfield.Q5` takes without a
+  field norm.
 
 Floats and every other Q5 run the closed forms as written.  The float callers
 that need only I₁, Var and I₂′ (the fit and the stationarity scan of
@@ -35,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .qfield import QSTAR, Q5, _q5
+from .qfield import QSTAR, Q5, _div, _q5
 
 __all__ = [
     "Scalar",
@@ -235,16 +244,19 @@ class _GoldenInt:
         return _GoldenInt(-self.c0, -self.c1)
 
     def __sub__(self, other: "_GoldenInt | int") -> "_GoldenInt":
-        return self + -other
+        if type(other) is int:
+            return _GoldenInt(self.c0 - other, self.c1)
+        return _GoldenInt(self.c0 - other.c0, self.c1 - other.c1)
 
     def __rsub__(self, other: int) -> "_GoldenInt":
-        return -self + other
+        return _GoldenInt(other - self.c0, -self.c1)
 
     def __mul__(self, other: "_GoldenInt | int") -> "_GoldenInt":
         if type(other) is int:
             return _GoldenInt(self.c0 * other, self.c1 * other)
-        t = self.c1 * other.c1
-        return _GoldenInt(self.c0 * other.c0 - t, self.c0 * other.c1 + self.c1 * other.c0 + 3 * t)
+        a0, a1, b0, b1 = self.c0, self.c1, other.c0, other.c1
+        t = a1 * b1
+        return _GoldenInt(a0 * b0 - t, a0 * b1 + a1 * b0 + 3 * t)
 
     __rmul__ = __mul__
 
@@ -259,9 +271,21 @@ class _GoldenInt:
                 x = x * x
         return result
 
+    def conjugate(self) -> "_GoldenInt":
+        """The Galois conjugate, by ``conj(q⋆) = 3 − q⋆``."""
+        return _GoldenInt(self.c0 + 3 * self.c1, -self.c1)
+
+    def coords(self) -> tuple[int, int, int]:
+        """``(p, q, d)`` with ``c0 + c1·(3 − √5)/2 = (p + q·√5)/d``, not reduced."""
+        return 2 * self.c0 + 3 * self.c1, -self.c1, 2
+
     def to_q5(self) -> Q5:
-        """``c0 + c1·(3 − √5)/2 = (2c0 + 3c1 − c1·√5)/2``."""
-        return _q5(2 * self.c0 + 3 * self.c1, -self.c1, 2)
+        """The same element as a :class:`Q5`."""
+        return _q5(*self.coords())
+
+
+#: φ = 1/(1 − q⋆) = 2 − q⋆, and its square and cube, in Z[q⋆].
+_PHI, _PHI2, _PHI3 = _GoldenInt(2, -1), _GoldenInt(3, -1), _GoldenInt(5, -2)
 
 
 def _sums_closed_golden(n: int) -> FoldedSums:
@@ -271,13 +295,65 @@ def _sums_closed_golden(n: int) -> FoldedSums:
     ``1/(1 − q⋆) = 2 − q⋆``: no division anywhere.
     """
     a = _GoldenInt(0, 1)
-    inverse_gap = _GoldenInt(2, -1)  # 1/(1 − q⋆)
     scale = a
     sums = []
     for x in _numerators(n, a, 1, a**n, 1):
-        scale = scale * inverse_gap
+        scale = scale * _PHI
         sums.append((x * scale).to_q5())
     return FoldedSums(n, QSTAR, *sums)
+
+
+def _golden_numerators(n: int) -> tuple[_GoldenInt, _GoldenInt, _GoldenInt, _GoldenInt]:
+    """``(Y₀, Y₁, Y₂, Y₃)`` with ``Y_k = φᴺ·X_k``, the numerators of
+    :func:`sums_closed` at a = q⋆ and b = 1, scaled by φᴺ.
+
+    X_k is linear in (bᴺ, aᴺ) = (1, φ⁻²ᴺ), so Y_k is the same polynomial at
+    (φᴺ, φ⁻ᴺ): coordinates of half the size of q⋆ᴺ's.  φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)
+    costs no second power.  Then ``I_k = φᵏY_k/Y₀``, and
+    ``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and ``L_N`` for odd N
+    (Knuth, *TAOCP* vol. 1 §1.2.8): a divisor of one coordinate.
+    """
+    up = _PHI**n
+    down = up.conjugate()
+    if n & 1:
+        down = -down
+    return _numerators(n, _GoldenInt(0, 1), 1, down, up)
+
+
+def _ratio(x: _GoldenInt, y: _GoldenInt) -> Q5:
+    """``x/y`` as a reduced :class:`Q5`, one normalisation; for the divisors
+    here, of one coordinate, without a field norm."""
+    return _div(x.coords(), y.coords(), "division by zero in Z[q⋆]")
+
+
+def _golden_var_numerator(ys: tuple[_GoldenInt, ...]) -> _GoldenInt:
+    """``R = φ²(Y₂Y₀ − Y₁²) = Var·Y₀²``, a rational integer: the family at 1/q
+    is the mirror image s ↦ N + 1 − s, so ``Var(1/q⋆) = Var(q⋆)``, and
+    ``1/q⋆ = φ²`` is q⋆'s conjugate, so Var is its own conjugate, as is
+    ``Y₀²``."""
+    y0, y1, y2, _ = ys
+    return _PHI2 * (y2 * y0 - y1 * y1)
+
+
+def _golden_i2_prime_numerator(ys: tuple[_GoldenInt, ...]) -> _GoldenInt:
+    """``T = φ³(Y₃Y₀ − Y₁Y₂) = I₂′·Y₀²``."""
+    y0, y1, y2, y3 = ys
+    return _PHI3 * (y3 * y0 - y1 * y2)
+
+
+def _moments_golden(n: int, with_i2_prime: bool) -> tuple[FoldedMoments, Q5 | None]:
+    """The moments at (N, q⋆), and I₂′ if asked for, from
+    :func:`_golden_numerators`: ``I_k = φᵏY_k/Y₀``, ``Var = R/Y₀²`` and
+    ``I₂′ = T/Y₀²``.  Every division is by ``Y₀ ∈ {√5·F_N, L_N}`` or by the
+    integer ``Y₀²``, so :class:`Q5` takes it without a field norm."""
+    ys = _golden_numerators(n)
+    y0, y1, y2, y3 = ys
+    i1, i2, i3 = _ratio(_PHI * y1, y0), _ratio(_PHI2 * y2, y0), _ratio(_PHI3 * y3, y0)
+    y0 = y0 * y0
+    m = FoldedMoments(n, QSTAR, i1, i2, i3, _ratio(_golden_var_numerator(ys), y0))
+    if not with_i2_prime:
+        return m, None
+    return m, _ratio(_golden_i2_prime_numerator(ys), y0)
 
 
 def moments_from_sums(sums: FoldedSums) -> FoldedMoments:
@@ -298,20 +374,26 @@ def moments(n: int, q: Scalar) -> FoldedMoments:
     if type(q) is Fraction:
         _check_domain(n, q)
         return _moments_rational(n, q)[0]
+    if type(q) is Q5 and q == QSTAR:
+        _check_size(n)
+        return _moments_golden(n, False)[0]
     return moments_from_sums(sums_closed(n, q))
 
 
 def _moments_and_i2_prime(
     n: int, q: Scalar, sums: FoldedSums | None = None
 ) -> tuple[FoldedMoments, Scalar]:
-    """The moments at (N, q) and ``I₂′ = dI₂/dθ``.  A Fraction q forms each
-    from the integer numerators of the power sums; any other q goes through
-    :func:`moments_from_sums` (of ``sums``, if the caller has them) and
-    :func:`theta_derivatives`."""
+    """The moments at (N, q) and ``I₂′ = dI₂/dθ``.  A Fraction q and q⋆ form
+    each from the integer numerators of the power sums; any other q goes
+    through :func:`moments_from_sums` (of ``sums``, if the caller has them)
+    and :func:`theta_derivatives`."""
     if type(q) is Fraction:
         _check_domain(n, q)
         m, i2p_num, i2p_den = _moments_rational(n, q)
         return m, Fraction(i2p_num, i2p_den)
+    if type(q) is Q5 and q == QSTAR:
+        _check_size(n)
+        return _moments_golden(n, True)
     m = moments_from_sums(sums_closed(n, q) if sums is None else sums)
     return m, theta_derivatives(m)[1]
 

@@ -6,15 +6,17 @@ Since ``q⋆ = (3 − √5)/2`` satisfies ``q⋆² = 3q⋆ − 1``, every power 
 ``b_m = −F_{2m−2}`` with the Fibonacci convention ``F_{−2} = −1, F_{−1} = 1``.
 
 The golden-point moments and the ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)`` come from
-the closed forms of :mod:`.folded` at ``q = q⋆``.
+the closed forms of :mod:`.folded` at ``q = q⋆``, scaled by ``φᴺ``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .folded import sums_closed
-from .qfield import QSTAR, GoldenBasis, Q5
+from .folded import (
+    _check_size, _golden_i2_prime_numerator, _golden_numerators, _golden_var_numerator, _ratio,
+)
+from .qfield import GoldenBasis, Q5
 
 __all__ = [
     "GoldenPower",
@@ -37,6 +39,8 @@ class GoldenPower(NamedTuple):
 def golden_power_table(max_m: int) -> list[GoldenPower]:
     """Rows ``(m, a_m, b_m)`` for m = 0..max_m, from the recurrence
     ``c_{m+2} = 3c_{m+1} − c_m``, the one place it is written."""
+    if type(max_m) is not int:  # a bool is not a table size
+        raise ValueError(f"max_m must be an integer, got {max_m!r}")
     if max_m < 0:
         raise ValueError(f"max_m must be nonnegative, got {max_m}")
     rows = []
@@ -51,12 +55,15 @@ def golden_power_table(max_m: int) -> list[GoldenPower]:
 def lambda_n(n: int) -> Q5:
     """The three-cycle ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)`` for N ≥ 2, exactly in Q(√5).
 
-    With ``I₁′ = Var = V/S₀²`` and ``I₂′ = I₃ − I₁I₂ = U/S₀²`` the ratio is
-    ``U/V``, where ``U = S₃S₀ − S₁S₂`` and ``V = S₂S₀ − S₁²``: one field
-    division of the golden-point power sums.  N = 1 is rejected: the index
-    variance vanishes identically, so the ratio is undefined.
+    With the numerators ``Y_k = φᴺ·X_k`` of the golden-point power sums,
+    ``I₁′ = Var = R/Y₀²`` and ``I₂′ = T/Y₀²``, where ``R = φ²(Y₂Y₀ − Y₁²)``
+    and ``T = φ³(Y₃Y₀ − Y₁Y₂)``, so Λ = T/R.  R is a rational integer
+    (``Var(1/q) = Var(q)`` and ``1/q⋆`` is q⋆'s conjugate), so the one
+    division is by an integer and needs no field norm.  N = 1 is rejected:
+    the index variance vanishes identically, so the ratio is undefined.
     """
-    if n < 2:
+    if type(n) is int and n < 2:
         raise ValueError(f"Λ(N) needs N >= 2 (zero variance at N={n})")
-    s0, s1, s2, s3 = sums_closed(n, QSTAR).as_tuple()
-    return (s3 * s0 - s1 * s2) / (s2 * s0 - s1 * s1)
+    _check_size(n)
+    ys = _golden_numerators(n)
+    return _ratio(_golden_i2_prime_numerator(ys), _golden_var_numerator(ys))

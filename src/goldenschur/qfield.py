@@ -176,16 +176,26 @@ def _mul(x: _Coords, y: _Coords) -> "Q5":
 
 
 def _div(x: _Coords, y: _Coords, message: str) -> "Q5":
-    """``x / y`` by the conjugate of ``y``, with one normalisation:
-    ``(p₁ + q₁√5)(p₂ − q₂√5)·d₂ / (d₁(p₂² − 5q₂²))``."""
+    """``x / y`` with one normalisation.  In general by the conjugate of y:
+    ``(p₁ + q₁√5)(p₂ − q₂√5)·d₂ / (d₁(p₂² − 5q₂²))``.  A divisor of one
+    coordinate needs neither its norm nor a conjugate product (Cohen, §4.2):
+    a rational ``p₂/d₂`` gives ``(p₁d₂ + q₁d₂√5)/(d₁p₂)``, and ``q₂√5/d₂``
+    gives ``(5q₁d₂ + p₁d₂√5)/(5q₂d₁)``, each with the divisor's sign moved to
+    the numerator."""
     p1, q1, d1 = x
     p2, q2, d2 = y
-    n = p2 * p2 - 5 * q2 * q2
-    if n == 0:
-        raise ZeroDivisionError(message)
-    if n < 0:
-        n, d2 = -n, -d2
-    return _q5((p1 * p2 - 5 * q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * n)
+    if q2 == 0:
+        if p2 == 0:
+            raise ZeroDivisionError(message)
+        p, q, d = p1 * d2, q1 * d2, d1 * p2
+    elif p2 == 0:
+        p, q, d = 5 * q1 * d2, p1 * d2, 5 * q2 * d1
+    else:  # the norm is nonzero, since √5 is irrational
+        n = p2 * p2 - 5 * q2 * q2
+        p, q, d = (p1 * p2 - 5 * q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * n
+    if d < 0:
+        p, q, d = -p, -q, -d
+    return _q5(p, q, d)
 
 
 class Q5:
@@ -194,7 +204,8 @@ class Q5:
     ``Q5(a, b)`` takes int or Fraction coordinates; ``.a`` and ``.b`` return
     them as Fractions.  Arithmetic is closed and total; division by a nonzero
     element is exact via the Galois conjugate (the field norm ``a² − 5b²``
-    vanishes only at zero, since √5 is irrational).  Ints and Fractions mix
+    vanishes only at zero, since √5 is irrational), and needs no norm when
+    the divisor is a rational or √5 times one.  Ints and Fractions mix
     freely on either side of every operator; floats are rejected.
     """
 

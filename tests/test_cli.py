@@ -1066,6 +1066,35 @@ def test_exact_commands_load_no_numpy(tmp_path, argv):
     assert proc.stdout.strip() == f"0 {['goldenschur.lockin'] if lockin else []}"
 
 
+# the exact layers that importing the CLI and running argv loads
+_LOADED_EXACT = """
+import contextlib, io, sys
+from goldenschur.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+exact = {"goldenschur.qfield", "goldenschur.folded", "goldenschur.golden"}
+print(code, sorted(exact & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+def test_schur_loads_no_exact_layer(tmp_path, valid):
+    doc = dict(FAMILY_DOC)
+    if not valid:
+        doc["C0"] = [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)]
+        doc["C0"][0][0] = 9.0  # breaks circulant structure
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_EXACT, "schur", str(path), "-2", "-0.1", "11"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{0 if valid else 2} []"
+
+
 _ORACLE_LOADS = """
 import sys
 from fractions import Fraction

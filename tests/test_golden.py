@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from goldenschur.folded import (
+    _golden_numerators,
+    _golden_var_numerator,
+    _moments_and_i2_prime,
     moments,
     moments_from_sums,
     sums_closed,
@@ -73,6 +76,13 @@ def test_reduce_power_is_qstar_power():
 def test_reduce_power_rejects_negative():
     with pytest.raises(ValueError):
         golden_power_table(-1)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
+def test_reduce_power_rejects_a_non_integer_size(bad):
+    # a bool is not a table size: True would give two rows
+    with pytest.raises(ValueError, match="max_m must be an integer"):
+        golden_power_table(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +184,8 @@ def test_lambda_is_derivative_ratio():
 
 @pytest.mark.parametrize("n", [*range(2, 61), 1000])
 def test_lambda_is_u_over_v(n):
-    # lambda_n divides U = S₃S₀ − S₁S₂ by V = S₂S₀ − S₁² once; the moment
-    # route divides I₂′ by I₁′ after three divisions by S₀
+    # lambda_n divides T = I₂′·Y₀² by the integer R = Var·Y₀² once; the
+    # moment route divides I₂′ by I₁′
     i1p, i2p = theta_derivatives(moments(n, QSTAR))
     assert lambda_n(n) == i2p / i1p
 
@@ -231,6 +241,68 @@ def test_lambda_rejects_degenerate():
         lambda_n(1)
     with pytest.raises(ValueError):
         lambda_n(0)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 12.0, "12", None])
+def test_lambda_rejects_a_non_integer_size(bad):
+    # checked before any arithmetic, with the message of every size guard
+    with pytest.raises(ValueError, match="family size must be a positive integer"):
+        lambda_n(bad)
+
+
+# ---------------------------------------------------------------------------
+# the golden-point kernel: numerators scaled by φᴺ
+# ---------------------------------------------------------------------------
+
+
+def _field_route(n):
+    """Moments, I₂′ and Λ at (N, q⋆) by the generic field route: the power
+    sums in Q(√5), I_k = S_k/S₀, and Λ = (S₃S₀ − S₁S₂)/(S₂S₀ − S₁²)."""
+    s = sums_closed(n, QSTAR)
+    m = moments_from_sums(s)
+    s0, s1, s2, s3 = s.as_tuple()
+    lam = (s3 * s0 - s1 * s2) / (s2 * s0 - s1 * s1) if n >= 2 else None
+    return m, theta_derivatives(m)[1], lam
+
+
+def _check_kernel(n):
+    m, i2p, lam = _field_route(n)
+    assert moments(n, QSTAR) == m
+    assert _moments_and_i2_prime(n, QSTAR) == (m, i2p)
+    if n >= 2:
+        assert lambda_n(n) == lam
+
+
+def test_golden_kernel_matches_the_field_route_up_to_300():
+    for n in range(1, 301):
+        _check_kernel(n)
+
+
+@pytest.mark.parametrize("n", [999, 1000, 10_000, 10_001])
+def test_golden_kernel_matches_the_field_route_at_large_n(n):
+    _check_kernel(n)
+
+
+def _check_integers(n):
+    # Y₀ = φᴺ − φ⁻ᴺ is √5·F_N for even N and L_N for odd N, so Y₀² and
+    # R = φ²(Y₂Y₀ − Y₁²) = Var·Y₀² are rational integers (c1 = 0 in Z[q⋆])
+    ys = _golden_numerators(n)
+    f, lucas = fibonacci(n), fibonacci(n - 1) + fibonacci(n + 1)
+    assert ys[0].to_q5() == (Q5(0, f) if n % 2 == 0 else lucas)
+    square, r = ys[0] * ys[0], _golden_var_numerator(ys)
+    assert square.c1 == 0 and r.c1 == 0
+    assert square.c0 == (5 * f * f if n % 2 == 0 else lucas * lucas)
+    assert Fraction(r.c0, square.c0) == moments(n, QSTAR).var
+
+
+def test_golden_kernel_divides_by_integers_up_to_300():
+    for n in range(1, 301):
+        _check_integers(n)
+
+
+@pytest.mark.parametrize("n", [999, 1000, 10_000, 10_001])
+def test_golden_kernel_divides_by_integers_at_large_n(n):
+    _check_integers(n)
 
 
 def test_lambda_fd_cross_check():

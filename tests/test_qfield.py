@@ -680,6 +680,41 @@ def test_kernel_inverse_and_powers_match_fraction_pairs(x, m):
     assert_same(xq.conjugate(), PairQ5(xr.a, -xr.b))
 
 
+# divisors of one coordinate, which `_div` takes without a norm: a rational
+# (negative, with a denominator, or zero), or √5 times one
+_nonzero_rationals = rationals.filter(lambda r: r != 0)
+one_coordinate = st.one_of(
+    _nonzero_rationals.map(lambda r: (Q5(r), PairQ5(r))),
+    _nonzero_rationals.map(lambda r: (Q5(0, r), PairQ5(0, r))),
+)
+numerators = st.one_of(elements, st.just((Q5(0), PairQ5(0))))
+
+
+@given(x=numerators, y=one_coordinate)
+@example(x=(Q5(0), PairQ5(0)), y=(Q5(0, Fraction(-3, 7)), PairQ5(0, Fraction(-3, 7))))
+@example(x=(Q5(1, 2), PairQ5(1, 2)), y=(Q5(Fraction(-5, 3)), PairQ5(Fraction(-5, 3))))
+@example(x=(Q5(Fraction(2, 9), 3), PairQ5(Fraction(2, 9), 3)), y=(Q5(0, -6), PairQ5(0, -6)))
+def test_division_by_one_coordinate_matches_the_conjugate_formula(x, y):
+    (xq, xr), (yq, yr) = x, y
+    assert yq.a == 0 or yq.b == 0
+    assert_same(xq / yq, xr / yr)
+    assert_same(yq.inverse(), yr.inverse())
+    if yq.is_rational:  # the divisor as a plain Fraction takes the same path
+        assert_same(xq / yq.a, xr / yr)
+
+
+@pytest.mark.parametrize("x", [Q5(0), Q5(3), Q5(1, -2), SQRT5])
+def test_division_by_zero_keeps_its_messages(x):
+    with pytest.raises(ZeroDivisionError, match=r"^inverse of zero in Q\(√5\)$"):
+        x / Q5(0)
+    with pytest.raises(ZeroDivisionError, match=r"^inverse of zero in Q\(√5\)$"):
+        Q5(0).inverse()
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero$"):
+        x / Fraction(0)
+    with pytest.raises(ZeroDivisionError, match=r"^inverse of zero in Q\(√5\)$"):
+        1 / Q5(0)
+
+
 @given(x=elements, y=operands)
 def test_kernel_order_equality_hash_and_float(x, y):
     (xq, xr), (yq, yr) = x, y

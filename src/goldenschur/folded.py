@@ -27,11 +27,11 @@ closed forms multiplied through by powers of b:
   they run on ``Y_k = φᴺ·X_k`` instead: the same polynomials at
   ``(bᴺ, aᴺ) = (φᴺ, φ⁻ᴺ)``, with half the digits of q⋆ᴺ, and
   ``φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)``.  ``I_k = φᵏY_k/Y₀``, where ``Y₀ = φᴺ − φ⁻ᴺ`` is
-  ``√5·F_N`` for even N and ``L_N`` for odd N; ``Var = R/Y₀²`` and
-  ``I₂′ = T/Y₀²`` with ``R = φ²(Y₂Y₀ − Y₁²)`` a rational integer (the
-  mirror symmetry ``Var(1/q) = Var(q)``).  Every division is then by an
-  integer or by √5 times one, which :class:`~.qfield.Q5` takes without a
-  field norm.
+  ``√5·F_N`` for even N and ``L_N`` for odd N; ``I₂′ = T/Y₀²`` with
+  ``T = φ³(Y₃Y₀ − Y₁Y₂)``, and ``Var = (Y₀² − N²)/Y₀²``: Var = (ln S₀)″ in θ,
+  and at q⋆ its closed form collapses to ``1 − N²/Y₀²``.  Every division is
+  then by an integer or by √5 times one, which :class:`~.qfield.Q5` takes
+  without a field norm.
 
 Floats and every other Q5 run the closed forms as written.  The float callers
 that need only I₁, Var and I₂′ (the fit and the stationarity scan of
@@ -63,6 +63,11 @@ Scalar = Union[Fraction, Q5, float]
 def _check_size(n: int) -> None:
     if type(n) is not int or n < 1:  # a bool is not a family size
         raise ValueError(f"family size must be a positive integer, got {n!r}")
+
+
+def _is_golden(q: Scalar) -> bool:
+    """Whether q is q⋆, which takes the integer routes of Z[q⋆]."""
+    return type(q) is Q5 and q == QSTAR  # the type first: a float q never compares
 
 
 def _check_domain(n: int, q: Scalar) -> None:
@@ -118,7 +123,7 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     _check_domain(n, q)
     if type(q) is Fraction:
         return _sums_closed_rational(n, q)
-    if type(q) is Q5 and q == QSTAR:  # the type first: a float q never compares
+    if _is_golden(q):
         return _sums_closed_golden(n)
     return FoldedSums(n, q, *_closed_sums(n, q))
 
@@ -166,11 +171,12 @@ def _float_moments(n: int, q: float) -> tuple[float, float, float]:
 
 
 def _numerators(
-    n: int, a: int | _GoldenInt, b: int, an: int | _GoldenInt, bn: int
+    n: int, a: int | _GoldenInt, b: int, an: int | _GoldenInt, bn: int | _GoldenInt
 ) -> tuple[int | _GoldenInt, ...]:
-    """``(X₀, X₁, X₂, X₃)`` with ``X_k = b^N·U_k + a^N·V_k``, where U_k and V_k
-    are the integer polynomials in a and b of :func:`sums_closed`.  ``a`` and
-    ``an = a^N`` are ints or :class:`_GoldenInt` values, ``b`` and ``bn`` ints."""
+    """``(X₀, X₁, X₂, X₃)`` with ``X_k = bn·U_k + an·V_k``, where U_k and V_k
+    are the integer polynomials in a and b of :func:`sums_closed`, and
+    ``(bn, an) = (b^N, a^N)`` or any multiple of that pair.  ``a``, ``an`` and
+    ``bn`` are ints or :class:`_GoldenInt` values, ``b`` an int."""
     ab, aa, bb = a * b, a * a, b * b
     x0 = bn - an
     x1 = bn * b + an * (n * a - (n + 1) * b)
@@ -303,57 +309,56 @@ def _sums_closed_golden(n: int) -> FoldedSums:
     return FoldedSums(n, QSTAR, *sums)
 
 
-def _golden_numerators(n: int) -> tuple[_GoldenInt, _GoldenInt, _GoldenInt, _GoldenInt]:
+def _golden_numerators(n: int) -> tuple[tuple[_GoldenInt, ...], int]:
     """``(Y₀, Y₁, Y₂, Y₃)`` with ``Y_k = φᴺ·X_k``, the numerators of
-    :func:`sums_closed` at a = q⋆ and b = 1, scaled by φᴺ.
+    :func:`sums_closed` at a = q⋆ and b = 1 scaled by φᴺ, and the integer Y₀².
 
     X_k is linear in (bᴺ, aᴺ) = (1, φ⁻²ᴺ), so Y_k is the same polynomial at
     (φᴺ, φ⁻ᴺ): coordinates of half the size of q⋆ᴺ's.  φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)
-    costs no second power.  Then ``I_k = φᵏY_k/Y₀``, and
-    ``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and ``L_N`` for odd N
-    (Knuth, *TAOCP* vol. 1 §1.2.8): a divisor of one coordinate.
+    costs no second power.  Then ``I_k = φᵏY_k/Y₀``, and since
+    ``φᴺ = (L_N + F_N·√5)/2`` (Knuth, *TAOCP* vol. 1 §1.2.8),
+    ``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and ``L_N`` for odd N: a
+    divisor of one coordinate, with ``Y₀² = 5F_N²`` or ``L_N²``.
     """
     up = _PHI**n
+    lucas, fib, _ = up.coords()
     down = up.conjugate()
     if n & 1:
-        down = -down
-    return _numerators(n, _GoldenInt(0, 1), 1, down, up)
+        return _numerators(n, _GoldenInt(0, 1), 1, -down, up), lucas * lucas
+    return _numerators(n, _GoldenInt(0, 1), 1, down, up), 5 * fib * fib
 
 
-def _ratio(x: _GoldenInt, y: _GoldenInt) -> Q5:
+def _ratio(x: _GoldenInt, y: _GoldenInt | int) -> Q5:
     """``x/y`` as a reduced :class:`Q5`, one normalisation; for the divisors
     here, of one coordinate, without a field norm."""
-    return _div(x.coords(), y.coords(), "division by zero in Z[q⋆]")
-
-
-def _golden_var_numerator(ys: tuple[_GoldenInt, ...]) -> _GoldenInt:
-    """``R = φ²(Y₂Y₀ − Y₁²) = Var·Y₀²``, a rational integer: the family at 1/q
-    is the mirror image s ↦ N + 1 − s, so ``Var(1/q⋆) = Var(q⋆)``, and
-    ``1/q⋆ = φ²`` is q⋆'s conjugate, so Var is its own conjugate, as is
-    ``Y₀²``."""
-    y0, y1, y2, _ = ys
-    return _PHI2 * (y2 * y0 - y1 * y1)
+    divisor = (y, 0, 1) if type(y) is int else y.coords()
+    return _div(x.coords(), divisor, "division by zero in Z[q⋆]")
 
 
 def _golden_i2_prime_numerator(ys: tuple[_GoldenInt, ...]) -> _GoldenInt:
-    """``T = φ³(Y₃Y₀ − Y₁Y₂) = I₂′·Y₀²``."""
+    """``T = φ³(Y₃Y₀ − Y₁Y₂) = I₂′·Y₀²``, from ``I₂′ = I₃ − I₁I₂``."""
     y0, y1, y2, y3 = ys
     return _PHI3 * (y3 * y0 - y1 * y2)
 
 
 def _moments_golden(n: int, with_i2_prime: bool) -> tuple[FoldedMoments, Q5 | None]:
     """The moments at (N, q⋆), and I₂′ if asked for, from
-    :func:`_golden_numerators`: ``I_k = φᵏY_k/Y₀``, ``Var = R/Y₀²`` and
-    ``I₂′ = T/Y₀²``.  Every division is by ``Y₀ ∈ {√5·F_N, L_N}`` or by the
-    integer ``Y₀²``, so :class:`Q5` takes it without a field norm."""
-    ys = _golden_numerators(n)
+    :func:`_golden_numerators`: ``I_k = φᵏY_k/Y₀``, ``Var = (Y₀² − N²)/Y₀²``
+    and ``I₂′ = T/Y₀²``.  Every division is by ``Y₀ ∈ {√5·F_N, L_N}`` or by
+    the integer Y₀², so :class:`Q5` takes it without a field norm.
+
+    Var is ``d²/dθ² ln S₀ = q/(1 − q)² − N²qᴺ/(1 − qᴺ)²``, and at q⋆,
+    ``q⋆/(1 − q⋆)² = 1`` and ``q⋆ᴺ/(1 − q⋆ᴺ)² = 1/Y₀²``: Var·Y₀² = Y₀² − N² is
+    an integer, the ``φ²(Y₂Y₀ − Y₁²)`` of the numerators without their products.
+    """
+    ys, y0_squared = _golden_numerators(n)
     y0, y1, y2, y3 = ys
     i1, i2, i3 = _ratio(_PHI * y1, y0), _ratio(_PHI2 * y2, y0), _ratio(_PHI3 * y3, y0)
-    y0 = y0 * y0
-    m = FoldedMoments(n, QSTAR, i1, i2, i3, _ratio(_golden_var_numerator(ys), y0))
+    var = _q5(y0_squared - n * n, 0, y0_squared)
+    m = FoldedMoments(n, QSTAR, i1, i2, i3, var)
     if not with_i2_prime:
         return m, None
-    return m, _ratio(_golden_i2_prime_numerator(ys), y0)
+    return m, _ratio(_golden_i2_prime_numerator(ys), y0_squared)
 
 
 def moments_from_sums(sums: FoldedSums) -> FoldedMoments:
@@ -374,7 +379,7 @@ def moments(n: int, q: Scalar) -> FoldedMoments:
     if type(q) is Fraction:
         _check_domain(n, q)
         return _moments_rational(n, q)[0]
-    if type(q) is Q5 and q == QSTAR:
+    if _is_golden(q):
         _check_size(n)
         return _moments_golden(n, False)[0]
     return moments_from_sums(sums_closed(n, q))
@@ -391,7 +396,7 @@ def _moments_and_i2_prime(
         _check_domain(n, q)
         m, i2p_num, i2p_den = _moments_rational(n, q)
         return m, Fraction(i2p_num, i2p_den)
-    if type(q) is Q5 and q == QSTAR:
+    if _is_golden(q):
         _check_size(n)
         return _moments_golden(n, True)
     m = moments_from_sums(sums_closed(n, q) if sums is None else sums)

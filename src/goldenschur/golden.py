@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .folded import (
-    _check_size, _golden_i2_prime_numerator, _golden_numerators, _golden_var_numerator, _ratio,
+    _check_size, _golden_i2_prime_numerator, _golden_numerators, _ratio,
 )
 from .qfield import GoldenBasis, Q5
 
@@ -56,14 +56,14 @@ def lambda_n(n: int) -> Q5:
     """The three-cycle ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)`` for N ≥ 2, exactly in Q(√5).
 
     With the numerators ``Y_k = φᴺ·X_k`` of the golden-point power sums,
-    ``I₁′ = Var = R/Y₀²`` and ``I₂′ = T/Y₀²``, where ``R = φ²(Y₂Y₀ − Y₁²)``
-    and ``T = φ³(Y₃Y₀ − Y₁Y₂)``, so Λ = T/R.  R is a rational integer
-    (``Var(1/q) = Var(q)`` and ``1/q⋆`` is q⋆'s conjugate), so the one
-    division is by an integer and needs no field norm.  N = 1 is rejected:
-    the index variance vanishes identically, so the ratio is undefined.
+    ``I₁′ = Var = R/Y₀²`` and ``I₂′ = T/Y₀²``, where ``T = φ³(Y₃Y₀ − Y₁Y₂)``
+    and ``R = Y₀² − N²``, so Λ = T/R.  Y₀ is √5·F_N or L_N, so R is a
+    rational integer and the one division is by an integer, with no field
+    norm.  N = 1 is rejected: the index variance vanishes identically, so the
+    ratio is undefined.
     """
     if type(n) is int and n < 2:
         raise ValueError(f"Λ(N) needs N >= 2 (zero variance at N={n})")
     _check_size(n)
-    ys = _golden_numerators(n)
-    return _ratio(_golden_i2_prime_numerator(ys), _golden_var_numerator(ys))
+    ys, y0_squared = _golden_numerators(n)
+    return _ratio(_golden_i2_prime_numerator(ys), y0_squared - n * n)

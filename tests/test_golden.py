@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from goldenschur.folded import (
+    _GoldenInt,
     _golden_numerators,
-    _golden_var_numerator,
     _moments_and_i2_prime,
     moments,
     moments_from_sums,
@@ -284,15 +284,16 @@ def test_golden_kernel_matches_the_field_route_at_large_n(n):
 
 
 def _check_integers(n):
-    # Y₀ = φᴺ − φ⁻ᴺ is √5·F_N for even N and L_N for odd N, so Y₀² and
-    # R = φ²(Y₂Y₀ − Y₁²) = Var·Y₀² are rational integers (c1 = 0 in Z[q⋆])
-    ys = _golden_numerators(n)
+    # Y₀ = φᴺ − φ⁻ᴺ is √5·F_N for even N and L_N for odd N, so Y₀² is a
+    # rational integer; so is φ²(Y₂Y₀ − Y₁²) = Var·Y₀², and it is Y₀² − N²
+    (y0, y1, y2, _), y0_squared = _golden_numerators(n)
     f, lucas = fibonacci(n), fibonacci(n - 1) + fibonacci(n + 1)
-    assert ys[0].to_q5() == (Q5(0, f) if n % 2 == 0 else lucas)
-    square, r = ys[0] * ys[0], _golden_var_numerator(ys)
-    assert square.c1 == 0 and r.c1 == 0
-    assert square.c0 == (5 * f * f if n % 2 == 0 else lucas * lucas)
-    assert Fraction(r.c0, square.c0) == moments(n, QSTAR).var
+    assert y0.to_q5() == (Q5(0, f) if n % 2 == 0 else lucas)
+    square, r = y0 * y0, _GoldenInt(3, -1) * (y2 * y0 - y1 * y1)  # φ² = 3 − q⋆
+    assert (square.c0, square.c1) == (y0_squared, 0)
+    assert y0_squared == (5 * f * f if n % 2 == 0 else lucas * lucas)
+    assert (r.c0, r.c1) == (y0_squared - n * n, 0)
+    assert Fraction(r.c0, y0_squared) == moments(n, QSTAR).var
 
 
 def test_golden_kernel_divides_by_integers_up_to_300():

@@ -10,7 +10,7 @@ I₂′ = I₃ − I₁I₂.
 
 from fractions import Fraction
 
-from goldenschur import QSTAR, folded_weights, moments, sums_closed, theta_derivatives
+from goldenschur import QSTAR, folded_weights, moments, sums_closed
 from goldenschur.oracle import sums_bruteforce, theta_derivatives_fd
 
 N = 12
@@ -42,7 +42,7 @@ print(f"  Var(q⋆) = {m.var}   (rational!)")
 
 print()
 print("== θ-derivative identities ==")
-d1, d2 = theta_derivatives(m)
+d1, d2 = m.var, m.i2_prime
 print(f"  I1' = Var        = {d1}")
 print(f"  I2' = I3 − I1·I2 = {d2}")
 f1, f2 = theta_derivatives_fd(N, float(QSTAR), h=1e-4)

@@ -20,7 +20,6 @@ from goldenschur import (
     QSTAR,
     QuadLawCoeffs,
     moments,
-    theta_derivatives,
     bracket_residual,
     f_red_prime_q,
     kappa_quadratic,
@@ -37,7 +36,7 @@ coeffs = QuadLawCoeffs(Fraction(7, 3), Fraction(-5, 4), 12)
 lam = lambda_n(12)
 bracket = coeffs.b * lam + 2 * coeffs.a - 2 * coeffs.b - 8 / coeffs.m_rho_sq
 m = moments(12, QSTAR)
-i1p, _ = theta_derivatives(m)
+i1p = m.var
 print(f"  F'(θ⋆)                 = {f_red_prime_q(coeffs, QSTAR)}")
 print(f"  bracket · I₁ · I₁' / N = {bracket * m.i1 * i1p / 12}")
 print(f"  equal exactly: {f_red_prime_q(coeffs, QSTAR) == bracket * m.i1 * i1p / 12}")

@@ -20,9 +20,7 @@ _EXPORTS = {
         "FoldedSums",
         "folded_weights",
         "moments",
-        "moments_from_sums",
         "sums_closed",
-        "theta_derivatives",
     ),
     "golden": (
         "GoldenPower",

@@ -111,17 +111,17 @@ def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str])
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    from .folded import _moments_and_i2_prime, sums_closed
+    from .folded import moments, sums_closed
     from .qfield import Q5
 
     _check_digits(args.digits)
     q = _parse_q(args.q)
     s = sums_closed(args.N, q)
-    m, i2p = _moments_and_i2_prime(args.N, q, s)
+    m = moments(args.N, q)
     rows = [
         ("S0", s.s0), ("S1", s.s1), ("S2", s.s2), ("S3", s.s3),
         ("I1", m.i1), ("I2", m.i2), ("I3", m.i3), ("Var", m.var),
-        ("I1'", m.var), ("I2'", i2p),
+        ("I1'", m.var), ("I2'", m.i2_prime),
     ]
     show = {
         "exact": _exact_str,

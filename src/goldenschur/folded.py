@@ -33,10 +33,10 @@ closed forms multiplied through by powers of b:
   then by an integer or by √5 times one, which :class:`~.qfield.Q5` takes
   without a field norm.
 
-Floats and every other Q5 run the closed forms as written.  The float callers
-that need only I₁, Var and I₂′ (the fit and the stationarity scan of
-:mod:`.lockin`) read them from one kernel, ``_float_moments``, with the bits
-of :func:`moments` and :func:`theta_derivatives`.
+Floats and every other Q5 run the closed forms as written.  Every lane
+fills one :class:`FoldedMoments` record, I₂′ included, so :func:`moments` is
+the one route to the moments; a float q takes a branch of its own at the top
+of it, which divides the closed-form sums by S₀.
 """
 
 from __future__ import annotations
@@ -52,9 +52,7 @@ __all__ = [
     "FoldedMoments",
     "sums_closed",
     "moments",
-    "moments_from_sums",
     "folded_weights",
-    "theta_derivatives",
 ]
 
 Scalar = Union[Fraction, Q5, float]
@@ -95,7 +93,11 @@ class FoldedSums(NamedTuple):
 
 
 class FoldedMoments(NamedTuple):
-    """Folded moments ``I_k = S_k/S₀`` and the index variance."""
+    """Folded moments ``I_k = S_k/S₀``, the index variance and I₂′.
+
+    The family is exponential in θ = ln q, so ``dI₁/dθ = Var`` and
+    ``i2_prime = dI₂/dθ = I₃ − I₁·I₂``.
+    """
 
     n: int
     q: Scalar
@@ -103,6 +105,7 @@ class FoldedMoments(NamedTuple):
     i2: Scalar
     i3: Scalar
     var: Scalar
+    i2_prime: Scalar
 
 
 def sums_closed(n: int, q: Scalar) -> FoldedSums:
@@ -156,20 +159,6 @@ def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     return s0, s1, s2, s3
 
 
-def _float_moments(n: int, q: float) -> tuple[float, float, float]:
-    """``(I₁, Var, I₂′)`` at a float q, for a family size n already checked.
-
-    The float lane's one kernel: the bits of :func:`moments` and
-    :func:`theta_derivatives` at the same (n, q), without their type dispatch
-    or records.  A q outside 0 < q < 1 (NaN included) is rejected as there.
-    """
-    if not 0.0 < q < 1.0:
-        _check_domain(n, q)
-    s0, s1, s2, s3 = _closed_sums(n, q)
-    i1, i2 = s1 / s0, s2 / s0
-    return i1, i2 - i1 * i1, s3 / s0 - i1 * i2
-
-
 def _numerators(
     n: int, a: int | _GoldenInt, b: int, an: int | _GoldenInt, bn: int | _GoldenInt
 ) -> tuple[int | _GoldenInt, ...]:
@@ -211,20 +200,18 @@ def _sums_closed_rational(n: int, q: Fraction) -> FoldedSums:
     return FoldedSums(n, q, *sums)
 
 
-def _moments_rational(n: int, q: Fraction) -> tuple[FoldedMoments, int, int]:
+def _moments_rational(n: int, q: Fraction) -> FoldedMoments:
     """The moments for q = a/b from the numerators of :func:`sums_closed`, one
-    normalisation each, and the numerator and denominator of I₂′, which only
-    a caller that needs it normalises: with c = b − a, ``I_k = X_k/(X₀c^k)``,
+    normalisation each: with c = b − a, ``I_k = X_k/(X₀c^k)``,
     ``Var = (X₂X₀ − X₁²)/(X₀c)²`` and ``I₂′ = (X₃X₀ − X₁X₂)/(X₀²c³)``."""
     _, _, c, (x0, x1, x2, x3) = _rational_numerators(n, q)
     d1 = x0 * c
     d2 = d1 * c
     d3 = d2 * c
-    m = FoldedMoments(
+    return FoldedMoments(
         n, q, Fraction(x1, d1), Fraction(x2, d2), Fraction(x3, d3),
-        Fraction(x2 * x0 - x1 * x1, d1 * d1),
+        Fraction(x2 * x0 - x1 * x1, d1 * d1), Fraction(x3 * x0 - x1 * x2, x0 * d3),
     )
-    return m, x3 * x0 - x1 * x2, x0 * d3
 
 
 class _GoldenInt:
@@ -341,8 +328,8 @@ def _golden_i2_prime_numerator(ys: tuple[_GoldenInt, ...]) -> _GoldenInt:
     return _PHI3 * (y3 * y0 - y1 * y2)
 
 
-def _moments_golden(n: int, with_i2_prime: bool) -> tuple[FoldedMoments, Q5 | None]:
-    """The moments at (N, q⋆), and I₂′ if asked for, from
+def _moments_golden(n: int) -> FoldedMoments:
+    """The moments at (N, q⋆) from
     :func:`_golden_numerators`: ``I_k = φᵏY_k/Y₀``, ``Var = (Y₀² − N²)/Y₀²``
     and ``I₂′ = T/Y₀²``.  Every division is by ``Y₀ ∈ {√5·F_N, L_N}`` or by
     the integer Y₀², so :class:`Q5` takes it without a field norm.
@@ -355,52 +342,36 @@ def _moments_golden(n: int, with_i2_prime: bool) -> tuple[FoldedMoments, Q5 | No
     y0, y1, y2, y3 = ys
     i1, i2, i3 = _ratio(_PHI * y1, y0), _ratio(_PHI2 * y2, y0), _ratio(_PHI3 * y3, y0)
     var = _q5(y0_squared - n * n, 0, y0_squared)
-    m = FoldedMoments(n, QSTAR, i1, i2, i3, var)
-    if not with_i2_prime:
-        return m, None
-    return m, _ratio(_golden_i2_prime_numerator(ys), y0_squared)
-
-
-def moments_from_sums(sums: FoldedSums) -> FoldedMoments:
-    """``I_k = S_k/S₀`` and ``Var = I₂ − I₁²``.  Q5 sums share one inverse
-    of S₀ (one field norm); Fraction and float sums divide, so the float bits
-    are those of the closed forms."""
-    s0 = sums.s0
-    if type(s0) is Q5:
-        inverse = s0.inverse()
-        i1, i2, i3 = sums.s1 * inverse, sums.s2 * inverse, sums.s3 * inverse
-    else:
-        i1, i2, i3 = sums.s1 / s0, sums.s2 / s0, sums.s3 / s0
-    return FoldedMoments(sums.n, sums.q, i1, i2, i3, i2 - i1 * i1)
+    return FoldedMoments(
+        n, QSTAR, i1, i2, i3, var, _ratio(_golden_i2_prime_numerator(ys), y0_squared)
+    )
 
 
 def moments(n: int, q: Scalar) -> FoldedMoments:
-    """Folded moments I₁, I₂, I₃ and Var at (N, q), exact for exact q."""
-    if type(q) is Fraction:
-        _check_domain(n, q)
-        return _moments_rational(n, q)[0]
-    if _is_golden(q):
-        _check_size(n)
-        return _moments_golden(n, False)[0]
-    return moments_from_sums(sums_closed(n, q))
+    """Folded moments I₁, I₂, I₃, Var and I₂′ at (N, q), exact for exact q.
 
-
-def _moments_and_i2_prime(
-    n: int, q: Scalar, sums: FoldedSums | None = None
-) -> tuple[FoldedMoments, Scalar]:
-    """The moments at (N, q) and ``I₂′ = dI₂/dθ``.  A Fraction q and q⋆ form
-    each from the integer numerators of the power sums; any other q goes
-    through :func:`moments_from_sums` (of ``sums``, if the caller has them)
-    and :func:`theta_derivatives`."""
+    A Fraction q and q⋆ form each value from the integer numerators of the
+    power sums.  A float q, and any other Q5, divide the closed-form sums by
+    S₀; a Q5 multiplies by one inverse of S₀, one field norm.
+    """
+    if type(q) is float:
+        if not (type(n) is int and n >= 1 and 0.0 < q < 1.0):
+            _check_domain(n, q)  # raises, for a bad size or a q outside (0, 1) or NaN
+        s0, s1, s2, s3 = _closed_sums(n, q)
+        i1, i2, i3 = s1 / s0, s2 / s0, s3 / s0
+        return FoldedMoments(n, q, i1, i2, i3, i2 - i1 * i1, i3 - i1 * i2)
+    _check_domain(n, q)
     if type(q) is Fraction:
-        _check_domain(n, q)
-        m, i2p_num, i2p_den = _moments_rational(n, q)
-        return m, Fraction(i2p_num, i2p_den)
+        return _moments_rational(n, q)
     if _is_golden(q):
-        _check_size(n)
-        return _moments_golden(n, True)
-    m = moments_from_sums(sums_closed(n, q) if sums is None else sums)
-    return m, theta_derivatives(m)[1]
+        return _moments_golden(n)
+    s0, s1, s2, s3 = _closed_sums(n, q)
+    if type(s0) is Q5:
+        inverse = s0.inverse()
+        i1, i2, i3 = s1 * inverse, s2 * inverse, s3 * inverse
+    else:
+        i1, i2, i3 = s1 / s0, s2 / s0, s3 / s0
+    return FoldedMoments(n, q, i1, i2, i3, i2 - i1 * i1, i3 - i1 * i2)
 
 
 def folded_weights(n: int, q: Scalar) -> list[Scalar]:
@@ -412,12 +383,4 @@ def folded_weights(n: int, q: Scalar) -> list[Scalar]:
         p = p * q
         out.append(p / s0)
     return out
-
-
-def theta_derivatives(m: FoldedMoments) -> tuple[Scalar, Scalar]:
-    """Exponential-family derivatives ``(dI₁/dθ, dI₂/dθ)`` at the same point.
-
-    ``dI₁/dθ = I₂ − I₁² = Var`` and ``dI₂/dθ = I₃ − I₁·I₂``.
-    """
-    return m.var, m.i3 - m.i1 * m.i2
 

@@ -28,9 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from ._record import FrozenRecord
-from .folded import (
-    FoldedMoments, Scalar, _check_size, _float_moments, _moments_and_i2_prime, moments,
-)
+from .folded import FoldedMoments, Scalar, _check_size, moments
 from .golden import lambda_n
 from .qfield import QSTAR, Q5
 
@@ -136,10 +134,10 @@ def _float_lane(coeffs: QuadLawCoeffs) -> tuple[QuadLawCoeffs, float]:
         raise ValueError("slope 2A - 2B - 8/m_rho_sq is too large for a float") from None
 
 
-def _f_prime(c: QuadLawCoeffs, slope: Scalar, i1: Scalar, i1p: Scalar, i2p: Scalar) -> Scalar:
+def _f_prime(c: QuadLawCoeffs, slope: Scalar, m: FoldedMoments) -> Scalar:
     """Bracket-form F′_red (see :func:`f_red_prime_q`), ``(B·I₂′ + slope·I₁′)·I₁/N``
-    with ``slope = _slope(c)``."""
-    return (c.b * i2p + slope * i1p) * i1 / c.n
+    with ``slope = _slope(c)`` and I₁′ = Var, from moments in the lane of ``c``."""
+    return (c.b * m.i2_prime + slope * m.var) * m.i1 / c.n
 
 
 def kappa_quadratic(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
@@ -178,21 +176,17 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
     Fractions at the same binary q, the relative error of Var is 3e-8 at
     q = 0.999, 5e-5 at 0.9999 and 0.17 at 0.99999 (ROADMAP item 2).
 
-    A float q takes the float kernel of :mod:`.folded`, with the bits of
-    :func:`~.folded.moments`.
+    Each sample's I₁ and Var are read from :func:`~.folded.moments` at its q,
+    in the lane of that q.
     """
     if len(points) < 2:
         raise ValueError("need at least two (q, kappa) samples")
     _check_size(n)
     ms, vs, ks = [], [], []
     for q, kappa in points:
-        if type(q) is float:
-            i1, var, _ = _float_moments(n, q)
-        else:
-            mom = moments(n, q)
-            i1, var = mom.i1, mom.var
-        ms.append(i1 * i1)
-        vs.append(var)
+        mom = moments(n, q)
+        ms.append(mom.i1 * mom.i1)
+        vs.append(mom.var)
         ks.append(kappa)
     delta = ms[0] * vs[1] - ms[1] * vs[0]
     if isinstance(delta, float):
@@ -222,14 +216,15 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     the chain-rule derivative of :func:`f_red_q` by ``B·I₂′·(I₁−1)/N``.
 
     Exact coefficients and an exact q stay exact.  Otherwise the float lane
-    evaluates the float kernel, with the slope 2A − 2B − 8/m_ρ² formed
+    evaluates the float moments, with the slope 2A − 2B − 8/m_ρ² formed
     exactly, if the coefficients are exact, and rounded once.
     """
     if coeffs.is_exact and _is_exact(q):
-        m, i2p = _moments_and_i2_prime(coeffs.n, q)
-        return _f_prime(coeffs, _slope(coeffs), m.i1, m.var, i2p)
-    c, slope = _float_lane(coeffs)
-    return _f_prime(c, slope, *_float_moments(c.n, float(q)))
+        c, slope = coeffs, _slope(coeffs)
+    else:
+        c, slope = _float_lane(coeffs)
+        q = float(q)
+    return _f_prime(c, slope, moments(c.n, q))
 
 
 def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Scalar:
@@ -288,16 +283,15 @@ def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
     if n == 1:
         return StationarityReport(1, Fraction(0), None, True, True)
     c, q = _route(coeffs, QSTAR)
-    m, i2p = _moments_and_i2_prime(n, q)
-    i1p = m.var
-    lam = i2p / i1p
+    m = moments(n, q)
+    lam = m.i2_prime / m.var
     bracket = bracket_residual(c, lam)
     if isinstance(bracket, float):
         scale = abs(c.b * lam) + abs(2 * c.a) + abs(2 * c.b) + 8 / c.m_rho_sq
         stationary = abs(bracket) <= STATIONARY_RTOL * scale
     else:
         stationary = bracket == 0
-    f_prime = bracket * m.i1 * i1p / n
+    f_prime = bracket * m.i1 * m.var / n
     return StationarityReport(n, f_prime, bracket, stationary, n == 2 and stationary)
 
 
@@ -309,14 +303,14 @@ def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> Stationar
     keeps one sign or vanishes identically: the scan is skipped and reports 0
     sign changes (float evaluation would only count rounding noise).
 
-    The grid is evaluated in one pass: at each q = e^θ the float kernel of
-    :mod:`.folded` gives I₁, Var and I₂′, and the bracket's constant
+    The grid is evaluated in one pass: at each q = e^θ the float branch of
+    :func:`~.folded.moments` gives I₁, Var and I₂′, and the bracket's constant
     2A − 2B − 8/m_ρ² is formed once, exactly if the coefficients are exact,
     and rounded once.  The values are bit for bit those of
     :func:`f_red_prime_q` at the same q.
     """
     grid = [float(t) for t in thetas]
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+    if len(grid) < 2 or not all(a < b for a, b in zip(grid, grid[1:])):  # NaN fails too
         raise ValueError("scan grid must be strictly increasing with >= 2 points")
     if not grid[-1] < 0:
         raise ValueError("scan grid must stay below theta = 0 (q < 1)")
@@ -327,9 +321,8 @@ def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> Stationar
     n = c.n
     values = []
     for t in grid:
-        # the kernel rejects an e^θ that underflowed to 0, rounded to 1, or is NaN
-        i1, var, i2p = _float_moments(n, math.exp(t))
-        values.append(_f_prime(c, slope, i1, var, i2p))
+        # moments rejects an e^θ that underflowed to 0 or rounded to 1
+        values.append(_f_prime(c, slope, moments(n, math.exp(t))))
 
     # a sign change is a flip between consecutive nonzero values; exact grid
     # zeros are spanned by the surrounding flip (or, if the function is flat

@@ -7,8 +7,10 @@ independent route here.  Each oracle, and the library route it checks:
   :func:`.folded.sums_closed`, exactly for exact q.  For a Fraction
   ``q = a/b`` the terms ``s^k·a^s·b^{N−s}`` are summed as integers over the
   one denominator ``b^N``, which is divided out once per sum.
+* :func:`moments_from_sums`, ``I_k = S_k/S₀`` by field division of given
+  sums: the integer numerator routes of :func:`.folded.moments`.
 * :func:`theta_derivatives_fd`, central differences of direct sums in θ:
-  :func:`.folded.theta_derivatives`.
+  ``var`` and ``i2_prime`` of :func:`.folded.moments`.
 * :func:`fibonacci`, fast doubling in O(log n) steps, not the table's
   three-term recurrence: ``a_m = F_{2m}`` and ``b_m = −F_{2m−2}`` in the
   rows of :func:`.golden.golden_power_table`.
@@ -42,19 +44,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .folded import (
-    FoldedSums, Scalar, _check_domain, moments, moments_from_sums, theta_derivatives,
-)
+from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain, sums_closed
 from .golden import golden_power_table
 from .lockin import QuadLawCoeffs, _route
-from .qfield import QSTAR, GoldenBasis
+from .qfield import QSTAR, GoldenBasis, Q5
 
 if TYPE_CHECKING:
     import numpy as np
     from .schur import FloatArray, HessianFamily, SplitGeometry
 
 __all__ = [
-    "sums_bruteforce", "theta_derivatives_fd", "fibonacci", "sums_at_qstar",
+    "sums_bruteforce", "moments_from_sums", "theta_derivatives_fd", "fibonacci", "sums_at_qstar",
     "f_red_prime_direct_q", "shift_matrix", "reversal_matrix", "band_basis",
     "assemble_hessian", "BlockHessian", "block_hessian", "schur_complement",
     "dense_curvature", "variational_expression", "VariationalReport", "variational_check",
@@ -97,6 +97,18 @@ def sums_bruteforce(n: int, q: Scalar) -> FoldedSums:
         s2 = s2 + s * s * p
         s3 = s3 + s**3 * p
     return FoldedSums(n, q, s0, s1, s2, s3)
+
+
+def moments_from_sums(sums: FoldedSums) -> FoldedMoments:
+    """``I_k = S_k/S₀``, ``Var = I₂ − I₁²`` and ``I₂′ = I₃ − I₁·I₂``.  Q5 sums
+    share one inverse of S₀ (one field norm); Fraction and float sums divide."""
+    s0 = sums.s0
+    if type(s0) is Q5:
+        inverse = s0.inverse()
+        i1, i2, i3 = sums.s1 * inverse, sums.s2 * inverse, sums.s3 * inverse
+    else:
+        i1, i2, i3 = sums.s1 / s0, sums.s2 / s0, sums.s3 / s0
+    return FoldedMoments(sums.n, sums.q, i1, i2, i3, i2 - i1 * i1, i3 - i1 * i2)
 
 
 def theta_derivatives_fd(n: int, q: float, h: float = 1e-4) -> tuple[float, float]:
@@ -154,10 +166,9 @@ def sums_at_qstar(n: int) -> FoldedSums:
 def f_red_prime_direct_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """Chain-rule θ-derivative of :func:`.lockin.f_red_q` (matches finite differences)."""
     c, qq = _route(coeffs, q)
-    m = moments(c.n, qq)
-    i1p, i2p = theta_derivatives(m)
-    kappa_p = c.b * i2p + (2 * c.a - 2 * c.b) * m.i1 * i1p
-    return -8 * m.i1 * i1p / (c.n * c.m_rho_sq) + kappa_p / c.n
+    m = moments_from_sums(sums_closed(c.n, qq))
+    kappa_p = c.b * m.i2_prime + (2 * c.a - 2 * c.b) * m.i1 * m.var
+    return -8 * m.i1 * m.var / (c.n * c.m_rho_sq) + kappa_p / c.n
 
 
 # ---------------------------------------------------------------------------

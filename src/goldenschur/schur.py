@@ -336,6 +336,23 @@ def random_family(n: int, rng: np.random.Generator, *, n_terms: int = 2) -> Hess
 # family file format
 
 
+def _number(value: object, field: str, index: int | None = None) -> float:
+    """A JSON number of the family document, the int or float that json
+    decodes it to, as a float.  Anything else, a bool included, or an integer
+    too large for a float, is a ValueError naming the field, and the list
+    index if one is given."""
+    kind = type(value)
+    if kind is float or kind is int:  # a bool is neither
+        try:
+            return float(value)
+        except OverflowError:
+            reason = "integer too large for a float"
+    else:
+        reason = f"expected a number, got {json.dumps(value, default=repr)}"
+    name = field if index is None else f"{field}[{index}]"
+    raise ValueError(f"{name}: {reason}")
+
+
 def _matrix_from_spec(obj: object, n: int, name: str) -> FloatArray:
     """Decode a matrix entry: circulant generator (kept as its row), nested
     rows, or flat row-major."""
@@ -345,7 +362,7 @@ def _matrix_from_spec(obj: object, n: int, name: str) -> FloatArray:
         g = obj["circulant"]
         if not isinstance(g, list) or len(g) != n:
             raise ValueError(f"{name}: circulant generator must be a list of {n} numbers")
-        return np.array([float(x) for x in g])
+        return np.array([_number(x, f"{name}.circulant", i) for i, x in enumerate(g)])
     if isinstance(obj, list):
         if len(obj) == n and all(isinstance(row, list) for row in obj):
             return np.asarray(obj, dtype=float)
@@ -379,8 +396,10 @@ def family_from_dict(data: dict) -> HessianFamily:
     for k, entry in enumerate(data["terms"]):
         if not isinstance(entry, dict) or set(entry.keys()) != {"s", "C"}:
             raise ValueError(f"terms[{k}]: expected an object with exactly keys 's' and 'C'")
-        terms.append((float(entry["s"]), _matrix_from_spec(entry["C"], n, f"terms[{k}].C")))
-    return make_family(n, float(data["m_rho_sq"]), [float(x) for x in u], c0, terms)
+        s = _number(entry["s"], f"terms[{k}].s")
+        terms.append((s, _matrix_from_spec(entry["C"], n, f"terms[{k}].C")))
+    u_raw = [_number(x, "u", i) for i, x in enumerate(u)]
+    return make_family(n, _number(data["m_rho_sq"], "m_rho_sq"), u_raw, c0, terms)
 
 
 def load_family(path: str | Path) -> HessianFamily:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from goldenschur.folded import moments, sums_closed, theta_derivatives
+from goldenschur.folded import moments, sums_closed
 from goldenschur.golden import golden_power_table, lambda_n
 from goldenschur.lockin import (
     QuadLawCoeffs,
@@ -87,9 +87,8 @@ def test_criterion_02_exact_moments_and_derivatives():
         assert m.i1 == Q5(Fraction(13, 2), Fraction(-131, 60))
         assert m.i2 == Q5(Fraction(805, 12), Fraction(-1703, 60))
         assert m.i3 == Q5(Fraction(6071, 8), Fraction(-13373, 40))
-        d1, d2 = theta_derivatives(m)
-        assert d1 == Fraction(719, 720)
-        assert d2 == Q5(Fraction(9347, 720), Fraction(-485, 144))
+        assert m.var == Fraction(719, 720)
+        assert m.i2_prime == Q5(Fraction(9347, 720), Fraction(-485, 144))
 
 
 def test_criterion_03_lambda_12():
@@ -208,7 +207,7 @@ def test_criterion_10_bracket_identity_exact():
     with budget(10, "stationarity bracket identity, 100 random exact coefficient sets", 10.0):
         rng = random.Random(1010)
         m = moments(12, QSTAR)
-        i1p, _ = theta_derivatives(m)
+        i1p = m.var
         lam = lambda_n(12)
         for _ in range(100):
             a = Fraction(rng.randint(-60, 60), rng.randint(1, 30))

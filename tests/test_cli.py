@@ -990,6 +990,33 @@ def test_schur_rejects_non_finite_family(capsys, tmp_path, corrupt, expected):
     assert (code, out, err) == (2, "", expected)
 
 
+def _set_term(k, key, value):
+    return lambda doc: doc["terms"][k].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_set_term(0, "s", None), "terms[0].s: expected a number, got null"),
+        (lambda doc: doc.__setitem__("m_rho_sq", [2]), "m_rho_sq: expected a number, got [2]"),
+        (lambda doc: doc["C0"]["circulant"].__setitem__(2, None),
+         "C0.circulant[2]: expected a number, got null"),
+        (_set_term(0, "s", 10**400), "terms[0].s: integer too large for a float"),
+        (lambda doc: doc["u"].__setitem__(0, True), "u[0]: expected a number, got true"),
+        (_set_term(1, "s", "1.0"), 'terms[1].s: expected a number, got "1.0"'),
+    ],
+    ids=["null-s", "list-m-rho-sq", "null-circulant-entry", "huge-s", "bool-u", "string-s"],
+)
+def test_schur_rejects_a_family_value_that_is_not_a_number(capsys, tmp_path, corrupt, message):
+    # each is bad input, exit 2, with the field named; none reaches float()
+    doc = json.loads(json.dumps(FAMILY_DOC))
+    corrupt(doc)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "schur", str(path), "-2.0", "-0.1", "11")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_schur_circulant_family_needs_no_dense_linear_algebra(capsys, family_file, monkeypatch):
     # a circulant-encoded family is validated and scanned from the DFT of its
     # rows: no eigendecomposition, and no SVD for the band basis
@@ -1151,12 +1178,13 @@ def _records():
     }
 
 
-# the repr of each record as the frozen dataclasses of earlier versions printed it
+# the repr of each record as the frozen dataclasses of earlier versions printed
+# it; FoldedMoments has since gained its last field, i2_prime
 _RECORD_REPRS = {
     "FoldedSums": "FoldedSums(n=3, q=Fraction(1, 2), s0=Fraction(7, 8), s1=Fraction(11, 8), "
     "s2=Fraction(21, 8), s3=Fraction(47, 8))",
     "FoldedMoments": "FoldedMoments(n=3, q=Fraction(1, 2), i1=Fraction(11, 7), i2=Fraction(3, 1), "
-    "i3=Fraction(47, 7), var=Fraction(26, 49))",
+    "i3=Fraction(47, 7), var=Fraction(26, 49), i2_prime=Fraction(2, 1))",
     "GoldenPower": "GoldenPower(m=3, a=8, b=-3)",
     "QuadLawCoeffs": "QuadLawCoeffs(a=Fraction(1, 1), b=Fraction(-2, 1), n=12, "
     "m_rho_sq=Fraction(2, 1))",
@@ -1203,7 +1231,7 @@ def test_report_document_stays_mutable():
 
 
 _MOVED_TO_ORACLE = {
-    "folded": ("sums_bruteforce", "theta_derivatives_fd"),
+    "folded": ("sums_bruteforce", "moments_from_sums", "theta_derivatives_fd"),
     "golden": ("sums_at_qstar", "fibonacci"),
     "lockin": ("f_red_prime_direct_q",),
     "schur": (
@@ -1216,11 +1244,11 @@ _MOVED_TO_ORACLE = {
 
 
 def test_package_namespace_resolves_lazily():
-    assert len(goldenschur.__all__) == 43
+    assert len(goldenschur.__all__) == 41
     assert "moments_at_qstar" not in goldenschur.__all__
     moved = [name for names in _MOVED_TO_ORACLE.values() for name in names]
     for removed in ("LambdaValue", "reduce_power", "f_red", "f_red_prime", "f_red_prime_direct",
-                    "q_class_functional", *moved):
+                    "q_class_functional", "theta_derivatives", *moved):
         assert removed not in goldenschur.__all__
         assert not hasattr(goldenschur, removed)
     oracle = importlib.import_module("goldenschur.oracle")

@@ -10,14 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goldenschur import folded
-from goldenschur.folded import (
-    folded_weights,
-    moments,
-    moments_from_sums,
-    sums_closed,
-    theta_derivatives,
+from goldenschur.folded import folded_weights, moments, sums_closed
+from goldenschur.oracle import (
+    moments_from_sums, sums_at_qstar, sums_bruteforce, theta_derivatives_fd,
 )
-from goldenschur.oracle import sums_at_qstar, sums_bruteforce, theta_derivatives_fd
 from goldenschur.qfield import Q5, QSTAR
 
 
@@ -137,6 +133,26 @@ def test_float_sums_keep_their_bits(q):
     assert tuple(x.hex() for x in sums) == _FLOAT_SUMS_N12[q]
 
 
+# float.hex of (I₁, I₂, I₃, Var, I₂′) at N = 12, recorded before FoldedMoments
+# carried I₂′: the float lane must keep these bits.
+_FLOAT_MOMENTS_N12 = {
+    0.3: ("0x1.6db6706f706c5p+0", "0x1.539467ce1e924p+1", "0x1.ab34a35bcf243p+2",
+          "0x1.396e21f4cd744p-1", "0x1.714cae1030445p+1"),
+    0.9: ("0x1.51b8ca153d3f7p+2", "0x1.36e32854f5026p+5", "0x1.5164ff346b3b9p+8",
+          "0x1.607c8e75c16c6p+3", "0x1.08a88da2fa086p+7"),
+    1e-6: ("0x1.000010c6f8ba3p+0", "0x1.00003254ec618p+0", "0x1.00007570da491p+0",
+           "0x1.0c6f9d3a00000p-20", "0x1.92a78f0780000p-19"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_FLOAT_MOMENTS_N12))
+def test_float_moments_keep_their_bits(q):
+    m = moments(12, q)
+    values = (m.i1, m.i2, m.i3, m.var, m.i2_prime)
+    assert all(type(x) is float for x in values)
+    assert tuple(x.hex() for x in values) == _FLOAT_MOMENTS_N12[q]
+
+
 def test_closed_matches_bruteforce_float():
     # The closed forms divide by (1-q)^4, which costs a few digits in floating
     # point as q -> 1; 1e-9 relative still leaves ~100x observed headroom.
@@ -160,12 +176,18 @@ def test_sum_bounds():
         assert s.s2 <= n * n * s.s0
 
 
-@pytest.mark.parametrize("bad_q", [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)])
+@pytest.mark.parametrize(
+    "bad_q",
+    [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2),
+     0.0, 1.0, -0.5, 1.5, math.nan, math.inf],
+)
 def test_domain_rejects_bad_q(bad_q):
-    with pytest.raises(ValueError):
-        sums_closed(5, bad_q)
-    with pytest.raises(ValueError):
-        sums_bruteforce(5, bad_q)
+    # a float q, NaN included, is rejected by the float branch of moments
+    # with the message of every other route
+    message = f"^{re.escape(f'weight ratio must satisfy 0 < q < 1, got {bad_q!r}')}$"
+    for route in (sums_closed, sums_bruteforce, moments):
+        with pytest.raises(ValueError, match=message):
+            route(5, bad_q)
 
 
 def test_domain_rejects_bad_n():
@@ -253,6 +275,7 @@ def test_moments_from_sums_consistent():
     m = moments_from_sums(s)
     assert m.i1 == s.s1 / s.s0
     assert m.var == m.i2 - m.i1 * m.i1
+    assert m.i2_prime == m.i3 - m.i1 * m.i2
     assert moments(7, Fraction(2, 5)) == m
 
 
@@ -265,12 +288,9 @@ def test_rational_moments_from_numerators_match_the_sums(n, a, gap):
     # one normalisation per value from the integer numerators X_k, against
     # Fraction division of the normalised sums
     q = Fraction(a, a + gap)
-    m = moments_from_sums(sums_closed(n, q))
-    _, i2p = theta_derivatives(m)
-    got, got_i2p = folded._moments_and_i2_prime(n, q)
-    assert got == m and got_i2p == i2p
-    assert all(type(x) is Fraction for x in (*got[2:], got_i2p))
-    assert moments(n, q) == m
+    got = moments(n, q)
+    assert got == moments_from_sums(sums_closed(n, q))
+    assert all(type(x) is Fraction for x in got[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +331,13 @@ def test_folded_weights_define_the_moments():
 
 def test_theta_derivatives_exact_values():
     m = moments(12, QSTAR)
-    d1, d2 = theta_derivatives(m)
-    assert d1 == Fraction(719, 720)
-    assert d2 == Q5(Fraction(9347, 720), Fraction(-485, 144))
+    assert m.var == Fraction(719, 720)
+    assert m.i2_prime == Q5(Fraction(9347, 720), Fraction(-485, 144))
 
 
 def test_theta_derivatives_degenerate():
-    d1, d2 = theta_derivatives(moments(1, Fraction(1, 3)))
-    assert d1 == 0 and d2 == 0
+    m = moments(1, Fraction(1, 3))
+    assert m.var == 0 and m.i2_prime == 0
 
 
 def test_theta_derivatives_identities():
@@ -327,39 +346,13 @@ def test_theta_derivatives_identities():
         n = rng.randint(2, 18)
         q = Fraction(rng.randint(1, 99), 100)
         m = moments(n, q)
-        d1, d2 = theta_derivatives(m)
-        assert d1 == m.var
-        assert d2 == m.i3 - m.i1 * m.i2
+        assert m.var == m.i2 - m.i1 * m.i1
+        assert m.i2_prime == m.i3 - m.i1 * m.i2
 
 
 # ---------------------------------------------------------------------------
-# the float kernel
+# finite differences
 # ---------------------------------------------------------------------------
-
-#: Float q in (0, 1), with extra weight within 1e-9 of either end.
-UNIT_FLOATS = st.one_of(
-    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    st.floats(0.0, 1e-9, exclude_min=True),
-    st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
-)
-
-
-@given(n=st.integers(1, 512), q=UNIT_FLOATS)
-def test_float_kernel_has_the_bits_of_moments(n, q):
-    i1, var, i2p = folded._float_moments(n, q)
-    m = moments(n, q)
-    i1p, want_i2p = theta_derivatives(m)
-    got = (i1, i1 * i1, var, i2p)
-    want = (m.i1, m.i1 * m.i1, i1p, want_i2p)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
-
-
-@pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
-def test_float_kernel_rejects_q_as_moments_does(q):
-    with pytest.raises(ValueError) as want:
-        moments(12, q)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-        folded._float_moments(12, q)
 
 
 def test_fd_matches_exact_at_spec_points():
@@ -380,7 +373,7 @@ def test_fd_matches_exact_on_grid():
         for k in range(1, 10):
             q = k / 10
             m = moments(n, q)
-            d1, d2 = theta_derivatives(m)
+            d1, d2 = m.var, m.i2_prime
             f1, f2 = theta_derivatives_fd(n, q, h=h)
             bound = 10 * h * h * max(1.0, float(m.i3))
             assert abs(f1 - d1) <= bound
@@ -389,7 +382,8 @@ def test_fd_matches_exact_on_grid():
 
 def test_fd_second_order_convergence():
     n, q = 12, 0.6
-    d1, d2 = theta_derivatives(moments(n, q))
+    m = moments(n, q)
+    d1, d2 = m.var, m.i2_prime
     errs = []
     for h in (1e-2, 5e-3, 2.5e-3):
         f1, f2 = theta_derivatives_fd(n, q, h=h)

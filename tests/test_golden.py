@@ -4,17 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from goldenschur.folded import (
-    _GoldenInt,
-    _golden_numerators,
-    _moments_and_i2_prime,
-    moments,
-    moments_from_sums,
-    sums_closed,
-    theta_derivatives,
-)
+from goldenschur.folded import _GoldenInt, _golden_numerators, moments, sums_closed
 from goldenschur.golden import GoldenPower, golden_power_table, lambda_n
-from goldenschur.oracle import fibonacci, sums_at_qstar, theta_derivatives_fd
+from goldenschur.oracle import (
+    fibonacci, moments_from_sums, sums_at_qstar, theta_derivatives_fd,
+)
 from goldenschur.qfield import Q5, QSTAR, decimal_str
 
 # (m, a_m, b_m) rows of q⋆^m = a_m q⋆ + b_m.
@@ -157,9 +151,9 @@ def test_moments_at_qstar_matches_generic_route():
 def test_closed_form_route_matches_integer_oracle(n):
     oracle = sums_at_qstar(n)
     assert sums_closed(n, QSTAR) == oracle
-    assert moments(n, QSTAR) == moments_from_sums(oracle)
-    d1, d2 = theta_derivatives(moments_from_sums(oracle))
-    assert lambda_n(n) == d2 / d1
+    m = moments_from_sums(oracle)
+    assert moments(n, QSTAR) == m
+    assert lambda_n(n) == m.i2_prime / m.var
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +172,16 @@ def test_lambda_12_exact():
 
 def test_lambda_is_derivative_ratio():
     for n in (2, 3, 12, 24):
-        d1, d2 = theta_derivatives(moments_from_sums(sums_at_qstar(n)))
-        assert lambda_n(n) == d2 / d1
+        m = moments_from_sums(sums_at_qstar(n))
+        assert lambda_n(n) == m.i2_prime / m.var
 
 
 @pytest.mark.parametrize("n", [*range(2, 61), 1000])
 def test_lambda_is_u_over_v(n):
     # lambda_n divides T = I₂′·Y₀² by the integer R = Var·Y₀² once; the
     # moment route divides I₂′ by I₁′
-    i1p, i2p = theta_derivatives(moments(n, QSTAR))
-    assert lambda_n(n) == i2p / i1p
+    m = moments(n, QSTAR)
+    assert lambda_n(n) == m.i2_prime / m.var
 
 
 def test_lambda_10000_is_u_over_v_of_the_reduction_oracle():
@@ -256,19 +250,17 @@ def test_lambda_rejects_a_non_integer_size(bad):
 
 
 def _field_route(n):
-    """Moments, I₂′ and Λ at (N, q⋆) by the generic field route: the power
-    sums in Q(√5), I_k = S_k/S₀, and Λ = (S₃S₀ − S₁S₂)/(S₂S₀ − S₁²)."""
+    """Moments with I₂′, and Λ, at (N, q⋆) by the generic field route: the
+    power sums in Q(√5), I_k = S_k/S₀, and Λ = (S₃S₀ − S₁S₂)/(S₂S₀ − S₁²)."""
     s = sums_closed(n, QSTAR)
-    m = moments_from_sums(s)
     s0, s1, s2, s3 = s.as_tuple()
     lam = (s3 * s0 - s1 * s2) / (s2 * s0 - s1 * s1) if n >= 2 else None
-    return m, theta_derivatives(m)[1], lam
+    return moments_from_sums(s), lam
 
 
 def _check_kernel(n):
-    m, i2p, lam = _field_route(n)
-    assert moments(n, QSTAR) == m
-    assert _moments_and_i2_prime(n, QSTAR) == (m, i2p)
+    m, lam = _field_route(n)
+    assert moments(n, QSTAR) == m  # every field, I₂′ included
     if n >= 2:
         assert lambda_n(n) == lam
 

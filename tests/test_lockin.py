@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from goldenschur.folded import moments, theta_derivatives
+from goldenschur.folded import moments
 from goldenschur.golden import lambda_n
 from goldenschur.lockin import (
     QuadLawCoeffs,
@@ -160,9 +160,8 @@ def test_derivative_lane_gap_identity():
         c = rand_exact_coeffs(rng, n)
         q = Fraction(rng.randint(1, 99), 100)
         m = moments(n, q)
-        _, i2p = theta_derivatives(m)
         gap = f_red_prime_q(c, q) - f_red_prime_direct_q(c, q)
-        assert gap == c.b * i2p * (m.i1 - 1) / n
+        assert gap == c.b * m.i2_prime * (m.i1 - 1) / n
 
 
 def test_f_red_prime_direct_matches_finite_differences():
@@ -190,7 +189,7 @@ def test_f_red_prime_direct_matches_finite_differences():
 def test_bracket_identity_exact():
     rng = random.Random(12345)
     m = moments(12, QSTAR)
-    i1p, _ = theta_derivatives(m)
+    i1p = m.var
     lam = lambda_n(12)
     for _ in range(100):
         c = rand_exact_coeffs(rng)
@@ -269,8 +268,7 @@ def test_float_synthesized_coeffs_are_stationary(log_b, negative, n, log_m2):
     rep = stationarity_check(c)
     assert rep.stationary and not rep.degenerate
     m = moments(n, float(QSTAR))
-    i1p, _ = theta_derivatives(m)
-    assert rep.f_prime_at_star == rep.bracket * m.i1 * i1p / n
+    assert rep.f_prime_at_star == rep.bracket * m.i1 * m.var / n
     moved = QuadLawCoeffs(c.a * (1 + 1e-6), c.b, n, c.m_rho_sq)
     assert not stationarity_check(moved).stationary
 
@@ -363,8 +361,12 @@ def test_uniqueness_scan_n2_generic_coeffs(coeffs):
 
 
 def test_uniqueness_scan_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        uniqueness_scan(QuadLawCoeffs(1, 1, 12), [math.log(0.5), math.log(0.4)])
+    # a NaN compares false either way, so it fails the order check too
+    nan = math.nan
+    for grid in ([-1.0], [math.log(0.5), math.log(0.4)], [-1.0, -1.0],
+                 [-1.0, nan, -0.5], [nan, -1.0], [-1.0, nan]):
+        with pytest.raises(ValueError, match="^scan grid must be strictly increasing with >= 2"):
+            uniqueness_scan(QuadLawCoeffs(1, 1, 12), grid)
     with pytest.raises(ValueError):
         uniqueness_scan(QuadLawCoeffs(1, 1, 12), [math.log(0.5), 0.1])  # θ must stay below 0
 
@@ -413,9 +415,9 @@ def test_uniqueness_scan_values_are_f_red_prime_bits(a, b, m2, n, grid):
 
 @pytest.mark.parametrize(
     "grid, q",
-    [([-800.0, -1.0], "0.0"), ([-1.0, -1e-20], "1.0"), ([-2.0, math.nan, -1.0], "nan")],
+    [([-800.0, -1.0], "0.0"), ([-1.0, -1e-20], "1.0")],
 )
 def test_uniqueness_scan_rejects_q_outside_domain(grid, q):
-    # e^θ underflows to 0, rounds to 1, or is NaN: the point is not in 0 < q < 1
+    # e^θ underflows to 0 or rounds to 1: the point is not in 0 < q < 1
     with pytest.raises(ValueError, match=rf"^weight ratio must satisfy 0 < q < 1, got {q}$"):
         uniqueness_scan(QuadLawCoeffs(1, -1, 12), grid)

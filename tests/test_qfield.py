@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from goldenschur import cli, qfield
 from goldenschur.cli import _exact_str, _unlimited_int_digits
-from goldenschur.folded import _moments_and_i2_prime, sums_closed
+from goldenschur.folded import moments, sums_closed
 from goldenschur.qfield import (
     _SPLIT_DIGITS,
     PHI,
@@ -339,8 +339,8 @@ def test_float_of_golden_sums_is_correctly_rounded(n):
     # N = 10⁴, where float(a) + float(b)·√5 gave 0.0, −9.1e192 or an OverflowError
     s = sums_closed(n, QSTAR)
     assert [float(v) for v in s.as_tuple()] == _mp_sums(n)
-    m, i2p = _moments_and_i2_prime(n, QSTAR, s)
-    for v in (m.i1, m.i2, m.i3, m.var, i2p):
+    m = moments(n, QSTAR)
+    for v in (m.i1, m.i2, m.i3, m.var, m.i2_prime):
         assert float(v) == _mp_float(v._p, v._q, v._d)
 
 
@@ -923,7 +923,7 @@ def test_golden_moments_print_with_at_most_one_isqrt(monkeypatch, capsys):
     assert len(calls) <= 1
     # and the expansion stops a little past the bits the largest value needs
     s = sums_closed(10_000, QSTAR)
-    m, i2p = _moments_and_i2_prime(10_000, QSTAR, s)
-    values = (*s.as_tuple(), m.i1, m.i2, m.i3, m.var, i2p)
+    m = moments(10_000, QSTAR)
+    values = (*s.as_tuple(), *m[2:])
     needed = max((2 * abs(v._q) * 10**12).bit_length() + 32 for v in values)
     assert needed <= qfield._sqrt5_cache[0] < 1.1 * needed

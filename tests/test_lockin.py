@@ -414,10 +414,18 @@ def test_uniqueness_scan_values_are_f_red_prime_bits(a, b, m2, n, grid):
 
 
 @pytest.mark.parametrize(
-    "grid, q",
-    [([-800.0, -1.0], "0.0"), ([-1.0, -1e-20], "1.0")],
+    "grid, match",
+    [
+        pytest.param([-800.0, -1.0], r"^weight ratio must satisfy 0 < q < 1, got 0\.0$",
+                     id="grid0-0.0"),
+        pytest.param([-1.0, -1e-20], r"^weight ratio must satisfy 0 < q < 1, got 1\.0$",
+                     id="grid1-1.0"),
+        pytest.param([-2.0, math.nan, -1.0], r"^scan grid must be strictly increasing",
+                     id="grid2-nan"),
+    ],
 )
-def test_uniqueness_scan_rejects_q_outside_domain(grid, q):
-    # e^θ underflows to 0 or rounds to 1: the point is not in 0 < q < 1
-    with pytest.raises(ValueError, match=rf"^weight ratio must satisfy 0 < q < 1, got {q}$"):
+def test_uniqueness_scan_rejects_q_outside_domain(grid, match):
+    # e^θ underflows to 0 or rounds to 1: the point is not in 0 < q < 1; a NaN θ,
+    # whose e^θ is NaN, is already caught by the grid's order check
+    with pytest.raises(ValueError, match=match):
         uniqueness_scan(QuadLawCoeffs(1, -1, 12), grid)

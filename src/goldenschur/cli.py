@@ -41,18 +41,13 @@ __all__ = ["main", "build_parser"]
 _GOLDEN_TOKENS = {"phi^-2", "qstar", "q*", "golden"}
 
 
-def _parse_rational(text: str, name: str) -> Fraction | float:
+def _parse_rational(text: str, name: str) -> Fraction:
+    """``text`` read exactly: ``Fraction`` parses every finite decimal, and
+    rejects NaN and the infinities."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{name}: cannot parse {text!r} as a rational or float") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{name}: {text!r} is not a finite number")
-    return value
+        raise ValueError(f"{name}: cannot parse {text!r} as an exact rational") from None
 
 
 def _parse_q(text: str) -> Scalar:
@@ -82,8 +77,6 @@ def _check_digits(digits: int) -> None:
 
 
 def _decimal(v: Scalar, digits: int) -> str:
-    if isinstance(v, float):
-        return f"{v:.{digits}g}"
     from .qfield import decimal_str
 
     return decimal_str(v, digits)
@@ -348,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="power sums and folded moments at (N, q)")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--q", required=True, help="rational like 1/2, decimal, or phi^-2 / qstar")
+    p.add_argument(
+        "--q", required=True, help="rational like 1/2, decimal (read exactly), or phi^-2 / qstar"
+    )
     p.add_argument("--format", choices=("exact", "decimal", "both"), default="both")
     p.add_argument("--digits", type=int, default=12)
     p.set_defaults(func=_cmd_moments)
@@ -364,8 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stationarity", help="synthesize consistent (A, B) and check q⋆")
     p.add_argument("--N", type=int, default=12)
-    p.add_argument("--m-rho-sq", default="2", help="collective normalization m_ρ²")
-    p.add_argument("--B", required=True, help="law coefficient B (rational)")
+    p.add_argument(
+        "--m-rho-sq",
+        default="2",
+        help="collective normalization m_ρ² (rational; decimals are read exactly)",
+    )
+    p.add_argument(
+        "--B", required=True, help="law coefficient B (rational; decimals are read exactly)"
+    )
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(func=_cmd_stationarity)
 

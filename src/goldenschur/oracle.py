@@ -22,7 +22,6 @@ independent route here.  Each oracle, and the library route it checks:
 * :func:`dense_curvature`, the trace of the dense Schur complement
   (:func:`assemble_hessian`, :func:`band_basis`, :func:`block_hessian`,
   :func:`schur_complement`): the spectral :func:`.schur.schur_curvature`.
-  It is also the κ route of an unvalidated family without spectra.
 * :func:`variational_check`: the Schur complement as the Loewner minimum of
   :func:`variational_expression` over couplings Y.
 * :func:`matrix_convexity_check`: the Loewner convexity of θ ↦ H(θ) that
@@ -264,8 +263,7 @@ def schur_complement(
 
 def dense_curvature(fam: HessianFamily, theta: float) -> float:
     """κ_Schur at θ from the dense band/collective blocks: the oracle route of
-    :func:`.schur.schur_curvature`, and the κ route of a family whose
-    coefficients are not all symmetric circulants."""
+    :func:`.schur.schur_curvature`."""
     import numpy as np
     blocks = block_hessian(fam, theta)
     s = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")

@@ -40,7 +40,9 @@ from .qfield import QSTAR, GoldenBasis, Q5, decimal_str
 from .reference import SUITES
 from .report import ReportDocument
 from .schur import (
+    ExpTerm,
     FamilyValidationError,
+    HessianFamily,
     build_split,
     circulant,
     kappa_convexity_scan,
@@ -468,15 +470,19 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
     )
 
     n = 5
+    u_raw = [1, 0, 0, 0, -1]
     indef = np.eye(n) - 0.75 * circulant([0.0, 1.0, 0.0, 0.0, 1.0])  # the 5-cycle
     try:
-        make_family(n, 2.0, [1, 0, 0, 0, -1], np.zeros((n, n)), [(1.0, indef)])
+        make_family(n, 2.0, u_raw, np.zeros((n, n)), [(1.0, indef)])
         psd_control = "accepted (should have been rejected)"
         ok = False
     except FamilyValidationError as exc:
         ok = any("not PSD" in v for v in exc.violations)
         psd_control = f"rejected: {exc.violations}"
-    bad_fam = make_family(n, 2.0, [1, 0, 0, 0, -1], np.zeros((n, n)), [(1.0, indef)], validate=False)
+    # forced in: the rows, built without validation
+    bad_fam = HessianFamily(
+        build_split(n, 2.0, u_raw), ExpTerm(0.0, np.zeros(n)), (ExpTerm(1.0, indef[0]),)
+    )
     rep = matrix_convexity_check(bad_fam, -2.0, -0.2, 11)
     doc.add(
         "s.negative-control-psd",
@@ -490,7 +496,7 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
     non_circ = np.zeros((n, n))
     non_circ[0, 0] = 1.0
     try:
-        make_family(n, 2.0, [1, 0, 0, 0, -1], np.zeros((n, n)), [(1.0, non_circ)])
+        make_family(n, 2.0, u_raw, np.zeros((n, n)), [(1.0, non_circ)])
         ok, msg = False, "accepted (should have been rejected)"
     except FamilyValidationError as exc:
         ok = any("commutator norm" in v for v in exc.violations)

@@ -36,8 +36,10 @@ from goldenschur.oracle import (
 from goldenschur.qfield import Q5, QSTAR, decimal_str
 from goldenschur.reference import KAPPA_TABLE, REPORTED_A, REPORTED_B, REPORTED_M_RHO_SQ
 from goldenschur.schur import (
+    ExpTerm,
+    HessianFamily,
+    build_split,
     kappa_convexity_scan,
-    make_family,
     random_family,
     schur_curvature,
 )
@@ -177,13 +179,14 @@ def test_criterion_08_matrix_convexity():
                 assert len(rep.min_eigs) == 11
                 assert min(rep.min_eigs) >= -1e-10
 
-        # negative control: a corrupted family must be flagged
+        # negative control: a corrupted family must be flagged.  H(θ) = I − e^θ·I
+        # has an indefinite term, so it is built from its rows, unvalidated.
         n = 5
         u_raw = [math.cos(2 * math.pi * k / n) for k in range(n)]
-        from goldenschur.schur import build_split
-
-        split = build_split(n, 2.0, u_raw)
-        bad = make_family(n, 2.0, u_raw, np.eye(n), [(1.0, -split.p_band)], validate=False)
+        eye_row = np.eye(n)[0]
+        bad = HessianFamily(
+            build_split(n, 2.0, u_raw), ExpTerm(0.0, eye_row), (ExpTerm(1.0, -eye_row),)
+        )
         rep = matrix_convexity_check(bad, -1.5, 0.2, t_grid=11)
         assert min(rep.min_eigs) < -1e-6, "corrupted family was not detected"
 

@@ -18,6 +18,8 @@ import pytest
 import goldenschur
 from goldenschur.cli import main
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 FAMILY_DOC = {
     "N": 6,
     "m_rho_sq": 2.0,
@@ -513,7 +515,7 @@ def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
 def test_non_finite_numbers_are_bad_input(capsys, argv, option, text):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: {option}: {text!r} is not a finite number\n"
+    assert err == f"error: {option}: cannot parse {text!r} as an exact rational\n"
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +614,10 @@ def test_fit_ab_header_after_comment(capsys, tmp_path):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ("q,kappa\n1/2,nan\n1/3,5/11\n", "kappa: 'nan' is not a finite number"),
-        ("nan,3/7\n1/2,3/7\n1/3,5/11\n", "q: 'nan' is not a finite number"),
-        ("q,kappa\nq,kappa\n1/3,5/11\n", "q: cannot parse 'q' as a rational or float"),
-        ("1/2,3/7\nq,kappa\n1/3,5/11\n", "q: cannot parse 'q' as a rational or float"),
+        ("q,kappa\n1/2,nan\n1/3,5/11\n", "kappa: cannot parse 'nan' as an exact rational"),
+        ("nan,3/7\n1/2,3/7\n1/3,5/11\n", "q: cannot parse 'nan' as an exact rational"),
+        ("q,kappa\nq,kappa\n1/3,5/11\n", "q: cannot parse 'q' as an exact rational"),
+        ("1/2,3/7\nq,kappa\n1/3,5/11\n", "q: cannot parse 'q' as an exact rational"),
     ],
 )
 def test_fit_ab_rejects_bad_rows(capsys, tmp_path, rows, message):
@@ -824,21 +826,25 @@ def concave_family(monkeypatch):
     """``schur`` reads κ = 1 − 2e^θ/3 (strictly concave) from any file name.
 
     C₀ = I, and the term −e^θ·Q, with Q the circulant projector onto the
-    Fourier modes 2 and 3, is band-supported (Q u = 0), so H_OO = 1.  No valid
-    family is concave, so the family is built unvalidated and handed to the
-    command in place of the loaded one.
+    Fourier modes 2 and 3, is band-supported (Q u = 0), so H_OO = 1.  The
+    term is negative, so no file can hold this family: it is built from its
+    two rows, symmetrized as a family file's rows are, and handed to the
+    command in place of the loaded one.  (Validated families can be concave
+    too: see ``tests/fixtures/concave-n4-*.json``.)
     """
+    import numpy as np
+
     import goldenschur.schur as schur
 
     n = 5
-    fam = schur.make_family(
-        n,
-        2.0,
-        [math.cos(2 * math.pi * k / n) for k in range(n)],
-        [1.0, 0.0, 0.0, 0.0, 0.0],
-        [(1.0, [-0.4 * math.cos(4 * math.pi * k / n) for k in range(n)])],
-        validate=False,
-    )
+    rev = (n - np.arange(n)) % n
+    rows = [
+        np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
+        np.array([-0.4 * math.cos(4 * math.pi * k / n) for k in range(n)]),
+    ]
+    c0, c1 = ((g + g[rev]) / 2 for g in rows)
+    split = schur.build_split(n, 2.0, [math.cos(2 * math.pi * k / n) for k in range(n)])
+    fam = schur.HessianFamily(split, schur.ExpTerm(0.0, c0), (schur.ExpTerm(1.0, c1),))
     monkeypatch.setattr(schur, "load_family", lambda path: fam)
     return "concave.json"
 
@@ -917,6 +923,22 @@ def test_schur_concave_output_pinned(capsys, concave_family, fmt):
     assert out == SCHUR_CONCAVE_PINNED[fmt]
 
 
+@pytest.mark.parametrize(
+    "name, grid, violations",
+    [
+        # κ = 1 + 1/(3q + 1), concave in θ for q < 1/3
+        ("concave-n4-s-minus1.json", ["-3.0", "-0.1", "30"], list(range(1, 20))),
+        # κ = 1 + 100q/(3 + 100q), concave for q > 0.03
+        ("concave-n4-s-plus1.json", [str(math.log(0.05)), str(math.log(0.95)), "101"],
+         list(range(1, 100))),
+    ],
+)
+def test_schur_fails_on_validated_concave_family(capsys, name, grid, violations):
+    code, out, err = run_cli(capsys, "schur", str(FIXTURES / name), *grid)
+    assert (code, err) == (1, "")
+    assert f"\nconvexity: FAIL at indices {violations} (min second difference -" in out
+
+
 def test_schur_overflow_is_a_computation_failure(capsys, family_file):
     # e^{1500} overflows math.exp; numpy must not turn it into a warning
     with warnings.catch_warnings(record=True) as caught:
@@ -946,6 +968,7 @@ def test_schur_rejects_invalid_family(capsys, tmp_path):
         (["-0.5", "-0.5", "11"], "theta_min < theta_max"),
         (["--", "-inf", "-0.1", "11"], "theta_min = -inf is not finite"),
         (["-2", "inf", "5"], "theta_max = inf is not finite"),
+        (["--", "-1e308", "1e308", "3"], "theta_max - theta_min = inf is not finite"),
     ],
 )
 def test_schur_rejects_bad_grid(capsys, family_file, grid, message):
@@ -1292,7 +1315,7 @@ def test_int_digit_limit_restored_after_error(capsys):
 
 def _exact_large_digests():
     """(arguments, sha256 of stdout) rows of ``tests/fixtures/exact-large.sha256``."""
-    path = Path(__file__).parent / "fixtures" / "exact-large.sha256"
+    path = FIXTURES / "exact-large.sha256"
     rows = []
     for line in path.read_text(encoding="utf-8").splitlines():
         if line and not line.startswith("#"):

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from goldenschur.schur import (
     EQUIVARIANCE_TOL,
     PSD_TOL,
     SYM_TOL,
+    ExpTerm,
     FamilyValidationError,
+    HessianFamily,
     build_split,
     circulant,
     family_from_dict,
@@ -46,6 +49,7 @@ from goldenschur.schur import (
 )
 
 RNG_SEED = 20260819
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def ring_family(n=6, *, s1=1.0, s2=-0.7):
@@ -55,6 +59,16 @@ def ring_family(n=6, *, s1=1.0, s2=-0.7):
     c2 = circulant([1.5, 0.0, 0.5] + [0.0] * (n - 5) + [0.5, 0.0])
     u = [math.cos(2 * math.pi * k / n) for k in range(n)]
     return make_family(n, 2.0, u, c0, [(s1, c1), (s2, c2)])
+
+
+def row_family(u_raw, row0, terms):
+    """A family built from its generator rows with no validation, as a
+    negative control that no validated family can be (m_ρ² = 2)."""
+    return HessianFamily(
+        build_split(len(row0), 2.0, u_raw),
+        ExpTerm(0.0, np.asarray(row0, dtype=float)),
+        tuple(ExpTerm(s, np.asarray(g, dtype=float)) for s, g in terms),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +199,8 @@ def test_validation_rejects_non_psd():
     with pytest.raises(FamilyValidationError) as err:
         make_family(n, 2.0, u, indefinite, [])
     assert any("PSD" in v for v in err.value.violations)
-    # validate=False lets the negative control through
-    fam = make_family(n, 2.0, u, indefinite, [], validate=False)
+    # the negative control, built from its row
+    fam = row_family(u, indefinite[0], [])
     assert np.linalg.eigvalsh(assemble_hessian(fam, 0.0)).min() < -0.4
 
 
@@ -217,36 +231,27 @@ def test_validation_names_non_finite_entries(circulant_encoded, bad):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_unvalidated_family_rejects_wrong_shape(n):
-    # validate=False lets an invalid coefficient through, but never one of the
-    # wrong shape: validated or not, the same shape message is raised
+    # no family is left unvalidated: a coefficient of the wrong shape is named
     u = [math.cos(2 * math.pi * k / n) for k in range(n)]
     short = [2.0, 0.5, 0.0, 0.5]
-    expected = [
+    with pytest.raises(FamilyValidationError) as err:
+        make_family(n, 2.0, u, short, [(1.0, short)])
+    assert err.value.violations == [
         f"C0: shape (4,) != ({n}, {n})",
         f"terms[0].C (s=1): shape (4,) != ({n}, {n})",
     ]
-    for validate in (True, False):
-        with pytest.raises(FamilyValidationError) as err:
-            make_family(n, 2.0, u, short, [(1.0, short)], validate=validate)
-        assert err.value.violations == expected
-    # an unvalidated family keeps its other violations to itself
-    indefinite = np.eye(n) - 0.75 * circulant([0.0, 1.0] + [0.0] * (n - 3) + [1.0])
-    with pytest.raises(FamilyValidationError) as err:
-        make_family(n, 2.0, u, indefinite, [(1.0, np.ones((n, n + 1)))], validate=False)
-    assert err.value.violations == [f"terms[0].C (s=1): shape ({n}, {n + 1}) != ({n}, {n})"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_unvalidated_family_rejects_non_finite_exponent(bad):
     # κ of such a family could only fail later as a "singular" collective
-    # block; the exponent is named up front, validated or not
+    # block; the exponent is named up front
     n = 6
     u = [math.cos(2 * math.pi * k / n) for k in range(n)]
     g = [2.0, 0.5, 0.0, 0.0, 0.0, 0.5]
-    for validate in (True, False):
-        with pytest.raises(FamilyValidationError) as err:
-            make_family(n, 2.0, u, g, [(1.0, g), (bad, g)], validate=validate)
-        assert err.value.violations == [f"terms[1]: exponent s = {bad} is not finite"]
+    with pytest.raises(FamilyValidationError) as err:
+        make_family(n, 2.0, u, g, [(1.0, g), (bad, g)])
+    assert err.value.violations == [f"terms[1]: exponent s = {bad} is not finite"]
 
 
 def parent_rule_accepts(c):
@@ -316,10 +321,9 @@ def test_circulant_family_builds_no_dense_array(tmp_path):
     fam = family_from_dict(family_doc())
     kappa_convexity_scan(fam, -2.0, -0.1, 11)
     assert "p_band" not in vars(fam.split)
-    assert all(t.generator is not None and "coef" not in vars(t) for t in (fam.base, *fam.terms))
+    assert all(t.c.shape == (6,) and "coef" not in vars(t) for t in (fam.base, *fam.terms))
     assert fam.c0.shape == (6, 6)  # built on first use
     # the dense blocks live in the oracle module, which `schur` never loads
-    # for a validated circulant family
     path = tmp_path / "family.json"
     path.write_text(json.dumps(family_doc()))
     proc = subprocess.run(
@@ -520,10 +524,9 @@ def test_convexity_gaps_match_a_per_t_assembly(n_terms):
     fams = [random_family(int(draw.integers(3, 10)), draw, n_terms=n_terms)]
     if n_terms:
         n = fams[0].n
-        fams.append(make_family(  # unvalidated, with a dense non-circulant term
-            n, 2.0, draw.standard_normal(n), np.eye(n),
-            [(0.7, draw.standard_normal((n, n)))] * n_terms, validate=False,
-        ))
+        g = draw.standard_normal(n)
+        g = (g + g[(n - np.arange(n)) % n]) / 2  # a symmetric row, indefinite as a rule
+        fams.append(row_family(draw.standard_normal(n), np.eye(n)[0], [(0.7, g)] * n_terms))
     for fam in fams:
         t1, t2 = sorted(float(t) for t in draw.uniform(-2.0, 0.5, size=2))
         ts = np.linspace(0.0, 1.0, 11)
@@ -617,11 +620,11 @@ def test_matrix_convexity_single_term_closed_form():
 
 
 def test_matrix_convexity_detects_violation():
-    # A family with a genuinely non-convex path: negative coefficient matrix
-    # forced in without validation.
+    # A family with a genuinely non-convex path: the negative coefficient −I,
+    # built from its row.
     n = 5
     u = [math.cos(2 * math.pi * k / n) for k in range(n)]
-    fam = make_family(n, 2.0, u, np.zeros((n, n)), [(1.0, -np.eye(n))], validate=False)
+    fam = row_family(u, np.zeros(n), [(1.0, -np.eye(n)[0])])
     rep = matrix_convexity_check(fam, -1.0, 0.5)
     assert min(rep.min_eigs) < -1e-3
 
@@ -637,16 +640,38 @@ def test_kappa_convexity_scan():
 
 
 def test_kappa_scan_flags_concave_curve():
-    n = 5
-    u_raw = [math.cos(2 * math.pi * k / n) for k in range(n)]
-    split = build_split(n, 2.0, u_raw)
-    # κ(θ) = 1 − e^θ is strictly concave.  The negative band-supported term
-    # leaves H_OO = 1 (P_B u = 0), so the Schur complement stays defined.
-    fam = make_family(n, 2.0, u_raw, np.eye(n), [(1.0, -split.p_band)], validate=False)
-    scan = kappa_convexity_scan(fam, -1.0, 0.0, points=21)
+    # a validated family: κ = 1 + 1/(3q + 1) is concave in θ for q < 1/3
+    fam = load_family(FIXTURES / "concave-n4-s-minus1.json")
+    scan = kappa_convexity_scan(fam, -3.0, -0.1, points=30)
     assert not scan.convex_ok
-    assert len(scan.violations) > 0
+    assert scan.violations == tuple(range(1, 20))
     assert scan.min_second_difference < -1e-6
+
+
+@pytest.mark.parametrize(
+    "name, kappa, rel_tol",
+    [
+        ("concave-n4-s-minus1.json", lambda q: 1 + 1 / (3 * q + 1), 1e-15),
+        # 2.9e-15 at q = 1/2: the spectral route subtracts coupling/h ≈ 31.4
+        # from a band trace ≈ 35.3, while the exact κ of the same float
+        # inputs is within 6e-16
+        ("concave-n4-s-plus1.json", lambda q: 1 + 100 * q / (3 + 100 * q), 4e-15),
+    ],
+)
+def test_validated_concave_fixtures_match_closed_form(name, kappa, rel_tol):
+    # C₀ = I, u = e₁ and one term on the alternating mode: claim (i) fails for
+    # these validated families
+    fam = load_family(FIXTURES / name)
+    for q in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)):
+        exact = float(kappa(q))
+        assert abs(schur_curvature(fam, math.log(q)) - exact) <= rel_tol * exact
+
+
+def test_kappa_scan_rejects_theta_range_too_wide_for_a_float():
+    # both bounds are finite, but their difference overflows; pytest turns
+    # numpy's RuntimeWarning into an error, so only this message may surface
+    with pytest.raises(ValueError, match=r"^theta_max - theta_min = inf is not finite$"):
+        kappa_convexity_scan(ring_family(), -1e308, 1e308, 3)
 
 
 @settings(max_examples=60)
@@ -662,9 +687,9 @@ def test_rank_one_curvature_matches_dense_blocks(half, odd, n_terms, seed, theta
     n = 2 * half - odd
     fam = random_family(n, np.random.default_rng(seed), n_terms=n_terms)
     if circulant_encoded:
-        rows = [(t.s, t.generator) for t in fam.terms]
-        fam = make_family(n, 2.0, fam.split.u, fam.base.generator, rows)
-        assert fam.base.generator is not None
+        rows = [(t.s, t.c) for t in fam.terms]
+        fam = make_family(n, 2.0, fam.split.u, fam.base.c, rows)
+        assert fam.base.c.shape == (n,)
     dense = dense_curvature(fam, theta)
     assert abs(schur_curvature(fam, theta) - dense) <= 1e-12 * max(1.0, abs(dense))
 
@@ -743,7 +768,7 @@ def test_strict_convexity_witness_degenerate():
     u_raw = [(-1.0) ** k for k in range(n)]
     split = build_split(n, 2.0, u_raw)
     c = np.ones((n, n)) / n + np.outer(split.u, split.u)
-    fam = make_family(n, 2.0, u_raw, np.eye(n) * 0.0 + np.zeros((n, n)), [(1.0, c)], validate=False)
+    fam = make_family(n, 2.0, u_raw, np.zeros((n, n)), [(1.0, c)])
     rep = strict_convexity_witness(fam, 0, -1.0, 0.0)
     assert not rep.strict
     assert rep.witness < 1e-12

@@ -5,15 +5,17 @@ The reduced objective F_red(θ) = N − 4I₁²/(N m_ρ²) + κ/N is then statio
 at θ⋆ = ln q⋆ exactly when the bracket B·Λ(N) + 2A − 2B − 8/m_ρ² vanishes —
 an identity this demo verifies in exact arithmetic, then uses constructively:
 pick any B, solve the bracket for A, and the golden point becomes the unique
-interior stationary point.
+interior stationary point.  Uniqueness is a theorem, not a scan: for N ≥ 3,
+Λ(q) rises strictly from 3 to N + 1 on 0 < q < 1, so F′ (which has the sign
+of B·Λ(q) + c, c = 2A − 2B − 8/m_ρ²) has one zero iff 3 < −c/B < N + 1.
 
 The demo also runs the two-point identification that recovers (A, B) from
 curvature samples, and evaluates the bracket residual of a pair of reported
 reference constants (it is visibly nonzero — about −6.25 — which is reported
-as a finding, not asserted away).
+as a finding, not asserted away), and shows that they have no stationary
+point at all.
 """
 
-import math
 from fractions import Fraction
 
 from goldenschur import (
@@ -27,8 +29,8 @@ from goldenschur import (
     quadratic_law_fit,
     stationarity_check,
     synthesize_consistent_ab,
-    uniqueness_scan,
 )
+from goldenschur.oracle import exact_sign_changes
 from goldenschur.reference import REPORTED_A, REPORTED_B
 
 print("== the bracket identity, exactly ==")
@@ -49,12 +51,12 @@ print(f"  bracket residual: {bracket_residual(c)}")
 rep = stationarity_check(c)
 print(f"  F'(θ⋆) = {rep.f_prime_at_star}   stationary: {rep.stationary}")
 
-grid = [math.log(0.05 + k * 0.001) for k in range(901)]
-scan = uniqueness_scan(c, grid)
-(lo, hi), = scan.sign_change_intervals
-print(f"  sign changes of F' on q ∈ [0.05, 0.95]: {scan.sign_changes}")
-print(f"  the crossing lies in q ∈ [{math.exp(lo):.6f}, {math.exp(hi):.6f}]"
-      f"  (q⋆ = {float(QSTAR):.6f})")
+(lo, hi), = rep.sign_change_intervals
+print(f"  sign changes of F' on 0 < q < 1: {rep.sign_changes}, at q ∈ [{float(lo):.6f}, "
+      f"{float(hi):.6f}]  (q⋆ = {float(QSTAR):.6f})")
+print("  decided exactly: −c/B = Λ(q⋆) lies in (3, 13), and Λ rises strictly")
+cells = ", ".join(f"({a}, {b})" for a, b in exact_sign_changes(c))
+print(f"  exact F' at q = k/64 changes sign in: {cells}")
 
 print()
 print("== two-point identification of (A, B) ==")
@@ -71,3 +73,7 @@ print(f"  A = {REPORTED_A}, B = {REPORTED_B}, m_ρ² = 2")
 print(f"  bracket residual = {bracket_residual(reported):.10f}")
 print("  (nonzero: these constants do not satisfy the lock-in identity;")
 print("   the verification suite reports this as information.)")
+ratio = -(2 * REPORTED_A - 2 * REPORTED_B - 8 / 2) / REPORTED_B
+place = "inside" if 3 < ratio < 13 else "outside"
+print(f"  {stationarity_check(reported).sign_changes} stationary points: "
+      f"−c/B ≈ {ratio:.3f} is {place} (3, 13)")

@@ -38,7 +38,6 @@ _EXPORTS = {
         "quadratic_law_fit",
         "stationarity_check",
         "synthesize_consistent_ab",
-        "uniqueness_scan",
     ),
     "qfield": ("PHI", "QSTAR", "SQRT5", "GoldenBasis", "Q5", "decimal_str"),
     "schur": (

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from .reference import SUITES
 
 if TYPE_CHECKING:
-    from .folded import Scalar
+    from .qfield import Q5
 
 # Each subcommand imports only the layers it computes with: ``schur`` and
 # ``verify`` (numpy) inside their subcommands, ``lockin`` inside
@@ -50,7 +50,7 @@ def _parse_rational(text: str, name: str) -> Fraction:
         raise ValueError(f"{name}: cannot parse {text!r} as an exact rational") from None
 
 
-def _parse_q(text: str) -> Scalar:
+def _parse_q(text: str) -> Fraction | Q5:
     from .qfield import QSTAR
 
     if text.strip().lower() in _GOLDEN_TOKENS:
@@ -58,16 +58,14 @@ def _parse_q(text: str) -> Scalar:
     return _parse_rational(text, "q")
 
 
-def _exact_str(v: Scalar) -> str:
+def _exact_str(v: Fraction | Q5) -> str:
     from .qfield import Q5, exact_forms, fraction_str
 
-    if isinstance(v, Q5):
-        if v.is_rational:
-            return fraction_str(v.a)
-        return " = ".join(exact_forms(v))
-    if isinstance(v, Fraction):
+    if not isinstance(v, Q5):
         return fraction_str(v)
-    return str(v)
+    if v.is_rational:
+        return fraction_str(v.a)
+    return " = ".join(exact_forms(v))
 
 
 def _check_digits(digits: int) -> None:
@@ -76,7 +74,7 @@ def _check_digits(digits: int) -> None:
         raise ValueError("digits must be >= 0")
 
 
-def _decimal(v: Scalar, digits: int) -> str:
+def _decimal(v: Fraction | Q5, digits: int) -> str:
     from .qfield import decimal_str
 
     return decimal_str(v, digits)
@@ -198,7 +196,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
 
 def _cmd_stationarity(args: argparse.Namespace) -> int:
     from .golden import lambda_n
-    from .lockin import synthesize_consistent_ab, uniqueness_scan
+    from .lockin import stationarity_check, synthesize_consistent_ab
     from .qfield import decimal_str
 
     if args.N < 3:
@@ -211,8 +209,7 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
     m2 = _parse_rational(args.m_rho_sq, "m-rho-sq")
     coeffs = synthesize_consistent_ab(b, args.N, m2)
     lam = lambda_n(args.N)
-    grid = [math.log(0.05) + i * (math.log(0.95) - math.log(0.05)) / 600 for i in range(601)]
-    rep = uniqueness_scan(coeffs, grid)
+    rep = stationarity_check(coeffs)
     payload = {
         "N": args.N,
         "B": str(b),
@@ -225,10 +222,13 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
         "f_prime_at_golden_point": str(rep.f_prime_at_star),
         "stationary": rep.stationary,
         "sign_changes": rep.sign_changes,
-        "sign_change_intervals_q": [
-            [math.exp(a), math.exp(b_)] for a, b_ in rep.sign_change_intervals
-        ],
+        "sign_change_intervals_q": [[float(lo), float(hi)] for lo, hi in rep.sign_change_intervals],
     }
+    # synthesized coefficients have −c/B = Λ(q⋆) when B ≠ 0, and B = c = 0 when B = 0
+    if rep.degenerate:
+        reason = "B = c = 0, so F'_red vanishes identically"
+    else:
+        reason = f"−c/B = Λ(q⋆) lies in (3, {args.N + 1}), where Λ rises strictly: the zero is q⋆"
     table = [
         f"N = {args.N}, m_ρ² = {m2}, B = {b}",
         f"Λ(N) = {payload['lambda_exact']} ≈ {payload['lambda_decimal']}",
@@ -236,17 +236,16 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
         f"bracket residual = {payload['bracket_residual']}",
         f"F'(θ⋆) = {payload['f_prime_at_golden_point']}",
         f"stationary at the golden point: {'yes' if rep.stationary else 'NO'}",
-        f"scan: {rep.sign_changes} sign change(s); q intervals "
-        + str([[f"{a:.6f}", f"{c:.6f}"] for a, c in payload["sign_change_intervals_q"]]),
+        f"sign changes of F'_red on 0 < q < 1: {rep.sign_changes} ({reason})",
     ]
     _print_payload(payload, args.format, table)
     return 0 if rep.stationary and rep.sign_changes == 1 else 1
 
 
-def _read_points(path: str) -> list[tuple[Scalar, Scalar]]:
+def _read_points(path: str) -> list[tuple[Fraction, Fraction]]:
     """(q, κ) rows of a CSV file.  Blank lines and ``#`` comments are skipped;
     the first other row is a header if it has no digit."""
-    points: list[tuple[Scalar, Scalar]] = []
+    points: list[tuple[Fraction, Fraction]] = []
     header_possible = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):

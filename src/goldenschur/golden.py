@@ -62,8 +62,8 @@ def lambda_n(n: int) -> Q5:
     norm.  N = 1 is rejected: the index variance vanishes identically, so the
     ratio is undefined.
     """
-    if type(n) is int and n < 2:
-        raise ValueError(f"Λ(N) needs N >= 2 (zero variance at N={n})")
     _check_size(n)
+    if n == 1:
+        raise ValueError("Λ(N) needs N >= 2 (zero variance at N=1)")
     ys, y0_squared = _golden_numerators(n)
     return _ratio(_golden_i2_prime_numerator(ys), y0_squared - n * n)

@@ -17,6 +17,9 @@ differs from the plain chain-rule derivative of F_red by exactly
 ``B·I₂′·(I₁ − 1)/N``, so the two coincide when B = 0.  Every form takes
 q = e^θ.  :func:`quadratic_law_fit` recovers (A, B) from (q, κ) samples.
 
+:func:`stationarity_check` decides claim (ii), that q⋆ is the one stationary
+point, from the strict rise of Λ in q, with no grid: it holds for every N ≥ 3.
+
 Everything is generic over the scalar type: exact inputs (Fraction, Q5) stay
 exact; any float input routes the whole computation through floats.
 """
@@ -43,7 +46,6 @@ __all__ = [
     "synthesize_consistent_ab",
     "StationarityReport",
     "stationarity_check",
-    "uniqueness_scan",
 ]
 
 _ExactScalar = (int, Fraction, Q5)
@@ -115,29 +117,6 @@ def _kappa(c: QuadLawCoeffs, m: FoldedMoments) -> Scalar:
 def _slope(c: QuadLawCoeffs) -> Scalar:
     """``2A − 2B − 8/m_ρ²``, the I₁′ coefficient of the bracket-form F′_red."""
     return 2 * c.a - 2 * c.b - 8 / c.m_rho_sq
-
-
-def _float_lane(coeffs: QuadLawCoeffs) -> tuple[QuadLawCoeffs, float]:
-    """The coefficients as floats, and ``2A − 2B − 8/m_ρ²`` rounded once.
-
-    Exact coefficients form the slope exactly: a synthesized
-    A = (8/m_ρ² − B·Λ + 2B)/2 rounded to a float loses B·Λ once |B| is below
-    about 1e-16 of 8/m_ρ², and a slope formed from it is −2B, not −B·Λ.
-    A slope too large for a float is a ValueError, as a coefficient is.
-    """
-    c = coeffs.as_floats()
-    if not coeffs.is_exact:
-        return c, _slope(c)
-    try:
-        return c, float(_slope(coeffs))
-    except OverflowError:
-        raise ValueError("slope 2A - 2B - 8/m_rho_sq is too large for a float") from None
-
-
-def _f_prime(c: QuadLawCoeffs, slope: Scalar, m: FoldedMoments) -> Scalar:
-    """Bracket-form F′_red (see :func:`f_red_prime_q`), ``(B·I₂′ + slope·I₁′)·I₁/N``
-    with ``slope = _slope(c)`` and I₁′ = Var, from moments in the lane of ``c``."""
-    return (c.b * m.i2_prime + slope * m.var) * m.i1 / c.n
 
 
 def kappa_quadratic(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
@@ -217,14 +196,22 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
 
     Exact coefficients and an exact q stay exact.  Otherwise the float lane
     evaluates the float moments, with the slope 2A − 2B − 8/m_ρ² formed
-    exactly, if the coefficients are exact, and rounded once.
+    exactly, if the coefficients are exact, and rounded once: a synthesized
+    A = (8/m_ρ² − B·Λ + 2B)/2 rounded to a float loses B·Λ once |B| is below
+    about 1e-16 of 8/m_ρ², and a slope formed from it is −2B, not −B·Λ.  A
+    slope too large for a float is a ValueError, as a coefficient is.
     """
     if coeffs.is_exact and _is_exact(q):
         c, slope = coeffs, _slope(coeffs)
     else:
-        c, slope = _float_lane(coeffs)
+        c = coeffs.as_floats()
+        try:
+            slope = float(_slope(coeffs)) if coeffs.is_exact else _slope(c)
+        except OverflowError:
+            raise ValueError("slope 2A - 2B - 8/m_rho_sq is too large for a float") from None
         q = float(q)
-    return _f_prime(c, slope, moments(c.n, q))
+    m = moments(c.n, q)
+    return (c.b * m.i2_prime + slope * m.var) * m.i1 / c.n
 
 
 def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Scalar:
@@ -252,15 +239,15 @@ def synthesize_consistent_ab(
 
 
 class StationarityReport(NamedTuple):
-    """Golden-point stationarity summary, optionally with scan results."""
+    """Golden-point stationarity, and the zeros of F′_red on 0 < q < 1."""
 
     n: int
     f_prime_at_star: Scalar
     bracket: Optional[Scalar]  # None when N = 1 (Λ undefined)
     stationary: bool
-    degenerate: bool  # F′_red ≡ 0: N = 1, or N = 2 with a zero bracket
-    sign_changes: Optional[int] = None
-    sign_change_intervals: tuple[tuple[float, float], ...] = ()
+    degenerate: bool  # F′_red ≡ 0: N = 1, N = 2 with a zero bracket, or B = c = 0
+    sign_changes: int  # 0 or 1
+    sign_change_intervals: tuple[tuple[Scalar, Scalar], ...]  # the zero's exact q-interval
 
 
 #: Relative size of the float bracket, against the sum of its terms'
@@ -269,73 +256,54 @@ STATIONARY_RTOL = 1e-12
 
 
 def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
-    """Evaluate the bracket at the golden point once, and F′_red from it.
+    """Stationarity at the golden point, and F′_red's zeros on 0 < q < 1.
 
-    With Λ = I₂′/I₁′ at q⋆, ``bracket = B·Λ + 2A − 2B − 8/m_ρ²`` and
-    ``F′(θ⋆) = bracket·I₁·I₁′/N``.  Exact coefficients give exact field values
-    and are stationary when the bracket is zero.  Float coefficients are
-    stationary when |bracket| ≤ STATIONARY_RTOL·(|B·Λ| + |2A| + |2B| + 8/m_ρ²),
-    with STATIONARY_RTOL = 1e-12: the bracket is then rounding noise on the
-    terms it sums.  At N = 2, Λ ≡ 3, so a zero bracket makes F′_red vanish
-    identically and the report degenerate.
+    With Λ = I₂′/I₁′ at q⋆, ``bracket = B·Λ + c`` with c = 2A − 2B − 8/m_ρ²,
+    and ``F′(θ⋆) = bracket·I₁·I₁′/N``.  Exact coefficients are stationary when
+    the bracket is zero; float ones when |bracket| ≤ STATIONARY_RTOL·(|B·Λ| +
+    |2A| + |2B| + 8/m_ρ²), with STATIONARY_RTOL = 1e-12: the bracket is then
+    rounding noise on the terms it sums.
+
+    F′_red has the sign of B·Λ(q) + c.  With Λ = U/V, U = S₃S₀ − S₁S₂ and
+    V = S₂S₀ − S₁², ``dΛ/dθ = ((S₄S₀ − S₂²)·V − U²)/V² = S₀·D/V²``, and by
+    Cauchy–Binet the Hankel determinant ``D = det[S_{i+j}]_{i,j≤2}`` is
+    ``Σ_{s<t<u} q^{s+t+u}·((t − s)(u − s)(u − t))² > 0`` for N ≥ 3 (Karlin,
+    *Total Positivity*, 1968).  So Λ rises strictly from 3 at q → 0⁺ to N + 1
+    at q = 1 (Λ ≡ 3 at N = 2), and F′_red has one zero, a sign change, iff
+    the bracket at Λ = 3 and at Λ = N + 1 have opposite signs (for B ≠ 0:
+    3 < −c/B < N + 1), else none.  Its exact q-interval is (q⋆, q⋆) when the
+    bracket at q⋆, with Λ(q⋆) from :func:`~.golden.lambda_n`, is 0, else
+    (q⋆, 1) when it still has the sign of its limit at 0⁺, and (0, q⋆) when
+    not.  The decision reads float coefficients as the binary rationals they
+    are.  F′_red ≡ 0, and the report is degenerate, at N = 1, at N = 2 with
+    a zero bracket, and when B = c = 0.
     """
     n = coeffs.n
     if n == 1:
-        return StationarityReport(1, Fraction(0), None, True, True)
+        return StationarityReport(1, Fraction(0), None, True, True, 0, ())
     c, q = _route(coeffs, QSTAR)
     m = moments(n, q)
-    lam = m.i2_prime / m.var
-    bracket = bracket_residual(c, lam)
-    if isinstance(bracket, float):
+    exact = c if c.is_exact else QuadLawCoeffs(Fraction(c.a), Fraction(c.b), n, Fraction(c.m_rho_sq))
+    at_star = bracket_residual(exact)
+    if c.is_exact:
+        bracket, stationary = at_star, at_star == 0
+    else:
+        lam = m.i2_prime / m.var
+        bracket = bracket_residual(c, lam)
         scale = abs(c.b * lam) + abs(2 * c.a) + abs(2 * c.b) + 8 / c.m_rho_sq
         stationary = abs(bracket) <= STATIONARY_RTOL * scale
-    else:
-        stationary = bracket == 0
+    # the bracket's limits at q → 0⁺ and q → 1⁻; equal at N = 2
+    low, high = bracket_residual(exact, 3), bracket_residual(exact, n + 1)
+    intervals: tuple[tuple[Scalar, Scalar], ...] = ()
+    if low * high < 0:
+        if at_star == 0:
+            intervals = ((QSTAR, QSTAR),)
+        elif at_star * low > 0:
+            intervals = ((QSTAR, Fraction(1)),)
+        else:
+            intervals = ((Fraction(0), QSTAR),)
+    degenerate = low == high == 0 or (n == 2 and stationary)
     f_prime = bracket * m.i1 * m.var / n
-    return StationarityReport(n, f_prime, bracket, stationary, n == 2 and stationary)
-
-
-def uniqueness_scan(coeffs: QuadLawCoeffs, thetas: Sequence[float]) -> StationarityReport:
-    """Count sign changes of F′_red over a θ-grid (float evaluation).
-
-    F′_red vanishes exactly where B·Λ(q) + 2A − 2B − 8/m_ρ² does.  For N ≤ 2,
-    Λ does not depend on q (it is undefined at N = 1 and 3 at N = 2), so F′_red
-    keeps one sign or vanishes identically: the scan is skipped and reports 0
-    sign changes (float evaluation would only count rounding noise).
-
-    The grid is evaluated in one pass: at each q = e^θ the float branch of
-    :func:`~.folded.moments` gives I₁, Var and I₂′, and the bracket's constant
-    2A − 2B − 8/m_ρ² is formed once, exactly if the coefficients are exact,
-    and rounded once.  The values are bit for bit those of
-    :func:`f_red_prime_q` at the same q.
-    """
-    grid = [float(t) for t in thetas]
-    if len(grid) < 2 or not all(a < b for a, b in zip(grid, grid[1:])):  # NaN fails too
-        raise ValueError("scan grid must be strictly increasing with >= 2 points")
-    if not grid[-1] < 0:
-        raise ValueError("scan grid must stay below theta = 0 (q < 1)")
-    report = stationarity_check(coeffs)
-    if coeffs.n <= 2:
-        return report._replace(sign_changes=0)
-    c, slope = _float_lane(coeffs)
-    n = c.n
-    values = []
-    for t in grid:
-        # moments rejects an e^θ that underflowed to 0 or rounded to 1
-        values.append(_f_prime(c, slope, moments(n, math.exp(t))))
-
-    # a sign change is a flip between consecutive nonzero values; exact grid
-    # zeros are spanned by the surrounding flip (or, if the function is flat
-    # there, are no change at all)
-    intervals: list[tuple[float, float]] = []
-    last_nonzero: Optional[int] = None
-    for i, v in enumerate(values):
-        if v == 0.0:
-            continue
-        if last_nonzero is not None and (v > 0) != (values[last_nonzero] > 0):
-            intervals.append((grid[last_nonzero], grid[i]))
-        last_nonzero = i
-    return report._replace(
-        sign_changes=len(intervals),
-        sign_change_intervals=tuple(sorted(intervals)),
+    return StationarityReport(
+        n, f_prime, bracket, stationary, degenerate, len(intervals), intervals
     )

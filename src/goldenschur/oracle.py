@@ -19,6 +19,9 @@ independent route here.  Each oracle, and the library route it checks:
 * :func:`f_red_prime_direct_q`, the chain rule on :func:`.lockin.f_red_q`:
   the bracket form :func:`.lockin.f_red_prime_q`, which differs from it by
   exactly ``B·I₂′·(I₁ − 1)/N``.
+* :func:`exact_sign_changes`, the exact signs of :func:`.lockin.f_red_prime_q`
+  at q = k/64: the number and place of F′_red's zeros that
+  :func:`.lockin.stationarity_check` decides from the monotonicity of Λ.
 * :func:`dense_curvature`, the trace of the dense Schur complement
   (:func:`assemble_hessian`, :func:`band_basis`, :func:`block_hessian`,
   :func:`schur_complement`): the spectral :func:`.schur.schur_curvature`.
@@ -45,7 +48,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain, sums_closed
 from .golden import golden_power_table
-from .lockin import QuadLawCoeffs, _route
+from .lockin import QuadLawCoeffs, _route, f_red_prime_q
 from .qfield import QSTAR, GoldenBasis, Q5
 
 if TYPE_CHECKING:
@@ -54,7 +57,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "sums_bruteforce", "moments_from_sums", "theta_derivatives_fd", "fibonacci", "sums_at_qstar",
-    "f_red_prime_direct_q", "shift_matrix", "reversal_matrix", "band_basis",
+    "f_red_prime_direct_q", "exact_sign_changes", "shift_matrix", "reversal_matrix", "band_basis",
     "assemble_hessian", "BlockHessian", "block_hessian", "schur_complement",
     "dense_curvature", "variational_expression", "VariationalReport", "variational_check",
     "ConvexityGapReport", "matrix_convexity_check", "LOEWNER_TOL",
@@ -168,6 +171,24 @@ def f_red_prime_direct_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     m = moments_from_sums(sums_closed(c.n, qq))
     kappa_p = c.b * m.i2_prime + (2 * c.a - 2 * c.b) * m.i1 * m.var
     return -8 * m.i1 * m.var / (c.n * c.m_rho_sq) + kappa_p / c.n
+
+
+def exact_sign_changes(coeffs: QuadLawCoeffs) -> list[tuple[Fraction, Fraction]]:
+    """The q-intervals ``(k/64, j/64)`` over which the exact F′_red of exact
+    coefficients changes sign: a flip between consecutive nonzero values at
+    q = k/64, k = 1..63.  A zero on the grid is spanned by the flip around it;
+    a zero in (0, 1/64) or (63/64, 1) is not seen."""
+    intervals = []
+    last, last_positive = None, False
+    for k in range(1, 64):
+        q = Fraction(k, 64)
+        value = f_red_prime_q(coeffs, q)
+        if value == 0:
+            continue
+        if last is not None and (value > 0) != last_positive:
+            intervals.append((last, q))
+        last, last_positive = q, value > 0
+    return intervals
 
 
 # ---------------------------------------------------------------------------

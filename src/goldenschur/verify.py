@@ -25,10 +25,10 @@ from .lockin import (
     quadratic_law_fit,
     stationarity_check,
     synthesize_consistent_ab,
-    uniqueness_scan,
 )
 from .oracle import (
     dense_curvature,
+    exact_sign_changes,
     f_red_prime_direct_q,
     fibonacci,
     matrix_convexity_check,
@@ -582,31 +582,32 @@ def _suite_lockin(seed: int) -> ReportDocument:
     )
 
     syn = synthesize_consistent_ab(Fraction(-1), 12)
-    grid = [math.log(0.05) + i * (math.log(0.95) - math.log(0.05)) / 900 for i in range(901)]
-    scan = uniqueness_scan(syn, grid)
-    qstar_f = float(QSTAR)
-    bracketed = any(
-        math.exp(a) <= qstar_f <= math.exp(b) for a, b in scan.sign_change_intervals
-    )
+    rep = stationarity_check(syn)
+    cells = exact_sign_changes(syn)
     doc.add(
         "l.uniqueness",
-        "the stationarity scan finds exactly one sign change, bracketing the golden point",
-        scan.sign_changes == 1 and bracketed,
-        "1 sign change whose q-interval contains 0.38196601125",
-        f"{scan.sign_changes} sign change(s), intervals "
-        + str([(f"{math.exp(a):.6f}", f"{math.exp(b):.6f}") for a, b in scan.sign_change_intervals]),
+        "F′_red has exactly one zero on 0 < q < 1, at the golden point (Λ rises "
+        "strictly), and exact F′ at q = k/64 changes sign once, around it",
+        rep.sign_change_intervals == ((QSTAR, QSTAR),)
+        and len(cells) == 1 and cells[0][0] < QSTAR < cells[0][1],
+        "1 zero, at q⋆ = 0.38196601125; 1 sign change on the k/64 grid, around q⋆",
+        f"{rep.sign_changes} zero(s), at q in "
+        + ", ".join(f"[{float(a):.11f}, {float(b):.11f}]" for a, b in rep.sign_change_intervals)
+        + f"; {len(cells)} sign change(s) on the k/64 grid, in "
+        + ", ".join(f"({a}, {b})" for a, b in cells),
         "derived",
     )
 
     zero = QuadLawCoeffs(0, 0, 12)
-    vals = [f_red_prime_q(zero, math.exp(t)) for t in grid[:: 90]]
-    scan0 = uniqueness_scan(zero, grid)
+    step = (math.log(0.95) - math.log(0.05)) / 10
+    vals = [f_red_prime_q(zero, math.exp(math.log(0.05) + i * step)) for i in range(11)]
+    rep0 = stationarity_check(zero)
     doc.add(
         "l.zero-coefficients",
         "with A = B = 0 the derivative is strictly negative (no stationary point)",
-        all(v < 0 for v in vals) and scan0.sign_changes == 0,
+        all(v < 0 for v in vals) and rep0.sign_changes == 0,
         "negative on the whole grid, 0 sign changes",
-        f"max sampled value = {max(vals):.3e}, {scan0.sign_changes} sign changes",
+        f"max sampled value = {max(vals):.3e}, {rep0.sign_changes} sign changes",
         "direct",
     )
 

@@ -309,6 +309,13 @@ def test_lambda_rejects_degenerate(capsys):
     assert "N >= 2" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_lambda_rejects_a_nonpositive_size(capsys, n):
+    code, out, err = run_cli(capsys, "lambda", "--N", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: family size must be a positive integer, got {n}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -368,17 +375,33 @@ def test_golden_table_output_pinned(capsys, fmt):
 # ---------------------------------------------------------------------------
 
 
+#: q⋆ correctly rounded to a float, as the exact interval's ends are printed
+QSTAR_FLOAT = 0.38196601125010515
+
+
 def test_stationarity_synthesized(capsys):
     code, out, _ = run_cli(capsys, "stationarity", "--B", "-1")
     assert code == 0
     assert "15/2 - 2425/1438·√5" in out
-    assert "1 sign change(s)" in out
+    assert out.endswith(
+        "sign changes of F'_red on 0 < q < 1: 1 (−c/B = Λ(q⋆) lies in (3, 13), "
+        "where Λ rises strictly: the zero is q⋆)\n"
+    )
 
 
 def test_stationarity_reports_interval_bracketing_qstar(capsys):
-    code, out, _ = run_cli(capsys, "stationarity", "--B=-1/2")
+    code, out, _ = run_cli(capsys, "stationarity", "--B=-1/2", "--format", "json")
     assert code == 0
-    assert "0.381" in out or "0.382" in out
+    assert json.loads(out)["sign_change_intervals_q"] == [[QSTAR_FLOAT] * 2]
+
+
+def test_stationarity_zero_b_is_degenerate(capsys):
+    # B = 0 synthesizes c = 0: F′_red vanishes identically, with no sign change
+    code, out, err = run_cli(capsys, "stationarity", "--B=0")
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        "sign changes of F'_red on 0 < q < 1: 0 (B = c = 0, so F'_red vanishes identically)\n"
+    )
 
 
 STATIONARITY_B1 = {
@@ -394,14 +417,7 @@ STATIONARITY_B1 = {
     "stationary": True,
     "sign_changes": 1,
 }
-STATIONARITY_B1_INTERVALS = [[0.38133791614149487, 0.3832138924990984]]
-
-
-def assert_intervals_close(got, want):
-    assert len(got) == len(want)
-    for (lo, hi), (want_lo, want_hi) in zip(got, want):
-        assert math.isclose(lo, want_lo, rel_tol=1e-12)
-        assert math.isclose(hi, want_hi, rel_tol=1e-12)
+STATIONARITY_B1_INTERVALS = [[QSTAR_FLOAT, QSTAR_FLOAT]]
 
 
 def test_stationarity_csv_pinned(capsys):
@@ -412,7 +428,7 @@ def test_stationarity_csv_pinned(capsys):
     assert lines[:-1] == ["key,value"] + [f"{k},{v}" for k, v in STATIONARITY_B1.items()]
     key, _, value = lines[-1].partition(",")
     assert key == "sign_change_intervals_q"
-    assert_intervals_close(json.loads(value), STATIONARITY_B1_INTERVALS)
+    assert json.loads(value) == STATIONARITY_B1_INTERVALS
 
 
 def test_stationarity_json_pinned(capsys):
@@ -421,7 +437,7 @@ def test_stationarity_json_pinned(capsys):
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert "\\u221a5" in out  # ASCII-escaped, as json.dumps writes by default
-    assert_intervals_close(doc.pop("sign_change_intervals_q"), STATIONARITY_B1_INTERVALS)
+    assert doc.pop("sign_change_intervals_q") == STATIONARITY_B1_INTERVALS
     assert doc == STATIONARITY_B1
 
 
@@ -431,38 +447,33 @@ def test_stationarity_rejects_bad_b(capsys):
 
 
 @pytest.mark.parametrize(
-    "b, message",
-    [
-        ("-1e-400", "coefficient B is nonzero but underflows to 0.0 as a float"),
-        ("1e400", "coefficient A is too large for a float; coefficient B is too large for a float"),
-    ],
+    "argv",
+    [("--B=1e400",), ("--B=-1e-400",), ("--B=1e308", "--N", "3"), ("--B=-1e308", "--N", "3"),
+     ("--B=1e307",), ("--B=1e-323",)],
+    ids=["1e400", "-1e-400", "1e308-N3", "-1e308-N3", "1e307", "1e-323"],
 )
-def test_stationarity_rejects_b_the_float_scan_cannot_hold(capsys, b, message):
-    # the exact golden point is stationary, but the float scan would see B as
-    # -0.0 (no sign change) or could not convert it at all
-    code, out, err = run_cli(capsys, "stationarity", f"--B={b}")
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+def test_stationarity_decides_coefficients_exactly(capsys, argv):
+    # A, B or the slope 2A − 2B − 8/m_ρ² overflows or underflows a float, or
+    # F′_red in floats overflows (B = 1e307) or keeps one bit of B (1e-323,
+    # subnormal); the decision reads the coefficients exactly and finds the
+    # one zero at q⋆
+    code, out, err = run_cli(capsys, "stationarity", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["stationary"], doc["sign_changes"]) == (True, 1)
+    assert doc["sign_change_intervals_q"] == [[QSTAR_FLOAT] * 2]
 
 
 @pytest.mark.parametrize("b", ["1e-16", "1e-17", "1e-200", "1e-300"])
 def test_stationarity_small_b_brackets_the_golden_point(capsys, b):
-    # the float scan's slope 2A − 2B − 8/m_ρ² is formed exactly and rounded
-    # once: formed from a rounded A, which has lost B·Λ, it would be −2B, and
-    # the scan would see no sign change
+    # the exact slope 2A − 2B − 8/m_ρ² keeps B·Λ: formed from A rounded to a
+    # float, it would be −2B, and F′_red would seem to have no zero
     code, out, err = run_cli(capsys, "stationarity", f"--B={b}", "--format", "json")
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert (doc["stationary"], doc["sign_changes"]) == (True, 1)
     [[lo, hi]] = doc["sign_change_intervals_q"]
-    assert lo < (3 - math.sqrt(5)) / 2 < hi
-
-
-@pytest.mark.parametrize("b", ["1e308", "-1e308"])
-def test_stationarity_rejects_a_slope_too_large_for_a_float(capsys, b):
-    # at N = 3, A and B are floats but the exact slope −B·Λ(3) is not
-    code, out, err = run_cli(capsys, "stationarity", f"--B={b}", "--N", "3")
-    assert (code, out) == (2, "")
-    assert err == "error: slope 2A - 2B - 8/m_rho_sq is too large for a float\n"
+    assert lo == QSTAR_FLOAT == hi
 
 
 @pytest.mark.parametrize("n", ["1", "2"])
@@ -482,10 +493,9 @@ def test_stationarity_rejects_nonpositive_m_rho_sq(capsys, m_rho_sq):
 
 
 def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
-    # Λ for the synthesis, Λ for the printed value, and the golden-point check
-    # are the exact evaluations; the 601-point scan evaluates each point once.
-    # Both reach the closed forms through the one helper behind sums_closed,
-    # the scan by way of the float kernel.
+    # every value is exact: the golden point takes the integer routes of
+    # Z[q⋆], and the decision needs no grid, so the closed forms that floats
+    # and other Q5 values run are never called
     import goldenschur.folded as folded
 
     calls = {"exact": 0, "float": 0}
@@ -498,8 +508,7 @@ def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
     monkeypatch.setattr(folded, "_closed_sums", counted)
     code, _, err = run_cli(capsys, "stationarity", "--B", "-1")
     assert (code, err) == (0, "")
-    assert calls["exact"] <= 3
-    assert calls["float"] == 601
+    assert calls == {"exact": 0, "float": 0}
 
 
 @pytest.mark.parametrize(
@@ -1215,7 +1224,7 @@ _RECORD_REPRS = {
     "residuals=(Fraction(19997, 50589),))",
     "StationarityReport": "StationarityReport(n=3, f_prime_at_star=Q5(Fraction(5, 192), "
     "Fraction(-1, 24)), bracket=Q5(Fraction(0, 1), Fraction(-1, 7)), stationary=False, "
-    "degenerate=False, sign_changes=None, sign_change_intervals=())",
+    "degenerate=False, sign_changes=0, sign_change_intervals=())",
     "CheckRecord": "CheckRecord(check_id='x.id', description='desc', status='pass', "
     "expected='1', actual='1', basis='direct')",
 }
@@ -1267,11 +1276,11 @@ _MOVED_TO_ORACLE = {
 
 
 def test_package_namespace_resolves_lazily():
-    assert len(goldenschur.__all__) == 41
+    assert len(goldenschur.__all__) == 40
     assert "moments_at_qstar" not in goldenschur.__all__
     moved = [name for names in _MOVED_TO_ORACLE.values() for name in names]
     for removed in ("LambdaValue", "reduce_power", "f_red", "f_red_prime", "f_red_prime_direct",
-                    "q_class_functional", "theta_derivatives", *moved):
+                    "q_class_functional", "theta_derivatives", "uniqueness_scan", *moved):
         assert removed not in goldenschur.__all__
         assert not hasattr(goldenschur, removed)
     oracle = importlib.import_module("goldenschur.oracle")

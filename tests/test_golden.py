@@ -231,10 +231,12 @@ def test_lambda_monotone_in_family_size():
 
 
 def test_lambda_rejects_degenerate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Λ\(N\) needs N >= 2 \(zero variance at N=1\)$"):
         lambda_n(1)
-    with pytest.raises(ValueError):
-        lambda_n(0)
+    # the size guard runs first: N <= 0 is no family at all, not a zero variance
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^family size must be a positive integer, got {n}$"):
+            lambda_n(n)
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, 12.0, "12", None])

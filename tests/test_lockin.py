@@ -18,9 +18,8 @@ from goldenschur.lockin import (
     kappa_quadratic,
     stationarity_check,
     synthesize_consistent_ab,
-    uniqueness_scan,
 )
-from goldenschur.oracle import f_red_prime_direct_q
+from goldenschur.oracle import exact_sign_changes, f_red_prime_direct_q
 from goldenschur.qfield import Q5, QSTAR, decimal_str
 
 # Reported reference constants for the N = 12 lock-in discussion; the
@@ -313,119 +312,242 @@ def test_stationarity_degenerate_family():
 
 
 # ---------------------------------------------------------------------------
-# uniqueness of the interior stationary point
+# uniqueness of the interior stationary point: the decision from the
+# monotonicity of Λ, and the exact k/64 sign scan of the oracle
 # ---------------------------------------------------------------------------
-
-
-def qgrid(lo=0.05, hi=0.95, step=0.001):
-    count = round((hi - lo) / step) + 1
-    return [math.log(lo + k * step) for k in range(count)]
 
 
 @pytest.mark.parametrize("b", [Fraction(-1, 2), Fraction(-1), Fraction(-2)])
 def test_uniqueness_scan_brackets_golden_ratio(b):
-    rep = uniqueness_scan(synthesize_consistent_ab(b, 12), qgrid())
+    c = synthesize_consistent_ab(b, 12)
+    rep = stationarity_check(c)
     assert rep.sign_changes == 1
-    (lo, hi), = rep.sign_change_intervals
-    q_lo, q_hi = math.exp(lo), math.exp(hi)
-    assert q_hi - q_lo <= 1e-3 + 1e-9
-    assert q_lo - 1e-9 <= float(QSTAR) <= q_hi + 1e-9
+    assert rep.sign_change_intervals == ((QSTAR, QSTAR),)
+    (lo, hi), = exact_sign_changes(c)
+    assert (lo, hi) == (Fraction(24, 64), Fraction(25, 64))
+    assert lo < QSTAR < hi
 
 
 def test_uniqueness_scan_zero_coefficients():
     # strictly decreasing objective: no crossing anywhere
-    rep = uniqueness_scan(QuadLawCoeffs(0, 0, 12), qgrid())
-    assert rep.sign_changes == 0
-    assert rep.sign_change_intervals == ()
+    rep = stationarity_check(QuadLawCoeffs(0, 0, 12))
+    assert (rep.sign_changes, rep.sign_change_intervals) == (0, ())
+    assert not rep.degenerate
+    assert exact_sign_changes(QuadLawCoeffs(0, 0, 12)) == []
 
 
 def test_uniqueness_scan_degenerate_family():
-    rep = uniqueness_scan(QuadLawCoeffs(2, 1, 1), qgrid())
+    rep = stationarity_check(QuadLawCoeffs(2, 1, 1))
     assert rep.degenerate
-    assert rep.sign_changes == 0
+    assert (rep.sign_changes, rep.sign_change_intervals) == (0, ())
+    assert exact_sign_changes(QuadLawCoeffs(2, 1, 1)) == []
 
 
 @pytest.mark.parametrize("b", [Fraction(-1), Fraction(5, 7), -1.0, 2.5])
 def test_uniqueness_scan_n2_synthesized_is_degenerate(b):
     # Λ ≡ 3 at N = 2, so synthesized coefficients make F′_red vanish identically
-    rep = uniqueness_scan(synthesize_consistent_ab(b, 2), qgrid())
+    c = synthesize_consistent_ab(b, 2)
+    rep = stationarity_check(c)
     assert rep.stationary and rep.degenerate
     assert rep.sign_changes == 0
+    if c.is_exact:
+        assert exact_sign_changes(c) == []
 
 
 @pytest.mark.parametrize("coeffs", [QuadLawCoeffs(1, 1, 2), QuadLawCoeffs(0.5, -3.0, 2)])
 def test_uniqueness_scan_n2_generic_coeffs(coeffs):
-    rep = uniqueness_scan(coeffs, qgrid())
+    rep = stationarity_check(coeffs)
     assert not rep.stationary and not rep.degenerate
     assert rep.sign_changes == 0
 
 
-def test_uniqueness_scan_rejects_bad_grid():
-    # a NaN compares false either way, so it fails the order check too
-    nan = math.nan
-    for grid in ([-1.0], [math.log(0.5), math.log(0.4)], [-1.0, -1.0],
-                 [-1.0, nan, -0.5], [nan, -1.0], [-1.0, nan]):
-        with pytest.raises(ValueError, match="^scan grid must be strictly increasing with >= 2"):
-            uniqueness_scan(QuadLawCoeffs(1, 1, 12), grid)
-    with pytest.raises(ValueError):
-        uniqueness_scan(QuadLawCoeffs(1, 1, 12), [math.log(0.5), 0.1])  # θ must stay below 0
+@pytest.mark.parametrize("n", [3, 12, 64])
+def test_synthesized_zero_b_is_degenerate(n):
+    # B = 0 forces c = 2A − 8/m_ρ² = 0: F′_red vanishes at every q
+    c = synthesize_consistent_ab(0, n)
+    rep = stationarity_check(c)
+    assert rep.stationary and rep.degenerate
+    assert (rep.sign_changes, rep.sign_change_intervals) == (0, ())
+    assert all(f_red_prime_q(c, Fraction(k, 7)) == 0 for k in range(1, 7))
 
 
-_LAW_SCALARS = st.one_of(
-    st.integers(-50, 50),
-    st.fractions(-50, 50, max_denominator=1000),
-    st.floats(-50, 50),
-)
+@pytest.mark.parametrize("n", [3, 12, 64])
+@pytest.mark.parametrize("b", [Fraction(-1), Fraction(5, 7), Fraction(10**400)])
+def test_synthesized_coeffs_have_one_zero_at_golden_point(n, b):
+    rep = stationarity_check(synthesize_consistent_ab(b, n))
+    assert rep.stationary and not rep.degenerate
+    assert rep.sign_changes == 1
+    assert rep.sign_change_intervals == ((QSTAR, QSTAR),)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    a=_LAW_SCALARS,
-    b=_LAW_SCALARS,
-    m2=st.one_of(
-        st.integers(1, 12),
-        st.fractions(Fraction(1, 100), 100, max_denominator=1000).filter(lambda x: x > 0),
-        st.floats(1e-2, 1e2),
-    ),
-    n=st.integers(3, 200),
-    grid=st.lists(
-        st.floats(-30, -1e-3, exclude_min=True, exclude_max=True),
-        min_size=2, max_size=24, unique=True,
-    ).map(sorted),
-)
-def test_uniqueness_scan_values_are_f_red_prime_bits(a, b, m2, n, grid):
-    # the one-pass scan evaluates F′_red with the bits of f_red_prime_q at the
-    # same float q = e^θ, both forming the slope of exact coefficients exactly
-    import goldenschur.lockin as lockin
+def lambda_at(n, q):
+    m = moments(n, q)
+    return m.i2_prime / m.var
 
-    coeffs = QuadLawCoeffs(a, b, n, m2)
-    seen = []
-    original = lockin._f_prime
 
-    def recorded(*args):
-        seen.append(original(*args))
-        return seen[-1]
+def coeffs_with_ratio(ratio, n, b=Fraction(1)):
+    """Exact coefficients with −c/B = ratio, c = 2A − 2B − 8/m_ρ², m_ρ² = 2."""
+    return QuadLawCoeffs((2 * b + 4 - b * ratio) / 2, b, n)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lockin, "_f_prime", recorded)
-        uniqueness_scan(coeffs, grid)
-    expected = [f_red_prime_q(coeffs, math.exp(t)) for t in grid]
-    assert [v.hex() for v in seen] == [v.hex() for v in expected]
+
+def test_decision_finds_the_zero_a_grid_misses():
+    # the one zero is at q = 99/100, beyond the old θ-grid's last point 0.95
+    c = coeffs_with_ratio(lambda_at(12, Fraction(99, 100)), 12)
+    assert f_red_prime_q(c, Fraction(99, 100)) == 0
+    assert f_red_prime_q(c, Fraction(98, 100)) < -Fraction(58, 100)
+    assert f_red_prime_q(c, Fraction(995, 1000)) > Fraction(3, 10)
+    rep = stationarity_check(c)
+    assert rep.sign_changes == 1
+    assert rep.sign_change_intervals == ((QSTAR, Fraction(1)),)
+
+
+@pytest.mark.parametrize("coeffs", [REPORTED, QuadLawCoeffs(
+    Fraction("0.707473678"), Fraction("-1.060165816"), 12, Fraction(2))])
+def test_reported_constants_have_no_stationary_point(coeffs):
+    # −c/B ≈ −0.438 lies outside (3, 13): F′_red < 0 on all of 0 < q < 1
+    c = Fraction(coeffs.a) * 2 - Fraction(coeffs.b) * 2 - 4
+    assert -c / Fraction(coeffs.b) == pytest.approx(-0.43835, abs=1e-5)
+    rep = stationarity_check(coeffs)
+    assert (rep.sign_changes, rep.sign_change_intervals) == (0, ())
+    assert not rep.stationary and not rep.degenerate
 
 
 @pytest.mark.parametrize(
-    "grid, match",
+    "ratio, interval",
     [
-        pytest.param([-800.0, -1.0], r"^weight ratio must satisfy 0 < q < 1, got 0\.0$",
-                     id="grid0-0.0"),
-        pytest.param([-1.0, -1e-20], r"^weight ratio must satisfy 0 < q < 1, got 1\.0$",
-                     id="grid1-1.0"),
-        pytest.param([-2.0, math.nan, -1.0], r"^scan grid must be strictly increasing",
-                     id="grid2-nan"),
+        (Fraction(4), (Fraction(0), QSTAR)),
+        (Fraction(12), (QSTAR, Fraction(1))),
+        (Fraction(3), None),
+        (Fraction(13), None),
+        (Fraction(-1), None),
     ],
 )
-def test_uniqueness_scan_rejects_q_outside_domain(grid, match):
-    # e^θ underflows to 0 or rounds to 1: the point is not in 0 < q < 1; a NaN θ,
-    # whose e^θ is NaN, is already caught by the grid's order check
-    with pytest.raises(ValueError, match=match):
-        uniqueness_scan(QuadLawCoeffs(1, -1, 12), grid)
+@pytest.mark.parametrize("b", [Fraction(1), Fraction(-3, 2)])
+def test_decision_places_the_zero_by_the_sign_at_golden_point(ratio, interval, b):
+    # Λ(q⋆) ≈ 5.458 at N = 12, and Λ sweeps (3, 13) over 0 < q < 1
+    rep = stationarity_check(coeffs_with_ratio(ratio, 12, b))
+    assert rep.sign_change_intervals == (() if interval is None else (interval,))
+    assert rep.sign_changes == len(rep.sign_change_intervals)
+
+
+def test_float_coefficients_are_decided_as_the_rationals_they_are():
+    # a float B below 1e-16 of 8/m_ρ² leaves the rounded A without B·Λ, so the
+    # floats as given have −c/B ≈ 2, outside (3, 13), though the bracket at q⋆
+    # is rounding noise
+    c = synthesize_consistent_ab(1e-20, 12)
+    rep = stationarity_check(c)
+    assert rep.stationary and rep.sign_changes == 0
+    exact = synthesize_consistent_ab(Fraction(1e-20), 12)
+    assert stationarity_check(exact).sign_change_intervals == ((QSTAR, QSTAR),)
+
+
+# ---------------------------------------------------------------------------
+# the identity behind the decision, in integer polynomials of q
+# ---------------------------------------------------------------------------
+
+#: Kronecker slot width: every coefficient below is at most 14·N¹⁰ < 2⁶⁴ for
+#: N ≤ 64 (the product of the L1 norms Σ s^k ≤ N^{k+1}), so 80 bits hold it.
+_SLOT = 80
+
+
+def power_sum_poly(n, k):
+    """Coefficients of S_k = Σ_{s=1}^N s^k q^s, indexed by the exponent."""
+    return [0] + [s**k for s in range(1, n + 1)]
+
+
+def poly_mul(a, b):
+    """The product of two polynomials with nonnegative integer coefficients,
+    by Kronecker substitution at q = 2^_SLOT."""
+    assert min(a) >= 0 and min(b) >= 0
+
+    def pack(p):
+        return sum(c << (_SLOT * i) for i, c in enumerate(p))
+
+    x = pack(a) * pack(b)
+    mask = (1 << _SLOT) - 1
+    return [(x >> (_SLOT * i)) & mask for i in range(len(a) + len(b) - 1)]
+
+
+def poly_sub(a, b):
+    size = max(len(a), len(b))
+    a, b = a + [0] * (size - len(a)), b + [0] * (size - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def hankel_polys(n):
+    s = [power_sum_poly(n, k) for k in range(5)]
+    v = poly_sub(poly_mul(s[2], s[0]), poly_mul(s[1], s[1]))
+    u = poly_sub(poly_mul(s[3], s[0]), poly_mul(s[1], s[2]))
+    # D = det [[S0, S1, S2], [S1, S2, S3], [S2, S3, S4]] by the first row; the
+    # three minors have nonnegative coefficients (s²t²(s−t)², st(s+t)(s−t)²,
+    # st(s−t)² summed over pairs)
+    minors = [
+        poly_sub(poly_mul(s[2], s[4]), poly_mul(s[3], s[3])),
+        poly_sub(poly_mul(s[1], s[4]), poly_mul(s[2], s[3])),
+        poly_sub(poly_mul(s[1], s[3]), poly_mul(s[2], s[2])),
+    ]
+    d = poly_sub(poly_mul(s[0], minors[0]), poly_mul(s[1], minors[1]))
+    d = [x + y for x, y in zip(d, poly_mul(s[2], minors[2]))]
+    return s, u, v, d
+
+
+def test_lambda_derivative_identity_as_integer_polynomials():
+    # dΛ/dθ = ((S₄S₀ − S₂²)·V − U²)/V² = S₀·D/V², coefficient by coefficient
+    for n in range(3, 65):
+        s, u, v, d = hankel_polys(n)
+        s4s0_s2s2 = poly_sub(poly_mul(s[4], s[0]), poly_mul(s[2], s[2]))
+        lhs = poly_sub(poly_mul(s4s0_s2s2, v), poly_mul(u, u))
+        rhs = poly_mul(s[0], d)
+        assert lhs == rhs + [0] * (len(lhs) - len(rhs)), n
+        assert min(d) == 0 and d[6] == 4 and d.index(4) == 6  # D > 0 from q⁶ on
+
+
+def test_hankel_determinant_is_the_cauchy_binet_triple_sum():
+    # D = Σ_{s<t<u} q^{s+t+u}·((t − s)(u − s)(u − t))²: every term positive
+    for n in list(range(3, 25)) + [40, 64]:
+        _, _, _, d = hankel_polys(n)
+        triple = [0] * len(d)
+        for s in range(1, n + 1):
+            for t in range(s + 1, n + 1):
+                for u in range(t + 1, n + 1):
+                    triple[s + t + u] += ((t - s) * (u - s) * (u - t)) ** 2
+        assert d == triple, n
+
+
+def test_lambda_at_one_from_the_pair_form():
+    # V = Σ_{s<t} (t − s)²·q^{s+t} and U = Σ_{s<t} (s + t)(t − s)²·q^{s+t}; the
+    # reflection (s, t) ↦ (N + 1 − t, N + 1 − s) gives U(1) = (N + 1)·V(1)
+    for n in range(2, 65):
+        _, u, v, _ = hankel_polys(n)
+        pair_u, pair_v = [0] * len(u), [0] * len(v)
+        for s in range(1, n + 1):
+            for t in range(s + 1, n + 1):
+                pair_v[s + t] += (t - s) ** 2
+                pair_u[s + t] += (s + t) * (t - s) ** 2
+        assert (u, v) == (pair_u, pair_v), n
+        assert sum(u) == (n + 1) * sum(v), n
+        assert (u[3], v[3]) == (3, 1)  # Λ(0⁺) = 3, from the lowest term
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(3, 24),
+    t=st.fractions(Fraction(-1, 2), Fraction(3, 2), max_denominator=1000),
+    b=st.fractions(-50, 50, max_denominator=100).filter(lambda x: x != 0),
+)
+def test_decision_agrees_with_exact_signs_on_the_k64_grid(n, t, b):
+    # −c/B = 3 + (N − 2)·t sweeps past both ends of Λ's range (3, N + 1).  In
+    # (Λ(1/64), Λ(63/64)) the zero lies between grid points or on one, and the
+    # exact scan sees the one sign change; outside (3, N + 1) neither sees any
+    ratio = 3 + (n - 2) * t
+    c = coeffs_with_ratio(ratio, n, b)
+    rep = stationarity_check(c)
+    cells = exact_sign_changes(c)
+    if lambda_at(n, Fraction(1, 64)) < ratio < lambda_at(n, Fraction(63, 64)):
+        assert rep.sign_changes == len(cells) == 1
+        ((a, z),), ((x, y),) = rep.sign_change_intervals, cells
+        assert a <= y and x <= z  # the decision's interval meets the grid's cell
+    elif not 3 < ratio < n + 1:
+        assert rep.sign_changes == len(cells) == 0
+    else:
+        assert rep.sign_changes == 1 and len(cells) <= 1

@@ -667,6 +667,57 @@ def test_validated_concave_fixtures_match_closed_form(name, kappa, rel_tol):
         assert abs(schur_curvature(fam, math.log(q)) - exact) <= rel_tol * exact
 
 
+def exact_kappa(fam, u_raw, q):
+    """κ_Schur at q = e^θ in Fractions, from the stored rows of ``fam`` (binary
+    rationals) and the raw collective direction: with w = u_raw − mean and
+    u = w/‖w‖, uuᵀ = wwᵀ/‖w‖² is rational, and so is
+    (N − 2)·κ = Tr(PH) − uᵀHPHu/uᵀHu for P = I − 11ᵀ/N − uuᵀ."""
+    n = fam.n
+    rows = [[Fraction(x) for x in fam.base.c]]
+    weights = [Fraction(1)]
+    for t in fam.terms:
+        assert t.s == int(t.s)  # an integer exponent keeps e^{sθ} = q^s rational
+        rows.append([Fraction(x) for x in t.c])
+        weights.append(q ** int(t.s))
+    h = [[sum(w * r[(j - i) % n] for w, r in zip(weights, rows)) for j in range(n)]
+         for i in range(n)]
+    mean = sum(Fraction(x) for x in u_raw) / n
+    w = [Fraction(x) - mean for x in u_raw]
+    ww = sum(x * x for x in w)
+    hw = [sum(h[i][j] * w[j] for j in range(n)) for i in range(n)]
+    whw = sum(a * b for a, b in zip(w, hw))
+    trace_p_h = sum(h[i][i] for i in range(n)) - sum(map(sum, h)) / n - whw / ww
+    # uᵀHPHu = ‖Hu‖² − (1ᵀHu)²/N − (uᵀHu)²
+    uhphu = sum(x * x for x in hw) / ww - sum(hw) ** 2 / (n * ww) - (whw / ww) ** 2
+    return (trace_p_h - uhphu / (whw / ww)) / (n - 2)
+
+
+@pytest.mark.parametrize(
+    "name, kappa",
+    [
+        ("concave-n4-s-minus1.json", lambda q: 1 + 1 / (3 * q + 1)),
+        ("concave-n4-s-plus1.json", lambda q: 1 + 100 * q / (3 + 100 * q)),
+    ],
+)
+def test_validated_concave_fixtures_kappa_is_exact(name, kappa):
+    # the closed forms hold exactly, as rationals, at rational q
+    fam = load_family(FIXTURES / name)
+    u_raw = json.loads((FIXTURES / name).read_text())["u"]
+    for q in (Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)):
+        assert exact_kappa(fam, u_raw, q) == kappa(q)
+
+
+def test_concave_fixture_has_an_exact_nonconvexity_witness():
+    # θ = ln(1/8) is the midpoint of ln(1/16) and ln(1/4), so κ(1/8) above the
+    # chord proves that κ is not convex in θ
+    name = "concave-n4-s-minus1.json"
+    fam = load_family(FIXTURES / name)
+    u_raw = json.loads((FIXTURES / name).read_text())["u"]
+    left, mid, right = (exact_kappa(fam, u_raw, Fraction(1, k)) for k in (16, 8, 4))
+    assert (left, mid, right) == (Fraction(35, 19), Fraction(19, 11), Fraction(11, 7))
+    assert (left + right) / 2 == Fraction(227, 133) < mid
+
+
 def test_kappa_scan_rejects_theta_range_too_wide_for_a_float():
     # both bounds are finite, but their difference overflows; pytest turns
     # numpy's RuntimeWarning into an error, so only this message may surface

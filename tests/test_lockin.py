@@ -136,6 +136,15 @@ def test_f_red_prime_zero_coefficients():
         assert f_red_prime_direct_q(c, q) == expected
 
 
+@pytest.mark.parametrize("b", [10**308, -10**308])
+def test_f_red_prime_float_lane_rejects_a_slope_too_large_for_a_float(b):
+    # at N = 3, A and B are floats but the exact slope −B·Λ(3) is not
+    c = synthesize_consistent_ab(b, 3)
+    assert f_red_prime_q(c, QSTAR) == 0
+    with pytest.raises(ValueError, match="^slope 2A - 2B - 8/m_rho_sq is too large for a float$"):
+        f_red_prime_q(c, 0.5)
+
+
 def test_f_red_prime_degenerate_family():
     c = QuadLawCoeffs(Fraction(3), Fraction(-1), 1)
     for q in (Fraction(1, 4), Fraction(3, 4)):

@@ -1,23 +1,20 @@
 """Power sums and moments of the folded weight family ``x_r ∝ q^r``.
 
 For ``r = 1..N`` the weights ``x_r(q) = q^r / S₀(q)`` form a one-parameter
-exponential family in ``θ = ln q``.  Everything here is generic over the
-scalar type of ``q``: :class:`fractions.Fraction` and :class:`~.qfield.Q5`
-stay exact end to end, plain floats run the same formulas numerically.
+exponential family in ``θ = ln q``.
 
 The power sums are ``S_k(q) = Σ_{s=1}^N s^k q^s`` for ``k = 0..3``, the
 folded moments ``I_k = S_k / S₀``, and the variance ``Var = I₂ − I₁²``.
 Because the family is exponential, ``dI₁/dθ = Var`` and
 ``dI₂/dθ = I₃ − I₁·I₂``.
 
-Two exact values of q take integer routes through the power sums, both
-evaluating the same integer polynomials in (a, b), the numerators of the
-closed forms multiplied through by powers of b:
+Each q takes one of three lanes, each written once, and an exact q stays exact:
 
-* a Fraction ``q = a/b``: the numerator and denominator of each sum are plain
-  integers, and the sum is normalised once, by a single ``Fraction(num, den)``;
-  the moments and I₂′ are formed from the same integer numerators, again with
-  one normalisation each;
+* a :class:`~fractions.Fraction` or a :class:`~.qfield.Q5` other than q⋆,
+  as ``q = a/b`` with (a, b) a Fraction's numerator and denominator or
+  (q, 1) for a Q5: the closed forms multiplied through by powers of b are
+  polynomials in (a, b), and each sum, moment and I₂′ is normalised once, by
+  one ``Fraction(num, den)`` or one field division;
 * the golden point ``q = q⋆``, with a = q⋆ and b = 1: every sum is an
   algebraic integer in Z[q⋆], since q⋆ and ``1 − q⋆ = φ⁻¹`` are units and
   ``1/(1 − q⋆) = φ = 2 − q⋆``.  The polynomials run on integer pairs
@@ -31,12 +28,12 @@ closed forms multiplied through by powers of b:
   ``T = φ³(Y₃Y₀ − Y₁Y₂)``, and ``Var = (Y₀² − N²)/Y₀²``: Var = (ln S₀)″ in θ,
   and at q⋆ its closed form collapses to ``1 − N²/Y₀²``.  Every division is
   then by an integer or by √5 times one, which :class:`~.qfield.Q5` takes
-  without a field norm.
+  without a field norm;
+* an inexact scalar (a float, or a float-like such as ``numpy.float64``)
+  runs the closed forms as written, and its moments divide those sums by S₀.
 
-Floats and every other Q5 run the closed forms as written.  Every lane
-fills one :class:`FoldedMoments` record, I₂′ included, so :func:`moments` is
-the one route to the moments; a float q takes a branch of its own at the top
-of it, which divides the closed-form sums by S₀.
+Every lane fills one :class:`FoldedMoments` record, I₂′ included, so
+:func:`moments` is the one route to the moments.
 """
 
 from __future__ import annotations
@@ -56,6 +53,8 @@ __all__ = [
 ]
 
 Scalar = Union[Fraction, Q5, float]
+#: the values the numerators of :func:`sums_closed` are formed in
+_Ring = Union[int, Q5, "_GoldenInt"]
 
 
 def _check_size(n: int) -> None:
@@ -70,11 +69,7 @@ def _is_golden(q: Scalar) -> bool:
 
 def _check_domain(n: int, q: Scalar) -> None:
     _check_size(n)
-    if isinstance(q, Q5):
-        inside = q.sign() > 0 and (1 - q).sign() > 0
-    else:
-        inside = 0 < q < 1
-    if not inside:
+    if not 0 < q < 1:  # exact for a Q5, and False for a NaN
         raise ValueError(f"weight ratio must satisfy 0 < q < 1, got {q!r}")
 
 
@@ -114,26 +109,29 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     The cubic-weight numerator coefficients are ``3N³+6N²−4`` and
     ``3N³+3N²−3N+1`` (obtained by differentiating the quadratic-weight form
     once more in θ); with these the closed forms agree with direct summation
-    exactly for every scalar type.
+    exactly for every exact scalar type.
 
-    For a Fraction ``q = a/b`` the same forms are multiplied through by powers
-    of b: ``S_k = a·X_k / (b^N·(b − a)^{k+1})`` with ``X_k = b^N·U_k + a^N·V_k``,
-    where ``U_k`` and ``V_k`` are integer polynomials in a and b.  Each sum is
-    then one ``Fraction(num, den)``, so one gcd per sum instead of one per
-    Fraction operation.  At ``q = q⋆`` the same polynomials run in Z[q⋆] with
-    a = q⋆ and b = 1, and each sum is converted to a Q5 once.
+    For an exact ``q = a/b``, with (a, b) a Fraction's numerator and
+    denominator or (q, 1) for a Q5, the same forms are multiplied through by
+    powers of b: ``S_k = a·X_k / (b^N·(b − a)^{k+1})`` with
+    ``X_k = b^N·U_k + a^N·V_k``, where ``U_k`` and ``V_k`` are integer
+    polynomials in a and b.  Each sum is then normalised once, by one
+    ``Fraction(num, den)`` or one field division.  At ``q = q⋆`` the same
+    polynomials run in Z[q⋆] with a = q⋆ and b = 1, and each sum is converted
+    to a Q5 once.  A float or float-like q runs the closed forms as written.
     """
     _check_domain(n, q)
-    if type(q) is Fraction:
-        return _sums_closed_rational(n, q)
     if _is_golden(q):
         return _sums_closed_golden(n)
+    if type(q) is Fraction or type(q) is Q5:
+        return _sums_closed_exact(n, q)
     return FoldedSums(n, q, *_closed_sums(n, q))
 
 
 def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """``(S₀, S₁, S₂, S₃)`` from the closed forms of :func:`sums_closed`, for a
-    float or Q5 q already known to satisfy 0 < q < 1."""
+    """``(S₀, S₁, S₂, S₃)`` from the closed forms of :func:`sums_closed`, for
+    an inexact scalar q (a float or float-like) already known to satisfy
+    0 < q < 1."""
     qn = q**n
     r = 1 - q
     s0 = q * (1 - qn) / r
@@ -159,13 +157,11 @@ def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     return s0, s1, s2, s3
 
 
-def _numerators(
-    n: int, a: int | _GoldenInt, b: int, an: int | _GoldenInt, bn: int | _GoldenInt
-) -> tuple[int | _GoldenInt, ...]:
+def _numerators(n: int, a: _Ring, b: int, an: _Ring, bn: _Ring) -> tuple[_Ring, ...]:
     """``(X₀, X₁, X₂, X₃)`` with ``X_k = bn·U_k + an·V_k``, where U_k and V_k
     are the integer polynomials in a and b of :func:`sums_closed`, and
     ``(bn, an) = (b^N, a^N)`` or any multiple of that pair.  ``a``, ``an`` and
-    ``bn`` are ints or :class:`_GoldenInt` values, ``b`` an int."""
+    ``bn`` are ints, Q5 or :class:`_GoldenInt` values, ``b`` an int."""
     ab, aa, bb = a * b, a * a, b * b
     x0 = bn - an
     x1 = bn * b + an * (n * a - (n + 1) * b)
@@ -181,36 +177,45 @@ def _numerators(
     return x0, x1, x2, x3
 
 
-def _rational_numerators(n: int, q: Fraction) -> tuple[int, int, int, tuple[int, ...]]:
+def _exact_numerators(n: int, q: Fraction | Q5) -> tuple[_Ring, int, _Ring, tuple[_Ring, ...]]:
     """``(a, b^N, c, (X₀, X₁, X₂, X₃))`` for q = a/b and c = b − a > 0, so that
-    ``S_k = a·X_k/(b^N·c^{k+1})``."""
-    a, b = q.numerator, q.denominator
+    ``S_k = a·X_k/(b^N·c^{k+1})``; (a, b) is (numerator, denominator) for a
+    Fraction and (q, 1) for a Q5."""
+    if type(q) is Fraction:
+        a, b = q.numerator, q.denominator
+    else:
+        a, b = q, 1
     bn = b**n
     return a, bn, b - a, _numerators(n, a, b, a**n, bn)
 
 
-def _sums_closed_rational(n: int, q: Fraction) -> FoldedSums:
-    """The closed forms of :func:`sums_closed` over the integers, for q = a/b."""
-    a, bn, c, xs = _rational_numerators(n, q)
+def _over(x: int | Q5, d: int | Q5) -> Fraction | Q5:
+    """``x/d`` normalised once: a Fraction for ints, one field division for Q5."""
+    return Fraction(x, d) if type(x) is int else x / d
+
+
+def _sums_closed_exact(n: int, q: Fraction | Q5) -> FoldedSums:
+    """The closed forms of :func:`sums_closed` on the numerators of an exact q."""
+    a, bn, c, xs = _exact_numerators(n, q)
     den = bn * c
     sums = []
     for x in xs:
-        sums.append(Fraction(a * x, den))
+        sums.append(_over(a * x, den))
         den *= c
     return FoldedSums(n, q, *sums)
 
 
-def _moments_rational(n: int, q: Fraction) -> FoldedMoments:
-    """The moments for q = a/b from the numerators of :func:`sums_closed`, one
-    normalisation each: with c = b − a, ``I_k = X_k/(X₀c^k)``,
+def _moments_exact(n: int, q: Fraction | Q5) -> FoldedMoments:
+    """The moments of an exact q from the numerators of :func:`sums_closed`,
+    one normalisation each: with c = b − a, ``I_k = X_k/(X₀c^k)``,
     ``Var = (X₂X₀ − X₁²)/(X₀c)²`` and ``I₂′ = (X₃X₀ − X₁X₂)/(X₀²c³)``."""
-    _, _, c, (x0, x1, x2, x3) = _rational_numerators(n, q)
+    _, _, c, (x0, x1, x2, x3) = _exact_numerators(n, q)
     d1 = x0 * c
     d2 = d1 * c
     d3 = d2 * c
     return FoldedMoments(
-        n, q, Fraction(x1, d1), Fraction(x2, d2), Fraction(x3, d3),
-        Fraction(x2 * x0 - x1 * x1, d1 * d1), Fraction(x3 * x0 - x1 * x2, x0 * d3),
+        n, q, _over(x1, d1), _over(x2, d2), _over(x3, d3),
+        _over(x2 * x0 - x1 * x1, d1 * d1), _over(x3 * x0 - x1 * x2, x0 * d3),
     )
 
 
@@ -350,27 +355,21 @@ def _moments_golden(n: int) -> FoldedMoments:
 def moments(n: int, q: Scalar) -> FoldedMoments:
     """Folded moments I₁, I₂, I₃, Var and I₂′ at (N, q), exact for exact q.
 
-    A Fraction q and q⋆ form each value from the integer numerators of the
-    power sums.  A float q, and any other Q5, divide the closed-form sums by
-    S₀; a Q5 multiplies by one inverse of S₀, one field norm.
+    A Fraction q, a Q5 q and q⋆ form each value from the numerators of the
+    power sums.  An inexact q (a float or float-like) divides the closed-form
+    sums by S₀.
     """
     if type(q) is float:
         if not (type(n) is int and n >= 1 and 0.0 < q < 1.0):
             _check_domain(n, q)  # raises, for a bad size or a q outside (0, 1) or NaN
-        s0, s1, s2, s3 = _closed_sums(n, q)
-        i1, i2, i3 = s1 / s0, s2 / s0, s3 / s0
-        return FoldedMoments(n, q, i1, i2, i3, i2 - i1 * i1, i3 - i1 * i2)
-    _check_domain(n, q)
-    if type(q) is Fraction:
-        return _moments_rational(n, q)
-    if _is_golden(q):
-        return _moments_golden(n)
-    s0, s1, s2, s3 = _closed_sums(n, q)
-    if type(s0) is Q5:
-        inverse = s0.inverse()
-        i1, i2, i3 = s1 * inverse, s2 * inverse, s3 * inverse
     else:
-        i1, i2, i3 = s1 / s0, s2 / s0, s3 / s0
+        _check_domain(n, q)
+        if _is_golden(q):
+            return _moments_golden(n)
+        if type(q) is Fraction or type(q) is Q5:
+            return _moments_exact(n, q)
+    s0, s1, s2, s3 = _closed_sums(n, q)
+    i1, i2, i3 = s1 / s0, s2 / s0, s3 / s0
     return FoldedMoments(n, q, i1, i2, i3, i2 - i1 * i1, i3 - i1 * i2)
 
 

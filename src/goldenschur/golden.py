@@ -6,17 +6,17 @@ Since ``q⋆ = (3 − √5)/2`` satisfies ``q⋆² = 3q⋆ − 1``, every power 
 ``b_m = −F_{2m−2}`` with the Fibonacci convention ``F_{−2} = −1, F_{−1} = 1``.
 
 The golden-point moments and the ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)`` come from
-the closed forms of :mod:`.folded` at ``q = q⋆``, scaled by ``φᴺ``.
+the closed forms of :mod:`.folded` at ``q = q⋆``, scaled by ``φᴺ``.  The
+table is integer arithmetic: :mod:`.qfield` and :mod:`.folded` are imported
+by the functions that compute with them, so building the table loads neither.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .folded import (
-    _check_size, _golden_i2_prime_numerator, _golden_numerators, _ratio,
-)
-from .qfield import GoldenBasis, Q5
+if TYPE_CHECKING:
+    from .qfield import Q5
 
 __all__ = [
     "GoldenPower",
@@ -33,6 +33,8 @@ class GoldenPower(NamedTuple):
     b: int
 
     def as_q5(self) -> Q5:
+        from .qfield import GoldenBasis
+
         return GoldenBasis(self.b, self.a).to_q5()
 
 
@@ -62,6 +64,8 @@ def lambda_n(n: int) -> Q5:
     norm.  N = 1 is rejected: the index variance vanishes identically, so the
     ratio is undefined.
     """
+    from .folded import _check_size, _golden_i2_prime_numerator, _golden_numerators, _ratio
+
     _check_size(n)
     if n == 1:
         raise ValueError("Λ(N) needs N >= 2 (zero variance at N=1)")

@@ -495,7 +495,7 @@ def test_stationarity_rejects_nonpositive_m_rho_sq(capsys, m_rho_sq):
 def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
     # every value is exact: the golden point takes the integer routes of
     # Z[q⋆], and the decision needs no grid, so the closed forms that floats
-    # and other Q5 values run are never called
+    # run are never called
     import goldenschur.folded as folded
 
     calls = {"exact": 0, "float": 0}
@@ -1049,6 +1049,56 @@ def test_schur_rejects_a_family_value_that_is_not_a_number(capsys, tmp_path, cor
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda doc: doc.pop("u"), "family document missing keys: ['u']"),
+        (_set("C0", {"circ": [1.0] * 6}), "C0: matrix object must have exactly the key 'circulant'"),
+        (_set("C0", {"circulant": [1.0] * 5}), "C0: circulant generator must be a list of 6 numbers"),
+        (_set_term(1, "C", [[1.0] * 6] * 5),
+         "terms[1].C: expected 6 rows of 6 numbers or a flat list of 36"),
+        (_set_term(1, "C", [1.0] * 35),
+         "terms[1].C: expected 6 rows of 6 numbers or a flat list of 36"),
+        (_set("C0", "identity"), "C0: unsupported matrix encoding str"),
+        (_set("N", 2), "N must be an integer >= 3, got 2"),
+        (_set("N", 6.0), "N must be an integer >= 3, got 6.0"),
+        (_set("u", [1.0] * 5), "u must be a list of 6 numbers"),
+        (_set("terms", {"s": 1.0}), "terms must be a list of {'s', 'C'} objects"),
+        (_set_term(0, "t", 1.0), "terms[0]: expected an object with exactly keys 's' and 'C'"),
+    ],
+    ids=["missing-key", "circulant-key", "generator-length", "dense-rows", "flat-length",
+         "encoding", "small-n", "float-n", "u-length", "terms-object", "term-keys"],
+)
+def test_schur_rejects_a_malformed_family_document(capsys, tmp_path, corrupt, message):
+    # each structural fault is bad input, exit 2, with the fault named
+    doc = json.loads(json.dumps(FAMILY_DOC))
+    corrupt(doc)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "schur", str(path), "-2.0", "-0.1", "11")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "not valid JSON (Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1))"),
+        ("[1, 2]", "top-level JSON value must be an object"),
+    ],
+    ids=["invalid-json", "top-level-list"],
+)
+def test_schur_rejects_a_file_that_is_not_a_json_object(capsys, tmp_path, text, message):
+    path = tmp_path / "family.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "schur", str(path), "-2.0", "-0.1", "11")
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_schur_circulant_family_needs_no_dense_linear_algebra(capsys, family_file, monkeypatch):
     # a circulant-encoded family is validated and scanned from the DFT of its
     # rows: no eigendecomposition, and no SVD for the band basis
@@ -1152,6 +1202,19 @@ def test_schur_loads_no_exact_layer(tmp_path, valid):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"{0 if valid else 2} []"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_golden_table_loads_only_golden(fmt):
+    # the reduction table is integer arithmetic: no field, no power sums
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_EXACT, "golden-table", "--max-m", "12", "--format", fmt],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 ['goldenschur.golden']"
 
 
 _ORACLE_LOADS = """
@@ -1260,6 +1323,42 @@ def test_report_document_stays_mutable():
     assert doc != twin
     with pytest.raises(TypeError):
         hash(doc)
+
+
+@pytest.mark.parametrize(
+    "status, basis, message",
+    [("ok", "direct", "bad status 'ok'"), ("pass", "oracle", "bad basis tag 'oracle'")],
+)
+def test_check_record_rejects_a_bad_status_or_basis(status, basis, message):
+    from goldenschur.report import CheckRecord
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CheckRecord("x.id", "desc", status, "1", "1", basis)
+
+
+def test_check_record_refuses_field_deletion():
+    from goldenschur.report import CheckRecord
+
+    rec = CheckRecord("x.id", "desc", "pass", "1", "1", "direct")
+    with pytest.raises(AttributeError, match="^cannot delete field 'status'$"):
+        del rec.status
+    assert rec.status == "pass"
+
+
+def test_report_document_rejects_an_unknown_format():
+    from goldenschur.report import ReportDocument
+
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        ReportDocument("lockin", 7).render("xml")
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    from goldenschur.reference import SUITES
+    from goldenschur.verify import run_suite
+
+    message = f"unknown suite 'nope'; choose from {', '.join(SUITES)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite("nope")
 
 
 _MOVED_TO_ORACLE = {

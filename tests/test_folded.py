@@ -5,8 +5,9 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from goldenschur import folded
@@ -77,20 +78,74 @@ def test_golden_route_equals_reduction_oracle_at_large_n(n):
     assert sums_closed(n, QSTAR) == sums_at_qstar(n)
 
 
+def _spy(monkeypatch, name):
+    """Record the q (or n, for the golden route) of each call to folded.<name>."""
+    calls, route = [], getattr(folded, name)
+    monkeypatch.setattr(folded, name, lambda n, *q: calls.append(q[0] if q else n) or route(n, *q))
+    return calls
+
+
 def test_only_qstar_takes_the_golden_route(monkeypatch):
-    # q⋆, however it was built, skips the operator route; a Q5 next to it and
-    # a float take it
-    calls = []
-    operator_route = folded._closed_sums
-    monkeypatch.setattr(
-        folded, "_closed_sums", lambda n, q: calls.append(q) or operator_route(n, q)
-    )
+    # q⋆, however it was built, takes the Z[q⋆] route; a Q5 next to it takes
+    # the numerators of an exact q, and only the float runs the closed forms
+    golden = _spy(monkeypatch, "_sums_closed_golden")
+    closed = _spy(monkeypatch, "_closed_sums")
     assert sums_closed(12, Q5(3, -1) / 2) == sums_bruteforce(12, QSTAR)
-    assert calls == []
+    assert (golden, closed) == ([12], [])
     near = QSTAR * Fraction(999, 1000)
     assert sums_closed(12, near) == sums_bruteforce(12, near)
+    assert (golden, closed) == ([12], [])
     sums_closed(12, float(QSTAR))
-    assert calls == [near, float(QSTAR)]
+    assert (golden, closed) == ([12], [float(QSTAR)])
+
+
+def test_closed_forms_see_only_inexact_scalars(monkeypatch):
+    closed = _spy(monkeypatch, "_closed_sums")
+    exact = [Fraction(2, 7), QSTAR, QSTAR * Fraction(999, 1000), Q5(Fraction(1, 2), 0)]
+    inexact = [0.3, np.float64(0.3)]
+    for q in exact + inexact:
+        sums_closed(12, q)
+        moments(12, q)
+    assert [type(q) for q in closed] == [float, float, np.float64, np.float64]
+
+
+def _seeded_irrational_q5(count=8, seed=2323):
+    """q = k/16 + (j/100)·√5 with k ≤ 8 and 1 ≤ j ≤ 12, so 0 < q < 0.77."""
+    rng = random.Random(seed)
+    return [
+        Q5(Fraction(rng.randint(1, 8), 16), Fraction(rng.randint(1, 12), 100))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 50])
+def test_irrational_q5_lane_equals_the_oracle(n):
+    for q in _seeded_irrational_q5():
+        assert 0 < q < 1 and not q.is_rational
+        sums = sums_bruteforce(n, q)
+        got = sums_closed(n, q)
+        assert got == sums and got.q is q
+        assert all(type(x) is Q5 for x in got.as_tuple())
+        m = moments(n, q)
+        assert m == moments_from_sums(sums)
+        assert all(type(x) is Q5 for x in m[2:])
+
+
+@st.composite
+def _irrational_q5_in_unit_interval(draw):
+    # |b·√5| < 0.45, so most draws of a land q inside
+    b = draw(st.fractions(Fraction(-1, 5), Fraction(1, 5), max_denominator=1000).filter(bool))
+    a = draw(st.fractions(0, 1, max_denominator=1000))
+    q = Q5(a, b)
+    assume(0 < q < 1)
+    return q
+
+
+@given(q=_irrational_q5_in_unit_interval(), n=st.integers(1, 40))
+def test_irrational_q5_moments_equal_the_oracle(q, n):
+    sums = sums_bruteforce(n, q)
+    assert sums_closed(n, q) == sums
+    assert moments(n, q) == moments_from_sums(sums)
 
 
 @st.composite
@@ -151,6 +206,16 @@ def test_float_moments_keep_their_bits(q):
     values = (m.i1, m.i2, m.i3, m.var, m.i2_prime)
     assert all(type(x) is float for x in values)
     assert tuple(x.hex() for x in values) == _FLOAT_MOMENTS_N12[q]
+
+
+def test_float_like_q_takes_the_float_lane():
+    # a numpy.float64 runs the closed forms as a float does, to the bit
+    for q in sorted(_FLOAT_MOMENTS_N12):
+        m = moments(12, np.float64(q))
+        assert all(type(x) is np.float64 for x in m[2:])
+        assert tuple(x.hex() for x in m[2:]) == _FLOAT_MOMENTS_N12[q]
+        sums = sums_closed(12, np.float64(q)).as_tuple()
+        assert tuple(x.hex() for x in sums) == _FLOAT_SUMS_N12[q]
 
 
 def test_closed_matches_bruteforce_float():
@@ -362,6 +427,12 @@ def test_fd_matches_exact_at_spec_points():
     f1, _ = theta_derivatives_fd(2, 0.5, h=1e-4)
     assert abs(f1 - float(m.var)) < 1e-7
     assert theta_derivatives_fd(1, 0.5) == (0.0, 0.0)
+
+
+def test_fd_rejects_a_step_past_one():
+    # q·e^h = 0.9995·e^0.001 > 1 leaves the domain before any sum is taken
+    with pytest.raises(ValueError, match=r"^step h=0\.001 leaves the domain at q=0\.9995$"):
+        theta_derivatives_fd(12, 0.9995, h=1e-3)
 
 
 def test_fd_matches_exact_on_grid():

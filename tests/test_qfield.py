@@ -265,6 +265,11 @@ def test_decimal_str_rejects_floats():
         decimal_str(0.5, 3)
 
 
+def test_decimal_str_renders_a_golden_basis_value():
+    assert decimal_str(GoldenBasis(0, 1), 11) == "0.38196601125"  # q⋆
+    assert decimal_str(GoldenBasis(1, -2), 10) == "0.2360679775"  # √5 − 2
+
+
 # ---------------------------------------------------------------------------
 # formatting
 # ---------------------------------------------------------------------------

@@ -825,6 +825,18 @@ def test_strict_convexity_witness_degenerate():
     assert rep.witness < 1e-12
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_strict_convexity_witness_rejects_a_bad_term_index(index):
+    with pytest.raises(ValueError, match=f"^term index {index} out of range$"):
+        strict_convexity_witness(ring_family(), index, -1.0, 0.0)
+
+
+def test_strict_convexity_witness_rejects_a_zero_exponent():
+    # s = 0 is a constant term: it adds nothing to the curvature in θ
+    with pytest.raises(ValueError, match="^witness term must have a nonzero exponent$"):
+        strict_convexity_witness(ring_family(s1=0.0), 0, -1.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # q-class functional
 # ---------------------------------------------------------------------------

@@ -8,32 +8,31 @@ folded moments ``I_k = S_k / S₀``, and the variance ``Var = I₂ − I₁²``.
 Because the family is exponential, ``dI₁/dθ = Var`` and
 ``dI₂/dθ = I₃ − I₁·I₂``.
 
-Each q takes one of three lanes, each written once, and an exact q stays exact:
+The power sums take one of two lanes, each written once, and an exact q
+stays exact:
 
-* a :class:`~fractions.Fraction` or a :class:`~.qfield.Q5` other than q⋆,
-  as ``q = a/b`` with (a, b) a Fraction's numerator and denominator or
-  (q, 1) for a Q5: the closed forms multiplied through by powers of b are
-  polynomials in (a, b), and each sum, moment and I₂′ is normalised once, by
-  one ``Fraction(num, den)`` or one field division;
-* the golden point ``q = q⋆``, with a = q⋆ and b = 1: every sum is an
-  algebraic integer in Z[q⋆], since q⋆ and ``1 − q⋆ = φ⁻¹`` are units and
-  ``1/(1 − q⋆) = φ = 2 − q⋆``.  The polynomials run on integer pairs
-  ``(c₀, c₁)`` meaning ``c₀ + c₁·q⋆``, reduced with ``q⋆² = 3q⋆ − 1``, q⋆ᴺ
-  comes from pair squaring, and each sum becomes a Q5 once.  The moments,
-  I₂′ and Λ are ratios of polynomials of equal degree in the numerators, so
-  they run on ``Y_k = φᴺ·X_k`` instead: the same polynomials at
-  ``(bᴺ, aᴺ) = (φᴺ, φ⁻ᴺ)``, with half the digits of q⋆ᴺ, and
-  ``φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)``.  ``I_k = φᵏY_k/Y₀``, where ``Y₀ = φᴺ − φ⁻ᴺ`` is
-  ``√5·F_N`` for even N and ``L_N`` for odd N; ``I₂′ = T/Y₀²`` with
-  ``T = φ³(Y₃Y₀ − Y₁Y₂)``, and ``Var = (Y₀² − N²)/Y₀²``: Var = (ln S₀)″ in θ,
-  and at q⋆ its closed form collapses to ``1 − N²/Y₀²``.  Every division is
-  then by an integer or by √5 times one, which :class:`~.qfield.Q5` takes
-  without a field norm;
+* an exact q, a :class:`~fractions.Fraction` or a :class:`~.qfield.Q5`
+  (q⋆ included), as ``q = a/b`` with (a, b) a Fraction's numerator and
+  denominator or (q, 1) for a Q5: the closed forms multiplied through by
+  powers of b are polynomials in (a, b), and each sum is normalised once, by
+  one ``Fraction(num, den)`` or one field division; so is each moment and
+  I₂′ of an exact q other than q⋆;
 * an inexact scalar (a float, or a float-like such as ``numpy.float64``)
   runs the closed forms as written, and its moments divide those sums by S₀.
 
-Every lane fills one :class:`FoldedMoments` record, I₂′ included, so
-:func:`moments` is the one route to the moments.
+The moments, I₂′ and Λ at the golden point ``q = q⋆`` take the one route
+selected by the input.  They are ratios of polynomials of equal degree in
+the numerators, so with a = q⋆ and b = 1 they run on ``Y_k = φᴺ·X_k``: the
+same polynomials at ``(bᴺ, aᴺ) = (φᴺ, φ⁻ᴺ)``, on :class:`~.qfield.Q5`
+values with half the digits of q⋆ᴺ, and ``φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)``.
+``I_k = φᵏY_k/Y₀``, where ``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and
+``L_N`` for odd N; ``I₂′ = T/Y₀²`` with ``T = φ³(Y₃Y₀ − Y₁Y₂)``, and
+``Var = (Y₀² − N²)/Y₀²``: Var = (ln S₀)″ in θ, and at q⋆ its closed form
+collapses to ``1 − N²/Y₀²``.  Every division is then by an integer or by √5
+times one, which :class:`~.qfield.Q5` takes without a field norm.
+
+Both lanes and the q⋆ kernel fill one :class:`FoldedMoments` record, I₂′
+included, so :func:`moments` is the one route to the moments.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .qfield import QSTAR, Q5, _div, _q5
+from .qfield import PHI, QSTAR, Q5
 
 __all__ = [
     "Scalar",
@@ -54,7 +53,7 @@ __all__ = [
 
 Scalar = Union[Fraction, Q5, float]
 #: the values the numerators of :func:`sums_closed` are formed in
-_Ring = Union[int, Q5, "_GoldenInt"]
+_Ring = Union[int, Q5]
 
 
 def _check_size(n: int) -> None:
@@ -63,7 +62,7 @@ def _check_size(n: int) -> None:
 
 
 def _is_golden(q: Scalar) -> bool:
-    """Whether q is q⋆, which takes the integer routes of Z[q⋆]."""
+    """Whether q is q⋆, whose moments take the φᴺ-scaled kernel."""
     return type(q) is Q5 and q == QSTAR  # the type first: a float q never compares
 
 
@@ -116,13 +115,11 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     powers of b: ``S_k = a·X_k / (b^N·(b − a)^{k+1})`` with
     ``X_k = b^N·U_k + a^N·V_k``, where ``U_k`` and ``V_k`` are integer
     polynomials in a and b.  Each sum is then normalised once, by one
-    ``Fraction(num, den)`` or one field division.  At ``q = q⋆`` the same
-    polynomials run in Z[q⋆] with a = q⋆ and b = 1, and each sum is converted
-    to a Q5 once.  A float or float-like q runs the closed forms as written.
+    ``Fraction(num, den)`` or one field division; at ``q = q⋆``, with a = q⋆
+    and b = 1, that division is by the unit ``(1 − q⋆)^{k+1}``.  A float or
+    float-like q runs the closed forms as written.
     """
     _check_domain(n, q)
-    if _is_golden(q):
-        return _sums_closed_golden(n)
     if type(q) is Fraction or type(q) is Q5:
         return _sums_closed_exact(n, q)
     return FoldedSums(n, q, *_closed_sums(n, q))
@@ -161,7 +158,7 @@ def _numerators(n: int, a: _Ring, b: int, an: _Ring, bn: _Ring) -> tuple[_Ring, 
     """``(X₀, X₁, X₂, X₃)`` with ``X_k = bn·U_k + an·V_k``, where U_k and V_k
     are the integer polynomials in a and b of :func:`sums_closed`, and
     ``(bn, an) = (b^N, a^N)`` or any multiple of that pair.  ``a``, ``an`` and
-    ``bn`` are ints, Q5 or :class:`_GoldenInt` values, ``b`` an int."""
+    ``bn`` are ints or Q5 values, ``b`` an int."""
     ab, aa, bb = a * b, a * a, b * b
     x0 = bn - an
     x1 = bn * b + an * (n * a - (n + 1) * b)
@@ -219,91 +216,9 @@ def _moments_exact(n: int, q: Fraction | Q5) -> FoldedMoments:
     )
 
 
-class _GoldenInt:
-    """The algebraic integer ``c0 + c1·q⋆`` of Z[q⋆], reduced by ``q⋆² = 3q⋆ − 1``.
-
-    Only the ring operations :func:`_numerators` uses, with ints on either
-    side; :meth:`to_q5` leaves the ring for the field.
-    """
-
-    __slots__ = ("c0", "c1")
-
-    def __init__(self, c0: int, c1: int) -> None:
-        self.c0, self.c1 = c0, c1
-
-    def __add__(self, other: "_GoldenInt | int") -> "_GoldenInt":
-        if type(other) is int:
-            return _GoldenInt(self.c0 + other, self.c1)
-        return _GoldenInt(self.c0 + other.c0, self.c1 + other.c1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_GoldenInt":
-        return _GoldenInt(-self.c0, -self.c1)
-
-    def __sub__(self, other: "_GoldenInt | int") -> "_GoldenInt":
-        if type(other) is int:
-            return _GoldenInt(self.c0 - other, self.c1)
-        return _GoldenInt(self.c0 - other.c0, self.c1 - other.c1)
-
-    def __rsub__(self, other: int) -> "_GoldenInt":
-        return _GoldenInt(other - self.c0, -self.c1)
-
-    def __mul__(self, other: "_GoldenInt | int") -> "_GoldenInt":
-        if type(other) is int:
-            return _GoldenInt(self.c0 * other, self.c1 * other)
-        a0, a1, b0, b1 = self.c0, self.c1, other.c0, other.c1
-        t = a1 * b1
-        return _GoldenInt(a0 * b0 - t, a0 * b1 + a1 * b0 + 3 * t)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "_GoldenInt":
-        """``self^n`` for n ≥ 0 by repeated squaring."""
-        result, x = _GoldenInt(1, 0), self
-        while n:
-            if n & 1:
-                result = result * x
-            n >>= 1
-            if n:
-                x = x * x
-        return result
-
-    def conjugate(self) -> "_GoldenInt":
-        """The Galois conjugate, by ``conj(q⋆) = 3 − q⋆``."""
-        return _GoldenInt(self.c0 + 3 * self.c1, -self.c1)
-
-    def coords(self) -> tuple[int, int, int]:
-        """``(p, q, d)`` with ``c0 + c1·(3 − √5)/2 = (p + q·√5)/d``, not reduced."""
-        return 2 * self.c0 + 3 * self.c1, -self.c1, 2
-
-    def to_q5(self) -> Q5:
-        """The same element as a :class:`Q5`."""
-        return _q5(*self.coords())
-
-
-#: φ = 1/(1 − q⋆) = 2 − q⋆, and its square and cube, in Z[q⋆].
-_PHI, _PHI2, _PHI3 = _GoldenInt(2, -1), _GoldenInt(3, -1), _GoldenInt(5, -2)
-
-
-def _sums_closed_golden(n: int) -> FoldedSums:
-    """The closed forms of :func:`sums_closed` in Z[q⋆], for q = q⋆.
-
-    With a = q⋆ and b = 1, ``S_k = q⋆·X_k·(2 − q⋆)^{k+1}``, since
-    ``1/(1 − q⋆) = 2 − q⋆``: no division anywhere.
-    """
-    a = _GoldenInt(0, 1)
-    scale = a
-    sums = []
-    for x in _numerators(n, a, 1, a**n, 1):
-        scale = scale * _PHI
-        sums.append((x * scale).to_q5())
-    return FoldedSums(n, QSTAR, *sums)
-
-
-def _golden_numerators(n: int) -> tuple[tuple[_GoldenInt, ...], int]:
+def _golden_numerators(n: int) -> tuple[Q5, Q5, Q5, Q5]:
     """``(Y₀, Y₁, Y₂, Y₃)`` with ``Y_k = φᴺ·X_k``, the numerators of
-    :func:`sums_closed` at a = q⋆ and b = 1 scaled by φᴺ, and the integer Y₀².
+    :func:`sums_closed` at a = q⋆ and b = 1 scaled by φᴺ.
 
     X_k is linear in (bᴺ, aᴺ) = (1, φ⁻²ᴺ), so Y_k is the same polynomial at
     (φᴺ, φ⁻ᴺ): coordinates of half the size of q⋆ᴺ's.  φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)
@@ -312,25 +227,15 @@ def _golden_numerators(n: int) -> tuple[tuple[_GoldenInt, ...], int]:
     ``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and ``L_N`` for odd N: a
     divisor of one coordinate, with ``Y₀² = 5F_N²`` or ``L_N²``.
     """
-    up = _PHI**n
-    lucas, fib, _ = up.coords()
+    up = PHI**n
     down = up.conjugate()
-    if n & 1:
-        return _numerators(n, _GoldenInt(0, 1), 1, -down, up), lucas * lucas
-    return _numerators(n, _GoldenInt(0, 1), 1, down, up), 5 * fib * fib
+    return _numerators(n, QSTAR, 1, -down if n & 1 else down, up)
 
 
-def _ratio(x: _GoldenInt, y: _GoldenInt | int) -> Q5:
-    """``x/y`` as a reduced :class:`Q5`, one normalisation; for the divisors
-    here, of one coordinate, without a field norm."""
-    divisor = (y, 0, 1) if type(y) is int else y.coords()
-    return _div(x.coords(), divisor, "division by zero in Z[q⋆]")
-
-
-def _golden_i2_prime_numerator(ys: tuple[_GoldenInt, ...]) -> _GoldenInt:
+def _golden_i2_prime_numerator(ys: tuple[Q5, Q5, Q5, Q5]) -> Q5:
     """``T = φ³(Y₃Y₀ − Y₁Y₂) = I₂′·Y₀²``, from ``I₂′ = I₃ − I₁I₂``."""
     y0, y1, y2, y3 = ys
-    return _PHI3 * (y3 * y0 - y1 * y2)
+    return PHI**3 * (y3 * y0 - y1 * y2)
 
 
 def _moments_golden(n: int) -> FoldedMoments:
@@ -343,12 +248,12 @@ def _moments_golden(n: int) -> FoldedMoments:
     ``q⋆/(1 − q⋆)² = 1`` and ``q⋆ᴺ/(1 − q⋆ᴺ)² = 1/Y₀²``: Var·Y₀² = Y₀² − N² is
     an integer, the ``φ²(Y₂Y₀ − Y₁²)`` of the numerators without their products.
     """
-    ys, y0_squared = _golden_numerators(n)
+    ys = _golden_numerators(n)
     y0, y1, y2, y3 = ys
-    i1, i2, i3 = _ratio(_PHI * y1, y0), _ratio(_PHI2 * y2, y0), _ratio(_PHI3 * y3, y0)
-    var = _q5(y0_squared - n * n, 0, y0_squared)
+    square = y0 * y0
     return FoldedMoments(
-        n, QSTAR, i1, i2, i3, var, _ratio(_golden_i2_prime_numerator(ys), y0_squared)
+        n, QSTAR, PHI * y1 / y0, PHI**2 * y2 / y0, PHI**3 * y3 / y0,
+        (square - n * n) / square, _golden_i2_prime_numerator(ys) / square,
     )
 
 

@@ -64,10 +64,10 @@ def lambda_n(n: int) -> Q5:
     norm.  N = 1 is rejected: the index variance vanishes identically, so the
     ratio is undefined.
     """
-    from .folded import _check_size, _golden_i2_prime_numerator, _golden_numerators, _ratio
+    from .folded import _check_size, _golden_i2_prime_numerator, _golden_numerators
 
     _check_size(n)
     if n == 1:
         raise ValueError("Λ(N) needs N >= 2 (zero variance at N=1)")
-    ys, y0_squared = _golden_numerators(n)
-    return _ratio(_golden_i2_prime_numerator(ys), y0_squared - n * n)
+    ys = _golden_numerators(n)
+    return _golden_i2_prime_numerator(ys) / (ys[0] * ys[0] - n * n)

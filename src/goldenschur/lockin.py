@@ -75,7 +75,7 @@ class QuadLawCoeffs(FrozenRecord):
     def __init__(self, a: Scalar, b: Scalar, n: int, m_rho_sq: Scalar = Fraction(2)) -> None:
         _check_size(n)
         m2 = _normalize(m_rho_sq)
-        if not (m2.sign() > 0 if isinstance(m2, Q5) else m2 > 0):  # a NaN is rejected
+        if not m2 > 0:  # exact for a Q5, and a NaN is rejected
             raise ValueError(f"m_rho_sq must be positive, got {m2}")
         self._set_fields(_normalize(a), _normalize(b), n, m2)
 

@@ -61,10 +61,10 @@ def _coords(value: object) -> _Coords | None:
     """``(p, q, d)`` of a Q5, int or Fraction; None for anything else (floats too)."""
     if isinstance(value, Q5):
         return value._p, value._q, value._d
-    if isinstance(value, Fraction):
-        return value.numerator, 0, value.denominator
     if isinstance(value, int) and not isinstance(value, bool):
         return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
     return None
 
 

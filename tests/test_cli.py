@@ -493,9 +493,9 @@ def test_stationarity_rejects_nonpositive_m_rho_sq(capsys, m_rho_sq):
 
 
 def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
-    # every value is exact: the golden point takes the integer routes of
-    # Z[q⋆], and the decision needs no grid, so the closed forms that floats
-    # run are never called
+    # every value is exact: the golden point takes the exact numerators and
+    # the φᴺ-scaled kernel, and the decision needs no grid, so the closed
+    # forms that floats run are never called
     import goldenschur.folded as folded
 
     calls = {"exact": 0, "float": 0}

@@ -69,7 +69,7 @@ def test_closed_equals_bruteforce_q5():
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_golden_route_equals_bruteforce(n):
-    # q⋆ takes the Z[q⋆] integer route; the oracle sums q⋆^s in the field
+    # q⋆ takes the numerators of an exact q; the oracle sums q⋆^s in the field
     assert sums_closed(n, QSTAR) == sums_bruteforce(n, QSTAR)
 
 
@@ -79,24 +79,31 @@ def test_golden_route_equals_reduction_oracle_at_large_n(n):
 
 
 def _spy(monkeypatch, name):
-    """Record the q (or n, for the golden route) of each call to folded.<name>."""
+    """Record the q (or n, for the q⋆ kernel) of each call to folded.<name>."""
     calls, route = [], getattr(folded, name)
     monkeypatch.setattr(folded, name, lambda n, *q: calls.append(q[0] if q else n) or route(n, *q))
     return calls
 
 
 def test_only_qstar_takes_the_golden_route(monkeypatch):
-    # q⋆, however it was built, takes the Z[q⋆] route; a Q5 next to it takes
-    # the numerators of an exact q, and only the float runs the closed forms
-    golden = _spy(monkeypatch, "_sums_closed_golden")
+    # q⋆, however it was built, takes the numerators of an exact q for its
+    # sums, and only its moments take the φᴺ-scaled kernel; a Q5 next to it
+    # takes the exact lane, and only the float runs the closed forms
+    exact = _spy(monkeypatch, "_sums_closed_exact")
+    golden = _spy(monkeypatch, "_moments_golden")
     closed = _spy(monkeypatch, "_closed_sums")
-    assert sums_closed(12, Q5(3, -1) / 2) == sums_bruteforce(12, QSTAR)
-    assert (golden, closed) == ([12], [])
+    star = Q5(3, -1) / 2
+    assert sums_closed(12, star) == sums_bruteforce(12, QSTAR)
+    assert (exact, golden, closed) == ([QSTAR], [], [])
+    assert moments(12, star) == moments_from_sums(sums_bruteforce(12, QSTAR))
+    assert (exact, golden, closed) == ([QSTAR], [12], [])
     near = QSTAR * Fraction(999, 1000)
     assert sums_closed(12, near) == sums_bruteforce(12, near)
-    assert (golden, closed) == ([12], [])
+    assert moments(12, near) == moments_from_sums(sums_bruteforce(12, near))
+    assert (exact, golden, closed) == ([QSTAR, near], [12], [])
     sums_closed(12, float(QSTAR))
-    assert (golden, closed) == ([12], [float(QSTAR)])
+    moments(12, float(QSTAR))
+    assert (exact, golden, closed) == ([QSTAR, near], [12], [float(QSTAR)] * 2)
 
 
 def test_closed_forms_see_only_inexact_scalars(monkeypatch):

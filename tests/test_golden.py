@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from goldenschur.folded import _GoldenInt, _golden_numerators, moments, sums_closed
+from goldenschur import qfield
+from goldenschur.folded import _golden_numerators, moments, sums_closed
 from goldenschur.golden import GoldenPower, golden_power_table, lambda_n
 from goldenschur.oracle import (
     fibonacci, moments_from_sums, sums_at_qstar, theta_derivatives_fd,
 )
-from goldenschur.qfield import Q5, QSTAR, decimal_str
+from goldenschur.qfield import PHI, Q5, QSTAR, decimal_str
 
 # (m, a_m, b_m) rows of q⋆^m = a_m q⋆ + b_m.
 REDUCTION_ROWS = [
@@ -280,14 +281,13 @@ def test_golden_kernel_matches_the_field_route_at_large_n(n):
 def _check_integers(n):
     # Y₀ = φᴺ − φ⁻ᴺ is √5·F_N for even N and L_N for odd N, so Y₀² is a
     # rational integer; so is φ²(Y₂Y₀ − Y₁²) = Var·Y₀², and it is Y₀² − N²
-    (y0, y1, y2, _), y0_squared = _golden_numerators(n)
+    y0, y1, y2, _ = _golden_numerators(n)
     f, lucas = fibonacci(n), fibonacci(n - 1) + fibonacci(n + 1)
-    assert y0.to_q5() == (Q5(0, f) if n % 2 == 0 else lucas)
-    square, r = y0 * y0, _GoldenInt(3, -1) * (y2 * y0 - y1 * y1)  # φ² = 3 − q⋆
-    assert (square.c0, square.c1) == (y0_squared, 0)
-    assert y0_squared == (5 * f * f if n % 2 == 0 else lucas * lucas)
-    assert (r.c0, r.c1) == (y0_squared - n * n, 0)
-    assert Fraction(r.c0, y0_squared) == moments(n, QSTAR).var
+    assert y0 == (Q5(0, f) if n % 2 == 0 else lucas)
+    square, r = y0 * y0, PHI**2 * (y2 * y0 - y1 * y1)
+    assert square == (5 * f * f if n % 2 == 0 else lucas * lucas)
+    assert r == square - n * n
+    assert Fraction(r.a, square.a) == moments(n, QSTAR).var
 
 
 def test_golden_kernel_divides_by_integers_up_to_300():
@@ -298,6 +298,21 @@ def test_golden_kernel_divides_by_integers_up_to_300():
 @pytest.mark.parametrize("n", [999, 1000, 10_000, 10_001])
 def test_golden_kernel_divides_by_integers_at_large_n(n):
     _check_integers(n)
+
+
+@pytest.mark.parametrize("ns", [range(1, 41), [1000], [10_001]], ids=["1-40", "1000", "10001"])
+def test_golden_kernel_takes_no_field_norm(monkeypatch, ns):
+    # every divisor of the q⋆ kernel is an integer or √5 times one, which
+    # Q5 divides without a field norm
+    divisors, div = [], qfield._div
+    monkeypatch.setattr(qfield, "_div", lambda x, y, message: divisors.append(y) or div(x, y, message))
+    for n in ns:
+        divisors.clear()
+        moments(n, QSTAR)
+        if n >= 2:
+            lambda_n(n)
+        assert divisors
+        assert all(p == 0 or q == 0 for p, q, _ in divisors), n
 
 
 def test_lambda_fd_cross_check():

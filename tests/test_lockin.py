@@ -71,6 +71,11 @@ def test_coeffs_reject_bad_mass():
         QuadLawCoeffs(1, 1, 12, 0)
     with pytest.raises(ValueError):
         QuadLawCoeffs(1, 1, 12, Fraction(-2))
+    # a Q5 mass is ordered exactly against 0
+    for m2 in (Q5(0), -QSTAR, 2 - Q5(0, 1)):
+        with pytest.raises(ValueError, match="m_rho_sq must be positive"):
+            QuadLawCoeffs(1, 1, 12, m2)
+    assert QuadLawCoeffs(1, 1, 12, QSTAR).m_rho_sq == QSTAR
 
 
 def test_coeffs_reject_bad_n():

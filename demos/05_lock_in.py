@@ -23,6 +23,7 @@ from goldenschur import (
     QuadLawCoeffs,
     moments,
     bracket_residual,
+    decimal_str,
     f_red_prime_q,
     kappa_quadratic,
     lambda_n,
@@ -70,7 +71,7 @@ print()
 print("== reported reference constants ==")
 reported = QuadLawCoeffs(REPORTED_A, REPORTED_B, 12, 2.0)
 print(f"  A = {REPORTED_A}, B = {REPORTED_B}, m_ρ² = 2")
-print(f"  bracket residual = {bracket_residual(reported):.10f}")
+print(f"  bracket residual = {decimal_str(bracket_residual(reported), 10)}")
 print("  (nonzero: these constants do not satisfy the lock-in identity;")
 print("   the verification suite reports this as information.)")
 ratio = -(2 * REPORTED_A - 2 * REPORTED_B - 8 / 2) / REPORTED_B

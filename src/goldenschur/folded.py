@@ -264,15 +264,11 @@ def moments(n: int, q: Scalar) -> FoldedMoments:
     power sums.  An inexact q (a float or float-like) divides the closed-form
     sums by S₀.
     """
-    if type(q) is float:
-        if not (type(n) is int and n >= 1 and 0.0 < q < 1.0):
-            _check_domain(n, q)  # raises, for a bad size or a q outside (0, 1) or NaN
-    else:
-        _check_domain(n, q)
-        if _is_golden(q):
-            return _moments_golden(n)
-        if type(q) is Fraction or type(q) is Q5:
-            return _moments_exact(n, q)
+    _check_domain(n, q)
+    if _is_golden(q):
+        return _moments_golden(n)
+    if type(q) is Fraction or type(q) is Q5:
+        return _moments_exact(n, q)
     s0, s1, s2, s3 = _closed_sums(n, q)
     i1, i2, i3 = s1 / s0, s2 / s0, s3 / s0
     return FoldedMoments(n, q, i1, i2, i3, i2 - i1 * i1, i3 - i1 * i2)

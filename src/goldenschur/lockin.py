@@ -20,13 +20,16 @@ q = e^θ.  :func:`quadratic_law_fit` recovers (A, B) from (q, κ) samples.
 :func:`stationarity_check` decides claim (ii), that q⋆ is the one stationary
 point, from the strict rise of Λ in q, with no grid: it holds for every N ≥ 3.
 
-Everything is generic over the scalar type: exact inputs (Fraction, Q5) stay
-exact; any float input routes the whole computation through floats.
+Coefficients are exact, and q picks the lane: :class:`QuadLawCoeffs` stores
+an int or a float as the Fraction it equals, an exact q (or a given Λ) keeps
+the whole computation exact, and a float q runs it in floats on the
+coefficients rounded once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -49,6 +52,7 @@ __all__ = [
 ]
 
 _ExactScalar = (int, Fraction, Q5)
+_Triple = tuple[Scalar, Scalar, Scalar]
 
 #: Relative size of the moment determinant at or below which two float samples
 #: are a degenerate pair in :func:`quadratic_law_fit`.
@@ -59,33 +63,42 @@ def _is_exact(x: object) -> bool:
     return isinstance(x, _ExactScalar) and not isinstance(x, bool)
 
 
-def _normalize(x: Scalar) -> Scalar:
-    """ints become Fractions so that ratios like 8/m_ρ² stay exact."""
-    return Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else x
+def _exact(name: str, x: Scalar) -> Fraction | Q5:
+    """A coefficient as the exact value it equals: a Q5 as it is, a rational
+    as a Fraction, and a float or float-like as the Fraction of its float.
+    A bool, a NaN or an infinity is a ValueError."""
+    if isinstance(x, bool):
+        raise ValueError(f"coefficient {name} must be a number, not a bool, got {x!r}")
+    if isinstance(x, Q5):
+        return x
+    if isinstance(x, numbers.Rational):
+        return Fraction(x)
+    f = float(x)
+    if not math.isfinite(f):
+        raise ValueError(f"coefficient {name} must be finite, got {x!r}")
+    return Fraction(f)
 
 
 class QuadLawCoeffs(FrozenRecord):
     """Coefficients of the quadratic folded law at fixed (N, m_ρ²).
 
-    ints in ``a``, ``b`` and ``m_rho_sq`` are stored as Fractions.
+    ``a``, ``b`` and ``m_rho_sq`` are exact: a Q5 is stored as it is, and an
+    int, a float or a float-like as the Fraction it equals.
     """
 
     __slots__ = ("a", "b", "n", "m_rho_sq")
 
     def __init__(self, a: Scalar, b: Scalar, n: int, m_rho_sq: Scalar = Fraction(2)) -> None:
         _check_size(n)
-        m2 = _normalize(m_rho_sq)
-        if not m2 > 0:  # exact for a Q5, and a NaN is rejected
+        m2 = _exact("m_rho_sq", m_rho_sq)
+        if not m2 > 0:  # exact for a Q5
             raise ValueError(f"m_rho_sq must be positive, got {m2}")
-        self._set_fields(_normalize(a), _normalize(b), n, m2)
+        self._set_fields(_exact("A", a), _exact("B", b), n, m2)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(x) for x in (self.a, self.b, self.m_rho_sq))
-
-    def as_floats(self) -> "QuadLawCoeffs":
-        """The coefficients as floats.  A ValueError names every coefficient
-        whose float overflows, or is 0.0 although the coefficient is not."""
+    def as_floats(self) -> _Triple:
+        """``(A, B, m_ρ²)`` as floats, for the float lane.  A ValueError names
+        every coefficient whose float overflows, or is 0.0 although the
+        coefficient is not."""
         values, lost = [], []
         for name, x in (("A", self.a), ("B", self.b), ("m_rho_sq", self.m_rho_sq)):
             try:
@@ -99,30 +112,25 @@ class QuadLawCoeffs(FrozenRecord):
             values.append(f)
         if lost:
             raise ValueError("coefficient " + "; coefficient ".join(lost))
-        return QuadLawCoeffs(values[0], values[1], self.n, values[2])
+        return tuple(values)
 
 
-def _route(coeffs: QuadLawCoeffs, x: Scalar) -> tuple[QuadLawCoeffs, Scalar]:
-    """Pick the exact or the float lane for coefficients and one scalar (q or Λ)."""
-    if coeffs.is_exact and _is_exact(x):
-        return coeffs, x
+def _route(coeffs: QuadLawCoeffs, x: Scalar) -> tuple[_Triple, Scalar]:
+    """``(A, B, m_ρ²)`` and one scalar (q or Λ) in the lane of that scalar."""
+    if _is_exact(x):
+        return (coeffs.a, coeffs.b, coeffs.m_rho_sq), x
     return coeffs.as_floats(), float(x)
 
 
-def _kappa(c: QuadLawCoeffs, m: FoldedMoments) -> Scalar:
-    """κ = A·I₁² + B·Var from moments already evaluated in the lane of ``c``."""
-    return c.a * (m.i1 * m.i1) + c.b * m.var
-
-
-def _slope(c: QuadLawCoeffs) -> Scalar:
-    """``2A − 2B − 8/m_ρ²``, the I₁′ coefficient of the bracket-form F′_red."""
-    return 2 * c.a - 2 * c.b - 8 / c.m_rho_sq
+def _kappa(a: Scalar, b: Scalar, m: FoldedMoments) -> Scalar:
+    """κ = A·I₁² + B·Var from moments evaluated in the lane of A and B."""
+    return a * (m.i1 * m.i1) + b * m.var
 
 
 def kappa_quadratic(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """κ(q) = A·I₁² + B·Var under the quadratic folded law."""
-    c, qq = _route(coeffs, q)
-    return _kappa(c, moments(c.n, qq))
+    (a, b, _), qq = _route(coeffs, q)
+    return _kappa(a, b, moments(coeffs.n, qq))
 
 
 class QuadLawFit(NamedTuple):
@@ -182,9 +190,10 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
 
 def f_red_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """Reduced functional ``N − 4I₁²/(N·m_ρ²) + κ/N`` as a function of q."""
-    c, qq = _route(coeffs, q)
-    m = moments(c.n, qq)
-    return c.n - 4 * (m.i1 * m.i1) / (c.n * c.m_rho_sq) + _kappa(c, m) / c.n
+    (a, b, m2), qq = _route(coeffs, q)
+    n = coeffs.n
+    m = moments(n, qq)
+    return n - 4 * (m.i1 * m.i1) / (n * m2) + _kappa(a, b, m) / n
 
 
 def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
@@ -194,24 +203,23 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     Λ(θ) = I₂′/I₁′ is defined, and identically zero at N = 1.  Differs from
     the chain-rule derivative of :func:`f_red_q` by ``B·I₂′·(I₁−1)/N``.
 
-    Exact coefficients and an exact q stay exact.  Otherwise the float lane
-    evaluates the float moments, with the slope 2A − 2B − 8/m_ρ² formed
-    exactly, if the coefficients are exact, and rounded once: a synthesized
+    An exact q stays exact.  A float q takes the float moments, and the slope
+    2A − 2B − 8/m_ρ² is formed exactly and rounded once: a synthesized
     A = (8/m_ρ² − B·Λ + 2B)/2 rounded to a float loses B·Λ once |B| is below
     about 1e-16 of 8/m_ρ², and a slope formed from it is −2B, not −B·Λ.  A
     slope too large for a float is a ValueError, as a coefficient is.
     """
-    if coeffs.is_exact and _is_exact(q):
-        c, slope = coeffs, _slope(coeffs)
-    else:
-        c = coeffs.as_floats()
+    b = coeffs.b
+    slope = 2 * coeffs.a - 2 * b - 8 / coeffs.m_rho_sq
+    if not _is_exact(q):
+        _, b, _ = coeffs.as_floats()
         try:
-            slope = float(_slope(coeffs)) if coeffs.is_exact else _slope(c)
+            slope = float(slope)
         except OverflowError:
             raise ValueError("slope 2A - 2B - 8/m_rho_sq is too large for a float") from None
         q = float(q)
-    m = moments(c.n, q)
-    return (c.b * m.i2_prime + slope * m.var) * m.i1 / c.n
+    m = moments(coeffs.n, q)
+    return (b * m.i2_prime + slope * m.var) * m.i1 / coeffs.n
 
 
 def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Scalar:
@@ -219,8 +227,8 @@ def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Sca
     for consistent coefficients."""
     if lam is None:
         lam = lambda_n(coeffs.n)
-    c, lam = _route(coeffs, lam)
-    return c.b * lam + 2 * c.a - 2 * c.b - 8 / c.m_rho_sq
+    (a, b, m2), lam = _route(coeffs, lam)
+    return b * lam + 2 * a - 2 * b - 8 / m2
 
 
 def synthesize_consistent_ab(
@@ -228,14 +236,12 @@ def synthesize_consistent_ab(
 ) -> QuadLawCoeffs:
     """Solve the bracket identity for A given B: ``A = (8/m_ρ² − B·Λ + 2B)/2``.
 
-    Exact inputs give an exact A in Q(√5), and any float input a float A; B
-    and m_ρ² come back as given.  The returned coefficients make the golden
-    point stationary by construction.
+    A is exact, in Q(√5): B and m_ρ² are read as the exact values they equal,
+    as :class:`QuadLawCoeffs` reads them.  The returned coefficients make the
+    golden point stationary by construction.
     """
-    lam = lambda_n(n)
-    coeffs = QuadLawCoeffs(0, b, n, m_rho_sq)
-    c, lam = _route(coeffs, lam)
-    return QuadLawCoeffs((8 / c.m_rho_sq - c.b * lam + 2 * c.b) / 2, coeffs.b, n, coeffs.m_rho_sq)
+    base = QuadLawCoeffs(0, b, n, m_rho_sq)
+    return QuadLawCoeffs(-bracket_residual(base) / 2, base.b, n, base.m_rho_sq)
 
 
 class StationarityReport(NamedTuple):
@@ -250,19 +256,12 @@ class StationarityReport(NamedTuple):
     sign_change_intervals: tuple[tuple[Scalar, Scalar], ...]  # the zero's exact q-interval
 
 
-#: Relative size of the float bracket, against the sum of its terms'
-#: magnitudes, at or below which the golden point counts as stationary.
-STATIONARY_RTOL = 1e-12
-
-
 def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
     """Stationarity at the golden point, and F′_red's zeros on 0 < q < 1.
 
     With Λ = I₂′/I₁′ at q⋆, ``bracket = B·Λ + c`` with c = 2A − 2B − 8/m_ρ²,
-    and ``F′(θ⋆) = bracket·I₁·I₁′/N``.  Exact coefficients are stationary when
-    the bracket is zero; float ones when |bracket| ≤ STATIONARY_RTOL·(|B·Λ| +
-    |2A| + |2B| + 8/m_ρ²), with STATIONARY_RTOL = 1e-12: the bracket is then
-    rounding noise on the terms it sums.
+    and ``F′(θ⋆) = bracket·I₁·I₁′/N``: the golden point is stationary when
+    the exact bracket, with Λ(q⋆) from :func:`~.golden.lambda_n`, is zero.
 
     F′_red has the sign of B·Λ(q) + c.  With Λ = U/V, U = S₃S₀ − S₁S₂ and
     V = S₂S₀ − S₁², ``dΛ/dθ = ((S₄S₀ − S₂²)·V − U²)/V² = S₀·D/V²``, and by
@@ -272,37 +271,27 @@ def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
     at q = 1 (Λ ≡ 3 at N = 2), and F′_red has one zero, a sign change, iff
     the bracket at Λ = 3 and at Λ = N + 1 have opposite signs (for B ≠ 0:
     3 < −c/B < N + 1), else none.  Its exact q-interval is (q⋆, q⋆) when the
-    bracket at q⋆, with Λ(q⋆) from :func:`~.golden.lambda_n`, is 0, else
-    (q⋆, 1) when it still has the sign of its limit at 0⁺, and (0, q⋆) when
-    not.  The decision reads float coefficients as the binary rationals they
-    are.  F′_red ≡ 0, and the report is degenerate, at N = 1, at N = 2 with
-    a zero bracket, and when B = c = 0.
+    bracket is 0, else (q⋆, 1) when it still has the sign of its limit at 0⁺,
+    and (0, q⋆) when not.  F′_red ≡ 0, and the report is degenerate, at
+    N = 1, at N = 2 with a zero bracket, and when B = c = 0.
     """
     n = coeffs.n
     if n == 1:
         return StationarityReport(1, Fraction(0), None, True, True, 0, ())
-    c, q = _route(coeffs, QSTAR)
-    m = moments(n, q)
-    exact = c if c.is_exact else QuadLawCoeffs(Fraction(c.a), Fraction(c.b), n, Fraction(c.m_rho_sq))
-    at_star = bracket_residual(exact)
-    if c.is_exact:
-        bracket, stationary = at_star, at_star == 0
-    else:
-        lam = m.i2_prime / m.var
-        bracket = bracket_residual(c, lam)
-        scale = abs(c.b * lam) + abs(2 * c.a) + abs(2 * c.b) + 8 / c.m_rho_sq
-        stationary = abs(bracket) <= STATIONARY_RTOL * scale
+    bracket = bracket_residual(coeffs)
+    stationary = bracket == 0
     # the bracket's limits at q → 0⁺ and q → 1⁻; equal at N = 2
-    low, high = bracket_residual(exact, 3), bracket_residual(exact, n + 1)
+    low, high = bracket_residual(coeffs, 3), bracket_residual(coeffs, n + 1)
     intervals: tuple[tuple[Scalar, Scalar], ...] = ()
     if low * high < 0:
-        if at_star == 0:
+        if stationary:
             intervals = ((QSTAR, QSTAR),)
-        elif at_star * low > 0:
+        elif bracket * low > 0:
             intervals = ((QSTAR, Fraction(1)),)
         else:
             intervals = ((Fraction(0), QSTAR),)
     degenerate = low == high == 0 or (n == 2 and stationary)
+    m = moments(n, QSTAR)
     f_prime = bracket * m.i1 * m.var / n
     return StationarityReport(
         n, f_prime, bracket, stationary, degenerate, len(intervals), intervals

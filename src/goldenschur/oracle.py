@@ -167,17 +167,19 @@ def sums_at_qstar(n: int) -> FoldedSums:
 
 def f_red_prime_direct_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """Chain-rule θ-derivative of :func:`.lockin.f_red_q` (matches finite differences)."""
-    c, qq = _route(coeffs, q)
-    m = moments_from_sums(sums_closed(c.n, qq))
-    kappa_p = c.b * m.i2_prime + (2 * c.a - 2 * c.b) * m.i1 * m.var
-    return -8 * m.i1 * m.var / (c.n * c.m_rho_sq) + kappa_p / c.n
+    (a, b, m2), qq = _route(coeffs, q)
+    n = coeffs.n
+    m = moments_from_sums(sums_closed(n, qq))
+    kappa_p = b * m.i2_prime + (2 * a - 2 * b) * m.i1 * m.var
+    return -8 * m.i1 * m.var / (n * m2) + kappa_p / n
 
 
 def exact_sign_changes(coeffs: QuadLawCoeffs) -> list[tuple[Fraction, Fraction]]:
-    """The q-intervals ``(k/64, j/64)`` over which the exact F′_red of exact
-    coefficients changes sign: a flip between consecutive nonzero values at
-    q = k/64, k = 1..63.  A zero on the grid is spanned by the flip around it;
-    a zero in (0, 1/64) or (63/64, 1) is not seen."""
+    """The q-intervals ``(k/64, j/64)`` over which F′_red changes sign: a flip
+    between consecutive nonzero values at q = k/64, k = 1..63.  Coefficients
+    are exact and each q is a Fraction, so every value is exact.  A zero on
+    the grid is spanned by the flip around it; a zero in (0, 1/64) or
+    (63/64, 1) is not seen."""
     intervals = []
     last, last_positive = None, False
     for k in range(1, 64):

@@ -645,7 +645,7 @@ def _suite_lockin(seed: int) -> ReportDocument:
         "reported fit constants leave a nonzero bracket residual (diagnostic, informational)",
         None,
         "residual ≈ -6.2514498 (reported, not asserted)",
-        f"B·Λ + 2A − 2B − 8/m² = {res:.7f}",
+        f"B·Λ + 2A − 2B − 8/m² = {decimal_str(res, 7)}",
         "reference",
     )
     return doc

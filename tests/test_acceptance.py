@@ -265,5 +265,6 @@ def test_criterion_13_reported_constants_residual():
         assert math.isclose(residual, float(exact), rel_tol=1e-9)
         print(
             f"[criterion 13] INFO reported constants A={REPORTED_A}, B={REPORTED_B}, "
-            f"m_ρ²=2 give bracket residual {residual:.10f} (reported, not asserted to vanish)"
+            f"m_ρ²=2 give bracket residual {decimal_str(residual, 10)} "
+            "(reported, not asserted to vanish)"
         )

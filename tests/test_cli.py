@@ -1436,7 +1436,8 @@ def _exact_large_digests():
 def test_exact_large_output_matches_fixture(capsys, args, digest):
     # values of thousands of digits, printed by the divide-and-conquer digit
     # routine, and their certified decimals; the digests were taken from the
-    # str()-based renderer and from decimals certified by an isqrt each
+    # str()-based renderer and from decimals certified by an isqrt each.  The
+    # stationarity rows pin the decision on coefficients read exactly.
     code, out, err = run_cli(capsys, *args.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -40,14 +41,25 @@ def rand_exact_coeffs(rng, n=12):
 
 
 def test_coeffs_normalization_and_exactness():
-    c = QuadLawCoeffs(1, -2, 12)
-    assert c.is_exact
-    assert isinstance(c.a, Fraction) and isinstance(c.m_rho_sq, Fraction)
-    assert not QuadLawCoeffs(0.5, -1.0, 12, 2.0).is_exact
-    assert QuadLawCoeffs(QSTAR, Fraction(1, 2), 12).is_exact
-    cf = QuadLawCoeffs(Fraction(1, 2), -1, 12).as_floats()
-    assert (cf.a, cf.b, cf.m_rho_sq) == (0.5, -1.0, 2.0)
-    assert not cf.is_exact
+    # coefficients are exact: a Q5 is stored as it is, and an int, a float or a
+    # float-like as the Fraction it equals (0.1 as its binary rational)
+    import numpy as np
+
+    assert QuadLawCoeffs(QSTAR, Fraction(1, 2), 12).a is QSTAR
+    cases = [
+        ((1, -2, 2), (1, -2, 2)),
+        ((0.1, -2.0, 2.5), (Fraction(0.1), -2, Fraction(5, 2))),
+        (
+            (np.float32(0.1), np.int64(2**60 + 1), np.float64(2.5)),
+            (Fraction(float(np.float32(0.1))), 2**60 + 1, Fraction(5, 2)),
+        ),
+    ]
+    for (a, b, m2), expected in cases:
+        c = QuadLawCoeffs(a, b, 12, m2)
+        assert (c.a, c.b, c.m_rho_sq) == expected
+        assert all(type(x) is Fraction for x in (c.a, c.b, c.m_rho_sq))
+    floats = QuadLawCoeffs(Fraction(1, 2), -1, 12).as_floats()
+    assert floats == (0.5, -1.0, 2.0) and all(type(x) is float for x in floats)
 
 
 @pytest.mark.parametrize(
@@ -61,9 +73,45 @@ def test_coeffs_normalization_and_exactness():
     ],
 )
 def test_as_floats_rejects_coefficients_a_float_cannot_hold(a, b, m_rho_sq, message):
+    # the float lane, which a float q picks, reads the coefficients through as_floats
     coeffs = QuadLawCoeffs(a, b, 12, m_rho_sq)
     with pytest.raises(ValueError, match=f"^{message}"):
         coeffs.as_floats()
+    for route in (kappa_quadratic, f_red_q, f_red_prime_q, f_red_prime_direct_q):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            route(coeffs, 0.5)
+    # an exact q never reads them as floats
+    assert not isinstance(kappa_quadratic(coeffs, Fraction(1, 2)), float)
+
+
+def _coeffs_with(position, value):
+    args = [Fraction(1), Fraction(-1), Fraction(2)]
+    args[position] = value
+    return QuadLawCoeffs(args[0], args[1], 12, args[2])
+
+
+_NAMES = ("A", "B", "m_rho_sq")
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_coeffs_reject_a_bool(position):
+    # a bool is a flag, not a coefficient, though Fraction(True) is 1
+    with pytest.raises(ValueError, match=f"^coefficient {_NAMES[position]} must be a number, "):
+        _coeffs_with(position, True)
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_coeffs_reject_nan(position):
+    with pytest.raises(ValueError, match=f"^coefficient {_NAMES[position]} must be finite, got nan$"):
+        _coeffs_with(position, math.nan)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(3))
+def test_coeffs_reject_infinities(position, value):
+    message = f"^coefficient {_NAMES[position]} must be finite, got {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        _coeffs_with(position, value)
 
 
 def test_coeffs_reject_bad_mass():
@@ -143,7 +191,7 @@ def test_f_red_prime_zero_coefficients():
 
 @pytest.mark.parametrize("b", [10**308, -10**308])
 def test_f_red_prime_float_lane_rejects_a_slope_too_large_for_a_float(b):
-    # at N = 3, A and B are floats but the exact slope −B·Λ(3) is not
+    # at N = 3, A and B fit in a float but the exact slope −B·Λ(3) does not
     c = synthesize_consistent_ab(b, 3)
     assert f_red_prime_q(c, QSTAR) == 0
     with pytest.raises(ValueError, match="^slope 2A - 2B - 8/m_rho_sq is too large for a float$"):
@@ -223,15 +271,20 @@ def test_bracket_residual_values():
 
 
 def test_reported_constants_residual():
-    # The reference constants do not satisfy the bracket: the residual is a
-    # certified −6.2514498…, reported as information.
+    # The reference constants do not satisfy the bracket: read as the binary
+    # rationals their floats are, or as the decimals they were printed as,
+    # the residual is a certified −6.2514498…, reported as information.
     res = bracket_residual(REPORTED)
-    assert isinstance(res, float)
+    assert isinstance(res, Q5)
+    assert decimal_str(res, 10) == "-6.2514498222"
     exact = bracket_residual(
         QuadLawCoeffs(Fraction("0.707473678"), Fraction("-1.060165816"), 12, Fraction(2))
     )
     assert decimal_str(exact, 7) == "-6.2514498"
     assert math.isclose(res, float(exact), rel_tol=1e-9)
+    # a float Λ picks the float lane
+    approx = bracket_residual(REPORTED, float(lambda_n(12)))
+    assert isinstance(approx, float) and math.isclose(approx, float(res), rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +328,15 @@ def test_stationarity_of_synthesized_coeffs(b):
     log_m2=st.floats(-2.0, 2.0),
 )
 def test_float_synthesized_coeffs_are_stationary(log_b, negative, n, log_m2):
-    # |B| and m_ρ² log-uniform over many decades: the relative bracket test
-    # accepts the synthesized family and rejects it once A moves by 1e-6
+    # float |B| and m_ρ² log-uniform over many decades are the Fractions they
+    # equal: the synthesized bracket is exactly zero, q⋆ is the one zero of
+    # F′_red, and moving A by 1e-6 leaves the golden point
     c = synthesize_consistent_ab((-1 if negative else 1) * 10**log_b, n, 10**log_m2)
     rep = stationarity_check(c)
     assert rep.stationary and not rep.degenerate
-    m = moments(n, float(QSTAR))
-    assert rep.f_prime_at_star == rep.bracket * m.i1 * m.var / n
-    moved = QuadLawCoeffs(c.a * (1 + 1e-6), c.b, n, c.m_rho_sq)
+    assert rep.bracket == 0 and rep.f_prime_at_star == 0
+    assert rep.sign_change_intervals == ((QSTAR, QSTAR),)
+    moved = QuadLawCoeffs(c.a + Fraction(1, 10**6), c.b, n, c.m_rho_sq)
     assert not stationarity_check(moved).stationary
 
 
@@ -300,16 +354,16 @@ def test_float_synthesized_coeffs_are_stationary(log_b, negative, n, log_m2):
     ),
     n=st.integers(2, 40),
 )
-def test_float_lane_synthesis_bits(b, m2, n):
-    # any float input puts A in the float lane, with the bits of the formula
-    # evaluated in floats; B and m_ρ² come back as given, ints as Fractions
+def test_synthesis_reads_float_inputs_as_their_fractions(b, m2, n):
+    # a float B or m_ρ² gives the coefficients of the Fraction it equals,
+    # with A solved exactly in Q(√5)
     assume(isinstance(b, float) or isinstance(m2, float))
     c = synthesize_consistent_ab(b, n, m2)
-    expected = (8 / float(m2) - float(b) * float(lambda_n(n)) + 2 * float(b)) / 2
-    assert type(c.a) is float and c.a.hex() == expected.hex()
-    for got, given_value in ((c.b, b), (c.m_rho_sq, m2)):
-        assert got == given_value
-        assert type(got) is (float if isinstance(given_value, float) else Fraction)
+    fb, fm2 = Fraction(b), Fraction(m2)
+    assert c == synthesize_consistent_ab(fb, n, fm2)
+    assert c.a == (8 / fm2 - fb * lambda_n(n) + 2 * fb) / 2
+    assert (c.b, c.m_rho_sq) == (fb, fm2)
+    assert type(c.b) is Fraction and type(c.m_rho_sq) is Fraction
 
 
 def test_stationarity_generic_coeffs_not_stationary():
@@ -364,8 +418,7 @@ def test_uniqueness_scan_n2_synthesized_is_degenerate(b):
     rep = stationarity_check(c)
     assert rep.stationary and rep.degenerate
     assert rep.sign_changes == 0
-    if c.is_exact:
-        assert exact_sign_changes(c) == []
+    assert exact_sign_changes(c) == []
 
 
 @pytest.mark.parametrize("coeffs", [QuadLawCoeffs(1, 1, 2), QuadLawCoeffs(0.5, -3.0, 2)])
@@ -445,14 +498,48 @@ def test_decision_places_the_zero_by_the_sign_at_golden_point(ratio, interval, b
 
 
 def test_float_coefficients_are_decided_as_the_rationals_they_are():
-    # a float B below 1e-16 of 8/m_ρ² leaves the rounded A without B·Λ, so the
-    # floats as given have −c/B ≈ 2, outside (3, 13), though the bracket at q⋆
-    # is rounding noise
+    # a float B below 1e-16 of 8/m_ρ² is the Fraction it equals, and A keeps
+    # the B·Λ that a float A would round away: one bracket decides both the
+    # stationarity and the one zero, at q⋆
     c = synthesize_consistent_ab(1e-20, 12)
+    assert c == synthesize_consistent_ab(Fraction(1e-20), 12)
+    assert float(c.a) == 2.0
     rep = stationarity_check(c)
-    assert rep.stationary and rep.sign_changes == 0
-    exact = synthesize_consistent_ab(Fraction(1e-20), 12)
-    assert stationarity_check(exact).sign_change_intervals == ((QSTAR, QSTAR),)
+    assert rep.stationary and rep.sign_changes == 1
+    assert rep.sign_change_intervals == ((QSTAR, QSTAR),)
+
+
+def _same_float(x, y):
+    return type(x) is float and struct.pack("<d", x) == struct.pack("<d", y)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=_finite,
+    b=_finite,
+    m2=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    n=st.integers(1, 24),
+    q=st.one_of(st.just(QSTAR), st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=1000)),
+    qf=st.floats(1e-3, 0.999),
+)
+def test_q_alone_picks_the_lane(a, b, m2, n, q, qf):
+    # float coefficients are the Fractions they equal: an exact q gives the
+    # values of those Fractions, and a float q the bits of the float formulas
+    floats = QuadLawCoeffs(a, b, n, m2)
+    exact = QuadLawCoeffs(Fraction(a), Fraction(b), n, Fraction(m2))
+    for route in (kappa_quadratic, f_red_q, f_red_prime_q):
+        assert route(floats, q) == route(exact, q)
+    if n >= 2:
+        assert bracket_residual(floats) == bracket_residual(exact)
+    assert stationarity_check(floats) == stationarity_check(exact)
+    assert exact_sign_changes(floats) == exact_sign_changes(exact)
+    m = moments(n, qf)
+    kappa = a * (m.i1 * m.i1) + b * m.var
+    assert _same_float(kappa_quadratic(floats, qf), kappa)
+    assert _same_float(f_red_q(floats, qf), n - 4 * (m.i1 * m.i1) / (n * m2) + kappa / n)
 
 
 # ---------------------------------------------------------------------------

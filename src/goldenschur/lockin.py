@@ -65,14 +65,15 @@ def _is_exact(x: object) -> bool:
 
 def _exact(name: str, x: Scalar) -> Fraction | Q5:
     """A coefficient as the exact value it equals: a Q5 as it is, a rational
-    as a Fraction, and a float or float-like as the Fraction of its float.
-    A bool, a NaN or an infinity is a ValueError."""
-    if isinstance(x, bool):
-        raise ValueError(f"coefficient {name} must be a number, not a bool, got {x!r}")
+    as a Fraction of Python ints (a numpy integer would wrap), and a float or
+    float-like as the Fraction of its float.  A bool (numpy's too), a NaN or
+    an infinity is a ValueError."""
     if isinstance(x, Q5):
         return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Number):
+        raise ValueError(f"coefficient {name} must be a number, got {x!r}")
     if isinstance(x, numbers.Rational):
-        return Fraction(x)
+        return Fraction(int(x.numerator), int(x.denominator))
     f = float(x)
     if not math.isfinite(f):
         raise ValueError(f"coefficient {name} must be finite, got {x!r}")

@@ -58,6 +58,7 @@ def test_coeffs_normalization_and_exactness():
         c = QuadLawCoeffs(a, b, 12, m2)
         assert (c.a, c.b, c.m_rho_sq) == expected
         assert all(type(x) is Fraction for x in (c.a, c.b, c.m_rho_sq))
+        assert all(type(x.numerator) is int for x in (c.a, c.b, c.m_rho_sq))
     floats = QuadLawCoeffs(Fraction(1, 2), -1, 12).as_floats()
     assert floats == (0.5, -1.0, 2.0) and all(type(x) is float for x in floats)
 
@@ -95,9 +96,32 @@ _NAMES = ("A", "B", "m_rho_sq")
 
 @pytest.mark.parametrize("position", range(3))
 def test_coeffs_reject_a_bool(position):
-    # a bool is a flag, not a coefficient, though Fraction(True) is 1
-    with pytest.raises(ValueError, match=f"^coefficient {_NAMES[position]} must be a number, "):
-        _coeffs_with(position, True)
+    # a bool is a flag, not a coefficient, though Fraction(True) is 1 and
+    # float(numpy.True_) is 1.0
+    import numpy as np
+
+    for flag in (True, np.True_):
+        message = f"^coefficient {_NAMES[position]} must be a number, got {flag!r}$"
+        with pytest.raises(ValueError, match=message):
+            _coeffs_with(position, flag)
+
+
+def test_numpy_integer_coefficients_compute_as_python_ints():
+    # a numpy integer is stored as a Fraction of Python ints; kept as int64,
+    # B·13 and B·Λ(12) would wrap
+    import numpy as np
+
+    big = 10**18
+    for a, b in ((0, big), (big, -big), (-big, 3)):
+        wide = QuadLawCoeffs(a, b, 12)
+        narrow = QuadLawCoeffs(np.int64(a), np.int64(b), 12, np.int64(2))
+        assert narrow == wide
+        assert stationarity_check(narrow) == stationarity_check(wide)
+        for lam in (None, 3, 13):
+            assert bracket_residual(narrow, lam) == bracket_residual(wide, lam)
+        for q in (Fraction(1, 3), QSTAR):
+            assert kappa_quadratic(narrow, q) == kappa_quadratic(wide, q)
+            assert f_red_prime_q(narrow, q) == f_red_prime_q(wide, q)
 
 
 @pytest.mark.parametrize("position", range(3))

@@ -74,12 +74,6 @@ def _check_digits(digits: int) -> None:
         raise ValueError("digits must be >= 0")
 
 
-def _decimal(v: Fraction | Q5, digits: int) -> str:
-    from .qfield import decimal_str
-
-    return decimal_str(v, digits)
-
-
 def _json(doc: object, indent: int | None = None) -> str:
     """The CLI's json: sorted keys, non-ASCII characters escaped."""
     import json
@@ -103,7 +97,7 @@ def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str])
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     from .folded import moments, sums_closed
-    from .qfield import Q5
+    from .qfield import Q5, decimal_str
 
     _check_digits(args.digits)
     q = _parse_q(args.q)
@@ -116,8 +110,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     ]
     show = {
         "exact": _exact_str,
-        "decimal": lambda v: _decimal(v, args.digits),
-        "both": lambda v: f"{_exact_str(v)} ≈ {_decimal(v, args.digits)}",
+        "decimal": lambda v: decimal_str(v, args.digits),
+        "both": lambda v: f"{_exact_str(v)} ≈ {decimal_str(v, args.digits)}",
     }[args.format]
     q_label = "q⋆ = (3 − √5)/2" if isinstance(q, Q5) else str(q)
     print(f"N = {args.N}, q = {q_label}")
@@ -215,7 +209,7 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
         "B": str(b),
         "m_rho_sq": str(m2),
         "A_exact": _exact_str(coeffs.a),
-        "A_decimal": _decimal(coeffs.a, 12),
+        "A_decimal": decimal_str(coeffs.a, 12),
         "lambda_exact": _exact_str(lam),
         "lambda_decimal": decimal_str(lam, 10),
         "bracket_residual": str(rep.bracket),
@@ -268,6 +262,7 @@ def _read_points(path: str) -> list[tuple[Fraction, Fraction]]:
 
 def _cmd_fit_ab(args: argparse.Namespace) -> int:
     from .lockin import quadratic_law_fit
+    from .qfield import decimal_str
 
     points = _read_points(args.points)
     fit = quadratic_law_fit(points, args.N)
@@ -275,8 +270,8 @@ def _cmd_fit_ab(args: argparse.Namespace) -> int:
         "N": args.N,
         "A": _exact_str(fit.a),
         "B": _exact_str(fit.b),
-        "A_decimal": _decimal(fit.a, 12),
-        "B_decimal": _decimal(fit.b, 12),
+        "A_decimal": decimal_str(fit.a, 12),
+        "B_decimal": decimal_str(fit.b, 12),
         "residuals": [str(r) for r in fit.residuals],
         "max_abs_residual": fit.max_abs_residual,
     }

@@ -162,7 +162,7 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
     difference that (A, B) would be fitted to rounding noise.  The float
     moments themselves lose digits as q → 1: at N = 12, against exact
     Fractions at the same binary q, the relative error of Var is 3e-8 at
-    q = 0.999, 5e-5 at 0.9999 and 0.17 at 0.99999 (ROADMAP item 2).
+    q = 0.999, 5e-5 at 0.9999 and 0.17 at 0.99999 (ROADMAP item 3).
 
     Each sample's I₁ and Var are read from :func:`~.folded.moments` at its q,
     in the lane of that q.

@@ -15,18 +15,14 @@ The central quantity is the band-normalized Schur curvature
 and its convexity in θ.
 
 The DFT diagonalizes every symmetric circulant, so a family is kept as the
-K generator rows of its coefficients, and ``H(θ)`` has the real eigenvalues
-``λ_j(θ) = Σ_k w_k(θ)·ĉ_k[j]`` with ``w = (1, e^{s₁θ}, …)`` and ``ĉ_k`` the
-rfft of row k.  Because ``H_OO`` is 1×1 and ``u ⟂ 1``, κ_Schur needs only
-``p_j = |û_j|²`` (unitary DFT of u, folded over ±j):
-
-    h = Σ p λ,   κ = (Σ_{j≠0} λ_j − h − Σ p (λ − h)²/h)/(N − 2),
-
-and the singular-block guard compares h with ``‖P H P‖_F = (Σ_{j≠0} λ_j²)^½``
-(P = I − 11ᵀ/N).  Set-up costs O(K·N log N) and each θ O(K·N); validation
-reads symmetry and positivity off the same rows.  No N×N array is built on
-this route: the dense coefficients and ``p_band`` are made on first use, by
-:func:`strict_convexity_witness` and the class functional.
+K generator rows of its coefficients, whose rfft gives their spectra ĉ_k.
+Because ``H_OO`` is 1×1 and ``u ⟂ 1``, κ_Schur is a ratio of two forms in
+the weights ``w = (1, e^{s₁θ}, …)``, ``(N − 2)·κ = wᵀMw / hᵀw``, with h ≥ 0
+and M ≥ 0 built once per family in O(K²·N) from sums of nonnegative terms
+when ĉ ≥ 0 (:attr:`HessianFamily._kappa_form`; ĉ is not clamped).  Nothing
+cancels, so each θ costs O(K²) and κ is within a few ulps of the exact value
+of its float inputs.  The singular-block guard reads ‖P H P‖_F² = wᵀGw, and
+validation reads symmetry and positivity off the rows; no N×N array is built.
 """
 
 from __future__ import annotations
@@ -184,23 +180,32 @@ class HessianFamily:
         return self.base.coef
 
     @cached_property
-    def _spectral(self) -> tuple[FloatArray, FloatArray, FloatArray]:
-        """``(ĉ, p, m)`` of the spectral route.
+    def _kappa_form(self) -> tuple[FloatArray, FloatArray, FloatArray]:
+        """``(M, h, G)``: (N − 2)·κ = wᵀMw/hᵀw and ‖P H P‖_F² = wᵀGw.
 
-        ``ĉ`` holds the eigenvalues of C₀, C₁, … on the rfft bins j = 0 … N//2
-        (K rows), ``m_j`` is the multiplicity of bin j in the range of
-        P = I − 11ᵀ/N (0 at j = 0, 1 at j = N/2, else 2) and
-        ``p_j = m_j·|û_j|²/N`` the collective weights, Σp = ‖u‖² = 1.
+        On the rfft bins j, ĉ_kj is C_k's spectrum, m_j the multiplicity of
+        bin j in the range of P = I − 11ᵀ/N and p_j = m_j·|û_j|²/N, Σp = 1:
+        h_k = Σ_j p_j·ĉ_kj, G_kl = Σ_j m_j·ĉ_kj·ĉ_lj and, symmetrised,
+        M_kl = Σ_{j≥1} ĉ_kj·((m_j − 1)·h_l + Σ_{i≠j} p_i·ĉ_li).  The few-ulp
+        accuracy rests on ĉ ≥ 0, where no term is negative.  ĉ is not clamped,
+        since the identity holds for any ĉ: a negative that validation admits
+        (down to −PSD_TOL·‖C_k‖_F) adds its terms' size to the error.
         """
         n = self.n
-        m = np.full(n // 2 + 1, 2.0)
-        m[0] = 0.0
-        if n % 2 == 0:
-            m[-1] = 1.0
+        m = np.array([0.0] + [1.0 if 2 * j == n else 2.0 for j in range(1, n // 2 + 1)])
         u_hat = np.fft.rfft(self.split.u)
         p = m * (u_hat.real**2 + u_hat.imag**2) / n
-        rows = np.array([t.c for t in (self.base, *self.terms)])
-        return np.fft.rfft(rows, axis=1).real, p, m
+        c_hat = np.fft.rfft(np.array([t.c for t in (self.base, *self.terms)]), axis=1).real
+        pc = p * c_hat
+        h = np.array([math.fsum(r) for r in pc.tolist()])
+        # (m_j − 1)·h_l + Σ_{i≠j} p_i·ĉ_li is 2h_l − p_j·ĉ_lj ≥ h_l where m_j = 2;
+        # at j = N/2, where m_j = 1 and h − p·ĉ may cancel, sum the other terms
+        x = m[1:] * h[:, None] - pc[:, 1:]
+        if n % 2 == 0:
+            x[:, -1] = [math.fsum(r) for r in pc[:, :-1].tolist()]
+        terms = (c_hat[:, None, 1:] * x).tolist()  # [k][l][j − 1]
+        mm = np.array([[math.fsum(r) for r in plane] for plane in terms])
+        return (mm + mm.T) / 2, h, (m * c_hat[:, None, :] * c_hat).sum(axis=2)
 
 
 def _validate_coef(name: str, c: FloatArray, n: int, violations: list[str]) -> FloatArray | None:
@@ -397,13 +402,13 @@ def load_family(path: str | Path) -> HessianFamily:
 
 
 def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
-    """κ_Schur at each θ, from the spectra of the coefficients.
+    """κ_Schur at each θ, from the family's ``(M, h, G)``.
 
     Raises the errors of a θ-by-θ dense scan in grid order: ``OverflowError``
     from ``math.exp``, or the singular-block ``ValueError`` at the first θ
     whose ``h ≤ ‖P H P‖_F/COND_LIMIT``.
     """
-    c_hat, p, m = fam._spectral
+    mm, h_k, g = fam._kappa_form
     rows = []
     for theta in thetas:
         try:
@@ -411,17 +416,15 @@ def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
         except OverflowError:
             _curvatures(fam, thetas[: len(rows)])  # a singular block earlier in the grid wins
             raise
-    w = np.array(rows).reshape(len(rows), len(c_hat))
+    w = np.array(rows).reshape(len(rows), len(h_k))
     # Elementwise products, and sums along each θ's own row, so that a θ
     # gives the same bits alone or inside a grid (a matmul may change its
-    # summation order with the number of rows).  An overflow to inf is
-    # reported by the guard, as on the dense route.
+    # summation order with the number of rows); fsum rounds wᵀMw once.  An
+    # overflow to inf is reported by the guard, as on the dense route.
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = w[:, :1] * c_hat[0]
-        for k in range(1, len(c_hat)):
-            lam = lam + w[:, k : k + 1] * c_hat[k]
-        h = (p * lam).sum(axis=1)
-        scale = np.sqrt((m * lam * lam).sum(axis=1))
+        ww = w[:, :, None] * w[:, None, :]
+        h = (w * h_k).sum(axis=1)
+        scale = np.sqrt((ww * g).sum(axis=(1, 2)))
         singular = ~(h > scale / COND_LIMIT)
         if singular.any():
             i = int(np.argmax(singular))
@@ -429,15 +432,12 @@ def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
                 f"collective block is numerically singular at theta={thetas[i]:g} "
                 f"(h_oo = {h[i]:.3e}, ‖H‖_F = {scale[i]:.3e})"
             )
-        # Tr(P_B H) = Σ (m − p) λ and ‖P_B H u‖² = Σ p (λ − h)², since
-        # P_B H u = H u − h·u; both are sums of terms of one sign for PSD H
-        band_trace = ((m - p) * lam).sum(axis=1)
-        coupling = (p * (lam - h[:, None]) ** 2).sum(axis=1)
-        return (band_trace - coupling / h) / fam.split.dim_band
+        wmw = [math.fsum(r) for r in (ww * mm).reshape(len(w), mm.size).tolist()]
+        return np.array(wmw) / h / fam.split.dim_band
 
 
 def schur_curvature(fam: HessianFamily, theta: float) -> float:
-    """Band-normalized trace of the Schur complement at θ (spectral route)."""
+    """Band-normalized trace of the Schur complement at θ, wᵀMw/((N − 2)·hᵀw)."""
     return float(_curvatures(fam, [theta])[0])
 
 

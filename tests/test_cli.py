@@ -745,7 +745,7 @@ theta,q,kappa
   "N": 6,
   "convexity": {
     "convex_ok": true,
-    "min_second_difference": 0.4013569320576291,
+    "min_second_difference": 0.40135693205762824,
     "violations": []
   },
   "curve": [
@@ -765,7 +765,7 @@ theta,q,kappa
       "theta": -1.0
     },
     {
-      "kappa": 4.4552995416361245,
+      "kappa": 4.455299541636124,
       "q": 0.6065306597126334,
       "theta": -0.5
     }
@@ -788,7 +788,7 @@ SCHUR_JSON_PINNED = """\
   "N": 6,
   "convexity": {
     "convex_ok": true,
-    "min_second_difference": 0.4013569320576291,
+    "min_second_difference": 0.40135693205762824,
     "violations": []
   },
   "curve": [
@@ -808,7 +808,7 @@ SCHUR_JSON_PINNED = """\
       "theta": -1.0
     },
     {
-      "kappa": 4.4552995416361245,
+      "kappa": 4.455299541636124,
       "q": 0.6065306597126334,
       "theta": -0.5
     }
@@ -816,7 +816,7 @@ SCHUR_JSON_PINNED = """\
   "fit": {
     "A": 9.10684840741184,
     "B": -24.306361849873237,
-    "max_abs_residual": 6.25976411843771
+    "max_abs_residual": 6.259764118437709
   }
 }
 """
@@ -895,27 +895,27 @@ theta,q,kappa
   },
   "curve": [
     {
-      "kappa": 0.7547470392190384,
+      "kappa": 0.7547470392190386,
       "q": 0.36787944117144233,
       "theta": -1.0
     },
     {
-      "kappa": 0.7004473572551855,
+      "kappa": 0.7004473572551856,
       "q": 0.44932896411722156,
       "theta": -0.8
     },
     {
-      "kappa": 0.6341255759373156,
+      "kappa": 0.6341255759373158,
       "q": 0.5488116360940264,
       "theta": -0.6
     },
     {
-      "kappa": 0.5531199693095736,
+      "kappa": 0.5531199693095739,
       "q": 0.6703200460356393,
       "theta": -0.3999999999999999
     },
     {
-      "kappa": 0.4541794979480119,
+      "kappa": 0.4541794979480121,
       "q": 0.8187307530779818,
       "theta": -0.2
     }

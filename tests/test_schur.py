@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -652,10 +652,7 @@ def test_kappa_scan_flags_concave_curve():
     "name, kappa, rel_tol",
     [
         ("concave-n4-s-minus1.json", lambda q: 1 + 1 / (3 * q + 1), 1e-15),
-        # 2.9e-15 at q = 1/2: the spectral route subtracts coupling/h ≈ 31.4
-        # from a band trace ≈ 35.3, while the exact κ of the same float
-        # inputs is within 6e-16
-        ("concave-n4-s-plus1.json", lambda q: 1 + 100 * q / (3 + 100 * q), 4e-15),
+        ("concave-n4-s-plus1.json", lambda q: 1 + 100 * q / (3 + 100 * q), 1e-15),
     ],
 )
 def test_validated_concave_fixtures_match_closed_form(name, kappa, rel_tol):
@@ -667,18 +664,15 @@ def test_validated_concave_fixtures_match_closed_form(name, kappa, rel_tol):
         assert abs(schur_curvature(fam, math.log(q)) - exact) <= rel_tol * exact
 
 
-def exact_kappa(fam, u_raw, q):
-    """κ_Schur at q = e^θ in Fractions, from the stored rows of ``fam`` (binary
-    rationals) and the raw collective direction: with w = u_raw − mean and
-    u = w/‖w‖, uuᵀ = wwᵀ/‖w‖² is rational, and so is
-    (N − 2)·κ = Tr(PH) − uᵀHPHu/uᵀHu for P = I − 11ᵀ/N − uuᵀ."""
+def exact_kappa(fam, u_raw, weights):
+    """κ_Schur in Fractions at the rational weights e^{sθ} of ``fam.terms``,
+    from the stored rows of ``fam`` (binary rationals) and the raw collective
+    direction: with w = u_raw − mean and u = w/‖w‖, uuᵀ = wwᵀ/‖w‖² is
+    rational, and so is (N − 2)·κ = Tr(PH) − uᵀHPHu/uᵀHu for
+    P = I − 11ᵀ/N − uuᵀ."""
     n = fam.n
-    rows = [[Fraction(x) for x in fam.base.c]]
-    weights = [Fraction(1)]
-    for t in fam.terms:
-        assert t.s == int(t.s)  # an integer exponent keeps e^{sθ} = q^s rational
-        rows.append([Fraction(x) for x in t.c])
-        weights.append(q ** int(t.s))
+    rows = [[Fraction(x) for x in t.c] for t in (fam.base, *fam.terms)]
+    weights = [Fraction(1), *weights]
     h = [[sum(w * r[(j - i) % n] for w, r in zip(weights, rows)) for j in range(n)]
          for i in range(n)]
     mean = sum(Fraction(x) for x in u_raw) / n
@@ -690,6 +684,21 @@ def exact_kappa(fam, u_raw, q):
     # uᵀHPHu = ‖Hu‖² − (1ᵀHu)²/N − (uᵀHu)²
     uhphu = sum(x * x for x in hw) / ww - sum(hw) ** 2 / (n * ww) - (whw / ww) ** 2
     return (trace_p_h - uhphu / (whw / ww)) / (n - 2)
+
+
+def rational_weights(fam, q):
+    """e^{sθ} = q^s for each term at a rational q = e^θ (integer exponents)."""
+    assert all(t.s == int(t.s) for t in fam.terms)
+    return [q ** int(t.s) for t in fam.terms]
+
+
+def float_weights(fam, theta):
+    """The float weights e^{sθ} that the kernel multiplies by, as Fractions."""
+    return [Fraction(math.exp(t.s * theta)) for t in fam.terms]
+
+
+def ulps_off(x, exact):
+    return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
 
 
 @pytest.mark.parametrize(
@@ -704,7 +713,25 @@ def test_validated_concave_fixtures_kappa_is_exact(name, kappa):
     fam = load_family(FIXTURES / name)
     u_raw = json.loads((FIXTURES / name).read_text())["u"]
     for q in (Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)):
-        assert exact_kappa(fam, u_raw, q) == kappa(q)
+        assert exact_kappa(fam, u_raw, rational_weights(fam, q)) == kappa(q)
+
+
+@pytest.mark.parametrize("name", ["concave-n4-s-minus1.json", "concave-n4-s-plus1.json"])
+def test_fixture_curvature_is_within_4_ulps_of_exact_kappa(name):
+    fam = load_family(FIXTURES / name)
+    u_raw = json.loads((FIXTURES / name).read_text())["u"]
+    for q in (1 / 16, 1 / 8, 1 / 4, 1 / 2, 9 / 10):
+        exact = exact_kappa(fam, u_raw, float_weights(fam, math.log(q)))
+        assert ulps_off(schur_curvature(fam, math.log(q)), exact) <= 4
+
+
+def test_random_family_curvature_is_within_4_ulps_of_exact_kappa():
+    rng = np.random.default_rng(RNG_SEED + 3)
+    for _ in range(30):
+        fam = random_family(int(rng.integers(3, 13)), rng, n_terms=int(rng.integers(0, 4)))
+        theta = float(rng.uniform(-3.0, 1.0))
+        exact = exact_kappa(fam, fam.split.u, float_weights(fam, theta))
+        assert ulps_off(schur_curvature(fam, theta), exact) <= 4
 
 
 def test_concave_fixture_has_an_exact_nonconvexity_witness():
@@ -713,7 +740,9 @@ def test_concave_fixture_has_an_exact_nonconvexity_witness():
     name = "concave-n4-s-minus1.json"
     fam = load_family(FIXTURES / name)
     u_raw = json.loads((FIXTURES / name).read_text())["u"]
-    left, mid, right = (exact_kappa(fam, u_raw, Fraction(1, k)) for k in (16, 8, 4))
+    left, mid, right = (
+        exact_kappa(fam, u_raw, rational_weights(fam, Fraction(1, k))) for k in (16, 8, 4)
+    )
     assert (left, mid, right) == (Fraction(35, 19), Fraction(19, 11), Fraction(11, 7))
     assert (left + right) / 2 == Fraction(227, 133) < mid
 
@@ -743,6 +772,49 @@ def test_rank_one_curvature_matches_dense_blocks(half, odd, n_terms, seed, theta
         assert fam.base.c.shape == (n,)
     dense = dense_curvature(fam, theta)
     assert abs(schur_curvature(fam, theta) - dense) <= 1e-12 * max(1.0, abs(dense))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    half=st.integers(2, 16),
+    odd=st.booleans(),
+    n_terms=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(-3.0, 3.0),
+)
+def test_curvature_is_within_4_ulps_of_its_exact_form(half, odd, n_terms, seed, theta):
+    # Spectra and collective weights spanning e^{±20}, where a route that
+    # subtracts large sums loses digits.  The exact value is that of the
+    # kernel's own float inputs: ĉ from the stored rows, p from u, and w, by
+    # h·(N − 2)·κ = Σ_{j≥1} λ_j·((m_j − 1)·h + Σ_{i≠j} p_i·λ_i).
+    n = 2 * half - odd
+    rng = np.random.default_rng(seed)
+    spectra = np.exp(rng.uniform(-20.0, 20.0, (n_terms + 1, n // 2 + 1)))
+    # a floor at 1e-12 of each row's largest value keeps ĉ ≥ 0, the claim's
+    # premise: the rfft of the stored row rounds at about 1e-16 of it
+    spectra = np.maximum(spectra, 1e-12 * spectra.max(axis=1, keepdims=True))
+    rows = np.fft.irfft(spectra, n, axis=1)
+    u_modes = rng.random(n // 2 + 1) < 0.5
+    u_modes[0] = False  # u ⟂ 1
+    u_modes[rng.integers(1, n // 2 + 1)] = True
+    phases = np.exp(2j * np.pi * rng.random(n // 2 + 1))
+    u_spectrum = u_modes * np.exp(rng.uniform(-20.0, 20.0, n // 2 + 1)) * phases
+    fam = make_family(n, 2.0, np.fft.irfft(u_spectrum, n), rows[0],
+                      list(zip(rng.uniform(-2.0, 2.0, n_terms), rows[1:])))
+    c_hat = np.fft.rfft([t.c for t in (fam.base, *fam.terms)], axis=1).real
+    assume((c_hat >= 0).all())
+    m = [0] + [1 if 2 * j == n else 2 for j in range(1, n // 2 + 1)]
+    u_hat = np.fft.rfft(fam.split.u)
+    p = [Fraction(x) for x in np.multiply(m, u_hat.real**2 + u_hat.imag**2) / n]
+    w = [Fraction(1), *float_weights(fam, theta)]
+    lam = [sum(wk * Fraction(c) for wk, c in zip(w, col)) for col in c_hat.T.tolist()]
+    h = sum(pj * lj for pj, lj in zip(p, lam))
+    try:
+        kappa = schur_curvature(fam, theta)
+    except ValueError:  # the singular-block guard
+        assume(False)
+    exact = sum(lj * ((mj - 1) * h + h - pj * lj) for lj, mj, pj in zip(lam, m, p) if mj) / h
+    assert ulps_off(kappa, exact / (n - 2)) <= 4
 
 
 def test_kappa_scan_matches_pointwise_curvature():

@@ -29,12 +29,13 @@ from .reference import SUITES
 if TYPE_CHECKING:
     from .qfield import Q5
 
-# Each subcommand imports only the layers it computes with: ``schur`` and
-# ``verify`` (numpy) inside their subcommands, ``lockin`` inside
-# ``stationarity``, ``fit-ab`` and ``schur --fit-law``, the exact layers
-# (``qfield``, ``folded``, ``golden``) inside the subcommands and helpers that
-# compute or print exact values, and ``json`` only where json is rendered.
-# A cold start then pays for no unused module.
+# Each subcommand imports only the layers it computes with: ``verify``, the
+# one that needs numpy, and ``schur`` (standard library only) inside their
+# subcommands, ``lockin`` inside ``stationarity``, ``fit-ab`` and
+# ``schur --fit-law``, the exact layers (``qfield``, ``folded``, ``golden``)
+# inside the subcommands and helpers that compute or print exact values, and
+# ``json`` only where json is rendered.  A cold start then pays for no unused
+# module.
 
 __all__ = ["main", "build_parser"]
 

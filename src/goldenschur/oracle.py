@@ -25,6 +25,9 @@ independent route here.  Each oracle, and the library route it checks:
 * :func:`dense_curvature`, the trace of the dense Schur complement
   (:func:`assemble_hessian`, :func:`band_basis`, :func:`block_hessian`,
   :func:`schur_complement`): the spectral :func:`.schur.schur_curvature`.
+* :func:`exact_kappa`, κ_Schur in Fractions from the stored rows and the
+  raw collective direction: the float kernel of
+  :func:`.schur.schur_curvature`, to a few ulps at the same float weights.
 * :func:`variational_check`: the Schur complement as the Loewner minimum of
   :func:`variational_expression` over couplings Y.
 * :func:`matrix_convexity_check`: the Loewner convexity of θ ↦ H(θ) that
@@ -59,8 +62,8 @@ __all__ = [
     "sums_bruteforce", "moments_from_sums", "theta_derivatives_fd", "fibonacci", "sums_at_qstar",
     "f_red_prime_direct_q", "exact_sign_changes", "shift_matrix", "reversal_matrix", "band_basis",
     "assemble_hessian", "BlockHessian", "block_hessian", "schur_complement",
-    "dense_curvature", "variational_expression", "VariationalReport", "variational_check",
-    "ConvexityGapReport", "matrix_convexity_check", "LOEWNER_TOL",
+    "dense_curvature", "exact_kappa", "variational_expression", "VariationalReport",
+    "variational_check", "ConvexityGapReport", "matrix_convexity_check", "LOEWNER_TOL",
 ]
 
 #: Loewner slack of the variational and matrix-convexity checks.
@@ -253,9 +256,10 @@ class BlockHessian:
 
 
 def block_hessian(fam: HessianFamily, theta: float) -> BlockHessian:
+    import numpy as np
     h = assemble_hessian(fam, theta)
     qb = band_basis(fam.split)
-    u = fam.split.u[:, None]
+    u = np.asarray(fam.split.u)[:, None]
     return BlockHessian(qb.T @ h @ qb, qb.T @ h @ u, u.T @ h @ u)
 
 
@@ -291,6 +295,30 @@ def dense_curvature(fam: HessianFamily, theta: float) -> float:
     blocks = block_hessian(fam, theta)
     s = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
     return float(np.trace(s)) / fam.split.dim_band
+
+
+def exact_kappa(
+    fam: HessianFamily, u_raw: Sequence[float], weights: Sequence[Fraction]
+) -> Fraction:
+    """κ_Schur in Fractions at the rational weights e^{sθ} of ``fam.terms``,
+    from the stored rows of ``fam`` (binary rationals) and the raw collective
+    direction: with v = u_raw − mean and u = v/‖v‖, uuᵀ = vvᵀ/‖v‖² is
+    rational, and so is (N − 2)·κ = Tr(PH) − uᵀHPHu/uᵀHu for
+    P = I − 11ᵀ/N − uuᵀ.  H is the circulant of one exact row, so the one
+    product Hv takes N² Fraction products."""
+    n = fam.n
+    weights = [Fraction(1), *weights]
+    rows = [t.c for t in (fam.base, *fam.terms)]
+    row = [sum(w * Fraction(x) for w, x in zip(weights, col)) for col in zip(*rows)]
+    mean = sum(map(Fraction, u_raw)) / n
+    v = [Fraction(x) - mean for x in u_raw]
+    vv = sum(x * x for x in v)
+    hv = [sum(row[(j - i) % n] * x for j, x in enumerate(v)) for i in range(n)]
+    vhv = sum(a * b for a, b in zip(v, hv))
+    # Tr H = N·row₀ and 1ᵀH1/N = Σ row; uᵀHPHu = ‖Hu‖² − (1ᵀHu)²/N − (uᵀHu)²
+    trace_p_h = n * row[0] - sum(row) - vhv / vv
+    uhphu = sum(x * x for x in hv) / vv - sum(hv) ** 2 / (n * vv) - (vhv / vv) ** 2
+    return (trace_p_h - uhphu / (vhv / vv)) / (n - 2)
 
 
 # ---------------------------------------------------------------------------

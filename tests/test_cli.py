@@ -886,7 +886,7 @@ theta,q,kappa
   "N": 5,
   "convexity": {
     "convex_ok": false,
-    "min_second_difference": -0.01793486473381989,
+    "min_second_difference": -0.017934864733819667,
     "violations": [
       1,
       2,
@@ -895,7 +895,7 @@ theta,q,kappa
   },
   "curve": [
     {
-      "kappa": 0.7547470392190386,
+      "kappa": 0.7547470392190384,
       "q": 0.36787944117144233,
       "theta": -1.0
     },
@@ -910,7 +910,7 @@ theta,q,kappa
       "theta": -0.6
     },
     {
-      "kappa": 0.5531199693095739,
+      "kappa": 0.5531199693095737,
       "q": 0.6703200460356393,
       "theta": -0.3999999999999999
     },
@@ -1102,13 +1102,13 @@ def test_schur_rejects_a_file_that_is_not_a_json_object(capsys, tmp_path, text, 
 def test_schur_circulant_family_needs_no_dense_linear_algebra(capsys, family_file, monkeypatch):
     # a circulant-encoded family is validated and scanned from the DFT of its
     # rows: no eigendecomposition, and no SVD for the band basis
-    import goldenschur.schur as schur
+    import numpy as np
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense linear algebra on the spectral route")
 
-    monkeypatch.setattr(schur.np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(schur.np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     code, out, err = run_cli(
         capsys, "schur", family_file, "-2.0", "-0.1", "11", "--fit-law", "--format", "table"
     )
@@ -1204,6 +1204,64 @@ def test_schur_loads_no_exact_layer(tmp_path, valid):
     assert proc.stdout.strip() == f"{0 if valid else 2} []"
 
 
+def _invalid_family(tmp_path):
+    doc = dict(FAMILY_DOC)
+    doc["C0"] = [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)]
+    doc["C0"][0][0] = 9.0  # breaks circulant structure
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("fit", [False, True], ids=["no-fit", "fit-law"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_schur_loads_no_numpy(family_file, fmt, fit):
+    # the spectral route runs on Python floats; lockin only computes the fit
+    argv = ["schur", family_file, "-2.0", "-0.1", "11", "--format", fmt, *(["--fit-law"] * fit)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_HEAVY, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"0 {['goldenschur.lockin'] if fit else []}"
+
+
+def test_invalid_family_loads_no_numpy(tmp_path):
+    argv = ["schur", _invalid_family(tmp_path), "-2.0", "-0.1", "11", "--fit-law"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_HEAVY, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2 []"
+
+
+# the CLI with numpy unimportable, as on an interpreter that has none
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from goldenschur.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["{family}", "-2.0", "-0.1", "11", "--format", fmt, *fit]
+          for fmt in ("table", "csv", "json") for fit in ([], ["--fit-law"])),
+        [str(FIXTURES / "concave-n4-s-minus1.json"), "-3.0", "-0.1", "30"],  # exit 1
+        ["{invalid}", "-2.0", "-0.1", "11"],  # exit 2
+        ["{family}", "--", "-1e308", "1e308", "3"],  # exit 2
+        ["{family}", "--", "-800", "800", "11"],  # singular block, exit 1
+    ],
+)
+def test_schur_runs_without_numpy(capsys, tmp_path, family_file, argv):
+    argv = ["schur", *(a.format(family=family_file, invalid=_invalid_family(tmp_path)) for a in argv)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_golden_table_loads_only_golden(fmt):
     # the reduction table is integer arithmetic: no field, no power sums
@@ -1235,6 +1293,18 @@ def test_exact_oracles_load_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_schur_module_loads_neither_numpy_nor_dataclasses():
+    code = (
+        "import sys, goldenschur.schur\n"
+        "print([m for m in ('numpy', 'dataclasses') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_schur_module_loads_no_scipy():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -20,6 +20,7 @@ from goldenschur.oracle import (
     band_basis,
     block_hessian,
     dense_curvature,
+    exact_kappa,
     matrix_convexity_check,
     reversal_matrix,
     schur_complement,
@@ -47,6 +48,7 @@ from goldenschur.schur import (
     schur_curvature,
     strict_convexity_witness,
 )
+from goldenschur.schur import _grid, _rfft, _roots
 
 RNG_SEED = 20260819
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -111,6 +113,57 @@ def test_random_psd_circulant():
 
 
 # ---------------------------------------------------------------------------
+# spectra and the θ grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 255, 256, 257, 1009])
+def test_rfft_matches_numpy(n):
+    # numpy's rfft as the oracle, for every route of the transform: radix-2
+    # stages alone (2ᵏ), over a direct DFT of an odd factor up to 16 (15,
+    # 48 = 2⁴·3) and over Bluestein's chirp-z beyond it (17, 34 = 2·17, 255,
+    # 257, 1009).  Each bin is within 4·ε·log₂(2N)·‖x‖₂ of numpy's, on a
+    # random row and on its symmetrization, the rows that families store.
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    for row in (x, (x + x[(n - np.arange(n)) % n]) / 2):
+        got = np.array(_rfft(row.tolist()))
+        assert got.shape == (n // 2 + 1,)
+        bound = 4 * np.finfo(float).eps * math.log2(2 * n) * np.linalg.norm(row)
+        assert np.max(np.abs(got - np.fft.rfft(row))) <= bound
+
+
+def test_twiddles_at_multiples_of_30_and_45_degrees_are_correctly_rounded():
+    # e^{−2πij/n} at 2πj/n = k·30° and k·45°: 0, ±½, ±√½, ±√3/2 and ±1 as the
+    # nearest floats, not as sines of a rounded angle
+    half, root2, root3 = 0.5, math.sqrt(0.5), math.sqrt(3) / 2
+    assert _roots(12) == tuple(
+        complex(c, -s) for c, s in [
+            (1.0, 0.0), (root3, half), (half, root3), (0.0, 1.0), (-half, root3), (-root3, half),
+            (-1.0, 0.0), (-root3, -half), (-half, -root3), (0.0, -1.0), (half, -root3),
+            (root3, -half),
+        ]
+    )
+    assert _roots(8)[1::2] == (complex(root2, -root2), complex(-root2, -root2),
+                               complex(-root2, root2), complex(root2, root2))
+
+
+@given(
+    a=st.floats(allow_nan=False, allow_infinity=False),
+    b=st.floats(allow_nan=False, allow_infinity=False),
+    points=st.integers(3, 1001),
+)
+@example(a=0.0, b=5e-324, points=3)  # the step underflows to 0
+@example(a=0.0, b=1.7976931348623157e308, points=19)
+def test_theta_grid_is_numpy_linspace(a, b, points):
+    # the grid of kappa_convexity_scan, bit for bit, subnormal steps included
+    assume(a < b and math.isfinite(b - a))
+    with np.errstate(over="ignore"):  # numpy may overflow at the last point, which it replaces by b
+        want = np.linspace(a, b, points).tolist()
+    assert [x.hex() for x in _grid(a, b, points)] == [x.hex() for x in want]
+
+
+# ---------------------------------------------------------------------------
 # the splitting geometry
 # ---------------------------------------------------------------------------
 
@@ -120,16 +173,18 @@ def test_build_split_geometry():
     u_raw = [math.cos(2 * math.pi * k / n) for k in range(n)]
     split = build_split(n, 2.0, u_raw)
     assert split.n == n and split.dim_band == n - 2
+    assert type(split.u) is tuple and all(type(x) is float for x in split.u)
     ones = np.ones(n) / math.sqrt(n)
+    u = np.asarray(split.u)
     # u is mean-free and unit
-    assert abs(split.u @ ones) < 1e-14
-    assert math.isclose(split.u @ split.u, 1.0, rel_tol=1e-14)
+    assert abs(u @ ones) < 1e-14
+    assert math.isclose(u @ u, 1.0, rel_tol=1e-14)
     # P_B is the orthogonal projector onto the complement of span{1, u}
     p = split.p_band
     assert np.allclose(p, p.T)
     assert np.allclose(p @ p, p)
     assert np.allclose(p @ ones, 0.0)
-    assert np.allclose(p @ split.u, 0.0)
+    assert np.allclose(p @ u, 0.0)
     assert math.isclose(np.trace(p), n - 2, rel_tol=1e-13)
     # band basis spans the range of P_B
     b = band_basis(split)
@@ -137,7 +192,7 @@ def test_build_split_geometry():
     assert np.allclose(b.T @ b, np.eye(n - 2))
     assert np.allclose(b @ b.T, p)
     assert np.allclose(b.T @ ones, 0.0)
-    assert np.allclose(b.T @ split.u, 0.0)
+    assert np.allclose(b.T @ u, 0.0)
 
 
 def test_build_split_mean_removal():
@@ -321,7 +376,7 @@ def test_circulant_family_builds_no_dense_array(tmp_path):
     fam = family_from_dict(family_doc())
     kappa_convexity_scan(fam, -2.0, -0.1, 11)
     assert "p_band" not in vars(fam.split)
-    assert all(t.c.shape == (6,) and "coef" not in vars(t) for t in (fam.base, *fam.terms))
+    assert all(np.shape(t.c) == (6,) and "coef" not in vars(t) for t in (fam.base, *fam.terms))
     assert fam.c0.shape == (6, 6)  # built on first use
     # the dense blocks live in the oracle module, which `schur` never loads
     path = tmp_path / "family.json"
@@ -368,7 +423,7 @@ def test_random_family_stores_the_rows_of_the_dense_path(seed):
     assert len(fam.terms) == len(dense.terms)
     for got, want in zip((fam.base, *fam.terms), (dense.base, *dense.terms)):
         assert got.s == want.s
-        assert got.c.ndim == 1 and np.array_equal(got.c, want.c)
+        assert np.ndim(got.c) == 1 and np.array_equal(got.c, want.c)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +459,7 @@ def test_block_hessian_shapes_and_values():
     blocks = block_hessian(fam, theta)
     n = fam.split.n
     h = assemble_hessian(fam, theta)
-    b, u = band_basis(fam.split), fam.split.u.reshape(-1, 1)
+    b, u = band_basis(fam.split), np.asarray(fam.split.u).reshape(-1, 1)
     assert np.allclose(blocks.h_bb, b.T @ h @ b)
     assert np.allclose(blocks.h_bo, b.T @ h @ u)
     assert np.allclose(blocks.h_oo, u.T @ h @ u)
@@ -440,7 +495,7 @@ def test_schur_complement_invariant_to_band_basis_choice():
     rng = np.random.default_rng(3)
     m, _ = np.linalg.qr(rng.standard_normal((split.dim_band, split.dim_band)))
     b2 = band_basis(split) @ m
-    u = split.u.reshape(-1, 1)
+    u = np.asarray(split.u).reshape(-1, 1)
     s2 = schur_complement(b2.T @ h @ b2, b2.T @ h @ u, u.T @ h @ u)
     assert math.isclose(np.trace(s2) / split.dim_band, schur_curvature(fam, theta), rel_tol=1e-12)
 
@@ -664,28 +719,6 @@ def test_validated_concave_fixtures_match_closed_form(name, kappa, rel_tol):
         assert abs(schur_curvature(fam, math.log(q)) - exact) <= rel_tol * exact
 
 
-def exact_kappa(fam, u_raw, weights):
-    """κ_Schur in Fractions at the rational weights e^{sθ} of ``fam.terms``,
-    from the stored rows of ``fam`` (binary rationals) and the raw collective
-    direction: with w = u_raw − mean and u = w/‖w‖, uuᵀ = wwᵀ/‖w‖² is
-    rational, and so is (N − 2)·κ = Tr(PH) − uᵀHPHu/uᵀHu for
-    P = I − 11ᵀ/N − uuᵀ."""
-    n = fam.n
-    rows = [[Fraction(x) for x in t.c] for t in (fam.base, *fam.terms)]
-    weights = [Fraction(1), *weights]
-    h = [[sum(w * r[(j - i) % n] for w, r in zip(weights, rows)) for j in range(n)]
-         for i in range(n)]
-    mean = sum(Fraction(x) for x in u_raw) / n
-    w = [Fraction(x) - mean for x in u_raw]
-    ww = sum(x * x for x in w)
-    hw = [sum(h[i][j] * w[j] for j in range(n)) for i in range(n)]
-    whw = sum(a * b for a, b in zip(w, hw))
-    trace_p_h = sum(h[i][i] for i in range(n)) - sum(map(sum, h)) / n - whw / ww
-    # uᵀHPHu = ‖Hu‖² − (1ᵀHu)²/N − (uᵀHu)²
-    uhphu = sum(x * x for x in hw) / ww - sum(hw) ** 2 / (n * ww) - (whw / ww) ** 2
-    return (trace_p_h - uhphu / (whw / ww)) / (n - 2)
-
-
 def rational_weights(fam, q):
     """e^{sθ} = q^s for each term at a rational q = e^θ (integer exponents)."""
     assert all(t.s == int(t.s) for t in fam.terms)
@@ -734,6 +767,27 @@ def test_random_family_curvature_is_within_4_ulps_of_exact_kappa():
         assert ulps_off(schur_curvature(fam, theta), exact) <= 4
 
 
+@settings(max_examples=80)
+@given(
+    n=st.integers(3, 40),
+    n_terms=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(-3.0, 1.0),
+)
+@example(n=17, n_terms=2, seed=0, theta=-1.0)  # an odd prime past the direct DFT: Bluestein
+@example(n=34, n_terms=3, seed=1, theta=0.5)  # 2·17: Bluestein under a radix-2 stage
+@example(n=37, n_terms=1, seed=2, theta=-2.5)
+@example(n=13, n_terms=2, seed=3, theta=-0.3)  # an odd prime summed directly
+@example(n=40, n_terms=2, seed=4, theta=0.9)  # 2³·5
+@example(n=32, n_terms=3, seed=5, theta=-1.7)  # 2⁵: radix-2 stages alone
+def test_curvature_is_within_4_ulps_of_exact_kappa_on_every_transform_route(
+    n, n_terms, seed, theta
+):
+    fam = random_family(n, np.random.default_rng(seed), n_terms=n_terms)
+    exact = exact_kappa(fam, fam.split.u, float_weights(fam, theta))
+    assert ulps_off(schur_curvature(fam, theta), exact) <= 4
+
+
 def test_concave_fixture_has_an_exact_nonconvexity_witness():
     # θ = ln(1/8) is the midpoint of ln(1/16) and ln(1/4), so κ(1/8) above the
     # chord proves that κ is not convex in θ
@@ -769,7 +823,7 @@ def test_rank_one_curvature_matches_dense_blocks(half, odd, n_terms, seed, theta
     if circulant_encoded:
         rows = [(t.s, t.c) for t in fam.terms]
         fam = make_family(n, 2.0, fam.split.u, fam.base.c, rows)
-        assert fam.base.c.shape == (n,)
+        assert np.shape(fam.base.c) == (n,)
     dense = dense_curvature(fam, theta)
     assert abs(schur_curvature(fam, theta) - dense) <= 1e-12 * max(1.0, abs(dense))
 
@@ -785,13 +839,14 @@ def test_rank_one_curvature_matches_dense_blocks(half, odd, n_terms, seed, theta
 def test_curvature_is_within_4_ulps_of_its_exact_form(half, odd, n_terms, seed, theta):
     # Spectra and collective weights spanning e^{±20}, where a route that
     # subtracts large sums loses digits.  The exact value is that of the
-    # kernel's own float inputs: ĉ from the stored rows, p from u, and w, by
+    # kernel's own float inputs: ĉ, the stored rows' spectra, p from the
+    # real DFT of u, and w, by
     # h·(N − 2)·κ = Σ_{j≥1} λ_j·((m_j − 1)·h + Σ_{i≠j} p_i·λ_i).
     n = 2 * half - odd
     rng = np.random.default_rng(seed)
     spectra = np.exp(rng.uniform(-20.0, 20.0, (n_terms + 1, n // 2 + 1)))
     # a floor at 1e-12 of each row's largest value keeps ĉ ≥ 0, the claim's
-    # premise: the rfft of the stored row rounds at about 1e-16 of it
+    # premise: the real DFT of the stored row rounds at about 1e-16 of it
     spectra = np.maximum(spectra, 1e-12 * spectra.max(axis=1, keepdims=True))
     rows = np.fft.irfft(spectra, n, axis=1)
     u_modes = rng.random(n // 2 + 1) < 0.5
@@ -801,10 +856,10 @@ def test_curvature_is_within_4_ulps_of_its_exact_form(half, odd, n_terms, seed, 
     u_spectrum = u_modes * np.exp(rng.uniform(-20.0, 20.0, n // 2 + 1)) * phases
     fam = make_family(n, 2.0, np.fft.irfft(u_spectrum, n), rows[0],
                       list(zip(rng.uniform(-2.0, 2.0, n_terms), rows[1:])))
-    c_hat = np.fft.rfft([t.c for t in (fam.base, *fam.terms)], axis=1).real
+    c_hat = np.array([t.spectrum for t in (fam.base, *fam.terms)])
     assume((c_hat >= 0).all())
     m = [0] + [1 if 2 * j == n else 2 for j in range(1, n // 2 + 1)]
-    u_hat = np.fft.rfft(fam.split.u)
+    u_hat = np.array(_rfft(fam.split.u))
     p = [Fraction(x) for x in np.multiply(m, u_hat.real**2 + u_hat.imag**2) / n]
     w = [Fraction(1), *float_weights(fam, theta)]
     lam = [sum(wk * Fraction(c) for wk, c in zip(w, col)) for col in c_hat.T.tolist()]

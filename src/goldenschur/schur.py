@@ -125,14 +125,14 @@ def _roots(n: int) -> tuple[complex, ...]:
 
 
 @lru_cache(maxsize=None)
-def _chirp(p: int) -> tuple[list[complex], list[complex]]:
+def _chirp(p: int) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Bluestein's chirp ``e^{−πit²/p}`` (t < p) and the transform of its
     conjugate, wrapped to the power-of-2 length of the convolution."""
     chirp = [_unit(t * t % (2 * p), 2 * p) for t in range(p)]
     kernel = [0j] * (1 << (2 * p - 2).bit_length())
     for t, w in enumerate(chirp):
         kernel[t] = kernel[-t] = w.conjugate()
-    return chirp, _fft(kernel)
+    return tuple(chirp), tuple(_fft(kernel))
 
 
 def _fft(z: list[complex]) -> list[complex]:
@@ -229,14 +229,15 @@ def circulant(generator: Sequence[float]) -> FloatArray:
 
 def _floats(x: object) -> object:
     """A number, or nested sequences of them (numpy arrays included), as a
-    float or nested lists of floats.  A list of floats, or of lists of
-    floats, is returned as it is."""
+    float or nested lists of floats.  A list of floats, or of lists, is
+    returned as it is: the entries of its lists reach ``math.hypot`` in
+    validation, which refuses anything but a number."""
     if hasattr(x, "tolist"):  # a numpy array or scalar
         x = x.tolist()
     if not isinstance(x, (list, tuple)):
         return float(x)
     kinds = set(map(type, x))
-    if kinds <= {float} or kinds == {list} and set(map(type, chain.from_iterable(x))) <= {float}:
+    if kinds <= {float} or kinds == {list}:
         return x if type(x) is list else list(x)
     return [_floats(v) for v in x]
 
@@ -247,12 +248,11 @@ def _is_row(x: object, n: int) -> bool:
 
 
 def _is_matrix(x: object, n: int) -> bool:
-    """Whether x, from :func:`_floats`, is n lists of n floats.  A list
-    nested deeper in any entry but the first is refused later, by
-    ``math.hypot``."""
+    """Whether x, from :func:`_floats`, is n lists of n entries, the first
+    not a list."""
     return (
         type(x) is list and len(x) == n and set(map(type, x)) == {list}
-        and set(map(len, x)) == {n} and type(x[0][0]) is float
+        and set(map(len, x)) == {n} and type(x[0][0]) is not list
     )
 
 
@@ -328,10 +328,10 @@ class ExpTerm:
         return circulant(self.c)
 
     @cached_property
-    def spectrum(self) -> list[float]:
+    def spectrum(self) -> tuple[float, ...]:
         """C's eigenvalues on the real-DFT bins j = 0 … N//2: the real parts
         of the row's DFT (the imaginary parts are rounding noise)."""
-        return [x.real for x in _rfft(self.c)]
+        return tuple(x.real for x in _rfft(self.c))
 
 
 class HessianFamily:
@@ -396,18 +396,19 @@ def _validate_coef(
     circulant gets no PSD test.  A symmetric circulant is PSD when the real
     DFT of its row, its spectrum, is.
     """
-    flat = list(chain.from_iterable(c)) if dense else c
+    row = c[0] if dense else c
+    rev = [row[0], *row[:0:-1]]  # row[(n − j) mod n]
+    ext = row + row  # row i of a circulant is ext[n − i : 2n − i]
+    equivariant = row == rev and (
+        not dense or all(r == ext[n - i : 2 * n - i] for i, r in enumerate(c))
+    )
+    # an exact circulant's entries are its row's, n times over
+    flat = row if equivariant or not dense else list(chain.from_iterable(c))
     norm = math.hypot(*flat)  # inf or nan if an entry is, or on overflow
     if not math.isfinite(norm) and not all(map(math.isfinite, flat)):
         violations.append(f"{name}: has non-finite entries")
         return None
-    row = c[0] if dense else c
-    rev = [row[0], *row[:0:-1]]  # row[(n − j) mod n]
-    # ‖C‖_F; a circulant's entries are its row's, n times over
-    scale = max(1.0, norm * (1.0 if dense else math.sqrt(n)))
-    equivariant = row == rev and (
-        not dense or all(r == row[-i:] + row[:-i] for i, r in enumerate(c))
-    )
+    scale = max(1.0, norm * (math.sqrt(n) if flat is row else 1.0))  # ‖C‖_F
     if not equivariant:
         # max |C − Cᵀ| is at most the Frobenius norm of C − Cᵀ, summed first
         pair = (flat, list(chain.from_iterable(zip(*c)))) if dense else (row, rev)

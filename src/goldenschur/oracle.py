@@ -27,7 +27,8 @@ independent route here.  Each oracle, and the library route it checks:
   :func:`schur_complement`): the spectral :func:`.schur.schur_curvature`.
 * :func:`exact_kappa`, κ_Schur in Fractions from the stored rows and the
   raw collective direction: the float kernel of
-  :func:`.schur.schur_curvature`, to a few ulps at the same float weights.
+  :func:`.schur.schur_curvature` at the same float weights, which the tests
+  hold to 4 ulps of it on fixed draws (random draws reach about 5).
 * :func:`variational_check`: the Schur complement as the Loewner minimum of
   :func:`variational_expression` over couplings Y.
 * :func:`matrix_convexity_check`: the Loewner convexity of θ ↦ H(θ) that

@@ -1022,6 +1022,15 @@ def test_schur_rejects_non_finite_family(capsys, tmp_path, corrupt, expected):
     assert (code, out, err) == (2, "", expected)
 
 
+@pytest.mark.parametrize("text", ["1e400", "Infinity"])
+def test_schur_rejects_an_infinite_m_rho_sq(capsys, tmp_path, text):
+    # json reads both as inf, which a positivity test alone lets through
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(FAMILY_DOC).replace('"m_rho_sq": 2.0', f'"m_rho_sq": {text}'))
+    code, out, err = run_cli(capsys, "schur", str(path), "-2.0", "-0.1", "11")
+    assert (code, out, err) == (2, "", "error: m_rho_sq must be finite, got inf\n")
+
+
 def _set_term(k, key, value):
     return lambda doc: doc["terms"][k].__setitem__(key, value)
 

@@ -48,7 +48,7 @@ from goldenschur.schur import (
     schur_curvature,
     strict_convexity_witness,
 )
-from goldenschur.schur import _grid, _rfft, _roots
+from goldenschur.schur import _DIRECT_MAX, _chirp, _dft, _grid, _rfft, _roots
 
 RNG_SEED = 20260819
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -119,11 +119,13 @@ def test_random_psd_circulant():
 
 @pytest.mark.parametrize("n", [*range(1, 65), 255, 256, 257, 1009])
 def test_rfft_matches_numpy(n):
-    # numpy's rfft as the oracle, for every route of the transform: radix-2
-    # stages alone (2ᵏ), over a direct DFT of an odd factor up to 16 (15,
-    # 48 = 2⁴·3) and over Bluestein's chirp-z beyond it (17, 34 = 2·17, 255,
-    # 257, 1009).  Each bin is within 4·ε·log₂(2N)·‖x‖₂ of numpy's, on a
-    # random row and on its symmetrization, the rows that families store.
+    # numpy's rfft as the oracle, for every route of the transform: a direct
+    # DFT of at most 8 points (7, and 16 as 8 complex pairs) or of an odd
+    # block up to 15 (15, 30 = 2·15), radix-2 halving down to one (2ᵏ,
+    # 48 = 2⁴·3) and Bluestein's chirp-z for an odd block of 17 or more (17,
+    # 34 = 2·17, 255, 257, 1009).  Each bin is within 4·ε·log₂(2N)·‖x‖₂ of
+    # numpy's, on a random row and on its symmetrization, the rows that
+    # families store.
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n)
     for row in (x, (x + x[(n - np.arange(n)) % n]) / 2):
@@ -131,6 +133,23 @@ def test_rfft_matches_numpy(n):
         assert got.shape == (n // 2 + 1,)
         bound = 4 * np.finfo(float).eps * math.log2(2 * n) * np.linalg.norm(row)
         assert np.max(np.abs(got - np.fft.rfft(row))) <= bound
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1009])
+def test_fft_builds_no_direct_dft_longer_than_the_threshold(monkeypatch, n):
+    # radix-2 halving and Bluestein's chirp-z bring these lengths down to
+    # blocks of at most _DIRECT_MAX points: O(N log N) time, and no DFT
+    # matrix of N² entries
+    sizes = []
+
+    def dft(m):
+        sizes.append(m)
+        return _dft(m)
+
+    monkeypatch.setattr("goldenschur.schur._dft", dft)
+    _chirp.cache_clear()  # so that the chirp's own transform is traced too
+    _rfft([1.0] * n)
+    assert sizes and max(sizes) <= _DIRECT_MAX
 
 
 def test_twiddles_at_multiples_of_30_and_45_degrees_are_correctly_rounded():
@@ -216,6 +235,16 @@ def test_build_split_rejects_bad_inputs():
         build_split(5, 2.0, [1.0, 0.0, 0.0])  # wrong length
     with pytest.raises(ValueError, match="non-finite"):
         build_split(5, 2.0, [1.0, math.nan, 0.0, 0.0, -1.0])
+
+
+def test_build_split_rejects_an_infinite_mass():
+    # inf > 0, so positivity alone admits it; NaN and values ≤ 0 stay "positive"
+    u_raw = [1.0, 0.0, 0.0, 0.0, -1.0]
+    with pytest.raises(ValueError, match=r"^m_rho_sq must be finite, got inf$"):
+        build_split(5, math.inf, u_raw)
+    for m_rho_sq in (math.nan, 0.0, -math.inf):
+        with pytest.raises(ValueError, match=r"^m_rho_sq must be positive, got "):
+            build_split(5, m_rho_sq, u_raw)
 
 
 # ---------------------------------------------------------------------------
@@ -775,11 +804,11 @@ def test_random_family_curvature_is_within_4_ulps_of_exact_kappa():
     theta=st.floats(-3.0, 1.0),
 )
 @example(n=17, n_terms=2, seed=0, theta=-1.0)  # an odd prime past the direct DFT: Bluestein
-@example(n=34, n_terms=3, seed=1, theta=0.5)  # 2·17: Bluestein under a radix-2 stage
+@example(n=34, n_terms=3, seed=1, theta=0.5)  # 2·17: a half-length transform by Bluestein
 @example(n=37, n_terms=1, seed=2, theta=-2.5)
 @example(n=13, n_terms=2, seed=3, theta=-0.3)  # an odd prime summed directly
-@example(n=40, n_terms=2, seed=4, theta=0.9)  # 2³·5
-@example(n=32, n_terms=3, seed=5, theta=-1.7)  # 2⁵: radix-2 stages alone
+@example(n=40, n_terms=2, seed=4, theta=0.9)  # 2³·5: radix-2 halving to a direct 5-point DFT
+@example(n=32, n_terms=3, seed=5, theta=-1.7)  # 2⁵: radix-2 halving to a direct 8-point DFT
 def test_curvature_is_within_4_ulps_of_exact_kappa_on_every_transform_route(
     n, n_terms, seed, theta
 ):

@@ -29,7 +29,10 @@ values with half the digits of q⋆ᴺ, and ``φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)`
 ``L_N`` for odd N; ``I₂′ = T/Y₀²`` with ``T = φ³(Y₃Y₀ − Y₁Y₂)``, and
 ``Var = (Y₀² − N²)/Y₀²``: Var = (ln S₀)″ in θ, and at q⋆ its closed form
 collapses to ``1 − N²/Y₀²``.  Every division is then by an integer or by √5
-times one, which :class:`~.qfield.Q5` takes without a field norm.
+times one, which :class:`~.qfield.Q5` takes without a field norm.  The
+record at q⋆ is a pure function of N made of immutable values, so it is
+computed once per N per process; the last ``_GOLDEN_CACHE_SIZE`` (32) sizes
+are kept.
 
 Both lanes and the q⋆ kernel fill one :class:`FoldedMoments` record, I₂′
 included, so :func:`moments` is the one route to the moments.
@@ -38,6 +41,7 @@ included, so :func:`moments` is the one route to the moments.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 from .qfield import PHI, QSTAR, Q5
@@ -68,7 +72,11 @@ def _is_golden(q: Scalar) -> bool:
 
 def _check_domain(n: int, q: Scalar) -> None:
     _check_size(n)
-    if not 0 < q < 1:  # exact for a Q5, and False for a NaN
+    if type(q) is Fraction:  # a normalised Fraction has a positive denominator
+        inside = 0 < q.numerator < q.denominator
+    else:
+        inside = 0 < q < 1  # exact for a Q5, and False for a NaN
+    if not inside:
         raise ValueError(f"weight ratio must satisfy 0 < q < 1, got {q!r}")
 
 
@@ -238,6 +246,11 @@ def _golden_i2_prime_numerator(ys: tuple[Q5, Q5, Q5, Q5]) -> Q5:
     return PHI**3 * (y3 * y0 - y1 * y2)
 
 
+#: how many sizes N keep their golden-point moments for the life of the process
+_GOLDEN_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_GOLDEN_CACHE_SIZE)
 def _moments_golden(n: int) -> FoldedMoments:
     """The moments at (N, q⋆) from
     :func:`_golden_numerators`: ``I_k = φᵏY_k/Y₀``, ``Var = (Y₀² − N²)/Y₀²``

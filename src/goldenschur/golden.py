@@ -6,13 +6,15 @@ Since ``q⋆ = (3 − √5)/2`` satisfies ``q⋆² = 3q⋆ − 1``, every power 
 ``b_m = −F_{2m−2}`` with the Fibonacci convention ``F_{−2} = −1, F_{−1} = 1``.
 
 The golden-point moments and the ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)`` come from
-the closed forms of :mod:`.folded` at ``q = q⋆``, scaled by ``φᴺ``.  The
+the closed forms of :mod:`.folded` at ``q = q⋆``, scaled by ``φᴺ``; each is
+computed once per N per process, and the last 32 sizes are kept.  The
 table is integer arithmetic: :mod:`.qfield` and :mod:`.folded` are imported
 by the functions that compute with them, so building the table loads neither.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -54,6 +56,10 @@ def golden_power_table(max_m: int) -> list[GoldenPower]:
     return rows
 
 
+#: how many sizes N keep their Λ(N) for the life of the process
+_LAMBDA_CACHE_SIZE = 32
+
+
 def lambda_n(n: int) -> Q5:
     """The three-cycle ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)`` for N ≥ 2, exactly in Q(√5).
 
@@ -62,12 +68,21 @@ def lambda_n(n: int) -> Q5:
     and ``R = Y₀² − N²``, so Λ = T/R.  Y₀ is √5·F_N or L_N, so R is a
     rational integer and the one division is by an integer, with no field
     norm.  N = 1 is rejected: the index variance vanishes identically, so the
-    ratio is undefined.
+    ratio is undefined.  Each N is computed once per process, and the last
+    ``_LAMBDA_CACHE_SIZE`` values are kept.
     """
-    from .folded import _check_size, _golden_i2_prime_numerator, _golden_numerators
+    from .folded import _check_size
 
     _check_size(n)
     if n == 1:
         raise ValueError("Λ(N) needs N >= 2 (zero variance at N=1)")
+    return _lambda_golden(n)
+
+
+@lru_cache(maxsize=_LAMBDA_CACHE_SIZE)
+def _lambda_golden(n: int) -> Q5:
+    """Λ(N) = T/R for a size N ≥ 2 already checked by :func:`lambda_n`."""
+    from .folded import _golden_i2_prime_numerator, _golden_numerators
+
     ys = _golden_numerators(n)
     return _golden_i2_prime_numerator(ys) / (ys[0] * ys[0] - n * n)

@@ -250,12 +250,12 @@ def test_sum_bounds():
 
 @pytest.mark.parametrize(
     "bad_q",
-    [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2),
-     0.0, 1.0, -0.5, 1.5, math.nan, math.inf],
+    [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2), Fraction(-1, 3),
+     Fraction(4, 3), 0.0, 1.0, -0.5, 1.5, math.nan, math.inf],
 )
 def test_domain_rejects_bad_q(bad_q):
-    # a float q, NaN included, is rejected by the float branch of moments
-    # with the message of every other route
+    # a Fraction q is bounded by its numerator and denominator, and a float
+    # q, NaN included, by the float branch of moments, with one message
     message = f"^{re.escape(f'weight ratio must satisfy 0 < q < 1, got {bad_q!r}')}$"
     for route in (sums_closed, sums_bruteforce, moments):
         with pytest.raises(ValueError, match=message):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from goldenschur import qfield
+from goldenschur import folded, golden, qfield
 from goldenschur.folded import _golden_numerators, moments, sums_closed
 from goldenschur.golden import GoldenPower, golden_power_table, lambda_n
 from goldenschur.oracle import (
@@ -300,6 +300,11 @@ def test_golden_kernel_divides_by_integers_at_large_n(n):
     _check_integers(n)
 
 
+def _clear_golden_caches():
+    folded._moments_golden.cache_clear()
+    golden._lambda_golden.cache_clear()
+
+
 @pytest.mark.parametrize("ns", [range(1, 41), [1000], [10_001]], ids=["1-40", "1000", "10001"])
 def test_golden_kernel_takes_no_field_norm(monkeypatch, ns):
     # every divisor of the q⋆ kernel is an integer or √5 times one, which
@@ -308,11 +313,53 @@ def test_golden_kernel_takes_no_field_norm(monkeypatch, ns):
     monkeypatch.setattr(qfield, "_div", lambda x, y, message: divisors.append(y) or div(x, y, message))
     for n in ns:
         divisors.clear()
+        _clear_golden_caches()  # a cached record would skip the kernel
         moments(n, QSTAR)
         if n >= 2:
             lambda_n(n)
         assert divisors
         assert all(p == 0 or q == 0 for p, q, _ in divisors), n
+
+
+# ---------------------------------------------------------------------------
+# the golden-point caches
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 1000])
+def test_golden_caches_match_the_reduction_oracle_cold_and_warm(n):
+    # the integer reduction route shares no code with the φᴺ kernel
+    s = sums_at_qstar(n)
+    s0, s1, s2, s3 = s.as_tuple()
+    m = moments_from_sums(s)
+    lam = (s3 * s0 - s1 * s2) / (s2 * s0 - s1 * s1)
+    _clear_golden_caches()
+    for _ in ("cold", "warm"):
+        assert moments(n, QSTAR) == m
+        assert lambda_n(n) == lam
+    assert folded._moments_golden.cache_info().hits == 1
+    assert golden._lambda_golden.cache_info().hits == 1
+
+
+def test_golden_caches_are_shared_and_bounded():
+    assert moments(12, QSTAR) is moments(12, Q5(3, -1) / 2)
+    assert lambda_n(12) is lambda_n(12)
+    for cached in (folded._moments_golden, golden._lambda_golden):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_golden_caches_leak_no_state_into_verify():
+    from goldenschur.verify import run_suite
+
+    def rendered():
+        doc = run_suite("all", 7)
+        return doc.render("json"), doc.render("table")
+
+    _clear_golden_caches()
+    cold = rendered()
+    assert rendered() == cold
+    _clear_golden_caches()
+    assert rendered() == cold
 
 
 def test_lambda_fd_cross_check():

@@ -46,9 +46,8 @@ import numpy where they run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain, sums_closed
 from .golden import golden_power_table
@@ -243,8 +242,7 @@ def assemble_hessian(fam: HessianFamily, theta: float) -> FloatArray:
     return _assemble_hessians(fam, [theta])[0]
 
 
-@dataclass(frozen=True, eq=False)
-class BlockHessian:
+class BlockHessian(NamedTuple):
     """H in the orthonormal (band ⊕ collective) frame."""
 
     h_bb: FloatArray  # (n−2, n−2)
@@ -269,8 +267,9 @@ def schur_complement(
 ) -> FloatArray:
     """``H_BB − H_BO H_OO⁻¹ H_OB`` for the 1×1 collective block ``H_OO``.
 
-    The block is rejected as numerically singular unless it exceeds
-    ``‖H‖_F / COND_LIMIT``, with ``‖H‖_F`` taken over the three blocks.
+    ``‖H‖_F`` is taken over the three blocks.  An ``‖H‖_F`` that is not
+    finite raises ``OverflowError``; otherwise the block is rejected as
+    numerically singular unless it exceeds ``‖H‖_F / COND_LIMIT``.
     """
     import numpy as np
 
@@ -279,9 +278,12 @@ def schur_complement(
     if h_oo.shape != (1, 1):
         raise ValueError(f"collective block must be 1x1, got shape {h_oo.shape}")
     h = float(h_oo[0, 0])
-    scale = math.sqrt(float(np.vdot(h_bb, h_bb) + 2 * np.vdot(h_bo, h_bo)) + h * h)
+    # Python floats overflow to inf without numpy's RuntimeWarning
+    scale = math.sqrt(float(np.vdot(h_bb, h_bb)) + 2 * float(np.vdot(h_bo, h_bo)) + h * h)
+    where = f" at {context}" if context else ""
+    if not math.isfinite(scale):
+        raise OverflowError(f"H(theta) overflows a float{where}")
     if not h > scale / COND_LIMIT:
-        where = f" at {context}" if context else ""
         raise ValueError(
             f"collective block is numerically singular{where} "
             f"(h_oo = {h:.3e}, ‖H‖_F = {scale:.3e})"
@@ -333,8 +335,7 @@ def variational_expression(blocks: BlockHessian, y: FloatArray) -> FloatArray:
     return blocks.h_bb + blocks.h_bo @ y + yt @ blocks.h_ob + yt @ blocks.h_oo @ y
 
 
-@dataclass(frozen=True)
-class VariationalReport:
+class VariationalReport(NamedTuple):
     """Outcome of the completing-the-square check at one θ."""
 
     theta: float
@@ -377,8 +378,7 @@ def variational_check(
 # matrix convexity in θ
 
 
-@dataclass(frozen=True)
-class ConvexityGapReport:
+class ConvexityGapReport(NamedTuple):
     """Loewner convexity gaps ``t·H(θ₁) + (1−t)·H(θ₂) − H(tθ₁+(1−t)θ₂)``."""
 
     theta1: float

@@ -22,8 +22,11 @@ and M ≥ 0 built once per family in O(K²·N) from sums of nonnegative terms
 when ĉ ≥ 0 (:attr:`HessianFamily._kappa_form`; ĉ is not clamped).  Nothing
 cancels, so each θ costs O(K²); the tests hold κ to 4 ulps of the exact value
 of its float inputs on fixed draws, and 16 000 random draws at N ≤ 40 reached
-4.7 ulps.  The singular-block guard reads ‖P H P‖_F² = wᵀGw, and
-validation reads symmetry and positivity off the rows; no N×N array is built.
+4.7 ulps.  The singular-block guard is exact at every θ: it reads
+‖P H P‖_F² = wᵀGw, and at each θ a wᵀGw that is not finite raises
+``OverflowError``, then ``h ≤ ‖P H P‖_F/COND_LIMIT`` raises the singular-block
+``ValueError``, and only then is κ taken.  Validation reads symmetry and
+positivity off the rows; no N×N array is built.
 
 Everything on that route, from the family file to the scan, runs on Python
 floats and needs only the standard library.  The spectra come from a real
@@ -43,7 +46,7 @@ import json
 import math
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add, gt, mul, sub
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -577,50 +580,46 @@ def load_family(path: str | PathLike[str]) -> HessianFamily:
 def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> list[float]:
     """κ_Schur at each θ, from the family's ``(M, h, G)``.
 
-    Raises the errors of a θ-by-θ dense scan in grid order: ``OverflowError``
-    from ``math.exp``, or the singular-block ``ValueError`` at the first θ
-    whose ``h ≤ ‖P H P‖_F/COND_LIMIT``.  A product that overflows to inf is
-    reported by the guard, as on the dense route.  Each step runs along the
-    grid, and a θ gets the same bits alone or inside a grid.
+    The weights w, their pair products w_k·w_l and h are built along the
+    grid.  Then each θ, in grid order, forms ‖P H P‖_F² = wᵀGw itself, not a
+    bound on it; raises ``OverflowError`` if it is not finite, or the
+    singular-block ``ValueError`` if ``h ≤ ‖P H P‖_F/COND_LIMIT``; and then
+    takes κ.
+    Where ``math.exp`` overflows, the grid is replayed θ by θ, so the first
+    θ that fails raises, as in a θ-by-θ dense scan.  A θ gets the same bits
+    alone or inside a grid.
     """
     mm, h_k, g = fam._kappa_form
     exponents = [float(t.s) for t in fam.terms]
     try:
         w = [[1.0] * len(thetas), *[list(map(math.exp, map(s.__mul__, thetas))) for s in exponents]]
     except OverflowError:
-        for i, theta in enumerate(thetas):
-            try:
-                [math.exp(s * theta) for s in exponents]
-            except OverflowError:
-                if i:  # a singular block earlier in the grid wins
-                    _curvatures(fam, thetas[:i])
-                raise
+        if len(thetas) == 1:
+            raise
+        # the θ whose weight overflowed overflows again on its own
+        return [_curvatures(fam, [theta])[0] for theta in thetas]
     # M and G are symmetric: w_k·w_l·X_kl + w_l·w_k·X_lk = w_k·w_l·(2·X_kl), exactly
     pairs = [(k, l, 1.0 if k == l else 2.0) for k in range(len(w)) for l in range(k, len(w))]
     ww = [list(map(mul, w[k], w[l])) if k else w[l] for k, l, _ in pairs]  # w₀ = 1
     h = [h_k[0]] * len(thetas)
     for col, hk in zip(w[1:], h_k[1:]):
         h = list(map(add, h, map(hk.__mul__, col)))
-    # G is a Gram matrix, so ‖P H P‖_F = √(wᵀGw) ≤ Σ_k w_k·√G_kk: where h exceeds
-    # twice that over COND_LIMIT and no w_k·w_l overflows, the guard passes
-    bound = [0.0] * len(thetas)
-    for k, col in enumerate(w):
-        bound = list(map(add, bound, map(math.sqrt(g[k][k]).__mul__, col)))
-    if not (max(map(max, w)) < 1e150 and all(map(gt, h, map((2 / COND_LIMIT).__mul__, bound)))):
-        gram = map(sum, zip(*[
-            list(map((two * g[k][l]).__mul__, col)) for col, (k, l, two) in zip(ww, pairs)
-        ]))
-        for theta, hi, gi in zip(thetas, h, gram):
-            scale = math.sqrt(gi) if gi >= 0 else math.nan
-            if not hi > scale / COND_LIMIT:
-                raise ValueError(
-                    f"collective block is numerically singular at theta={theta:g} "
-                    f"(h_oo = {hi:.3e}, ‖H‖_F = {scale:.3e})"
-                )
-    # fsum rounds each wᵀMw once
+    g2 = [two * g[k][l] for k, l, two in pairs]
     m2 = [two * mm[k][l] for k, l, two in pairs]
     dim = fam.split.dim_band
-    return [math.fsum(map(mul, r, m2)) / hi / dim for r, hi in zip(zip(*ww), h)]
+    kappas = []
+    for theta, hi, r in zip(thetas, h, zip(*ww)):
+        gi = sum(map(mul, g2, r))
+        if not math.isfinite(gi):
+            raise OverflowError(f"H(theta) overflows a float at theta={theta:g}")
+        scale = math.sqrt(gi) if gi >= 0 else math.nan
+        if not hi > scale / COND_LIMIT:
+            raise ValueError(
+                f"collective block is numerically singular at theta={theta:g} "
+                f"(h_oo = {hi:.3e}, ‖H‖_F = {scale:.3e})"
+            )
+        kappas.append(math.fsum(map(mul, r, m2)) / hi / dim)  # fsum rounds each wᵀMw once
+    return kappas
 
 
 def schur_curvature(fam: HessianFamily, theta: float) -> float:

@@ -957,6 +957,18 @@ def test_schur_overflow_is_a_computation_failure(capsys, family_file):
     assert caught == []
 
 
+def test_schur_hessian_overflow_is_a_computation_failure(capsys, family_file):
+    # at θ = −800 every weight is finite and h_oo is about 1.6e243, but ‖H‖_F
+    # overflows: a failed computation, not a singular block (exit 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "schur", family_file, "--", "-800", "800", "11")
+    assert (code, out, err) == (
+        1, "", "computation failed: H(theta) overflows a float at theta=-800\n"
+    )
+    assert caught == []
+
+
 def test_schur_rejects_invalid_family(capsys, tmp_path):
     doc = dict(FAMILY_DOC)
     doc["C0"] = [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)]
@@ -1260,7 +1272,7 @@ sys.exit(main(sys.argv[1:]))
         [str(FIXTURES / "concave-n4-s-minus1.json"), "-3.0", "-0.1", "30"],  # exit 1
         ["{invalid}", "-2.0", "-0.1", "11"],  # exit 2
         ["{family}", "--", "-1e308", "1e308", "3"],  # exit 2
-        ["{family}", "--", "-800", "800", "11"],  # singular block, exit 1
+        ["{family}", "--", "-800", "800", "11"],  # H overflows a float, exit 1
     ],
 )
 def test_schur_runs_without_numpy(capsys, tmp_path, family_file, argv):
@@ -1314,6 +1326,22 @@ def test_schur_module_loads_neither_numpy_nor_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_loads_no_dataclasses():
+    # the oracle records are NamedTuples, like every other record
+    code = (
+        "import contextlib, io, sys\n"
+        "from goldenschur.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--suite', 'all'])\n"
+        "print(code, 'dataclasses' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
 
 
 def test_schur_module_loads_no_scipy():

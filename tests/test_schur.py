@@ -477,6 +477,13 @@ def test_schur_complement_negligible_collective_block():
         schur_complement(np.array([[1.0]]), np.array([[0.0]]), np.array([[1e-300]]))
 
 
+def test_schur_complement_overflowing_norm_is_an_overflow():
+    # ‖H‖_F² = 0 + 2·1e308 + 1 overflows: an OverflowError, not a singular
+    # block, and no numpy RuntimeWarning, which pytest makes an error
+    with pytest.raises(OverflowError, match=r"^H\(theta\) overflows a float at theta=3$"):
+        schur_complement(np.zeros((1, 1)), np.array([[1e154]]), np.array([[1.0]]), context="theta=3")
+
+
 def test_schur_complement_needs_one_collective_direction():
     with pytest.raises(ValueError, match="1x1"):
         schur_complement(np.eye(2), np.zeros((2, 2)), np.eye(2))
@@ -955,8 +962,35 @@ def test_singular_block_before_overflow_is_reported_first():
     # θ = 28 is singular and e^{800} overflows later in the same grid
     fam = kernel_family([(-1.0, np.eye(6)), (1.0, None)])
     assert "singular at theta=28 " in assert_same_scan_error(fam, 28.0, 800.0, 3)
+    # a long grid, replayed θ by θ past the overflow above θ ≈ 709
+    assert "singular at theta=13.6 " in assert_same_scan_error(fam, 0.0, 800.0, 1001)
     fam = kernel_family([(-1.0, np.eye(6))])
     assert_same_scan_error(fam, -800.0, 0.0, 3)  # OverflowError at the first point
+
+
+def test_guard_passes_close_to_the_singular_limit_on_its_exact_test():
+    # h_oo = e^{−θ} against ‖P H P‖_F ≈ √8: the ratio h/‖P H P‖_F is within a
+    # factor 2 of 1/COND_LIMIT at θ = 26, and crosses it before θ = 27
+    fam = kernel_family([(-1.0, np.eye(6))])
+    for theta in (20.0, 25.0, 26.0):
+        exact = exact_kappa(fam, fam.split.u, float_weights(fam, theta))
+        assert ulps_off(schur_curvature(fam, theta), exact) <= 4
+    for curvature in (dense_curvature, schur_curvature):
+        with pytest.raises(ValueError, match="singular at theta=27 "):
+            curvature(fam, 27.0)
+
+
+@pytest.mark.parametrize(
+    "grid, theta", [((-800.0, 800.0, 11), "-800"), ((-2.0, 600.0, 7), "399.333")]
+)
+def test_overflowing_hessian_is_an_overflow_not_a_singular_block(grid, theta):
+    # the CLI tests' family: the weights are finite and h_oo is far from small,
+    # but w_k·w_l·G_kl, and so ‖H‖_F, overflow a float
+    fam = family_from_dict(family_doc())
+    message = assert_same_scan_error(fam, *grid)
+    assert message == f"H(theta) overflows a float at theta={theta}"
+    with pytest.raises(OverflowError):
+        kappa_convexity_scan(fam, *grid)
 
 
 def test_strict_convexity_witness_positive():

@@ -13,22 +13,22 @@ numerically but at tight tolerances:
   Yᵀ H_OO Y over all couplings Y — and κ from the dense blocks
   (``dense_curvature``);
 * matrix convexity of θ ↦ H(θ) along segments (``matrix_convexity_check``);
-* convexity of the scalar curve κ(θ), plus a strict-convexity witness, from
-  the library itself.
+* convexity of the scalar curve κ(θ) from the library itself, plus a
+  strict-convexity witness (``strict_convexity_witness``).
 """
 
 import math
 
 import numpy as np
 
-from goldenschur import (
+from goldenschur import kappa_convexity_scan, make_family, schur_curvature
+from goldenschur.oracle import (
     circulant,
-    kappa_convexity_scan,
-    make_family,
-    schur_curvature,
+    dense_curvature,
+    matrix_convexity_check,
     strict_convexity_witness,
+    variational_check,
 )
-from goldenschur.oracle import dense_curvature, matrix_convexity_check, variational_check
 
 N = 8
 u = [math.cos(2 * math.pi * k / N) for k in range(N)]

@@ -46,17 +46,12 @@ _EXPORTS = {
         "FamilyValidationError",
         "HessianFamily",
         "SplitGeometry",
-        "StrictWitnessReport",
         "build_split",
-        "circulant",
         "family_from_dict",
         "kappa_convexity_scan",
         "load_family",
         "make_family",
-        "q_class_functional_from_weights",
-        "random_family",
         "schur_curvature",
-        "strict_convexity_witness",
     ),
 }
 

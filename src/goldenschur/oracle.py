@@ -39,7 +39,17 @@ independent route here.  Each oracle, and the library route it checks:
 Both Loewner checks are stacked: the matrices of all trials, or of all grid
 points, form one array, diagonalized by one ``eigvalsh`` call.
 
-Importing this module loads only the standard library; the matrix oracles
+This is the one module that builds N×N arrays; a family keeps only its rows.
+Besides the oracles it holds:
+
+* the dense views :func:`circulant`, of a row or a stack of rows, and
+  :func:`band_projector`, the P_B of a split;
+* the random families :func:`random_symmetric_psd_circulant` and
+  :func:`random_family`, and :func:`strict_convexity_witness`;
+* :func:`q_class_functional_from_weights`, kept only for the
+  ``s.q-class-uniform`` record of ``verify``.
+
+Importing this module loads only the standard library; the matrix routes
 import numpy where they run.
 """
 
@@ -56,18 +66,26 @@ from .qfield import QSTAR, GoldenBasis, Q5
 
 if TYPE_CHECKING:
     import numpy as np
-    from .schur import FloatArray, HessianFamily, SplitGeometry
+    from numpy.typing import NDArray
+
+    from .schur import HessianFamily, SplitGeometry
+    FloatArray = NDArray[np.float64]
 
 __all__ = [
     "sums_bruteforce", "moments_from_sums", "theta_derivatives_fd", "fibonacci", "sums_at_qstar",
-    "f_red_prime_direct_q", "exact_sign_changes", "shift_matrix", "reversal_matrix", "band_basis",
-    "assemble_hessian", "BlockHessian", "block_hessian", "schur_complement",
+    "f_red_prime_direct_q", "exact_sign_changes", "circulant", "band_projector",
+    "random_symmetric_psd_circulant", "random_family", "shift_matrix", "reversal_matrix",
+    "band_basis", "assemble_hessian", "BlockHessian", "block_hessian", "schur_complement",
     "dense_curvature", "exact_kappa", "variational_expression", "VariationalReport",
     "variational_check", "ConvexityGapReport", "matrix_convexity_check", "LOEWNER_TOL",
+    "StrictWitnessReport", "strict_convexity_witness", "WITNESS_TOL",
+    "q_class_functional_from_weights",
 ]
 
 #: Loewner slack of the variational and matrix-convexity checks.
 LOEWNER_TOL = 1e-10
+#: Smallest band-projected term norm that witnesses strict convexity.
+WITNESS_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +215,55 @@ def exact_sign_changes(coeffs: QuadLawCoeffs) -> list[tuple[Fraction, Fraction]]
 
 
 # ---------------------------------------------------------------------------
-# dense matrix oracles
+# dense views, random families and dense matrix oracles
+
+
+def circulant(generator: Sequence[float]) -> FloatArray:
+    """Circulant matrix ``C[i, j] = g[(j − i) mod n]`` from a generator row,
+    or one such matrix for each row of a stack of rows."""
+    import numpy as np
+
+    g = np.asarray(generator, dtype=float)
+    n = g.shape[-1]
+    return g[..., (np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+def band_projector(split: SplitGeometry) -> FloatArray:
+    """``P_B = I − 11ᵀ/N − uuᵀ``, the projector onto B = span{1, u}^⊥."""
+    import numpy as np
+
+    n = split.n
+    return np.eye(n) - np.full((n, n), 1.0 / n) - np.outer(split.u, split.u)
+
+
+def random_symmetric_psd_circulant(n: int, rng: np.random.Generator) -> FloatArray:
+    """Random symmetric PSD circulant ``A·Aᵀ/n`` from a random circulant A."""
+    a = circulant(rng.standard_normal(n))
+    c = a @ a.T / n
+    return (c + c.T) / 2
+
+
+def random_family(n: int, rng: np.random.Generator, *, n_terms: int = 2) -> HessianFamily:
+    """Random validated family with m_ρ² = 2; a ridge of 0.5 on C₀ keeps
+    ``H_OO`` well conditioned.
+
+    Each coefficient reaches :func:`.schur.make_family` as the first row of
+    its dense symmetric circulant, so it takes the row validation path; both
+    paths store ``(row + row[rev])/2`` of that same row.
+    """
+    import numpy as np
+
+    from .schur import make_family
+
+    u_raw = rng.standard_normal(n)
+    while np.linalg.norm(u_raw - u_raw.mean()) < 1e-6:
+        u_raw = rng.standard_normal(n)
+    c0 = (random_symmetric_psd_circulant(n, rng) + 0.5 * np.eye(n))[0]
+    terms = []
+    for _ in range(n_terms):
+        s = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
+        terms.append((s, random_symmetric_psd_circulant(n, rng)[0]))
+    return make_family(n, 2.0, u_raw, c0, terms)
 
 
 def shift_matrix(n: int) -> FloatArray:
@@ -226,15 +292,21 @@ def band_basis(split: SplitGeometry) -> FloatArray:
 
 
 def _assemble_hessians(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
-    """``H(θ)`` for each θ, stacked (len(thetas) × n × n).  The weights come
-    from ``math.exp`` and the terms are added in order, so each matrix has the
-    same bits whatever the other θ of the stack."""
+    """``H(θ)`` for each θ, stacked (len(thetas) × n × n), as the circulants of
+    the rows ``c₀ + Σ e^{sθ}·c_k``, added in order, so each matrix has the same
+    bits whatever the other θ of the stack.  An e^{sθ} that overflows raises
+    ``OverflowError`` naming its θ, as the library's kernel does."""
     import numpy as np
-    w = np.array([[math.exp(t.s * theta) for t in fam.terms] for theta in thetas])
-    h = np.tile(fam.c0, (len(thetas), 1, 1))
+    w = np.empty((len(thetas), len(fam.terms)))
+    for i, theta in enumerate(thetas):
+        try:
+            w[i] = [math.exp(t.s * theta) for t in fam.terms]
+        except OverflowError:
+            raise OverflowError(f"e^(s*theta) overflows a float at theta={theta:g}") from None
+    rows = np.tile(fam.base.c, (len(thetas), 1))
     for k, t in enumerate(fam.terms):
-        h = h + w[:, k, None, None] * t.coef
-    return h
+        rows = rows + w[:, k, None] * np.asarray(t.c)
+    return circulant(rows)
 
 
 def assemble_hessian(fam: HessianFamily, theta: float) -> FloatArray:
@@ -422,3 +494,60 @@ def matrix_convexity_check(
     gaps = t * hs[0] + (1 - t) * hs[1] - hs[2:]
     w = np.linalg.eigvalsh((gaps + gaps.swapaxes(-1, -2)) / 2)
     return ConvexityGapReport(theta1, theta2, tuple(ts.tolist()), tuple(w[:, 0].tolist()))
+
+
+# ---------------------------------------------------------------------------
+# strict-convexity witness and the weighted class functional
+
+
+class StrictWitnessReport(NamedTuple):
+    """Strict-convexity witness for one exponential term on an interval."""
+
+    term_index: int
+    witness: float  # ‖P_B C_s P_B‖₂
+    min_second_difference: float
+    curvature_floor: float  # min d²κ / h²
+    strict: bool
+
+
+def strict_convexity_witness(
+    fam: HessianFamily,
+    term_index: int,
+    theta_min: float,
+    theta_max: float,
+    points: int = 101,
+) -> StrictWitnessReport:
+    """Witness ‖P_B C_{s}P_B‖ for a chosen term plus the observed κ curvature
+    floor on the interval; ``strict`` when the witness exceeds WITNESS_TOL =
+    1e-12 and the floor is positive."""
+    import numpy as np
+
+    from .schur import kappa_convexity_scan
+
+    if not 0 <= term_index < len(fam.terms):
+        raise ValueError(f"term index {term_index} out of range")
+    term = fam.terms[term_index]
+    if term.s == 0:
+        raise ValueError("witness term must have a nonzero exponent")
+    pb = band_projector(fam.split)
+    witness = float(np.linalg.norm(pb @ circulant(term.c) @ pb, 2))
+    scan = kappa_convexity_scan(fam, theta_min, theta_max, points)
+    h = (theta_max - theta_min) / (points - 1)
+    floor = scan.min_second_difference / (h * h)
+    strict = witness > WITNESS_TOL and scan.min_second_difference > 0
+    return StrictWitnessReport(term_index, witness, scan.min_second_difference, floor, strict)
+
+
+def q_class_functional_from_weights(
+    k1: FloatArray, k2: FloatArray, split: SplitGeometry, weights: Sequence[float]
+) -> float:
+    """``Tr(P_B K₁ D K₂ P_B)/dim B`` with ``D = diag(1/x_r)`` from weights x,
+    kept only for the ``s.q-class-uniform`` record of ``verify``."""
+    import numpy as np
+
+    x = np.asarray([float(w) for w in weights])
+    if x.shape != (split.n,) or not (np.isfinite(x) & (x > 0)).all():
+        raise ValueError(f"need {split.n} positive weights")
+    d = np.diag(1.0 / x)
+    pb = band_projector(split)
+    return float(np.trace(pb @ k1 @ d @ k2 @ pb)) / split.dim_band

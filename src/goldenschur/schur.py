@@ -23,10 +23,10 @@ when ĉ ≥ 0 (:attr:`HessianFamily._kappa_form`; ĉ is not clamped).  Nothing
 cancels, so each θ costs O(K²); the tests hold κ to 4 ulps of the exact value
 of its float inputs on fixed draws, and 16 000 random draws at N ≤ 40 reached
 4.7 ulps.  The singular-block guard is exact at every θ: it reads
-‖P H P‖_F² = wᵀGw, and at each θ a wᵀGw that is not finite raises
-``OverflowError``, then ``h ≤ ‖P H P‖_F/COND_LIMIT`` raises the singular-block
-``ValueError``, and only then is κ taken.  Validation reads symmetry and
-positivity off the rows; no N×N array is built.
+‖P H P‖_F² = wᵀGw, and at each θ an e^{sθ} or a wᵀGw that is not finite
+raises an ``OverflowError`` naming θ, then ``h ≤ ‖P H P‖_F/COND_LIMIT`` raises
+the singular-block ``ValueError``, and only then is κ taken.  Validation
+reads symmetry and positivity off the rows; no N×N array is built.
 
 Everything on that route, from the family file to the scan, runs on Python
 floats and needs only the standard library.  The spectra come from a real
@@ -34,10 +34,9 @@ FFT (:func:`_rfft`) of O(N log N) for every N: a radix-2 recursion down to
 blocks of at most 8 points, or odd ones below 16, that are summed directly,
 and Bluestein's chirp-z for a longer odd block.  A row takes about 10 µs at
 N = 12, 55 µs at N = 64, 230 µs at N = 256, 1.7 ms at N = 255 and 8 ms at
-N = 1009 (2-CPU Xeon, Python 3.11).  numpy is imported only by the dense
-helpers, where they run: :func:`circulant`, :attr:`ExpTerm.coef`,
-:attr:`SplitGeometry.p_band`, the ``random_*`` generators,
-:func:`strict_convexity_witness` and :func:`q_class_functional_from_weights`.
+N = 1009 (2-CPU Xeon, Python 3.11).  No family holds an N×N array: the dense
+views of a family, the random families and the strict-convexity witness are
+in :mod:`.oracle`, the one module that builds them.
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 if TYPE_CHECKING:
     from os import PathLike
 
-    import numpy as np
-    from numpy.typing import NDArray
-
-    FloatArray = NDArray[np.float64]
-
 
 __all__ = [
     "FamilyValidationError",
@@ -65,17 +59,11 @@ __all__ = [
     "ExpTerm",
     "HessianFamily",
     "make_family",
-    "circulant",
-    "random_symmetric_psd_circulant",
-    "random_family",
     "family_from_dict",
     "load_family",
     "schur_curvature",
     "CurvatureScan",
     "kappa_convexity_scan",
-    "StrictWitnessReport",
-    "strict_convexity_witness",
-    "q_class_functional_from_weights",
 ]
 
 #: Loewner / symmetry slack for validated families.
@@ -86,8 +74,6 @@ EQUIVARIANCE_TOL = 1e-10
 COND_LIMIT = 1e12
 #: Relative slack of a κ second difference in :func:`kappa_convexity_scan`.
 CONVEXITY_RTOL = 1e-8
-#: Smallest band-projected term norm that witnesses strict convexity.
-WITNESS_TOL = 1e-12
 #: Longest block that :func:`_fft` sums directly; an odd block, which cannot
 #: be halved, is summed directly below twice this length.
 _DIRECT_MAX = 8
@@ -184,17 +170,7 @@ def _rfft(x: Sequence[float]) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# circulant / dihedral helpers
-
-
-def circulant(generator: Sequence[float]) -> FloatArray:
-    """Circulant matrix ``C[i, j] = g[(j − i) mod n]`` from a generator row."""
-    import numpy as np
-
-    g = np.asarray(generator, dtype=float)
-    n = g.shape[0]
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return g[idx]
+# coefficient shapes
 
 
 def _floats(x: object) -> object:
@@ -246,14 +222,6 @@ class SplitGeometry:
     def dim_band(self) -> int:
         return self.n - 2
 
-    @cached_property
-    def p_band(self) -> FloatArray:
-        """Projector onto B = span{1, u}^⊥."""
-        import numpy as np
-
-        n = self.n
-        return np.eye(n) - np.full((n, n), 1.0 / n) - np.outer(self.u, self.u)
-
 
 def build_split(n: int, m_rho_sq: float, u_raw: Sequence[float]) -> SplitGeometry:
     """Build the split from a raw collective direction.
@@ -295,11 +263,6 @@ class ExpTerm:
         self.s, self.c = s, tuple(map(float, c))
 
     @cached_property
-    def coef(self) -> FloatArray:
-        """C as an (n, n) numpy matrix, built on first use."""
-        return circulant(self.c)
-
-    @cached_property
     def spectrum(self) -> tuple[float, ...]:
         """C's eigenvalues on the real-DFT bins j = 0 … N//2: the real parts
         of the row's DFT (the imaginary parts are rounding noise)."""
@@ -316,10 +279,6 @@ class HessianFamily:
     @property
     def n(self) -> int:
         return self.split.n
-
-    @property
-    def c0(self) -> FloatArray:
-        return self.base.coef
 
     @cached_property
     def _kappa_form(self) -> tuple[list[list[float]], list[float], list[list[float]]]:
@@ -453,34 +412,6 @@ def make_family(
     return HessianFamily(split, built[0], built[1:])
 
 
-def random_symmetric_psd_circulant(n: int, rng: np.random.Generator) -> FloatArray:
-    """Random symmetric PSD circulant ``A·Aᵀ/n`` from a random circulant A."""
-    a = circulant(rng.standard_normal(n))
-    c = a @ a.T / n
-    return (c + c.T) / 2
-
-
-def random_family(n: int, rng: np.random.Generator, *, n_terms: int = 2) -> HessianFamily:
-    """Random validated family with m_ρ² = 2; a ridge of 0.5 on C₀ keeps
-    ``H_OO`` well conditioned.
-
-    Each coefficient reaches :func:`make_family` as the first row of its dense
-    symmetric circulant, so it takes the row validation path; both paths
-    store ``(row + row[rev])/2`` of that same row.
-    """
-    import numpy as np
-
-    u_raw = rng.standard_normal(n)
-    while np.linalg.norm(u_raw - u_raw.mean()) < 1e-6:
-        u_raw = rng.standard_normal(n)
-    c0 = (random_symmetric_psd_circulant(n, rng) + 0.5 * np.eye(n))[0]
-    terms = []
-    for _ in range(n_terms):
-        s = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
-        terms.append((s, random_symmetric_psd_circulant(n, rng)[0]))
-    return make_family(n, 2.0, u_raw, c0, terms)
-
-
 # ---------------------------------------------------------------------------
 # family file format
 
@@ -585,9 +516,9 @@ def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> list[float]:
     bound on it; raises ``OverflowError`` if it is not finite, or the
     singular-block ``ValueError`` if ``h ≤ ‖P H P‖_F/COND_LIMIT``; and then
     takes κ.
-    Where ``math.exp`` overflows, the grid is replayed θ by θ, so the first
-    θ that fails raises, as in a θ-by-θ dense scan.  A θ gets the same bits
-    alone or inside a grid.
+    Where ``math.exp`` overflows, the grid is replayed θ by θ, so the first θ
+    that fails raises, as in a θ-by-θ dense scan, and an overflowing e^{sθ}
+    names its θ.  A θ gets the same bits alone or inside a grid.
     """
     mm, h_k, g = fam._kappa_form
     exponents = [float(t.s) for t in fam.terms]
@@ -595,7 +526,7 @@ def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> list[float]:
         w = [[1.0] * len(thetas), *[list(map(math.exp, map(s.__mul__, thetas))) for s in exponents]]
     except OverflowError:
         if len(thetas) == 1:
-            raise
+            raise OverflowError(f"e^(s*theta) overflows a float at theta={thetas[0]:g}") from None
         # the θ whose weight overflowed overflows again on its own
         return [_curvatures(fam, [theta])[0] for theta in thetas]
     # M and G are symmetric: w_k·w_l·X_kl + w_l·w_k·X_lk = w_k·w_l·(2·X_kl), exactly
@@ -682,62 +613,3 @@ def kappa_convexity_scan(
         if d < 0 and d < -CONVEXITY_RTOL * max(1.0, abs(k))
     ]
     return CurvatureScan(tuple(thetas), tuple(kappas), tuple(d2), tuple(bad))
-
-
-class StrictWitnessReport(NamedTuple):
-    """Strict-convexity witness for one exponential term on an interval."""
-
-    term_index: int
-    witness: float  # ‖P_B C_s P_B‖₂
-    min_second_difference: float
-    curvature_floor: float  # min d²κ / h²
-    strict: bool
-
-
-def strict_convexity_witness(
-    fam: HessianFamily,
-    term_index: int,
-    theta_min: float,
-    theta_max: float,
-    points: int = 101,
-) -> StrictWitnessReport:
-    """Witness ‖P_B C_{s}P_B‖ for a chosen term plus the observed κ curvature
-    floor on the interval; ``strict`` when the witness exceeds WITNESS_TOL =
-    1e-12 and the floor is positive."""
-    import numpy as np
-
-    if not 0 <= term_index < len(fam.terms):
-        raise ValueError(f"term index {term_index} out of range")
-    term = fam.terms[term_index]
-    if term.s == 0:
-        raise ValueError("witness term must have a nonzero exponent")
-    pb = fam.split.p_band
-    witness = float(np.linalg.norm(pb @ term.coef @ pb, 2))
-    scan = kappa_convexity_scan(fam, theta_min, theta_max, points)
-    h = (theta_max - theta_min) / (points - 1)
-    floor = scan.min_second_difference / (h * h)
-    return StrictWitnessReport(
-        term_index,
-        witness,
-        scan.min_second_difference,
-        floor,
-        witness > WITNESS_TOL and scan.min_second_difference > 0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# weighted quadratic class functional
-
-
-def q_class_functional_from_weights(
-    k1: FloatArray, k2: FloatArray, split: SplitGeometry, weights: Sequence[float]
-) -> float:
-    """``Tr(P_B K₁ D K₂ P_B)/dim B`` with ``D = diag(1/x_r)`` from weights x."""
-    import numpy as np
-
-    x = np.asarray([float(w) for w in weights])
-    if x.shape != (split.n,) or not (np.isfinite(x) & (x > 0)).all():
-        raise ValueError(f"need {split.n} positive weights")
-    d = np.diag(1.0 / x)
-    pb = split.p_band
-    return float(np.trace(pb @ k1 @ d @ k2 @ pb)) / split.dim_band

@@ -27,11 +27,17 @@ from .lockin import (
     synthesize_consistent_ab,
 )
 from .oracle import (
+    band_projector,
+    circulant,
     dense_curvature,
     exact_sign_changes,
     f_red_prime_direct_q,
     fibonacci,
     matrix_convexity_check,
+    q_class_functional_from_weights,
+    random_family,
+    random_symmetric_psd_circulant,
+    strict_convexity_witness,
     sums_at_qstar,
     sums_bruteforce,
     variational_check,
@@ -44,14 +50,9 @@ from .schur import (
     FamilyValidationError,
     HessianFamily,
     build_split,
-    circulant,
     kappa_convexity_scan,
     make_family,
-    q_class_functional_from_weights,
-    random_family,
-    random_symmetric_psd_circulant,
     schur_curvature,
-    strict_convexity_witness,
 )
 
 __all__ = ["SUITES", "run_suite"]
@@ -355,7 +356,7 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
     for _ in range(40):
         n = int(rng.integers(3, 13))
         split = build_split(n, 2.0, rng.standard_normal(n))
-        pb = split.p_band
+        pb = band_projector(split)
         worst_split = max(
             worst_split,
             float(np.max(np.abs(pb - pb.T))),
@@ -514,7 +515,8 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
     k1 = random_symmetric_psd_circulant(8, rng)
     k2 = random_symmetric_psd_circulant(8, rng)
     uniform = q_class_functional_from_weights(k1, k2, split, [1.0 / 8] * 8)
-    direct = 8 * float(np.trace(split.p_band @ k1 @ k2 @ split.p_band)) / split.dim_band
+    pb = band_projector(split)
+    direct = 8 * float(np.trace(pb @ k1 @ k2 @ pb)) / split.dim_band
     doc.add(
         "s.q-class-uniform",
         "uniform weights reduce the weighted class functional to N·Tr(P_B K1 K2 P_B)/dim B",

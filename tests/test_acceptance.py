@@ -26,6 +26,7 @@ from goldenschur.lockin import (
 from goldenschur.oracle import (
     block_hessian,
     matrix_convexity_check,
+    random_family,
     schur_complement,
     sums_at_qstar,
     sums_bruteforce,
@@ -39,7 +40,6 @@ from goldenschur.schur import (
     HessianFamily,
     build_split,
     kappa_convexity_scan,
-    random_family,
     schur_curvature,
 )
 

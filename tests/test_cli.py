@@ -20,16 +20,8 @@ from goldenschur.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-FAMILY_DOC = {
-    "N": 6,
-    "m_rho_sq": 2.0,
-    "u": [math.cos(2 * math.pi * k / 6) for k in range(6)],
-    "C0": {"circulant": [2.5, 0.5, 0.0, 0.0, 0.0, 0.5]},
-    "terms": [
-        {"s": 1.0, "C": {"circulant": [1.0, 0.5, 0.0, 0.0, 0.0, 0.5]}},
-        {"s": -0.7, "C": {"circulant": [1.5, 0.0, 0.5, 0.0, 0.5, 0.0]}},
-    ],
-}
+#: The N = 6 family with u = cos(2πk/6), as CI scans it.
+FAMILY_DOC = json.loads((FIXTURES / "ci-family.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -949,11 +941,14 @@ def test_schur_fails_on_validated_concave_family(capsys, name, grid, violations)
 
 
 def test_schur_overflow_is_a_computation_failure(capsys, family_file):
-    # e^{1500} overflows math.exp; numpy must not turn it into a warning
+    # e^{749} overflows math.exp at the middle point of the grid (−2, 749,
+    # 1500), the first that fails; numpy must not turn it into a warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "schur", family_file, "-2", "1500", "3")
-    assert (code, out, err) == (1, "", "computation failed: math range error\n")
+    assert (code, out, err) == (
+        1, "", "computation failed: e^(s*theta) overflows a float at theta=749\n"
+    )
     assert caught == []
 
 
@@ -1317,15 +1312,19 @@ def test_exact_oracles_load_no_numpy():
 
 
 def test_schur_module_loads_neither_numpy_nor_dataclasses():
+    # nor does building the fixture family and scanning it
     code = (
-        "import sys, goldenschur.schur\n"
-        "print([m for m in ('numpy', 'dataclasses') if m in sys.modules])"
+        "import sys\n"
+        "from goldenschur.schur import kappa_convexity_scan, load_family\n"
+        "scan = kappa_convexity_scan(load_family(sys.argv[1]), -2.0, -0.1, 41)\n"
+        "print(scan.convex_ok, [m for m in ('numpy', 'dataclasses') if m in sys.modules])"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, str(FIXTURES / "ci-family.json")],
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "True []"
 
 
 def test_verify_loads_no_dataclasses():
@@ -1476,13 +1475,16 @@ _MOVED_TO_ORACLE = {
         "assemble_hessian", "BlockHessian", "block_hessian", "schur_complement",
         "dense_curvature", "variational_expression", "VariationalReport", "variational_check",
         "ConvexityGapReport", "matrix_convexity_check", "shift_matrix", "reversal_matrix",
-        "LOEWNER_TOL",
+        "LOEWNER_TOL", "circulant", "random_symmetric_psd_circulant", "random_family",
+        "StrictWitnessReport", "strict_convexity_witness", "WITNESS_TOL",
+        "q_class_functional_from_weights",
     ),
 }
 
 
 def test_package_namespace_resolves_lazily():
-    assert len(goldenschur.__all__) == 40
+    assert len(goldenschur.__all__) == 35
+    assert len(importlib.import_module("goldenschur.schur").__all__) == 11
     assert "moments_at_qstar" not in goldenschur.__all__
     moved = [name for names in _MOVED_TO_ORACLE.values() for name in names]
     for removed in ("LambdaValue", "reduce_power", "f_red", "f_red_prime", "f_red_prime_direct",

@@ -18,13 +18,19 @@ from goldenschur.lockin import quadratic_law_fit
 from goldenschur.oracle import (
     assemble_hessian,
     band_basis,
+    band_projector,
     block_hessian,
+    circulant,
     dense_curvature,
     exact_kappa,
     matrix_convexity_check,
+    q_class_functional_from_weights,
+    random_family,
+    random_symmetric_psd_circulant,
     reversal_matrix,
     schur_complement,
     shift_matrix,
+    strict_convexity_witness,
     variational_check,
     variational_expression,
 )
@@ -37,16 +43,11 @@ from goldenschur.schur import (
     FamilyValidationError,
     HessianFamily,
     build_split,
-    circulant,
     family_from_dict,
     kappa_convexity_scan,
     load_family,
     make_family,
-    q_class_functional_from_weights,
-    random_family,
-    random_symmetric_psd_circulant,
     schur_curvature,
-    strict_convexity_witness,
 )
 from goldenschur.schur import _DIRECT_MAX, _chirp, _dft, _grid, _rfft, _roots
 
@@ -54,13 +55,16 @@ RNG_SEED = 20260819
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def ring_family(n=6, *, s1=1.0, s2=-0.7):
-    """Deterministic two-term circulant family used across tests."""
-    c0 = circulant([2.5] + [0.5] + [0.0] * (n - 3) + [0.5])
-    c1 = circulant([1.0, 0.5] + [0.0] * (n - 3) + [0.5])
-    c2 = circulant([1.5, 0.0, 0.5] + [0.0] * (n - 5) + [0.5, 0.0])
-    u = [math.cos(2 * math.pi * k / n) for k in range(n)]
-    return make_family(n, 2.0, u, c0, [(s1, c1), (s2, c2)])
+def family_doc():
+    """The N = 6 family of ``tests/fixtures/ci-family.json``, u = cos(2πk/6)."""
+    return json.loads((FIXTURES / "ci-family.json").read_text())
+
+
+def ring_family(*, s1=1.0):
+    """The fixture family, with the exponent of its first term set to s1."""
+    doc = family_doc()
+    doc["terms"][0]["s"] = s1
+    return family_from_dict(doc)
 
 
 def row_family(u_raw, row0, terms):
@@ -84,6 +88,9 @@ def test_circulant_layout():
     # row i is the generator rotated right: C[i, j] = g[(j − i) mod n]
     assert c[1].tolist() == [4.0, 1.0, 2.0, 3.0]
     assert c[2, 0] == 3.0
+    # a stack of rows gives the stack of their circulants
+    rows = np.arange(12.0).reshape(3, 4)
+    assert np.array_equal(circulant(rows), np.stack([circulant(row) for row in rows]))
 
 
 def test_circulant_commutes_with_shift():
@@ -199,7 +206,7 @@ def test_build_split_geometry():
     assert abs(u @ ones) < 1e-14
     assert math.isclose(u @ u, 1.0, rel_tol=1e-14)
     # P_B is the orthogonal projector onto the complement of span{1, u}
-    p = split.p_band
+    p = band_projector(split)
     assert np.allclose(p, p.T)
     assert np.allclose(p @ p, p)
     assert np.allclose(p @ ones, 0.0)
@@ -221,7 +228,7 @@ def test_build_split_mean_removal():
     s1 = build_split(n, 2.0, base)
     s2 = build_split(n, 2.0, [x + 5.0 for x in base])
     assert np.allclose(s1.u, s2.u)
-    assert np.allclose(s1.p_band, s2.p_band)
+    assert np.allclose(band_projector(s1), band_projector(s2))
 
 
 def test_build_split_rejects_bad_inputs():
@@ -253,15 +260,19 @@ def test_build_split_rejects_an_infinite_mass():
 
 
 def test_make_family_and_assemble():
-    fam = ring_family()
-    h0 = assemble_hessian(fam, 0.0)
-    expected = fam.c0 + sum(t.coef for t in fam.terms)
-    assert np.allclose(h0, expected)
-    theta = -0.7
-    h = assemble_hessian(fam, theta)
-    expected = fam.c0 + sum(math.exp(t.s * theta) * t.coef for t in fam.terms)
-    assert np.allclose(h, expected)
-    assert np.allclose(h, h.T)
+    # H(θ), the circulant of the weighted row, has the bits of the sum of the
+    # dense terms, on the fixture family and on random ones
+    rng = np.random.default_rng(RNG_SEED + 5)
+    fams = [random_family(int(rng.integers(3, 40)), rng, n_terms=int(rng.integers(0, 4)))
+            for _ in range(40)]
+    for fam in (ring_family(), *fams):
+        for theta in (0.0, -0.7, float(rng.uniform(-3.0, 1.0))):
+            h = assemble_hessian(fam, theta)
+            expected = circulant(fam.base.c)
+            for t in fam.terms:
+                expected = expected + math.exp(t.s * theta) * circulant(t.c)
+            assert np.array_equal(h, expected)
+            assert np.array_equal(h, h.T)
 
 
 def test_validation_collects_all_violations():
@@ -401,15 +412,15 @@ print(code, "goldenschur.oracle" in sys.modules)
 """
 
 
-def test_circulant_family_builds_no_dense_array(tmp_path):
-    fam = family_from_dict(family_doc())
+def test_circulant_family_builds_no_dense_array():
+    path = FIXTURES / "ci-family.json"
+    fam = load_family(path)
     kappa_convexity_scan(fam, -2.0, -0.1, 11)
-    assert "p_band" not in vars(fam.split)
-    assert all(np.shape(t.c) == (6,) and "coef" not in vars(t) for t in (fam.base, *fam.terms))
-    assert fam.c0.shape == (6, 6)  # built on first use
+    # a family keeps its generator rows and no dense view of them
+    assert all(np.shape(t.c) == (6,) for t in (fam.base, *fam.terms))
+    assert not hasattr(fam, "c0") and not hasattr(fam.split, "p_band")
+    assert not any(hasattr(t, "coef") for t in (fam.base, *fam.terms))
     # the dense blocks live in the oracle module, which `schur` never loads
-    path = tmp_path / "family.json"
-    path.write_text(json.dumps(family_doc()))
     proc = subprocess.run(
         [sys.executable, "-c", _SCHUR_LOADS_ORACLE, str(path), "-2.0", "-0.1", "11", "--fit-law"],
         capture_output=True,
@@ -937,6 +948,17 @@ def assert_same_scan_error(fam, theta_min, theta_max, points):
     return str(exc.value)
 
 
+def test_weight_overflow_names_its_theta():
+    # e^{1·1500} overflows math.exp: alone, on both routes, and at θ = 749,
+    # the first grid point of (−2, 749, 1500) whose weight overflows
+    fam = load_family(FIXTURES / "ci-family.json")
+    for curvature in (schur_curvature, dense_curvature):
+        with pytest.raises(OverflowError, match=r"^e\^\(s\*theta\) overflows a float at theta=1500$"):
+            curvature(fam, 1500.0)
+    message = assert_same_scan_error(fam, -2.0, 1500.0, 3)
+    assert message == "e^(s*theta) overflows a float at theta=749"
+
+
 def kernel_family(terms):
     """n = 6, u = cos(2πk/6), and a PSD circulant C0 with C0·u = 0."""
     n = 6
@@ -1040,7 +1062,7 @@ def test_q_class_functional_hand_loop():
     k2 = circulant([1.0, 0.5, 0.5])
     w = [float(x) for x in folded_weights(n, Fraction(1, 2))]
     d_inv = np.diag([1.0 / x for x in w])
-    p = split.p_band
+    p = band_projector(split)
     acc = 0.0
     for i in range(n):
         for a in range(n):
@@ -1067,7 +1089,7 @@ def test_q_class_functional_uniform_weights():
     k2 = circulant([0.7, 0.1, 0.2, 0.2, 0.1])
     w = [1.0 / n] * n
     got = q_class_functional_from_weights(k1, k2, split, w)
-    p = split.p_band
+    p = band_projector(split)
     expected = n * np.trace(p @ k1 @ k2 @ p) / split.dim_band
     assert math.isclose(got, expected, rel_tol=1e-12)
 
@@ -1190,19 +1212,6 @@ def test_quadratic_law_fit_needs_two_points():
 # ---------------------------------------------------------------------------
 
 
-def family_doc(n=6):
-    return {
-        "N": n,
-        "m_rho_sq": 2.0,
-        "u": [math.cos(2 * math.pi * k / n) for k in range(n)],
-        "C0": {"circulant": [2.5, 0.5, 0.0, 0.0, 0.0, 0.5]},
-        "terms": [
-            {"s": 1.0, "C": {"circulant": [1.0, 0.5, 0.0, 0.0, 0.0, 0.5]}},
-            {"s": -0.7, "C": {"circulant": [1.5, 0.0, 0.5, 0.0, 0.5, 0.0]}},
-        ],
-    }
-
-
 def test_family_from_dict_circulant_and_dense_agree():
     doc = family_doc()
     fam1 = family_from_dict(doc)
@@ -1212,10 +1221,10 @@ def test_family_from_dict_circulant_and_dense_agree():
         {"s": t["s"], "C": circulant(t["C"]["circulant"]).tolist()} for t in doc["terms"]
     ]
     fam2 = family_from_dict(dense)
-    assert np.allclose(fam1.c0, fam2.c0)
+    assert fam1.base.c == fam2.base.c
     for t1, t2 in zip(fam1.terms, fam2.terms):
         assert t1.s == t2.s
-        assert np.allclose(t1.coef, t2.coef)
+        assert t1.c == t2.c
 
 
 def test_family_from_dict_flat_matrix():
@@ -1223,7 +1232,7 @@ def test_family_from_dict_flat_matrix():
     flat = dict(doc)
     flat["C0"] = [x for row in circulant([2.5, 0.5, 0, 0, 0, 0.5]).tolist() for x in row]
     fam = family_from_dict(flat)
-    assert np.allclose(fam.c0, family_from_dict(doc).c0)
+    assert fam.base.c == family_from_dict(doc).base.c
 
 
 def test_load_family_round_trip(tmp_path):

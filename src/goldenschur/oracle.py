@@ -24,11 +24,15 @@ independent route here.  Each oracle, and the library route it checks:
   :func:`.lockin.stationarity_check` decides from the monotonicity of Λ.
 * :func:`dense_curvature`, the trace of the dense Schur complement
   (:func:`assemble_hessian`, :func:`band_basis`, :func:`block_hessian`,
-  :func:`schur_complement`): the spectral :func:`.schur.schur_curvature`.
+  :func:`schur_complement`): the spectral :func:`.schur.schur_curvature`,
+  where H(θ) is a finite float; this route holds H(θ) itself, so it fails
+  where e^{sθ} or ‖H‖_F overflows.
 * :func:`exact_kappa`, κ_Schur in Fractions from the stored rows and the
   raw collective direction: the float kernel of
   :func:`.schur.schur_curvature` at the same float weights, which the tests
-  hold to 4 ulps of it on fixed draws (random draws reach about 5).
+  hold to 4 ulps of it on fixed draws (random draws reach about 5).  Where
+  the kernel scales its weights by e^{−r}, homogeneity gives the exact value
+  at them: κ(w̃₀, w̃) = w̃₀·κ(1, w̃/w̃₀).
 * :func:`variational_check`: the Schur complement as the Loewner minimum of
   :func:`variational_expression` over couplings Y.
 * :func:`matrix_convexity_check`: the Loewner convexity of θ ↦ H(θ) that
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain, sums_closed
@@ -218,14 +223,23 @@ def exact_sign_changes(coeffs: QuadLawCoeffs) -> list[tuple[Fraction, Fraction]]
 # dense views, random families and dense matrix oracles
 
 
+@lru_cache(maxsize=16)
+def _circulant_index(n: int) -> NDArray[np.intp]:
+    """The read-only (n, n) array ``(j − i) mod n``."""
+    import numpy as np
+
+    index = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    index.flags.writeable = False
+    return index
+
+
 def circulant(generator: Sequence[float]) -> FloatArray:
     """Circulant matrix ``C[i, j] = g[(j − i) mod n]`` from a generator row,
     or one such matrix for each row of a stack of rows."""
     import numpy as np
 
     g = np.asarray(generator, dtype=float)
-    n = g.shape[-1]
-    return g[..., (np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    return g[..., _circulant_index(g.shape[-1])]
 
 
 def band_projector(split: SplitGeometry) -> FloatArray:
@@ -261,7 +275,8 @@ def random_family(n: int, rng: np.random.Generator, *, n_terms: int = 2) -> Hess
     c0 = (random_symmetric_psd_circulant(n, rng) + 0.5 * np.eye(n))[0]
     terms = []
     for _ in range(n_terms):
-        s = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
+        # the draw of rng.choice([-1.0, 1.0]), from the same stream
+        s = float(rng.uniform(0.3, 2.0) * (-1.0, 1.0)[rng.integers(2)])
         terms.append((s, random_symmetric_psd_circulant(n, rng)[0]))
     return make_family(n, 2.0, u_raw, c0, terms)
 
@@ -295,14 +310,11 @@ def _assemble_hessians(fam: HessianFamily, thetas: Sequence[float]) -> FloatArra
     """``H(θ)`` for each θ, stacked (len(thetas) × n × n), as the circulants of
     the rows ``c₀ + Σ e^{sθ}·c_k``, added in order, so each matrix has the same
     bits whatever the other θ of the stack.  An e^{sθ} that overflows raises
-    ``OverflowError`` naming its θ, as the library's kernel does."""
+    ``OverflowError``: this route has only H(θ) itself, not a scaled form."""
     import numpy as np
     w = np.empty((len(thetas), len(fam.terms)))
     for i, theta in enumerate(thetas):
-        try:
-            w[i] = [math.exp(t.s * theta) for t in fam.terms]
-        except OverflowError:
-            raise OverflowError(f"e^(s*theta) overflows a float at theta={theta:g}") from None
+        w[i] = [math.exp(t.s * theta) for t in fam.terms]
     rows = np.tile(fam.base.c, (len(thetas), 1))
     for k, t in enumerate(fam.terms):
         rows = rows + w[:, k, None] * np.asarray(t.c)

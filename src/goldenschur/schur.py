@@ -22,11 +22,14 @@ and M ≥ 0 built once per family in O(K²·N) from sums of nonnegative terms
 when ĉ ≥ 0 (:attr:`HessianFamily._kappa_form`; ĉ is not clamped).  Nothing
 cancels, so each θ costs O(K²); the tests hold κ to 4 ulps of the exact value
 of its float inputs on fixed draws, and 16 000 random draws at N ≤ 40 reached
-4.7 ulps.  The singular-block guard is exact at every θ: it reads
-‖P H P‖_F² = wᵀGw, and at each θ an e^{sθ} or a wᵀGw that is not finite
-raises an ``OverflowError`` naming θ, then ``h ≤ ‖P H P‖_F/COND_LIMIT`` raises
-the singular-block ``ValueError``, and only then is κ taken.  Validation
-reads symmetry and positivity off the rows; no N×N array is built.
+4.7 ulps.  κ is homogeneous of degree 1 in w and the guard ratio
+h/‖P H P‖_F of degree 0, so κ is e^r times κ at the weights e^{sθ − r}, C₀'s
+e^{−r}, with r = 0 unless a weight would pass the family's bound beyond which
+wᵀGw or wᵀMw could overflow: κ is returned wherever it is a finite float.  At
+each θ, ``h ≤ ‖P H P‖_F/COND_LIMIT``, with ‖P H P‖_F² = wᵀGw formed exactly,
+raises the singular-block ``ValueError``, and then a κ beyond the float range
+an ``OverflowError`` naming θ.  Validation reads symmetry and positivity off
+the rows; no N×N array is built.
 
 Everything on that route, from the family file to the scan, runs on Python
 floats and needs only the standard library.  The spectra come from a real
@@ -43,9 +46,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -281,13 +285,18 @@ class HessianFamily:
         return self.split.n
 
     @cached_property
-    def _kappa_form(self) -> tuple[list[list[float]], list[float], list[list[float]]]:
-        """``(M, h, G)``: (N − 2)·κ = wᵀMw/hᵀw and ‖P H P‖_F² = wᵀGw.
+    def _kappa_form(self) -> tuple[list[list[float]], list[float], list[list[float]], int, float]:
+        """``(M, h, G, e, t)``: (N − 2)·κ = 2^e·wᵀMw/hᵀw and
+        ‖P H P‖_F² = 4^e·wᵀGw, and no sum of wᵀMw or wᵀGw overflows while
+        every weight is at most e^t.
 
-        On the real-DFT bins j, ĉ_kj is C_k's spectrum, m_j the multiplicity
-        of bin j in the range of P = I − 11ᵀ/N and p_j = m_j·|û_j|²/N, Σp = 1:
-        h_k = Σ_j p_j·ĉ_kj, G_kl = Σ_j m_j·ĉ_kj·ĉ_lj and, symmetrised,
-        M_kl = Σ_{j≥1} ĉ_kj·((m_j − 1)·h_l + Σ_{i≠j} p_i·ĉ_li).  The few-ulp
+        On the real-DFT bins j, ĉ_kj is C_k's spectrum in units of 2^e, m_j the
+        multiplicity of bin j in the range of P = I − 11ᵀ/N and
+        p_j = m_j·|û_j|²/N, Σp = 1: h_k = Σ_j p_j·ĉ_kj, G_kl = Σ_j m_j·ĉ_kj·ĉ_lj
+        and, symmetrised, M_kl = Σ_{j≥1} ĉ_kj·((m_j − 1)·h_l + Σ_{i≠j} p_i·ĉ_li).
+        Bin 0 has m_0 = p_0 = 0.  e = 0 unless a spectrum reaches 2^480, where
+        G could overflow; a power of 2 scales every sum exactly, barring
+        underflow.  The few-ulp
         accuracy rests on ĉ ≥ 0, where no term is negative.  ĉ is not clamped,
         since the identity holds for any ĉ: a negative that validation admits
         (down to −PSD_TOL·‖C_k‖_F) adds its terms' size to the error.
@@ -296,6 +305,10 @@ class HessianFamily:
         m = [0.0] + [1.0 if 2 * j == n else 2.0 for j in range(1, n // 2 + 1)]
         p = [mj * (x.real**2 + x.imag**2) / n for mj, x in zip(m, _rfft(self.split.u))]
         c_hat = [t.spectrum for t in (self.base, *self.terms)]
+        top = max(abs(x) for c in c_hat for x in c[1:])
+        e = max(0, math.frexp(top)[1] - 480)
+        if e:
+            c_hat = [[math.ldexp(x, -e) for x in c] for c in c_hat]
         pc = [list(map(mul, p, c)) for c in c_hat]
         h = [math.fsum(r) for r in pc]
         # (m_j − 1)·h_l + Σ_{i≠j} p_i·ĉ_li is 2h_l − p_j·ĉ_lj ≥ h_l where m_j = 2;
@@ -305,12 +318,14 @@ class HessianFamily:
             for xl, r in zip(x, pc):
                 xl[-1] = math.fsum(r[:-1])
         mm = [[math.fsum(map(mul, ck[1:], xl)) for xl in x] for ck in c_hat]
+        mm = [[(a + b) / 2 for a, b in zip(row, col)] for row, col in zip(mm, zip(*mm))]
         mc = [list(map(mul, m, c)) for c in c_hat]
-        return (
-            [[(a + b) / 2 for a, b in zip(row, col)] for row, col in zip(mm, zip(*mm))],
-            h,
-            [[math.fsum(map(mul, a, c)) for c in c_hat] for a in mc],
-        )
+        g = [[math.fsum(map(mul, a, c)) for c in c_hat] for a in mc]
+        # with every w ≤ e^t, Σ_kl |X_kl|·w_k·w_l ≤ (K + 1)²·max|X|·e^{2t} = DBL_MAX/2,
+        # and w_k·w_l ≤ DBL_MAX/2
+        top = max(abs(x) for row in (*mm, *g) for x in row)
+        t = (math.log(sys.float_info.max / 2) - math.log(max(1.0, len(c_hat) ** 2 * top))) / 2
+        return mm, h, g, e, t
 
 
 def _validate_coef(
@@ -369,6 +384,9 @@ def _validate_coef(
             if dense:
                 return None
     term = ExpTerm(s, [(a + b) / 2 for a, b in zip(row, rev)])
+    if not all(map(math.isfinite, term.spectrum)):  # finite entries near the float limit
+        violations.append(f"{name}: spectrum overflows a float")
+        return None
     low = min(term.spectrum)
     if low < -PSD_TOL * scale:
         violations.append(f"{name}: not PSD (min eigenvalue = {low:.3e})")
@@ -508,53 +526,70 @@ def load_family(path: str | PathLike[str]) -> HessianFamily:
 # Schur curvature
 
 
-def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> list[float]:
-    """κ_Schur at each θ, from the family's ``(M, h, G)``.
+def _weights(
+    fam: HessianFamily, thetas: Sequence[float]
+) -> tuple[list[float], list[list[float]]]:
+    """r and the scaled weights ``e^{s_kθ − r}`` at each θ, C₀'s (s = 0) first:
+    r = 0, and the weights are the e^{sθ}, unless the largest s_kθ passes the
+    family's bound t; then r = max_k s_kθ − t, and no weight passes e^t."""
+    *_, t = fam._kappa_form
+    exponents = [float(x.s) for x in fam.terms]
+    lo, hi = min([0.0, *exponents]), max([0.0, *exponents])
+    # rounding is monotone: the largest s_k·θ is hi·θ for θ ≥ 0 and lo·θ below
+    r = [max(0.0, x * (hi if x >= 0 else lo) - t) for x in thetas]
+    w = [list(map(math.exp, map(sub, map(s.__mul__, thetas), r))) for s in exponents]
+    return r, [list(map(math.exp, map(neg, r))), *w]
 
-    The weights w, their pair products w_k·w_l and h are built along the
-    grid.  Then each θ, in grid order, forms ‖P H P‖_F² = wᵀGw itself, not a
-    bound on it; raises ``OverflowError`` if it is not finite, or the
-    singular-block ``ValueError`` if ``h ≤ ‖P H P‖_F/COND_LIMIT``; and then
-    takes κ.
-    Where ``math.exp`` overflows, the grid is replayed θ by θ, so the first θ
-    that fails raises, as in a θ-by-θ dense scan, and an overflowing e^{sθ}
-    names its θ.  A θ gets the same bits alone or inside a grid.
+
+def _curvatures(fam: HessianFamily, thetas: Sequence[float]) -> list[float]:
+    """κ_Schur at each θ, from the family's ``(M, h, G)`` at the weights of
+    :func:`_weights`.
+
+    The pair products w_k·w_l and h are built along the grid.  Then each θ,
+    in grid order, forms ‖P H P‖_F² = wᵀGw itself, not a bound on it; raises
+    the singular-block ``ValueError`` if ``h ≤ ‖P H P‖_F/COND_LIMIT``; takes
+    κ = 2^e·e^r·wᵀMw/((N − 2)·hᵀw), with e^r in finite factors, so that a κ
+    just below the largest float is returned; and raises ``OverflowError``
+    naming θ if κ is not a finite float.  A θ gets the same bits alone or
+    inside a grid.
     """
-    mm, h_k, g = fam._kappa_form
-    exponents = [float(t.s) for t in fam.terms]
-    try:
-        w = [[1.0] * len(thetas), *[list(map(math.exp, map(s.__mul__, thetas))) for s in exponents]]
-    except OverflowError:
-        if len(thetas) == 1:
-            raise OverflowError(f"e^(s*theta) overflows a float at theta={thetas[0]:g}") from None
-        # the θ whose weight overflowed overflows again on its own
-        return [_curvatures(fam, [theta])[0] for theta in thetas]
+    mm, h_k, g, e, _ = fam._kappa_form
+    rs, w = _weights(fam, thetas)
     # M and G are symmetric: w_k·w_l·X_kl + w_l·w_k·X_lk = w_k·w_l·(2·X_kl), exactly
     pairs = [(k, l, 1.0 if k == l else 2.0) for k in range(len(w)) for l in range(k, len(w))]
-    ww = [list(map(mul, w[k], w[l])) if k else w[l] for k, l, _ in pairs]  # w₀ = 1
-    h = [h_k[0]] * len(thetas)
-    for col, hk in zip(w[1:], h_k[1:]):
+    ww = [list(map(mul, w[k], w[l])) for k, l, _ in pairs]
+    h = [0.0] * len(thetas)
+    for col, hk in zip(w, h_k):
         h = list(map(add, h, map(hk.__mul__, col)))
     g2 = [two * g[k][l] for k, l, two in pairs]
     m2 = [two * mm[k][l] for k, l, two in pairs]
     dim = fam.split.dim_band
+    unit = 2.0**e
     kappas = []
-    for theta, hi, r in zip(thetas, h, zip(*ww)):
-        gi = sum(map(mul, g2, r))
-        if not math.isfinite(gi):
-            raise OverflowError(f"H(theta) overflows a float at theta={theta:g}")
+    for theta, hi, r, row in zip(thetas, h, rs, zip(*ww)):
+        gi = sum(map(mul, g2, row))
         scale = math.sqrt(gi) if gi >= 0 else math.nan
         if not hi > scale / COND_LIMIT:
             raise ValueError(
                 f"collective block is numerically singular at theta={theta:g} "
                 f"(h_oo = {hi:.3e}, ‖H‖_F = {scale:.3e})"
             )
-        kappas.append(math.fsum(map(mul, r, m2)) / hi / dim)  # fsum rounds each wᵀMw once
+        kappa = math.fsum(map(mul, row, m2)) / hi / dim * unit  # fsum rounds each wᵀMw once
+        # e^709 ≈ 8e307 a factor: a nonzero κ leaves the float range within three
+        while r > 0 and kappa and math.isfinite(kappa):
+            step = min(r, 709.0)
+            kappa *= math.exp(step)
+            r -= step
+        if not math.isfinite(kappa):
+            raise OverflowError(f"κ overflows a float at theta={theta:g}")
+        kappas.append(kappa)
     return kappas
 
 
 def schur_curvature(fam: HessianFamily, theta: float) -> float:
     """Band-normalized trace of the Schur complement at θ, wᵀMw/((N − 2)·hᵀw)."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta = {theta} is not finite")
     return _curvatures(fam, [float(theta)])[0]
 
 

@@ -256,8 +256,11 @@ def _suite_appendix_d(seed: int) -> ReportDocument:
     # multiplication, independent of the integer recurrence
     fib_ok = power_ok = True
     power = Q5(1)
+    below = fibonacci(-2)  # F(2m − 2): the rows run m = 0, 1, 2, …
     for r in rows:
-        fib_ok = fib_ok and r.a == fibonacci(2 * r.m) and r.b == -fibonacci(2 * r.m - 2)
+        above = fibonacci(2 * r.m)
+        fib_ok = fib_ok and r.a == above and r.b == -below
+        below = above
         power_ok = power_ok and power == r.as_q5()
         power = power * QSTAR
     doc.add(

@@ -941,26 +941,23 @@ def test_schur_fails_on_validated_concave_family(capsys, name, grid, violations)
 
 
 def test_schur_overflow_is_a_computation_failure(capsys, family_file):
-    # e^{749} overflows math.exp at the middle point of the grid (−2, 749,
+    # κ ≈ e^{749} overflows a float at the middle point of the grid (−2, 749,
     # 1500), the first that fails; numpy must not turn it into a warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "schur", family_file, "-2", "1500", "3")
-    assert (code, out, err) == (
-        1, "", "computation failed: e^(s*theta) overflows a float at theta=749\n"
-    )
+    assert (code, out, err) == (1, "", "computation failed: κ overflows a float at theta=749\n")
     assert caught == []
 
 
 def test_schur_hessian_overflow_is_a_computation_failure(capsys, family_file):
-    # at θ = −800 every weight is finite and h_oo is about 1.6e243, but ‖H‖_F
-    # overflows: a failed computation, not a singular block (exit 2)
+    # ‖H‖_F overflows a float at θ = −800, but κ ≈ 2.2e243 does not; κ first
+    # overflows at θ = 800, the last point (ln κ ≈ 799.5): a failed
+    # computation, not a singular block (exit 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "schur", family_file, "--", "-800", "800", "11")
-    assert (code, out, err) == (
-        1, "", "computation failed: H(theta) overflows a float at theta=-800\n"
-    )
+    assert (code, out, err) == (1, "", "computation failed: κ overflows a float at theta=800\n")
     assert caught == []
 
 
@@ -1267,7 +1264,7 @@ sys.exit(main(sys.argv[1:]))
         [str(FIXTURES / "concave-n4-s-minus1.json"), "-3.0", "-0.1", "30"],  # exit 1
         ["{invalid}", "-2.0", "-0.1", "11"],  # exit 2
         ["{family}", "--", "-1e308", "1e308", "3"],  # exit 2
-        ["{family}", "--", "-800", "800", "11"],  # H overflows a float, exit 1
+        ["{family}", "--", "-800", "800", "11"],  # κ overflows a float at θ = 800, exit 1
     ],
 )
 def test_schur_runs_without_numpy(capsys, tmp_path, family_file, argv):

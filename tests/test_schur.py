@@ -49,7 +49,7 @@ from goldenschur.schur import (
     make_family,
     schur_curvature,
 )
-from goldenschur.schur import _DIRECT_MAX, _chirp, _dft, _grid, _rfft, _roots
+from goldenschur.schur import _DIRECT_MAX, _chirp, _dft, _grid, _rfft, _roots, _weights
 
 RNG_SEED = 20260819
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -91,6 +91,17 @@ def test_circulant_layout():
     # a stack of rows gives the stack of their circulants
     rows = np.arange(12.0).reshape(3, 4)
     assert np.array_equal(circulant(rows), np.stack([circulant(row) for row in rows]))
+
+
+def test_circulant_index_is_built_once_per_size():
+    # one read-only index array per size; each circulant is a fresh copy
+    from goldenschur.oracle import _circulant_index
+
+    assert _circulant_index(5) is _circulant_index(5)
+    assert not _circulant_index(5).flags.writeable
+    c = circulant([1.0, 2.0, 0.0, 0.0, 2.0])
+    c[0, 0] = 9.0
+    assert circulant([1.0, 2.0, 0.0, 0.0, 2.0])[0, 0] == 1.0
 
 
 def test_circulant_commutes_with_shift():
@@ -324,6 +335,18 @@ def test_validation_names_non_finite_entries(circulant_encoded, bad):
     ]
 
 
+def test_validation_names_a_spectrum_that_overflows():
+    # finite entries whose transform overflows: the spectrum, NaN here, would
+    # pass the PSD test, since NaN compares false, and the κ form could not
+    # hold it
+    n = 6
+    u = [math.cos(2 * math.pi * k / n) for k in range(n)]
+    huge = [1e308, 0.0, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(FamilyValidationError) as err:
+        make_family(n, 2.0, u, huge, [(1.0, [1.0, 0.5, 0.0, 0.0, 0.0, 0.5])])
+    assert err.value.violations == ["C0: spectrum overflows a float"]
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_unvalidated_family_rejects_wrong_shape(n):
     # no family is left unvalidated: a coefficient of the wrong shape is named
@@ -452,6 +475,30 @@ def _dense_random_family(n, rng, n_terms=2):
         s = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
         terms.append((s, random_symmetric_psd_circulant(n, rng)))
     return make_family(n, 2.0, u_raw, c0, terms)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 19, 2026])
+def test_random_family_sign_draw_is_the_stream_of_rng_choice(seed):
+    # random_family draws each sign by rng.integers(2); rng.choice([-1.0, 1.0])
+    # consumes the same stream, so the families are those of that draw
+    def choice_family(n, rng, n_terms):
+        u_raw = rng.standard_normal(n)
+        while np.linalg.norm(u_raw - u_raw.mean()) < 1e-6:
+            u_raw = rng.standard_normal(n)
+        c0 = (random_symmetric_psd_circulant(n, rng) + 0.5 * np.eye(n))[0]
+        terms = []
+        for _ in range(n_terms):
+            s = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
+            terms.append((s, random_symmetric_psd_circulant(n, rng)[0]))
+        return make_family(n, 2.0, u_raw, c0, terms)
+
+    rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (4, 7, 12):
+        fam, want = random_family(n, rng, n_terms=3), choice_family(n, choice_rng, 3)
+        assert fam.split.u == want.split.u
+        assert [(t.s, t.c) for t in (fam.base, *fam.terms)] == [
+            (t.s, t.c) for t in (want.base, *want.terms)
+        ]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 11, 42, 2024])
@@ -781,6 +828,50 @@ def ulps_off(x, exact):
     return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
 
 
+def scaled_factor(fam, theta):
+    """The kernel's r at θ and its factor 2^e·e^r, as the product of the floats
+    e^{709} … e^{rest} that it multiplies by, in Fractions."""
+    (r,), _ = _weights(fam, [theta])
+    factor = Fraction(2) ** fam._kappa_form[3]
+    rest = r
+    while rest > 0:
+        step = min(rest, 709.0)
+        factor *= Fraction(math.exp(step))
+        rest -= step
+    return r, factor
+
+
+def scaled_exact_kappa(fam, theta):
+    """κ in Fractions at the kernel's own scaled float weights w̃ (C₀'s first),
+    times its factor 2^e·e^r, by homogeneity: κ(w̃₀, w̃) = w̃₀·κ(1, w̃/w̃₀),
+    with :func:`exact_kappa` for κ(1, ·).  Where w̃₀ underflows to 0, the
+    largest weight's row takes C₀'s place."""
+    _, w = _weights(fam, [theta])
+    w = [Fraction(col[0]) for col in w]
+    p = 0 if w[0] else w.index(max(w))
+    rows = [t.c for t in (fam.base, *fam.terms)]
+    rebased = HessianFamily(
+        fam.split, ExpTerm(0.0, rows[p]), [ExpTerm(0.0, c) for c in rows[:p] + rows[p + 1:]]
+    )
+    kappa = exact_kappa(rebased, fam.split.u, [x / w[p] for x in w[:p] + w[p + 1:]])
+    return w[p] * kappa * scaled_factor(fam, theta)[1]
+
+
+def own_inputs_exact_kappa(fam, theta):
+    """κ in Fractions from the kernel's own float inputs: the spectra ĉ, p from
+    the real DFT of u and the scaled weights, times its factor 2^e·e^r, by
+    h·(N − 2)·κ = Σ_{j≥1} λ_j·((m_j − 1)·h + Σ_{i≠j} p_i·λ_i)."""
+    n = fam.n
+    _, w = _weights(fam, [theta])
+    c_hat = [t.spectrum for t in (fam.base, *fam.terms)]
+    m = [0] + [1 if 2 * j == n else 2 for j in range(1, n // 2 + 1)]
+    p = [Fraction(mj * (x.real**2 + x.imag**2) / n) for mj, x in zip(m, _rfft(fam.split.u))]
+    lam = [sum(Fraction(wk[0]) * Fraction(c) for wk, c in zip(w, col)) for col in zip(*c_hat)]
+    h = sum(pj * lj for pj, lj in zip(p, lam))
+    exact = sum(lj * ((mj - 1) * h + h - pj * lj) for lj, mj, pj in zip(lam, m, p) if mj) / h
+    return exact / (n - 2) * scaled_factor(fam, theta)[1]
+
+
 @pytest.mark.parametrize(
     "name, kappa",
     [
@@ -949,14 +1040,108 @@ def assert_same_scan_error(fam, theta_min, theta_max, points):
 
 
 def test_weight_overflow_names_its_theta():
-    # e^{1·1500} overflows math.exp: alone, on both routes, and at θ = 749,
-    # the first grid point of (−2, 749, 1500) whose weight overflows
+    # κ ≈ e^{1500} overflows a float at θ = 1500, and first at θ = 749 on the
+    # grid (−2, 749, 1500); the dense route, which holds H(θ) itself, fails
+    # on the weight e^{1500}
     fam = load_family(FIXTURES / "ci-family.json")
-    for curvature in (schur_curvature, dense_curvature):
-        with pytest.raises(OverflowError, match=r"^e\^\(s\*theta\) overflows a float at theta=1500$"):
-            curvature(fam, 1500.0)
-    message = assert_same_scan_error(fam, -2.0, 1500.0, 3)
-    assert message == "e^(s*theta) overflows a float at theta=749"
+    with pytest.raises(OverflowError, match=r"^κ overflows a float at theta=1500$"):
+        schur_curvature(fam, 1500.0)
+    with pytest.raises(OverflowError):
+        dense_curvature(fam, 1500.0)
+    with pytest.raises(OverflowError, match=r"^κ overflows a float at theta=749$"):
+        kappa_convexity_scan(fam, -2.0, 1500.0, 3)
+
+
+@pytest.mark.parametrize(
+    "theta, kappa", [(-800.0, 2.20e243), (600.0, 2.36e260), (709.0, 5.14e307)]
+)
+def test_kappa_is_returned_wherever_it_is_a_finite_float(theta, kappa):
+    # the weights are scaled by e^{−r} there, and κ = e^r·κ̃ holds its few ulps
+    fam = load_family(FIXTURES / "ci-family.json")
+    r, _ = scaled_factor(fam, theta)
+    assert r > 0
+    got = schur_curvature(fam, theta)
+    assert math.isclose(got, kappa, rel_tol=5e-3)
+    assert ulps_off(got, scaled_exact_kappa(fam, theta)) <= 4
+
+
+def test_kappa_overflows_just_past_its_last_finite_value():
+    # κ crosses the largest float between two adjacent θ near 710.25
+    fam = load_family(FIXTURES / "ci-family.json")
+    last, past = 710.2527165226297, 710.2527165226298
+    assert math.nextafter(last, math.inf) == past
+    got = schur_curvature(fam, last)
+    assert ulps_off(got, scaled_exact_kappa(fam, last)) <= 4
+    assert got > 0.99999 * sys.float_info.max
+    largest = Fraction(sys.float_info.max)
+    assert scaled_exact_kappa(fam, past) > largest + Fraction(math.ulp(sys.float_info.max))
+    with pytest.raises(OverflowError, match=r"^κ overflows a float at theta=710\.253$"):
+        schur_curvature(fam, past)
+
+
+def test_scaled_kappa_has_the_same_bits_alone_or_inside_a_grid():
+    fam = load_family(FIXTURES / "ci-family.json")
+    scan = kappa_convexity_scan(fam, -800.0, 709.0, 13)
+    assert scan.kappas == tuple(schur_curvature(fam, t) for t in scan.thetas)
+    assert scan.convex_ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(4, 12),
+    n_terms=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(-800.0, 800.0),
+)
+@example(n=7, n_terms=2, seed=8, theta=-700.0)  # scaled, κ ≈ 1.6e238
+@example(n=7, n_terms=2, seed=0, theta=700.0)  # κ overflows
+def test_scaled_curvature_is_exact_to_a_few_ulps_at_any_theta(n, n_terms, seed, theta):
+    # at the kernel's own float inputs κ is within 4 ulps, scaled or not.  The
+    # independent exact route also takes in the rounding of the spectra, which
+    # one dominant term does not average out (up to 46 ulps on 8000 draws, 23
+    # where nothing is scaled), so it is held to the dense route's 1e-12
+    fam = random_family(n, np.random.default_rng(seed), n_terms=n_terms)
+    own = own_inputs_exact_kappa(fam, theta)
+    try:
+        got = schur_curvature(fam, theta)
+    except OverflowError as exc:
+        assert str(exc) == f"κ overflows a float at theta={theta:g}"
+        assert own > Fraction(sys.float_info.max) * (1 - Fraction(4, 2**52))
+        return
+    assert ulps_off(got, own) <= 4
+    exact = scaled_exact_kappa(fam, theta)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-12) * abs(exact)
+
+
+def test_huge_coefficients_scale_kappa_exactly():
+    # rows times 2^600 have spectra whose squares overflow a float; κ scales
+    # by 2^600 bit for bit
+    fam = load_family(FIXTURES / "ci-family.json")
+    big = make_family(6, 2.0, fam.split.u, [math.ldexp(x, 600) for x in fam.base.c],
+                      [(t.s, [math.ldexp(x, 600) for x in t.c]) for t in fam.terms])
+    assert big._kappa_form[3] > 0
+    for theta in (-2.0, 0.5, 3.0):
+        assert schur_curvature(big, theta) == math.ldexp(schur_curvature(fam, theta), 600)
+
+
+def test_scaled_weights_include_c0():
+    # C₀ times 2^600 lowers the bound t to about 20, so at θ = 100 every
+    # weight is scaled by e^{−r}, C₀'s included, and C₀ still dominates κ;
+    # the unscaled weights are finite floats there, and the exact κ at them
+    # differs from the scaled route's only by the rounding of s·θ − r
+    fam = load_family(FIXTURES / "ci-family.json")
+    big = make_family(6, 2.0, fam.split.u, [math.ldexp(x, 600) for x in fam.base.c],
+                      [(t.s, t.c) for t in fam.terms])
+    r, _ = scaled_factor(big, 100.0)
+    assert r > 50
+    exact = exact_kappa(big, big.split.u, float_weights(big, 100.0))
+    assert abs(Fraction(schur_curvature(big, 100.0)) - exact) <= Fraction(1e-13) * exact
+
+
+def test_curvature_rejects_a_non_finite_theta():
+    for theta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="is not finite"):
+            schur_curvature(ring_family(), theta)
 
 
 def kernel_family(terms):
@@ -984,10 +1169,15 @@ def test_singular_block_before_overflow_is_reported_first():
     # θ = 28 is singular and e^{800} overflows later in the same grid
     fam = kernel_family([(-1.0, np.eye(6)), (1.0, None)])
     assert "singular at theta=28 " in assert_same_scan_error(fam, 28.0, 800.0, 3)
-    # a long grid, replayed θ by θ past the overflow above θ ≈ 709
+    # a long grid, past θ ≈ 709 where e^{sθ} and H(θ) overflow
     assert "singular at theta=13.6 " in assert_same_scan_error(fam, 0.0, 800.0, 1001)
+    # κ ≈ e^{800} overflows at the first point, where the dense route fails
+    # on the weight itself
     fam = kernel_family([(-1.0, np.eye(6))])
-    assert_same_scan_error(fam, -800.0, 0.0, 3)  # OverflowError at the first point
+    with pytest.raises(OverflowError, match=r"^κ overflows a float at theta=-800$"):
+        kappa_convexity_scan(fam, -800.0, 0.0, 3)
+    with pytest.raises(OverflowError):
+        dense_curvature(fam, -800.0)
 
 
 def test_guard_passes_close_to_the_singular_limit_on_its_exact_test():
@@ -1006,13 +1196,22 @@ def test_guard_passes_close_to_the_singular_limit_on_its_exact_test():
     "grid, theta", [((-800.0, 800.0, 11), "-800"), ((-2.0, 600.0, 7), "399.333")]
 )
 def test_overflowing_hessian_is_an_overflow_not_a_singular_block(grid, theta):
-    # the CLI tests' family: the weights are finite and h_oo is far from small,
-    # but w_k·w_l·G_kl, and so ‖H‖_F, overflow a float
+    # the fixture family: the weights are finite and h_oo is far from small,
+    # but w_k·w_l·G_kl, and so ‖H‖_F, overflow a float.  The dense route,
+    # which holds H(θ) itself, reports that; the kernel's scaled weights
+    # give κ there, to 4 ulps
     fam = family_from_dict(family_doc())
-    message = assert_same_scan_error(fam, *grid)
-    assert message == f"H(theta) overflows a float at theta={theta}"
-    with pytest.raises(OverflowError):
-        kappa_convexity_scan(fam, *grid)
+    thetas = np.linspace(*grid)
+    with pytest.raises(OverflowError, match=rf"^H\(theta\) overflows a float at theta={theta}$"):
+        for t in thetas:
+            dense_curvature(fam, t)
+    first = next(float(t) for t in thetas if f"{t:g}" == theta)
+    assert ulps_off(schur_curvature(fam, first), scaled_exact_kappa(fam, first)) <= 4
+    if grid[1] == 800.0:  # κ itself overflows at the last point, ln κ ≈ 799.5
+        with pytest.raises(OverflowError, match=r"^κ overflows a float at theta=800$"):
+            kappa_convexity_scan(fam, *grid)
+    else:
+        assert all(map(math.isfinite, kappa_convexity_scan(fam, *grid).kappas))
 
 
 def test_strict_convexity_witness_positive():

@@ -82,6 +82,14 @@ def _json(doc: object, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
+def _cell(x: float, width: int, decimals: int) -> str:
+    """``x`` in fixed point, or in exponent form where that is wider than
+    ``width``: a sign, a digit, the point, ``width − 8`` digits and e±ddd fit
+    every finite float."""
+    text = f"{x:>{width}.{decimals}f}"
+    return text if len(text) <= width else f"{x:>{width}.{width - 8}e}"
+
+
 def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str]) -> None:
     """Render a flat payload; its csv is ``key,value`` rows, with lists as json."""
     if fmt == "json":
@@ -178,7 +186,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
         lines = [
             f"κ_Schur curve, N = {fam.n}, {args.points} points",
             f"{'theta':>12}  {'q':>10}  {'kappa':>14}",
-            *(f"{t:>12.6f}  {q:>10.6f}  {k:>14.8f}" for t, q, k in curve),
+            *(f"{_cell(t, 12, 6)}  {_cell(q, 10, 6)}  {_cell(k, 14, 8)}" for t, q, k in curve),
             f"convexity: {status} (min second difference {d2_min:.6e})",
         ]
         if args.fit_law:

@@ -33,7 +33,6 @@ import numbers
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from ._record import FrozenRecord
 from .folded import FoldedMoments, Scalar, _check_size, moments
 from .golden import lambda_n
 from .qfield import QSTAR, Q5
@@ -80,21 +79,39 @@ def _exact(name: str, x: Scalar) -> Fraction | Q5:
     return Fraction(f)
 
 
-class QuadLawCoeffs(FrozenRecord):
+class _QuadLawFields(NamedTuple):
+    a: Fraction | Q5
+    b: Fraction | Q5
+    n: int
+    m_rho_sq: Fraction | Q5
+
+
+class QuadLawCoeffs(_QuadLawFields):
     """Coefficients of the quadratic folded law at fixed (N, m_ρ²).
 
     ``a``, ``b`` and ``m_rho_sq`` are exact: a Q5 is stored as it is, and an
-    int, a float or a float-like as the Fraction it equals.
+    int, a float or a float-like as the Fraction it equals.  A record is the
+    tuple ``(a, b, n, m_rho_sq)`` and equals any tuple of those values; the
+    constructor, ``_replace``, copy and pickle all check the fields.
     """
 
-    __slots__ = ("a", "b", "n", "m_rho_sq")
+    __slots__ = ()
 
-    def __init__(self, a: Scalar, b: Scalar, n: int, m_rho_sq: Scalar = Fraction(2)) -> None:
+    def __new__(cls, a: Scalar, b: Scalar, n: int, m_rho_sq: Scalar = Fraction(2)) -> QuadLawCoeffs:
         _check_size(n)
         m2 = _exact("m_rho_sq", m_rho_sq)
         if not m2 > 0:  # exact for a Q5
             raise ValueError(f"m_rho_sq must be positive, got {m2}")
-        self._set_fields(_exact("A", a), _exact("B", b), n, m2)
+        return super().__new__(cls, _exact("A", a), _exact("B", b), n, m2)
+
+    @classmethod
+    def _make(cls, fields: Sequence[object]) -> QuadLawCoeffs:
+        return cls(*fields)
+
+    def __reduce__(self) -> tuple:
+        # copy and every pickle protocol rebuild through the constructor: a
+        # tuple's own reduction skips it at protocols 0 and 1
+        return type(self), tuple(self)
 
     def as_floats(self) -> _Triple:
         """``(A, B, m_ρ²)`` as floats, for the float lane.  A ValueError names

@@ -13,8 +13,7 @@ layout — rerunning with the same inputs and seed gives byte-identical output.
 from __future__ import annotations
 
 import io
-
-from ._record import FrozenRecord
+from typing import NamedTuple, Sequence
 
 __all__ = ["CheckRecord", "ReportDocument", "BASIS_TAGS", "STATUSES"]
 
@@ -22,20 +21,40 @@ BASIS_TAGS = ("reference", "direct", "derived")
 STATUSES = ("pass", "fail", "info")
 
 
-class CheckRecord(FrozenRecord):
+class _CheckFields(NamedTuple):
+    check_id: str
+    description: str
+    status: str
+    expected: str
+    actual: str
+    basis: str
+
+
+class CheckRecord(_CheckFields):
     """One verified (or reported) fact; ``status`` is one of STATUSES and
-    ``basis`` one of BASIS_TAGS."""
+    ``basis`` one of BASIS_TAGS.  A record is the tuple of its fields and
+    equals any tuple of the same values; the constructor, ``_replace``, copy
+    and pickle all check ``status`` and ``basis``."""
 
-    __slots__ = ("check_id", "description", "status", "expected", "actual", "basis")
+    __slots__ = ()
 
-    def __init__(
-        self, check_id: str, description: str, status: str, expected: str, actual: str, basis: str
-    ) -> None:
+    def __new__(
+        cls, check_id: str, description: str, status: str, expected: str, actual: str, basis: str
+    ) -> CheckRecord:
         if status not in STATUSES:
             raise ValueError(f"bad status {status!r}")
         if basis not in BASIS_TAGS:
             raise ValueError(f"bad basis tag {basis!r}")
-        self._set_fields(check_id, description, status, expected, actual, basis)
+        return super().__new__(cls, check_id, description, status, expected, actual, basis)
+
+    @classmethod
+    def _make(cls, fields: Sequence[str]) -> CheckRecord:
+        return cls(*fields)
+
+    def __reduce__(self) -> tuple:
+        # copy and every pickle protocol rebuild through the constructor: a
+        # tuple's own reduction skips it at protocols 0 and 1
+        return type(self), tuple(self)
 
 
 class ReportDocument:

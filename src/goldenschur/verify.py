@@ -121,9 +121,11 @@ def _suite_appendix_b(seed: int) -> ReportDocument:
         "derived",
     )
 
-    sums = sums_at_qstar(12)
+    # the library's closed forms against the table, and the integer reduction
+    # route against the library
+    sums = sums_closed(12, QSTAR)
     got = dict(zip(("S0", "S1", "S2", "S3"), sums.as_tuple()))
-    ok = all(got[k] == v for k, v in _SUMS_SQRT5.items())
+    ok = all(got[k] == v for k, v in _SUMS_SQRT5.items()) and sums_at_qstar(12) == sums
     doc.add(
         "b.sums-qstar",
         "tabulated golden-point power sums S0..S3 at N = 12 (√5 basis)",
@@ -176,7 +178,7 @@ def _suite_appendix_b(seed: int) -> ReportDocument:
 def _suite_appendix_c(seed: int) -> ReportDocument:
     doc = ReportDocument("appendix-c", seed)
 
-    sums = sums_at_qstar(12)
+    sums = sums_closed(12, QSTAR)
     got = {k: v.to_golden() for k, v in zip(("S0", "S1", "S2", "S3"), sums.as_tuple())}
     ok = all(got[k] == v for k, v in _SUMS_GOLDEN.items())
     doc.add(

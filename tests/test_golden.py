@@ -362,6 +362,33 @@ def test_golden_caches_leak_no_state_into_verify():
     assert rendered() == cold
 
 
+def _statuses(suite):
+    from goldenschur.verify import run_suite
+
+    return {r.check_id: r.status for r in run_suite(suite, 0).records}
+
+
+@pytest.mark.parametrize("route", ["sums_closed", "sums_at_qstar"])
+def test_verify_fails_the_golden_sums_when_a_route_is_off(monkeypatch, route):
+    # the table is checked against the library's closed forms, and the integer
+    # reduction route against the library: either one off fails b.sums-qstar
+    from goldenschur import verify
+
+    right = getattr(verify, route)
+
+    def off(n, q=QSTAR):
+        s = right(n, q) if route == "sums_closed" else right(n)
+        return s._replace(s3=s.s3 + 1) if q == QSTAR else s
+
+    before = {**_statuses("appendix-b"), **_statuses("appendix-c")}
+    monkeypatch.setattr(verify, route, off)
+    after = {**_statuses("appendix-b"), **_statuses("appendix-c")}
+    failed = {"b.sums-qstar"} | ({"c.sums-golden"} if route == "sums_closed" else set())
+    assert set(before.values()) <= {"pass", "info"}
+    assert {k for k, v in after.items() if v != before[k]} == failed
+    assert all(after[k] == "fail" for k in failed)
+
+
 def test_lambda_fd_cross_check():
     f1, f2 = theta_derivatives_fd(12, float(QSTAR), h=1e-5)
     assert abs(f2 / f1 - float(lambda_n(12))) < 1e-6

@@ -1434,6 +1434,28 @@ def test_family_from_dict_flat_matrix():
     assert fam.base.c == family_from_dict(doc).base.c
 
 
+def _nested_rows_doc(kind):
+    """The fixture family doubled, so that every entry is an integer, in the
+    nested-rows encoding with entries of type ``kind``."""
+    doc = family_doc()
+    for spec in (doc, *doc["terms"]):
+        key = "C0" if spec is doc else "C"
+        rows = circulant([2 * x for x in spec[key]["circulant"]]).astype(int).tolist()
+        spec[key] = [[kind(x) for x in row] for row in rows]
+    return doc
+
+
+def test_family_from_dict_nested_rows_that_are_not_all_floats():
+    ints, floats = _nested_rows_doc(int), _nested_rows_doc(float)
+    assert type(ints["C0"][0][0]) is int and type(floats["C0"][0][0]) is float
+    assert schur_curvature(family_from_dict(ints), -1.0) == schur_curvature(
+        family_from_dict(floats), -1.0
+    )
+    ints["C0"][2][3] = True
+    with pytest.raises(ValueError, match=r"^C0\[2\]\[3\]: expected a number, got true$"):
+        family_from_dict(ints)
+
+
 def test_load_family_round_trip(tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(family_doc()))

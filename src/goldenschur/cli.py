@@ -59,14 +59,17 @@ def _parse_q(text: str) -> Fraction | Q5:
     return _parse_rational(text, "q")
 
 
-def _exact_str(v: Fraction | Q5) -> str:
-    from .qfield import Q5, exact_forms, fraction_str
+def _exact_strs(values: Sequence[Fraction | Q5]) -> list[str]:
+    """The exact column of each value, all rendered in one call, so that an
+    integer two values share is converted to digits once: a rational as
+    ``Fraction.__str__`` writes it, an irrational Q5 as ``√5 form = golden form``."""
+    from .qfield import Q5, exact_forms
 
-    if not isinstance(v, Q5):
-        return fraction_str(v)
-    if v.is_rational:
-        return fraction_str(v.a)
-    return " = ".join(exact_forms(v))
+    forms = iter(exact_forms(*values))
+    return [
+        f"{sqrt5} = {golden}" if isinstance(v, Q5) and not v.is_rational else sqrt5
+        for v, sqrt5, golden in zip(values, forms, forms)
+    ]
 
 
 def _check_digits(digits: int) -> None:
@@ -117,17 +120,15 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         ("I1", m.i1), ("I2", m.i2), ("I3", m.i3), ("Var", m.var),
         ("I1'", m.var), ("I2'", m.i2_prime),
     ]
-    show = {
-        "exact": _exact_str,
-        "decimal": lambda v: decimal_str(v, args.digits),
-        "both": lambda v: f"{_exact_str(v)} ≈ {decimal_str(v, args.digits)}",
-    }[args.format]
     q_label = "q⋆ = (3 − √5)/2" if isinstance(q, Q5) else str(q)
     print(f"N = {args.N}, q = {q_label}")
-    shown: dict[int, str] = {}  # by id: I1' is the Var object, rendered once
-    for _, value in rows:
-        if id(value) not in shown:
-            shown[id(value)] = show(value)
+    values = list({id(value): value for _, value in rows}.values())  # I1' is the Var object
+    columns = []
+    if args.format != "decimal":
+        columns.append(_exact_strs(values))
+    if args.format != "exact":
+        columns.append([decimal_str(v, args.digits) for v in values])
+    shown = {id(v): " ≈ ".join(texts) for v, *texts in zip(values, *columns)}
     print("\n".join(f"{name:>4} = {shown[id(value)]}" for name, value in rows))
     return 0
 
@@ -145,6 +146,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_schur(args: argparse.Namespace) -> int:
     from .schur import FamilyValidationError, kappa_convexity_scan, load_family
 
+    if args.fit_law and args.theta_max >= 0:  # the folded law needs 0 < q = e^θ < 1
+        raise ValueError(
+            f"--fit-law needs theta_max < 0, so that every q = e^theta of the grid "
+            f"lies in 0 < q < 1; got theta_max = {args.theta_max}"
+        )
     try:
         fam = load_family(args.hessian_file)
     except FamilyValidationError as exc:
@@ -213,13 +219,14 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
     coeffs = synthesize_consistent_ab(b, args.N, m2)
     lam = lambda_n(args.N)
     rep = stationarity_check(coeffs)
+    a_exact, lam_exact = _exact_strs([coeffs.a, lam])
     payload = {
         "N": args.N,
         "B": str(b),
         "m_rho_sq": str(m2),
-        "A_exact": _exact_str(coeffs.a),
+        "A_exact": a_exact,
         "A_decimal": decimal_str(coeffs.a, 12),
-        "lambda_exact": _exact_str(lam),
+        "lambda_exact": lam_exact,
         "lambda_decimal": decimal_str(lam, 10),
         "bracket_residual": str(rep.bracket),
         "f_prime_at_golden_point": str(rep.f_prime_at_star),
@@ -275,10 +282,11 @@ def _cmd_fit_ab(args: argparse.Namespace) -> int:
 
     points = _read_points(args.points)
     fit = quadratic_law_fit(points, args.N)
+    a_exact, b_exact = _exact_strs([fit.a, fit.b])
     payload = {
         "N": args.N,
-        "A": _exact_str(fit.a),
-        "B": _exact_str(fit.b),
+        "A": a_exact,
+        "B": b_exact,
         "A_decimal": decimal_str(fit.a, 12),
         "B_decimal": decimal_str(fit.b, 12),
         "residuals": [str(r) for r in fit.residuals],

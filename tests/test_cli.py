@@ -1260,6 +1260,26 @@ def test_schur_loads_no_numpy(family_file, fmt, fit):
     assert proc.stdout.strip() == f"0 {['goldenschur.lockin'] if fit else []}"
 
 
+@pytest.mark.parametrize("theta_max", ["0.5", "0", "0.0"])
+def test_schur_fit_law_refuses_a_grid_past_q_1_before_scanning(capsys, monkeypatch, theta_max):
+    # the folded law exists only for 0 < q < 1: a grid that reaches θ ≥ 0 is
+    # refused before the family is read or scanned, naming the option
+    from goldenschur import schur
+
+    for name in ("load_family", "kappa_convexity_scan"):
+        monkeypatch.setattr(schur, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    family = str(FIXTURES / "ci-family.json")
+    code, out, err = run_cli(capsys, "schur", family, "-2", theta_max, "5", "--fit-law")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --fit-law needs theta_max < 0, so that every q = e^theta of the grid "
+        f"lies in 0 < q < 1; got theta_max = {float(theta_max)}\n"
+    )
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "schur", family, "-2", theta_max, "5")  # no fit: scanned
+    assert code in (0, 1) and out
+
+
 def test_invalid_family_loads_no_numpy(tmp_path):
     argv = ["schur", _invalid_family(tmp_path), "-2.0", "-0.1", "11", "--fit-law"]
     proc = subprocess.run(

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goldenschur import cli, qfield
-from goldenschur.cli import _exact_str, _unlimited_int_digits
+from goldenschur.cli import _exact_strs, _unlimited_int_digits
 from goldenschur.folded import moments, sums_closed
 from goldenschur.qfield import (
     _SPLIT_DIGITS,
@@ -27,7 +27,6 @@ from goldenschur.qfield import (
     _sqrt5_floor,
     decimal_str,
     exact_forms,
-    fraction_str,
 )
 
 
@@ -456,15 +455,50 @@ def test_str_of_exact_values_keeps_the_digit_limit():
             with pytest.raises(ValueError, match="limit"):
                 str(value)
         with pytest.raises(ValueError, match="limit"):
-            fraction_str(Fraction(big, 3))
+            exact_forms(Fraction(big, 3))
     with _unlimited_int_digits():
         assert str(values[0]) == f"{big} + √5"
-        assert fraction_str(Fraction(big, 3)) == f"{big}/3"
+        assert exact_forms(Fraction(big, 3)) == (f"{big}/3",) * 2
+
+
+def test_exact_forms_keep_the_digit_limit_on_derived_integers(monkeypatch):
+    # p, q and d have at most 4300 digits (and fewer bits than 4300·log₂10),
+    # so their own digits fit the limit, but p + 3q (first value) or 2q
+    # (second) has 4301: the digits derived for it must not be printed where
+    # str() of it raises, and the limit is not reached by converting it
+    values = [_q5(4 * 10**4299, 4 * 10**4299 + 1, 1), _q5(-6 * 10**4299, 5 * 10**4299, 1)]
+    past = [values[0]._p + 3 * values[0]._q, 2 * values[1]._q]
+    with _int_digit_limit(4300):
+        expected = _str_outcome(str, past[0])
+        assert isinstance(expected, tuple) and expected == _str_outcome(str, past[1])
+        for value, n in zip(values, past):
+            assert max(value._p, value._q).bit_length() < 4300 * math.log2(10)
+            assert _str_outcome(str, value) == fraction_format_linear(value.a, value.b, "√5")
+            converted = _spy_int_str(monkeypatch)
+            assert _str_outcome(exact_forms, value) == expected
+            assert n not in converted
+            monkeypatch.undo()
+            assert _str_outcome(str, value.to_golden()) == expected
+    # d has 4301 digits, but d/gcd(p, d) = d/11, d/gcd(q, d) = d/7 and
+    # d/gcd(p + 3q, d) = d/13 have at most 4300, as has every other printed
+    # integer: it prints under the limit, as str() of each printed integer does
+    within = _q5(11 * (10**4289 + 11), 7 * (10**4289 + 3), 1001 * (10**4297 + 3))
+    with _unlimited_int_digits():
+        assert len(str(within._d)) == 4301
+        for value in (*values, within):
+            golden = value.to_golden()
+            assert exact_forms(value) == (
+                fraction_format_linear(value.a, value.b, "√5"),
+                fraction_format_linear(golden.c0, golden.c1, "q⋆"),
+            )
+        expected = exact_forms(within)
+    with _int_digit_limit(4300):
+        assert exact_forms(within) == expected
 
 
 def fraction_format_linear(c0, c1, symbol):
-    """``c0 + c1·symbol`` with ``Fraction.__str__`` digits: the renderer
-    before ``fraction_str``, kept as its oracle."""
+    """``c0 + c1·symbol`` with ``Fraction.__str__`` digits: the oracle of
+    ``exact_forms``."""
     if c1 == 0:
         return str(c0)
     mag = abs(c1)
@@ -477,7 +511,7 @@ def fraction_format_linear(c0, c1, symbol):
 
 def fraction_exact_str(v):
     """The CLI's exact column through ``Q5.a``/``.b``, ``to_golden()`` and
-    ``Fraction.__str__``, the renderer before ``fraction_str``."""
+    ``Fraction.__str__``: the oracle of ``cli._exact_strs``."""
     if isinstance(v, Q5):
         if v.is_rational:
             return str(v.a)
@@ -544,9 +578,34 @@ _P5000, _Q5000, _D5000 = (random.Random(seed).randrange(10**4999, 10**5000) for 
 @example(value=Q5(2, 1))
 @example(value=Q5(-2, -1))
 @example(value=Q5(0, 5))
+# digits derived from a 5000-digit q: gcd(2q, d) = gcd(q, d) (1 and 3), and
+# gcd(2q, d) = 2·gcd(q, d) (2 and 6)
+@example(value=_q5(1, _Q5000, 3))
+@example(value=_q5(1, 6 * _Q5000, 9))
+@example(value=_q5(1, 2 * _Q5000 + 1, 4))
+@example(value=_q5(1, 3 * (2 * _Q5000 + 1), 12))
+# a 5000-digit p + 3q with a small gcd(p + 3q, d) = 7, and with gcd 1
+@example(value=_q5(7 * _P5000 - 3 * _Q5000, _Q5000, 7))
+@example(value=_q5(_P5000, _Q5000, 7))
+# d divides p (p/d = 10001, as in Λ(10⁴)), d/gcd(p, d) = 2 with
+# p/gcd(p, d) = 13, and gcd(p, d) = 3: p and d each divided by a word
+@example(value=_q5(10_001 * _D5000, _Q5000, _D5000))
+@example(value=_q5(13 * _D5000, _Q5000, 2 * _D5000))
+@example(value=_q5(3 * _P5000 + 3, _Q5000, 3 * _D5000))
+# gcds past 2⁶⁴: large quotients are converted directly, and so is p when
+# d/gcd(p, d) is no word
+@example(value=_q5(_P5000, (2**100 + 1) * _Q5000, (2**100 + 1) * 3))
+@example(value=_q5(_P5000 * (2**100 + 1), 7, (2**100 + 1) * _D5000))
+@example(value=_q5(5 * _D5000, _Q5000, (2**100 + 1) * _D5000))
+# negative coordinates, one or both
+@example(value=_q5(-_P5000, _Q5000, _D5000))
+@example(value=_q5(-10_001 * _D5000, -_Q5000, _D5000))
+@example(value=_q5(-_P5000, -_Q5000, 12 * _D5000 + 6))
+@example(value=_q5(_P5000, -3 * _Q5000, 3))
+@example(value=_q5(-3 * _Q5000 - 1, _Q5000, 1))
 def _check_exact_rendering(value):
     expected = fraction_exact_str(value)
-    assert _exact_str(value) == expected
+    assert _exact_strs([value]) == [expected]
     if isinstance(value, Q5):
         golden = value.to_golden()
         sqrt5_form = fraction_format_linear(value.a, value.b, "√5")
@@ -555,7 +614,7 @@ def _check_exact_rendering(value):
         assert str(golden) == golden_form
         assert exact_forms(value) == (sqrt5_form, golden_form)
     else:
-        assert fraction_str(value) == str(value)
+        assert exact_forms(value) == (str(value),) * 2
 
 
 def test_exact_rendering_matches_fraction_renderer():
@@ -563,6 +622,26 @@ def test_exact_rendering_matches_fraction_renderer():
     # too, so the limit is lifted around it as well as around the renderers
     with _unlimited_int_digits():
         _check_exact_rendering()
+
+
+def _related(value):
+    """Values that share coordinates with ``value``, when it is a Q5."""
+    if not isinstance(value, Q5):
+        return [value]
+    return [value, -value, value.conjugate(), 2 * value, value + 1]
+
+
+@settings(max_examples=30)
+@given(values=st.lists(exact_values, max_size=3).map(lambda vs: [r for v in vs for r in _related(v)]))
+def _check_rendering_in_one_call(values):
+    alone = [form for value in values for form in exact_forms(value)]
+    assert exact_forms(*values) == tuple(alone)
+    assert _exact_strs(values) == [text for value in values for text in _exact_strs([value])]
+
+
+def test_rendering_several_values_in_one_call_matches_each_alone():
+    with _unlimited_int_digits():
+        _check_rendering_in_one_call()
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +990,37 @@ def test_decimal_str_retries_when_the_digits_hinge_on_the_floor(monkeypatch, dig
             n = abs(p + (x - 1) // 2)  # rounded toward zero, not away
             body = f"{n}" if digits == 0 else f"{n // 10**digits}.{n % 10**digits:0{digits}d}"
             assert text == ("-" if v < 0 and n else "") + body
+
+
+def _spy_int_str(monkeypatch):
+    """The integers ``qfield._int_str`` converts from now on."""
+    converted = []
+    real = qfield._int_str
+
+    def spy(n):
+        converted.append(n)
+        return real(n)
+
+    monkeypatch.setattr(qfield, "_int_str", spy)
+    return converted
+
+
+@pytest.mark.parametrize(
+    "argv,most",
+    [
+        # each coordinate once, shared denominators once: 40 and 4 when each
+        # printed integer was converted
+        (["moments", "--q", "phi^-2", "--N", "10000"], 21),
+        (["lambda", "--N", "10000"], 3),
+    ],
+)
+def test_golden_values_print_from_one_conversion_per_coordinate(monkeypatch, capsys, argv, most):
+    converted = _spy_int_str(monkeypatch)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    big = [n for n in converted if abs(n).bit_length() > 3000]
+    assert 0 < len(big) <= most
+    assert len(set(map(abs, big))) == len(big)  # none twice
 
 
 @pytest.mark.usefixtures("cleared_sqrt5_cache")

@@ -34,8 +34,9 @@ if TYPE_CHECKING:
 # subcommands, ``lockin`` inside ``stationarity``, ``fit-ab`` and
 # ``schur --fit-law``, the exact layers (``qfield``, ``folded``, ``golden``)
 # inside the subcommands and helpers that compute or print exact values, and
-# ``json`` only where json is rendered.  A cold start then pays for no unused
-# module.
+# ``json`` only where json is rendered.  One exception: ``schur --fit-law``
+# fits on floats, but ``lockin`` loads ``golden``, ``folded`` and ``qfield``
+# with it, about 15 ms of a ~100 ms cold run.
 
 __all__ = ["main", "build_parser"]
 
@@ -59,13 +60,25 @@ def _parse_q(text: str) -> Fraction | Q5:
     return _parse_rational(text, "q")
 
 
-def _exact_strs(values: Sequence[Fraction | Q5]) -> list[str]:
+def _exact_strs(
+    values: Sequence[Fraction | Q5], golden_point: tuple[int, Sequence[str]] | None = None
+) -> list[str]:
     """The exact column of each value, all rendered in one call, so that an
     integer two values share is converted to digits once: a rational as
-    ``Fraction.__str__`` writes it, an irrational Q5 as ``√5 form = golden form``."""
+    ``Fraction.__str__`` writes it, an irrational Q5 as ``√5 form = golden form``.
+
+    ``golden_point = (N, names)`` says that the values are the golden-point values
+    of N with those names in ``folded``'s forms (``s0``, ``i1``, ``var``,
+    ``lambda``, …); they print from the digits of F_N and L_N.  Every other
+    value prints through :func:`~.qfield.exact_forms`."""
     from .qfield import Q5, exact_forms
 
-    forms = iter(exact_forms(*values))
+    if golden_point is None:
+        forms = iter(exact_forms(*values))
+    else:
+        from .folded import _golden_exact_forms
+
+        forms = iter(_golden_exact_forms(*golden_point))
     return [
         f"{sqrt5} = {golden}" if isinstance(v, Q5) and not v.is_rational else sqrt5
         for v, sqrt5, golden in zip(values, forms, forms)
@@ -115,21 +128,19 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     q = _parse_q(args.q)
     s = sums_closed(args.N, q)
     m = moments(args.N, q)
-    rows = [
-        ("S0", s.s0), ("S1", s.s1), ("S2", s.s2), ("S3", s.s3),
-        ("I1", m.i1), ("I2", m.i2), ("I3", m.i3), ("Var", m.var),
-        ("I1'", m.var), ("I2'", m.i2_prime),
-    ]
+    values = [*s[2:], *m[2:]]  # S0…S3, I1, I2, I3, Var and I2'
     q_label = "q⋆ = (3 − √5)/2" if isinstance(q, Q5) else str(q)
     print(f"N = {args.N}, q = {q_label}")
-    values = list({id(value): value for _, value in rows}.values())  # I1' is the Var object
     columns = []
     if args.format != "decimal":
-        columns.append(_exact_strs(values))
+        names = s._fields[2:] + m._fields[2:]  # s0…s3, i1, i2, i3, var, i2_prime
+        columns.append(_exact_strs(values, (args.N, names) if isinstance(q, Q5) else None))
     if args.format != "exact":
         columns.append([decimal_str(v, args.digits) for v in values])
-    shown = {id(v): " ≈ ".join(texts) for v, *texts in zip(values, *columns)}
-    print("\n".join(f"{name:>4} = {shown[id(value)]}" for name, value in rows))
+    shown = [" ≈ ".join(texts) for texts in zip(*columns)]
+    shown.insert(8, shown[7])  # I1' is Var
+    labels = ("S0", "S1", "S2", "S3", "I1", "I2", "I3", "Var", "I1'", "I2'")
+    print("\n".join(f"{label:>4} = {text}" for label, text in zip(labels, shown)))
     return 0
 
 
@@ -150,6 +161,11 @@ def _cmd_schur(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--fit-law needs theta_max < 0, so that every q = e^theta of the grid "
             f"lies in 0 < q < 1; got theta_max = {args.theta_max}"
+        )
+    if args.fit_law and math.exp(args.theta_min) == 0.0:  # θ below about −745.13
+        raise ValueError(
+            f"--fit-law needs q = e^theta_min > 0, but it underflows to 0.0 (theta_min "
+            f"below about -745.13); got theta_min = {args.theta_min}"
         )
     try:
         fam = load_family(args.hessian_file)
@@ -320,15 +336,15 @@ def _cmd_golden_table(args: argparse.Namespace) -> int:
 
 def _cmd_lambda(args: argparse.Namespace) -> int:
     from .golden import lambda_n
-    from .qfield import decimal_str, exact_forms
+    from .qfield import decimal_str
 
     _check_digits(args.digits)
     lam = lambda_n(args.N)
-    sqrt5_basis, golden_basis = exact_forms(lam)
+    sqrt5_basis, _, golden_basis = _exact_strs([lam], (args.N, ["lambda"]))[0].partition(" = ")
     payload = {
         "N": args.N,
         "sqrt5_basis": sqrt5_basis,
-        "golden_basis": golden_basis,
+        "golden_basis": golden_basis or sqrt5_basis,  # Λ(2) = 3 is rational: one form
         "decimal": decimal_str(lam, args.digits),
     }
     exact = f"{payload['sqrt5_basis']} = {payload['golden_basis']}"

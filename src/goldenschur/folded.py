@@ -20,19 +20,32 @@ stays exact:
 * an inexact scalar (a float, or a float-like such as ``numpy.float64``)
   runs the closed forms as written, and its moments divide those sums by S₀.
 
-The moments, I₂′ and Λ at the golden point ``q = q⋆`` take the one route
-selected by the input.  They are ratios of polynomials of equal degree in
-the numerators, so with a = q⋆ and b = 1 they run on ``Y_k = φᴺ·X_k``: the
-same polynomials at ``(bᴺ, aᴺ) = (φᴺ, φ⁻ᴺ)``, on :class:`~.qfield.Q5`
-values with half the digits of q⋆ᴺ, and ``φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)``.
-``I_k = φᵏY_k/Y₀``, where ``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and
-``L_N`` for odd N; ``I₂′ = T/Y₀²`` with ``T = φ³(Y₃Y₀ − Y₁Y₂)``, and
-``Var = (Y₀² − N²)/Y₀²``: Var = (ln S₀)″ in θ, and at q⋆ its closed form
-collapses to ``1 − N²/Y₀²``.  Every division is then by an integer or by √5
-times one, which :class:`~.qfield.Q5` takes without a field norm.  The
-record at q⋆ is a pure function of N made of immutable values, so it is
-computed once per N per process; the last ``_GOLDEN_CACHE_SIZE`` (32) sizes
-are kept.
+The sums, the moments, I₂′ and Λ at the golden point ``q = q⋆`` take the
+one route selected by the input.  With a = q⋆ and b = 1 they run on
+``Y_k = φᴺ·X_k``: the same polynomials at ``(bᴺ, aᴺ) = (φᴺ, φ⁻ᴺ)``, on
+:class:`~.qfield.Q5` values with half the digits of q⋆ᴺ, and
+``φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)``.  ``S_k = φ^{k−1}·φ⁻ᴺ·Y_k``, ``I_k = φᵏY_k/Y₀``,
+where ``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and ``L_N`` for odd N;
+``I₂′ = T/Y₀²`` with ``T = φ³(Y₃Y₀ − Y₁Y₂)``, and ``Var = (Y₀² − N²)/Y₀²``:
+Var = (ln S₀)″ in θ, and at q⋆ its closed form collapses to
+``1 − N²/Y₀²``.  Every division is then by an integer or by √5 times one,
+which :class:`~.qfield.Q5` takes without a field norm.  The values at q⋆
+are pure functions of N made of immutable values, so each is computed once
+per N per process; the last ``_GOLDEN_CACHE_SIZE`` (32) sizes are kept.
+
+The same kernel prints them.  Since ``φᴺ = (L_N + F_N·√5)/2``, every
+coordinate of these values is a vector of small integers over
+``(1, F_N, L_N, F_2N, L_2N)``, over a small integer times 1, Y₀, Y₀² or
+``R = Y₀² − N²`` (:func:`_golden_forms`).  :func:`_golden_exact_forms`
+prints them from one radix conversion each of F_N and L_N, in Decimal
+arithmetic linear in the digits, and reduces each fraction by gcds with
+small integers only (:func:`_common_factor`).  At N = 10⁴,
+``moments --q phi^-2`` converts 2 integers of over 3000 bits instead of 18,
+and its warm run takes about 3 ms instead of 9–12 ms (Python 3.11, 2-CPU
+Xeon host, first quartile of 100 runs in each of 7 alternating processes);
+``lambda`` about 0.9 ms instead of 1.4–1.9 ms.
+:func:`~.qfield.exact_forms`, which prints every other exact value, is
+the oracle the tests hold this route to.
 
 Both lanes and the q⋆ kernel fill one :class:`FoldedMoments` record, I₂′
 included, so :func:`moments` is the one route to the moments.
@@ -40,11 +53,16 @@ included, so :func:`moments` is the one route to the moments.
 
 from __future__ import annotations
 
+import decimal
+import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple, Union
+from functools import lru_cache, reduce
+from typing import NamedTuple, Sequence, Union
 
-from .qfield import PHI, QSTAR, Q5
+from .qfield import (
+    _DIRECT_BITS, _EXACT, PHI, QSTAR, Q5, SQRT5, _coords, _Digits, _format_linear,
+    _int_max_str_digits,
+)
 
 __all__ = [
     "Scalar",
@@ -128,6 +146,8 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     float-like q runs the closed forms as written.
     """
     _check_domain(n, q)
+    if _is_golden(q):
+        return _golden_point(n).sums
     if type(q) is Fraction or type(q) is Q5:
         return _sums_closed_exact(n, q)
     return FoldedSums(n, q, *_closed_sums(n, q))
@@ -224,20 +244,203 @@ def _moments_exact(n: int, q: Fraction | Q5) -> FoldedMoments:
     )
 
 
-def _golden_numerators(n: int) -> tuple[Q5, Q5, Q5, Q5]:
-    """``(Y₀, Y₁, Y₂, Y₃)`` with ``Y_k = φᴺ·X_k``, the numerators of
-    :func:`sums_closed` at a = q⋆ and b = 1 scaled by φᴺ.
+#: how many sizes N keep their golden-point values for the life of the process
+_GOLDEN_CACHE_SIZE = 32
+#: ``(1, F_N, L_N, F_2N, L_2N)``: every coordinate of a golden-point value of
+#: N is an integer vector over these five integers
+_Basis = tuple[int, int, int, int, int]
+
+
+class _Form(NamedTuple):
+    """A golden-point value ``(p + q·√5)/d``, each coordinate an integer
+    vector over the basis of :class:`_GoldenPoint`, with ``d = k·Dᵖᵒʷᵉʳ`` and
+    ``reduction = (D, λ, i, e, c)``: modulo D, ``L_2N ≡ λ`` and
+    ``e·w² ≡ c`` for the basis integer w at index i, and every other basis
+    integer with an entry in p or q vanishes (see :func:`_common_factor`)."""
+
+    p: list[int]
+    q: list[int]
+    d: list[int]
+    k: int
+    power: int
+    reduction: tuple[int, int, int, int, int]
+
+
+class _GoldenPoint(NamedTuple):
+    """What the golden-point values of N are built from, once per N."""
+
+    basis: _Basis
+    numerators: tuple[Q5, Q5, Q5, Q5]
+    sums: FoldedSums
+    forms: dict[str, _Form]
+
+
+@lru_cache(maxsize=_GOLDEN_CACHE_SIZE)
+def _golden_point(n: int) -> _GoldenPoint:
+    """The basis, the numerators ``(Y₀, Y₁, Y₂, Y₃)`` with ``Y_k = φᴺ·X_k``
+    (those of :func:`sums_closed` at a = q⋆ and b = 1, scaled by φᴺ), the
+    power sums and the forms of the golden point of N, from one power ``φᴺ = (L_N + F_N·√5)/2``
+    (Knuth, *TAOCP* vol. 1 §1.2.8).
 
     X_k is linear in (bᴺ, aᴺ) = (1, φ⁻²ᴺ), so Y_k is the same polynomial at
     (φᴺ, φ⁻ᴺ): coordinates of half the size of q⋆ᴺ's.  φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)
-    costs no second power.  Then ``I_k = φᵏY_k/Y₀``, and since
-    ``φᴺ = (L_N + F_N·√5)/2`` (Knuth, *TAOCP* vol. 1 §1.2.8),
-    ``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and ``L_N`` for odd N: a
-    divisor of one coordinate, with ``Y₀² = 5F_N²`` or ``L_N²``.
+    costs no second power.  Then ``I_k = φᵏY_k/Y₀``, and ``Y₀ = φᴺ − φ⁻ᴺ``
+    is ``√5·F_N`` for even N and ``L_N`` for odd N: a divisor of one
+    coordinate, with ``Y₀² = 5F_N²`` or ``L_N²``.  With q⋆ = φ⁻² and
+    1 − q⋆ = φ⁻¹, the sums ``q⋆·X_k/(1 − q⋆)^{k+1}`` are ``φ^{k−1}·φ⁻ᴺ·Y_k``.
     """
     up = PHI**n
-    down = up.conjugate()
-    return _numerators(n, QSTAR, 1, -down if n & 1 else down, up)
+    f, lucas = int(2 * up.b), int(2 * up.a)
+    down = -up.conjugate() if n & 1 else up.conjugate()
+    ys = _numerators(n, QSTAR, 1, down, up)
+    down = (PHI - 1) * down  # φ⁻ᴺ⁻¹, and φ − 1 = φ⁻¹
+    sums = FoldedSums(n, QSTAR, *(PHI**k * down * y for k, y in enumerate(ys)))
+    basis = (1, f, lucas, f * lucas, lucas * lucas + (2 if n & 1 else -2))
+    return _GoldenPoint(basis, ys, sums, _golden_forms(n, basis))
+
+
+def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
+    """The forms of the golden-point values of N, by name: ``s0``…``s3``,
+    ``i1``…``i3``, ``var``, ``i2_prime`` and ``lambda`` (Λ, for N ≥ 2).
+
+    With ``z = φᴺ``, :func:`_numerators` at ``(bn, an) = (1, 0)`` and
+    ``(0, 1)`` gives small U_k and V_k with ``Y_k = U_k·z + V_k/z``.  So
+    ``S_k = φ^{k−1}(U_k + V_k/z²)``, ``I_k = φᵏY_k/Y₀``, ``Var = R/Y₀²``,
+    ``I₂′ = T/Y₀²`` and ``Λ = T/R``, with ``T = φ³(Y₃Y₀ − Y₁Y₂)``,
+    ``Y₀² = z² − 2 + z⁻²`` and ``R = Y₀² − N²``: Laurent polynomials in z
+    of degree at most 2 with small coefficients in Q(√5).  Since
+    ``z^{±1} = (±1)ᴺ(L_N ± F_N·√5)/2`` and ``z^{±2} = (L_2N ± F_2N·√5)/2``,
+    each coordinate is an integer vector over ``(1, F_N, L_N, F_2N, L_2N)``,
+    over a small integer times 1, Y₀, Y₀² or R; its entries have at most 44
+    bits up to N = 10⁴ + 1.
+    """
+    us = _numerators(n, QSTAR, 1, 0, 1)
+    vs = _numerators(n, QSTAR, 1, 1, 0)
+    odd = n & 1
+    sign = -1 if odd else 1
+    # z^j = (P + Q·√5)/2, with P and Q as (basis index, sign)
+    halves = {
+        0: ((0, 2), (0, 0)), 1: ((2, 1), (1, 1)), -1: ((2, sign), (1, -sign)),
+        2: ((4, 1), (3, 1)), -2: ((4, 1), (3, -1)),
+    }
+
+    def form(terms: dict[int, _Ring], over: tuple) -> _Form:
+        """``Σ c_j·z^j`` divided by ``over``: the divisor as a basis vector,
+        its quotient by ``modulusᵖᵒʷᵉʳ``, that power, and the reduction modulo
+        the modulus."""
+        coords = [(j, _coords(c)) for j, c in terms.items()]
+        den = math.lcm(*(2 * d for _, (_, _, d) in coords))
+        p, q = [0] * 5, [0] * 5
+        for j, (cp, cq, cd) in coords:
+            (i, si), (k, sk) = halves[j]
+            w = den // (2 * cd)
+            p[i] += w * si * cp
+            p[k] += 5 * w * sk * cq
+            q[i] += w * si * cq
+            q[k] += w * sk * cp
+        vector, unit, power, reduction = over
+        return _Form(p, q, [den * x for x in vector], den * unit, power, reduction)
+
+    # Y₀ is A = L_N (odd N) or √5·A with A = F_N (even N): Y₀² = y·A², and
+    # modulo A, L_2N = Y₀² + 2 ≡ 2 while the other of F_N, L_N, w, has
+    # (5/y)·w² = Y₀² + 4 ≡ 4
+    a, y, root = (2, 1, 1) if odd else (1, 5, SQRT5)
+    on_a = (basis[a], 2, 3 - a, 5 // y, 4)
+    # modulo R, L_2N ≡ N² + 2 and 5·F_2N² = L_2N² − 4 ≡ N²(N² + 4)
+    on_r = (basis[4] - 2 - n * n, n * n + 2, 3, 5, n * n * (n * n + 4))
+    one = ([1, 0, 0, 0, 0], 1, 1, (1, 0, 0, 0, 0))
+    y0 = ([y * (i == a) for i in range(5)], y, 1, on_a)  # y·A
+    y0_squared = ([-2, 0, 0, 0, 1], y, 2, on_a)
+    r = ([-2 - n * n, 0, 0, 0, 1], 1, 1, on_r)
+    (u0, u1, u2, u3), (v0, v1, v2, v3) = us, vs
+    cube = PHI**3
+    t = {
+        2: cube * (u3 * u0 - u1 * u2),
+        0: cube * (u3 * v0 + v3 * u0 - u1 * v2 - v1 * u2),
+        -2: cube * (v3 * v0 - v1 * v2),
+    }
+    forms = {
+        "var": form({2: 1, 0: -2 - n * n, -2: 1}, y0_squared),
+        "i2_prime": form(t, y0_squared),
+        "lambda": form(t, r),
+    }
+    for k in range(4):
+        c = (PHI - 1) * PHI**k  # φ^{k−1}
+        forms[f"s{k}"] = form({0: c * us[k], -2: c * vs[k]}, one)
+        if k:  # 1/Y₀ = root/(y·A)
+            forms[f"i{k}"] = form({1: root * PHI * c * us[k], -1: root * PHI * c * vs[k]}, y0)
+    return forms
+
+
+def _dot(vector: Sequence[int], basis: Sequence) -> int:
+    return sum(c * x for c, x in zip(vector, basis) if c)
+
+
+def _common_factor(x: int, vector: Sequence[int], form: _Form) -> int:
+    """``gcd(x, d)`` for ``x = vector·basis`` and the denominator ``d`` of
+    ``form``, from gcds with small integers only.
+
+    Modulo ``D``, ``x ≡ a + b·w`` with ``a = x₀ + λ·x₄`` and b the entry of
+    w: modulo Y₀'s integer (F_N or L_N) it and F_2N vanish, and Λ's T is
+    even in φᴺ, with no entry on F_N or L_N.  So a common divisor of x and D
+    divides ``(a + bw)(a − bw)·e ≡ e·a² − c·b²`` (for ``D = F_N``, with
+    ``L_N² ≡ 4(−1)ᴺ``, this is ``a² − 4(−1)ᴺb²``).  Then ``gcd(x, D)`` divides
+    ``h = gcd(D, e·a² − c·b²)``, found by one division of D by a small
+    integer; ``gcd(x, D²)`` divides ``gcd(x, D)²``; and so
+    ``gcd(x, k·Dᵖ) = gcd(x, k·hᵖ)``, a gcd with a small integer.  Where
+    ``e·a² = c·b²``, h is D and this is ``math.gcd(x, d)``.
+    """
+    modulus, lam, i, e, c = form.reduction
+    a, b = vector[0] + lam * vector[4], vector[i]
+    return math.gcd(x, form.k * math.gcd(modulus, e * a * a - c * b * b) ** form.power)
+
+
+def _golden_exact_forms(n: int, names: Sequence[str]) -> tuple[str, ...]:
+    """:func:`~.qfield.exact_forms` of the golden-point values of N named by
+    ``names`` (keys of :func:`_golden_forms`), from the digits of F_N and L_N.
+
+    Each printed integer is ``x/g`` for a form's ``x = vector·basis`` and
+    ``g`` from :func:`_common_factor`.  One above ``_DIRECT_BITS`` bits is
+    derived in :class:`decimal.Decimal` arithmetic, linear in the digits:
+    F_N and L_N are converted once, F_2N = F_N·L_N and L_2N = L_N² ∓ 2 are
+    multiplied once, and every integer is a sum of small multiples of them,
+    divided by g.  So ``moments --q phi^-2 --N 10000`` converts 2 integers of
+    over 3000 bits, not 18, and takes no gcd of two large integers.  Under a
+    set int→str digit limit, a derived string past it is replaced by
+    ``str(k)``, which raises as str does.
+    """
+    point = _golden_point(n)
+    basis = point.basis
+    digits = _Digits()
+    decimals: list = []
+    limit = _int_max_str_digits()
+
+    def derive(vector: Sequence[int], k: int, g: int) -> None:
+        """File the digits of a large ``k = |vector·basis|/g``."""
+        if k.bit_length() <= _DIRECT_BITS or k in digits:
+            return
+        if not decimals:
+            f, lucas = (decimal.Decimal(digits[x]) for x in basis[1:3])
+            lucas2 = _EXACT.add(_EXACT.multiply(lucas, lucas), 2 if n & 1 else -2)
+            decimals.extend((1, f, lucas, _EXACT.multiply(f, lucas), lucas2))
+        terms = [_EXACT.multiply(x, c) for c, x in zip(vector, decimals) if c]
+        text = str(_EXACT.divide_int(reduce(_EXACT.add, terms), g).copy_abs())
+        digits[k] = str(k) if 0 < limit < len(text) else text  # str(k) raises there
+
+    forms = []
+    for name in names:
+        form = point.forms[name]
+        p, q, d = form.p, form.q, form.d
+        den = _dot(d, basis)
+        pairs = []
+        for vector in (p, q, [x + 3 * y for x, y in zip(p, q)], [-2 * y for y in q]):
+            x = _dot(vector, basis)
+            g = _common_factor(x, vector, form)
+            pairs.append((x // g, den // g))
+            derive(vector, abs(pairs[-1][0]), g)
+            derive(d, pairs[-1][1], g)
+        forms += ((pairs[0], pairs[1], "√5"), (pairs[2], pairs[3], "q⋆"))
+    return tuple(_format_linear(*forms, digits=digits))
 
 
 def _golden_i2_prime_numerator(ys: tuple[Q5, Q5, Q5, Q5]) -> Q5:
@@ -246,14 +449,10 @@ def _golden_i2_prime_numerator(ys: tuple[Q5, Q5, Q5, Q5]) -> Q5:
     return PHI**3 * (y3 * y0 - y1 * y2)
 
 
-#: how many sizes N keep their golden-point moments for the life of the process
-_GOLDEN_CACHE_SIZE = 32
-
-
 @lru_cache(maxsize=_GOLDEN_CACHE_SIZE)
 def _moments_golden(n: int) -> FoldedMoments:
-    """The moments at (N, q⋆) from
-    :func:`_golden_numerators`: ``I_k = φᵏY_k/Y₀``, ``Var = (Y₀² − N²)/Y₀²``
+    """The moments at (N, q⋆) from the numerators of
+    :func:`_golden_point`: ``I_k = φᵏY_k/Y₀``, ``Var = (Y₀² − N²)/Y₀²``
     and ``I₂′ = T/Y₀²``.  Every division is by ``Y₀ ∈ {√5·F_N, L_N}`` or by
     the integer Y₀², so :class:`Q5` takes it without a field norm.
 
@@ -261,7 +460,7 @@ def _moments_golden(n: int) -> FoldedMoments:
     ``q⋆/(1 − q⋆)² = 1`` and ``q⋆ᴺ/(1 − q⋆ᴺ)² = 1/Y₀²``: Var·Y₀² = Y₀² − N² is
     an integer, the ``φ²(Y₂Y₀ − Y₁²)`` of the numerators without their products.
     """
-    ys = _golden_numerators(n)
+    ys = _golden_point(n).numerators
     y0, y1, y2, y3 = ys
     square = y0 * y0
     return FoldedMoments(

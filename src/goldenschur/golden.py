@@ -7,7 +7,9 @@ Since ``q⋆ = (3 − √5)/2`` satisfies ``q⋆² = 3q⋆ − 1``, every power 
 
 The golden-point moments and the ratio ``Λ(N) = I₂′(θ⋆)/I₁′(θ⋆)`` come from
 the closed forms of :mod:`.folded` at ``q = q⋆``, scaled by ``φᴺ``; each is
-computed once per N per process, and the last 32 sizes are kept.  The
+computed once per N per process, and the last 32 sizes are kept.  Λ prints
+from the digits of F_N and L_N, as the moments do (:mod:`.folded`): the
+``lambda`` subcommand at N = 10⁴ converts those two integers only.  The
 table is integer arithmetic: :mod:`.qfield` and :mod:`.folded` are imported
 by the functions that compute with them, so building the table loads neither.
 """
@@ -82,7 +84,7 @@ def lambda_n(n: int) -> Q5:
 @lru_cache(maxsize=_LAMBDA_CACHE_SIZE)
 def _lambda_golden(n: int) -> Q5:
     """Λ(N) = T/R for a size N ≥ 2 already checked by :func:`lambda_n`."""
-    from .folded import _golden_i2_prime_numerator, _golden_numerators
+    from .folded import _golden_i2_prime_numerator, _golden_point
 
-    ys = _golden_numerators(n)
+    ys = _golden_point(n).numerators
     return _golden_i2_prime_numerator(ys) / (ys[0] * ys[0] - n * n)

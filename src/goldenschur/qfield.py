@@ -34,9 +34,14 @@ to Python 3.11 (and below about 9000 digits after it), so
 :func:`exact_forms` converts only the coordinates ``p``, ``q`` and ``d`` of
 each value, each at most once, and derives every other large printed
 integer (``p + 3q``, ``2q``, quotients by a gcd below 2⁶⁴) from their digits
-in :class:`decimal.Decimal` arithmetic, which is linear in the digits.  At
-N = 10⁴, ``moments --q phi^-2`` converts 18 integers of over 3000 bits
-instead of 40.  On Python < 3.12 the conversions go through
+in :class:`decimal.Decimal` arithmetic, which is linear in the digits.  Its
+gcds are taken on the parts of d the coordinates leave (``_coordinate_gcds``):
+on Λ(10⁴), whose d divides p, the render took 1.4–1.5 ms and takes
+0.8–1.0 ms (timeit, Python 3.11, 2-CPU Xeon host).  The golden-point
+values that ``moments --q phi^-2`` and ``lambda`` print take a cheaper
+route, from the digits of F_N and L_N (:mod:`.folded`), and
+:func:`exact_forms` is the oracle it is tested against.  On Python < 3.12
+the conversions go through
 ``_split_int_str``, a divide-and-conquer radix conversion (Knuth, *TAOCP*
 vol. 2 §4.4; Brent & Zimmermann, *Modern Computer Arithmetic* §1.7) with a
 smaller constant than ``str(int)``; later versions convert that way natively.
@@ -589,6 +594,25 @@ def _format_linear(
     return out
 
 
+def _coordinate_gcds(p: int, q: int, d: int) -> tuple[int, int, int]:
+    """``(gcd(p, d), gcd(q, d), gcd(p + 3q, d))`` for ``gcd(p, q, d) = 1``,
+    each of the last two taken on the part of d the others leave.
+
+    No prime of ``gcd(p, d)`` divides q, and none of ``gcd(q, d)`` divides
+    ``p + 3q``; a prime of ``gcd(p, d)`` other than 3 would divide 3q, so it
+    does not divide ``p + 3q`` either.  So ``gcd(q, d)`` is taken on
+    ``d/gcd(p, d)``, and ``gcd(p + 3q, d)`` on ``d/(gcd(q, d)·g₁′)``, with g₁′
+    the part of ``gcd(p, d)`` prime to 3: on Λ(N), where d divides p, that
+    is a small integer.
+    """
+    g1 = math.gcd(p, d)
+    g = math.gcd(q, d // g1)
+    free = g1
+    while free % 3 == 0:
+        free //= 3
+    return g1, g, math.gcd(p + 3 * q, d // (g * free))
+
+
 def exact_forms(*values: Q5 | Fraction | int) -> tuple[str, ...]:
     """``str(x)`` and ``str(x.to_golden())`` of each value, in one pass:
     ``(√5 form, golden form)`` of the first value, then of the second, and so
@@ -605,9 +629,10 @@ def exact_forms(*values: Q5 | Fraction | int) -> tuple[str, ...]:
     is small, as for Λ(N), whose ``p`` is ``(N + 1)·d``.  A small quotient
     is converted directly, also after a large gcd.  Under a set int→str
     digit limit, a value with a coordinate near it is converted integer by
-    integer, as ``str`` would.  At N = 10⁴, ``moments --q phi^-2`` converts
-    18 integers above 3000 bits, where converting each printed integer took
-    40, and ``lambda`` converts 2 instead of 4.
+    integer, as ``str`` would.  At N = 10⁴, the golden-point values of
+    ``moments --q phi^-2`` convert 18 integers above 3000 bits here, where
+    converting each printed integer took 40 (the CLI prints them from F_N
+    and L_N instead, see :mod:`.folded`).
     """
     digits = _Digits()
     limit = _int_max_str_digits()
@@ -621,10 +646,7 @@ def exact_forms(*values: Q5 | Fraction | int) -> tuple[str, ...]:
             forms += [((p, d), (0, 1), "")] * 2
             continue
         p3 = p + 3 * q
-        # gcd(p, q, d) = 1: a prime of gcd(q, d) divides neither p nor p + 3q
-        g1 = math.gcd(p, d)
-        g = math.gcd(q, d // g1)
-        g3 = math.gcd(p3, d // g)
+        g1, g, g3 = _coordinate_gcds(p, q, d)
         g2 = g if (d // g) & 1 else 2 * g  # gcd(2q, d)
         forms += (
             ((p // g1, d // g1), (q // g, d // g), "√5"),

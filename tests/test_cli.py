@@ -1280,6 +1280,29 @@ def test_schur_fit_law_refuses_a_grid_past_q_1_before_scanning(capsys, monkeypat
     assert code in (0, 1) and out
 
 
+@pytest.mark.parametrize("theta_min", ["-800", "-745.14", "-inf"])
+def test_schur_fit_law_refuses_a_grid_where_q_underflows_before_scanning(
+    capsys, monkeypatch, theta_min
+):
+    # e^θ is 0.0 below about −745.13, where the folded law does not exist: the
+    # grid is refused before the family is read or scanned, naming the option
+    from goldenschur import schur
+
+    for name in ("load_family", "kappa_convexity_scan"):
+        monkeypatch.setattr(schur, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    family = str(FIXTURES / "ci-family.json")
+    code, out, err = run_cli(capsys, "schur", family, "--fit-law", "--", theta_min, "-1", "5")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --fit-law needs q = e^theta_min > 0, but it underflows to 0.0 (theta_min "
+        f"below about -745.13); got theta_min = {float(theta_min)}\n"
+    )
+    monkeypatch.undo()
+    if math.isfinite(float(theta_min)):
+        code, out, _ = run_cli(capsys, "schur", family, "--", theta_min, "-1", "5")  # no fit: scanned
+        assert code in (0, 1) and out
+
+
 def test_invalid_family_loads_no_numpy(tmp_path):
     argv = ["schur", _invalid_family(tmp_path), "-2.0", "-0.1", "11", "--fit-law"]
     proc = subprocess.run(

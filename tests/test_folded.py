@@ -86,24 +86,25 @@ def _spy(monkeypatch, name):
 
 
 def test_only_qstar_takes_the_golden_route(monkeypatch):
-    # q⋆, however it was built, takes the numerators of an exact q for its
-    # sums, and only its moments take the φᴺ-scaled kernel; a Q5 next to it
-    # takes the exact lane, and only the float runs the closed forms
+    # q⋆, however it was built, takes the φᴺ kernel for its sums and its
+    # moments; a Q5 next to it takes the exact lane, and only the float runs
+    # the closed forms
     exact = _spy(monkeypatch, "_sums_closed_exact")
+    kernel = _spy(monkeypatch, "_golden_point")
     golden = _spy(monkeypatch, "_moments_golden")
     closed = _spy(monkeypatch, "_closed_sums")
     star = Q5(3, -1) / 2
     assert sums_closed(12, star) == sums_bruteforce(12, QSTAR)
-    assert (exact, golden, closed) == ([QSTAR], [], [])
+    assert (exact, kernel, golden, closed) == ([], [12], [], [])
     assert moments(12, star) == moments_from_sums(sums_bruteforce(12, QSTAR))
-    assert (exact, golden, closed) == ([QSTAR], [12], [])
+    assert (exact, golden, closed) == ([], [12], [])
     near = QSTAR * Fraction(999, 1000)
     assert sums_closed(12, near) == sums_bruteforce(12, near)
     assert moments(12, near) == moments_from_sums(sums_bruteforce(12, near))
-    assert (exact, golden, closed) == ([QSTAR, near], [12], [])
+    assert (exact, golden, closed) == ([near], [12], [])
     sums_closed(12, float(QSTAR))
     moments(12, float(QSTAR))
-    assert (exact, golden, closed) == ([QSTAR, near], [12], [float(QSTAR)] * 2)
+    assert (exact, golden, closed) == ([near], [12], [float(QSTAR)] * 2)
 
 
 def test_closed_forms_see_only_inexact_scalars(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from goldenschur import folded, golden, qfield
-from goldenschur.folded import _golden_numerators, moments, sums_closed
+from goldenschur.folded import _golden_point, moments, sums_closed
 from goldenschur.golden import GoldenPower, golden_power_table, lambda_n
 from goldenschur.oracle import (
     fibonacci, moments_from_sums, sums_at_qstar, theta_derivatives_fd,
@@ -281,7 +281,7 @@ def test_golden_kernel_matches_the_field_route_at_large_n(n):
 def _check_integers(n):
     # Y₀ = φᴺ − φ⁻ᴺ is √5·F_N for even N and L_N for odd N, so Y₀² is a
     # rational integer; so is φ²(Y₂Y₀ − Y₁²) = Var·Y₀², and it is Y₀² − N²
-    y0, y1, y2, _ = _golden_numerators(n)
+    y0, y1, y2, _ = _golden_point(n).numerators
     f, lucas = fibonacci(n), fibonacci(n - 1) + fibonacci(n + 1)
     assert y0 == (Q5(0, f) if n % 2 == 0 else lucas)
     square, r = y0 * y0, PHI**2 * (y2 * y0 - y1 * y1)

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from goldenschur import cli, qfield
 from goldenschur.cli import _exact_strs, _unlimited_int_digits
-from goldenschur.folded import moments, sums_closed
+from goldenschur.folded import _golden_exact_forms, moments, sums_closed
+from goldenschur.golden import lambda_n
+from goldenschur.oracle import fibonacci
 from goldenschur.qfield import (
     _SPLIT_DIGITS,
     PHI,
@@ -22,6 +24,7 @@ from goldenschur.qfield import (
     SQRT5,
     GoldenBasis,
     Q5,
+    _coordinate_gcds,
     _q5,
     _split_int_str,
     _sqrt5_floor,
@@ -1021,6 +1024,105 @@ def test_golden_values_print_from_one_conversion_per_coordinate(monkeypatch, cap
     big = [n for n in converted if abs(n).bit_length() > 3000]
     assert 0 < len(big) <= most
     assert len(set(map(abs, big))) == len(big)  # none twice
+
+
+@pytest.mark.parametrize(
+    "argv", [["moments", "--q", "phi^-2", "--N", "10000"], ["lambda", "--N", "10000"]]
+)
+def test_golden_values_print_from_the_digits_of_f_n_and_l_n(monkeypatch, capsys, argv):
+    # every printed integer derives from F_N and L_N, converted once each (18
+    # and 2 conversions of ints above 3000 bits when each coordinate was)
+    converted = _spy_int_str(monkeypatch)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    big = sorted(abs(n) for n in converted if abs(n).bit_length() > 3000)
+    assert big == [fibonacci(10_000), fibonacci(9_999) + fibonacci(10_001)]
+
+
+#: sizes whose golden-point values print through both routes in the tests:
+#: sums' coordinates pass 3000 bits from N = 2161, and I₁…I₃'s near N = 4320
+GOLDEN_SIZES = [*range(1, 401), 2160, 2161, 4320, 9999, 10_000, 10_001]
+
+
+def golden_values(n):
+    """The golden-point values of N, by their names in ``folded``'s forms."""
+    named = {**sums_closed(n, QSTAR)._asdict(), **moments(n, QSTAR)._asdict()}
+    del named["n"], named["q"]
+    if n >= 2:
+        named["lambda"] = lambda_n(n)
+    return named
+
+
+def test_golden_route_prints_what_exact_forms_prints():
+    with _unlimited_int_digits():
+        for n in GOLDEN_SIZES:
+            named = golden_values(n)
+            assert _golden_exact_forms(n, list(named)) == exact_forms(*named.values()), n
+
+
+def test_golden_commands_print_the_bytes_of_exact_forms(monkeypatch, capsys):
+    # the stdout of every format of `moments --q phi^-2` and `lambda`, with the
+    # golden-point values printed from F_N and L_N and through exact_forms
+    from goldenschur import folded
+
+    def outputs():
+        texts = []
+        for n in GOLDEN_SIZES:
+            for argv in (
+                *(["moments", "--q", "phi^-2", "--format", f] for f in ("exact", "decimal", "both")),
+                *(["lambda", "--format", f] for f in ("table", "csv", "json")),
+            ):
+                code = cli.main([*argv, "--N", str(n)])
+                texts.append((argv, n, code, *capsys.readouterr()))
+        return texts
+
+    printed = outputs()
+    monkeypatch.setattr(
+        folded,
+        "_golden_exact_forms",
+        lambda n, names: exact_forms(*map(golden_values(n).__getitem__, names)),
+    )
+    for new, old in zip(printed, outputs()):
+        assert new == old, new[:2]
+
+
+def test_golden_values_keep_the_digit_limit():
+    # at N = 10500, F_N and L_N and the coordinates of I₁ have about 2200
+    # digits, and those of S₀ and Λ about 4390: derived digits past the
+    # limit raise as str() of the integer does, and the others print
+    n = 10_500
+    named = golden_values(n)
+    with _int_digit_limit(4300):
+        outcomes = [_str_outcome(lambda v: _golden_exact_forms(n, [v]), v) for v in named]
+        assert outcomes == [_str_outcome(exact_forms, value) for value in named.values()]
+    assert outcomes[0][0] == "ValueError" != outcomes[4][0]  # S₀ raises, I₁ prints
+
+
+_gcd_cases = st.one_of(
+    st.builds(_q5, big_coords, big_coords, denominators),
+    # d divides p, as for Λ(N), with any factor left to q
+    st.builds(lambda k, q, d: _q5(k * d, q, d), st.integers(-20, 20), big_coords, denominators),
+    # gcd(p, d) with powers of 3, where p + 3q may share a 3 with d
+    st.builds(
+        lambda i, j, p, q, d: _q5(3**i * p, q, 3**j * d),
+        st.integers(0, 4), st.integers(0, 4), big_coords, big_coords, denominators,
+    ),
+)
+
+
+@given(value=_gcd_cases)
+@example(value=_q5(3, 1, 9))
+@example(value=_q5(10_001 * _D5000, _Q5000, _D5000))
+@example(value=_q5(-27 * _D5000, 1, 81 * _D5000))
+@example(value=_q5(6, -2, 27))
+def _check_coordinate_gcds(value):
+    p, q, d = value._p, value._q, value._d
+    assert _coordinate_gcds(p, q, d) == (math.gcd(p, d), math.gcd(q, d), math.gcd(p + 3 * q, d))
+
+
+def test_coordinate_gcds_equal_the_gcds_of_the_unreduced_coordinates():
+    with _unlimited_int_digits():
+        _check_coordinate_gcds()
 
 
 @pytest.mark.usefixtures("cleared_sqrt5_cache")

@@ -15,6 +15,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "floatlaw": ("QuadLawFit", "quadratic_law_fit"),
     "folded": (
         "FoldedMoments",
         "FoldedSums",
@@ -29,13 +30,11 @@ _EXPORTS = {
     ),
     "lockin": (
         "QuadLawCoeffs",
-        "QuadLawFit",
         "StationarityReport",
         "bracket_residual",
         "f_red_prime_q",
         "f_red_q",
         "kappa_quadratic",
-        "quadratic_law_fit",
         "stationarity_check",
         "synthesize_consistent_ab",
     ),

@@ -21,22 +21,22 @@ import contextlib
 import functools
 import math
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .reference import SUITES
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .qfield import Q5
 
 # Each subcommand imports only the layers it computes with: ``verify``, the
 # one that needs numpy, and ``schur`` (standard library only) inside their
-# subcommands, ``lockin`` inside ``stationarity``, ``fit-ab`` and
-# ``schur --fit-law``, the exact layers (``qfield``, ``folded``, ``golden``)
-# inside the subcommands and helpers that compute or print exact values, and
-# ``json`` only where json is rendered.  One exception: ``schur --fit-law``
-# fits on floats, but ``lockin`` loads ``golden``, ``folded`` and ``qfield``
-# with it, about 15 ms of a ~100 ms cold run.
+# subcommands, ``lockin`` inside ``stationarity``, the exact layers
+# (``qfield``, ``folded``, ``golden``) inside the subcommands and helpers that
+# compute or print exact values, ``fractions`` inside the helpers that parse
+# rationals, and ``json`` only where json is rendered.  ``schur --fit-law``
+# fits on floats through ``floatlaw``, which loads none of them.
 
 __all__ = ["main", "build_parser"]
 
@@ -46,6 +46,8 @@ _GOLDEN_TOKENS = {"phi^-2", "qstar", "q*", "golden"}
 def _parse_rational(text: str, name: str) -> Fraction:
     """``text`` read exactly: ``Fraction`` parses every finite decimal, and
     rejects NaN and the infinities."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -96,6 +98,20 @@ def _json(doc: object, indent: int | None = None) -> str:
     import json
 
     return json.dumps(doc, indent=indent, sort_keys=True)
+
+
+#: the text :mod:`json` writes for the floats whose ``repr`` is not JSON
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: one ``{"kappa": …, "q": …, "theta": …}`` row of the ``schur`` json curve, as
+#: ``json.dumps(doc, indent=2, sort_keys=True)`` lays it out
+_CURVE_ROW = '    {\n      "kappa": %s,\n      "q": %s,\n      "theta": %s\n    }'
+
+
+def _json_float(x: float) -> str:
+    """``x`` as :mod:`json` writes a float: its ``repr``, or ``NaN``,
+    ``Infinity`` or ``-Infinity``."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
 
 
 def _cell(x: float, width: int, decimals: int) -> str:
@@ -177,7 +193,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
     scan = kappa_convexity_scan(fam, args.theta_min, args.theta_max, args.points)
     curve = [(t, math.exp(t), k) for t, k in zip(scan.thetas, scan.kappas)]
     if args.fit_law:  # before any output: a degenerate fit prints nothing
-        from .lockin import quadratic_law_fit
+        from .floatlaw import quadratic_law_fit
 
         fit = quadratic_law_fit([(q, k) for _, q, k in curve], fam.n)
         a, b, residual = float(fit.a), float(fit.b), fit.max_abs_residual
@@ -185,7 +201,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc: dict[str, object] = {
             "N": fam.n,
-            "curve": [{"theta": t, "q": q, "kappa": k} for t, q, k in curve],
+            "curve": [],
             "convexity": {
                 "min_second_difference": d2_min,
                 "violations": violations,
@@ -194,7 +210,11 @@ def _cmd_schur(args: argparse.Namespace) -> int:
         }
         if args.fit_law:
             doc["fit"] = {"A": a, "B": b, "max_abs_residual": residual}
-        lines = [_json(doc, indent=2)]
+        # the curve rows from one template, the bytes json.dumps writes for them
+        rows = ",\n".join(
+            _CURVE_ROW % (_json_float(k), _json_float(q), _json_float(t)) for t, q, k in curve
+        )
+        lines = [_json(doc, indent=2).replace('"curve": []', f'"curve": [\n{rows}\n  ]', 1)]
     elif args.format == "csv":
         lines = ["theta,q,kappa"]
         lines += [f"{t:.12g},{q:.12g},{k:.12g}" for t, q, k in curve]
@@ -293,7 +313,7 @@ def _read_points(path: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def _cmd_fit_ab(args: argparse.Namespace) -> int:
-    from .lockin import quadratic_law_fit
+    from .floatlaw import quadratic_law_fit
     from .qfield import decimal_str
 
     points = _read_points(args.points)

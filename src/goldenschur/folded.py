@@ -19,6 +19,8 @@ stays exact:
   I₂′ of an exact q other than q⋆;
 * an inexact scalar (a float, or a float-like such as ``numpy.float64``)
   runs the closed forms as written, and its moments divide those sums by S₀.
+  This float lane lives in :mod:`.floatlaw`, with the two-point fit of the
+  quadratic law, so that ``schur --fit-law`` loads no exact layer.
 
 The sums, the moments, I₂′ and Λ at the golden point ``q = q⋆`` take the
 one route selected by the input.  With a = q⋆ and b = 1 they run on
@@ -59,6 +61,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple, Sequence, Union
 
+from . import floatlaw
 from .qfield import (
     _DIRECT_BITS, _EXACT, PHI, QSTAR, Q5, SQRT5, _coords, _Digits, _format_linear,
     _int_max_str_digits,
@@ -78,24 +81,17 @@ Scalar = Union[Fraction, Q5, float]
 _Ring = Union[int, Q5]
 
 
-def _check_size(n: int) -> None:
-    if type(n) is not int or n < 1:  # a bool is not a family size
-        raise ValueError(f"family size must be a positive integer, got {n!r}")
-
-
 def _is_golden(q: Scalar) -> bool:
     """Whether q is q⋆, whose moments take the φᴺ-scaled kernel."""
     return type(q) is Q5 and q == QSTAR  # the type first: a float q never compares
 
 
 def _check_domain(n: int, q: Scalar) -> None:
-    _check_size(n)
-    if type(q) is Fraction:  # a normalised Fraction has a positive denominator
-        inside = 0 < q.numerator < q.denominator
+    # a normalised Fraction has a positive denominator: its integers decide
+    if type(q) is Fraction and 0 < q.numerator < q.denominator:
+        floatlaw._check_size(n)
     else:
-        inside = 0 < q < 1  # exact for a Q5, and False for a NaN
-    if not inside:
-        raise ValueError(f"weight ratio must satisfy 0 < q < 1, got {q!r}")
+        floatlaw._check_domain(n, q)
 
 
 class FoldedSums(NamedTuple):
@@ -143,43 +139,14 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     polynomials in a and b.  Each sum is then normalised once, by one
     ``Fraction(num, den)`` or one field division; at ``q = q⋆``, with a = q⋆
     and b = 1, that division is by the unit ``(1 − q⋆)^{k+1}``.  A float or
-    float-like q runs the closed forms as written.
+    float-like q runs the closed forms as written, in :mod:`.floatlaw`.
     """
     _check_domain(n, q)
     if _is_golden(q):
         return _golden_point(n).sums
     if type(q) is Fraction or type(q) is Q5:
         return _sums_closed_exact(n, q)
-    return FoldedSums(n, q, *_closed_sums(n, q))
-
-
-def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """``(S₀, S₁, S₂, S₃)`` from the closed forms of :func:`sums_closed`, for
-    an inexact scalar q (a float or float-like) already known to satisfy
-    0 < q < 1."""
-    qn = q**n
-    r = 1 - q
-    s0 = q * (1 - qn) / r
-    s1 = q * (1 - (n + 1) * qn + n * qn * q) / r**2
-    s2 = (
-        q
-        * (1 + q - (n + 1) ** 2 * qn + (2 * n * n + 2 * n - 1) * qn * q - n * n * qn * q * q)
-        / r**3
-    )
-    s3 = (
-        q
-        * (
-            1
-            + 4 * q
-            + q * q
-            - (n + 1) ** 3 * qn
-            + (3 * n**3 + 6 * n**2 - 4) * qn * q
-            - (3 * n**3 + 3 * n**2 - 3 * n + 1) * qn * q * q
-            + n**3 * qn * q**3
-        )
-        / r**4
-    )
-    return s0, s1, s2, s3
+    return FoldedSums(n, q, *floatlaw._closed_sums(n, q))
 
 
 def _numerators(n: int, a: _Ring, b: int, an: _Ring, bn: _Ring) -> tuple[_Ring, ...]:
@@ -481,9 +448,7 @@ def moments(n: int, q: Scalar) -> FoldedMoments:
         return _moments_golden(n)
     if type(q) is Fraction or type(q) is Q5:
         return _moments_exact(n, q)
-    s0, s1, s2, s3 = _closed_sums(n, q)
-    i1, i2, i3 = s1 / s0, s2 / s0, s3 / s0
-    return FoldedMoments(n, q, i1, i2, i3, i2 - i1 * i1, i3 - i1 * i2)
+    return FoldedMoments(n, q, *floatlaw._float_moments(n, q))
 
 
 def folded_weights(n: int, q: Scalar) -> list[Scalar]:

@@ -73,7 +73,7 @@ def lambda_n(n: int) -> Q5:
     ratio is undefined.  Each N is computed once per process, and the last
     ``_LAMBDA_CACHE_SIZE`` values are kept.
     """
-    from .folded import _check_size
+    from .floatlaw import _check_size
 
     _check_size(n)
     if n == 1:

@@ -15,7 +15,9 @@ factorization ``F′(θ⋆) = (1/N)·bracket(θ⋆)·I₁·I₁′`` holds as ex
 algebra and whose zero at q⋆ characterizes consistent coefficients.  It
 differs from the plain chain-rule derivative of F_red by exactly
 ``B·I₂′·(I₁ − 1)/N``, so the two coincide when B = 0.  Every form takes
-q = e^θ.  :func:`quadratic_law_fit` recovers (A, B) from (q, κ) samples.
+q = e^θ.  The fit that recovers (A, B) from (q, κ) samples,
+:func:`~.floatlaw.quadratic_law_fit`, lives with the float lane of the
+moments in :mod:`.floatlaw`, which loads no exact layer for float samples.
 
 :func:`stationarity_check` decides claim (ii), that q⋆ is the one stationary
 point, from the strict rise of Λ in q, with no grid: it holds for every N ≥ 3.
@@ -33,15 +35,14 @@ import numbers
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .folded import FoldedMoments, Scalar, _check_size, moments
+from .floatlaw import _check_size
+from .folded import FoldedMoments, Scalar, moments
 from .golden import lambda_n
 from .qfield import QSTAR, Q5
 
 __all__ = [
     "QuadLawCoeffs",
     "kappa_quadratic",
-    "QuadLawFit",
-    "quadratic_law_fit",
     "f_red_q",
     "f_red_prime_q",
     "bracket_residual",
@@ -52,10 +53,6 @@ __all__ = [
 
 _ExactScalar = (int, Fraction, Q5)
 _Triple = tuple[Scalar, Scalar, Scalar]
-
-#: Relative size of the moment determinant at or below which two float samples
-#: are a degenerate pair in :func:`quadratic_law_fit`.
-DEGENERACY_RTOL = 1e-8
 
 
 def _is_exact(x: object) -> bool:
@@ -151,61 +148,6 @@ def kappa_quadratic(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     return _kappa(a, b, moments(coeffs.n, qq))
 
 
-class QuadLawFit(NamedTuple):
-    """Coefficients of κ = A·I₁² + B·Var identified from (q, κ) samples."""
-
-    a: Scalar
-    b: Scalar
-    n: int
-    residuals: tuple[Scalar, ...]  # κ_i − (A·I₁² + B·Var) at the extra points
-
-    @property
-    def max_abs_residual(self) -> float:
-        return max((abs(float(r)) for r in self.residuals), default=0.0)
-
-
-def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLawFit:
-    """Two-point identification of (A, B), exact for exact inputs.
-
-    The first two samples fix the coefficients through
-
-        Δ = M_a·V_b − M_b·V_a,
-        A = (κ_a·V_b − κ_b·V_a)/Δ,   B = (M_a·κ_b − M_b·κ_a)/Δ,
-
-    with M = I₁² and V = Var; remaining samples become residual diagnostics.
-    Exact samples are degenerate when Δ = 0.  Float samples are degenerate
-    when |Δ| ≤ DEGENERACY_RTOL·(|M_a·V_b| + |M_b·V_a|), with
-    DEGENERACY_RTOL = 1e-8: so little of the two products survives their
-    difference that (A, B) would be fitted to rounding noise.  The float
-    moments themselves lose digits as q → 1: at N = 12, against exact
-    Fractions at the same binary q, the relative error of Var is 3e-8 at
-    q = 0.999, 5e-5 at 0.9999 and 0.17 at 0.99999 (ROADMAP item 3).
-
-    Each sample's I₁ and Var are read from :func:`~.folded.moments` at its q,
-    in the lane of that q.
-    """
-    if len(points) < 2:
-        raise ValueError("need at least two (q, kappa) samples")
-    _check_size(n)
-    ms, vs, ks = [], [], []
-    for q, kappa in points:
-        mom = moments(n, q)
-        ms.append(mom.i1 * mom.i1)
-        vs.append(mom.var)
-        ks.append(kappa)
-    delta = ms[0] * vs[1] - ms[1] * vs[0]
-    if isinstance(delta, float):
-        degenerate = abs(delta) <= DEGENERACY_RTOL * (abs(ms[0] * vs[1]) + abs(ms[1] * vs[0]))
-    else:
-        degenerate = delta == 0
-    if degenerate:
-        raise ValueError("degenerate sample pair: moment determinant vanishes")
-    a = (ks[0] * vs[1] - ks[1] * vs[0]) / delta
-    b = (ms[0] * ks[1] - ms[1] * ks[0]) / delta
-    residuals = tuple(ks[i] - (a * ms[i] + b * vs[i]) for i in range(2, len(points)))
-    return QuadLawFit(a, b, n, residuals)
-
-
 def f_red_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """Reduced functional ``N − 4I₁²/(N·m_ρ²) + κ/N`` as a function of q."""
     (a, b, m2), qq = _route(coeffs, q)
@@ -262,6 +204,11 @@ def synthesize_consistent_ab(
     return QuadLawCoeffs(-bracket_residual(base) / 2, base.b, n, base.m_rho_sq)
 
 
+def _sign(x: Fraction | Q5) -> int:
+    """−1, 0 or 1: the sign of an exact value, decided without a product."""
+    return (x > 0) - (x < 0)
+
+
 class StationarityReport(NamedTuple):
     """Golden-point stationarity, and the zeros of F′_red on 0 < q < 1."""
 
@@ -296,15 +243,17 @@ def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
     n = coeffs.n
     if n == 1:
         return StationarityReport(1, Fraction(0), None, True, True, 0, ())
-    bracket = bracket_residual(coeffs)
+    b = coeffs.b
+    c = 2 * coeffs.a - 2 * b - 8 / coeffs.m_rho_sq
+    bracket = b * lambda_n(n) + c
     stationary = bracket == 0
-    # the bracket's limits at q → 0⁺ and q → 1⁻; equal at N = 2
-    low, high = bracket_residual(coeffs, 3), bracket_residual(coeffs, n + 1)
+    # the signs of the bracket's limits at q → 0⁺ and q → 1⁻; equal at N = 2
+    low, high = _sign(3 * b + c), _sign((n + 1) * b + c)
     intervals: tuple[tuple[Scalar, Scalar], ...] = ()
-    if low * high < 0:
+    if low == -high != 0:
         if stationary:
             intervals = ((QSTAR, QSTAR),)
-        elif bracket * low > 0:
+        elif _sign(bracket) == low:
             intervals = ((QSTAR, Fraction(1)),)
         else:
             intervals = ((Fraction(0), QSTAR),)

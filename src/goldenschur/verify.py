@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import reference
+from .floatlaw import quadratic_law_fit
 from .folded import moments, sums_closed
 from .golden import golden_power_table, lambda_n
 from .lockin import (
@@ -22,7 +23,6 @@ from .lockin import (
     bracket_residual,
     f_red_prime_q,
     kappa_quadratic,
-    quadratic_law_fit,
     stationarity_check,
     synthesize_consistent_ab,
 )

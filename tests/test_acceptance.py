@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
+from goldenschur.floatlaw import quadratic_law_fit
 from goldenschur.folded import moments, sums_closed
 from goldenschur.golden import golden_power_table, lambda_n
 from goldenschur.lockin import (
@@ -19,7 +20,6 @@ from goldenschur.lockin import (
     bracket_residual,
     f_red_prime_q,
     kappa_quadratic,
-    quadratic_law_fit,
     stationarity_check,
     synthesize_consistent_ab,
 )

@@ -14,6 +14,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import goldenschur
 from goldenschur.cli import main
@@ -488,16 +490,16 @@ def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
     # every value is exact: the golden point takes the exact numerators and
     # the φᴺ-scaled kernel, and the decision needs no grid, so the closed
     # forms that floats run are never called
-    import goldenschur.folded as folded
+    import goldenschur.floatlaw as floatlaw
 
     calls = {"exact": 0, "float": 0}
-    original = folded._closed_sums
+    original = floatlaw._closed_sums
 
     def counted(n, q):
         calls["float" if isinstance(q, float) else "exact"] += 1
         return original(n, q)
 
-    monkeypatch.setattr(folded, "_closed_sums", counted)
+    monkeypatch.setattr(floatlaw, "_closed_sums", counted)
     code, _, err = run_cli(capsys, "stationarity", "--B", "-1")
     assert (code, err) == (0, "")
     assert calls == {"exact": 0, "float": 0}
@@ -820,6 +822,55 @@ def test_schur_json_pinned(capsys, family_file):
     )
     assert (code, err) == (0, "")
     assert out == SCHUR_JSON_PINNED
+
+
+@pytest.mark.parametrize("fit", [[], ["--fit-law"]], ids=["no-fit", "fit-law"])
+@pytest.mark.parametrize(
+    "fixture", ["ci-family.json", "concave-n4-s-minus1.json", "concave-n4-s-plus1.json"]
+)
+def test_schur_json_is_what_json_dumps_writes(capsys, fixture, fit):
+    # the curve rows come from one template: the document must be the bytes
+    # json.dumps(doc, indent=2, sort_keys=True) writes for it
+    argv = ["schur", str(FIXTURES / fixture), "-2.0", "-0.1", "41", "--format", "json", *fit]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert len(json.loads(out)["curve"]) == 41
+
+
+@pytest.mark.parametrize(
+    "grid, q_end",
+    [
+        # the largest q of the grid is e^709 ≈ 8.2e307; at theta = 710, q = e^theta
+        # overflows and the command fails with "math range error" (exit 1)
+        (["0", "709", "3"], math.exp(709)),
+        # q = e^theta underflows to 0.0 at every point of the grid
+        (["-800", "-746", "3"], 0.0),
+    ],
+)
+def test_schur_json_at_the_ends_of_q(capsys, grid, q_end):
+    family = str(FIXTURES / "ci-family.json")
+    code, out, err = run_cli(capsys, "schur", family, "--format", "json", "--", *grid)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert json.loads(out)["curve"][-1]["q"] == q_end
+
+
+@settings(max_examples=500)
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738085072014e-308)
+@example(1.7976931348623157e308)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(-math.nan)
+def test_json_float_writes_what_json_writes(x):
+    from goldenschur.cli import _json_float
+
+    assert _json_float(x) == json.dumps(x)
 
 
 @pytest.fixture()
@@ -1205,8 +1256,9 @@ def test_exact_commands_load_no_numpy(tmp_path, argv):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    # lockin is loaded only by the subcommands that compute with it
-    lockin = argv[:1] in (["stationarity"], ["fit-ab"])
+    # lockin is loaded only by the subcommand that computes with it; fit-ab
+    # fits through floatlaw
+    lockin = argv[:1] == ["stationarity"]
     assert proc.stdout.strip() == f"0 {['goldenschur.lockin'] if lockin else []}"
 
 
@@ -1248,16 +1300,29 @@ def _invalid_family(tmp_path):
     return str(path)
 
 
+_LOADED_BY_SCHUR = """
+import contextlib, io, sys
+before = set(sys.modules)
+from goldenschur.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+heavy = {"numpy", "scipy", "dataclasses", "fractions", "decimal", "goldenschur.report"}
+exact = {f"goldenschur.{m}" for m in ("lockin", "folded", "golden", "qfield")}
+print(code, sorted((heavy | exact) & (set(sys.modules) - before)))
+"""
+
+
 @pytest.mark.parametrize("fit", [False, True], ids=["no-fit", "fit-law"])
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_schur_loads_no_numpy(family_file, fmt, fit):
-    # the spectral route runs on Python floats; lockin only computes the fit
+    # the spectral route runs on Python floats, and the fit on the float lane
+    # of floatlaw: no exact layer, fractions nor decimal
     argv = ["schur", family_file, "-2.0", "-0.1", "11", "--format", fmt, *(["--fit-law"] * fit)]
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_HEAVY, *argv], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _LOADED_BY_SCHUR, *argv], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"0 {['goldenschur.lockin'] if fit else []}"
+    assert proc.stdout.strip() == "0 []"
 
 
 @pytest.mark.parametrize("theta_max", ["0.5", "0", "0.0"])
@@ -1424,7 +1489,8 @@ def _records():
 
     from goldenschur.folded import moments, sums_closed
     from goldenschur.golden import golden_power_table
-    from goldenschur.lockin import QuadLawCoeffs, quadratic_law_fit, stationarity_check
+    from goldenschur.floatlaw import quadratic_law_fit
+    from goldenschur.lockin import QuadLawCoeffs, stationarity_check
     from goldenschur.report import CheckRecord
 
     half, third = Fraction(1, 2), Fraction(1, 3)
@@ -1589,7 +1655,7 @@ def test_package_namespace_resolves_lazily():
     assert set(goldenschur.__all__) <= set(dir(goldenschur))
     for name in goldenschur.__all__:
         assert getattr(goldenschur, name) is not None
-    assert goldenschur.quadratic_law_fit is goldenschur.lockin.quadratic_law_fit
+    assert goldenschur.quadratic_law_fit is goldenschur.floatlaw.quadratic_law_fit
     assert goldenschur.schur_curvature is goldenschur.schur.schur_curvature
     assert goldenschur.__version__ == "0.1.0"
     with pytest.raises(AttributeError):

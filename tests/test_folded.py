@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from goldenschur import folded
+from goldenschur import floatlaw, folded
 from goldenschur.folded import folded_weights, moments, sums_closed
 from goldenschur.oracle import (
     moments_from_sums, sums_at_qstar, sums_bruteforce, theta_derivatives_fd,
@@ -78,10 +78,10 @@ def test_golden_route_equals_reduction_oracle_at_large_n(n):
     assert sums_closed(n, QSTAR) == sums_at_qstar(n)
 
 
-def _spy(monkeypatch, name):
-    """Record the q (or n, for the q⋆ kernel) of each call to folded.<name>."""
-    calls, route = [], getattr(folded, name)
-    monkeypatch.setattr(folded, name, lambda n, *q: calls.append(q[0] if q else n) or route(n, *q))
+def _spy(monkeypatch, name, module=folded):
+    """Record the q (or n, for the q⋆ kernel) of each call to module.<name>."""
+    calls, route = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda n, *q: calls.append(q[0] if q else n) or route(n, *q))
     return calls
 
 
@@ -92,7 +92,7 @@ def test_only_qstar_takes_the_golden_route(monkeypatch):
     exact = _spy(monkeypatch, "_sums_closed_exact")
     kernel = _spy(monkeypatch, "_golden_point")
     golden = _spy(monkeypatch, "_moments_golden")
-    closed = _spy(monkeypatch, "_closed_sums")
+    closed = _spy(monkeypatch, "_closed_sums", floatlaw)
     star = Q5(3, -1) / 2
     assert sums_closed(12, star) == sums_bruteforce(12, QSTAR)
     assert (exact, kernel, golden, closed) == ([], [12], [], [])
@@ -108,7 +108,7 @@ def test_only_qstar_takes_the_golden_route(monkeypatch):
 
 
 def test_closed_forms_see_only_inexact_scalars(monkeypatch):
-    closed = _spy(monkeypatch, "_closed_sums")
+    closed = _spy(monkeypatch, "_closed_sums", floatlaw)
     exact = [Fraction(2, 7), QSTAR, QSTAR * Fraction(999, 1000), Q5(Fraction(1, 2), 0)]
     inexact = [0.3, np.float64(0.3)]
     for q in exact + inexact:

@@ -6,7 +6,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goldenschur.folded import moments
@@ -401,6 +401,59 @@ def test_stationarity_degenerate_family():
     assert rep.degenerate
     assert rep.f_prime_at_star == 0
     assert rep.bracket is None
+
+
+def _product_form_decision(coeffs):
+    """The report's decision from the brackets at Λ(N), 3 and N + 1, each by
+    ``bracket_residual``, and their products."""
+    bracket = bracket_residual(coeffs)
+    stationary = bracket == 0
+    low, high = bracket_residual(coeffs, 3), bracket_residual(coeffs, coeffs.n + 1)
+    intervals = ()
+    if low * high < 0:
+        if stationary:
+            intervals = ((QSTAR, QSTAR),)
+        elif bracket * low > 0:
+            intervals = ((QSTAR, Fraction(1)),)
+        else:
+            intervals = ((Fraction(0), QSTAR),)
+    degenerate = low == high == 0 or (coeffs.n == 2 and stationary)
+    return bracket, stationary, degenerate, len(intervals), intervals
+
+
+_SMALL_RATIONAL = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-12, max_value=12, max_denominator=9),
+)
+
+
+@settings(deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 12]),
+    b=_SMALL_RATIONAL,
+    ratio=st.one_of(
+        st.sampled_from([Fraction(3), Fraction(4), Fraction(13)]),
+        st.fractions(min_value=0, max_value=16, max_denominator=9),
+    ),
+    c0=_SMALL_RATIONAL,
+    m2=st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=9).filter(bool),
+    synthesized=st.booleans(),
+)
+@example(n=12, b=Fraction(0), ratio=Fraction(0), c0=Fraction(0), m2=Fraction(2), synthesized=False)
+@example(n=2, b=Fraction(-1), ratio=Fraction(0), c0=Fraction(0), m2=Fraction(2), synthesized=True)
+def test_stationarity_decision_equals_the_product_form(n, b, ratio, c0, m2, synthesized):
+    # the report takes c = 2A − 2B − 8/m_ρ² once and decides from the signs of
+    # 3B + c, (N + 1)B + c and BΛ + c.  −c/B = ratio for B ≠ 0, so that the
+    # bracket crosses zero in (3, N + 1) often, and c = c0 for B = 0, B = c = 0
+    # included; a synthesized A makes the golden point stationary
+    if synthesized:
+        coeffs = synthesize_consistent_ab(b, n, m2)
+    else:
+        c = -ratio * b if b else c0
+        coeffs = QuadLawCoeffs((c + 2 * b + 8 / m2) / 2, b, n, m2)
+    rep = stationarity_check(coeffs)
+    got = (rep.bracket, rep.stationary, rep.degenerate, rep.sign_changes, rep.sign_change_intervals)
+    assert got == _product_form_decision(coeffs)
 
 
 # ---------------------------------------------------------------------------

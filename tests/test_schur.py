@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from goldenschur.folded import folded_weights
-from goldenschur.lockin import quadratic_law_fit
+from goldenschur.floatlaw import quadratic_law_fit
 from goldenschur.oracle import (
     assemble_hessian,
     band_basis,
@@ -1357,7 +1357,7 @@ def test_quadratic_law_fit_float_points_have_the_bits_of_moments(n, points):
     # float samples take the float kernel, with the bits of the formula on
     # moments(): Δ = M_a·V_b − M_b·V_a with M = I₁², V = Var
     from goldenschur.folded import moments
-    from goldenschur.lockin import DEGENERACY_RTOL
+    from goldenschur.floatlaw import DEGENERACY_RTOL
 
     ms, vs, ks = [], [], []
     for q, kappa in points:

@@ -114,6 +114,15 @@ def _json_float(x: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
+def _exp(theta: float) -> float:
+    """``e^θ`` as a float: ``inf`` past the largest finite float, where
+    :func:`math.exp` raises (θ above about 709.78)."""
+    try:
+        return math.exp(theta)
+    except OverflowError:
+        return math.inf
+
+
 def _cell(x: float, width: int, decimals: int) -> str:
     """``x`` in fixed point, or in exponent form where that is wider than
     ``width``: a sign, a digit, the point, ``width − 8`` digits and e±ddd fit
@@ -178,7 +187,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
             f"--fit-law needs theta_max < 0, so that every q = e^theta of the grid "
             f"lies in 0 < q < 1; got theta_max = {args.theta_max}"
         )
-    if args.fit_law and math.exp(args.theta_min) == 0.0:  # θ below about −745.13
+    if args.fit_law and _exp(args.theta_min) == 0.0:  # θ below about −745.13
         raise ValueError(
             f"--fit-law needs q = e^theta_min > 0, but it underflows to 0.0 (theta_min "
             f"below about -745.13); got theta_min = {args.theta_min}"
@@ -191,7 +200,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
             print(f"  - {violation}", file=sys.stderr)
         return 2
     scan = kappa_convexity_scan(fam, args.theta_min, args.theta_max, args.points)
-    curve = [(t, math.exp(t), k) for t, k in zip(scan.thetas, scan.kappas)]
+    curve = [(t, _exp(t), k) for t, k in zip(scan.thetas, scan.kappas)]
     if args.fit_law:  # before any output: a degenerate fit prints nothing
         from .floatlaw import quadratic_law_fit
 

@@ -23,33 +23,34 @@ stays exact:
   quadratic law, so that ``schur --fit-law`` loads no exact layer.
 
 The sums, the moments, I₂′ and Λ at the golden point ``q = q⋆`` take the
-one route selected by the input.  With a = q⋆ and b = 1 they run on
-``Y_k = φᴺ·X_k``: the same polynomials at ``(bᴺ, aᴺ) = (φᴺ, φ⁻ᴺ)``, on
-:class:`~.qfield.Q5` values with half the digits of q⋆ᴺ, and
-``φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)``.  ``S_k = φ^{k−1}·φ⁻ᴺ·Y_k``, ``I_k = φᵏY_k/Y₀``,
-where ``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and ``L_N`` for odd N;
-``I₂′ = T/Y₀²`` with ``T = φ³(Y₃Y₀ − Y₁Y₂)``, and ``Var = (Y₀² − N²)/Y₀²``:
-Var = (ln S₀)″ in θ, and at q⋆ its closed form collapses to
-``1 − N²/Y₀²``.  Every division is then by an integer or by √5 times one,
-which :class:`~.qfield.Q5` takes without a field norm.  The values at q⋆
-are pure functions of N made of immutable values, so each is computed once
-per N per process; the last ``_GOLDEN_CACHE_SIZE`` (32) sizes are kept.
+one route selected by the input: each is read off its form
+(:func:`_golden_forms`).  With ``Y_k = φᴺ·X_k`` the numerators of the sums
+scaled by φᴺ, ``S_k = φ^{k−1}·φ⁻ᴺ·Y_k``, ``I_k = φᵏY_k/Y₀``,
+``I₂′ = T/Y₀²`` with ``T = φ³(Y₃Y₀ − Y₁Y₂)``, and ``Λ = T/R``, where
+``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and ``L_N`` for odd N,
+``Y₀² = L_2N − 2`` and ``R = Y₀² − N²``.  Var = (ln S₀)″ in θ collapses at
+q⋆ to ``R/Y₀²``.  In Fibonacci and Lucas numbers (Vajda, *Fibonacci & Lucas
+Numbers, and the Golden Section*, 1989)::
 
-The same kernel prints them.  Since ``φᴺ = (L_N + F_N·√5)/2``, every
-coordinate of these values is a vector of small integers over
-``(1, F_N, L_N, F_2N, L_2N)``, over a small integer times 1, Y₀, Y₀² or
-``R = Y₀² − N²`` (:func:`_golden_forms`).  :func:`_golden_exact_forms`
-prints them from one radix conversion each of F_N and L_N, in Decimal
-arithmetic linear in the digits, and reduces each fraction by gcds with
-small integers only (:func:`_common_factor`).  At N = 10⁴,
-``moments --q phi^-2`` converts 2 integers of over 3000 bits instead of 18,
-and its warm run takes about 3 ms instead of 9–12 ms (Python 3.11, 2-CPU
-Xeon host, first quartile of 100 runs in each of 7 alternating processes);
-``lambda`` about 0.9 ms instead of 1.4–1.9 ms.
-:func:`~.qfield.exact_forms`, which prints every other exact value, is
-the oracle the tests hold this route to.
+    Var(N, q⋆) = 1 − N²/(L_2N − 2)
+    Λ(N) = N + 1 − √5·(N·F_2N − 2·L_2N + N² + 4)/(L_2N − N² − 2)
 
-Both lanes and the q⋆ kernel fill one :class:`FoldedMoments` record, I₂′
+Since ``φᴺ = (L_N + F_N·√5)/2``, every coordinate of these values is a
+vector of small integers over ``(1, F_N, L_N, F_2N, L_2N)``, over a small
+integer times 1, Y₀, Y₀² or R, and each value is its form's three integers
+put in lowest terms once.  The values at q⋆ are pure functions of N made of
+immutable values, so they are computed once per N per process, in one cache
+(:func:`_golden_point`); the last ``_GOLDEN_CACHE_SIZE`` (32) sizes are kept.
+
+The same forms print them.  :func:`_golden_exact_forms` prints them from one
+radix conversion each of F_N and L_N, in Decimal arithmetic linear in the
+digits, and reduces each fraction by gcds with small integers only
+(:func:`_common_factor`).  At N = 10⁴, ``moments --q phi^-2`` converts 2
+integers of over 3000 bits, where :func:`~.qfield.exact_forms` converts 36.
+``exact_forms``, which prints every other exact value, is the oracle the
+tests hold this route to.
+
+Both lanes and the q⋆ forms fill one :class:`FoldedMoments` record, I₂′
 included, so :func:`moments` is the one route to the moments.
 """
 
@@ -63,8 +64,7 @@ from typing import NamedTuple, Sequence, Union
 
 from . import floatlaw
 from .qfield import (
-    _DIRECT_BITS, _EXACT, PHI, QSTAR, Q5, SQRT5, _coords, _Digits, _format_linear,
-    _int_max_str_digits,
+    PHI, QSTAR, Q5, SQRT5, _coords, _Digits, _format_linear, _int_max_str_digits, _q5,
 )
 
 __all__ = [
@@ -82,7 +82,7 @@ _Ring = Union[int, Q5]
 
 
 def _is_golden(q: Scalar) -> bool:
-    """Whether q is q⋆, whose moments take the φᴺ-scaled kernel."""
+    """Whether q is q⋆, whose values are read off their forms."""
     return type(q) is Q5 and q == QSTAR  # the type first: a float q never compares
 
 
@@ -137,9 +137,10 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     powers of b: ``S_k = a·X_k / (b^N·(b − a)^{k+1})`` with
     ``X_k = b^N·U_k + a^N·V_k``, where ``U_k`` and ``V_k`` are integer
     polynomials in a and b.  Each sum is then normalised once, by one
-    ``Fraction(num, den)`` or one field division; at ``q = q⋆``, with a = q⋆
-    and b = 1, that division is by the unit ``(1 − q⋆)^{k+1}``.  A float or
-    float-like q runs the closed forms as written, in :mod:`.floatlaw`.
+    ``Fraction(num, den)`` or one field division.  At ``q = q⋆`` the sums
+    are read off their forms in F_N and L_N (see the module docstring).  A
+    float or float-like q runs the closed forms as written, in
+    :mod:`.floatlaw`.
     """
     _check_domain(n, q)
     if _is_golden(q):
@@ -213,6 +214,13 @@ def _moments_exact(n: int, q: Fraction | Q5) -> FoldedMoments:
 
 #: how many sizes N keep their golden-point values for the life of the process
 _GOLDEN_CACHE_SIZE = 32
+#: Printed integers of at most this many bits are converted to digits
+#: directly: there a conversion costs no more than a derivation from the
+#: Decimals of F_N and L_N (about 18 µs each at 3000 bits, Python 3.11, 2-CPU
+#: Xeon host).
+_DIRECT_BITS = 3000
+#: Exact integer arithmetic on Decimals: no result here has MAX_PREC digits.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC)
 #: ``(1, F_N, L_N, F_2N, L_2N)``: every coordinate of a golden-point value of
 #: N is an integer vector over these five integers
 _Basis = tuple[int, int, int, int, int]
@@ -234,36 +242,41 @@ class _Form(NamedTuple):
 
 
 class _GoldenPoint(NamedTuple):
-    """What the golden-point values of N are built from, once per N."""
+    """The golden-point values of N, each read off its form, once per N."""
 
     basis: _Basis
-    numerators: tuple[Q5, Q5, Q5, Q5]
-    sums: FoldedSums
     forms: dict[str, _Form]
+    sums: FoldedSums
+    moments: FoldedMoments
+    lam: Q5 | None  # Λ, for N ≥ 2
+
+
+def _dot(vector: Sequence[int], basis: Sequence) -> int:
+    return sum(c * x for c, x in zip(vector, basis) if c)
 
 
 @lru_cache(maxsize=_GOLDEN_CACHE_SIZE)
 def _golden_point(n: int) -> _GoldenPoint:
-    """The basis, the numerators ``(Y₀, Y₁, Y₂, Y₃)`` with ``Y_k = φᴺ·X_k``
-    (those of :func:`sums_closed` at a = q⋆ and b = 1, scaled by φᴺ), the
-    power sums and the forms of the golden point of N, from one power ``φᴺ = (L_N + F_N·√5)/2``
-    (Knuth, *TAOCP* vol. 1 §1.2.8).
+    """The basis, the forms and the values of the golden point of N, from one
+    power ``φᴺ = (L_N + F_N·√5)/2`` (Knuth, *TAOCP* vol. 1 §1.2.8).
 
-    X_k is linear in (bᴺ, aᴺ) = (1, φ⁻²ᴺ), so Y_k is the same polynomial at
-    (φᴺ, φ⁻ᴺ): coordinates of half the size of q⋆ᴺ's.  φ⁻ᴺ = (−1)ᴺ·conj(φᴺ)
-    costs no second power.  Then ``I_k = φᵏY_k/Y₀``, and ``Y₀ = φᴺ − φ⁻ᴺ``
-    is ``√5·F_N`` for even N and ``L_N`` for odd N: a divisor of one
-    coordinate, with ``Y₀² = 5F_N²`` or ``L_N²``.  With q⋆ = φ⁻² and
-    1 − q⋆ = φ⁻¹, the sums ``q⋆·X_k/(1 − q⋆)^{k+1}`` are ``φ^{k−1}·φ⁻ᴺ·Y_k``.
+    Each value is ``(p·basis + q·basis·√5)/(d·basis)`` for its form's
+    vectors, put in lowest terms once.
     """
     up = PHI**n
     f, lucas = int(2 * up.b), int(2 * up.a)
-    down = -up.conjugate() if n & 1 else up.conjugate()
-    ys = _numerators(n, QSTAR, 1, down, up)
-    down = (PHI - 1) * down  # φ⁻ᴺ⁻¹, and φ − 1 = φ⁻¹
-    sums = FoldedSums(n, QSTAR, *(PHI**k * down * y for k, y in enumerate(ys)))
     basis = (1, f, lucas, f * lucas, lucas * lucas + (2 if n & 1 else -2))
-    return _GoldenPoint(basis, ys, sums, _golden_forms(n, basis))
+    forms = _golden_forms(n, basis)
+    values = {
+        name: _q5(_dot(form.p, basis), _dot(form.q, basis), _dot(form.d, basis))
+        for name, form in forms.items()
+    }
+    return _GoldenPoint(
+        basis, forms,
+        FoldedSums(n, QSTAR, *map(values.get, FoldedSums._fields[2:])),
+        FoldedMoments(n, QSTAR, *map(values.get, FoldedMoments._fields[2:])),
+        values.get("lambda"),
+    )
 
 
 def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
@@ -329,18 +342,15 @@ def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
     forms = {
         "var": form({2: 1, 0: -2 - n * n, -2: 1}, y0_squared),
         "i2_prime": form(t, y0_squared),
-        "lambda": form(t, r),
     }
+    if n > 1:  # R = 0 at N = 1
+        forms["lambda"] = form(t, r)
     for k in range(4):
         c = (PHI - 1) * PHI**k  # φ^{k−1}
         forms[f"s{k}"] = form({0: c * us[k], -2: c * vs[k]}, one)
         if k:  # 1/Y₀ = root/(y·A)
             forms[f"i{k}"] = form({1: root * PHI * c * us[k], -1: root * PHI * c * vs[k]}, y0)
     return forms
-
-
-def _dot(vector: Sequence[int], basis: Sequence) -> int:
-    return sum(c * x for c, x in zip(vector, basis) if c)
 
 
 def _common_factor(x: int, vector: Sequence[int], form: _Form) -> int:
@@ -372,7 +382,7 @@ def _golden_exact_forms(n: int, names: Sequence[str]) -> tuple[str, ...]:
     F_N and L_N are converted once, F_2N = F_N·L_N and L_2N = L_N² ∓ 2 are
     multiplied once, and every integer is a sum of small multiples of them,
     divided by g.  So ``moments --q phi^-2 --N 10000`` converts 2 integers of
-    over 3000 bits, not 18, and takes no gcd of two large integers.  Under a
+    over 3000 bits, not 36, and takes no gcd of two large integers.  Under a
     set int→str digit limit, a derived string past it is replaced by
     ``str(k)``, which raises as str does.
     """
@@ -410,42 +420,17 @@ def _golden_exact_forms(n: int, names: Sequence[str]) -> tuple[str, ...]:
     return tuple(_format_linear(*forms, digits=digits))
 
 
-def _golden_i2_prime_numerator(ys: tuple[Q5, Q5, Q5, Q5]) -> Q5:
-    """``T = φ³(Y₃Y₀ − Y₁Y₂) = I₂′·Y₀²``, from ``I₂′ = I₃ − I₁I₂``."""
-    y0, y1, y2, y3 = ys
-    return PHI**3 * (y3 * y0 - y1 * y2)
-
-
-@lru_cache(maxsize=_GOLDEN_CACHE_SIZE)
-def _moments_golden(n: int) -> FoldedMoments:
-    """The moments at (N, q⋆) from the numerators of
-    :func:`_golden_point`: ``I_k = φᵏY_k/Y₀``, ``Var = (Y₀² − N²)/Y₀²``
-    and ``I₂′ = T/Y₀²``.  Every division is by ``Y₀ ∈ {√5·F_N, L_N}`` or by
-    the integer Y₀², so :class:`Q5` takes it without a field norm.
-
-    Var is ``d²/dθ² ln S₀ = q/(1 − q)² − N²qᴺ/(1 − qᴺ)²``, and at q⋆,
-    ``q⋆/(1 − q⋆)² = 1`` and ``q⋆ᴺ/(1 − q⋆ᴺ)² = 1/Y₀²``: Var·Y₀² = Y₀² − N² is
-    an integer, the ``φ²(Y₂Y₀ − Y₁²)`` of the numerators without their products.
-    """
-    ys = _golden_point(n).numerators
-    y0, y1, y2, y3 = ys
-    square = y0 * y0
-    return FoldedMoments(
-        n, QSTAR, PHI * y1 / y0, PHI**2 * y2 / y0, PHI**3 * y3 / y0,
-        (square - n * n) / square, _golden_i2_prime_numerator(ys) / square,
-    )
-
-
 def moments(n: int, q: Scalar) -> FoldedMoments:
     """Folded moments I₁, I₂, I₃, Var and I₂′ at (N, q), exact for exact q.
 
-    A Fraction q, a Q5 q and q⋆ form each value from the numerators of the
-    power sums.  An inexact q (a float or float-like) divides the closed-form
-    sums by S₀.
+    A Fraction q and a Q5 q form each value from the numerators of the power
+    sums, and q⋆ reads it off its form in F_N and L_N; there
+    ``Var = 1 − N²/(L_2N − 2)``.  An inexact q (a float or float-like)
+    divides the closed-form sums by S₀.
     """
     _check_domain(n, q)
     if _is_golden(q):
-        return _moments_golden(n)
+        return _golden_point(n).moments
     if type(q) is Fraction or type(q) is Q5:
         return _moments_exact(n, q)
     return FoldedMoments(n, q, *floatlaw._float_moments(n, q))

@@ -29,19 +29,13 @@ and happens at most once: ``5a² − m²`` is a nonzero integer, so
 Exact forms (``str`` of a Q5 and of a GoldenBasis, and :func:`exact_forms`,
 which renders both forms of any number of values in one call) are rendered
 by ``_format_linear`` from reduced integer pairs, each distinct integer
-converted to digits once.  A radix conversion is quadratic in the digits up
-to Python 3.11 (and below about 9000 digits after it), so
-:func:`exact_forms` converts only the coordinates ``p``, ``q`` and ``d`` of
-each value, each at most once, and derives every other large printed
-integer (``p + 3q``, ``2q``, quotients by a gcd below 2⁶⁴) from their digits
-in :class:`decimal.Decimal` arithmetic, which is linear in the digits.  Its
-gcds are taken on the parts of d the coordinates leave (``_coordinate_gcds``):
-on Λ(10⁴), whose d divides p, the render took 1.4–1.5 ms and takes
-0.8–1.0 ms (timeit, Python 3.11, 2-CPU Xeon host).  The golden-point
-values that ``moments --q phi^-2`` and ``lambda`` print take a cheaper
-route, from the digits of F_N and L_N (:mod:`.folded`), and
-:func:`exact_forms` is the oracle it is tested against.  On Python < 3.12
-the conversions go through
+converted to digits once per call (``_Digits``).  A radix conversion is
+quadratic in the digits up to Python 3.11 (and below about 9000 digits
+after it).  :func:`exact_forms` takes its gcds on the parts of d the
+coordinates leave (``_coordinate_gcds``).  The golden-point values that
+``moments --q phi^-2`` and ``lambda`` print take a cheaper route, from the
+digits of F_N and L_N (:mod:`.folded`), and :func:`exact_forms` is the
+oracle it is tested against.  On Python < 3.12 the conversions go through
 ``_split_int_str``, a divide-and-conquer radix conversion (Knuth, *TAOCP*
 vol. 2 §4.4; Brent & Zimmermann, *Modern Computer Arithmetic* §1.7) with a
 smaller constant than ``str(int)``; later versions convert that way natively.
@@ -49,11 +43,10 @@ smaller constant than ``str(int)``; later versions convert that way natively.
 
 from __future__ import annotations
 
-import decimal
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 __all__ = [
     "Q5",
@@ -492,27 +485,12 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-#: Integers of at most this many bits are converted to digits directly: there
-#: a conversion costs no more than a derivation from a coordinate's Decimal
-#: (about 18 µs each at 3000 bits, Python 3.11, 2-CPU Xeon host).
-_DIRECT_BITS = 3000
-#: A quotient by a divisor below this is one linear pass of ``divide_int``.
-_WORD = 1 << 64
-#: Exact integer arithmetic on Decimals: no result here has MAX_PREC digits.
-_EXACT = decimal.Context(prec=decimal.MAX_PREC)
-
-
 class _Digits(dict):
     """``n → str(n)`` for the integers ``n ≥ 0`` that one rendering call prints.
 
-    A missing integer is converted by ``_int_str`` when it is first printed.
-    :meth:`quotient` files the digits of a large quotient computed in
-    :class:`decimal.Decimal` from its dividend's Decimal instead: reading
-    digits into a Decimal, adding, multiplying by a word, dividing by a word
-    (``divide_int``) and printing are all linear in the digits, where a
-    conversion is quadratic up to Python 3.11 (and up to about 9000 digits
-    after it).  So each coordinate is converted at most once, by
-    :meth:`as_decimal`, however many printed integers derive from it.
+    A missing integer is converted by ``_int_str`` when it is first printed,
+    so an integer that several printed values share is converted once.  The
+    golden-point route of :mod:`.folded` files the digits it derives itself.
     """
 
     __slots__ = ()
@@ -520,47 +498,6 @@ class _Digits(dict):
     def __missing__(self, n: int) -> str:
         text = self[n] = _int_str(n)
         return text
-
-    def as_decimal(self, n: int) -> decimal.Decimal:
-        """``n`` as a Decimal, read from the digits of ``|n|``."""
-        value = decimal.Decimal(self[abs(n)])
-        return value.copy_negate() if n < 0 else value
-
-    def quotient(self, n: int, g: int, source: Callable[[], decimal.Decimal] | None = None) -> None:
-        """File the digits of ``|n|/g``, for ``g > 0`` dividing ``n``.
-
-        ``source()`` is the Decimal of ``n`` (by default read from the digits
-        of ``|n|``).  A quotient that is known, of at most ``_DIRECT_BITS``
-        bits, or by a divisor of ``_WORD`` or more is left to be converted
-        when printed.  Past a set digit limit, ``str`` raises for the
-        quotient exactly as it would have for a conversion.
-        """
-        k = abs(n) // g
-        if k in self or k.bit_length() <= _DIRECT_BITS or g >= _WORD:
-            return
-        value = self.as_decimal(n) if source is None else source()
-        if k not in self:  # reading a coordinate's digits may have filed k
-            text = str((_EXACT.divide_int(value, g) if g > 1 else value).copy_abs())
-            limit = _int_max_str_digits()
-            self[k] = str(k) if 0 < limit < len(text) else text  # str(k) raises there
-
-    def derive(self, p: int, q: int, d: int, g1: int, g: int, g2: int, g3: int) -> None:
-        """File the large integers of both forms of ``(p + q·√5)/d`` (see
-        :func:`exact_forms`), given ``g1 = gcd(p, d)``, ``g = gcd(q, d)``,
-        ``g2 = gcd(2q, d)`` and ``g3 = gcd(p + 3q, d)``."""
-        for n, k in ((p, g1), (d, g1), (q, g), (d, g), (d, g2), (d, g3)):
-            self.quotient(n, k)
-
-        def p_plus_3q() -> decimal.Decimal:
-            # p = (d / (d/g1))·(p/g1): from d's digits when both quotients are small
-            if d // g1 < _WORD and (p // g1).bit_length() <= _DIRECT_BITS:
-                dp = _EXACT.multiply(_EXACT.divide_int(self.as_decimal(d), d // g1), p // g1)
-            else:
-                dp = self.as_decimal(p)
-            return _EXACT.add(dp, _EXACT.multiply(self.as_decimal(q), 3))
-
-        self.quotient(p + 3 * q, g3, p_plus_3q)
-        self.quotient(2 * q, g2, lambda: _EXACT.multiply(self.as_decimal(q), 2))
 
 
 _Pair = tuple[int, int]
@@ -619,23 +556,17 @@ def exact_forms(*values: Q5 | Fraction | int) -> tuple[str, ...]:
     on.  A rational value prints the same in both forms.
 
     The golden coordinates of ``x = (p + q·√5)/d`` are ``(p + 3q)/d`` and
-    ``−2q/d``, with ``gcd(2q, d) = gcd(q, d)·gcd(2, d/gcd(q, d))``.  Of the
-    integers printed, only ``p``, ``q`` and ``d`` are converted to digits, each
-    at most once for all the values; an integer shared by two values (such as
-    a common denominator) is printed from one conversion.  Every other large
-    printed integer is derived in Decimal arithmetic (see :class:`_Digits`):
-    ``p + 3q``, ``2q``, and each quotient by a gcd below 2⁶⁴.  ``p`` itself is
-    derived from ``d`` when ``d/gcd(p, d)`` is below 2⁶⁴ and ``p/gcd(p, d)``
-    is small, as for Λ(N), whose ``p`` is ``(N + 1)·d``.  A small quotient
-    is converted directly, also after a large gcd.  Under a set int→str
-    digit limit, a value with a coordinate near it is converted integer by
-    integer, as ``str`` would.  At N = 10⁴, the golden-point values of
-    ``moments --q phi^-2`` convert 18 integers above 3000 bits here, where
-    converting each printed integer took 40 (the CLI prints them from F_N
-    and L_N instead, see :mod:`.folded`).
+    ``−2q/d``, with ``gcd(2q, d) = gcd(q, d)·gcd(2, d/gcd(q, d))``; the other
+    gcds are taken on the parts of d the coordinates leave
+    (``_coordinate_gcds``).  Each distinct printed integer is converted to
+    digits once for all the values, so an integer shared by two values (such
+    as a common denominator) is printed from one conversion.  Under a set
+    int→str digit limit, a printed integer past it raises as ``str`` does.
+    The golden-point values of ``moments --q phi^-2`` and ``lambda`` print
+    through a route of their own, from the digits of F_N and L_N (at
+    N = 10⁴, 2 conversions of integers above 3000 bits, against 36 here; see
+    :mod:`.folded`), and this function is the oracle it is tested against.
     """
-    digits = _Digits()
-    limit = _int_max_str_digits()
     forms = []
     for value in values:
         x = _coords(value)
@@ -645,20 +576,13 @@ def exact_forms(*values: Q5 | Fraction | int) -> tuple[str, ...]:
         if q == 0:  # p/d is in lowest terms, and both forms print it
             forms += [((p, d), (0, 1), "")] * 2
             continue
-        p3 = p + 3 * q
         g1, g, g3 = _coordinate_gcds(p, q, d)
         g2 = g if (d // g) & 1 else 2 * g  # gcd(2q, d)
         forms += (
             ((p // g1, d // g1), (q // g, d // g), "√5"),
-            ((p3 // g3, d // g3), (-2 * q // g2, d // g2), "q⋆"),
+            (((p + 3 * q) // g3, d // g3), (-2 * q // g2, d // g2), "q⋆"),
         )
-        bits = max(abs(p), abs(q), d).bit_length()
-        # small coordinates are converted as printed, and so are coordinates
-        # that may pass a set digit limit (fewer bits than limit·log₂10 means
-        # at most `limit` digits)
-        if _DIRECT_BITS < bits and (not limit or bits < limit * _BITS_PER_DIGIT):
-            digits.derive(p, q, d, g1, g, g2, g3)
-    return tuple(_format_linear(*forms, digits=digits))
+    return tuple(_format_linear(*forms))
 
 
 SQRT5 = Q5(0, 1)

@@ -487,9 +487,9 @@ def test_stationarity_rejects_nonpositive_m_rho_sq(capsys, m_rho_sq):
 
 
 def test_stationarity_evaluates_each_point_once(capsys, monkeypatch):
-    # every value is exact: the golden point takes the exact numerators and
-    # the φᴺ-scaled kernel, and the decision needs no grid, so the closed
-    # forms that floats run are never called
+    # every value is exact: the golden point reads its values off their
+    # forms, and the decision needs no grid, so the closed forms that floats
+    # run are never called
     import goldenschur.floatlaw as floatlaw
 
     calls = {"exact": 0, "float": 0}
@@ -841,11 +841,13 @@ def test_schur_json_is_what_json_dumps_writes(capsys, fixture, fit):
 @pytest.mark.parametrize(
     "grid, q_end",
     [
-        # the largest q of the grid is e^709 ≈ 8.2e307; at theta = 710, q = e^theta
-        # overflows and the command fails with "math range error" (exit 1)
+        # the largest finite q of a grid is e^709 ≈ 8.2e307
         (["0", "709", "3"], math.exp(709)),
         # q = e^theta underflows to 0.0 at every point of the grid
         (["-800", "-746", "3"], 0.0),
+        # e^710 is past the largest float, so q is inf (json's Infinity), while
+        # κ is finite up to theta = 710.25 on this family
+        (["0", "710", "3"], math.inf),
     ],
 )
 def test_schur_json_at_the_ends_of_q(capsys, grid, q_end):
@@ -854,6 +856,18 @@ def test_schur_json_at_the_ends_of_q(capsys, grid, q_end):
     assert (code, err) == (0, "")
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert json.loads(out)["curve"][-1]["q"] == q_end
+
+
+@pytest.mark.parametrize("fmt, sep", [("table", None), ("csv", ",")])
+def test_schur_prints_q_past_the_float_range_as_inf(capsys, fmt, sep):
+    # q = e^710 overflows a float and prints as inf; κ is finite, so the
+    # command exits 0
+    family = str(FIXTURES / "ci-family.json")
+    code, out, err = run_cli(capsys, "schur", family, "0", "710", "3", "--format", fmt)
+    assert (code, err) == (0, "")
+    row = next(line for line in out.splitlines() if line.lstrip().startswith("710"))
+    theta, q, kappa = row.split(sep)
+    assert (float(theta), q.strip(), math.isfinite(float(kappa))) == (710.0, "inf", True)
 
 
 @settings(max_examples=500)

@@ -79,32 +79,31 @@ def test_golden_route_equals_reduction_oracle_at_large_n(n):
 
 
 def _spy(monkeypatch, name, module=folded):
-    """Record the q (or n, for the q⋆ kernel) of each call to module.<name>."""
+    """Record the q (or n, for the golden point) of each call to module.<name>."""
     calls, route = [], getattr(module, name)
     monkeypatch.setattr(module, name, lambda n, *q: calls.append(q[0] if q else n) or route(n, *q))
     return calls
 
 
 def test_only_qstar_takes_the_golden_route(monkeypatch):
-    # q⋆, however it was built, takes the φᴺ kernel for its sums and its
-    # moments; a Q5 next to it takes the exact lane, and only the float runs
-    # the closed forms
+    # q⋆, however it was built, reads its sums and its moments off the forms
+    # of the golden point; a Q5 next to it takes the exact lane, and only the
+    # float runs the closed forms
     exact = _spy(monkeypatch, "_sums_closed_exact")
-    kernel = _spy(monkeypatch, "_golden_point")
-    golden = _spy(monkeypatch, "_moments_golden")
+    golden = _spy(monkeypatch, "_golden_point")
     closed = _spy(monkeypatch, "_closed_sums", floatlaw)
     star = Q5(3, -1) / 2
     assert sums_closed(12, star) == sums_bruteforce(12, QSTAR)
-    assert (exact, kernel, golden, closed) == ([], [12], [], [])
-    assert moments(12, star) == moments_from_sums(sums_bruteforce(12, QSTAR))
     assert (exact, golden, closed) == ([], [12], [])
+    assert moments(12, star) == moments_from_sums(sums_bruteforce(12, QSTAR))
+    assert (exact, golden, closed) == ([], [12, 12], [])
     near = QSTAR * Fraction(999, 1000)
     assert sums_closed(12, near) == sums_bruteforce(12, near)
     assert moments(12, near) == moments_from_sums(sums_bruteforce(12, near))
-    assert (exact, golden, closed) == ([near], [12], [])
+    assert (exact, golden, closed) == ([near], [12, 12], [])
     sums_closed(12, float(QSTAR))
     moments(12, float(QSTAR))
-    assert (exact, golden, closed) == ([near], [12], [float(QSTAR)] * 2)
+    assert (exact, golden, closed) == ([near], [12, 12], [float(QSTAR)] * 2)
 
 
 def test_closed_forms_see_only_inexact_scalars(monkeypatch):

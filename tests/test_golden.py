@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from goldenschur import folded, golden, qfield
+from goldenschur import folded, qfield
 from goldenschur.folded import _golden_point, moments, sums_closed
 from goldenschur.golden import GoldenPower, golden_power_table, lambda_n
 from goldenschur.oracle import (
     fibonacci, moments_from_sums, sums_at_qstar, theta_derivatives_fd,
 )
-from goldenschur.qfield import PHI, Q5, QSTAR, decimal_str
+from goldenschur.qfield import Q5, QSTAR, decimal_str
 
 # (m, a_m, b_m) rows of q⋆^m = a_m q⋆ + b_m.
 REDUCTION_ROWS = [
@@ -248,7 +248,7 @@ def test_lambda_rejects_a_non_integer_size(bad):
 
 
 # ---------------------------------------------------------------------------
-# the golden-point kernel: numerators scaled by φᴺ
+# the golden-point kernel: values read off their forms in F_N and L_N
 # ---------------------------------------------------------------------------
 
 
@@ -278,16 +278,29 @@ def test_golden_kernel_matches_the_field_route_at_large_n(n):
     _check_kernel(n)
 
 
+def _lucas(n):
+    return fibonacci(n - 1) + fibonacci(n + 1)
+
+
 def _check_integers(n):
     # Y₀ = φᴺ − φ⁻ᴺ is √5·F_N for even N and L_N for odd N, so Y₀² is a
-    # rational integer; so is φ²(Y₂Y₀ − Y₁²) = Var·Y₀², and it is Y₀² − N²
-    y0, y1, y2, _ = _golden_point(n).numerators
-    f, lucas = fibonacci(n), fibonacci(n - 1) + fibonacci(n + 1)
-    assert y0 == (Q5(0, f) if n % 2 == 0 else lucas)
-    square, r = y0 * y0, PHI**2 * (y2 * y0 - y1 * y1)
-    assert square == (5 * f * f if n % 2 == 0 else lucas * lucas)
-    assert r == square - n * n
-    assert Fraction(r.a, square.a) == moments(n, QSTAR).var
+    # rational integer, L_2N − 2; so is R = Var·Y₀² = Y₀² − N².  The form of
+    # Var is R over Y₀², and that of Λ is over R: each denominator is a small
+    # integer times a power of F_N, L_N or R
+    point = _golden_point(n)
+    f, lucas = fibonacci(n), _lucas(n)
+    square = 5 * f * f if n % 2 == 0 else lucas * lucas
+    assert square == _lucas(2 * n) - 2
+    var = point.forms["var"]
+    num, den = (folded._dot(v, point.basis) for v in (var.p, var.d))
+    assert var.q == [0] * 5 and num * square == den * (square - n * n)
+    assert var.reduction[0] == (f if n % 2 == 0 else lucas)
+    assert den == var.k * var.reduction[0] ** var.power
+    if n >= 2:
+        lam = point.forms["lambda"]
+        assert lam.reduction[0] == square - n * n
+        assert folded._dot(lam.d, point.basis) == lam.k * (square - n * n)
+    assert moments(n, QSTAR).var == Fraction(square - n * n, square)
 
 
 def test_golden_kernel_divides_by_integers_up_to_300():
@@ -300,25 +313,33 @@ def test_golden_kernel_divides_by_integers_at_large_n(n):
     _check_integers(n)
 
 
-def _clear_golden_caches():
-    folded._moments_golden.cache_clear()
-    golden._lambda_golden.cache_clear()
+def _clear_golden_cache():
+    folded._golden_point.cache_clear()
 
 
 @pytest.mark.parametrize("ns", [range(1, 41), [1000], [10_001]], ids=["1-40", "1000", "10001"])
 def test_golden_kernel_takes_no_field_norm(monkeypatch, ns):
-    # every divisor of the q⋆ kernel is an integer or √5 times one, which
-    # Q5 divides without a field norm
+    # every golden-point value is read off its form, three integers put in
+    # lowest terms once: the kernel divides in Q5 not at all
     divisors, div = [], qfield._div
     monkeypatch.setattr(qfield, "_div", lambda x, y, message: divisors.append(y) or div(x, y, message))
     for n in ns:
-        divisors.clear()
-        _clear_golden_caches()  # a cached record would skip the kernel
+        _clear_golden_cache()  # a cached record would skip the kernel
         moments(n, QSTAR)
         if n >= 2:
             lambda_n(n)
-        assert divisors
-        assert all(p == 0 or q == 0 for p, q, _ in divisors), n
+        assert divisors == [], n
+
+
+def test_lambda_and_var_have_closed_forms_in_fibonacci_and_lucas_numbers():
+    # Var(N, q⋆) = 1 − N²/(L_2N − 2) and
+    # Λ(N) = N + 1 − √5·(N·F_2N − 2·L_2N + N² + 4)/(L_2N − N² − 2), from the
+    # integers F_2N and L_2N alone, at the GOLDEN_SIZES of test_qfield.py
+    for n in [*range(2, 401), 2160, 2161, 4320, 9999, 10_000, 10_001]:
+        f2, l2 = fibonacci(2 * n), _lucas(2 * n)
+        assert moments(n, QSTAR).var == 1 - Fraction(n * n, l2 - 2), n
+        lam = n + 1 - Q5(0, Fraction(n * f2 - 2 * l2 + n * n + 4, l2 - n * n - 2))
+        assert lambda_n(n) == lam, n
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +347,30 @@ def test_golden_kernel_takes_no_field_norm(monkeypatch, ns):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [*range(2, 65), 1000])
+@pytest.mark.parametrize("n", [*range(2, 65), 1000, 10_000, 10_001])
 def test_golden_caches_match_the_reduction_oracle_cold_and_warm(n):
-    # the integer reduction route shares no code with the φᴺ kernel
+    # the integer reduction route shares no code with the forms of the
+    # golden point; each value is computed cold once, then read warm
     s = sums_at_qstar(n)
     s0, s1, s2, s3 = s.as_tuple()
     m = moments_from_sums(s)
     lam = (s3 * s0 - s1 * s2) / (s2 * s0 - s1 * s1)
-    _clear_golden_caches()
-    for _ in ("cold", "warm"):
-        assert moments(n, QSTAR) == m
-        assert lambda_n(n) == lam
-    assert folded._moments_golden.cache_info().hits == 1
-    assert golden._lambda_golden.cache_info().hits == 1
+    for value, expected in ((lambda: moments(n, QSTAR), m), (lambda: lambda_n(n), lam)):
+        _clear_golden_cache()
+        for _ in ("cold", "warm"):
+            assert value() == expected
+        assert folded._golden_point.cache_info().hits == 1
 
 
 def test_golden_caches_are_shared_and_bounded():
+    # one cache holds the sums, the moments and Λ of each size
     assert moments(12, QSTAR) is moments(12, Q5(3, -1) / 2)
     assert lambda_n(12) is lambda_n(12)
-    for cached in (folded._moments_golden, golden._lambda_golden):
-        assert cached.cache_info().maxsize is not None
+    point = folded._golden_point(12)
+    assert (sums_closed(12, QSTAR), moments(12, QSTAR), lambda_n(12)) == (
+        point.sums, point.moments, point.lam,
+    )
+    assert folded._golden_point.cache_info().maxsize is not None
 
 
 def test_golden_caches_leak_no_state_into_verify():
@@ -355,10 +380,10 @@ def test_golden_caches_leak_no_state_into_verify():
         doc = run_suite("all", 7)
         return doc.render("json"), doc.render("table")
 
-    _clear_golden_caches()
+    _clear_golden_cache()
     cold = rendered()
     assert rendered() == cold
-    _clear_golden_caches()
+    _clear_golden_cache()
     assert rendered() == cold
 
 

@@ -264,7 +264,7 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
     coeffs = synthesize_consistent_ab(b, args.N, m2)
     lam = lambda_n(args.N)
     rep = stationarity_check(coeffs)
-    a_exact, lam_exact = _exact_strs([coeffs.a, lam])
+    a_exact, lam_exact = _exact_strs([coeffs.a]) + _exact_strs([lam], (args.N, ["lambda"]))
     payload = {
         "N": args.N,
         "B": str(b),
@@ -364,20 +364,17 @@ def _cmd_golden_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda(args: argparse.Namespace) -> int:
+    from .folded import _golden_exact_forms
     from .golden import lambda_n
     from .qfield import decimal_str
 
     _check_digits(args.digits)
     lam = lambda_n(args.N)
-    sqrt5_basis, _, golden_basis = _exact_strs([lam], (args.N, ["lambda"]))[0].partition(" = ")
-    payload = {
-        "N": args.N,
-        "sqrt5_basis": sqrt5_basis,
-        "golden_basis": golden_basis or sqrt5_basis,  # Λ(2) = 3 is rational: one form
-        "decimal": decimal_str(lam, args.digits),
-    }
-    exact = f"{payload['sqrt5_basis']} = {payload['golden_basis']}"
-    _print_payload(payload, args.format, [f"Λ({args.N}) = {exact} ≈ {payload['decimal']}"])
+    sqrt5_basis, golden_basis = _golden_exact_forms(args.N, ["lambda"])
+    decimal = decimal_str(lam, args.digits)
+    payload = {"N": args.N, "sqrt5_basis": sqrt5_basis, "golden_basis": golden_basis, "decimal": decimal}
+    table = [f"Λ({args.N}) = {sqrt5_basis} = {golden_basis} ≈ {decimal}"]
+    _print_payload(payload, args.format, table)
     return 0
 
 

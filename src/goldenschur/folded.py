@@ -24,10 +24,13 @@ stays exact:
 
 The sums, the moments, I₂′ and Λ at the golden point ``q = q⋆`` take the
 one route selected by the input: each is read off its form
-(:func:`_golden_forms`).  With ``Y_k = φᴺ·X_k`` the numerators of the sums
-scaled by φᴺ, ``S_k = φ^{k−1}·φ⁻ᴺ·Y_k``, ``I_k = φᵏY_k/Y₀``,
-``I₂′ = T/Y₀²`` with ``T = φ³(Y₃Y₀ − Y₁Y₂)``, and ``Λ = T/R``, where
-``Y₀ = φᴺ − φ⁻ᴺ`` is ``√5·F_N`` for even N and ``L_N`` for odd N,
+(:func:`_golden_forms`).  They come from four constants, the sums
+``g_k = Σ_{t≥1} t^k·q⋆^t``, that is ``g = (φ⁻¹, 1, √5, 7)``, and from
+``e_k = Σ_{t≥1} (t + N)^k·q⋆^t = Σ_j C(k, j)·N^{k−j}·g_j``, the tail past N
+over q⋆ᴺ.  With ``z = φᴺ``, ``S_k = g_k − e_k·z⁻²`` and
+``I_k = φ·(g_k·z − e_k·z⁻¹)/Y₀``, ``I₂′ = T/Y₀²`` and ``Λ = T/R``, with
+``T = (1 + 2√5)·z² − ((N + 1)(N² + 2) + (N² + 4)·√5) + (2N + 1 + 2√5)·z⁻²``,
+where ``Y₀ = z − z⁻¹`` is ``√5·F_N`` for even N and ``L_N`` for odd N,
 ``Y₀² = L_2N − 2`` and ``R = Y₀² − N²``.  Var = (ln S₀)″ in θ collapses at
 q⋆ to ``R/Y₀²``.  In Fibonacci and Lucas numbers (Vajda, *Fibonacci & Lucas
 Numbers, and the Golden Section*, 1989)::
@@ -47,8 +50,8 @@ radix conversion each of F_N and L_N, in Decimal arithmetic linear in the
 digits, and reduces each fraction by gcds with small integers only
 (:func:`_common_factor`).  At N = 10⁴, ``moments --q phi^-2`` converts 2
 integers of over 3000 bits, where :func:`~.qfield.exact_forms` converts 36.
-``exact_forms``, which prints every other exact value, is the oracle the
-tests hold this route to.
+``lambda`` and ``stationarity`` print Λ this way too.  ``exact_forms``, which
+prints every other exact value, is the oracle the tests hold this route to.
 
 Both lanes and the q⋆ forms fill one :class:`FoldedMoments` record, I₂′
 included, so :func:`moments` is the one route to the moments.
@@ -136,11 +139,11 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     denominator or (q, 1) for a Q5, the same forms are multiplied through by
     powers of b: ``S_k = a·X_k / (b^N·(b − a)^{k+1})`` with
     ``X_k = b^N·U_k + a^N·V_k``, where ``U_k`` and ``V_k`` are integer
-    polynomials in a and b.  Each sum is then normalised once, by one
-    ``Fraction(num, den)`` or one field division.  At ``q = q⋆`` the sums
-    are read off their forms in F_N and L_N (see the module docstring).  A
-    float or float-like q runs the closed forms as written, in
-    :mod:`.floatlaw`.
+    polynomials in a and b (:func:`_exact_numerators`).  Each sum is then
+    normalised once, by one ``Fraction(num, den)`` or one field division.  At
+    ``q = q⋆`` the sums are read off their forms in F_N and L_N (see the
+    module docstring).  A float or float-like q runs the closed forms as
+    written, in :mod:`.floatlaw`.
     """
     _check_domain(n, q)
     if _is_golden(q):
@@ -150,11 +153,21 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     return FoldedSums(n, q, *floatlaw._closed_sums(n, q))
 
 
-def _numerators(n: int, a: _Ring, b: int, an: _Ring, bn: _Ring) -> tuple[_Ring, ...]:
-    """``(X₀, X₁, X₂, X₃)`` with ``X_k = bn·U_k + an·V_k``, where U_k and V_k
-    are the integer polynomials in a and b of :func:`sums_closed`, and
-    ``(bn, an) = (b^N, a^N)`` or any multiple of that pair.  ``a``, ``an`` and
-    ``bn`` are ints or Q5 values, ``b`` an int."""
+def _exact_numerators(n: int, q: Fraction | Q5) -> tuple[_Ring, int, _Ring, tuple[_Ring, ...]]:
+    """``(a, b^N, c, (X₀, X₁, X₂, X₃))`` for q = a/b and c = b − a > 0, so that
+    ``S_k = a·X_k/(b^N·c^{k+1})``; (a, b) is (numerator, denominator) for a
+    Fraction and (q, 1) for a Q5.
+
+    ``X_k = b^N·U_k + a^N·V_k``, where U_k and V_k are the integer polynomials
+    in a and b of :func:`sums_closed`, written here and nowhere else: the
+    golden point reads its values off four constants instead
+    (:func:`_golden_forms`).
+    """
+    if type(q) is Fraction:
+        a, b = q.numerator, q.denominator
+    else:
+        a, b = q, 1
+    an, bn = a**n, b**n
     ab, aa, bb = a * b, a * a, b * b
     x0 = bn - an
     x1 = bn * b + an * (n * a - (n + 1) * b)
@@ -167,19 +180,7 @@ def _numerators(n: int, a: _Ring, b: int, an: _Ring, bn: _Ring) -> tuple[_Ring, 
         - (3 * n**3 + 3 * n**2 - 3 * n + 1) * ab * a
         + n**3 * aa * a
     )
-    return x0, x1, x2, x3
-
-
-def _exact_numerators(n: int, q: Fraction | Q5) -> tuple[_Ring, int, _Ring, tuple[_Ring, ...]]:
-    """``(a, b^N, c, (X₀, X₁, X₂, X₃))`` for q = a/b and c = b − a > 0, so that
-    ``S_k = a·X_k/(b^N·c^{k+1})``; (a, b) is (numerator, denominator) for a
-    Fraction and (q, 1) for a Q5."""
-    if type(q) is Fraction:
-        a, b = q.numerator, q.denominator
-    else:
-        a, b = q, 1
-    bn = b**n
-    return a, bn, b - a, _numerators(n, a, b, a**n, bn)
+    return a, bn, b - a, (x0, x1, x2, x3)
 
 
 def _over(x: int | Q5, d: int | Q5) -> Fraction | Q5:
@@ -283,20 +284,25 @@ def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
     """The forms of the golden-point values of N, by name: ``s0``…``s3``,
     ``i1``…``i3``, ``var``, ``i2_prime`` and ``lambda`` (Λ, for N ≥ 2).
 
-    With ``z = φᴺ``, :func:`_numerators` at ``(bn, an) = (1, 0)`` and
-    ``(0, 1)`` gives small U_k and V_k with ``Y_k = U_k·z + V_k/z``.  So
-    ``S_k = φ^{k−1}(U_k + V_k/z²)``, ``I_k = φᵏY_k/Y₀``, ``Var = R/Y₀²``,
-    ``I₂′ = T/Y₀²`` and ``Λ = T/R``, with ``T = φ³(Y₃Y₀ − Y₁Y₂)``,
-    ``Y₀² = z² − 2 + z⁻²`` and ``R = Y₀² − N²``: Laurent polynomials in z
-    of degree at most 2 with small coefficients in Q(√5).  Since
-    ``z^{±1} = (±1)ᴺ(L_N ± F_N·√5)/2`` and ``z^{±2} = (L_2N ± F_2N·√5)/2``,
-    each coordinate is an integer vector over ``(1, F_N, L_N, F_2N, L_2N)``,
-    over a small integer times 1, Y₀, Y₀² or R; its entries have at most 44
-    bits up to N = 10⁴ + 1.
+    With ``z = φᴺ = q⋆^{−N/2}``, the sums are read off four constants,
+    ``g_k = Σ_{t≥1} t^k·q⋆^t``, the Eulerian-polynomial sums at q⋆ (Graham,
+    Knuth & Patashnik, *Concrete Mathematics* §6.2): ``g = (φ⁻¹, 1, √5, 7)``.
+    The tail past N is ``q⋆ᴺ·e_k`` with ``e_k = Σ_{t≥1} (t + N)^k·q⋆^t =
+    Σ_j C(k, j)·N^{k−j}·g_j``, so ``S_k = g_k − e_k·z⁻²``, and with
+    ``S₀ = φ⁻¹z⁻¹·Y₀`` for ``Y₀ = z − z⁻¹``, ``I_k = φ·(g_k·z − e_k·z⁻¹)/Y₀``.
+    Then ``Var = R/Y₀²``, ``I₂′ = I₃ − I₁·I₂ = T/Y₀²`` and ``Λ = T/R``, with
+    ``Y₀² = z² − 2 + z⁻²``, ``R = Y₀² − N²`` and::
+
+        T = (1 + 2√5)·z² − ((N + 1)(N² + 2) + (N² + 4)·√5) + (2N + 1 + 2√5)·z⁻²
+
+    that is ``T = (N + 1)·R − √5·(N·F_2N − 2·L_2N + N² + 4)``.  These are
+    Laurent polynomials in z of degree at most 2 with small coefficients in
+    Q(√5).  Since ``z^{±1} = (±1)ᴺ(L_N ± F_N·√5)/2`` and
+    ``z^{±2} = (L_2N ± F_2N·√5)/2``, each coordinate is an integer vector over
+    ``(1, F_N, L_N, F_2N, L_2N)``, over a small integer times 1, Y₀, Y₀² or R;
+    its entries have at most 44 bits up to N = 10⁴ + 1.
     """
-    us = _numerators(n, QSTAR, 1, 0, 1)
-    vs = _numerators(n, QSTAR, 1, 1, 0)
-    odd = n & 1
+    odd, nn = n & 1, n * n
     sign = -1 if odd else 1
     # z^j = (P + Q·√5)/2, with P and Q as (basis index, sign)
     halves = {
@@ -327,29 +333,25 @@ def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
     a, y, root = (2, 1, 1) if odd else (1, 5, SQRT5)
     on_a = (basis[a], 2, 3 - a, 5 // y, 4)
     # modulo R, L_2N ≡ N² + 2 and 5·F_2N² = L_2N² − 4 ≡ N²(N² + 4)
-    on_r = (basis[4] - 2 - n * n, n * n + 2, 3, 5, n * n * (n * n + 4))
+    on_r = (basis[4] - 2 - nn, nn + 2, 3, 5, nn * (nn + 4))
     one = ([1, 0, 0, 0, 0], 1, 1, (1, 0, 0, 0, 0))
     y0 = ([y * (i == a) for i in range(5)], y, 1, on_a)  # y·A
     y0_squared = ([-2, 0, 0, 0, 1], y, 2, on_a)
-    r = ([-2 - n * n, 0, 0, 0, 1], 1, 1, on_r)
-    (u0, u1, u2, u3), (v0, v1, v2, v3) = us, vs
-    cube = PHI**3
-    t = {
-        2: cube * (u3 * u0 - u1 * u2),
-        0: cube * (u3 * v0 + v3 * u0 - u1 * v2 - v1 * u2),
-        -2: cube * (v3 * v0 - v1 * v2),
-    }
+    r = ([-2 - nn, 0, 0, 0, 1], 1, 1, on_r)
+    g = (PHI - 1, 1, SQRT5, 7)
+    e = [sum(math.comb(k, j) * n ** (k - j) * g[j] for j in range(k + 1)) for k in range(4)]
+    t = {2: 1 + 2 * SQRT5, 0: -(n + 1) * (nn + 2) - (nn + 4) * SQRT5, -2: 2 * n + 1 + 2 * SQRT5}
     forms = {
-        "var": form({2: 1, 0: -2 - n * n, -2: 1}, y0_squared),
+        "var": form({2: 1, 0: -2 - nn, -2: 1}, y0_squared),
         "i2_prime": form(t, y0_squared),
     }
     if n > 1:  # R = 0 at N = 1
         forms["lambda"] = form(t, r)
+    phi_root = PHI * root  # φ/Y₀ = φ·root/(y·A)
     for k in range(4):
-        c = (PHI - 1) * PHI**k  # φ^{k−1}
-        forms[f"s{k}"] = form({0: c * us[k], -2: c * vs[k]}, one)
-        if k:  # 1/Y₀ = root/(y·A)
-            forms[f"i{k}"] = form({1: root * PHI * c * us[k], -1: root * PHI * c * vs[k]}, y0)
+        forms[f"s{k}"] = form({0: g[k], -2: -e[k]}, one)
+        if k:
+            forms[f"i{k}"] = form({1: phi_root * g[k], -1: -phi_root * e[k]}, y0)
     return forms
 
 

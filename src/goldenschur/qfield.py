@@ -33,9 +33,9 @@ converted to digits once per call (``_Digits``).  A radix conversion is
 quadratic in the digits up to Python 3.11 (and below about 9000 digits
 after it).  :func:`exact_forms` takes its gcds on the parts of d the
 coordinates leave (``_coordinate_gcds``).  The golden-point values that
-``moments --q phi^-2`` and ``lambda`` print take a cheaper route, from the
-digits of F_N and L_N (:mod:`.folded`), and :func:`exact_forms` is the
-oracle it is tested against.  On Python < 3.12 the conversions go through
+``moments --q phi^-2`` prints, and Λ in ``lambda`` and ``stationarity``, take
+a cheaper route, from the digits of F_N and L_N (:mod:`.folded`), and
+:func:`exact_forms` is the oracle it is tested against.  On Python < 3.12 the conversions go through
 ``_split_int_str``, a divide-and-conquer radix conversion (Knuth, *TAOCP*
 vol. 2 §4.4; Brent & Zimmermann, *Modern Computer Arithmetic* §1.7) with a
 smaller constant than ``str(int)``; later versions convert that way natively.
@@ -562,8 +562,8 @@ def exact_forms(*values: Q5 | Fraction | int) -> tuple[str, ...]:
     digits once for all the values, so an integer shared by two values (such
     as a common denominator) is printed from one conversion.  Under a set
     int→str digit limit, a printed integer past it raises as ``str`` does.
-    The golden-point values of ``moments --q phi^-2`` and ``lambda`` print
-    through a route of their own, from the digits of F_N and L_N (at
+    The golden-point values of ``moments --q phi^-2``, and Λ in ``lambda``
+    and ``stationarity``, print through a route of their own, from the digits of F_N and L_N (at
     N = 10⁴, 2 conversions of integers above 3000 bits, against 36 here; see
     :mod:`.folded`), and this function is the oracle it is tested against.
     """

@@ -1,5 +1,6 @@
 """Tests for golden-power reduction and exact evaluation at q⋆."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from goldenschur.golden import GoldenPower, golden_power_table, lambda_n
 from goldenschur.oracle import (
     fibonacci, moments_from_sums, sums_at_qstar, theta_derivatives_fd,
 )
-from goldenschur.qfield import Q5, QSTAR, decimal_str
+from goldenschur.qfield import PHI, Q5, QSTAR, SQRT5, decimal_str
+
+#: the sizes of test_qfield.py at which the golden point is checked
+GOLDEN_SIZES = [*range(1, 401), 2160, 2161, 4320, 9999, 10_000, 10_001]
 
 # (m, a_m, b_m) rows of q⋆^m = a_m q⋆ + b_m.
 REDUCTION_ROWS = [
@@ -128,9 +132,25 @@ def test_sums_at_qstar_golden_coordinates():
 
 def test_sums_at_qstar_agrees_with_closed_forms():
     # Two independent exact routes: integer-weighted reduction table versus
-    # the rational closed forms evaluated in Q(√5).
-    for n in range(1, 25):
-        assert sums_at_qstar(n).as_tuple() == sums_closed(n, QSTAR).as_tuple()
+    # the golden-point forms in F_N and L_N.
+    for n in range(1, 401):
+        assert sums_at_qstar(n).as_tuple() == sums_closed(n, QSTAR).as_tuple(), n
+
+
+def test_golden_sums_are_four_constants_less_a_tail():
+    # g_k = Σ_{t≥1} t^k·q⋆^t are the Eulerian-polynomial sums at q⋆, and
+    # the tail of S_k past N is q⋆ᴺ·e_k with e_k = Σ_{t≥1} (t + N)^k·q⋆^t =
+    # Σ_j C(k, j)·N^{k−j}·g_j.  S_k comes from the integer reduction table
+    # and q⋆ᴺ from a field power, so the check shares no code with the forms.
+    q = QSTAR
+    g = (PHI - 1, 1, SQRT5, 7)
+    assert g == (q / (1 - q), q / (1 - q) ** 2, q * (1 + q) / (1 - q) ** 3,
+                 q * (1 + 4 * q + q * q) / (1 - q) ** 4)
+    for n in GOLDEN_SIZES:
+        tail = QSTAR**n
+        for k, s in enumerate(sums_at_qstar(n).as_tuple()):
+            e = sum(math.comb(k, j) * n ** (k - j) * g[j] for j in range(k + 1))
+            assert s + tail * e == g[k], (n, k)
 
 
 def test_moments_at_qstar_frozen():
@@ -334,12 +354,26 @@ def test_golden_kernel_takes_no_field_norm(monkeypatch, ns):
 def test_lambda_and_var_have_closed_forms_in_fibonacci_and_lucas_numbers():
     # Var(N, q⋆) = 1 − N²/(L_2N − 2) and
     # Λ(N) = N + 1 − √5·(N·F_2N − 2·L_2N + N² + 4)/(L_2N − N² − 2), from the
-    # integers F_2N and L_2N alone, at the GOLDEN_SIZES of test_qfield.py
-    for n in [*range(2, 401), 2160, 2161, 4320, 9999, 10_000, 10_001]:
+    # integers F_2N and L_2N alone
+    for n in GOLDEN_SIZES[1:]:
         f2, l2 = fibonacci(2 * n), _lucas(2 * n)
         assert moments(n, QSTAR).var == 1 - Fraction(n * n, l2 - 2), n
         lam = n + 1 - Q5(0, Fraction(n * f2 - 2 * l2 + n * n + 4, l2 - n * n - 2))
         assert lambda_n(n) == lam, n
+
+
+def test_lambda_bounds_are_integer_inequalities():
+    # 3 < Λ(N) < N + 1 for N ≥ 3, with Λ = N + 1 − √5·X/R: R > 0, X > 0 and
+    # 5X² < (N − 2)²·R², from the integers F_2N and L_2N alone (lambda_n's
+    # docstring); at N = 2, X = 0 and Λ = 3
+    for n in GOLDEN_SIZES[1:]:
+        f2, l2 = fibonacci(2 * n), _lucas(2 * n)
+        x, r = n * f2 - 2 * l2 + n * n + 4, l2 - n * n - 2
+        if n == 2:
+            assert (x, r) == (0, 1) and lambda_n(n) == 3
+        else:
+            assert r > 0 and x > 0 and 5 * x * x < (n - 2) ** 2 * r * r, n
+            assert 3 < lambda_n(n) < n + 1, n
 
 
 # ---------------------------------------------------------------------------

@@ -1056,8 +1056,9 @@ def test_golden_route_prints_what_exact_forms_prints():
 
 
 def test_golden_commands_print_the_bytes_of_exact_forms(monkeypatch, capsys):
-    # the stdout of every format of `moments --q phi^-2` and `lambda`, with the
-    # golden-point values printed from F_N and L_N and through exact_forms
+    # the stdout of every format of `moments --q phi^-2`, `lambda` and
+    # `stationarity` (N ≥ 3), with the golden-point values printed from F_N
+    # and L_N and through exact_forms
     from goldenschur import folded
 
     def outputs():
@@ -1066,6 +1067,7 @@ def test_golden_commands_print_the_bytes_of_exact_forms(monkeypatch, capsys):
             for argv in (
                 *(["moments", "--q", "phi^-2", "--format", f] for f in ("exact", "decimal", "both")),
                 *(["lambda", "--format", f] for f in ("table", "csv", "json")),
+                *(["stationarity", "--B=-7/3", "--format", f] for f in ("table", "csv", "json") if n >= 3),
             ):
                 code = cli.main([*argv, "--N", str(n)])
                 texts.append((argv, n, code, *capsys.readouterr()))
@@ -1079,6 +1081,19 @@ def test_golden_commands_print_the_bytes_of_exact_forms(monkeypatch, capsys):
     )
     for new, old in zip(printed, outputs()):
         assert new == old, new[:2]
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 10_000, 10_001])
+def test_stationarity_prints_lambda_through_the_golden_route(monkeypatch, capsys, n):
+    # Λ's exact column is the golden-point route's, as in `lambda`; A's is
+    # exact_forms'
+    from goldenschur import folded
+
+    calls, golden = [], folded._golden_exact_forms
+    monkeypatch.setattr(folded, "_golden_exact_forms", lambda *args: calls.append(args) or golden(*args))
+    assert cli.main(["stationarity", "--N", str(n), "--B=-7/3"]) == 0
+    capsys.readouterr()
+    assert calls == [(n, ["lambda"])]
 
 
 def test_golden_values_keep_the_digit_limit():

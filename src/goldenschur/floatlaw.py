@@ -40,9 +40,10 @@ def _check_domain(n: int, q: Scalar) -> None:
 
 
 def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """``(S₀, S₁, S₂, S₃)`` from the closed forms of :func:`~.folded.sums_closed`,
-    for an inexact scalar q (a float or float-like) already known to satisfy
-    0 < q < 1."""
+    """``(S₀, S₁, S₂, S₃)`` for an inexact scalar q (a float or float-like)
+    already known to satisfy 0 < q < 1: the formula ``S_k = g_k − q^N·e_k``
+    of :mod:`.folded`, expanded in float order.  The expansion is kept as
+    written for its bits, until the float lane is rebuilt (ROADMAP item 3)."""
     qn = q**n
     r = 1 - q
     s0 = q * (1 - qn) / r

@@ -8,26 +8,32 @@ folded moments ``I_k = S_k / S₀``, and the variance ``Var = I₂ − I₁²``.
 Because the family is exponential, ``dI₁/dθ = Var`` and
 ``dI₂/dθ = I₃ − I₁·I₂``.
 
-The power sums take one of two lanes, each written once, and an exact q
-stays exact:
+At every q the sums are the infinite sums less their tail past N::
+
+    S_k = g_k − q^N·e_k,   g_k = Σ_{t≥1} t^k·q^t = q·A_k(q)/(1 − q)^{k+1},
+    e_k = Σ_{t≥1} (t + N)^k·q^t = Σ_j C(k, j)·N^{k−j}·g_j,
+
+with the Eulerian polynomials ``A₀ = A₁ = 1``, ``A₂ = 1 + q`` and
+``A₃ = 1 + 4q + q²`` (Graham, Knuth & Patashnik, *Concrete Mathematics*
+§6.2).  :func:`_shift` forms e from g.  The formula takes one of two lanes,
+each written once, and an exact q stays exact:
 
 * an exact q, a :class:`~fractions.Fraction` or a :class:`~.qfield.Q5`
-  (q⋆ included), as ``q = a/b`` with (a, b) a Fraction's numerator and
-  denominator or (q, 1) for a Q5: the closed forms multiplied through by
-  powers of b are polynomials in (a, b), and each sum is normalised once, by
-  one ``Fraction(num, den)`` or one field division; so is each moment and
-  I₂′ of an exact q other than q⋆;
+  other than q⋆, as ``q = a/b`` with (a, b) a Fraction's numerator and
+  denominator or (q, 1) for a Q5: the formula multiplied through by powers
+  of b and of ``c = b − a`` is a polynomial in (a, b)
+  (:func:`_exact_numerators`), and each sum is normalised once, by one
+  ``Fraction(num, den)`` or one field division; so is each moment and I₂′;
 * an inexact scalar (a float, or a float-like such as ``numpy.float64``)
-  runs the closed forms as written, and its moments divide those sums by S₀.
-  This float lane lives in :mod:`.floatlaw`, with the two-point fit of the
-  quadratic law, so that ``schur --fit-law`` loads no exact layer.
+  runs the same formula expanded in float order, and its moments divide
+  those sums by S₀.  This float lane lives in :mod:`.floatlaw`, with the
+  two-point fit of the quadratic law, so that ``schur --fit-law`` loads no
+  exact layer.
 
 The sums, the moments, I₂′ and Λ at the golden point ``q = q⋆`` take the
 one route selected by the input: each is read off its form
-(:func:`_golden_forms`).  They come from four constants, the sums
-``g_k = Σ_{t≥1} t^k·q⋆^t``, that is ``g = (φ⁻¹, 1, √5, 7)``, and from
-``e_k = Σ_{t≥1} (t + N)^k·q⋆^t = Σ_j C(k, j)·N^{k−j}·g_j``, the tail past N
-over q⋆ᴺ.  With ``z = φᴺ``, ``S_k = g_k − e_k·z⁻²`` and
+(:func:`_golden_forms`).  There ``g = (φ⁻¹, 1, √5, 7)`` and, with
+``z = φᴺ``, ``q⋆ᴺ = z⁻²``, so ``S_k = g_k − e_k·z⁻²`` and
 ``I_k = φ·(g_k·z − e_k·z⁻¹)/Y₀``, ``I₂′ = T/Y₀²`` and ``Λ = T/R``, with
 ``T = (1 + 2√5)·z² − ((N + 1)(N² + 2) + (N² + 4)·√5) + (2N + 1 + 2√5)·z⁻²``,
 where ``Y₀ = z − z⁻¹`` is ``√5·F_N`` for even N and ``L_N`` for odd N,
@@ -128,22 +134,15 @@ class FoldedMoments(NamedTuple):
 
 
 def sums_closed(n: int, q: Scalar) -> FoldedSums:
-    """Closed-form power sums via the geometric-series derivatives.
-
-    The cubic-weight numerator coefficients are ``3N³+6N²−4`` and
-    ``3N³+3N²−3N+1`` (obtained by differentiating the quadratic-weight form
-    once more in θ); with these the closed forms agree with direct summation
-    exactly for every exact scalar type.
+    """Closed-form power sums ``S_k = g_k − q^N·e_k`` (module docstring).
 
     For an exact ``q = a/b``, with (a, b) a Fraction's numerator and
-    denominator or (q, 1) for a Q5, the same forms are multiplied through by
-    powers of b: ``S_k = a·X_k / (b^N·(b − a)^{k+1})`` with
-    ``X_k = b^N·U_k + a^N·V_k``, where ``U_k`` and ``V_k`` are integer
-    polynomials in a and b (:func:`_exact_numerators`).  Each sum is then
-    normalised once, by one ``Fraction(num, den)`` or one field division.  At
-    ``q = q⋆`` the sums are read off their forms in F_N and L_N (see the
-    module docstring).  A float or float-like q runs the closed forms as
-    written, in :mod:`.floatlaw`.
+    denominator or (q, 1) for a Q5, ``S_k = a·X_k/(b^N·(b − a)^{k+1})`` with
+    integer polynomials X_k in a and b (:func:`_exact_numerators`), each sum
+    normalised once, by one ``Fraction(num, den)`` or one field division; it
+    agrees with direct summation exactly.  At ``q = q⋆`` the sums are read
+    off their forms in F_N and L_N.  A float or float-like q runs the
+    formula in float order, in :mod:`.floatlaw`.
     """
     _check_domain(n, q)
     if _is_golden(q):
@@ -153,34 +152,36 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     return FoldedSums(n, q, *floatlaw._closed_sums(n, q))
 
 
+def _shift(g: Sequence[_Ring], m: _Ring) -> tuple[_Ring, _Ring, _Ring, _Ring]:
+    """``(Σ_j C(k, j)·m^{k−j}·g_j)`` for k = 0..3: if g holds the sums of
+    t^j, these are the sums of ``(t + m)^k``."""
+    g0, g1, g2, g3 = g
+    mm = m * m
+    return (
+        g0,
+        g1 + m * g0,
+        g2 + 2 * m * g1 + mm * g0,
+        g3 + 3 * m * g2 + 3 * mm * g1 + mm * m * g0,
+    )
+
+
 def _exact_numerators(n: int, q: Fraction | Q5) -> tuple[_Ring, int, _Ring, tuple[_Ring, ...]]:
     """``(a, b^N, c, (X₀, X₁, X₂, X₃))`` for q = a/b and c = b − a > 0, so that
     ``S_k = a·X_k/(b^N·c^{k+1})``; (a, b) is (numerator, denominator) for a
     Fraction and (q, 1) for a Q5.
 
-    ``X_k = b^N·U_k + a^N·V_k``, where U_k and V_k are the integer polynomials
-    in a and b of :func:`sums_closed`, written here and nowhere else: the
-    golden point reads its values off four constants instead
-    (:func:`_golden_forms`).
+    ``g_k = a·Ã_k/c^{k+1}`` with ``Ã_k = b^k·A_k(a/b)``, the Eulerian
+    polynomials homogenised, and ``e_k = a·shift(Ã, N·c)_k/c^{k+1}``, so
+    ``S_k = g_k − q^N·e_k`` gives ``X_k = b^N·Ã_k − a^N·shift(Ã, N·c)_k``.
     """
     if type(q) is Fraction:
         a, b = q.numerator, q.denominator
     else:
         a, b = q, 1
-    an, bn = a**n, b**n
-    ab, aa, bb = a * b, a * a, b * b
-    x0 = bn - an
-    x1 = bn * b + an * (n * a - (n + 1) * b)
-    x2 = bn * (bb + ab) + an * (
-        -((n + 1) ** 2) * bb + (2 * n * n + 2 * n - 1) * ab - n * n * aa
-    )
-    x3 = bn * (bb * b + 4 * ab * b + ab * a) + an * (
-        -((n + 1) ** 3) * bb * b
-        + (3 * n**3 + 6 * n**2 - 4) * ab * b
-        - (3 * n**3 + 3 * n**2 - 3 * n + 1) * ab * a
-        + n**3 * aa * a
-    )
-    return a, bn, b - a, (x0, x1, x2, x3)
+    an, bn, c = a**n, b**n, b - a
+    eulerian = (1, b, b * (b + a), b * (b * b + 4 * a * b + a * a))
+    tail = _shift(eulerian, n * c)
+    return a, bn, c, tuple(bn * x - an * y for x, y in zip(eulerian, tail))
 
 
 def _over(x: int | Q5, d: int | Q5) -> Fraction | Q5:
@@ -285,10 +286,9 @@ def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
     ``i1``…``i3``, ``var``, ``i2_prime`` and ``lambda`` (Λ, for N ≥ 2).
 
     With ``z = φᴺ = q⋆^{−N/2}``, the sums are read off four constants,
-    ``g_k = Σ_{t≥1} t^k·q⋆^t``, the Eulerian-polynomial sums at q⋆ (Graham,
-    Knuth & Patashnik, *Concrete Mathematics* §6.2): ``g = (φ⁻¹, 1, √5, 7)``.
-    The tail past N is ``q⋆ᴺ·e_k`` with ``e_k = Σ_{t≥1} (t + N)^k·q⋆^t =
-    Σ_j C(k, j)·N^{k−j}·g_j``, so ``S_k = g_k − e_k·z⁻²``, and with
+    ``g_k = Σ_{t≥1} t^k·q⋆^t``, the Eulerian-polynomial sums at q⋆:
+    ``g = (φ⁻¹, 1, √5, 7)``.  The tail past N is ``q⋆ᴺ·e_k`` with
+    ``e = _shift(g, N)``, as at every q, so ``S_k = g_k − e_k·z⁻²``, and with
     ``S₀ = φ⁻¹z⁻¹·Y₀`` for ``Y₀ = z − z⁻¹``, ``I_k = φ·(g_k·z − e_k·z⁻¹)/Y₀``.
     Then ``Var = R/Y₀²``, ``I₂′ = I₃ − I₁·I₂ = T/Y₀²`` and ``Λ = T/R``, with
     ``Y₀² = z² − 2 + z⁻²``, ``R = Y₀² − N²`` and::
@@ -339,7 +339,7 @@ def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
     y0_squared = ([-2, 0, 0, 0, 1], y, 2, on_a)
     r = ([-2 - nn, 0, 0, 0, 1], 1, 1, on_r)
     g = (PHI - 1, 1, SQRT5, 7)
-    e = [sum(math.comb(k, j) * n ** (k - j) * g[j] for j in range(k + 1)) for k in range(4)]
+    e = _shift(g, n)
     t = {2: 1 + 2 * SQRT5, 0: -(n + 1) * (nn + 2) - (nn + 4) * SQRT5, -2: 2 * n + 1 + 2 * SQRT5}
     forms = {
         "var": form({2: 1, 0: -2 - nn, -2: 1}, y0_squared),

@@ -20,7 +20,11 @@ q = e^θ.  The fit that recovers (A, B) from (q, κ) samples,
 moments in :mod:`.floatlaw`, which loads no exact layer for float samples.
 
 :func:`stationarity_check` decides claim (ii), that q⋆ is the one stationary
-point, from the strict rise of Λ in q, with no grid: it holds for every N ≥ 3.
+point, from the strict rise of Λ in q, with no grid.  What it decides, for
+every N ≥ 3, is the one zero of the bracket-form derivative
+:func:`f_red_prime_q`.  The chain-rule derivative of :func:`f_red_q` differs
+from it by ``B·I₂′·(I₁ − 1)/N``, and where its zeros lie is not decided here
+(ROADMAP item 16).
 
 Coefficients are exact, and q picks the lane: :class:`QuadLawCoeffs` stores
 an int or a float as the Fraction it equals, an exact q (or a given Λ) keeps

@@ -35,10 +35,7 @@ after it).  :func:`exact_forms` takes its gcds on the parts of d the
 coordinates leave (``_coordinate_gcds``).  The golden-point values that
 ``moments --q phi^-2`` prints, and Λ in ``lambda`` and ``stationarity``, take
 a cheaper route, from the digits of F_N and L_N (:mod:`.folded`), and
-:func:`exact_forms` is the oracle it is tested against.  On Python < 3.12 the conversions go through
-``_split_int_str``, a divide-and-conquer radix conversion (Knuth, *TAOCP*
-vol. 2 §4.4; Brent & Zimmermann, *Modern Computer Arithmetic* §1.7) with a
-smaller constant than ``str(int)``; later versions convert that way natively.
+:func:`exact_forms` is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -441,42 +438,8 @@ class GoldenBasis:
         return _format_linear((*pairs, "q⋆"))[0]
 
 
-#: Numbers under twice this many digits go to ``str``; above it
-#: ``_split_int_str`` splits at 10^(_SPLIT_DIGITS·2^j).
-_SPLIT_DIGITS = 1000
-_BITS_PER_DIGIT = math.log2(10)
 #: Python's int→str digit limit (0: none); Python < 3.10.7 has no limit.
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-def _split_int_str(n: int) -> str:
-    """``str(n)`` by divide-and-conquer: split with ``divmod`` at ``10^k``, the
-    largest ``k = 1000·2^j`` at most half the width, and zero-pad the low half.
-
-    Up to Python 3.11, ``str(int)`` and ``divmod`` are both quadratic, so this
-    stays quadratic, but with a smaller constant: 1.2× faster at 4200 digits
-    and 1.4× at 34 000 (Python 3.11, 2-CPU Xeon host).  The width estimate ``⌊bits/log₂10⌋`` is the digit
-    count or one less, so the high half is never zero.  At or above a set
-    digit limit ``n`` goes to ``str``, which raises exactly when ``str(n)``
-    would.
-    """
-    if n < 0:
-        return "-" + _split_int_str(-n)
-    width = int(n.bit_length() / _BITS_PER_DIGIT)
-    limit = _int_max_str_digits()
-    if width < 2 * _SPLIT_DIGITS or 0 < limit <= width:
-        return str(n)
-    k = _SPLIT_DIGITS
-    while 4 * k <= width:
-        k *= 2
-    high, low = divmod(n, 10**k)
-    return _split_int_str(high) + _split_int_str(low).zfill(k)
-
-
-# Python 3.12+ converts ints above about 9000 digits by divide and conquer
-# itself, faster than splitting here; below that, splitting would gain at most
-# 1.3×, so 3.12+ keeps ``str``.
-_int_str = str if sys.version_info >= (3, 12) else _split_int_str
 
 
 def _reduced(n: int, d: int) -> tuple[int, int]:
@@ -488,7 +451,7 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
 class _Digits(dict):
     """``n → str(n)`` for the integers ``n ≥ 0`` that one rendering call prints.
 
-    A missing integer is converted by ``_int_str`` when it is first printed,
+    A missing integer is converted by ``str`` when it is first printed,
     so an integer that several printed values share is converted once.  The
     golden-point route of :mod:`.folded` files the digits it derives itself.
     """
@@ -496,7 +459,7 @@ class _Digits(dict):
     __slots__ = ()
 
     def __missing__(self, n: int) -> str:
-        text = self[n] = _int_str(n)
+        text = self[n] = str(n)
         return text
 
 

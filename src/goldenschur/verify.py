@@ -5,14 +5,17 @@ the reference-table layout they reproduce (``appendix-b`` … ``appendix-h``)
 plus the two property suites ``schur-properties`` and ``lockin``; ``all``
 runs everything.  Records for reference-only numbers whose generating
 construction is out of scope are informational and never fail.
+
+Only three suites import numpy, inside the suite: ``appendix-b`` and
+``lockin`` draw their seeded integers from its generator, and
+``schur-properties`` builds dense matrices.  ``appendix-c``, ``appendix-d``
+and ``appendix-h`` run on the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from . import reference
 from .floatlaw import quadratic_law_fit
@@ -103,6 +106,8 @@ _REDUCTION_TABLE = (
 
 
 def _suite_appendix_b(seed: int) -> ReportDocument:
+    import numpy as np
+
     doc = ReportDocument("appendix-b", seed)
     rng = np.random.default_rng(seed)
 
@@ -354,6 +359,8 @@ def _suite_appendix_h(seed: int) -> ReportDocument:
 
 
 def _suite_schur_properties(seed: int) -> ReportDocument:
+    import numpy as np
+
     doc = ReportDocument("schur-properties", seed)
     rng = np.random.default_rng(seed)
 
@@ -544,6 +551,8 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
 
 
 def _suite_lockin(seed: int) -> ReportDocument:
+    import numpy as np
+
     doc = ReportDocument("lockin", seed)
     rng = np.random.default_rng(seed)
 

@@ -1419,6 +1419,17 @@ def test_schur_runs_without_numpy(capsys, tmp_path, family_file, argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
 
 
+@pytest.mark.parametrize("suite", ["appendix-c", "appendix-d", "appendix-h"])
+def test_exact_verify_suites_run_without_numpy(capsys, suite):
+    # only the suites that draw from numpy's generator or build dense
+    # matrices import it
+    argv = ["verify", "--suite", suite, "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_golden_table_loads_only_golden(fmt):
     # the reduction table is integer arithmetic: no field, no power sums

@@ -681,8 +681,9 @@ def test_lambda_derivative_identity_as_integer_polynomials():
 
 
 def test_hankel_determinant_is_the_cauchy_binet_triple_sum():
-    # D = Σ_{s<t<u} q^{s+t+u}·((t − s)(u − s)(u − t))²: every term positive
-    for n in list(range(3, 25)) + [40, 64]:
+    # D = Σ_{s<t<u} q^{s+t+u}·((t − s)(u − s)(u − t))²: every term positive,
+    # so D > 0 on 0 < q < 1 for N ≥ 3, and D ≡ 0 at N = 2, which has no triple
+    for n in list(range(2, 25)) + [40, 64]:
         _, _, _, d = hankel_polys(n)
         triple = [0] * len(d)
         for s in range(1, n + 1):
@@ -690,6 +691,7 @@ def test_hankel_determinant_is_the_cauchy_binet_triple_sum():
                 for u in range(t + 1, n + 1):
                     triple[s + t + u] += ((t - s) * (u - s) * (u - t)) ** 2
         assert d == triple, n
+        assert any(d) == (n >= 3), n
 
 
 def test_lambda_at_one_from_the_pair_form():

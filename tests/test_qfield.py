@@ -18,7 +18,6 @@ from goldenschur.folded import _golden_exact_forms, moments, sums_closed
 from goldenschur.golden import lambda_n
 from goldenschur.oracle import fibonacci
 from goldenschur.qfield import (
-    _SPLIT_DIGITS,
     PHI,
     QSTAR,
     SQRT5,
@@ -26,7 +25,6 @@ from goldenschur.qfield import (
     Q5,
     _coordinate_gcds,
     _q5,
-    _split_int_str,
     _sqrt5_floor,
     decimal_str,
     exact_forms,
@@ -379,39 +377,8 @@ def test_float_at_the_ends_of_the_range():
 
 
 # ---------------------------------------------------------------------------
-# divide-and-conquer digits, and exact rendering against the str() renderer
+# exact rendering against the str() renderer
 # ---------------------------------------------------------------------------
-
-
-def _digits_at(k):
-    """10ᵏ − 1, 10ᵏ and 10ᵏ + 1: all nines, and low halves of zeros."""
-    return (10**k - 1, 10**k, 10**k + 1)
-
-
-# the str() threshold and each split point 1000·2^j that 40 000-bit ints reach
-_SPLIT_POINTS = [_SPLIT_DIGITS * 2**j for j in range(4)]
-
-
-@settings(max_examples=200)
-@given(
-    # the second range puts most draws above 2000 digits, where the routine splits
-    bits=st.one_of(st.integers(0, 40_000), st.integers(6_700, 40_000)),
-    seed=st.integers(0, 2**32),
-    negative=st.booleans(),
-)
-def test_split_int_str_matches_str(bits, seed, negative):
-    n = random.Random(seed).getrandbits(bits) | (1 << bits >> 1)  # exactly `bits` bits
-    n = -n if negative else n
-    with _unlimited_int_digits():
-        assert _split_int_str(n) == str(n)
-
-
-@pytest.mark.parametrize("k", sorted({k + dk for k in _SPLIT_POINTS for dk in (-1, 0, 1)}))
-def test_split_int_str_near_powers_of_ten(k):
-    with _unlimited_int_digits():
-        for n in (*_digits_at(k), *_digits_at(2 * k)):
-            assert _split_int_str(n) == str(n)
-            assert _split_int_str(-n) == str(-n)
 
 
 @contextlib.contextmanager
@@ -430,22 +397,6 @@ def _str_outcome(render, n):
         return render(n)
     except ValueError as exc:
         return ("ValueError", str(exc))
-
-
-@pytest.mark.parametrize("limit", [4300, 6000])
-def test_split_int_str_raises_where_str_does(limit):
-    # around the limit: 10ᵏ ± 1 by digit count, and 2ᵇ ± 1 by bit count, where
-    # the width estimate ⌊b/log₂10⌋ is one below the digit count or equal to it
-    bits = int(limit * math.log2(10))
-    near = [m for k in range(limit - 1, limit + 3) for m in _digits_at(k)]
-    near += [m for b in range(bits - 4, bits + 5) for m in (2**b - 1, 2**b, 2**b + 1)]
-    with _int_digit_limit(limit):
-        raised = 0
-        for n in (*near, *(-m for m in near)):
-            expected = _str_outcome(str, n)
-            assert _str_outcome(_split_int_str, n) == expected
-            raised += isinstance(expected, tuple)
-    assert 0 < raised < 2 * len(near)
 
 
 def test_str_of_exact_values_keeps_the_digit_limit():
@@ -640,6 +591,13 @@ def _check_rendering_in_one_call(values):
 def test_rendering_several_values_in_one_call_matches_each_alone():
     with _unlimited_int_digits():
         _check_rendering_in_one_call()
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1/2"])
+def test_exact_forms_rejects_what_it_cannot_render(value):
+    # a bool is not printed as the int it equals
+    with pytest.raises(TypeError, match=f"^cannot render {type(value).__name__} exactly$"):
+        exact_forms(QSTAR, value)
 
 
 # ---------------------------------------------------------------------------
@@ -991,15 +949,15 @@ def test_decimal_str_retries_when_the_digits_hinge_on_the_floor(monkeypatch, dig
 
 
 def _spy_int_str(monkeypatch):
-    """The integers ``qfield._int_str`` converts from now on."""
+    """The integers that ``qfield._Digits`` converts from now on."""
     converted = []
-    real = qfield._int_str
+    real = qfield._Digits.__missing__
 
-    def spy(n):
+    def spy(digits, n):
         converted.append(n)
-        return real(n)
+        return real(digits, n)
 
-    monkeypatch.setattr(qfield, "_int_str", spy)
+    monkeypatch.setattr(qfield._Digits, "__missing__", spy)
     return converted
 
 

@@ -30,13 +30,14 @@ if TYPE_CHECKING:
 
     from .qfield import Q5
 
-# Each subcommand imports only the layers it computes with: ``verify``, the
-# one that needs numpy, and ``schur`` (standard library only) inside their
-# subcommands, ``lockin`` inside ``stationarity``, the exact layers
-# (``qfield``, ``folded``, ``golden``) inside the subcommands and helpers that
-# compute or print exact values, ``fractions`` inside the helpers that parse
-# rationals, and ``json`` only where json is rendered.  ``schur --fit-law``
-# fits on floats through ``floatlaw``, which loads none of them.
+# Each subcommand imports only the layers it computes with: ``verify`` (whose
+# ``schur-properties`` suite alone imports numpy) and ``schur`` (standard
+# library only) inside their subcommands, ``lockin`` inside ``stationarity``,
+# the exact layers (``qfield``, ``folded``, ``golden``) inside the subcommands
+# and helpers that compute or print exact values, ``fractions`` inside the
+# helpers that parse rationals, and ``json`` only where json is rendered.
+# ``schur --fit-law`` fits on floats through ``floatlaw``, which loads none of
+# them.
 
 __all__ = ["main", "build_parser"]
 
@@ -172,8 +173,6 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_suite
 
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     doc = run_suite(args.suite, args.seed)
     sys.stdout.write(doc.render(args.format))
     return doc.exit_code

@@ -6,15 +6,16 @@ plus the two property suites ``schur-properties`` and ``lockin``; ``all``
 runs everything.  Records for reference-only numbers whose generating
 construction is out of scope are informational and never fail.
 
-Only three suites import numpy, inside the suite: ``appendix-b`` and
-``lockin`` draw their seeded integers from its generator, and
-``schur-properties`` builds dense matrices.  ``appendix-c``, ``appendix-d``
-and ``appendix-h`` run on the standard library alone.
+Only ``schur-properties``, which builds dense matrices, imports numpy, inside
+the suite; without numpy it raises a ``ValueError`` that names the ``dense``
+extra.  Every other suite runs on the standard library alone: ``appendix-b``
+and ``lockin`` draw their seeded integers from :class:`random.Random`.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 from . import reference
@@ -106,15 +107,13 @@ _REDUCTION_TABLE = (
 
 
 def _suite_appendix_b(seed: int) -> ReportDocument:
-    import numpy as np
-
     doc = ReportDocument("appendix-b", seed)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     mismatches = []
     for n in range(1, 25):
         for _ in range(8):
-            q = Fraction(int(rng.integers(1, 997)), 997)
+            q = Fraction(rng.randrange(1, 997), 997)
             if sums_closed(n, q) != sums_bruteforce(n, q):
                 mismatches.append((n, q))
     doc.add(
@@ -359,7 +358,13 @@ def _suite_appendix_h(seed: int) -> ReportDocument:
 
 
 def _suite_schur_properties(seed: int) -> ReportDocument:
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise ValueError(
+            "verify suite schur-properties builds dense matrices and needs numpy: "
+            "pip install 'goldenschur[dense]'"
+        ) from None
 
     doc = ReportDocument("schur-properties", seed)
     rng = np.random.default_rng(seed)
@@ -551,18 +556,16 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
 
 
 def _suite_lockin(seed: int) -> ReportDocument:
-    import numpy as np
-
     doc = ReportDocument("lockin", seed)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     lam = lambda_n(12)
     mom = moments(12, QSTAR)
     ok = True
     for _ in range(30):
-        a = Fraction(int(rng.integers(-60, 60)), int(rng.integers(1, 24)))
-        b = Fraction(int(rng.integers(-60, 60)), int(rng.integers(1, 24)))
-        m2 = Fraction(int(rng.integers(1, 12)), int(rng.integers(1, 6)))
+        a = Fraction(rng.randrange(-60, 60), rng.randrange(1, 24))
+        b = Fraction(rng.randrange(-60, 60), rng.randrange(1, 24))
+        m2 = Fraction(rng.randrange(1, 12), rng.randrange(1, 6))
         coeffs = QuadLawCoeffs(a, b, 12, m2)
         lhs = f_red_prime_q(coeffs, QSTAR)
         rhs = bracket_residual(coeffs, lam) * mom.i1 * mom.var / 12
@@ -678,7 +681,12 @@ _SUITE_FUNCS = {
 
 
 def run_suite(name: str, seed: int = 0) -> ReportDocument:
-    """Run one named suite (or ``all``) and return its report."""
+    """Run one named suite (or ``all``) and return its report.
+
+    ``seed`` must be a non-negative int: :class:`random.Random` would replay
+    the stream of ``-seed`` for a negative one, and accept a float."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed!r}")
     if name == "all":
         doc = ReportDocument("all", seed)
         for key in SUITES[:-1]:

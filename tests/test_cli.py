@@ -121,6 +121,45 @@ def test_verify_rejects_negative_seed(capsys, suite):
     assert err == "error: --seed must be a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize("seed", [-7, True, False, 1.0, 7.5], ids=repr)
+@pytest.mark.parametrize(
+    "suite",
+    ["appendix-b", "appendix-c", "appendix-d", "appendix-h", "schur-properties", "lockin", "all"],
+)
+def test_run_suite_rejects_a_seed_that_is_not_a_non_negative_int(suite, seed):
+    # random.Random(-7) would replay the draws of seed 7, and take a float
+    from goldenschur.verify import run_suite
+
+    message = f"--seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite(suite, seed)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_verify_reports_a_failed_check(capsys, monkeypatch, fmt):
+    # a wrong Λ(12) fails c.lambda-12 alone, and the run exits 1 in every format
+    from goldenschur import verify
+    from goldenschur.golden import lambda_n
+
+    monkeypatch.setattr(verify, "lambda_n", lambda n: lambda_n(n) + 1)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "appendix-c", "--format", fmt)
+    assert code == 1
+    if fmt == "table":
+        lines = out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("[FAIL] c.lambda-12 "))
+        assert [line.strip() for line in lines[at + 1 : at + 3]] == [
+            "expected: 13 - 2425/719·√5 = 2072/719 + 4850/719·q⋆ ≈ 5.4583242762",
+            "actual:   14 - 2425/719·√5 = 2791/719 + 4850/719·q⋆ ≈ 6.4583242762",
+        ]
+        assert lines[-1] == "3 passed, 1 failed, 0 informational"
+    elif fmt == "json":
+        summary = json.loads(out)["summary"]
+        assert (summary["fail"], summary["ok"]) == (1, False)
+    else:
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [(r[0], r[1]) for r in rows if r[1] != "pass"] == [("c.lambda-12", "fail")]
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -1419,15 +1458,29 @@ def test_schur_runs_without_numpy(capsys, tmp_path, family_file, argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
 
 
-@pytest.mark.parametrize("suite", ["appendix-c", "appendix-d", "appendix-h"])
+@pytest.mark.parametrize("suite", ["appendix-b", "appendix-c", "appendix-d", "appendix-h", "lockin"])
 def test_exact_verify_suites_run_without_numpy(capsys, suite):
-    # only the suites that draw from numpy's generator or build dense
-    # matrices import it
+    # only the suite that builds dense matrices imports numpy; appendix-b and
+    # lockin draw their seeded integers from random.Random
     argv = ["verify", "--suite", suite, "--format", "json"]
     proc = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY, *argv], capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("suite", ["schur-properties", "all"])
+def test_dense_verify_suites_need_numpy(suite):
+    # without numpy, one line names it and the extra, and nothing is rendered
+    argv = ["verify", "--suite", suite]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: verify suite schur-properties builds dense matrices and needs numpy: "
+        "pip install 'goldenschur[dense]'\n"
+    )
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -1722,10 +1775,11 @@ def _exact_large_digests():
 
 @pytest.mark.parametrize("args,digest", _exact_large_digests())
 def test_exact_large_output_matches_fixture(capsys, args, digest):
-    # values of thousands of digits, printed by the divide-and-conquer digit
-    # routine, and their certified decimals; the digests were taken from the
-    # str()-based renderer and from decimals certified by an isqrt each.  The
-    # stationarity rows pin the decision on coefficients read exactly.
+    # values of thousands of digits, printed by str() and by the F_N/L_N digit
+    # route of the golden point, and their certified decimals; the digests
+    # were taken from the str()-based renderer and from decimals certified by
+    # an isqrt each.  The stationarity rows pin the decision on coefficients
+    # read exactly.
     code, out, err = run_cli(capsys, *args.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

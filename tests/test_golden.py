@@ -65,14 +65,14 @@ def test_recurrence():
         assert hi.b == 3 * mid.b - lo.b
 
 
-def test_reduce_power_is_qstar_power():
+def test_golden_power_table_rows_are_qstar_powers():
     for m, p in enumerate(golden_power_table(200)):
         assert p.m == m
         assert QSTAR**m == p.a * QSTAR + p.b
         assert p.as_q5() == QSTAR**m
 
 
-def test_reduce_power_rejects_negative():
+def test_golden_power_table_rejects_negative():
     with pytest.raises(ValueError):
         golden_power_table(-1)
 

@@ -473,7 +473,7 @@ def test_uniqueness_scan_brackets_golden_ratio(b):
     assert lo < QSTAR < hi
 
 
-def test_uniqueness_scan_zero_coefficients():
+def test_zero_coefficients_have_no_stationary_point():
     # strictly decreasing objective: no crossing anywhere
     rep = stationarity_check(QuadLawCoeffs(0, 0, 12))
     assert (rep.sign_changes, rep.sign_change_intervals) == (0, ())
@@ -481,7 +481,7 @@ def test_uniqueness_scan_zero_coefficients():
     assert exact_sign_changes(QuadLawCoeffs(0, 0, 12)) == []
 
 
-def test_uniqueness_scan_degenerate_family():
+def test_n1_family_is_degenerate_with_no_sign_change():
     rep = stationarity_check(QuadLawCoeffs(2, 1, 1))
     assert rep.degenerate
     assert (rep.sign_changes, rep.sign_change_intervals) == (0, ())

@@ -706,6 +706,7 @@ def test_kernel_arithmetic_matches_fraction_pairs(x, y, op, flip):
 
 
 @given(x=elements, m=st.integers(-6, 9))
+@example(x=(Q5(3, -2), PairQ5(3, -2)), m=2)  # 3 − 2√5 < 0
 def test_kernel_inverse_and_powers_match_fraction_pairs(x, m):
     xq, xr = x
     if xr.norm() == 0:
@@ -717,6 +718,8 @@ def test_kernel_inverse_and_powers_match_fraction_pairs(x, m):
         assert xq.norm() == xr.norm()
     assert_same(xq**m, xr**m)
     assert_same(-xq, PairQ5(-xr.a, -xr.b))
+    assert_same(+xq, xr)
+    assert_same(abs(xq), PairQ5(-xr.a, -xr.b) if xr.sign() < 0 else xr)
     assert_same(xq.conjugate(), PairQ5(xr.a, -xr.b))
 
 

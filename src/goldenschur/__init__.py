@@ -6,8 +6,9 @@ D_N-equivariant Hessian families, and the quadratic-law stationarity story
 at ``q⋆ = (3 − √5)/2`` — plus the verification suites behind the
 ``goldenschur`` command.
 
-The public names below are loaded on first access (PEP 562), so importing
-the package, or an exact-arithmetic layer of it, does not import numpy.
+The public names below are loaded on first access (PEP 562).  No module
+imports numpy at import time; the lazy names keep each command's import set
+small, which matters cold, where every module loaded is compiled from source.
 """
 
 from importlib import import_module

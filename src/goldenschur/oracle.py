@@ -51,9 +51,7 @@ Besides the oracles it holds:
 * the dense views :func:`circulant`, of a row or a stack of rows, and
   :func:`band_projector`, the P_B of a split;
 * the random families :func:`random_symmetric_psd_circulant` and
-  :func:`random_family`, and :func:`strict_convexity_witness`;
-* :func:`q_class_functional_from_weights`, kept only for the
-  ``s.q-class-uniform`` record of ``verify``.
+  :func:`random_family`, and :func:`strict_convexity_witness`.
 
 Importing this module loads only the standard library; the matrix routes
 import numpy where they run.
@@ -86,7 +84,6 @@ __all__ = [
     "dense_curvature", "exact_kappa", "variational_expression", "VariationalReport",
     "variational_check", "ConvexityGapReport", "matrix_convexity_check", "LOEWNER_TOL",
     "StrictWitnessReport", "strict_convexity_witness", "WITNESS_TOL",
-    "q_class_functional_from_weights",
 ]
 
 #: Loewner slack of the variational and matrix-convexity checks.
@@ -551,17 +548,3 @@ def strict_convexity_witness(
     strict = witness > WITNESS_TOL and scan.min_second_difference > 0
     return StrictWitnessReport(term_index, witness, scan.min_second_difference, floor, strict)
 
-
-def q_class_functional_from_weights(
-    k1: FloatArray, k2: FloatArray, split: SplitGeometry, weights: Sequence[float]
-) -> float:
-    """``Tr(P_B K₁ D K₂ P_B)/dim B`` with ``D = diag(1/x_r)`` from weights x,
-    kept only for the ``s.q-class-uniform`` record of ``verify``."""
-    import numpy as np
-
-    x = np.asarray([float(w) for w in weights])
-    if x.shape != (split.n,) or not (np.isfinite(x) & (x > 0)).all():
-        raise ValueError(f"need {split.n} positive weights")
-    d = np.diag(1.0 / x)
-    pb = band_projector(split)
-    return float(np.trace(pb @ k1 @ d @ k2 @ pb)) / split.dim_band

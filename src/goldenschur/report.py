@@ -86,9 +86,6 @@ class ReportDocument:
         status = "info" if ok is None else ("pass" if ok else "fail")
         self.records.append(CheckRecord(check_id, description, status, expected, actual, basis))
 
-    def extend(self, other: "ReportDocument") -> None:
-        self.records.extend(other.records)
-
     @property
     def n_pass(self) -> int:
         return sum(r.status == "pass" for r in self.records)

@@ -7,9 +7,11 @@ runs everything.  Records for reference-only numbers whose generating
 construction is out of scope are informational and never fail.
 
 Only ``schur-properties``, which builds dense matrices, imports numpy, inside
-the suite; without numpy it raises a ``ValueError`` that names the ``dense``
-extra.  Every other suite runs on the standard library alone: ``appendix-b``
-and ``lockin`` draw their seeded integers from :class:`random.Random`.
+the suite.  :func:`run_suite` decides before it runs any suite: without
+numpy, ``schur-properties`` and ``all`` raise a ``ValueError`` that names the
+``dense`` extra.  Every other suite runs on the standard library alone:
+``appendix-b`` and ``lockin`` draw their seeded integers from
+:class:`random.Random`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .oracle import (
     f_red_prime_direct_q,
     fibonacci,
     matrix_convexity_check,
-    q_class_functional_from_weights,
     random_family,
     random_symmetric_psd_circulant,
     strict_convexity_witness,
@@ -83,10 +84,10 @@ _MOMENTS_GOLDEN = {
     "I1": GoldenBasis(Fraction(-1, 20), Fraction(131, 30)),
     "I2": GoldenBasis(Fraction(-271, 15), Fraction(1703, 30)),
     "I3": GoldenBasis(Fraction(-2441, 10), Fraction(13373, 20)),
+    "I2'": GoldenBasis(Fraction(259, 90), Fraction(485, 72)),
 }
 _I1P = Fraction(719, 720)
 _I2P = Q5(Fraction(9347, 720), Fraction(-485, 144))
-_I2P_GOLDEN = GoldenBasis(Fraction(259, 90), Fraction(485, 72))
 _LAMBDA12 = Q5(13, Fraction(-2425, 719))
 _LAMBDA12_GOLDEN = GoldenBasis(Fraction(2072, 719), Fraction(4850, 719))
 _REDUCTION_TABLE = (
@@ -104,6 +105,23 @@ _REDUCTION_TABLE = (
     (11, 17711, -6765),
     (12, 46368, -17711),
 )
+
+
+def _add_table(
+    doc: ReportDocument, check_id: str, description: str, want: dict, got: dict, ok: bool = True
+) -> None:
+    """Record tabulated values: pass when ``ok`` holds and each ``got[k] == want[k]``."""
+    ok = ok and all(got[k] == v for k, v in want.items())
+    expected, actual = ("; ".join(f"{k} = {v}" for k, v in d.items()) for d in (want, got))
+    doc.add(check_id, description, ok, expected, actual, "reference")
+
+
+def _add_bound(
+    doc: ReportDocument, check_id: str, description: str, label: str, value: float, bound: float
+) -> None:
+    """Record a derived defect: pass when ``value <= bound``."""
+    expected, actual = f"{label} <= {bound}", f"{label} = {value:.3e}"
+    doc.add(check_id, description, value <= bound, expected, actual, "derived")
 
 
 def _suite_appendix_b(seed: int) -> ReportDocument:
@@ -128,53 +146,26 @@ def _suite_appendix_b(seed: int) -> ReportDocument:
     # the library's closed forms against the table, and the integer reduction
     # route against the library
     sums = sums_closed(12, QSTAR)
-    got = dict(zip(("S0", "S1", "S2", "S3"), sums.as_tuple()))
-    ok = all(got[k] == v for k, v in _SUMS_SQRT5.items()) and sums_at_qstar(12) == sums
-    doc.add(
-        "b.sums-qstar",
-        "tabulated golden-point power sums S0..S3 at N = 12 (√5 basis)",
-        ok,
-        "; ".join(f"{k} = {v}" for k, v in _SUMS_SQRT5.items()),
-        "; ".join(f"{k} = {got[k]}" for k in _SUMS_SQRT5),
-        "reference",
+    _add_table(
+        doc, "b.sums-qstar", "tabulated golden-point power sums S0..S3 at N = 12 (√5 basis)",
+        _SUMS_SQRT5, dict(zip(_SUMS_SQRT5, sums.as_tuple())), ok=sums_at_qstar(12) == sums,
     )
 
     mom = moments(12, QSTAR)
-    got_m = {"I1": mom.i1, "I2": mom.i2, "I3": mom.i3}
-    ok = all(got_m[k] == v for k, v in _MOMENTS_SQRT5.items())
-    doc.add(
-        "b.moments-qstar",
-        "tabulated golden-point moments I1..I3 at N = 12 (√5 basis)",
-        ok,
-        "; ".join(f"{k} = {v}" for k, v in _MOMENTS_SQRT5.items()),
-        "; ".join(f"{k} = {got_m[k]}" for k in _MOMENTS_SQRT5),
-        "reference",
+    _add_table(
+        doc, "b.moments-qstar", "tabulated golden-point moments I1..I3 at N = 12 (√5 basis)",
+        _MOMENTS_SQRT5, {"I1": mom.i1, "I2": mom.i2, "I3": mom.i3},
     )
-
-    i1p, i2p = mom.var, mom.i2_prime
-    ok = i1p == Q5(_I1P) and i2p == _I2P
-    doc.add(
-        "b.derivatives-qstar",
+    _add_table(
+        doc, "b.derivatives-qstar",
         "tabulated θ-derivatives I1' = 719/720 and I2' at the golden point (N = 12)",
-        ok,
-        f"I1' = {_I1P}; I2' = {_I2P}",
-        f"I1' = {i1p}; I2' = {i2p}",
-        "reference",
+        {"I1'": _I1P, "I2'": _I2P}, {"I1'": mom.var, "I2'": mom.i2_prime},
     )
-
-    decimals = (
-        ("q⋆", decimal_str(QSTAR, 11), "0.38196601125"),
-        ("I1(q⋆)", decimal_str(mom.i1, 15), "1.617918249125459"),
-        ("I1'(q⋆)", decimal_str(_I1P, 9), "0.998611111"),
-    )
-    ok = all(got == want for _, got, want in decimals)
-    doc.add(
-        "b.decimals",
-        "certified decimal expansions match the tabulated digits",
-        ok,
-        "; ".join(f"{name} = {want}" for name, _, want in decimals),
-        "; ".join(f"{name} = {got}" for name, got, _ in decimals),
-        "reference",
+    _add_table(
+        doc, "b.decimals", "certified decimal expansions match the tabulated digits",
+        {"q⋆": "0.38196601125", "I1(q⋆)": "1.617918249125459", "I1'(q⋆)": "0.998611111"},
+        {"q⋆": decimal_str(QSTAR, 11), "I1(q⋆)": decimal_str(mom.i1, 15),
+         "I1'(q⋆)": decimal_str(_I1P, 9)},
     )
     return doc
 
@@ -183,35 +174,16 @@ def _suite_appendix_c(seed: int) -> ReportDocument:
     doc = ReportDocument("appendix-c", seed)
 
     sums = sums_closed(12, QSTAR)
-    got = {k: v.to_golden() for k, v in zip(("S0", "S1", "S2", "S3"), sums.as_tuple())}
-    ok = all(got[k] == v for k, v in _SUMS_GOLDEN.items())
-    doc.add(
-        "c.sums-golden",
-        "tabulated golden-basis coordinates of S0..S3 at N = 12",
-        ok,
-        "; ".join(f"{k} = {v}" for k, v in _SUMS_GOLDEN.items()),
-        "; ".join(f"{k} = {got[k]}" for k in _SUMS_GOLDEN),
-        "reference",
+    _add_table(
+        doc, "c.sums-golden", "tabulated golden-basis coordinates of S0..S3 at N = 12",
+        _SUMS_GOLDEN, {k: v.to_golden() for k, v in zip(_SUMS_GOLDEN, sums.as_tuple())},
     )
 
     mom = moments(12, QSTAR)
-    got_m = {
-        "I1": mom.i1.to_golden(),
-        "I2": mom.i2.to_golden(),
-        "I3": mom.i3.to_golden(),
-    }
-    i2p = mom.i2_prime.to_golden()
-    ok = (
-        all(got_m[k] == v for k, v in _MOMENTS_GOLDEN.items())
-        and i2p == _I2P_GOLDEN
-    )
-    doc.add(
-        "c.moments-golden",
-        "tabulated golden-basis coordinates of I1..I3 and I2' at N = 12",
-        ok,
-        "; ".join(f"{k} = {v}" for k, v in _MOMENTS_GOLDEN.items()) + f"; I2' = {_I2P_GOLDEN}",
-        "; ".join(f"{k} = {got_m[k]}" for k in _MOMENTS_GOLDEN) + f"; I2' = {i2p}",
-        "reference",
+    values = (mom.i1, mom.i2, mom.i3, mom.i2_prime)
+    _add_table(
+        doc, "c.moments-golden", "tabulated golden-basis coordinates of I1..I3 and I2' at N = 12",
+        _MOMENTS_GOLDEN, {k: v.to_golden() for k, v in zip(_MOMENTS_GOLDEN, values)},
     )
 
     lam = lambda_n(12)
@@ -302,29 +274,15 @@ def _suite_appendix_d(seed: int) -> ReportDocument:
 def _suite_appendix_h(seed: int) -> ReportDocument:
     doc = ReportDocument("appendix-h", seed)
 
-    half = moments(12, Fraction(1, 2))
-    ok = half.i1 == Fraction(2726, 1365) and half.var == Fraction(3660914, 1863225)
-    doc.add(
-        "h.moments-half",
-        "tabulated rational moments at N = 12, q = 1/2",
-        ok,
-        "I1 = 2726/1365; Var = 3660914/1863225",
-        f"I1 = {half.i1}; Var = {half.var}",
-        "reference",
-    )
-
-    third = moments(12, Fraction(1, 3))
-    ok = third.i1 == Fraction(199287, 132860) and third.var == Fraction(
-        13234051731, 17651779600
-    )
-    doc.add(
-        "h.moments-third",
-        "tabulated rational moments at N = 12, q = 1/3",
-        ok,
-        "I1 = 199287/132860; Var = 13234051731/17651779600",
-        f"I1 = {third.i1}; Var = {third.var}",
-        "reference",
-    )
+    for label, q, i1, var in (
+        ("half", Fraction(1, 2), Fraction(2726, 1365), Fraction(3660914, 1863225)),
+        ("third", Fraction(1, 3), Fraction(199287, 132860), Fraction(13234051731, 17651779600)),
+    ):
+        mom = moments(12, q)
+        _add_table(
+            doc, f"h.moments-{label}", f"tabulated rational moments at N = 12, q = {q}",
+            {"I1": i1, "Var": var}, {"I1": mom.i1, "Var": mom.var},
+        )
 
     a0, b0 = Fraction(7, 3), Fraction(-5, 4)
     coeffs = QuadLawCoeffs(a0, b0, 12)
@@ -358,13 +316,7 @@ def _suite_appendix_h(seed: int) -> ReportDocument:
 
 
 def _suite_schur_properties(seed: int) -> ReportDocument:
-    try:
-        import numpy as np
-    except ImportError:
-        raise ValueError(
-            "verify suite schur-properties builds dense matrices and needs numpy: "
-            "pip install 'goldenschur[dense]'"
-        ) from None
+    import numpy as np
 
     doc = ReportDocument("schur-properties", seed)
     rng = np.random.default_rng(seed)
@@ -382,13 +334,10 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
             float(np.linalg.norm(pb @ split.u)),
             abs(float(np.trace(pb)) - (n - 2)),
         )
-    doc.add(
-        "s.split-projector",
+    _add_bound(
+        doc, "s.split-projector",
         "P_B is a symmetric projector of rank N−2 killing the uniform and collective directions",
-        worst_split <= 1e-10,
-        "worst defect <= 1e-10",
-        f"worst defect = {worst_split:.3e}",
-        "derived",
+        "worst defect", worst_split, 1e-10,
     )
 
     reps, worst_route = [], 0.0
@@ -444,13 +393,9 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
     ident_fam = make_family(n, 2.0, [1.0] + [0.0] * (n - 1), np.zeros((n, n)), [(1.0, np.eye(n))])
     scan = kappa_convexity_scan(ident_fam, math.log(0.05), math.log(0.95), 25)
     dev = max(abs(k - math.exp(t)) for t, k in zip(scan.thetas, scan.kappas))
-    doc.add(
-        "s.exp-identity-family",
-        "the e^θ·I family has κ_Schur(θ) = e^θ",
-        dev <= 1e-12,
-        "max |κ − e^θ| <= 1e-12",
-        f"max |κ − e^θ| = {dev:.3e}",
-        "derived",
+    _add_bound(
+        doc, "s.exp-identity-family", "the e^θ·I family has κ_Schur(θ) = e^θ",
+        "max |κ − e^θ|", dev, 1e-12,
     )
 
     const_fam = make_family(
@@ -459,13 +404,10 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
     )
     scan = kappa_convexity_scan(const_fam, -2.0, -0.1, 41)
     flat = max(abs(d) for d in scan.second_differences)
-    doc.add(
-        "s.constant-family",
+    _add_bound(
+        doc, "s.constant-family",
         "a constant family gives a flat κ column with zero second differences",
-        flat <= 1e-12,
-        "max |Δ²κ| <= 1e-12",
-        f"max |Δ²κ| = {flat:.3e}",
-        "derived",
+        "max |Δ²κ|", flat, 1e-12,
     )
 
     wit = strict_convexity_witness(ident_fam, 0, math.log(0.1), math.log(0.9), 51)
@@ -531,16 +473,15 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
     split = build_split(8, 2.0, np.arange(8.0))
     k1 = random_symmetric_psd_circulant(8, rng)
     k2 = random_symmetric_psd_circulant(8, rng)
-    uniform = q_class_functional_from_weights(k1, k2, split, [1.0 / 8] * 8)
     pb = band_projector(split)
+    x = np.full(8, 1.0 / 8)
+    # Tr(P_B K1 D K2 P_B)/dim B with D = diag(1/x) at the uniform weights x
+    uniform = float(np.trace(pb @ k1 @ np.diag(1.0 / x) @ k2 @ pb)) / split.dim_band
     direct = 8 * float(np.trace(pb @ k1 @ k2 @ pb)) / split.dim_band
-    doc.add(
-        "s.q-class-uniform",
+    _add_bound(
+        doc, "s.q-class-uniform",
         "uniform weights reduce the weighted class functional to N·Tr(P_B K1 K2 P_B)/dim B",
-        abs(uniform - direct) <= 1e-10,
-        "difference <= 1e-10",
-        f"difference = {abs(uniform - direct):.3e}",
-        "derived",
+        "difference", abs(uniform - direct), 1e-10,
     )
 
     for label, kappa, kappa_p, resid in reference.KAPPA_TABLE:
@@ -684,14 +625,23 @@ def run_suite(name: str, seed: int = 0) -> ReportDocument:
     """Run one named suite (or ``all``) and return its report.
 
     ``seed`` must be a non-negative int: :class:`random.Random` would replay
-    the stream of ``-seed`` for a negative one, and accept a float."""
+    the stream of ``-seed`` for a negative one, and accept a float.  Without
+    numpy, ``schur-properties`` and ``all`` raise a ``ValueError`` naming the
+    ``dense`` extra before any suite runs."""
     if type(seed) is not int or seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {seed!r}")
-    if name == "all":
-        doc = ReportDocument("all", seed)
-        for key in SUITES[:-1]:
-            doc.extend(_SUITE_FUNCS[key](seed))
-        return doc
-    if name not in _SUITE_FUNCS:
+    if name != "all" and name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if name in ("all", "schur-properties"):
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            raise ValueError(
+                "verify suite schur-properties builds dense matrices and needs numpy: "
+                "pip install 'goldenschur[dense]'"
+            ) from None
+    if name == "all":
+        return ReportDocument(
+            "all", seed, [r for key in SUITES[:-1] for r in _SUITE_FUNCS[key](seed).records]
+        )
     return _SUITE_FUNCS[name](seed)

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -1483,6 +1484,25 @@ def test_dense_verify_suites_need_numpy(suite):
     )
 
 
+@pytest.mark.parametrize("suite", ["schur-properties", "all"])
+def test_run_suite_decides_numpy_before_any_suite_runs(monkeypatch, suite):
+    # without numpy, no suite of all runs only for its work to be thrown away
+    from goldenschur import verify
+
+    def never(seed):
+        raise AssertionError("a suite ran before numpy was decided")
+
+    for key in verify._SUITE_FUNCS:
+        monkeypatch.setitem(verify._SUITE_FUNCS, key, never)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    message = (
+        "verify suite schur-properties builds dense matrices and needs numpy: "
+        "pip install 'goldenschur[dense]'"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify.run_suite(suite, 0)
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_golden_table_loads_only_golden(fmt):
     # the reduction table is integer arithmetic: no field, no power sums
@@ -1709,7 +1729,6 @@ _MOVED_TO_ORACLE = {
         "ConvexityGapReport", "matrix_convexity_check", "shift_matrix", "reversal_matrix",
         "LOEWNER_TOL", "circulant", "random_symmetric_psd_circulant", "random_family",
         "StrictWitnessReport", "strict_convexity_witness", "WITNESS_TOL",
-        "q_class_functional_from_weights",
     ),
 }
 
@@ -1718,12 +1737,16 @@ def test_package_namespace_resolves_lazily():
     assert len(goldenschur.__all__) == 35
     assert len(importlib.import_module("goldenschur.schur").__all__) == 11
     assert "moments_at_qstar" not in goldenschur.__all__
+    oracle = importlib.import_module("goldenschur.oracle")
+    assert len(oracle.__all__) == 29
     moved = [name for names in _MOVED_TO_ORACLE.values() for name in names]
     for removed in ("LambdaValue", "reduce_power", "f_red", "f_red_prime", "f_red_prime_direct",
                     "q_class_functional", "theta_derivatives", "uniqueness_scan", *moved):
         assert removed not in goldenschur.__all__
         assert not hasattr(goldenschur, removed)
-    oracle = importlib.import_module("goldenschur.oracle")
+    for module in ("oracle", "schur", "verify"):
+        assert not hasattr(importlib.import_module(f"goldenschur.{module}"),
+                           "q_class_functional_from_weights")
     for module, names in _MOVED_TO_ORACLE.items():
         old = importlib.import_module(f"goldenschur.{module}")
         for name in names:
@@ -1762,27 +1785,40 @@ def test_int_digit_limit_restored_after_error(capsys):
     assert sys.get_int_max_str_digits() == before
 
 
-def _exact_large_digests():
-    """(arguments, sha256 of stdout) rows of ``tests/fixtures/exact-large.sha256``."""
-    path = FIXTURES / "exact-large.sha256"
+def _digests(name):
+    """(arguments or demo path, sha256 of stdout) rows of ``tests/fixtures/<name>``."""
     rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in (FIXTURES / name).read_text(encoding="utf-8").splitlines():
         if line and not line.startswith("#"):
             digest, args = line.split(maxsplit=1)
             rows.append(pytest.param(args, digest, id=args))
     return rows
 
 
-@pytest.mark.parametrize("args,digest", _exact_large_digests())
+@pytest.mark.parametrize(
+    "args,digest", _digests("exact-large.sha256") + _digests("verify-exact.sha256")
+)
 def test_exact_large_output_matches_fixture(capsys, args, digest):
     # values of thousands of digits, printed by str() and by the F_N/L_N digit
     # route of the golden point, and their certified decimals; the digests
     # were taken from the str()-based renderer and from decimals certified by
     # an isqrt each.  The stationarity rows pin the decision on coefficients
-    # read exactly.
+    # read exactly, and the verify rows the suites that read the golden-point
+    # moments and Λ(N), at three seeds.
     code, out, err = run_cli(capsys, *args.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("demo,digest", _digests("exact-demos.sha256"))
+def test_exact_demo_output_matches_fixture(demo, digest):
+    root = FIXTURES.parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", demo],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_console_script():

@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from goldenschur.folded import folded_weights
 from goldenschur.floatlaw import quadratic_law_fit
 from goldenschur.oracle import (
     assemble_hessian,
@@ -24,7 +23,6 @@ from goldenschur.oracle import (
     dense_curvature,
     exact_kappa,
     matrix_convexity_check,
-    q_class_functional_from_weights,
     random_family,
     random_symmetric_psd_circulant,
     reversal_matrix,
@@ -1246,61 +1244,6 @@ def test_strict_convexity_witness_rejects_a_zero_exponent():
     # s = 0 is a constant term: it adds nothing to the curvature in θ
     with pytest.raises(ValueError, match="^witness term must have a nonzero exponent$"):
         strict_convexity_witness(ring_family(s1=0.0), 0, -1.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# q-class functional
-# ---------------------------------------------------------------------------
-
-
-def test_q_class_functional_hand_loop():
-    # independent dense-loop evaluation of tr(P K₁ D⁻¹ K₂ P)/dim_B
-    n, q = 3, 0.5
-    split = build_split(n, 2.0, [1.0, 0.0, -1.0])
-    k1 = circulant([2.0, 1.0, 1.0])
-    k2 = circulant([1.0, 0.5, 0.5])
-    w = [float(x) for x in folded_weights(n, Fraction(1, 2))]
-    d_inv = np.diag([1.0 / x for x in w])
-    p = band_projector(split)
-    acc = 0.0
-    for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    acc += p[i, a] * k1[a, b] * d_inv[b, b] * k2[b, c] * p[c, i]
-    expected = acc / split.dim_band
-    assert math.isclose(
-        q_class_functional_from_weights(k1, k2, split, folded_weights(n, q)),
-        expected,
-        rel_tol=1e-12,
-    )
-    assert math.isclose(
-        q_class_functional_from_weights(k1, k2, split, w), expected, rel_tol=1e-12
-    )
-
-
-def test_q_class_functional_uniform_weights():
-    # uniform weights make D⁻¹ = n·I, so the functional reduces to
-    # n·tr(P K₁ K₂ P)/dim_B
-    n = 5
-    split = build_split(n, 2.0, [math.cos(2 * math.pi * k / n) for k in range(n)])
-    k1 = circulant([1.0, 0.3, 0.0, 0.0, 0.3])
-    k2 = circulant([0.7, 0.1, 0.2, 0.2, 0.1])
-    w = [1.0 / n] * n
-    got = q_class_functional_from_weights(k1, k2, split, w)
-    p = band_projector(split)
-    expected = n * np.trace(p @ k1 @ k2 @ p) / split.dim_band
-    assert math.isclose(got, expected, rel_tol=1e-12)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.1])
-def test_q_class_functional_rejects_weights_that_are_not_positive_and_finite(bad):
-    n = 4
-    split = build_split(n, 2.0, [1.0, 0.0, -1.0, 0.0])
-    k = circulant([2.0, 0.5, 0.0, 0.5])
-    for weights in ([bad] * n, [0.25, 0.25, bad, 0.25]):
-        with pytest.raises(ValueError, match="need 4 positive weights"):
-            q_class_functional_from_weights(k, k, split, weights)
 
 
 # ---------------------------------------------------------------------------

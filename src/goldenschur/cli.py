@@ -133,17 +133,19 @@ def _cell(x: float, width: int, decimals: int) -> str:
 
 
 def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str]) -> None:
-    """Render a flat payload; its csv is ``key,value`` rows, with lists as json."""
+    """Render a flat payload; its csv is ``key,value`` rows, with lists as
+    json, quoted as :mod:`csv` quotes a field."""
     if fmt == "json":
-        lines = [_json(payload, indent=2)]
+        print(_json(payload, indent=2))
     elif fmt == "csv":
-        lines = ["key,value"] + [
-            f"{key},{_json(value) if isinstance(value, list) else value}"
-            for key, value in payload.items()
-        ]
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["key", "value"])
+        for key, value in payload.items():
+            writer.writerow([key, _json(value) if isinstance(value, list) else value])
     else:
-        lines = table_lines
-    print("\n".join(lines))
+        print("\n".join(table_lines))
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:

@@ -1,7 +1,8 @@
 """The float lane of the folded moments, and the two-point fit of the quadratic law.
 
-For an inexact q (a float, or a float-like such as ``numpy.float64``) the
-power sums ``S_k = Σ_{s=1}^N s^k q^s``, k = 0..3, run their closed forms as
+An inexact scalar, one that :func:`~.qfield._coords` does not read as
+exact, enters the float lane through :func:`_as_float` only.  For such a q
+the power sums ``S_k = Σ_{s=1}^N s^k q^s``, k = 0..3, run their closed forms as
 written (:func:`_closed_sums`), and the moments divide them by S₀
 (:func:`_float_moments`).  :func:`~.folded.sums_closed` and
 :func:`~.folded.moments` take these for an inexact q, so each is written
@@ -16,6 +17,7 @@ curve on floats, loads none of the exact layers (``qfield``, ``folded``,
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -37,6 +39,19 @@ def _check_domain(n: int, q: Scalar) -> None:
     _check_size(n)
     if not 0 < q < 1:  # exact for a Q5, and False for a NaN
         raise ValueError(f"weight ratio must satisfy 0 < q < 1, got {q!r}")
+
+
+def _as_float(x: object) -> float:
+    """An inexact scalar (q, Λ or a coefficient) as it enters the float lane:
+    a float, ``numpy.float64`` included, as it is; any other as the float
+    that equals it, or as a NaN or an infinity, which the callers' checks
+    name; and anything else, such as ``Decimal("0.1")``, is a ValueError."""
+    if isinstance(x, float):
+        return x
+    f = float(x)
+    if f == x or not math.isfinite(f):
+        return f
+    raise ValueError(f"no float equals {x!r}; pass a Fraction to stay exact")
 
 
 def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:

@@ -24,11 +24,11 @@ each written once, and an exact q stays exact:
   of b and of ``c = b − a`` is a polynomial in (a, b)
   (:func:`_exact_numerators`), and each sum is normalised once, by one
   ``Fraction(num, den)`` or one field division; so is each moment and I₂′;
-* an inexact scalar (a float, or a float-like such as ``numpy.float64``)
-  runs the same formula expanded in float order, and its moments divide
-  those sums by S₀.  This float lane lives in :mod:`.floatlaw`, with the
-  two-point fit of the quadratic law, so that ``schur --fit-law`` loads no
-  exact layer.
+* any other q (:func:`~.qfield._coords` is the one test) enters the float
+  lane through :func:`~.floatlaw._as_float` and runs the same formula
+  expanded in float order, and its moments divide those sums by S₀.  This
+  float lane lives in :mod:`.floatlaw`, with the two-point fit of the
+  quadratic law, so that ``schur --fit-law`` loads no exact layer.
 
 The sums, the moments, I₂′ and Λ at the golden point ``q = q⋆`` take the
 one route selected by the input: each is read off its form
@@ -97,7 +97,7 @@ def _is_golden(q: Scalar) -> bool:
 
 def _check_domain(n: int, q: Scalar) -> None:
     # a normalised Fraction has a positive denominator: its integers decide
-    if type(q) is Fraction and 0 < q.numerator < q.denominator:
+    if isinstance(q, Fraction) and 0 < q.numerator < q.denominator:
         floatlaw._check_size(n)
     else:
         floatlaw._check_domain(n, q)
@@ -141,14 +141,15 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     integer polynomials X_k in a and b (:func:`_exact_numerators`), each sum
     normalised once, by one ``Fraction(num, den)`` or one field division; it
     agrees with direct summation exactly.  At ``q = q⋆`` the sums are read
-    off their forms in F_N and L_N.  A float or float-like q runs the
-    formula in float order, in :mod:`.floatlaw`.
+    off their forms in F_N and L_N.  An inexact q enters the float lane
+    through :func:`~.floatlaw._as_float` and runs the formula in float order.
     """
     _check_domain(n, q)
     if _is_golden(q):
         return _golden_point(n).sums
-    if type(q) is Fraction or type(q) is Q5:
+    if _coords(q) is not None:
         return _sums_closed_exact(n, q)
+    q = floatlaw._as_float(q)
     return FoldedSums(n, q, *floatlaw._closed_sums(n, q))
 
 
@@ -174,7 +175,7 @@ def _exact_numerators(n: int, q: Fraction | Q5) -> tuple[_Ring, int, _Ring, tupl
     polynomials homogenised, and ``e_k = a·shift(Ã, N·c)_k/c^{k+1}``, so
     ``S_k = g_k − q^N·e_k`` gives ``X_k = b^N·Ã_k − a^N·shift(Ã, N·c)_k``.
     """
-    if type(q) is Fraction:
+    if isinstance(q, Fraction):
         a, b = q.numerator, q.denominator
     else:
         a, b = q, 1
@@ -427,20 +428,23 @@ def moments(n: int, q: Scalar) -> FoldedMoments:
 
     A Fraction q and a Q5 q form each value from the numerators of the power
     sums, and q⋆ reads it off its form in F_N and L_N; there
-    ``Var = 1 − N²/(L_2N − 2)``.  An inexact q (a float or float-like)
+    ``Var = 1 − N²/(L_2N − 2)``.  An inexact q (:func:`~.floatlaw._as_float`)
     divides the closed-form sums by S₀.
     """
     _check_domain(n, q)
     if _is_golden(q):
         return _golden_point(n).moments
-    if type(q) is Fraction or type(q) is Q5:
+    if _coords(q) is not None:
         return _moments_exact(n, q)
+    q = floatlaw._as_float(q)
     return FoldedMoments(n, q, *floatlaw._float_moments(n, q))
 
 
 def folded_weights(n: int, q: Scalar) -> list[Scalar]:
-    """The normalized weights ``x_r = q^r / S₀``, r = 1..N (they sum to 1)."""
-    s0 = sums_closed(n, q).s0
+    """The normalized weights ``x_r = q^r / S₀``, r = 1..N (they sum to 1), in
+    the lane that :func:`sums_closed` takes q to."""
+    sums = sums_closed(n, q)
+    q, s0 = sums.q, sums.s0
     out = []
     p = q * 0 + 1
     for _ in range(n):

@@ -26,9 +26,10 @@ every N ≥ 3, is the one zero of the bracket-form derivative
 from it by ``B·I₂′·(I₁ − 1)/N``, and where its zeros lie is not decided here
 (ROADMAP item 16).
 
-Coefficients are exact, and q picks the lane: :class:`QuadLawCoeffs` stores
-an int or a float as the Fraction it equals, an exact q (or a given Λ) keeps
-the whole computation exact, and a float q runs it in floats on the
+Coefficients are exact, and q picks the lane in one place, ``_route``:
+:class:`QuadLawCoeffs` stores an int or a float as the Fraction it equals,
+an exact q (or a given Λ) keeps the whole computation exact, and any other
+enters through :func:`~.floatlaw._as_float` and runs in floats on the
 coefficients rounded once.
 """
 
@@ -39,10 +40,10 @@ import numbers
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .floatlaw import _check_size
+from .floatlaw import _as_float, _check_size
 from .folded import FoldedMoments, Scalar, moments
 from .golden import lambda_n
-from .qfield import QSTAR, Q5
+from .qfield import QSTAR, Q5, _coords
 
 __all__ = [
     "QuadLawCoeffs",
@@ -55,26 +56,22 @@ __all__ = [
     "stationarity_check",
 ]
 
-_ExactScalar = (int, Fraction, Q5)
 _Triple = tuple[Scalar, Scalar, Scalar]
-
-
-def _is_exact(x: object) -> bool:
-    return isinstance(x, _ExactScalar) and not isinstance(x, bool)
 
 
 def _exact(name: str, x: Scalar) -> Fraction | Q5:
     """A coefficient as the exact value it equals: a Q5 as it is, a rational
-    as a Fraction of Python ints (a numpy integer would wrap), and a float or
-    float-like as the Fraction of its float.  A bool (numpy's too), a NaN or
-    an infinity is a ValueError."""
+    as a Fraction of Python ints (a numpy integer would wrap), and any other
+    number as the Fraction of the float it enters as
+    (:func:`~.floatlaw._as_float`).  A bool (numpy's too), a NaN, an
+    infinity or a number that no float equals is a ValueError."""
     if isinstance(x, Q5):
         return x
     if isinstance(x, bool) or not isinstance(x, numbers.Number):
         raise ValueError(f"coefficient {name} must be a number, got {x!r}")
     if isinstance(x, numbers.Rational):
         return Fraction(int(x.numerator), int(x.denominator))
-    f = float(x)
+    f = _as_float(x)
     if not math.isfinite(f):
         raise ValueError(f"coefficient {name} must be finite, got {x!r}")
     return Fraction(f)
@@ -135,10 +132,11 @@ class QuadLawCoeffs(_QuadLawFields):
 
 
 def _route(coeffs: QuadLawCoeffs, x: Scalar) -> tuple[_Triple, Scalar]:
-    """``(A, B, m_ρ²)`` and one scalar (q or Λ) in the lane of that scalar."""
-    if _is_exact(x):
+    """``(A, B, m_ρ²)`` and one scalar (q or Λ) in the lane of that scalar:
+    as they are for an exact x, and as Python floats for any other."""
+    if _coords(x) is not None:
         return (coeffs.a, coeffs.b, coeffs.m_rho_sq), x
-    return coeffs.as_floats(), float(x)
+    return coeffs.as_floats(), float(_as_float(x))
 
 
 def _kappa(a: Scalar, b: Scalar, m: FoldedMoments) -> Scalar:
@@ -167,21 +165,19 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     Λ(θ) = I₂′/I₁′ is defined, and identically zero at N = 1.  Differs from
     the chain-rule derivative of :func:`f_red_q` by ``B·I₂′·(I₁−1)/N``.
 
-    An exact q stays exact.  A float q takes the float moments, and the slope
-    2A − 2B − 8/m_ρ² is formed exactly and rounded once: a synthesized
+    An exact q stays exact.  An inexact q takes the float moments, and the
+    slope 2A − 2B − 8/m_ρ² is formed exactly and rounded once: a synthesized
     A = (8/m_ρ² − B·Λ + 2B)/2 rounded to a float loses B·Λ once |B| is below
     about 1e-16 of 8/m_ρ², and a slope formed from it is −2B, not −B·Λ.  A
     slope too large for a float is a ValueError, as a coefficient is.
     """
-    b = coeffs.b
-    slope = 2 * coeffs.a - 2 * b - 8 / coeffs.m_rho_sq
-    if not _is_exact(q):
-        _, b, _ = coeffs.as_floats()
+    (_, b, _), q = _route(coeffs, q)
+    slope = 2 * coeffs.a - 2 * coeffs.b - 8 / coeffs.m_rho_sq
+    if isinstance(q, float):  # _route's float lane
         try:
             slope = float(slope)
         except OverflowError:
             raise ValueError("slope 2A - 2B - 8/m_rho_sq is too large for a float") from None
-        q = float(q)
     m = moments(coeffs.n, q)
     return (b * m.i2_prime + slope * m.var) * m.i1 / coeffs.n
 

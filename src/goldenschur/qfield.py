@@ -31,11 +31,14 @@ which renders both forms of any number of values in one call) are rendered
 by ``_format_linear`` from reduced integer pairs, each distinct integer
 converted to digits once per call (``_Digits``).  A radix conversion is
 quadratic in the digits up to Python 3.11 (and below about 9000 digits
-after it).  :func:`exact_forms` takes its gcds on the parts of d the
-coordinates leave (``_coordinate_gcds``).  The golden-point values that
-``moments --q phi^-2`` prints, and Λ in ``lambda`` and ``stationarity``, take
-a cheaper route, from the digits of F_N and L_N (:mod:`.folded`), and
-:func:`exact_forms` is the oracle it is tested against.
+after it).  The golden-point values that ``moments --q phi^-2`` prints, and
+Λ in ``lambda`` and ``stationarity``, take a route of their own, from the
+digits of F_N and L_N (:mod:`.folded`), and :func:`exact_forms` is the
+oracle it is tested against.
+
+:func:`_coords` is the one test of exactness for every lane of the package:
+an int that is not a bool, a Fraction or a Q5 is exact, and anything else
+takes the float lane.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ _Coords = tuple[int, int, int]
 
 
 def _coords(value: object) -> _Coords | None:
-    """``(p, q, d)`` of a Q5, int or Fraction; None for anything else (floats too)."""
+    """``(p, q, d)`` of an exact scalar, a Q5, an int that is not a bool or a
+    Fraction; None for anything else (floats too)."""
     if isinstance(value, Q5):
         return value._p, value._q, value._d
     if isinstance(value, int) and not isinstance(value, bool):
@@ -82,8 +86,8 @@ def _rational(x: object) -> Fraction:
 def _q5(p: int, q: int, d: int) -> "Q5":
     """The element ``(p + q·√5)/d`` for ``d > 0``, in lowest terms.
 
-    The gcd starts from ``d``, which is small on the golden-point path, and
-    takes in ``q`` only when ``d`` and ``p`` share a factor.
+    The gcd starts from ``d`` and ``p``, and takes in ``q`` only when they
+    share a factor.
     """
     g = math.gcd(d, p)
     if g != 1:
@@ -178,20 +182,17 @@ def _mul(x: _Coords, y: _Coords) -> "Q5":
 
 
 def _div(x: _Coords, y: _Coords, message: str) -> "Q5":
-    """``x / y`` with one normalisation.  In general by the conjugate of y:
-    ``(p₁ + q₁√5)(p₂ − q₂√5)·d₂ / (d₁(p₂² − 5q₂²))``.  A divisor of one
-    coordinate needs neither its norm nor a conjugate product (Cohen, §4.2):
-    a rational ``p₂/d₂`` gives ``(p₁d₂ + q₁d₂√5)/(d₁p₂)``, and ``q₂√5/d₂``
-    gives ``(5q₁d₂ + p₁d₂√5)/(5q₂d₁)``, each with the divisor's sign moved to
-    the numerator."""
+    """``x / y`` with one normalisation, by the conjugate of y:
+    ``(p₁ + q₁√5)(p₂ − q₂√5)·d₂ / (d₁(p₂² − 5q₂²))`` (Cohen, §4.2).  A
+    rational divisor ``p₂/d₂`` needs neither its norm nor a conjugate
+    product: it gives ``(p₁d₂ + q₁d₂√5)/(d₁p₂)``.  The divisor's sign is
+    moved to the numerator."""
     p1, q1, d1 = x
     p2, q2, d2 = y
     if q2 == 0:
         if p2 == 0:
             raise ZeroDivisionError(message)
         p, q, d = p1 * d2, q1 * d2, d1 * p2
-    elif p2 == 0:
-        p, q, d = 5 * q1 * d2, p1 * d2, 5 * q2 * d1
     else:  # the norm is nonzero, since √5 is irrational
         n = p2 * p2 - 5 * q2 * q2
         p, q, d = (p1 * p2 - 5 * q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * n
@@ -207,8 +208,8 @@ class Q5:
     them as Fractions.  Arithmetic is closed and total; division by a nonzero
     element is exact via the Galois conjugate (the field norm ``a² − 5b²``
     vanishes only at zero, since √5 is irrational), and needs no norm when
-    the divisor is a rational or √5 times one.  Ints and Fractions mix
-    freely on either side of every operator; floats are rejected.
+    the divisor is rational.  Ints and Fractions mix freely on either side
+    of every operator; floats are rejected.
     """
 
     __slots__ = ("_p", "_q", "_d")
@@ -494,41 +495,20 @@ def _format_linear(
     return out
 
 
-def _coordinate_gcds(p: int, q: int, d: int) -> tuple[int, int, int]:
-    """``(gcd(p, d), gcd(q, d), gcd(p + 3q, d))`` for ``gcd(p, q, d) = 1``,
-    each of the last two taken on the part of d the others leave.
-
-    No prime of ``gcd(p, d)`` divides q, and none of ``gcd(q, d)`` divides
-    ``p + 3q``; a prime of ``gcd(p, d)`` other than 3 would divide 3q, so it
-    does not divide ``p + 3q`` either.  So ``gcd(q, d)`` is taken on
-    ``d/gcd(p, d)``, and ``gcd(p + 3q, d)`` on ``d/(gcd(q, d)·g₁′)``, with g₁′
-    the part of ``gcd(p, d)`` prime to 3: on Λ(N), where d divides p, that
-    is a small integer.
-    """
-    g1 = math.gcd(p, d)
-    g = math.gcd(q, d // g1)
-    free = g1
-    while free % 3 == 0:
-        free //= 3
-    return g1, g, math.gcd(p + 3 * q, d // (g * free))
-
-
 def exact_forms(*values: Q5 | Fraction | int) -> tuple[str, ...]:
     """``str(x)`` and ``str(x.to_golden())`` of each value, in one pass:
     ``(√5 form, golden form)`` of the first value, then of the second, and so
     on.  A rational value prints the same in both forms.
 
     The golden coordinates of ``x = (p + q·√5)/d`` are ``(p + 3q)/d`` and
-    ``−2q/d``, with ``gcd(2q, d) = gcd(q, d)·gcd(2, d/gcd(q, d))``; the other
-    gcds are taken on the parts of d the coordinates leave
-    (``_coordinate_gcds``).  Each distinct printed integer is converted to
-    digits once for all the values, so an integer shared by two values (such
-    as a common denominator) is printed from one conversion.  Under a set
-    int→str digit limit, a printed integer past it raises as ``str`` does.
-    The golden-point values of ``moments --q phi^-2``, and Λ in ``lambda``
-    and ``stationarity``, print through a route of their own, from the digits of F_N and L_N (at
-    N = 10⁴, 2 conversions of integers above 3000 bits, against 36 here; see
-    :mod:`.folded`), and this function is the oracle it is tested against.
+    ``−2q/d``, and each of the four coordinates is put in lowest terms on its
+    own.  Each distinct printed integer is converted to digits once for all
+    the values, so an integer shared by two values (such as a common
+    denominator) is printed from one conversion.  Under a set int→str digit
+    limit, a printed integer past it raises as ``str`` does.  The
+    golden-point values of ``moments --q phi^-2``, and Λ in ``lambda`` and
+    ``stationarity``, print through a route of their own (:mod:`.folded`),
+    and this function is the oracle it is tested against.
     """
     forms = []
     for value in values:
@@ -539,11 +519,9 @@ def exact_forms(*values: Q5 | Fraction | int) -> tuple[str, ...]:
         if q == 0:  # p/d is in lowest terms, and both forms print it
             forms += [((p, d), (0, 1), "")] * 2
             continue
-        g1, g, g3 = _coordinate_gcds(p, q, d)
-        g2 = g if (d // g) & 1 else 2 * g  # gcd(2q, d)
         forms += (
-            ((p // g1, d // g1), (q // g, d // g), "√5"),
-            (((p + 3 * q) // g3, d // g3), (-2 * q // g2, d // g2), "q⋆"),
+            (_reduced(p, d), _reduced(q, d), "√5"),
+            (_reduced(p + 3 * q, d), _reduced(-2 * q, d), "q⋆"),
         )
     return tuple(_format_linear(*forms))
 

@@ -457,10 +457,10 @@ STATIONARITY_B1_INTERVALS = [[QSTAR_FLOAT, QSTAR_FLOAT]]
 def test_stationarity_csv_pinned(capsys):
     code, out, err = run_cli(capsys, "stationarity", "--B", "-1", "--format", "csv")
     assert (code, err) == (0, "")
-    lines = out.splitlines()
+    rows = list(csv.reader(io.StringIO(out)))
     assert out.endswith("\n")
-    assert lines[:-1] == ["key,value"] + [f"{k},{v}" for k, v in STATIONARITY_B1.items()]
-    key, _, value = lines[-1].partition(",")
+    assert rows[:-1] == [["key", "value"]] + [[k, str(v)] for k, v in STATIONARITY_B1.items()]
+    key, value = rows[-1]
     assert key == "sign_change_intervals_q"
     assert json.loads(value) == STATIONARITY_B1_INTERVALS
 
@@ -604,7 +604,7 @@ FIT_AB_OUTPUT = {
         "B,-5/4\n"
         "A_decimal,2.333333333333\n"
         "B_decimal,-1.250000000000\n"
-        'residuals,["0"]\n'
+        'residuals,"[""0""]"\n'
         "max_abs_residual,0.0\n"
     ),
     "json": (
@@ -631,6 +631,27 @@ def test_fit_ab_output_pinned(capsys, tmp_path, fmt):
     )
     assert (code, err) == (0, "")
     assert out == FIT_AB_OUTPUT[fmt]
+    if fmt == "csv":
+        rows = dict(csv.reader(io.StringIO(out)))
+        assert json.loads(rows["residuals"]) == ["0"]
+
+
+def test_payload_csv_rows_have_two_fields(capsys, tmp_path):
+    # a list value is one json field, quoted as csv quotes a comma: the
+    # interval of stationarity, and the two residuals of four fit samples
+    path = write_round_trip_points(tmp_path)
+    path.write_text(path.read_text() + "1/4,9/10\n")
+    for argv in (
+        ("stationarity", "--B", "-1"),
+        ("fit-ab", "--points", str(path), "--N", "12"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(row) == 2 for row in rows), rows
+        doc = json.loads(run_cli(capsys, *argv, "--format", "json")[1])
+        lists = {key: value for key, value in doc.items() if isinstance(value, list)}
+        assert lists and {key: json.loads(value) for key, value in rows if key in lists} == lists
 
 
 def test_fit_ab_missing_file(capsys, tmp_path):

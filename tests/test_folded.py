@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -106,14 +107,42 @@ def test_only_qstar_takes_the_golden_route(monkeypatch):
     assert (exact, golden, closed) == ([near], [12, 12], [float(QSTAR)] * 2)
 
 
+class _SubFraction(Fraction):
+    pass
+
+
 def test_closed_forms_see_only_inexact_scalars(monkeypatch):
+    # a Fraction subclass is exact too; a numpy.float32 enters as the float it
+    # equals, and a numpy.float64 as it is
     closed = _spy(monkeypatch, "_closed_sums", floatlaw)
-    exact = [Fraction(2, 7), QSTAR, QSTAR * Fraction(999, 1000), Q5(Fraction(1, 2), 0)]
-    inexact = [0.3, np.float64(0.3)]
+    exact = [
+        Fraction(2, 7), QSTAR, QSTAR * Fraction(999, 1000), Q5(Fraction(1, 2), 0),
+        _SubFraction(2, 7),
+    ]
+    inexact = [0.3, np.float64(0.3), np.float32(0.3)]
     for q in exact + inexact:
         sums_closed(12, q)
         moments(12, q)
-    assert [type(q) for q in closed] == [float, float, np.float64, np.float64]
+    assert [type(q) for q in closed] == [float, float, np.float64, np.float64, float, float]
+    assert sums_closed(12, _SubFraction(2, 7)) == sums_closed(12, Fraction(2, 7))
+
+
+@pytest.mark.parametrize("q", [np.float32(0.5), Decimal("0.5")])
+def test_a_scalar_that_a_float_equals_runs_as_that_float(q):
+    # a numpy.float32 runs in double precision, and a Decimal as the float it
+    # equals: the record, and the weights, hold Python floats with the bits
+    # of q = 0.5
+    pairs = [(route(12, q)[1:], route(12, 0.5)[1:]) for route in (sums_closed, moments)]
+    for got, want in pairs + [(folded_weights(12, q), folded_weights(12, 0.5))]:
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_a_scalar_that_no_float_equals_is_refused():
+    message = r"^no float equals Decimal\('0\.1'\); pass a Fraction to stay exact$"
+    for route in (sums_closed, moments):
+        with pytest.raises(ValueError, match=message):
+            route(12, Decimal("0.1"))
 
 
 def _seeded_irrational_q5(count=8, seed=2323):

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,32 @@ def test_kappa_quadratic_float_lane():
 def test_exact_coeffs_with_float_q_use_float_lane():
     got = kappa_quadratic(QuadLawCoeffs(Fraction(1), Fraction(1), 12), 0.5)
     assert isinstance(got, float)
+
+
+def test_a_scalar_that_a_float_equals_runs_as_that_float():
+    # a numpy.float32 runs in double precision, and a Decimal as the float it
+    # equals: the bits of q = 0.5, as a Python float
+    import numpy as np
+
+    coeffs = QuadLawCoeffs(Fraction(7, 3), Fraction(-5, 4), 12)
+    want = [route(coeffs, 0.5).hex() for route in (kappa_quadratic, f_red_q, f_red_prime_q)]
+    for q in (np.float32(0.5), Decimal("0.5")):
+        got = [route(coeffs, q) for route in (kappa_quadratic, f_red_q, f_red_prime_q)]
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == want
+
+
+def test_a_scalar_that_no_float_equals_is_refused():
+    # as a q, as a given Λ and as a coefficient, Decimal("0.1") would lose
+    # digits on its way into the float lane
+    message = r"^no float equals Decimal\('0\.1'\); pass a Fraction to stay exact$"
+    coeffs = QuadLawCoeffs(Fraction(7, 3), Fraction(-5, 4), 12)
+    for route in (kappa_quadratic, f_red_q, f_red_prime_q, bracket_residual):
+        with pytest.raises(ValueError, match=message):
+            route(coeffs, Decimal("0.1"))
+    for position in range(3):
+        with pytest.raises(ValueError, match=message):
+            _coeffs_with(position, Decimal("0.1"))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from goldenschur.qfield import (
     SQRT5,
     GoldenBasis,
     Q5,
-    _coordinate_gcds,
     _q5,
     _sqrt5_floor,
     decimal_str,
@@ -723,8 +722,9 @@ def test_kernel_inverse_and_powers_match_fraction_pairs(x, m):
     assert_same(xq.conjugate(), PairQ5(xr.a, -xr.b))
 
 
-# divisors of one coordinate, which `_div` takes without a norm: a rational
-# (negative, with a denominator, or zero), or √5 times one
+# divisors of one coordinate: a rational (negative, with a denominator, or
+# zero), which `_div` takes without a norm, or √5 times one, which takes the
+# conjugate formula; both are held to the quotients of Fraction pairs
 _nonzero_rationals = rationals.filter(lambda r: r != 0)
 one_coordinate = st.one_of(
     _nonzero_rationals.map(lambda r: (Q5(r), PairQ5(r))),
@@ -1067,33 +1067,6 @@ def test_golden_values_keep_the_digit_limit():
         outcomes = [_str_outcome(lambda v: _golden_exact_forms(n, [v]), v) for v in named]
         assert outcomes == [_str_outcome(exact_forms, value) for value in named.values()]
     assert outcomes[0][0] == "ValueError" != outcomes[4][0]  # S₀ raises, I₁ prints
-
-
-_gcd_cases = st.one_of(
-    st.builds(_q5, big_coords, big_coords, denominators),
-    # d divides p, as for Λ(N), with any factor left to q
-    st.builds(lambda k, q, d: _q5(k * d, q, d), st.integers(-20, 20), big_coords, denominators),
-    # gcd(p, d) with powers of 3, where p + 3q may share a 3 with d
-    st.builds(
-        lambda i, j, p, q, d: _q5(3**i * p, q, 3**j * d),
-        st.integers(0, 4), st.integers(0, 4), big_coords, big_coords, denominators,
-    ),
-)
-
-
-@given(value=_gcd_cases)
-@example(value=_q5(3, 1, 9))
-@example(value=_q5(10_001 * _D5000, _Q5000, _D5000))
-@example(value=_q5(-27 * _D5000, 1, 81 * _D5000))
-@example(value=_q5(6, -2, 27))
-def _check_coordinate_gcds(value):
-    p, q, d = value._p, value._q, value._d
-    assert _coordinate_gcds(p, q, d) == (math.gcd(p, d), math.gcd(q, d), math.gcd(p + 3 * q, d))
-
-
-def test_coordinate_gcds_equal_the_gcds_of_the_unreduced_coordinates():
-    with _unlimited_int_digits():
-        _check_coordinate_gcds()
 
 
 @pytest.mark.usefixtures("cleared_sqrt5_cache")

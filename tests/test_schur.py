@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from goldenschur.oracle import (
     variational_check,
     variational_expression,
 )
-from goldenschur.qfield import Q5, QSTAR
+from goldenschur.qfield import QSTAR
 from goldenschur.schur import (
     EQUIVARIANCE_TOL,
     PSD_TOL,
@@ -1282,6 +1283,18 @@ def test_quadratic_law_fit_float_points():
     assert math.isclose(fit.a, 0.9, rel_tol=1e-9)
     assert math.isclose(fit.b, -1.1, rel_tol=1e-9)
     assert fit.max_abs_residual < 1e-9
+
+
+@pytest.mark.parametrize("scalar", [np.float32, Decimal])
+def test_quadratic_law_fit_reads_a_q_that_a_float_equals_as_that_float(scalar):
+    # a numpy.float32 q runs in double precision, and a Decimal q as the
+    # float it equals: the fit has the bits, and the types, of float samples
+    points = [(0.5, 1.25), (0.25, -0.75), (0.75, 2.5)]
+    want = quadratic_law_fit(points, 12)
+    got = quadratic_law_fit([(scalar(str(q)), kappa) for q, kappa in points], 12)
+    values = (got.a, got.b, *got.residuals)
+    assert all(type(x) is float for x in values)
+    assert [x.hex() for x in values] == [x.hex() for x in (want.a, want.b, *want.residuals)]
 
 
 _FIT_Q = st.one_of(

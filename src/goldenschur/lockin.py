@@ -71,7 +71,10 @@ def _exact(name: str, x: Scalar) -> Fraction | Q5:
         raise ValueError(f"coefficient {name} must be a number, got {x!r}")
     if isinstance(x, numbers.Rational):
         return Fraction(int(x.numerator), int(x.denominator))
-    f = _as_float(x)
+    try:
+        f = _as_float(x)
+    except ValueError as exc:
+        raise ValueError(f"coefficient {name}: {exc}") from None
     if not math.isfinite(f):
         raise ValueError(f"coefficient {name} must be finite, got {x!r}")
     return Fraction(f)

@@ -39,8 +39,8 @@ independent route here.  Each oracle, and the library route it checks:
   :func:`variational_expression` over couplings Y.
 * :func:`matrix_convexity_check`: the Loewner convexity of θ ↦ H(θ) that
   validation implies, since each ``e^{sθ}·C`` with C ⪰ 0 is convex.
-* :func:`shift_matrix` and :func:`reversal_matrix`, the dense generators of
-  D_N: the index-based commutator norms of family validation.
+* :func:`shift_matrix` and :func:`reversal_matrix`, the generators of D_N:
+  a C that validation accepts commutes with both, to twice its bound.
 
 Both Loewner checks are stacked: the matrices of all trials, or of all grid
 points, form one array, diagonalized by one ``eigvalsh`` call.
@@ -261,8 +261,8 @@ def random_family(n: int, rng: np.random.Generator, *, n_terms: int = 2) -> Hess
     ``H_OO`` well conditioned.
 
     Each coefficient reaches :func:`.schur.make_family` as the first row of
-    its dense symmetric circulant, so it takes the row validation path; both
-    paths store ``(row + row[rev])/2`` of that same row.
+    its dense symmetric circulant; a row or the dense matrix is stored alike,
+    as ``(row + row[rev])/2`` of that same row.
     """
     import numpy as np
 

@@ -33,8 +33,9 @@ e^{−r}, with r = 0 unless a weight would pass the family's bound beyond which
 wᵀGw or wᵀMw could overflow: κ is returned wherever it is a finite float.  At
 each θ, ``h ≤ ‖P H P‖_F/COND_LIMIT``, with ‖P H P‖_F² = wᵀGw formed exactly,
 raises the singular-block ``ValueError``, and then a κ beyond the float range
-an ``OverflowError`` naming θ.  Validation reads symmetry and positivity off
-the rows; no N×N array is built.
+an ``OverflowError`` naming θ.  Validation bounds the distance from each
+coefficient to the circulant of its symmetrised first row, and reads
+positivity off that row's spectrum; no N×N array is built.
 
 Everything on that route, from the family file to the scan, runs on Python
 floats and needs only the standard library.  The spectra come from a real
@@ -54,8 +55,8 @@ import math
 import sys
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add, mul, neg, sub
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from operator import add, eq, mul, neg, sub
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from os import PathLike
@@ -75,9 +76,9 @@ __all__ = [
     "kappa_convexity_scan",
 ]
 
-#: Loewner / symmetry slack for validated families.
+#: Loewner slack, and the relative distance allowed from a coefficient to the
+#: symmetric circulant that the family keeps of it.
 PSD_TOL = 1e-10
-SYM_TOL = 1e-10
 EQUIVARIANCE_TOL = 1e-10
 #: Collective block guard: H_OO must exceed ‖H‖/COND_LIMIT.
 COND_LIMIT = 1e12
@@ -179,22 +180,42 @@ def _rfft(x: Sequence[float]) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# coefficient shapes
+# numbers and shapes
 
 
-def _floats(x: object) -> object:
-    """A number, or nested sequences of them (numpy arrays included), as a
-    float or nested lists of floats.  A list of floats, or of lists, is
-    returned as it is: the entries of its lists reach ``math.hypot`` in
-    validation, which refuses anything but a number."""
+def _number(value: object, field: str) -> float:
+    """A number of a family as a float: an int or a float, what json decodes
+    a JSON number to, or a numpy value read through ``tolist()``.  Anything
+    else, a bool included, or an integer too large for a float, is a
+    ValueError naming the field."""
+    if hasattr(value, "tolist"):  # a numpy scalar
+        value = value.tolist()
+    kind = type(value)
+    if kind is float or kind is int:  # a bool is neither
+        try:
+            return float(value)
+        except OverflowError:
+            reason = "integer too large for a float"
+    else:
+        reason = f"expected a number, got {json.dumps(value, default=repr)}"
+    raise ValueError(f"{field}: {reason}")
+
+
+def _floats(x: object, field: str, depth: int = 2) -> object:
+    """A number, or sequences of them nested at most ``depth`` deep (numpy
+    arrays included), as a float or lists of floats, each number read by
+    :func:`_number` under the name ``field[i][j]`` of its place.  A list of
+    floats, or of lists of floats, is returned as it is."""
     if hasattr(x, "tolist"):  # a numpy array or scalar
         x = x.tolist()
-    if not isinstance(x, (list, tuple)):
-        return float(x)
+    if not depth or not isinstance(x, (list, tuple)):
+        return _number(x, field)
     kinds = set(map(type, x))
-    if kinds <= {float} or kinds == {list}:
+    if kinds <= {float} or depth == 2 and kinds == {list} and (
+        set(map(type, chain.from_iterable(x))) <= {float}
+    ):
         return x if type(x) is list else list(x)
-    return [_floats(v) for v in x]
+    return [_floats(v, f"{field}[{i}]", depth - 1) for i, v in enumerate(x)]
 
 
 def _is_row(x: object, n: int) -> bool:
@@ -203,11 +224,9 @@ def _is_row(x: object, n: int) -> bool:
 
 
 def _is_matrix(x: object, n: int) -> bool:
-    """Whether x, from :func:`_floats`, is n lists of n entries, the first
-    not a list."""
+    """Whether x, from :func:`_floats`, is n lists of n floats."""
     return (
-        type(x) is list and len(x) == n and set(map(type, x)) == {list}
-        and set(map(len, x)) == {n} and type(x[0][0]) is not list
+        type(x) is list and len(x) == n and set(map(type, x)) == {list} and set(map(len, x)) == {n}
     )
 
 
@@ -238,15 +257,16 @@ def build_split(n: int, m_rho_sq: float, u_raw: Sequence[float]) -> SplitGeometr
     ``u_raw`` is shifted to mean zero and normalized; a direction with a
     non-finite entry, or parallel to the uniform vector (or zero), is rejected
     since the collective mode would be undefined or collapse onto the simplex
-    constraint.
+    constraint.  m_ρ² and each entry of ``u_raw`` are read by :func:`_number`.
     """
     if n < 3:
         raise ValueError(f"split needs n >= 3 (band dimension n-2 > 0), got n={n}")
+    m_rho_sq = _number(m_rho_sq, "m_rho_sq")
     if not m_rho_sq > 0:
         raise ValueError(f"m_rho_sq must be positive, got {m_rho_sq}")
     if m_rho_sq == math.inf:
         raise ValueError(f"m_rho_sq must be finite, got {m_rho_sq}")
-    v = _floats(u_raw)
+    v = _floats(u_raw, "u")
     if not _is_row(v, n):
         raise ValueError(f"collective direction must have shape ({n},), got {_shape(v)}")
     if not all(map(math.isfinite, v)):
@@ -257,7 +277,7 @@ def build_split(n: int, m_rho_sq: float, u_raw: Sequence[float]) -> SplitGeometr
     nrm = math.hypot(*v)
     if nrm <= 1e-12 * max(scale, 1.0):
         raise ValueError("collective direction is parallel to the uniform vector")
-    return SplitGeometry(n, float(m_rho_sq), [x / nrm for x in v])
+    return SplitGeometry(n, m_rho_sq, [x / nrm for x in v])
 
 
 # ---------------------------------------------------------------------------
@@ -339,63 +359,52 @@ def _validate_coef(
     """Validate one coefficient, given as n rows of n floats (``dense``) or
     as a length-n generator row.
 
-    Appends the violations found, and returns the term of the symmetrized
-    generator row when ``c`` is a symmetric circulant, PSD or not, else None.
-    An exact symmetric circulant has no asymmetry and commutes exactly with
-    shift and reversal, so only other matrices have their norms summed.  A
-    matrix that the shift and reversal commutator norms show is not a
-    circulant gets no PSD test.  A symmetric circulant is PSD when the real
-    DFT of its row, its spectrum, is.
+    The family keeps circ(r), r = (row + row reversed)/2 the symmetrised
+    first row, and κ reads only its spectrum, the real DFT of r.  So C is
+    valid when ‖C − circ(r)‖_F ≤ EQUIVARIANCE_TOL·max(1, ‖C‖_F) and that
+    spectrum is at least −PSD_TOL on the same scale.  circ(r) commutes with
+    the cyclic shift and the reversal, which generate D_N, so C commutes with
+    each of them to twice the bound.  An exact symmetric circulant is at
+    distance 0, and its ‖C‖_F is read off its row.
+
+    Appends the violations found, and returns the term of r when C is within
+    the bound, PSD or not, else None.
     """
+    def circ(g: list[float]) -> Iterator[list[float]]:  # the rows of circ(g)
+        ext = g + g
+        return (ext[n - i : 2 * n - i] for i in range(n))
+
     row = c[0] if dense else c
     rev = [row[0], *row[:0:-1]]  # row[(n − j) mod n]
-    ext = row + row  # row i of a circulant is ext[n − i : 2n − i]
-    equivariant = row == rev and (
-        not dense or all(r == ext[n - i : 2 * n - i] for i, r in enumerate(c))
-    )
+    # row == rev makes r = row, barring overflow of a + b, and C = circ(r)
+    exact = row == rev and (not dense or all(map(eq, c, circ(row))))
     # an exact circulant's entries are its row's, n times over
-    flat = row if equivariant or not dense else list(chain.from_iterable(c))
+    flat = row if exact or not dense else list(chain.from_iterable(c))
     norm = math.hypot(*flat)  # inf or nan if an entry is, or on overflow
     if not math.isfinite(norm) and not all(map(math.isfinite, flat)):
         violations.append(f"{name}: has non-finite entries")
         return None
     scale = max(1.0, norm * (math.sqrt(n) if flat is row else 1.0))  # ‖C‖_F
-    if not equivariant:
-        # max |C − Cᵀ| is at most the Frobenius norm of C − Cᵀ, summed first
-        pair = (flat, list(chain.from_iterable(zip(*c)))) if dense else (row, rev)
-        if math.dist(*pair) > SYM_TOL * scale:
-            asym = max(abs(a - b) for a, b in zip(*pair))
-            if asym > SYM_TOL * scale:
-                violations.append(f"{name}: not symmetric (max |C - C^T| = {asym:.3e})")
-                return None
-        # ‖C·S − S·C‖_F and ‖C·R − R·C‖_F by indexing: right-multiplying by a
-        # permutation permutes columns, left-multiplying permutes rows
+    r = [(a + b) / 2 for a, b in zip(row, rev)]
+    if not exact:
         if dense:
-            cs = math.dist(
-                list(chain.from_iterable([r[-1:] + r[:-1] for r in c])), flat[n:] + flat[:n]
-            )
-            cr = math.dist(
-                list(chain.from_iterable([r[:1] + r[:0:-1] for r in c])),
-                list(chain.from_iterable([c[0], *c[:0:-1]])),
-            )
+            gap = math.hypot(*map(math.dist, c, circ(r)))
         else:
-            cs, cr = 0.0, math.sqrt(n) * math.dist(row, rev)
-        equivariant = cs <= EQUIVARIANCE_TOL * scale and cr <= EQUIVARIANCE_TOL * scale
-        if not equivariant:
+            gap = math.sqrt(n) * math.dist(row, r)
+        if gap > EQUIVARIANCE_TOL * scale:
             violations.append(
-                f"{name}: not dihedral-equivariant "
-                f"(shift commutator norm = {cs:.3e}, reversal commutator norm = {cr:.3e})"
+                f"{name}: not a symmetric circulant "
+                f"(||C - circ(r)||_F = {gap:.3e}, r its symmetrised first row)"
             )
-            if dense:
-                return None
-    term = ExpTerm(s, [(a + b) / 2 for a, b in zip(row, rev)])
+            return None
+    term = ExpTerm(s, r)
     if not all(map(math.isfinite, term.spectrum)):  # finite entries near the float limit
         violations.append(f"{name}: spectrum overflows a float")
         return None
     low = min(term.spectrum)
     if low < -PSD_TOL * scale:
         violations.append(f"{name}: not PSD (min eigenvalue = {low:.3e})")
-    return term if equivariant else None
+    return term
 
 
 def make_family(
@@ -409,22 +418,25 @@ def make_family(
 
     Each coefficient is an (n, n) matrix or the length-n generator row g of
     the circulant ``C[i, j] = g[(j − i) mod n]``, as nested sequences or a
-    numpy array, and is stored as its symmetrized row.  Validation collects
-    *all* violations — bad shapes, non-finite entries, asymmetry, broken
-    equivariance, indefiniteness — and raises one
-    :class:`FamilyValidationError` listing every offender.  A negative
-    control that no valid family can be, such as one with an indefinite
-    coefficient, is built from its rows with the :class:`HessianFamily` and
-    :class:`ExpTerm` constructors, which check nothing.
+    numpy array, and is stored as circ(r), r its symmetrised first row.  Each
+    number is read by :func:`_number`, which names the field it refuses.
+    Validation collects *all* violations — bad shapes, non-finite entries, a
+    C farther than EQUIVARIANCE_TOL·max(1, ‖C‖_F) from circ(r), indefiniteness
+    — and raises one :class:`FamilyValidationError` listing every offender.
+    A negative control that no valid family can be, such as one with an
+    indefinite coefficient, is built from its rows with the
+    :class:`HessianFamily` and :class:`ExpTerm` constructors, which check
+    nothing.
     """
     split = build_split(n, m_rho_sq, u_raw)
     violations: list[str] = []
     built = []
     for k, (s, c) in enumerate([(0.0, c0), *terms]):
-        s, entries = float(s), _floats(c)
+        field = f"terms[{k - 1}]" if k else "C0"
+        s, entries = _number(s, f"{field}.s"), _floats(c, f"{field}.C" if k else field)
         if k and not math.isfinite(s):
-            violations.append(f"terms[{k - 1}]: exponent s = {s} is not finite")
-        name = f"terms[{k - 1}].C (s={s:g})" if k else "C0"
+            violations.append(f"{field}: exponent s = {s} is not finite")
+        name = f"{field}.C (s={s:g})" if k else field
         dense = _is_matrix(entries, n)
         if not dense and not _is_row(entries, n):
             violations.append(f"{name}: shape {_shape(entries)} != ({n}, {n})")
@@ -439,30 +451,6 @@ def make_family(
 # family file format
 
 
-def _number(value: object, field: str, index: int | None = None) -> float:
-    """A JSON number of the family document, the int or float that json
-    decodes it to, as a float.  Anything else, a bool included, or an integer
-    too large for a float, is a ValueError naming the field, and the list
-    index if one is given."""
-    kind = type(value)
-    if kind is float or kind is int:  # a bool is neither
-        try:
-            return float(value)
-        except OverflowError:
-            reason = "integer too large for a float"
-    else:
-        reason = f"expected a number, got {json.dumps(value, default=repr)}"
-    name = field if index is None else f"{field}[{index}]"
-    raise ValueError(f"{name}: {reason}")
-
-
-def _numbers(values: list, field: str) -> list[float]:
-    """A JSON list of floats as it is, and any other through :func:`_number`."""
-    if set(map(type, values)) <= {float}:
-        return values
-    return [_number(x, field, i) for i, x in enumerate(values)]
-
-
 def _matrix_from_spec(obj: object, n: int, name: str) -> list:
     """Decode a matrix entry: circulant generator (kept as its row), nested
     rows, or flat row-major, as a row or as n rows of n floats."""
@@ -472,14 +460,12 @@ def _matrix_from_spec(obj: object, n: int, name: str) -> list:
         g = obj["circulant"]
         if not isinstance(g, list) or len(g) != n:
             raise ValueError(f"{name}: circulant generator must be a list of {n} numbers")
-        return _numbers(g, f"{name}.circulant")
+        return _floats(g, f"{name}.circulant", 1)
     if isinstance(obj, list):
         if len(obj) == n and all(isinstance(row, list) and len(row) == n for row in obj):
-            if set(map(type, chain.from_iterable(obj))) <= {float}:
-                return obj
-            return [_numbers(row, f"{name}[{i}]") for i, row in enumerate(obj)]
+            return _floats(obj, name)
         if len(obj) == n * n and not any(isinstance(x, list) for x in obj):
-            flat = _numbers(obj, name)
+            flat = _floats(obj, name, 1)
             return [flat[i : i + n] for i in range(0, n * n, n)]
         raise ValueError(f"{name}: expected {n} rows of {n} numbers or a flat list of {n * n}")
     raise ValueError(f"{name}: unsupported matrix encoding {type(obj).__name__}")
@@ -511,7 +497,7 @@ def family_from_dict(data: dict) -> HessianFamily:
             raise ValueError(f"terms[{k}]: expected an object with exactly keys 's' and 'C'")
         s = _number(entry["s"], f"terms[{k}].s")
         terms.append((s, _matrix_from_spec(entry["C"], n, f"terms[{k}].C")))
-    u_raw = _numbers(u, "u")
+    u_raw = _floats(u, "u", 1)
     return make_family(n, _number(data["m_rho_sq"], "m_rho_sq"), u_raw, c0, terms)
 
 

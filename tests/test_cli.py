@@ -1112,13 +1112,15 @@ def test_schur_table_rows_stay_inside_their_columns(capsys, family_file):
 def test_schur_rejects_invalid_family(capsys, tmp_path):
     doc = dict(FAMILY_DOC)
     doc["C0"] = [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)]
-    doc["C0"][0][0] = 9.0  # breaks circulant structure
+    doc["C0"][0][0] = 9.0  # breaks circulant structure: circ(r) = 9·I, 8·√5 away
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "schur", str(path), "-2.0", "-0.1", "11")
     assert code == 2
-    assert "validation failed" in err
-    assert "commutator" in err
+    assert err == (
+        "family validation failed:\n  - C0: not a symmetric circulant "
+        "(||C - circ(r)||_F = 1.789e+01, r its symmetrised first row)\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1353,7 +1355,7 @@ def test_schur_loads_no_exact_layer(tmp_path, valid):
     doc = dict(FAMILY_DOC)
     if not valid:
         doc["C0"] = [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)]
-        doc["C0"][0][0] = 9.0  # breaks circulant structure
+        doc["C0"][0][0] = 9.0  # breaks circulant structure: circ(r) = 9·I, 8·√5 away
     path = tmp_path / "family.json"
     path.write_text(json.dumps(doc))
     proc = subprocess.run(
@@ -1369,7 +1371,7 @@ def test_schur_loads_no_exact_layer(tmp_path, valid):
 def _invalid_family(tmp_path):
     doc = dict(FAMILY_DOC)
     doc["C0"] = [[1.0 if i == j else 0.0 for j in range(6)] for i in range(6)]
-    doc["C0"][0][0] = 9.0  # breaks circulant structure
+    doc["C0"][0][0] = 9.0  # breaks circulant structure: circ(r) = 9·I, 8·√5 away
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps(doc))
     return str(path)

@@ -40,7 +40,7 @@ REDUCTION_ROWS = [
 
 
 @pytest.mark.parametrize("m, a, b", REDUCTION_ROWS)
-def test_reduce_power_rows(m, a, b):
+def test_golden_power_table_rows(m, a, b):
     p = golden_power_table(m)[m]
     assert (p.m, p.a, p.b) == (m, a, b)
 
@@ -78,7 +78,7 @@ def test_golden_power_table_rejects_negative():
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
-def test_reduce_power_rejects_a_non_integer_size(bad):
+def test_golden_power_table_rejects_a_non_integer_size(bad):
     # a bool is not a table size: True would give two rows
     with pytest.raises(ValueError, match="max_m must be an integer"):
         golden_power_table(bad)

@@ -107,6 +107,18 @@ def test_coeffs_reject_a_bool(position):
             _coeffs_with(position, flag)
 
 
+@pytest.mark.parametrize("position", range(3))
+def test_coeffs_reject_a_number_no_float_equals(position):
+    # Decimal("0.1") would lose digits as a float; the error names the
+    # coefficient, as every other coefficient error does
+    message = (
+        rf"^coefficient {_NAMES[position]}: no float equals Decimal\('0\.1'\); "
+        r"pass a Fraction to stay exact$"
+    )
+    with pytest.raises(ValueError, match=message):
+        _coeffs_with(position, Decimal("0.1"))
+
+
 def test_numpy_integer_coefficients_compute_as_python_ints():
     # a numpy integer is stored as a Fraction of Python ints; kept as int64,
     # B·13 and B·Λ(12) would wrap
@@ -203,16 +215,13 @@ def test_a_scalar_that_a_float_equals_runs_as_that_float():
 
 
 def test_a_scalar_that_no_float_equals_is_refused():
-    # as a q, as a given Λ and as a coefficient, Decimal("0.1") would lose
-    # digits on its way into the float lane
+    # as a q and as a given Λ, Decimal("0.1") would lose digits on its way
+    # into the float lane
     message = r"^no float equals Decimal\('0\.1'\); pass a Fraction to stay exact$"
     coeffs = QuadLawCoeffs(Fraction(7, 3), Fraction(-5, 4), 12)
     for route in (kappa_quadratic, f_red_q, f_red_prime_q, bracket_residual):
         with pytest.raises(ValueError, match=message):
             route(coeffs, Decimal("0.1"))
-    for position in range(3):
-        with pytest.raises(ValueError, match=message):
-            _coeffs_with(position, Decimal("0.1"))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +499,7 @@ def test_stationarity_decision_equals_the_product_form(n, b, ratio, c0, m2, synt
 
 
 @pytest.mark.parametrize("b", [Fraction(-1, 2), Fraction(-1), Fraction(-2)])
-def test_uniqueness_scan_brackets_golden_ratio(b):
+def test_stationarity_check_brackets_golden_ratio(b):
     c = synthesize_consistent_ab(b, 12)
     rep = stationarity_check(c)
     assert rep.sign_changes == 1
@@ -516,7 +525,7 @@ def test_n1_family_is_degenerate_with_no_sign_change():
 
 
 @pytest.mark.parametrize("b", [Fraction(-1), Fraction(5, 7), -1.0, 2.5])
-def test_uniqueness_scan_n2_synthesized_is_degenerate(b):
+def test_stationarity_check_n2_synthesized_is_degenerate(b):
     # Λ ≡ 3 at N = 2, so synthesized coefficients make F′_red vanish identically
     c = synthesize_consistent_ab(b, 2)
     rep = stationarity_check(c)
@@ -526,7 +535,7 @@ def test_uniqueness_scan_n2_synthesized_is_degenerate(b):
 
 
 @pytest.mark.parametrize("coeffs", [QuadLawCoeffs(1, 1, 2), QuadLawCoeffs(0.5, -3.0, 2)])
-def test_uniqueness_scan_n2_generic_coeffs(coeffs):
+def test_stationarity_check_n2_generic_coeffs(coeffs):
     rep = stationarity_check(coeffs)
     assert not rep.stationary and not rep.degenerate
     assert rep.sign_changes == 0

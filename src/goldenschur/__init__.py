@@ -7,8 +7,8 @@ at ``q⋆ = (3 − √5)/2`` — plus the verification suites behind the
 ``goldenschur`` command.
 
 The public names below are loaded on first access (PEP 562).  No module
-imports numpy at import time; the lazy names keep each command's import set
-small, which matters cold, where every module loaded is compiled from source.
+imports numpy; the lazy names keep each command's import set small, which
+matters cold, where every module loaded is compiled from source.
 """
 
 from importlib import import_module

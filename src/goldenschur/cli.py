@@ -30,12 +30,12 @@ if TYPE_CHECKING:
 
     from .qfield import Q5
 
-# Each subcommand imports only the layers it computes with: ``verify`` (whose
-# ``schur-properties`` suite alone imports numpy) and ``schur`` (standard
-# library only) inside their subcommands, ``lockin`` inside ``stationarity``,
-# the exact layers (``qfield``, ``folded``, ``golden``) inside the subcommands
-# and helpers that compute or print exact values, ``fractions`` inside the
-# helpers that parse rationals, and ``json`` only where json is rendered.
+# Each subcommand imports only the layers it computes with, and none imports
+# numpy: ``verify`` and ``schur`` inside their subcommands, ``lockin`` inside
+# ``stationarity``, the exact layers (``qfield``, ``folded``, ``golden``)
+# inside the subcommands and helpers that compute or print exact values,
+# ``fractions`` inside the helpers that parse rationals, and ``json`` only
+# where json is rendered.
 # ``schur --fit-law`` fits on floats through ``floatlaw``, which loads none of
 # them.
 

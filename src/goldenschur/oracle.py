@@ -42,26 +42,32 @@ independent route here.  Each oracle, and the library route it checks:
 * :func:`shift_matrix` and :func:`reversal_matrix`, the generators of D_N:
   a C that validation accepts commutes with both, to twice its bound.
 
-Both Loewner checks are stacked: the matrices of all trials, or of all grid
-points, form one array, diagonalized by one ``eigvalsh`` call.
+Neither Loewner check calls an eigen-solver.  A convexity gap is the
+symmetric circulant of one row, whose eigenvalues are cosine sums over a
+table kept for each N; a variational difference, plus LOEWNER_TOL·I, is
+tested for positive definiteness by the pivots of its LDLᵀ factorization.
 
-This is the one module that builds N×N arrays; a family keeps only its rows.
-Besides the oracles it holds:
+This is the one module that builds N×N matrices, as lists of rows of floats;
+a family keeps only its rows.  Besides the oracles it holds:
 
-* the dense views :func:`circulant`, of a row or a stack of rows, and
-  :func:`band_projector`, the P_B of a split;
+* the dense views :func:`circulant`, of a row, and :func:`band_projector`,
+  the P_B of a split;
 * the random families :func:`random_symmetric_psd_circulant` and
-  :func:`random_family`, and :func:`strict_convexity_witness`.
+  :func:`random_family`, drawn from a :class:`random.Random`, and
+  :func:`strict_convexity_witness`.
 
-Importing this module loads only the standard library; the matrix routes
-import numpy where they run.
+The matrix routes take any sequences of numbers, numpy arrays included
+(read through ``tolist()``), and return floats, tuples or lists.  The module
+needs only the standard library.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul, truediv
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain, sums_closed
@@ -70,11 +76,11 @@ from .lockin import QuadLawCoeffs, _route, f_red_prime_q
 from .qfield import QSTAR, GoldenBasis, Q5
 
 if TYPE_CHECKING:
-    import numpy as np
-    from numpy.typing import NDArray
+    import random
 
     from .schur import HessianFamily, SplitGeometry
-    FloatArray = NDArray[np.float64]
+
+    Matrix = list[list[float]]
 
 __all__ = [
     "sums_bruteforce", "moments_from_sums", "theta_derivatives_fd", "fibonacci", "sums_at_qstar",
@@ -220,149 +226,162 @@ def exact_sign_changes(coeffs: QuadLawCoeffs) -> list[tuple[Fraction, Fraction]]
 
 # ---------------------------------------------------------------------------
 # dense views, random families and dense matrix oracles
+#
+# A matrix is the list of its rows, each a list of floats; a vector is a list.
 
 
-@lru_cache(maxsize=16)
-def _circulant_index(n: int) -> NDArray[np.intp]:
-    """The read-only (n, n) array ``(j − i) mod n``."""
-    import numpy as np
-
-    index = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    index.flags.writeable = False
-    return index
-
-
-def circulant(generator: Sequence[float]) -> FloatArray:
-    """Circulant matrix ``C[i, j] = g[(j − i) mod n]`` from a generator row,
-    or one such matrix for each row of a stack of rows."""
-    import numpy as np
-
-    g = np.asarray(generator, dtype=float)
-    return g[..., _circulant_index(g.shape[-1])]
+def _matmul(*factors: Sequence[Sequence[float]]) -> Matrix:
+    """The product of the factors, from the left."""
+    a = factors[0]
+    for b in factors[1:]:
+        cols = list(zip(*b))
+        a = [[sum(map(mul, row, col)) for col in cols] for row in a]
+    return a
 
 
-def band_projector(split: SplitGeometry) -> FloatArray:
+def circulant(generator: Sequence[float]) -> Matrix:
+    """Circulant matrix ``C[i][j] = g[(j − i) mod n]`` of a generator row."""
+    from .schur import _floats
+
+    g = _floats(generator, "generator", 1)
+    n = len(g)
+    return [g[n - i :] + g[: n - i] for i in range(n)]
+
+
+def band_projector(split: SplitGeometry) -> Matrix:
     """``P_B = I − 11ᵀ/N − uuᵀ``, the projector onto B = span{1, u}^⊥."""
-    import numpy as np
-
-    n = split.n
-    return np.eye(n) - np.full((n, n), 1.0 / n) - np.outer(split.u, split.u)
+    u, inv_n = split.u, 1.0 / split.n
+    return [[float(i == j) - inv_n - ui * uj for j, uj in enumerate(u)] for i, ui in enumerate(u)]
 
 
-def random_symmetric_psd_circulant(n: int, rng: np.random.Generator) -> FloatArray:
-    """Random symmetric PSD circulant ``A·Aᵀ/n`` from a random circulant A."""
-    a = circulant(rng.standard_normal(n))
-    c = a @ a.T / n
-    return (c + c.T) / 2
+def random_symmetric_psd_circulant(n: int, rng: random.Random) -> list[float]:
+    """First row of a random symmetric PSD circulant: the cyclic
+    autocorrelation ``r_j = Σ_t g_t·g_{(t+j) mod n}/n`` of a standard normal
+    vector g.  circ(r) is circ(g)·circ(g)ᵀ/n, whose spectrum |ĝ|²/n is
+    nonnegative, so r is PSD by construction; r_{n−j} is r_j, bit for bit."""
+    g = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    half = [sum(map(mul, g, g[j:] + g[:j])) / n for j in range(n // 2 + 1)]
+    return half + half[1 : (n + 1) // 2][::-1]
 
 
-def random_family(n: int, rng: np.random.Generator, *, n_terms: int = 2) -> HessianFamily:
+def random_family(n: int, rng: random.Random, *, n_terms: int = 2) -> HessianFamily:
     """Random validated family with m_ρ² = 2; a ridge of 0.5 on C₀ keeps
     ``H_OO`` well conditioned.
 
-    Each coefficient reaches :func:`.schur.make_family` as the first row of
-    its dense symmetric circulant; a row or the dense matrix is stored alike,
-    as ``(row + row[rev])/2`` of that same row.
+    u, C₀ and then each term, its exponent ±uniform(0.3, 2) first, are drawn
+    in that order from ``rng``.  Each coefficient reaches
+    :func:`.schur.make_family` as its row, an exact symmetric circulant.
     """
-    import numpy as np
-
     from .schur import make_family
 
-    u_raw = rng.standard_normal(n)
-    while np.linalg.norm(u_raw - u_raw.mean()) < 1e-6:
-        u_raw = rng.standard_normal(n)
-    c0 = (random_symmetric_psd_circulant(n, rng) + 0.5 * np.eye(n))[0]
-    terms = []
-    for _ in range(n_terms):
-        # the draw of rng.choice([-1.0, 1.0]), from the same stream
-        s = float(rng.uniform(0.3, 2.0) * (-1.0, 1.0)[rng.integers(2)])
-        terms.append((s, random_symmetric_psd_circulant(n, rng)[0]))
+    u_raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    while max(u_raw) - min(u_raw) < 1e-6:  # nearly parallel to the uniform vector
+        u_raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    c0 = random_symmetric_psd_circulant(n, rng)
+    c0[0] += 0.5
+    terms = [
+        (rng.uniform(0.3, 2.0) * rng.choice((-1.0, 1.0)), random_symmetric_psd_circulant(n, rng))
+        for _ in range(n_terms)
+    ]
     return make_family(n, 2.0, u_raw, c0, terms)
 
 
-def shift_matrix(n: int) -> FloatArray:
+def shift_matrix(n: int) -> Matrix:
     """Cyclic shift permutation ``(Sx)_i = x_{(i+1) mod n}``."""
-    import numpy as np
-    s = np.zeros((n, n))
-    s[np.arange(n), (np.arange(n) + 1) % n] = 1.0
-    return s
+    return [[float(j == (i + 1) % n) for j in range(n)] for i in range(n)]
 
 
-def reversal_matrix(n: int) -> FloatArray:
+def reversal_matrix(n: int) -> Matrix:
     """Index reversal ``(Rx)_i = x_{(n−i) mod n}``."""
-    import numpy as np
-    r = np.zeros((n, n))
-    r[np.arange(n), (n - np.arange(n)) % n] = 1.0
-    return r
+    return [[float(j == (n - i) % n) for j in range(n)] for i in range(n)]
 
 
-def band_basis(split: SplitGeometry) -> FloatArray:
-    """(n, n−2) orthonormal columns spanning B = span{1, u}^⊥."""
-    import numpy as np
-    rows = np.vstack([np.full(split.n, 1.0 / math.sqrt(split.n)), split.u])
-    # the two rows are orthonormal, so the last n − 2 right singular vectors
-    # span their null space exactly
-    return np.linalg.svd(rows, full_matrices=True)[2][2:].T
+def _reflect(w: list[float], x: Sequence[float]) -> list[float]:
+    """``(I − 2wwᵀ/wᵀw)·x``, the Householder reflection of x."""
+    f = 2 * sum(map(mul, w, x)) / sum(map(mul, w, w))
+    return [xi - f * wi for xi, wi in zip(x, w)]
 
 
-def _assemble_hessians(fam: HessianFamily, thetas: Sequence[float]) -> FloatArray:
-    """``H(θ)`` for each θ, stacked (len(thetas) × n × n), as the circulants of
-    the rows ``c₀ + Σ e^{sθ}·c_k``, added in order, so each matrix has the same
-    bits whatever the other θ of the stack.  An e^{sθ} that overflows raises
-    ``OverflowError``: this route has only H(θ) itself, not a scaled form."""
-    import numpy as np
-    w = np.empty((len(thetas), len(fam.terms)))
-    for i, theta in enumerate(thetas):
-        w[i] = [math.exp(t.s * theta) for t in fam.terms]
-    rows = np.tile(fam.base.c, (len(thetas), 1))
-    for k, t in enumerate(fam.terms):
-        rows = rows + w[:, k, None] * np.asarray(t.c)
-    return circulant(rows)
+def band_basis(split: SplitGeometry) -> Matrix:
+    """(n, n−2) orthonormal columns spanning B = span{1, u}^⊥, as n rows.
+
+    Two Householder reflections: H₁ maps e₀ to −1/√n, so its other columns
+    span 1^⊥, and u has coordinates H₁u in its columns, the first of them 0;
+    H₂, on coordinates 1 … n−1, maps e₁ to a multiple of H₁u.  The columns
+    are H₁H₂e_k for k = 2 … n−1.
+    """
+    n = split.n
+    a = 1 / math.sqrt(n)
+    w1 = [a + 1.0] + [a] * (n - 1)
+    v = _reflect(w1, split.u)[1:]  # coordinate 0 is −1ᵀu/√n, zero but for rounding
+    w2 = [v[0] + math.copysign(math.hypot(*v), v[0]), *v[1:]]
+    cols = []
+    for k in range(1, n - 1):
+        e = [0.0] * (n - 1)
+        e[k] = 1.0
+        cols.append(_reflect(w1, [0.0, *_reflect(w2, e)]))
+    return [list(row) for row in zip(*cols)]
 
 
-def assemble_hessian(fam: HessianFamily, theta: float) -> FloatArray:
-    """``H(θ) = C₀ + Σ e^{sθ}·C_s``."""
-    return _assemble_hessians(fam, [theta])[0]
+def _hessian_row(fam: HessianFamily, theta: float) -> list[float]:
+    """The generator row ``c₀ + Σ e^{sθ}·c_k`` of H(θ), the terms added in
+    order.  An e^{sθ} that overflows raises ``OverflowError``: this route has
+    only H(θ) itself, not a scaled form."""
+    row = list(fam.base.c)
+    for t in fam.terms:
+        w = math.exp(t.s * theta)
+        row = [a + w * b for a, b in zip(row, t.c)]
+    return row
+
+
+def assemble_hessian(fam: HessianFamily, theta: float) -> Matrix:
+    """``H(θ) = C₀ + Σ e^{sθ}·C_s``, the circulant of its row."""
+    return circulant(_hessian_row(fam, theta))
 
 
 class BlockHessian(NamedTuple):
     """H in the orthonormal (band ⊕ collective) frame."""
 
-    h_bb: FloatArray  # (n−2, n−2)
-    h_bo: FloatArray  # (n−2, 1)
-    h_oo: FloatArray  # (1, 1)
+    h_bb: Matrix  # (n−2, n−2)
+    h_bo: Matrix  # (n−2, 1)
+    h_oo: Matrix  # (1, 1)
 
     @property
-    def h_ob(self) -> FloatArray:
-        return self.h_bo.T
+    def h_ob(self) -> Matrix:
+        return [[x for (x,) in self.h_bo]]
 
 
 def block_hessian(fam: HessianFamily, theta: float) -> BlockHessian:
-    import numpy as np
     h = assemble_hessian(fam, theta)
-    qb = band_basis(fam.split)
-    u = np.asarray(fam.split.u)[:, None]
-    return BlockHessian(qb.T @ h @ qb, qb.T @ h @ u, u.T @ h @ u)
+    q = band_basis(fam.split)
+    qt = list(zip(*q))
+    hu = _matmul(h, [[x] for x in fam.split.u])
+    return BlockHessian(_matmul(qt, h, q), _matmul(qt, hu), _matmul([fam.split.u], hu))
 
 
 def schur_complement(
-    h_bb: FloatArray, h_bo: FloatArray, h_oo: FloatArray, *, context: str = ""
-) -> FloatArray:
+    h_bb: Sequence[Sequence[float]],
+    h_bo: Sequence[Sequence[float]],
+    h_oo: Sequence[Sequence[float]],
+    *,
+    context: str = "",
+) -> Matrix:
     """``H_BB − H_BO H_OO⁻¹ H_OB`` for the 1×1 collective block ``H_OO``.
 
     ``‖H‖_F`` is taken over the three blocks.  An ``‖H‖_F`` that is not
     finite raises ``OverflowError``; otherwise the block is rejected as
     numerically singular unless it exceeds ``‖H‖_F / COND_LIMIT``.
     """
-    import numpy as np
+    from .schur import COND_LIMIT, _floats, _shape
 
-    from .schur import COND_LIMIT
-
-    if h_oo.shape != (1, 1):
-        raise ValueError(f"collective block must be 1x1, got shape {h_oo.shape}")
-    h = float(h_oo[0, 0])
-    # Python floats overflow to inf without numpy's RuntimeWarning
-    scale = math.sqrt(float(np.vdot(h_bb, h_bb)) + 2 * float(np.vdot(h_bo, h_bo)) + h * h)
+    h_bb, h_bo, h_oo = _floats(h_bb, "h_bb"), _floats(h_bo, "h_bo"), _floats(h_oo, "h_oo")
+    if _shape(h_oo) != (1, 1):
+        raise ValueError(f"collective block must be 1x1, got shape {_shape(h_oo)}")
+    h = h_oo[0][0]
+    bo = [x for (x,) in h_bo]
+    scale = math.sqrt(
+        sum(x * x for row in h_bb for x in row) + 2 * sum(x * x for x in bo) + h * h
+    )
     where = f" at {context}" if context else ""
     if not math.isfinite(scale):
         raise OverflowError(f"H(theta) overflows a float{where}")
@@ -371,16 +390,14 @@ def schur_complement(
             f"collective block is numerically singular{where} "
             f"(h_oo = {h:.3e}, ‖H‖_F = {scale:.3e})"
         )
-    return h_bb - h_bo @ np.linalg.solve(h_oo, h_bo.T)
+    return [[b - bi * (bj / h) for b, bj in zip(row, bo)] for row, bi in zip(h_bb, bo)]
 
 
 def dense_curvature(fam: HessianFamily, theta: float) -> float:
     """κ_Schur at θ from the dense band/collective blocks: the oracle route of
     :func:`.schur.schur_curvature`."""
-    import numpy as np
-    blocks = block_hessian(fam, theta)
-    s = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
-    return float(np.trace(s)) / fam.split.dim_band
+    s = schur_complement(*block_hessian(fam, theta), context=f"theta={theta:g}")
+    return sum(row[i] for i, row in enumerate(s)) / fam.split.dim_band
 
 
 def exact_kappa(
@@ -411,23 +428,74 @@ def exact_kappa(
 # variational characterization
 
 
-def variational_expression(blocks: BlockHessian, y: FloatArray) -> FloatArray:
-    """``H_BB + H_BO Y + Yᵀ H_OB + Yᵀ H_OO Y`` for a coupling ``Y`` (1 × n−2),
-    or for each coupling of a stack of them (trials × 1 × n−2)."""
-    yt = y.swapaxes(-1, -2)
-    return blocks.h_bb + blocks.h_bo @ y + yt @ blocks.h_ob + yt @ blocks.h_oo @ y
+def _normals(rng: random.Random, k: int) -> list[float]:
+    """k standard normal draws: the Box–Muller transform of pairs of uniforms
+    from ``rng``, cosine halves first, vectorized by ``map``."""
+    rand = rng.random
+    h = (k + 1) // 2
+    r = [math.sqrt(-2.0 * math.log(1.0 - rand())) for _ in range(h)]
+    a = [math.tau * rand() for _ in range(h)]
+    return [*map(mul, r, map(math.cos, a)), *map(mul, r, map(math.sin, a))][:k]
+
+
+def _ldl_pivots(a: Sequence[Sequence[list[float]]]) -> list[list[float]]:
+    """The LDLᵀ pivots of a stack of symmetric matrices, computed for all of
+    them at once, entry by entry: ``a[i][j]`` (j ≤ i, the lower triangle)
+    lists the (i, j) entry of every matrix, and pivot i lists the D_ii of
+    every ``L·D·Lᵀ``, L unit lower triangular.  A symmetric matrix is
+    positive definite exactly when every pivot is positive, and in floats
+    the test is backward stable where it is (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 10).  The pivots stop at the first i where
+    some matrix has one that is not positive, since it cannot divide."""
+    ls: list[list[list[float]]] = []  # rows of L, left of the diagonal
+    d: list[list[float]] = []
+    for i, row in enumerate(a):
+        w = []  # row i of L·D
+        for x, lj in zip(row, ls):
+            for wk, lk in zip(w, lj):
+                x = [xt - wt * lt for xt, wt, lt in zip(x, wk, lk)]
+            w.append(x)
+        li = [list(map(truediv, wk, dk)) for wk, dk in zip(w, d)]
+        pivot = row[i]
+        for wk, lk in zip(w, li):
+            pivot = [pt - wt * lt for pt, wt, lt in zip(pivot, wk, lk)]
+        d.append(pivot)
+        if not all(p > 0 for p in pivot):
+            break
+        ls.append(li)
+    return d
+
+
+def _expression(bb: Matrix, bo: list[float], oo: float, y: list[float]) -> Matrix:
+    """:func:`variational_expression` of the blocks H_BB, H_BO (as a vector)
+    and H_OO (as a float) at the coupling y (as a vector)."""
+    return [
+        [b + bi * yj + yi * bj + yi * oo * yj for b, bj, yj in zip(row, bo, y)]
+        for row, bi, yi in zip(bb, bo, y)
+    ]
+
+
+def variational_expression(blocks: BlockHessian, y: Sequence[Sequence[float]]) -> Matrix:
+    """``H_BB + H_BO Y + Yᵀ H_OB + Yᵀ H_OO Y`` for a coupling ``Y`` (1 × n−2)."""
+    from .schur import _floats, _shape
+
+    rows = _floats(y, "Y")
+    m = len(blocks.h_bb)
+    if _shape(rows) != (1, m):
+        raise ValueError(f"coupling must have shape (1, {m}), got {_shape(rows)}")
+    return _expression(blocks.h_bb, [x for (x,) in blocks.h_bo], blocks.h_oo[0][0], rows[0])
 
 
 class VariationalReport(NamedTuple):
     """Outcome of the completing-the-square check at one θ."""
 
     theta: float
-    minimizer_gap: float  # ‖expression(Y⋆) − Schur complement‖₂
-    min_loewner_eig: float  # worst min-eigenvalue of expression(Y) − Schur over trials
+    minimizer_gap: float  # ‖expression(Y⋆) − Schur complement‖_F
+    min_pivot: float  # least LDLᵀ pivot of expression(Y) − Schur + LOEWNER_TOL·I, over trials
     trials: int
 
     def passed(self) -> bool:
-        return self.minimizer_gap <= LOEWNER_TOL and self.min_loewner_eig >= -LOEWNER_TOL
+        return self.minimizer_gap <= LOEWNER_TOL and self.min_pivot > 0
 
 
 def variational_check(
@@ -435,30 +503,59 @@ def variational_check(
     theta: float,
     *,
     trials: int = 100,
-    rng: np.random.Generator,
+    rng: random.Random,
 ) -> VariationalReport:
-    """Check that Y⋆ = −H_OO⁻¹H_OB attains the Schur complement and that every
+    """Check that Y⋆ = −H_OO⁻¹H_OB attains the Schur complement S and that every
     random coupling dominates it in the Loewner order.
 
-    The ``trials`` couplings are drawn as one (trials × 1 × n−2) array, the
-    same normal stream as one draw per trial, and their expressions minus the
-    Schur complement go to one stacked ``eigvalsh`` call.
+    The trials draw their standard normal couplings Y from ``rng``
+    (:func:`_normals`), one trial after the other.  Each tests
+    ``expression(Y) − S ⪰ −LOEWNER_TOL·I`` by the LDLᵀ pivots of
+    ``expression(Y) − S + LOEWNER_TOL·I``, which are all positive exactly
+    when its smallest eigenvalue is.  The factorizations of all trials run
+    together, entry by entry (:func:`_ldl_pivots`), and stop at the first
+    pivot index where a trial fails; ``min_pivot`` is the smallest pivot
+    computed.
     """
-    import numpy as np
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    blocks = block_hessian(fam, theta)
-    schur = schur_complement(blocks.h_bb, blocks.h_bo, blocks.h_oo, context=f"theta={theta:g}")
-    y_star = -np.linalg.solve(blocks.h_oo, blocks.h_ob)
-    gap = float(np.linalg.norm(variational_expression(blocks, y_star) - schur, 2))
-    ys = rng.standard_normal((trials, *y_star.shape))
-    diff = variational_expression(blocks, ys) - schur
-    w = np.linalg.eigvalsh((diff + diff.swapaxes(-1, -2)) / 2)
-    return VariationalReport(theta, gap, min(w[:, 0].tolist()), trials)
+    bb, h_bo, h_oo = block_hessian(fam, theta)
+    schur = schur_complement(bb, h_bo, h_oo, context=f"theta={theta:g}")
+    bo, oo = [x for (x,) in h_bo], h_oo[0][0]
+    at_star = _expression(bb, bo, oo, [-x / oo for x in bo])
+    gap = math.hypot(*(a - b for ra, rb in zip(at_star, schur) for a, b in zip(ra, rb)))
+    # the lower triangle of H_BB − S + LOEWNER_TOL·I, to which each trial adds
+    # H_BO Y + Yᵀ H_OB + Yᵀ H_OO Y: zip stops each row at the diagonal
+    base = [
+        [b - x + LOEWNER_TOL * (i == j) for j, (b, x) in enumerate(zip(row[: i + 1], srow))]
+        for i, (row, srow) in enumerate(zip(bb, schur))
+    ]
+    m = len(bo)
+    flat = _normals(rng, trials * m)  # trial after trial
+    ys = [flat[j::m] for j in range(m)]  # Y_j of each trial
+    yos = [[yt * oo for yt in y] for y in ys]
+    diff = [
+        [
+            [b + bi * yjt + yit * bj + yot * yjt for yit, yjt, yot in zip(yi, yj, yo)]
+            for b, bj, yj in zip(row, bo, ys)
+        ]
+        for row, bi, yi, yo in zip(base, bo, ys, yos)
+    ]
+    worst = min(map(min, _ldl_pivots(diff)))
+    return VariationalReport(theta, gap, worst, trials)
 
 
 # ---------------------------------------------------------------------------
 # matrix convexity in θ
+
+
+@lru_cache(maxsize=None)
+def _cosines(n: int) -> tuple[tuple[float, ...], ...]:
+    """``cos(2πjt/n)`` for t < n, one row for each j = 0 … n//2."""
+    from .schur import _roots
+
+    w = _roots(n)
+    return tuple(tuple(w[j * t % n].real for t in range(n)) for j in range(n // 2 + 1))
 
 
 class ConvexityGapReport(NamedTuple):
@@ -485,30 +582,67 @@ def matrix_convexity_check(
 ) -> ConvexityGapReport:
     """Midpoint-style matrix convexity of θ ↦ H(θ) on a t-grid in [0, 1].
 
-    H(θ₁), H(θ₂) and every H(tθ₁ + (1−t)θ₂) are built in one stack, and the
-    gaps of all grid points are diagonalized by one ``eigvalsh`` call.
+    An int ``t_grid`` is that many evenly spaced points.  Each gap is the
+    circulant of one row g, the same combination of the rows of H(θ₁), H(θ₂)
+    and H(tθ₁ + (1−t)θ₂), and the eigenvalues of its symmetric part are the
+    cosine sums ``Σ_t g_t·cos(2πjt/N)``, j = 0 … N//2, over a table kept for
+    each N.
     """
-    import numpy as np
+    from .schur import _grid
+
     for name, bound in (("theta1", theta1), ("theta2", theta2)):
         if not math.isfinite(bound):
             raise ValueError(f"{name} = {bound} is not finite")
     if isinstance(t_grid, int):
-        ts = np.linspace(0.0, 1.0, t_grid)
+        ts = _grid(0.0, 1.0, t_grid) if t_grid > 1 else [0.0] * t_grid
     else:
-        ts = np.asarray(list(t_grid), dtype=float)
-    if ts.size == 0:
+        ts = [float(t) for t in t_grid]
+    if not ts:
         raise ValueError("t grid must have at least one point")
-    if not np.all((ts >= 0) & (ts <= 1)):  # a NaN fails both comparisons
+    if not all(0 <= t <= 1 for t in ts):  # a NaN fails both comparisons
         raise ValueError("t grid must lie in [0, 1]")
-    hs = _assemble_hessians(fam, [theta1, theta2, *(ts * theta1 + (1 - ts) * theta2).tolist()])
-    t = ts[:, None, None]
-    gaps = t * hs[0] + (1 - t) * hs[1] - hs[2:]
-    w = np.linalg.eigvalsh((gaps + gaps.swapaxes(-1, -2)) / 2)
-    return ConvexityGapReport(theta1, theta2, tuple(ts.tolist()), tuple(w[:, 0].tolist()))
+    r1, r2 = _hessian_row(fam, theta1), _hessian_row(fam, theta2)
+    cosines = _cosines(fam.n)
+    eigs = []
+    for t in ts:
+        rt = _hessian_row(fam, t * theta1 + (1 - t) * theta2)
+        gap = [t * a + (1 - t) * b - c for a, b, c in zip(r1, r2, rt)]
+        eigs.append(min(sum(map(mul, cos, gap)) for cos in cosines))
+    return ConvexityGapReport(theta1, theta2, tuple(ts), tuple(eigs))
 
 
 # ---------------------------------------------------------------------------
-# strict-convexity witness and the weighted class functional
+# strict-convexity witness
+
+
+def _symmetric_eigenvalues(a: Matrix) -> list[float]:
+    """Eigenvalues of a symmetric matrix, read from its lower triangle, by
+    cyclic Jacobi rotations (Golub and Van Loan, *Matrix Computations*,
+    §8.5), until the off-diagonal part is below ε·‖a‖_F."""
+    n = len(a)
+    a = [[a[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    for _ in range(50):  # the convergence is quadratic: a few sweeps suffice
+        off = sum(a[i][j] ** 2 for i in range(n) for j in range(i))
+        if off <= sys.float_info.epsilon**2 * sum(x * x for row in a for x in row):
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0:
+                    continue
+                tau = (a[q][q] - a[p][p]) / (2 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1 / math.hypot(1.0, t)
+                s = t * c
+                for k in range(n):
+                    if k != p and k != q:
+                        akp, akq = a[k][p], a[k][q]
+                        a[k][p] = a[p][k] = c * akp - s * akq
+                        a[k][q] = a[q][k] = s * akp + c * akq
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+    return sorted(a[i][i] for i in range(n))
 
 
 class StrictWitnessReport(NamedTuple):
@@ -528,11 +662,11 @@ def strict_convexity_witness(
     theta_max: float,
     points: int = 101,
 ) -> StrictWitnessReport:
-    """Witness ‖P_B C_{s}P_B‖ for a chosen term plus the observed κ curvature
+    """Witness ‖P_B C_{s}P_B‖₂ for a chosen term plus the observed κ curvature
     floor on the interval; ``strict`` when the witness exceeds WITNESS_TOL =
-    1e-12 and the floor is positive."""
-    import numpy as np
-
+    1e-12 and the floor is positive.  With Q the :func:`band_basis`,
+    P_B C P_B = Q·(QᵀCQ)·Qᵀ has the nonzero spectrum of QᵀCQ, whose
+    eigenvalues :func:`_symmetric_eigenvalues` finds."""
     from .schur import kappa_convexity_scan
 
     if not 0 <= term_index < len(fam.terms):
@@ -540,11 +674,10 @@ def strict_convexity_witness(
     term = fam.terms[term_index]
     if term.s == 0:
         raise ValueError("witness term must have a nonzero exponent")
-    pb = band_projector(fam.split)
-    witness = float(np.linalg.norm(pb @ circulant(term.c) @ pb, 2))
+    q = band_basis(fam.split)
+    witness = max(map(abs, _symmetric_eigenvalues(_matmul(list(zip(*q)), circulant(term.c), q))))
     scan = kappa_convexity_scan(fam, theta_min, theta_max, points)
     h = (theta_max - theta_min) / (points - 1)
     floor = scan.min_second_difference / (h * h)
     strict = witness > WITNESS_TOL and scan.min_second_difference > 0
     return StrictWitnessReport(term_index, witness, scan.min_second_difference, floor, strict)
-

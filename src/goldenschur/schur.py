@@ -235,6 +235,16 @@ def _shape(x: object) -> tuple[int, ...]:
     return (len(x), *(_shape(x[0]) if x else ())) if type(x) is list else ()
 
 
+def _shape_error(x: object, n: int) -> str:
+    """Why x, from :func:`_floats`, is neither n floats nor n rows of n."""
+    kinds = set(map(type, x)) if type(x) is list else set()
+    if list in kinds and len(kinds) > 1:
+        return f"a list mixing rows and numbers, expected {n} numbers or {n} rows of {n}"
+    if list in kinds and len(set(map(len, x))) > 1:
+        return f"rows of unequal lengths, expected {n} rows of {n}"
+    return f"shape {_shape(x)} != ({n}, {n})"
+
+
 # ---------------------------------------------------------------------------
 # split geometry
 
@@ -354,10 +364,10 @@ class HessianFamily:
 
 
 def _validate_coef(
-    name: str, s: float, c: list, n: int, dense: bool, violations: list[str]
+    name: str, s: float, c: list, n: int, dense: bool, violations: list[str], unit: int = 0
 ) -> ExpTerm | None:
     """Validate one coefficient, given as n rows of n floats (``dense``) or
-    as a length-n generator row.
+    as a length-n generator row, in units of 2^unit.
 
     The family keeps circ(r), r = (row + row reversed)/2 the symmetrised
     first row, and κ reads only its spectrum, the real DFT of r.  So C is
@@ -365,7 +375,9 @@ def _validate_coef(
     spectrum is at least −PSD_TOL on the same scale.  circ(r) commutes with
     the cyclic shift and the reversal, which generate D_N, so C commutes with
     each of them to twice the bound.  An exact symmetric circulant is at
-    distance 0, and its ‖C‖_F is read off its row.
+    distance 0, and its ‖C‖_F is read off its row.  Finite entries whose
+    ‖C‖_F overflows are validated again in units of 2^k, 2^k just above
+    their largest magnitude, where the gap, ‖C‖_F and r are finite.
 
     Appends the violations found, and returns the term of r when C is within
     the bound, PSD or not, else None.
@@ -384,7 +396,11 @@ def _validate_coef(
     if not math.isfinite(norm) and not all(map(math.isfinite, flat)):
         violations.append(f"{name}: has non-finite entries")
         return None
-    scale = max(1.0, norm * (math.sqrt(n) if flat is row else 1.0))  # ‖C‖_F
+    scale = max(math.ldexp(1.0, -unit), norm * (math.sqrt(n) if flat is row else 1.0))  # ‖C‖_F
+    if scale == math.inf:
+        k = math.frexp(max(map(abs, flat)))[1]
+        c = [[math.ldexp(x, -k) for x in r] for r in c] if dense else [math.ldexp(x, -k) for x in c]
+        return _validate_coef(name, s, c, n, dense, violations, k)
     r = [(a + b) / 2 for a, b in zip(row, rev)]
     if not exact:
         if dense:
@@ -392,17 +408,18 @@ def _validate_coef(
         else:
             gap = math.sqrt(n) * math.dist(row, r)
         if gap > EQUIVARIANCE_TOL * scale:
+            gap *= 2.0 ** (unit - 1) * 2  # inf where it overflows, which ldexp would raise
             violations.append(
                 f"{name}: not a symmetric circulant "
                 f"(||C - circ(r)||_F = {gap:.3e}, r its symmetrised first row)"
             )
             return None
-    term = ExpTerm(s, r)
+    term = ExpTerm(s, [math.ldexp(x, unit) for x in r] if unit else r)
     if not all(map(math.isfinite, term.spectrum)):  # finite entries near the float limit
         violations.append(f"{name}: spectrum overflows a float")
         return None
     low = min(term.spectrum)
-    if low < -PSD_TOL * scale:
+    if math.ldexp(low, -unit) < -PSD_TOL * scale:
         violations.append(f"{name}: not PSD (min eigenvalue = {low:.3e})")
     return term
 
@@ -439,7 +456,7 @@ def make_family(
         name = f"{field}.C (s={s:g})" if k else field
         dense = _is_matrix(entries, n)
         if not dense and not _is_row(entries, n):
-            violations.append(f"{name}: shape {_shape(entries)} != ({n}, {n})")
+            violations.append(f"{name}: {_shape_error(entries, n)}")
             continue
         built.append(_validate_coef(name, s, entries, n, dense, violations))
     if violations:

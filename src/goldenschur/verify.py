@@ -6,12 +6,10 @@ plus the two property suites ``schur-properties`` and ``lockin``; ``all``
 runs everything.  Records for reference-only numbers whose generating
 construction is out of scope are informational and never fail.
 
-Only ``schur-properties``, which builds dense matrices, imports numpy, inside
-the suite.  :func:`run_suite` decides before it runs any suite: without
-numpy, ``schur-properties`` and ``all`` raise a ``ValueError`` that names the
-``dense`` extra.  Every other suite runs on the standard library alone:
-``appendix-b`` and ``lockin`` draw their seeded integers from
-:class:`random.Random`.
+Every suite runs on the standard library alone.  The seeded ones draw from
+:class:`random.Random`: ``appendix-b`` and ``lockin`` their integers, and
+``schur-properties`` its random families, directions and couplings, whose
+dense checks run on the list-of-rows matrices of :mod:`.oracle`.
 """
 
 from __future__ import annotations
@@ -19,6 +17,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import chain
+from operator import mul, sub
+from typing import Iterable, Sequence
 
 from . import reference
 from .floatlaw import quadratic_law_fit
@@ -33,6 +34,7 @@ from .lockin import (
     synthesize_consistent_ab,
 )
 from .oracle import (
+    _matmul,
     band_projector,
     circulant,
     dense_curvature,
@@ -315,24 +317,37 @@ def _suite_appendix_h(seed: int) -> ReportDocument:
     return doc
 
 
-def _suite_schur_properties(seed: int) -> ReportDocument:
-    import numpy as np
+def _trace(a: list[list[float]]) -> float:
+    return sum(row[i] for i, row in enumerate(a))
 
+
+def _max_abs_diff(a: Iterable[Sequence[float]], b: Iterable[Sequence[float]]) -> float:
+    """The largest entrywise difference of two matrices of the same shape."""
+    return max(map(abs, map(sub, chain.from_iterable(a), chain.from_iterable(b))))
+
+
+def _suite_schur_properties(seed: int) -> ReportDocument:
     doc = ReportDocument("schur-properties", seed)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     worst_split = 0.0
     for _ in range(40):
-        n = int(rng.integers(3, 13))
-        split = build_split(n, 2.0, rng.standard_normal(n))
+        n = rng.randrange(3, 13)
+        split = build_split(n, 2.0, [rng.gauss(0.0, 1.0) for _ in range(n)])
         pb = band_projector(split)
+        # with P = Pᵀ checked beside it, P² = P·Pᵀ, which is symmetric: the
+        # lower triangles of P·Pᵀ and P are compared
+        lower = [pb[: i + 1] for i in range(n)]
         worst_split = max(
             worst_split,
-            float(np.max(np.abs(pb - pb.T))),
-            float(np.max(np.abs(pb @ pb - pb))),
-            float(np.linalg.norm(pb @ np.ones(n))),
-            float(np.linalg.norm(pb @ split.u)),
-            abs(float(np.trace(pb)) - (n - 2)),
+            _max_abs_diff(pb, zip(*pb)),
+            _max_abs_diff(
+                ([sum(map(mul, ri, rj)) for rj in rows] for ri, rows in zip(pb, lower)),
+                (row[: i + 1] for i, row in enumerate(pb)),
+            ),
+            math.hypot(*map(sum, pb)),
+            math.hypot(*(sum(map(mul, row, split.u)) for row in pb)),
+            abs(_trace(pb) - (n - 2)),
         )
     _add_bound(
         doc, "s.split-projector",
@@ -342,29 +357,30 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
 
     reps, worst_route = [], 0.0
     for _ in range(6):
-        fam = random_family(int(rng.integers(4, 9)), rng)
-        theta = float(rng.uniform(-1.5, 0.5))
+        fam = random_family(rng.randrange(4, 9), rng)
+        theta = rng.uniform(-1.5, 0.5)
         reps.append(variational_check(fam, theta, trials=60, rng=rng))
         dense = dense_curvature(fam, theta)
         worst_route = max(worst_route, abs(schur_curvature(fam, theta) - dense) / abs(dense))
     worst_gap = max(rep.minimizer_gap for rep in reps)
-    worst_eig = min(rep.min_loewner_eig for rep in reps)
+    worst_pivot = min(rep.min_pivot for rep in reps)
     doc.add(
         "s.variational",
         "optimal coupling attains the Schur complement; random couplings dominate it (Loewner)",
         all(rep.passed() for rep in reps) and worst_route <= 1e-12,
-        "gap <= 1e-10, min eigenvalue >= -1e-10 and spectral vs dense κ <= 1e-12 relative",
-        f"gap = {worst_gap:.3e}, min eigenvalue = {worst_eig:.3e}, "
+        "gap <= 1e-10, LDLᵀ pivots of expression − Schur + 1e-10·I > 0 "
+        "and spectral vs dense κ <= 1e-12 relative",
+        f"gap = {worst_gap:.3e}, min pivot = {worst_pivot:.3e}, "
         f"spectral vs dense κ = {worst_route:.3e} relative",
         "derived",
     )
 
     reps = []
     for _ in range(10):
-        fam = random_family(int(rng.integers(4, 9)), rng)
+        fam = random_family(rng.randrange(4, 9), rng)
         for _ in range(2):
-            t1, t2 = sorted(rng.uniform(-2.0, 0.5, size=2))
-            reps.append(matrix_convexity_check(fam, float(t1), float(t2), 11))
+            t1, t2 = sorted((rng.uniform(-2.0, 0.5), rng.uniform(-2.0, 0.5)))
+            reps.append(matrix_convexity_check(fam, t1, t2, 11))
     worst = min(rep.min_eig for rep in reps)
     doc.add(
         "s.matrix-convexity",
@@ -377,7 +393,7 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
 
     bad_scans = 0
     for _ in range(6):
-        fam = random_family(int(rng.integers(4, 9)), rng)
+        fam = random_family(rng.randrange(4, 9), rng)
         scan = kappa_convexity_scan(fam, math.log(0.05), math.log(0.95), 101)
         bad_scans += 0 if scan.convex_ok else 1
     doc.add(
@@ -390,7 +406,8 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
     )
 
     n = 6
-    ident_fam = make_family(n, 2.0, [1.0] + [0.0] * (n - 1), np.zeros((n, n)), [(1.0, np.eye(n))])
+    e0 = [1.0] + [0.0] * (n - 1)
+    ident_fam = make_family(n, 2.0, e0, [0.0] * n, [(1.0, e0)])
     scan = kappa_convexity_scan(ident_fam, math.log(0.05), math.log(0.95), 25)
     dev = max(abs(k - math.exp(t)) for t, k in zip(scan.thetas, scan.kappas))
     _add_bound(
@@ -398,10 +415,9 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
         "max |κ − e^θ|", dev, 1e-12,
     )
 
-    const_fam = make_family(
-        n, 2.0, [1.0] + [0.0] * (n - 1),
-        random_symmetric_psd_circulant(n, rng) + 0.5 * np.eye(n), [],
-    )
+    c0 = random_symmetric_psd_circulant(n, rng)
+    c0[0] += 0.5
+    const_fam = make_family(n, 2.0, e0, c0, [])
     scan = kappa_convexity_scan(const_fam, -2.0, -0.1, 41)
     flat = max(abs(d) for d in scan.second_differences)
     _add_bound(
@@ -412,12 +428,10 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
 
     wit = strict_convexity_witness(ident_fam, 0, math.log(0.1), math.log(0.9), 51)
     ok_wit = wit.strict and abs(wit.witness - 1.0) <= 1e-12
-    n_alt = 6
-    u_alt = [(-1.0) ** i for i in range(n_alt)]
-    c_flat = np.full((n_alt, n_alt), 1.0 / n_alt) + np.outer(u_alt, u_alt) / n_alt
-    fam_flat = make_family(
-        n_alt, 2.0, u_alt, 0.5 * np.eye(n_alt), [(1.0, c_flat)]
-    )
+    u_alt = [(-1.0) ** i for i in range(n)]
+    # 11ᵀ/N + u_alt·u_altᵀ/N, the circulant of this row
+    c_flat = [1.0 / n + x / n for x in u_alt]
+    fam_flat = make_family(n, 2.0, u_alt, [0.5] + [0.0] * (n - 1), [(1.0, c_flat)])
     wit0 = strict_convexity_witness(fam_flat, 0, math.log(0.1), math.log(0.9), 51)
     doc.add(
         "s.strict-witness",
@@ -431,9 +445,10 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
 
     n = 5
     u_raw = [1, 0, 0, 0, -1]
-    indef = np.eye(n) - 0.75 * circulant([0.0, 1.0, 0.0, 0.0, 1.0])  # the 5-cycle
+    zeros = [[0.0] * n for _ in range(n)]
+    indef = circulant([1.0, -0.75, 0.0, 0.0, -0.75])  # I − 0.75·(the 5-cycle)
     try:
-        make_family(n, 2.0, u_raw, np.zeros((n, n)), [(1.0, indef)])
+        make_family(n, 2.0, u_raw, zeros, [(1.0, indef)])
         psd_control = "accepted (should have been rejected)"
         ok = False
     except FamilyValidationError as exc:
@@ -441,7 +456,7 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
         psd_control = f"rejected: {exc.violations}"
     # forced in: the rows, built without validation
     bad_fam = HessianFamily(
-        build_split(n, 2.0, u_raw), ExpTerm(0.0, np.zeros(n)), (ExpTerm(1.0, indef[0]),)
+        build_split(n, 2.0, u_raw), ExpTerm(0.0, [0.0] * n), (ExpTerm(1.0, indef[0]),)
     )
     rep = matrix_convexity_check(bad_fam, -2.0, -0.2, 11)
     doc.add(
@@ -453,10 +468,10 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
         "direct",
     )
 
-    non_circ = np.zeros((n, n))
-    non_circ[0, 0] = 1.0
+    non_circ = [[0.0] * n for _ in range(n)]
+    non_circ[0][0] = 1.0
     try:
-        make_family(n, 2.0, u_raw, np.zeros((n, n)), [(1.0, non_circ)])
+        make_family(n, 2.0, u_raw, zeros, [(1.0, non_circ)])
         ok, msg = False, "accepted (should have been rejected)"
     except FamilyValidationError as exc:
         ok = any("not a symmetric circulant" in v for v in exc.violations)
@@ -470,14 +485,16 @@ def _suite_schur_properties(seed: int) -> ReportDocument:
         "direct",
     )
 
-    split = build_split(8, 2.0, np.arange(8.0))
-    k1 = random_symmetric_psd_circulant(8, rng)
-    k2 = random_symmetric_psd_circulant(8, rng)
+    n = 8
+    split = build_split(n, 2.0, [float(i) for i in range(n)])
+    k1 = circulant(random_symmetric_psd_circulant(n, rng))
+    k2 = circulant(random_symmetric_psd_circulant(n, rng))
     pb = band_projector(split)
-    x = np.full(8, 1.0 / 8)
+    x = [1.0 / n] * n
+    d = [[1.0 / xi if i == j else 0.0 for j in range(n)] for i, xi in enumerate(x)]
     # Tr(P_B K1 D K2 P_B)/dim B with D = diag(1/x) at the uniform weights x
-    uniform = float(np.trace(pb @ k1 @ np.diag(1.0 / x) @ k2 @ pb)) / split.dim_band
-    direct = 8 * float(np.trace(pb @ k1 @ k2 @ pb)) / split.dim_band
+    uniform = _trace(_matmul(pb, k1, d, k2, pb)) / split.dim_band
+    direct = n * _trace(_matmul(pb, k1, k2, pb)) / split.dim_band
     _add_bound(
         doc, "s.q-class-uniform",
         "uniform weights reduce the weighted class functional to N·Tr(P_B K1 K2 P_B)/dim B",
@@ -625,21 +642,11 @@ def run_suite(name: str, seed: int = 0) -> ReportDocument:
     """Run one named suite (or ``all``) and return its report.
 
     ``seed`` must be a non-negative int: :class:`random.Random` would replay
-    the stream of ``-seed`` for a negative one, and accept a float.  Without
-    numpy, ``schur-properties`` and ``all`` raise a ``ValueError`` naming the
-    ``dense`` extra before any suite runs."""
+    the stream of ``-seed`` for a negative one, and accept a float."""
     if type(seed) is not int or seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {seed!r}")
     if name != "all" and name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    if name in ("all", "schur-properties"):
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            raise ValueError(
-                "verify suite schur-properties builds dense matrices and needs numpy: "
-                "pip install 'goldenschur[dense]'"
-            ) from None
     if name == "all":
         return ReportDocument(
             "all", seed, [r for key in SUITES[:-1] for r in _SUITE_FUNCS[key](seed).records]

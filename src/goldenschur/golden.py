@@ -39,9 +39,10 @@ class GoldenPower(NamedTuple):
     b: int
 
     def as_q5(self) -> Q5:
-        from .qfield import GoldenBasis
+        """``b + a·q⋆ = (2b + 3a − a·√5)/2``, since ``q⋆ = (3 − √5)/2``."""
+        from .qfield import _q5
 
-        return GoldenBasis(self.b, self.a).to_q5()
+        return _q5(2 * self.b + 3 * self.a, -self.a, 2)
 
 
 def golden_power_table(max_m: int) -> list[GoldenPower]:

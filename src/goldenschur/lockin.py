@@ -41,9 +41,9 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .floatlaw import _as_float, _check_size
-from .folded import FoldedMoments, Scalar, moments
+from .folded import FoldedMoments, Scalar, _check_domain, _exact_numerators, _is_golden, moments
 from .golden import lambda_n
-from .qfield import QSTAR, Q5, _coords
+from .qfield import QSTAR, Q5, _coords, _q5
 
 __all__ = [
     "QuadLawCoeffs",
@@ -64,8 +64,11 @@ def _exact(name: str, x: Scalar) -> Fraction | Q5:
     as a Fraction of Python ints (a numpy integer would wrap), and any other
     number as the Fraction of the float it enters as
     (:func:`~.floatlaw._as_float`).  A bool (numpy's too), a NaN, an
-    infinity or a number that no float equals is a ValueError."""
-    if isinstance(x, Q5):
+    infinity or a number that no float equals is a ValueError.  A Q5, and a
+    Fraction of Python ints, are returned before the ``numbers`` checks."""
+    if isinstance(x, Q5) or (
+        type(x) is Fraction and type(x.numerator) is int and type(x.denominator) is int
+    ):
         return x
     if isinstance(x, bool) or not isinstance(x, numbers.Number):
         raise ValueError(f"coefficient {name} must be a number, got {x!r}")
@@ -168,21 +171,50 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     Λ(θ) = I₂′/I₁′ is defined, and identically zero at N = 1.  Differs from
     the chain-rule derivative of :func:`f_red_q` by ``B·I₂′·(I₁−1)/N``.
 
-    An exact q stays exact.  An inexact q takes the float moments, and the
-    slope 2A − 2B − 8/m_ρ² is formed exactly and rounded once: a synthesized
+    An exact q stays exact.  One other than q⋆ reads the numerators X₀…X₃
+    of the power sums (:func:`~.folded._exact_numerators`, with q = a/b and
+    c = b − a) and normalises once: with s = 2A − 2B − 8/m_ρ²,
+    ``F′ = X₁·(B·(X₃X₀ − X₁X₂) + s·c·(X₂X₀ − X₁²))/(N·X₀³·c⁴)``, for a
+    Fraction q over the integer coordinates of B and s, so one Fraction or
+    one Q5 is formed.  q⋆ reads its moments off their forms.
+
+    An inexact q takes the float moments, and the
+    slope s is formed exactly and rounded once: a synthesized
     A = (8/m_ρ² − B·Λ + 2B)/2 rounded to a float loses B·Λ once |B| is below
     about 1e-16 of 8/m_ρ², and a slope formed from it is −2B, not −B·Λ.  A
     slope too large for a float is a ValueError, as a coefficient is.
     """
     (_, b, _), q = _route(coeffs, q)
+    n = coeffs.n
     slope = 2 * coeffs.a - 2 * coeffs.b - 8 / coeffs.m_rho_sq
     if isinstance(q, float):  # _route's float lane
         try:
             slope = float(slope)
         except OverflowError:
             raise ValueError("slope 2A - 2B - 8/m_rho_sq is too large for a float") from None
-    m = moments(coeffs.n, q)
-    return (b * m.i2_prime + slope * m.var) * m.i1 / coeffs.n
+    elif not _is_golden(q):
+        _check_domain(n, q)
+        return _f_red_prime_exact(n, q, b, slope)
+    m = moments(n, q)
+    return (b * m.i2_prime + slope * m.var) * m.i1 / n
+
+
+def _f_red_prime_exact(
+    n: int, q: Fraction | Q5, b: Fraction | Q5, slope: Fraction | Q5
+) -> Fraction | Q5:
+    """:func:`f_red_prime_q` at an exact q ≠ q⋆ from the numerators of the
+    power sums, normalised once."""
+    _, _, c, (x0, x1, x2, x3) = _exact_numerators(n, q)
+    u, v = x3 * x0 - x1 * x2, c * (x2 * x0 - x1 * x1)
+    den = n * x0**3 * c**4
+    if type(c) is not int:  # a Q5 q: the numerators are field elements
+        return x1 * (b * u + slope * v) / den
+    (bp, bq, bd), (sp, sq, sd) = _coords(b), _coords(slope)
+    u, v, den = u * sd, v * bd, den * bd * sd
+    p = x1 * (bp * u + sp * v)
+    if type(b) is type(slope) is Fraction:
+        return Fraction(p, den)
+    return _q5(p, x1 * (bq * u + sq * v), den)
 
 
 def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Scalar:

@@ -5,8 +5,10 @@ independent route here.  Each oracle, and the library route it checks:
 
 * :func:`sums_bruteforce`, direct summation: the closed forms of
   :func:`.folded.sums_closed`, exactly for exact q.  For a Fraction
-  ``q = a/b`` the terms ``s^k·a^s·b^{N−s}`` are summed as integers over the
-  one denominator ``b^N``, which is divided out once per sum.
+  ``q = a/b`` its integer core, :func:`_bruteforce_numerators`, sums the
+  terms ``s^k·a^s·b^{N−s}`` as integers over the one denominator ``b^N``,
+  which is divided out once per sum; ``verify`` compares those integers
+  with the closed-form Fractions by cross-multiplication, dividing nothing.
 * :func:`moments_from_sums`, ``I_k = S_k/S₀`` by field division of given
   sums: the integer numerator routes of :func:`.folded.moments`.
 * :func:`theta_derivatives_fd`, central differences of direct sums in θ:
@@ -36,7 +38,9 @@ independent route here.  Each oracle, and the library route it checks:
   the kernel scales its weights by e^{−r}, homogeneity gives the exact value
   at them: κ(w̃₀, w̃) = w̃₀·κ(1, w̃/w̃₀).
 * :func:`variational_check`: the Schur complement as the Loewner minimum of
-  :func:`variational_expression` over couplings Y.
+  :func:`variational_expression` over couplings Y.  Its report carries the
+  κ_Schur of that Schur complement, :func:`dense_curvature` bit for bit, so
+  ``verify`` builds each dense block once.
 * :func:`matrix_convexity_check`: the Loewner convexity of θ ↦ H(θ) that
   validation implies, since each ``e^{sθ}·C`` with C ⪰ 0 is convex.
 * :func:`shift_matrix` and :func:`reversal_matrix`, the generators of D_N:
@@ -105,22 +109,14 @@ WITNESS_TOL = 1e-12
 def sums_bruteforce(n: int, q: Scalar) -> FoldedSums:
     """Direct summation — the oracle the closed forms are tested against.
 
-    A Fraction ``q = a/b`` sums the integers ``s^k·a^s·b^{N−s}`` (Horner in b)
-    and divides by ``b^N`` once per sum; other scalars sum ``s^k·q^s`` as is.
+    A Fraction ``q = a/b`` sums the integers ``s^k·a^s·b^{N−s}`` (Horner in b,
+    :func:`_bruteforce_numerators`) and divides by ``b^N`` once per sum;
+    other scalars sum ``s^k·q^s`` as is.
     """
     _check_domain(n, q)
     if type(q) is Fraction:
-        a, b = q.numerator, q.denominator
-        h0 = h1 = h2 = h3 = 0
-        p = 1
-        for s in range(1, n + 1):
-            p *= a
-            h0 = h0 * b + p
-            h1 = h1 * b + s * p
-            h2 = h2 * b + s * s * p
-            h3 = h3 * b + s**3 * p
-        bn = b**n
-        return FoldedSums(n, q, *(Fraction(h, bn) for h in (h0, h1, h2, h3)))
+        bn, hs = _bruteforce_numerators(n, q)
+        return FoldedSums(n, q, *(Fraction(h, bn) for h in hs))
     s0 = s1 = s2 = s3 = 0 * q
     p = q * 0 + 1  # multiplicative identity of the scalar type
     for s in range(1, n + 1):
@@ -130,6 +126,21 @@ def sums_bruteforce(n: int, q: Scalar) -> FoldedSums:
         s2 = s2 + s * s * p
         s3 = s3 + s**3 * p
     return FoldedSums(n, q, s0, s1, s2, s3)
+
+
+def _bruteforce_numerators(n: int, q: Fraction) -> tuple[int, tuple[int, int, int, int]]:
+    """``(b^N, (h₀, h₁, h₂, h₃))`` for ``q = a/b``: the integers
+    ``h_k = Σ_s s^k·a^s·b^{N−s}`` (Horner in b), so that ``S_k = h_k/b^N``."""
+    a, b = q.numerator, q.denominator
+    h0 = h1 = h2 = h3 = 0
+    p = 1
+    for s in range(1, n + 1):
+        p *= a
+        h0 = h0 * b + p
+        h1 = h1 * b + s * p
+        h2 = h2 * b + s * s * p
+        h3 = h3 * b + s**3 * p
+    return b**n, (h0, h1, h2, h3)
 
 
 def moments_from_sums(sums: FoldedSums) -> FoldedMoments:
@@ -393,11 +404,16 @@ def schur_complement(
     return [[b - bi * (bj / h) for b, bj in zip(row, bo)] for row, bi in zip(h_bb, bo)]
 
 
+def _band_trace(fam: HessianFamily, s: Matrix) -> float:
+    """κ_Schur = Tr S/dim B of the dense Schur complement S of ``fam``."""
+    return sum(row[i] for i, row in enumerate(s)) / fam.split.dim_band
+
+
 def dense_curvature(fam: HessianFamily, theta: float) -> float:
     """κ_Schur at θ from the dense band/collective blocks: the oracle route of
     :func:`.schur.schur_curvature`."""
     s = schur_complement(*block_hessian(fam, theta), context=f"theta={theta:g}")
-    return sum(row[i] for i, row in enumerate(s)) / fam.split.dim_band
+    return _band_trace(fam, s)
 
 
 def exact_kappa(
@@ -493,6 +509,7 @@ class VariationalReport(NamedTuple):
     minimizer_gap: float  # ‖expression(Y⋆) − Schur complement‖_F
     min_pivot: float  # least LDLᵀ pivot of expression(Y) − Schur + LOEWNER_TOL·I, over trials
     trials: int
+    kappa: float  # Tr S/dim B: the dense_curvature at θ, from the same S
 
     def passed(self) -> bool:
         return self.minimizer_gap <= LOEWNER_TOL and self.min_pivot > 0
@@ -515,7 +532,9 @@ def variational_check(
     when its smallest eigenvalue is.  The factorizations of all trials run
     together, entry by entry (:func:`_ldl_pivots`), and stop at the first
     pivot index where a trial fails; ``min_pivot`` is the smallest pivot
-    computed.
+    computed.  The report also carries κ_Schur = Tr S/dim B from that S,
+    :func:`dense_curvature` at θ bit for bit, so a caller that needs both
+    builds the dense blocks once.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -542,7 +561,7 @@ def variational_check(
         for row, bi, yi, yo in zip(base, bo, ys, yos)
     ]
     worst = min(map(min, _ldl_pivots(diff)))
-    return VariationalReport(theta, gap, worst, trials)
+    return VariationalReport(theta, gap, worst, trials, _band_trace(fam, schur))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,15 @@ _Coords = tuple[int, int, int]
 
 def _coords(value: object) -> _Coords | None:
     """``(p, q, d)`` of an exact scalar, a Q5, an int that is not a bool or a
-    Fraction; None for anything else (floats too)."""
+    Fraction; None for anything else (floats too).  The exact types are
+    dispatched first, the subclasses by the ``isinstance`` chain."""
+    t = type(value)
+    if t is Q5:
+        return value._p, value._q, value._d
+    if t is Fraction:
+        return value.numerator, 0, value.denominator
+    if t is int:
+        return value, 0, 1
     if isinstance(value, Q5):
         return value._p, value._q, value._d
     if isinstance(value, int) and not isinstance(value, bool):

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,37 @@ def test_verify_all_check_ids_pinned(capsys):
     assert [c["id"] for c in checks] == VERIFY_ALL_IDS
     statuses = [c["status"] for c in checks]
     assert (statuses.count("pass"), statuses.count("info")) == (33, 4)
+
+
+@pytest.mark.parametrize("seed", [94, 430])
+def test_verify_all_passes_where_a_random_direction_gives_a_concave_kappa(capsys, seed):
+    # at these seeds a drawn family with its random collective direction has
+    # a concave κ; the convexity record scans the family with a cosine-mode
+    # direction, for which claim (i) is proved
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", str(seed))
+    assert code == 0
+    assert out.splitlines()[-1] == "33 passed, 0 failed, 4 informational"
+
+
+def test_closed_vs_brute_fails_when_one_closed_sum_is_off(monkeypatch):
+    # S₀ + 1/b^N at one draw: the cross-multiplied comparison finds it
+    from goldenschur import verify
+
+    right, calls = verify.sums_closed, []
+
+    def off(n, q):
+        s = right(n, q)
+        calls.append(n)
+        if len(calls) == 100:
+            return s._replace(s0=s.s0 + Fraction(1, q.denominator**n))
+        return s
+
+    monkeypatch.setattr(verify, "sums_closed", off)
+    records = {r.check_id: r for r in verify.run_suite("appendix-b", 3).records}
+    assert len(calls) == 192 + 1  # the draws, and S at q⋆
+    closed = records["b.closed-vs-brute"]
+    assert (closed.status, closed.actual) == ("fail", "1 mismatches")
+    assert all(r.status == "pass" for k, r in records.items() if k != "b.closed-vs-brute")
 
 
 def test_verify_rejects_unknown_suite(capsys):

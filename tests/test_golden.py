@@ -11,7 +11,7 @@ from goldenschur.golden import GoldenPower, golden_power_table, lambda_n
 from goldenschur.oracle import (
     fibonacci, moments_from_sums, sums_at_qstar, theta_derivatives_fd,
 )
-from goldenschur.qfield import PHI, Q5, QSTAR, SQRT5, decimal_str
+from goldenschur.qfield import PHI, Q5, QSTAR, SQRT5, GoldenBasis, decimal_str
 
 #: the sizes of test_qfield.py at which the golden point is checked
 GOLDEN_SIZES = [*range(1, 401), 2160, 2161, 4320, 9999, 10_000, 10_001]
@@ -70,6 +70,14 @@ def test_golden_power_table_rows_are_qstar_powers():
         assert p.m == m
         assert QSTAR**m == p.a * QSTAR + p.b
         assert p.as_q5() == QSTAR**m
+
+
+def test_golden_power_as_q5_is_the_golden_basis_conversion():
+    # as_q5 writes b + a·q⋆ in the √5 basis directly; GoldenBasis is the oracle
+    for p in golden_power_table(300):
+        got, want = p.as_q5(), GoldenBasis(p.b, p.a).to_q5()
+        assert type(got) is Q5
+        assert (got._p, got._q, got._d) == (want._p, want._q, want._d)
 
 
 def test_golden_power_table_rejects_negative():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 from decimal import Decimal
 from fractions import Fraction
@@ -129,6 +130,10 @@ def test_numpy_integer_coefficients_compute_as_python_ints():
         wide = QuadLawCoeffs(a, b, 12)
         narrow = QuadLawCoeffs(np.int64(a), np.int64(b), 12, np.int64(2))
         assert narrow == wide
+        # a Fraction of numpy integers is stored as one of Python ints too
+        held = QuadLawCoeffs(Fraction(np.int64(a), np.int64(7)), Fraction(np.int64(b)), 12)
+        assert held == (Fraction(a, 7), b, 12, 2)
+        assert all(type(x.numerator) is type(x.denominator) is int for x in held[:2])
         assert stationarity_check(narrow) == stationarity_check(wide)
         for lam in (None, 3, 13):
             assert bracket_residual(narrow, lam) == bracket_residual(wide, lam)
@@ -256,6 +261,64 @@ def test_f_red_prime_float_lane_rejects_a_slope_too_large_for_a_float(b):
     assert f_red_prime_q(c, QSTAR) == 0
     with pytest.raises(ValueError, match="^slope 2A - 2B - 8/m_rho_sq is too large for a float$"):
         f_red_prime_q(c, 0.5)
+
+
+_fractions_in_unit = st.builds(
+    lambda d, k: Fraction(k % (d - 1) + 1, d), st.integers(2, 10**12), st.integers(0, 10**12)
+)
+_small = st.fractions(-50, 50, max_denominator=40)
+
+
+@st.composite
+def _q_and_coeffs(draw):
+    """An exact q in (0, 1) (a Fraction, or a Q5 other than q⋆) and exact
+    coefficients at N: Fraction, Q5 or synthesized (a Q5 A)."""
+    n = draw(st.integers(1, 40))
+    q = draw(_fractions_in_unit)
+    if draw(st.booleans()):
+        q = Q5(q, draw(st.fractions(-1, 1, max_denominator=10**6)) / 10)
+        assume(0 < q < 1 and q != QSTAR)
+    b = draw(_small)
+    m2 = draw(st.fractions(Fraction(1, 20), 20, max_denominator=40))
+    kind = draw(st.sampled_from(["fraction", "q5", "synthesized"]))
+    if kind == "synthesized" and n > 1:
+        coeffs = synthesize_consistent_ab(b, n, m2)
+    elif kind == "q5":
+        coeffs = QuadLawCoeffs(Q5(draw(_small), draw(_small)), Q5(b, draw(_small)), n, m2)
+    else:
+        coeffs = QuadLawCoeffs(draw(_small), b, n, m2)
+    return q, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_q_and_coeffs())
+def test_f_red_prime_reads_the_numerators_as_the_moments_give_it(case):
+    # the numerator route at an exact q ≠ q⋆ against the bracket form built
+    # from the moments, exactly and in the same type
+    q, c = case
+    m = moments(c.n, q)
+    slope = 2 * c.a - 2 * c.b - 8 / c.m_rho_sq
+    want = (c.b * m.i2_prime + slope * m.var) * m.i1 / c.n
+    got = f_red_prime_q(c, q)
+    assert type(got) is type(want)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "q",
+    [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 3), 0, 1, 2, Q5(1), Q5(-1, 1),
+     Q5(0, 1), Q5(-3, 1)],
+    ids=repr,
+)
+def test_f_red_prime_rejects_an_exact_q_outside_the_domain(q):
+    # the numerator route raises the message of moments, which the route
+    # through the moments raised
+    c = synthesize_consistent_ab(Fraction(-1), 12)
+    with pytest.raises(ValueError) as want:
+        moments(12, q)
+    assert str(want.value) == f"weight ratio must satisfy 0 < q < 1, got {q!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        f_red_prime_q(c, q)
 
 
 def test_f_red_prime_degenerate_family():

@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -73,6 +74,54 @@ def test_mixed_scalar_arithmetic():
     assert Fraction(1, 2) - x == -Q5(0, Fraction(1, 3))
     assert x / Fraction(1, 3) == Q5(Fraction(3, 2), 1)
     assert (Fraction(1, 3) / x) * x == Q5(Fraction(1, 3))
+
+
+def _isinstance_coords(value):
+    """The exactness test as an ``isinstance`` chain alone, with no dispatch
+    on the exact type first: the reference for ``_coords``."""
+    if isinstance(value, Q5):
+        return value._p, value._q, value._d
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+class _Q5(Q5):
+    __slots__ = ()
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**30),
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_coords_dispatch_agrees_with_the_isinstance_chain(p, d, q, f):
+    import numpy as np
+
+    sub = object.__new__(_Q5)
+    sub._p, sub._q, sub._d = p, q, d
+    values = [
+        p, True, False, Fraction(p, d), _q5(p, q, d), sub, _Int(p), _Fraction(p, d),
+        np.int64(p % 2**62), np.int8(p % 100), np.float64(f), f, Decimal(p), None, "1",
+    ]
+    for value in values:
+        got = qfield._coords(value)
+        assert got == _isinstance_coords(value)
+        assert got is None or all(type(x) is type(y) for x, y in zip(got, _isinstance_coords(value)))
+    assert qfield._coords(True) is None and qfield._coords(np.int64(3)) is None
+    assert qfield._coords(_Int(p)) == (p, 0, 1)
 
 
 def test_float_mixing_is_rejected():

@@ -778,6 +778,18 @@ def test_variational_check_random_families():
         assert rep.passed()
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_variational_report_carries_the_dense_curvature(seed):
+    # the report's κ is read off the Schur complement the check forms: the
+    # dense_curvature of the same family and θ, bit for bit
+    rng = random.Random(seed)
+    fam = random_family(rng.randrange(3, 13), rng, n_terms=rng.randrange(0, 4))
+    theta = rng.uniform(-2.0, 1.0)
+    rep = variational_check(fam, theta, trials=5, rng=rng)
+    assert rep.kappa.hex() == dense_curvature(fam, theta).hex()
+    assert rep == (rep.theta, rep.minimizer_gap, rep.min_pivot, 5, rep.kappa)
+
+
 def _variational_reference(fam, theta, trials, rng):
     """The gap in the 2-norm and the smallest eigenvalue of expression(Y) − S
     over the trials, in numpy, one coupling and one eigvalsh call per trial,

@@ -1,5 +1,5 @@
-import sys
+"""``python -m goldenschur``: the command line, through :func:`.cli.run`."""
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+run()

@@ -177,6 +177,8 @@ def _exact_numerators(n: int, q: Fraction | Q5) -> tuple[_Ring, int, _Ring, tupl
     """
     if isinstance(q, Fraction):
         a, b = q.numerator, q.denominator
+        if type(a) is not int or type(b) is not int:  # numpy integers wrap
+            a, b = int(a), int(b)
     else:
         a, b = q, 1
     an, bn, c = a**n, b**n, b - a
@@ -445,6 +447,8 @@ def folded_weights(n: int, q: Scalar) -> list[Scalar]:
     the lane that :func:`sums_closed` takes q to."""
     sums = sums_closed(n, q)
     q, s0 = sums.q, sums.s0
+    if isinstance(q, Fraction):  # numpy integers wrap
+        q = Fraction(int(q.numerator), int(q.denominator))
     out = []
     p = q * 0 + 1
     for _ in range(n):

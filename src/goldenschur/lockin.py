@@ -184,9 +184,19 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     about 1e-16 of 8/m_ρ², and a slope formed from it is −2B, not −B·Λ.  A
     slope too large for a float is a ValueError, as a coefficient is.
     """
+    return _f_red_prime(coeffs, q, _slope(coeffs))
+
+
+def _slope(coeffs: QuadLawCoeffs) -> Fraction | Q5:
+    """The exact slope ``2A − 2B − 8/m_ρ²`` of :func:`f_red_prime_q`."""
+    return 2 * coeffs.a - 2 * coeffs.b - 8 / coeffs.m_rho_sq
+
+
+def _f_red_prime(coeffs: QuadLawCoeffs, q: Scalar, slope: Fraction | Q5) -> Scalar:
+    """:func:`f_red_prime_q` with its slope given, for a scan that forms it
+    once."""
     (_, b, _), q = _route(coeffs, q)
     n = coeffs.n
-    slope = 2 * coeffs.a - 2 * coeffs.b - 8 / coeffs.m_rho_sq
     if isinstance(q, float):  # _route's float lane
         try:
             slope = float(slope)

@@ -76,7 +76,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain, sums_closed
 from .golden import golden_power_table
-from .lockin import QuadLawCoeffs, _route, f_red_prime_q
+from .lockin import QuadLawCoeffs, _f_red_prime, _route, _slope
 from .qfield import QSTAR, GoldenBasis, Q5
 
 if TYPE_CHECKING:
@@ -131,7 +131,7 @@ def sums_bruteforce(n: int, q: Scalar) -> FoldedSums:
 def _bruteforce_numerators(n: int, q: Fraction) -> tuple[int, tuple[int, int, int, int]]:
     """``(b^N, (h₀, h₁, h₂, h₃))`` for ``q = a/b``: the integers
     ``h_k = Σ_s s^k·a^s·b^{N−s}`` (Horner in b), so that ``S_k = h_k/b^N``."""
-    a, b = q.numerator, q.denominator
+    a, b = int(q.numerator), int(q.denominator)  # numpy integers wrap
     h0 = h1 = h2 = h3 = 0
     p = 1
     for s in range(1, n + 1):
@@ -224,9 +224,10 @@ def exact_sign_changes(coeffs: QuadLawCoeffs) -> list[tuple[Fraction, Fraction]]
     (63/64, 1) is not seen."""
     intervals = []
     last, last_positive = None, False
+    slope = _slope(coeffs)
     for k in range(1, 64):
         q = Fraction(k, 64)
-        value = f_red_prime_q(coeffs, q)
+        value = _f_red_prime(coeffs, q, slope)
         if value == 0:
             continue
         if last is not None and (value > 0) != last_positive:

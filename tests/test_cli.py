@@ -1883,6 +1883,83 @@ def test_console_script():
     assert "5.458" in proc.stdout
 
 
+def _script_target() -> str:
+    """The ``module:function`` of the ``goldenschur`` script in ``pyproject.toml``
+    (read by hand: Python 3.10 has no ``tomllib``)."""
+    text = (FIXTURES.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    return re.search(r'^goldenschur\s*=\s*"([\w.]+:\w+)"', section.group(1), re.M).group(1)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["lambda", "--N", "12"], 0),
+        (["stationarity", "--B=0"], 1),
+        (["moments", "--N", "0", "--q", "1/2"], 2),
+        ([], 2),
+    ],
+    ids=["lambda", "stationarity", "moments", "no-arguments"],
+)
+def test_every_entry_point_prints_the_same_bytes_and_code(argv, code):
+    # the console script as pip writes it, and both module runs
+    module, function = _script_target().split(":")
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    runs = [
+        subprocess.run(
+            [sys.executable, *entry, *argv],
+            cwd=FIXTURES.parent.parent, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, timeout=120,
+        )
+        for entry in (["-c", script], ["-m", "goldenschur"], ["-m", "goldenschur.cli"])
+    ]
+    got = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    assert got[0][0] == code, got[0][2].decode()
+    assert got[0][1] or got[0][2]
+    assert got[1:] == [got[0]] * 2
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    import gc
+
+    before = gc.get_freeze_count(), gc.isenabled()
+    for argv in (["lambda", "--N", "12"], ["stationarity", "--B=0"], ["verify", "--suite", "lockin"]):
+        run_cli(capsys, *argv)
+    with pytest.raises(SystemExit):
+        main([])
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize("outcome", [0, 1, 2, SystemExit(2), RuntimeError("boom")])
+def test_run_freezes_the_heap_before_it_exits(monkeypatch, outcome):
+    from goldenschur import cli
+
+    events = []
+
+    def fake_main():
+        events.append("main")
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def fake_exit(code):
+        events.append(("exit", code))
+        raise SystemExit(code)
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli.sys, "exit", fake_exit)
+    with pytest.raises(type(outcome) if isinstance(outcome, BaseException) else SystemExit) as info:
+        cli.run()
+    if isinstance(outcome, BaseException):
+        assert info.value is outcome
+        assert events == ["main", "freeze"]
+    else:
+        assert info.value.code == outcome
+        assert events == ["main", "freeze", ("exit", outcome)]
+
+
 def test_no_arguments_shows_usage(capsys):
     with pytest.raises(SystemExit):
         main([])

@@ -127,6 +127,20 @@ def test_closed_forms_see_only_inexact_scalars(monkeypatch):
     assert sums_closed(12, _SubFraction(2, 7)) == sums_closed(12, Fraction(2, 7))
 
 
+def test_a_fraction_of_numpy_integers_computes_on_python_ints():
+    # kept as int64, a^N and b^N at N = 50 wrap: the sums and moments would
+    # differ from those at Fraction(1, 3), with only a RuntimeWarning
+    q, exact = Fraction(np.int64(1), np.int64(3)), Fraction(1, 3)
+    assert type(q.numerator) is np.int64
+    for route in (sums_closed, moments, sums_bruteforce):
+        got, want = route(50, q), route(50, exact)
+        assert got == want
+        assert [type(x) for x in got[2:]] == [Fraction] * len(got[2:])
+    weights = folded_weights(50, q)
+    assert weights == folded_weights(50, exact)
+    assert all(type(x.numerator) is int for x in weights)
+
+
 @pytest.mark.parametrize("q", [np.float32(0.5), Decimal("0.5")])
 def test_a_scalar_that_a_float_equals_runs_as_that_float(q):
     # a numpy.float32 runs in double precision, and a Decimal as the float it

@@ -142,6 +142,17 @@ def test_numpy_integer_coefficients_compute_as_python_ints():
             assert f_red_prime_q(narrow, q) == f_red_prime_q(wide, q)
 
 
+def test_f_red_prime_at_a_fraction_of_numpy_integers_computes_on_python_ints():
+    # the numerators of q = 1/3 at N = 50 wrap in int64
+    import numpy as np
+
+    q = Fraction(np.int64(1), np.int64(3))
+    for coeffs in (QuadLawCoeffs(Fraction(1, 2), 3, 50), synthesize_consistent_ab(-1, 50)):
+        got, want = f_red_prime_q(coeffs, q), f_red_prime_q(coeffs, Fraction(1, 3))
+        assert got == want
+        assert type(got) is type(want)
+
+
 @pytest.mark.parametrize("position", range(3))
 def test_coeffs_reject_nan(position):
     with pytest.raises(ValueError, match=f"^coefficient {_NAMES[position]} must be finite, got nan$"):
@@ -570,6 +581,21 @@ def test_stationarity_check_brackets_golden_ratio(b):
     (lo, hi), = exact_sign_changes(c)
     assert (lo, hi) == (Fraction(24, 64), Fraction(25, 64))
     assert lo < QSTAR < hi
+
+
+def test_sign_scan_forms_the_slope_once(monkeypatch):
+    from goldenschur import lockin, oracle
+
+    c = synthesize_consistent_ab(Fraction(-1), 12)
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return lockin._slope(coeffs)
+
+    monkeypatch.setattr(oracle, "_slope", counted)
+    assert exact_sign_changes(c) == [(Fraction(24, 64), Fraction(25, 64))]
+    assert calls == [c]
 
 
 def test_zero_coefficients_have_no_stationary_point():

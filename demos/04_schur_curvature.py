@@ -22,7 +22,6 @@ import random
 
 from goldenschur import kappa_convexity_scan, make_family, schur_curvature
 from goldenschur.oracle import (
-    circulant,
     dense_curvature,
     matrix_convexity_check,
     strict_convexity_witness,
@@ -31,9 +30,10 @@ from goldenschur.oracle import (
 
 N = 8
 u = [math.cos(2 * math.pi * k / N) for k in range(N)]
-c0 = circulant([2.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5])
-c1 = circulant([1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5])
-c2 = circulant([1.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0])
+# each coefficient is given by its generator row g, C[i][j] = g[(j − i) mod N]
+c0 = [2.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]
+c1 = [1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]
+c2 = [1.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0]
 fam = make_family(N, 2.0, u, c0, [(1.0, c1), (-0.7, c2)])
 print(f"family: N = {N}, dim B = {fam.split.dim_band}, {len(fam.terms)} exponential terms")
 

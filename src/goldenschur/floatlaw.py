@@ -10,8 +10,8 @@ once.
 
 :func:`quadratic_law_fit` identifies (A, B) of ``κ = A·I₁² + B·Var`` from
 (q, κ) samples.  A float sample is evaluated here; an exact one imports
-:mod:`.folded` inside the call.  So ``schur --fit-law``, which fits the κ
-curve on floats, loads none of the exact layers (``qfield``, ``folded``,
+:mod:`.folded` and :mod:`.qfield` inside the call.  So ``schur --fit-law``,
+which fits the κ curve on floats, loads none of the exact layers (``qfield``, ``folded``,
 ``golden``, ``lockin``) nor :mod:`fractions`.
 """
 
@@ -124,7 +124,8 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
 
     Each sample's I₁ and Var are the moments at its q, in the lane of that
     q: a float q takes :func:`_float_moments`, and any other q
-    :func:`~.folded.moments`.
+    :func:`~.folded.moments`, with an exact κ read on Python ints
+    (:func:`~.qfield._exact_value`).
     """
     if len(points) < 2:
         raise ValueError("need at least two (q, kappa) samples")
@@ -136,9 +137,12 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
             i1, _, _, var, _ = _float_moments(n, q)
         else:
             from .folded import moments
+            from .qfield import _exact_value
 
             mom = moments(n, q)
             i1, var = mom.i1, mom.var
+            exact = _exact_value(kappa)  # on Python ints: a numpy integer wraps
+            kappa = kappa if exact is None else exact
         ms.append(i1 * i1)
         vs.append(var)
         ks.append(kappa)

@@ -20,8 +20,9 @@ each written once, and an exact q stays exact:
 
 * an exact q, a :class:`~fractions.Fraction` or a :class:`~.qfield.Q5`
   other than q⋆, as ``q = a/b`` with (a, b) a Fraction's numerator and
-  denominator or (q, 1) for a Q5: the formula multiplied through by powers
-  of b and of ``c = b − a`` is a polynomial in (a, b)
+  denominator, read as Python ints by :func:`~.qfield._coords`, or (q, 1)
+  for a Q5: the formula multiplied through by powers of b and of
+  ``c = b − a`` is a polynomial in (a, b)
   (:func:`_exact_numerators`), and each sum is normalised once, by one
   ``Fraction(num, den)`` or one field division; so is each moment and I₂′;
 * any other q (:func:`~.qfield._coords` is the one test) enters the float
@@ -73,7 +74,8 @@ from typing import NamedTuple, Sequence, Union
 
 from . import floatlaw
 from .qfield import (
-    PHI, QSTAR, Q5, SQRT5, _coords, _Digits, _format_linear, _int_max_str_digits, _q5,
+    PHI, QSTAR, Q5, SQRT5, _coords, _Digits, _exact_value, _format_linear, _int_max_str_digits,
+    _q5,
 )
 
 __all__ = [
@@ -147,8 +149,9 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     _check_domain(n, q)
     if _is_golden(q):
         return _golden_point(n).sums
-    if _coords(q) is not None:
-        return _sums_closed_exact(n, q)
+    exact = _exact_value(q)
+    if exact is not None:
+        return _sums_closed_exact(n, exact)
     q = floatlaw._as_float(q)
     return FoldedSums(n, q, *floatlaw._closed_sums(n, q))
 
@@ -175,12 +178,10 @@ def _exact_numerators(n: int, q: Fraction | Q5) -> tuple[_Ring, int, _Ring, tupl
     polynomials homogenised, and ``e_k = a·shift(Ã, N·c)_k/c^{k+1}``, so
     ``S_k = g_k − q^N·e_k`` gives ``X_k = b^N·Ã_k − a^N·shift(Ã, N·c)_k``.
     """
-    if isinstance(q, Fraction):
-        a, b = q.numerator, q.denominator
-        if type(a) is not int or type(b) is not int:  # numpy integers wrap
-            a, b = int(a), int(b)
-    else:
+    if isinstance(q, Q5):
         a, b = q, 1
+    else:
+        a, _, b = _coords(q)
     an, bn, c = a**n, b**n, b - a
     eulerian = (1, b, b * (b + a), b * (b * b + 4 * a * b + a * a))
     tail = _shift(eulerian, n * c)
@@ -436,8 +437,9 @@ def moments(n: int, q: Scalar) -> FoldedMoments:
     _check_domain(n, q)
     if _is_golden(q):
         return _golden_point(n).moments
-    if _coords(q) is not None:
-        return _moments_exact(n, q)
+    exact = _exact_value(q)
+    if exact is not None:
+        return _moments_exact(n, exact)
     q = floatlaw._as_float(q)
     return FoldedMoments(n, q, *floatlaw._float_moments(n, q))
 
@@ -447,8 +449,6 @@ def folded_weights(n: int, q: Scalar) -> list[Scalar]:
     the lane that :func:`sums_closed` takes q to."""
     sums = sums_closed(n, q)
     q, s0 = sums.q, sums.s0
-    if isinstance(q, Fraction):  # numpy integers wrap
-        q = Fraction(int(q.numerator), int(q.denominator))
     out = []
     p = q * 0 + 1
     for _ in range(n):

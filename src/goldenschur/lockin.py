@@ -28,9 +28,10 @@ from it by ``B·I₂′·(I₁ − 1)/N``, and where its zeros lie is not decide
 
 Coefficients are exact, and q picks the lane in one place, ``_route``:
 :class:`QuadLawCoeffs` stores an int or a float as the Fraction it equals,
-an exact q (or a given Λ) keeps the whole computation exact, and any other
-enters through :func:`~.floatlaw._as_float` and runs in floats on the
-coefficients rounded once.
+an exact q (or a given Λ), read on Python ints by :mod:`.qfield`, keeps the
+whole computation exact, and any other enters through
+:func:`~.floatlaw._as_float` and runs in floats on the coefficients rounded
+once.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 from .floatlaw import _as_float, _check_size
 from .folded import FoldedMoments, Scalar, _check_domain, _exact_numerators, _is_golden, moments
 from .golden import lambda_n
-from .qfield import QSTAR, Q5, _coords, _q5
+from .qfield import QSTAR, Q5, _coords, _exact_value, _q5
 
 __all__ = [
     "QuadLawCoeffs",
@@ -60,20 +61,18 @@ _Triple = tuple[Scalar, Scalar, Scalar]
 
 
 def _exact(name: str, x: Scalar) -> Fraction | Q5:
-    """A coefficient as the exact value it equals: a Q5 as it is, a rational
-    as a Fraction of Python ints (a numpy integer would wrap), and any other
-    number as the Fraction of the float it enters as
-    (:func:`~.floatlaw._as_float`).  A bool (numpy's too), a NaN, an
-    infinity or a number that no float equals is a ValueError.  A Q5, and a
-    Fraction of Python ints, are returned before the ``numbers`` checks."""
-    if isinstance(x, Q5) or (
-        type(x) is Fraction and type(x.numerator) is int and type(x.denominator) is int
-    ):
-        return x
+    """A coefficient as the exact value it equals.  A Q5, a Fraction and an
+    integer of any type but bool are exact, read on Python ints by
+    :func:`~.qfield._exact_value` (a numpy integer would wrap): a Q5 is kept
+    as it is, and a rational as a Fraction.  Any other number is the
+    Fraction of the float it enters as (:func:`~.floatlaw._as_float`).  A
+    bool (numpy's too), a NaN, an infinity or a number that no float equals
+    is a ValueError."""
+    exact = _exact_value(x)
+    if exact is not None:
+        return exact if type(exact) is Fraction or isinstance(exact, Q5) else Fraction(exact)
     if isinstance(x, bool) or not isinstance(x, numbers.Number):
         raise ValueError(f"coefficient {name} must be a number, got {x!r}")
-    if isinstance(x, numbers.Rational):
-        return Fraction(int(x.numerator), int(x.denominator))
     try:
         f = _as_float(x)
     except ValueError as exc:
@@ -139,9 +138,11 @@ class QuadLawCoeffs(_QuadLawFields):
 
 def _route(coeffs: QuadLawCoeffs, x: Scalar) -> tuple[_Triple, Scalar]:
     """``(A, B, m_ρ²)`` and one scalar (q or Λ) in the lane of that scalar:
-    as they are for an exact x, and as Python floats for any other."""
-    if _coords(x) is not None:
-        return (coeffs.a, coeffs.b, coeffs.m_rho_sq), x
+    as they are for an exact x, which is read on Python ints
+    (:func:`~.qfield._exact_value`), and as Python floats for any other."""
+    exact = _exact_value(x)
+    if exact is not None:
+        return (coeffs.a, coeffs.b, coeffs.m_rho_sq), exact
     return coeffs.as_floats(), float(_as_float(x))
 
 
@@ -289,7 +290,7 @@ def stationarity_check(coeffs: QuadLawCoeffs) -> StationarityReport:
     if n == 1:
         return StationarityReport(1, Fraction(0), None, True, True, 0, ())
     b = coeffs.b
-    c = 2 * coeffs.a - 2 * b - 8 / coeffs.m_rho_sq
+    c = _slope(coeffs)
     bracket = b * lambda_n(n) + c
     stationary = bracket == 0
     # the signs of the bracket's limits at q → 0⁺ and q → 1⁻; equal at N = 2

@@ -77,7 +77,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain, sums_closed
 from .golden import golden_power_table
 from .lockin import QuadLawCoeffs, _f_red_prime, _route, _slope
-from .qfield import QSTAR, GoldenBasis, Q5
+from .qfield import QSTAR, GoldenBasis, Q5, _coords
 
 if TYPE_CHECKING:
     import random
@@ -131,7 +131,7 @@ def sums_bruteforce(n: int, q: Scalar) -> FoldedSums:
 def _bruteforce_numerators(n: int, q: Fraction) -> tuple[int, tuple[int, int, int, int]]:
     """``(b^N, (h₀, h₁, h₂, h₃))`` for ``q = a/b``: the integers
     ``h_k = Σ_s s^k·a^s·b^{N−s}`` (Horner in b), so that ``S_k = h_k/b^N``."""
-    a, b = int(q.numerator), int(q.denominator)  # numpy integers wrap
+    a, _, b = _coords(q)
     h0 = h1 = h2 = h3 = 0
     p = 1
     for s in range(1, n + 1):

@@ -36,14 +36,20 @@ after it).  The golden-point values that ``moments --q phi^-2`` prints, and
 digits of F_N and L_N (:mod:`.folded`), and :func:`exact_forms` is the
 oracle it is tested against.
 
-:func:`_coords` is the one test of exactness for every lane of the package:
-an int that is not a bool, a Fraction or a Q5 is exact, and anything else
-takes the float lane.
+:func:`_coords` is the one reader of exact values for every lane of the
+package: a Q5, a Fraction (of any subclass) and an integer of any type but
+bool (any :class:`numbers.Integral`, numpy's too) are exact, and anything
+else takes the float lane.  It returns their integers as Python ints: a
+Fraction's numerator and denominator, and an integer that is not a Python
+int, are converted with ``int()`` there and nowhere else, since a numpy
+integer would wrap.  A caller that keeps the value itself, not its
+coordinates, reads it with :func:`_exact_value`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from fractions import Fraction
 from typing import Union
@@ -63,32 +69,53 @@ _Coords = tuple[int, int, int]
 
 
 def _coords(value: object) -> _Coords | None:
-    """``(p, q, d)`` of an exact scalar, a Q5, an int that is not a bool or a
-    Fraction; None for anything else (floats too).  The exact types are
-    dispatched first, the subclasses by the ``isinstance`` chain."""
+    """``(p, q, d)`` as Python ints of a Q5, a Fraction or an integer that is
+    not a bool; None for anything else (floats too).  The exact types are
+    dispatched first, the subclasses by the ``isinstance`` chain, and any
+    other integer type by ``numbers.Integral`` last."""
     t = type(value)
     if t is Q5:
         return value._p, value._q, value._d
-    if t is Fraction:
-        return value.numerator, 0, value.denominator
+    if t is Fraction or t is not int and isinstance(value, Fraction):
+        p, d = value.numerator, value.denominator
+        if type(p) is not int or type(d) is not int:
+            p, d = int(p), int(d)
+        return p, 0, d
     if t is int:
         return value, 0, 1
     if isinstance(value, Q5):
         return value._p, value._q, value._d
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value, 0, 1
-    if isinstance(value, Fraction):
-        return value.numerator, 0, value.denominator
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value), 0, 1
     return None
 
 
-def _rational(x: object) -> Fraction:
-    """An int (not a bool) or a Fraction as a Fraction; TypeError for anything else."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__} {x!r}")
+def _exact_value(value: object) -> Q5 | Fraction | int | None:
+    """An exact scalar as a value on Python ints, for callers that keep the
+    value: a Q5, an int and a Fraction of Python ints as they are, any other
+    Fraction or integer rebuilt from :func:`_coords`; None if inexact."""
+    t = type(value)
+    if t is Q5 or t is int:
+        return value
+    if isinstance(value, Fraction):
+        if type(value.numerator) is int and type(value.denominator) is int:
+            return value
+        p, _, d = _coords(value)
+        return Fraction(p, d)
+    x = _coords(value)
+    if x is None:
+        return None
+    return value if isinstance(value, Q5) else x[0]
+
+
+def _rational_coords(x: object) -> tuple[int, int]:
+    """``(numerator, denominator)`` of a coordinate of :class:`Q5` or
+    :class:`GoldenBasis`, as :func:`_coords` reads it; a TypeError for a Q5
+    and for anything inexact."""
+    c = None if isinstance(x, Q5) else _coords(x)
+    if c is None:
+        raise TypeError(f"expected an int or a Fraction, got {type(x).__name__} {x!r}")
+    return c[0], c[2]
 
 
 def _q5(p: int, q: int, d: int) -> "Q5":
@@ -212,23 +239,21 @@ def _div(x: _Coords, y: _Coords, message: str) -> "Q5":
 class Q5:
     """An element ``a + b·√5`` of Q(√5), stored as ``(p + q·√5)/d`` in ints.
 
-    ``Q5(a, b)`` takes int or Fraction coordinates; ``.a`` and ``.b`` return
-    them as Fractions.  Arithmetic is closed and total; division by a nonzero
-    element is exact via the Galois conjugate (the field norm ``a² − 5b²``
-    vanishes only at zero, since √5 is irrational), and needs no norm when
-    the divisor is rational.  Ints and Fractions mix freely on either side
-    of every operator; floats are rejected.
+    ``Q5(a, b)`` takes integer or Fraction coordinates; ``.a`` and ``.b``
+    return them as Fractions.  Arithmetic is closed and total; division by a
+    nonzero element is exact via the Galois conjugate (the field norm
+    ``a² − 5b²`` vanishes only at zero, since √5 is irrational), and needs no
+    norm when the divisor is rational.  Integers and Fractions mix freely on
+    either side of every operator; floats are rejected.
     """
 
     __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a: _RationalLike = 0, b: _RationalLike = 0) -> None:
-        a, b = _rational(a), _rational(b)
-        # over lcm(den a, den b) the triple is already in lowest terms
-        d = math.lcm(a.denominator, b.denominator)
-        self._p = a.numerator * (d // a.denominator)
-        self._q = b.numerator * (d // b.denominator)
-        self._d = d
+        (pa, da), (pb, db) = _rational_coords(a), _rational_coords(b)
+        # over lcm(da, db) the triple is already in lowest terms
+        d = math.lcm(da, db)
+        self._p, self._q, self._d = pa * (d // da), pb * (d // db), d
 
     @property
     def a(self) -> Fraction:
@@ -406,7 +431,7 @@ class GoldenBasis:
     __slots__ = ("_c0", "_c1")
 
     def __init__(self, c0: _RationalLike = 0, c1: _RationalLike = 0) -> None:
-        self._c0, self._c1 = _rational(c0), _rational(c1)
+        self._c0, self._c1 = (Fraction(*_rational_coords(c)) for c in (c0, c1))
 
     @property
     def c0(self) -> Fraction:

@@ -55,7 +55,7 @@ import math
 import sys
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add, eq, mul, neg, sub
+from operator import add, eq, index, mul, neg, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -201,6 +201,19 @@ def _number(value: object, field: str) -> float:
     raise ValueError(f"{field}: {reason}")
 
 
+def _size(n: object) -> int:
+    """N of a family as a Python int: an integer of any type but bool
+    (numpy's too), at least 3 so that the band B has dimension N − 2 > 0.
+    Anything else, a float included, is a ValueError."""
+    try:
+        size = None if isinstance(n, bool) else index(n)
+    except TypeError:
+        size = None
+    if size is None or size < 3:
+        raise ValueError(f"N must be an integer >= 3, got {n!r}")
+    return size
+
+
 def _floats(x: object, field: str, depth: int = 2) -> object:
     """A number, or sequences of them nested at most ``depth`` deep (numpy
     arrays included), as a float or lists of floats, each number read by
@@ -267,10 +280,10 @@ def build_split(n: int, m_rho_sq: float, u_raw: Sequence[float]) -> SplitGeometr
     ``u_raw`` is shifted to mean zero and normalized; a direction with a
     non-finite entry, or parallel to the uniform vector (or zero), is rejected
     since the collective mode would be undefined or collapse onto the simplex
-    constraint.  m_ρ² and each entry of ``u_raw`` are read by :func:`_number`.
+    constraint.  n is read by :func:`_size`, and m_ρ² and each entry of
+    ``u_raw`` by :func:`_number`.
     """
-    if n < 3:
-        raise ValueError(f"split needs n >= 3 (band dimension n-2 > 0), got n={n}")
+    n = _size(n)
     m_rho_sq = _number(m_rho_sq, "m_rho_sq")
     if not m_rho_sq > 0:
         raise ValueError(f"m_rho_sq must be positive, got {m_rho_sq}")
@@ -433,10 +446,11 @@ def make_family(
 ) -> HessianFamily:
     """Assemble and validate a Hessian family.
 
-    Each coefficient is an (n, n) matrix or the length-n generator row g of
-    the circulant ``C[i, j] = g[(j − i) mod n]``, as nested sequences or a
-    numpy array, and is stored as circ(r), r its symmetrised first row.  Each
-    number is read by :func:`_number`, which names the field it refuses.
+    ``n`` is read by :func:`_size`.  Each coefficient is an (n, n) matrix or
+    the length-n generator row g of the circulant ``C[i, j] = g[(j − i) mod
+    n]``, as nested sequences or a numpy array, and is stored as circ(r), r
+    its symmetrised first row.  Each number is read by :func:`_number`, which
+    names the field it refuses.
     Validation collects *all* violations — bad shapes, non-finite entries, a
     C farther than EQUIVARIANCE_TOL·max(1, ‖C‖_F) from circ(r), indefiniteness
     — and raises one :class:`FamilyValidationError` listing every offender.
@@ -446,6 +460,7 @@ def make_family(
     nothing.
     """
     split = build_split(n, m_rho_sq, u_raw)
+    n = split.n
     violations: list[str] = []
     built = []
     for k, (s, c) in enumerate([(0.0, c0), *terms]):
@@ -469,8 +484,9 @@ def make_family(
 
 
 def _matrix_from_spec(obj: object, n: int, name: str) -> list:
-    """Decode a matrix entry: circulant generator (kept as its row), nested
-    rows, or flat row-major, as a row or as n rows of n floats."""
+    """Decode a matrix entry, a circulant generator (kept as its row) or
+    nested rows, as a row or as n rows of n floats.  Any other list, a flat
+    row-major one included, is refused."""
     if isinstance(obj, dict):
         if set(obj.keys()) != {"circulant"}:
             raise ValueError(f"{name}: matrix object must have exactly the key 'circulant'")
@@ -481,10 +497,9 @@ def _matrix_from_spec(obj: object, n: int, name: str) -> list:
     if isinstance(obj, list):
         if len(obj) == n and all(isinstance(row, list) and len(row) == n for row in obj):
             return _floats(obj, name)
-        if len(obj) == n * n and not any(isinstance(x, list) for x in obj):
-            flat = _floats(obj, name, 1)
-            return [flat[i : i + n] for i in range(0, n * n, n)]
-        raise ValueError(f"{name}: expected {n} rows of {n} numbers or a flat list of {n * n}")
+        raise ValueError(
+            f'{name}: expected {n} rows of {n} numbers or {{"circulant": [{n} numbers]}}'
+        )
     raise ValueError(f"{name}: unsupported matrix encoding {type(obj).__name__}")
 
 
@@ -492,16 +507,15 @@ def family_from_dict(data: dict) -> HessianFamily:
     """Build and validate a family from the JSON document form.
 
     Schema: ``{"N": int, "m_rho_sq": number, "u": [numbers], "C0": matrix,
-    "terms": [{"s": number, "C": matrix}]}`` where a matrix is either dense
-    (nested rows or flat row-major) or ``{"circulant": [generator]}``.
+    "terms": [{"s": number, "C": matrix}]}`` where a matrix is either N rows
+    of N numbers or ``{"circulant": [generator]}``; a flat row-major list is
+    refused.  N is read by :func:`_size`.
     """
     required = {"N", "m_rho_sq", "u", "C0", "terms"}
     missing = required - set(data.keys())
     if missing:
         raise ValueError(f"family document missing keys: {sorted(missing)}")
-    n = data["N"]
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"N must be an integer >= 3, got {n!r}")
+    n = _size(data["N"])
     u = data["u"]
     if not isinstance(u, list) or len(u) != n:
         raise ValueError(f"u must be a list of {n} numbers")

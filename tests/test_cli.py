@@ -1255,9 +1255,9 @@ def _set(key, value):
         (_set("C0", {"circ": [1.0] * 6}), "C0: matrix object must have exactly the key 'circulant'"),
         (_set("C0", {"circulant": [1.0] * 5}), "C0: circulant generator must be a list of 6 numbers"),
         (_set_term(1, "C", [[1.0] * 6] * 5),
-         "terms[1].C: expected 6 rows of 6 numbers or a flat list of 36"),
+         'terms[1].C: expected 6 rows of 6 numbers or {"circulant": [6 numbers]}'),
         (_set_term(1, "C", [1.0] * 35),
-         "terms[1].C: expected 6 rows of 6 numbers or a flat list of 36"),
+         'terms[1].C: expected 6 rows of 6 numbers or {"circulant": [6 numbers]}'),
         (_set("C0", "identity"), "C0: unsupported matrix encoding str"),
         (_set("N", 2), "N must be an integer >= 3, got 2"),
         (_set("N", 6.0), "N must be an integer >= 3, got 6.0"),

@@ -142,6 +142,19 @@ def test_numpy_integer_coefficients_compute_as_python_ints():
             assert f_red_prime_q(narrow, q) == f_red_prime_q(wide, q)
 
 
+class _SubFraction(Fraction):
+    pass
+
+
+def test_a_fraction_subclass_coefficient_is_stored_as_a_fraction():
+    # a Q5 stays a Q5, and every rational coefficient is a plain Fraction, so
+    # the exact derivative at a Fraction q is a Fraction
+    coeffs = QuadLawCoeffs(_SubFraction(1, 2), _SubFraction(-3), 12, _SubFraction(2))
+    assert [type(x) for x in (coeffs.a, coeffs.b, coeffs.m_rho_sq)] == [Fraction] * 3
+    assert type(f_red_prime_q(coeffs, Fraction(1, 3))) is Fraction
+    assert type(QuadLawCoeffs(QSTAR, 1, 12).a) is Q5
+
+
 def test_f_red_prime_at_a_fraction_of_numpy_integers_computes_on_python_ints():
     # the numerators of q = 1/3 at N = 50 wrap in int64
     import numpy as np

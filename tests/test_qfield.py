@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import numbers
 import operator
 import random
 import sys
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 from goldenschur import cli, qfield
 from goldenschur.cli import _exact_strs, _unlimited_int_digits
+from goldenschur.floatlaw import quadratic_law_fit
 from goldenschur.folded import _golden_exact_forms, moments, sums_closed
 from goldenschur.golden import lambda_n
+from goldenschur.lockin import QuadLawCoeffs, bracket_residual, f_red_prime_q
 from goldenschur.oracle import fibonacci
 from goldenschur.qfield import (
     PHI,
@@ -77,14 +80,15 @@ def test_mixed_scalar_arithmetic():
 
 
 def _isinstance_coords(value):
-    """The exactness test as an ``isinstance`` chain alone, with no dispatch
-    on the exact type first: the reference for ``_coords``."""
+    """The exactness rule as an ``isinstance`` chain alone, with no dispatch
+    on the exact type first: the reference for ``_coords``.  An integer of
+    any type but bool is exact, and every integer is read as a Python int."""
     if isinstance(value, Q5):
         return value._p, value._q, value._d
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value, 0, 1
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value), 0, 1
     if isinstance(value, Fraction):
-        return value.numerator, 0, value.denominator
+        return int(value.numerator), 0, int(value.denominator)
     return None
 
 
@@ -114,13 +118,16 @@ def test_coords_dispatch_agrees_with_the_isinstance_chain(p, d, q, f):
     sub._p, sub._q, sub._d = p, q, d
     values = [
         p, True, False, Fraction(p, d), _q5(p, q, d), sub, _Int(p), _Fraction(p, d),
-        np.int64(p % 2**62), np.int8(p % 100), np.float64(f), f, Decimal(p), None, "1",
+        np.int64(p % 2**62), np.int8(p % 100), np.uint64(d % 2**64), np.bool_(True),
+        Fraction(np.int64(p % 2**62), np.int64(d % 2**62 + 1)), _Fraction(np.int16(p % 100)),
+        np.float64(f), f, Decimal(p), None, "1",
     ]
     for value in values:
         got = qfield._coords(value)
         assert got == _isinstance_coords(value)
-        assert got is None or all(type(x) is type(y) for x, y in zip(got, _isinstance_coords(value)))
-    assert qfield._coords(True) is None and qfield._coords(np.int64(3)) is None
+        assert got is None or all(type(x) is int for x in got)
+    assert qfield._coords(True) is None and qfield._coords(np.bool_(True)) is None
+    assert qfield._coords(np.int64(3)) == (3, 0, 1)
     assert qfield._coords(_Int(p)) == (p, 0, 1)
 
 
@@ -1137,3 +1144,103 @@ def test_golden_moments_print_with_at_most_one_isqrt(monkeypatch, capsys):
     values = (*s.as_tuple(), *m[2:])
     needed = max((2 * abs(v._q) * 10**12).bit_length() + 32 for v in values)
     assert needed <= qfield._sqrt5_cache[0] < 1.1 * needed
+
+
+# ---------------------------------------------------------------------------
+# one reader of exact values: integers of any type are read as Python ints
+# ---------------------------------------------------------------------------
+
+_NUMPY_INTEGERS = (
+    "int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64",
+)
+
+
+def _held_ints(x):
+    """The integers that an exact value holds."""
+    if isinstance(x, Q5):
+        return x._p, x._q, x._d
+    if isinstance(x, GoldenBasis):
+        return (*_held_ints(x.c0), *_held_ints(x.c1))
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return ()
+
+
+def _assert_same(got, want):
+    """got equals want, with the same type throughout, and every integer an
+    exact value of got holds is a Python int."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+        return
+    assert got == want
+    assert all(type(i) is int for i in _held_ints(got)), got
+
+
+def _outcome(call, *args):
+    """call's result, or the type and text of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _exact_results(a, d, c, n, cast):
+    """What each exact route returns for q = a/d, an integer c and size n,
+    with every integer passed through ``cast`` first."""
+    q, c_ = Fraction(cast(a), cast(d)), cast(c)
+    x, y = Q5(q, c_), Q5(c_, Fraction(cast(a), cast(d + 1)))
+    field = (x + y, x - y, x * y, x / y, x**12, y**-3, c_ - x, c_ * y, q / x, q - y, x == c_)
+    coeffs = QuadLawCoeffs(c_, q, n, cast(d))
+    samples = [(q, c_), (Fraction(cast(a), cast(d + 1)), Fraction(cast(c), cast(d)))]
+    return (
+        Q5(c_), GoldenBasis(q, c_), GoldenBasis(c_, q).to_q5(), field,
+        decimal_str(q, 30), decimal_str(c_, 3), decimal_str(x, 30), exact_forms(q, c_, x, y),
+        sums_closed(n, q), moments(n, q), coeffs, f_red_prime_q(coeffs, q),
+        bracket_residual(coeffs), bracket_residual(coeffs, c_),
+        _outcome(quadratic_law_fit, samples, n),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 126), st.integers(1, 126), st.integers(-126, 126), st.integers(3, 40))
+def test_numpy_integers_give_the_values_and_types_of_python_ints(a, gap, c, n):
+    # q = a/(a + gap) lies in (0, 1); every integer is cast to each numpy type
+    # that holds it, and each route gives what Python ints give, with no
+    # warning (a RuntimeWarning is an error here)
+    import numpy as np
+
+    d = a + gap
+    want = _exact_results(a, d, c, n, int)
+    for name in _NUMPY_INTEGERS:
+        info = np.iinfo(name)
+        if info.min <= min(c, a) and d + 1 <= info.max:
+            _assert_same(_exact_results(a, d, c, n, np.dtype(name).type), want)
+
+
+def test_power_of_a_q5_of_numpy_integers_does_not_wrap():
+    # its coordinates were kept as int64, and the 40th power wrapped with only
+    # a RuntimeWarning
+    import numpy as np
+
+    third = Fraction(np.int64(1), np.int64(3))
+    got = Q5(third, third) ** 40
+    _assert_same(got, Q5(Fraction(1, 3), Fraction(1, 3)) ** 40)
+
+
+def test_numpy_integers_are_exact_where_python_ints_are():
+    # decimal_str raised OverflowError, a numpy-integer Λ took the float lane,
+    # B·Λ wrapped for a Fraction of numpy integers, and an int64 κ overflowed
+    # inside the fit
+    import numpy as np
+
+    third = Fraction(np.int64(1), np.int64(3))
+    assert decimal_str(third, 25) == "0." + "3" * 25
+    _assert_same(bracket_residual(QuadLawCoeffs(1, 2, 12), np.int64(4)), Fraction(2))
+    coeffs, lam = QuadLawCoeffs(1, 2**40, 12), Fraction(np.int64(2**62), np.int64(3))
+    _assert_same(bracket_residual(coeffs, lam), bracket_residual(coeffs, Fraction(2**62, 3)))
+    big = Fraction(np.int64(2**61), np.int64(7))
+    got = quadratic_law_fit([(third, big), (Fraction(1, 2), np.int64(5))], 12)
+    _assert_same(got, quadratic_law_fit([(Fraction(1, 3), Fraction(2**61, 7)), (Fraction(1, 2), 5)], 12))

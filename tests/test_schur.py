@@ -364,6 +364,29 @@ def test_make_family_reads_numpy_values_and_ints_as_floats():
     assert fam.base.c == fam.terms[0].c == (4.0, 1.0, 0.0, 1.0)
 
 
+def test_family_size_is_read_as_a_python_int():
+    # an integer of any type sizes a family as the Python int it equals, so κ
+    # is a Python float; a bool or a float is refused with the message that
+    # family files get, not a bare TypeError from range()
+    g = [2.0, 0.5, 0.0, 0.5]
+    ref = make_family(4, 2.0, _U4, g, [(1.0, g)])
+    for n in (np.int64(4), np.uint8(4), np.int16(4)):
+        fam = make_family(n, 2.0, _U4, g, [(1.0, g)])
+        assert type(fam.n) is int and type(fam.split.n) is int
+        kappa = schur_curvature(fam, -0.5)
+        assert type(kappa) is float and kappa == schur_curvature(ref, -0.5)
+        assert type(build_split(n, 2.0, _U4).n) is int
+    doc = family_doc()
+    doc["N"] = np.int64(6)
+    assert type(family_from_dict(doc).n) is int
+    for n in (4.0, np.float64(4.0), True, np.True_, 2, np.int64(2), "4", None):
+        message = f"N must be an integer >= 3, got {n!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            make_family(n, 2.0, _U4, g, [(1.0, g)])
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build_split(n, 2.0, _U4)
+
+
 # ---------------------------------------------------------------------------
 # family construction and validation
 # ---------------------------------------------------------------------------
@@ -1616,11 +1639,14 @@ def test_family_from_dict_circulant_and_dense_agree():
 
 
 def test_family_from_dict_flat_matrix():
-    doc = family_doc()
-    flat = dict(doc)
+    # a flat row-major list is not an encoding: it is refused, with the field
+    # and the two encodings named, even where its rows are a valid circulant
+    flat = family_doc()
     flat["C0"] = [x for row in circulant([2.5, 0.5, 0, 0, 0, 0.5]) for x in row]
-    fam = family_from_dict(flat)
-    assert fam.base.c == family_from_dict(doc).base.c
+    message = 'C0: expected 6 rows of 6 numbers or {"circulant": [6 numbers]}'
+    with pytest.raises(ValueError) as info:
+        family_from_dict(flat)
+    assert str(info.value) == message
 
 
 def _nested_rows_doc(kind):

@@ -93,12 +93,6 @@ def _exact_strs(
     ]
 
 
-def _check_digits(digits: int) -> None:
-    """Reject a negative ``--digits`` whatever the format (decimal_str's message)."""
-    if digits < 0:
-        raise ValueError("digits must be >= 0")
-
-
 def _json(doc: object, indent: int | None = None) -> str:
     """The CLI's json: sorted keys, non-ASCII characters escaped."""
     import json
@@ -154,10 +148,11 @@ def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str])
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
+    from .floatlaw import _count
     from .folded import moments, sums_closed
     from .qfield import Q5, decimal_str
 
-    _check_digits(args.digits)
+    _count(args.digits, "digits", 0)  # before anything prints, whatever the format
     q = _parse_q(args.q)
     s = sums_closed(args.N, q)
     m = moments(args.N, q)
@@ -370,11 +365,12 @@ def _cmd_golden_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda(args: argparse.Namespace) -> int:
+    from .floatlaw import _count
     from .folded import _golden_exact_forms
     from .golden import lambda_n
     from .qfield import decimal_str
 
-    _check_digits(args.digits)
+    _count(args.digits, "digits", 0)  # before anything prints, whatever the format
     lam = lambda_n(args.N)
     sqrt5_basis, golden_basis = _golden_exact_forms(args.N, ["lambda"])
     decimal = decimal_str(lam, args.digits)

@@ -13,11 +13,16 @@ once.
 :mod:`.folded` and :mod:`.qfield` inside the call.  So ``schur --fit-law``,
 which fits the κ curve on floats, loads none of the exact layers (``qfield``, ``folded``,
 ``golden``, ``lockin``) nor :mod:`fractions`.
+
+:func:`_count` is the package's one reader of counts (N, digits, seeds, grid
+sizes, indices); it lives here, in a module that imports only :mod:`math` and
+:mod:`operator`, so that every layer, ``schur`` and ``golden`` too, may load it.
 """
 
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -30,15 +35,23 @@ __all__ = ["DEGENERACY_RTOL", "QuadLawFit", "quadratic_law_fit"]
 DEGENERACY_RTOL = 1e-8
 
 
-def _check_size(n: int) -> None:
-    if type(n) is not int or n < 1:  # a bool is not a family size
-        raise ValueError(f"family size must be a positive integer, got {n!r}")
+def _count(value: object, name: str, least: int) -> int:
+    """An integer of any type but bool (numpy's too) as a Python int, at least
+    ``least``; anything else is a ValueError naming ``name``."""
+    if type(value) is int and value >= least:
+        return value
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):  # numpy's bool has none
+        n = index(value)
+        if n >= least:
+            return n
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_domain(n: int, q: Scalar) -> None:
-    _check_size(n)
+def _check_domain(n: int, q: Scalar) -> int:
+    n = _count(n, "N", 1)
     if not 0 < q < 1:  # exact for a Q5, and False for a NaN
         raise ValueError(f"weight ratio must satisfy 0 < q < 1, got {q!r}")
+    return n
 
 
 def _as_float(x: object) -> float:
@@ -129,7 +142,7 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
     """
     if len(points) < 2:
         raise ValueError("need at least two (q, kappa) samples")
-    _check_size(n)
+    n = _count(n, "N", 1)
     ms, vs, ks = [], [], []
     for q, kappa in points:
         if isinstance(q, float):

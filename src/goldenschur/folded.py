@@ -97,12 +97,12 @@ def _is_golden(q: Scalar) -> bool:
     return type(q) is Q5 and q == QSTAR  # the type first: a float q never compares
 
 
-def _check_domain(n: int, q: Scalar) -> None:
+def _check_domain(n: int, q: Scalar) -> int:
+    """N read by :func:`~.floatlaw._count`, and q checked to satisfy 0 < q < 1."""
     # a normalised Fraction has a positive denominator: its integers decide
     if isinstance(q, Fraction) and 0 < q.numerator < q.denominator:
-        floatlaw._check_size(n)
-    else:
-        floatlaw._check_domain(n, q)
+        return floatlaw._count(n, "N", 1)
+    return floatlaw._check_domain(n, q)
 
 
 class FoldedSums(NamedTuple):
@@ -146,7 +146,7 @@ def sums_closed(n: int, q: Scalar) -> FoldedSums:
     off their forms in F_N and L_N.  An inexact q enters the float lane
     through :func:`~.floatlaw._as_float` and runs the formula in float order.
     """
-    _check_domain(n, q)
+    n = _check_domain(n, q)
     if _is_golden(q):
         return _golden_point(n).sums
     exact = _exact_value(q)
@@ -434,7 +434,7 @@ def moments(n: int, q: Scalar) -> FoldedMoments:
     ``Var = 1 − N²/(L_2N − 2)``.  An inexact q (:func:`~.floatlaw._as_float`)
     divides the closed-form sums by S₀.
     """
-    _check_domain(n, q)
+    n = _check_domain(n, q)
     if _is_golden(q):
         return _golden_point(n).moments
     exact = _exact_value(q)
@@ -451,7 +451,7 @@ def folded_weights(n: int, q: Scalar) -> list[Scalar]:
     q, s0 = sums.q, sums.s0
     out = []
     p = q * 0 + 1
-    for _ in range(n):
+    for _ in range(sums.n):
         p = p * q
         out.append(p / s0)
     return out

@@ -12,14 +12,16 @@ built from the four constants ``g_k = Σ_{t≥1} t^k·q⋆^t = (φ⁻¹, 1, √5
 N per process, in one cache that keeps the last 32 sizes.  Λ prints from the
 digits of F_N and L_N, as the moments do, in both the ``lambda`` and the
 ``stationarity`` subcommands: at N = 10⁴ that converts those two integers
-only.  The table is integer arithmetic:
-:mod:`.qfield` and :mod:`.folded` are imported by the functions that compute
-with them, so building the table loads neither.
+only.  The table is integer arithmetic and loads only :mod:`.floatlaw`, the
+reader of counts: :mod:`.qfield` and :mod:`.folded` are imported by the
+functions that compute with them.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
+
+from .floatlaw import _count
 
 if TYPE_CHECKING:
     from .qfield import Q5
@@ -48,13 +50,9 @@ class GoldenPower(NamedTuple):
 def golden_power_table(max_m: int) -> list[GoldenPower]:
     """Rows ``(m, a_m, b_m)`` for m = 0..max_m, from the recurrence
     ``c_{m+2} = 3c_{m+1} − c_m``, the one place it is written."""
-    if type(max_m) is not int:  # a bool is not a table size
-        raise ValueError(f"max_m must be an integer, got {max_m!r}")
-    if max_m < 0:
-        raise ValueError(f"max_m must be nonnegative, got {max_m}")
     rows = []
     a, b, a1, b1 = 0, 1, 1, 0  # q⋆^0 = 1 and q⋆^1 = q⋆
-    for m in range(max_m + 1):
+    for m in range(_count(max_m, "max_m", 0) + 1):
         rows.append(GoldenPower(m, a, b))
         a, a1 = a1, 3 * a1 - a
         b, b1 = b1, 3 * b1 - b
@@ -80,10 +78,9 @@ def lambda_n(n: int) -> Q5:
     ``√5·X < (N − 2)·R``, of two positive sides, so ``5X² < (N − 2)²·R²``.
     At N = 2, X = 0 and Λ = 3.
     """
-    from .floatlaw import _check_size
     from .folded import _golden_point
 
-    _check_size(n)
+    n = _count(n, "N", 1)
     if n == 1:
         raise ValueError("Λ(N) needs N >= 2 (zero variance at N=1)")
     return _golden_point(n).lam

@@ -41,7 +41,7 @@ import numbers
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .floatlaw import _as_float, _check_size
+from .floatlaw import _as_float, _count
 from .folded import FoldedMoments, Scalar, _check_domain, _exact_numerators, _is_golden, moments
 from .golden import lambda_n
 from .qfield import QSTAR, Q5, _coords, _exact_value, _q5
@@ -101,7 +101,7 @@ class QuadLawCoeffs(_QuadLawFields):
     __slots__ = ()
 
     def __new__(cls, a: Scalar, b: Scalar, n: int, m_rho_sq: Scalar = Fraction(2)) -> QuadLawCoeffs:
-        _check_size(n)
+        n = _count(n, "N", 1)
         m2 = _exact("m_rho_sq", m_rho_sq)
         if not m2 > 0:  # exact for a Q5
             raise ValueError(f"m_rho_sq must be positive, got {m2}")
@@ -247,7 +247,7 @@ def synthesize_consistent_ab(
     golden point stationary by construction.
     """
     base = QuadLawCoeffs(0, b, n, m_rho_sq)
-    return QuadLawCoeffs(-bracket_residual(base) / 2, base.b, n, base.m_rho_sq)
+    return QuadLawCoeffs(-bracket_residual(base) / 2, base.b, base.n, base.m_rho_sq)
 
 
 def _sign(x: Fraction | Q5) -> int:

@@ -74,6 +74,7 @@ from functools import lru_cache
 from operator import mul, truediv
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from .floatlaw import _count
 from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain, sums_closed
 from .golden import golden_power_table
 from .lockin import QuadLawCoeffs, _f_red_prime, _route, _slope
@@ -113,7 +114,7 @@ def sums_bruteforce(n: int, q: Scalar) -> FoldedSums:
     :func:`_bruteforce_numerators`) and divides by ``b^N`` once per sum;
     other scalars sum ``s^k·q^s`` as is.
     """
-    _check_domain(n, q)
+    n = _check_domain(n, q)
     if type(q) is Fraction:
         bn, hs = _bruteforce_numerators(n, q)
         return FoldedSums(n, q, *(Fraction(h, bn) for h in hs))
@@ -158,7 +159,7 @@ def moments_from_sums(sums: FoldedSums) -> FoldedMoments:
 def theta_derivatives_fd(n: int, q: float, h: float = 1e-4) -> tuple[float, float]:
     """Central finite differences of I₁, I₂ in θ = ln q (float only)."""
     qf = float(q)
-    _check_domain(n, qf)
+    n = _check_domain(n, qf)
     q_hi = qf * math.exp(h)
     q_lo = qf * math.exp(-h)
     if not q_hi < 1:
@@ -178,8 +179,7 @@ def fibonacci(n: int) -> int:
     of ``a_m = F_{2m}`` and ``b_m = −F_{2m−2}``.  Negative indices use
     ``F_{−m} = (−1)^{m+1}·F_m``.
     """
-    if n < -2:
-        raise ValueError(f"index must be >= -2, got {n}")
+    n = _count(n, "n", -2)
     f, g = 0, 1  # F_k, F_{k+1} for k = 0
     for bit in bin(abs(n))[2:]:
         f, g = f * (2 * g - f), f * f + g * g  # k → 2k
@@ -194,7 +194,7 @@ def sums_at_qstar(n: int) -> FoldedSums:
     ``S_k(q⋆) = (Σ s^k a_s)·q⋆ + Σ s^k b_s`` — pure integer accumulation,
     deliberately independent of the rational closed forms.
     """
-    _check_domain(n, QSTAR)
+    n = _check_domain(n, QSTAR)
     acc_a = [0, 0, 0, 0]
     acc_b = [0, 0, 0, 0]
     for row in golden_power_table(n)[1:]:
@@ -293,7 +293,7 @@ def random_family(n: int, rng: random.Random, *, n_terms: int = 2) -> HessianFam
     c0[0] += 0.5
     terms = [
         (rng.uniform(0.3, 2.0) * rng.choice((-1.0, 1.0)), random_symmetric_psd_circulant(n, rng))
-        for _ in range(n_terms)
+        for _ in range(_count(n_terms, "n_terms", 0))
     ]
     return make_family(n, 2.0, u_raw, c0, terms)
 
@@ -537,8 +537,7 @@ def variational_check(
     :func:`dense_curvature` at θ bit for bit, so a caller that needs both
     builds the dense blocks once.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _count(trials, "trials", 1)
     bb, h_bo, h_oo = block_hessian(fam, theta)
     schur = schur_complement(bb, h_bo, h_oo, context=f"theta={theta:g}")
     bo, oo = [x for (x,) in h_bo], h_oo[0][0]
@@ -602,19 +601,20 @@ def matrix_convexity_check(
 ) -> ConvexityGapReport:
     """Midpoint-style matrix convexity of θ ↦ H(θ) on a t-grid in [0, 1].
 
-    An int ``t_grid`` is that many evenly spaced points.  Each gap is the
-    circulant of one row g, the same combination of the rows of H(θ₁), H(θ₂)
-    and H(tθ₁ + (1−t)θ₂), and the eigenvalues of its symmetric part are the
-    cosine sums ``Σ_t g_t·cos(2πjt/N)``, j = 0 … N//2, over a table kept for
-    each N.
+    A ``t_grid`` that is a count (:func:`~.floatlaw._count`) is that many
+    evenly spaced points.  Each gap is the circulant of one row g, the same
+    combination of the rows of H(θ₁), H(θ₂) and H(tθ₁ + (1−t)θ₂), and the
+    eigenvalues of its symmetric part are the cosine sums
+    ``Σ_t g_t·cos(2πjt/N)``, j = 0 … N//2, over a table kept for each N.
     """
     from .schur import _grid
 
     for name, bound in (("theta1", theta1), ("theta2", theta2)):
         if not math.isfinite(bound):
             raise ValueError(f"{name} = {bound} is not finite")
-    if isinstance(t_grid, int):
-        ts = _grid(0.0, 1.0, t_grid) if t_grid > 1 else [0.0] * t_grid
+    if isinstance(t_grid, str) or not hasattr(t_grid, "__iter__"):  # a count: a str is no grid
+        points = _count(t_grid, "t_grid", 0)
+        ts = _grid(0.0, 1.0, points) if points > 1 else [0.0] * points
     else:
         ts = [float(t) for t in t_grid]
     if not ts:
@@ -689,7 +689,8 @@ def strict_convexity_witness(
     eigenvalues :func:`_symmetric_eigenvalues` finds."""
     from .schur import kappa_convexity_scan
 
-    if not 0 <= term_index < len(fam.terms):
+    term_index = _count(term_index, "term_index", 0)
+    if term_index >= len(fam.terms):
         raise ValueError(f"term index {term_index} out of range")
     term = fam.terms[term_index]
     if term.s == 0:
@@ -697,7 +698,7 @@ def strict_convexity_witness(
     q = band_basis(fam.split)
     witness = max(map(abs, _symmetric_eigenvalues(_matmul(list(zip(*q)), circulant(term.c), q))))
     scan = kappa_convexity_scan(fam, theta_min, theta_max, points)
-    h = (theta_max - theta_min) / (points - 1)
+    h = (theta_max - theta_min) / (len(scan.thetas) - 1)
     floor = scan.min_second_difference / (h * h)
     strict = witness > WITNESS_TOL and scan.min_second_difference > 0
     return StrictWitnessReport(term_index, witness, scan.min_second_difference, floor, strict)

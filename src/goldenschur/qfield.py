@@ -54,6 +54,8 @@ import sys
 from fractions import Fraction
 from typing import Union
 
+from .floatlaw import _count
+
 __all__ = [
     "Q5",
     "GoldenBasis",
@@ -327,8 +329,11 @@ class Q5:
         return _div(x, (self._p, self._q, self._d), "inverse of zero in Q(√5)")
 
     def __pow__(self, exponent: int) -> "Q5":
-        if not isinstance(exponent, int):
-            return NotImplemented
+        if type(exponent) is not int:  # read as any operand: a bool is no exponent
+            x = _coords(exponent)
+            if x is None or x[1] or x[2] != 1:
+                return NotImplemented
+            exponent = x[0]
         base = self.inverse() if exponent < 0 else self
         x = (base._p, base._q, base._d)
         result = _q5(1, 0, 1)
@@ -593,10 +598,10 @@ def decimal_str(value: Q5 | GoldenBasis | Fraction | int, digits: int) -> str:
     is taken again with ``bits(a) + 3`` guard bits for ``a = 2|Q|``, which is
     exact because ``|5a² − m²| ≥ 1`` keeps ``a√5`` more than
     ``2^−(bits(a)+3)`` from every integer m (module docstring): one retry at
-    most, and no integer square root beyond extending the cache.
+    most, and no integer square root beyond extending the cache.  ``digits``
+    is a count (:func:`~.floatlaw._count`): a numpy integer loses no digit.
     """
-    if digits < 0:
-        raise ValueError("digits must be >= 0")
+    digits = _count(digits, "digits", 0)
     if isinstance(value, GoldenBasis):
         value = value.to_q5()
     x = _coords(value)

@@ -55,8 +55,10 @@ import math
 import sys
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add, eq, index, mul, neg, sub
+from operator import add, eq, mul, neg, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+
+from .floatlaw import _count
 
 if TYPE_CHECKING:
     from os import PathLike
@@ -201,19 +203,6 @@ def _number(value: object, field: str) -> float:
     raise ValueError(f"{field}: {reason}")
 
 
-def _size(n: object) -> int:
-    """N of a family as a Python int: an integer of any type but bool
-    (numpy's too), at least 3 so that the band B has dimension N − 2 > 0.
-    Anything else, a float included, is a ValueError."""
-    try:
-        size = None if isinstance(n, bool) else index(n)
-    except TypeError:
-        size = None
-    if size is None or size < 3:
-        raise ValueError(f"N must be an integer >= 3, got {n!r}")
-    return size
-
-
 def _floats(x: object, field: str, depth: int = 2) -> object:
     """A number, or sequences of them nested at most ``depth`` deep (numpy
     arrays included), as a float or lists of floats, each number read by
@@ -280,10 +269,10 @@ def build_split(n: int, m_rho_sq: float, u_raw: Sequence[float]) -> SplitGeometr
     ``u_raw`` is shifted to mean zero and normalized; a direction with a
     non-finite entry, or parallel to the uniform vector (or zero), is rejected
     since the collective mode would be undefined or collapse onto the simplex
-    constraint.  n is read by :func:`_size`, and m_ρ² and each entry of
-    ``u_raw`` by :func:`_number`.
+    constraint.  n is read by :func:`~.floatlaw._count`, at least 3 so that
+    dim B = N − 2 > 0, and m_ρ² and each entry of ``u_raw`` by :func:`_number`.
     """
-    n = _size(n)
+    n = _count(n, "N", 3)
     m_rho_sq = _number(m_rho_sq, "m_rho_sq")
     if not m_rho_sq > 0:
         raise ValueError(f"m_rho_sq must be positive, got {m_rho_sq}")
@@ -446,11 +435,11 @@ def make_family(
 ) -> HessianFamily:
     """Assemble and validate a Hessian family.
 
-    ``n`` is read by :func:`_size`.  Each coefficient is an (n, n) matrix or
-    the length-n generator row g of the circulant ``C[i, j] = g[(j − i) mod
-    n]``, as nested sequences or a numpy array, and is stored as circ(r), r
-    its symmetrised first row.  Each number is read by :func:`_number`, which
-    names the field it refuses.
+    ``n`` is read by :func:`~.floatlaw._count`, at least 3.  Each
+    coefficient is an (n, n) matrix or the length-n generator row g of the
+    circulant ``C[i, j] = g[(j − i) mod n]``, as nested sequences or a numpy
+    array, and is stored as circ(r), r its symmetrised first row.  Each
+    number is read by :func:`_number`, which names the field it refuses.
     Validation collects *all* violations — bad shapes, non-finite entries, a
     C farther than EQUIVARIANCE_TOL·max(1, ‖C‖_F) from circ(r), indefiniteness
     — and raises one :class:`FamilyValidationError` listing every offender.
@@ -509,13 +498,13 @@ def family_from_dict(data: dict) -> HessianFamily:
     Schema: ``{"N": int, "m_rho_sq": number, "u": [numbers], "C0": matrix,
     "terms": [{"s": number, "C": matrix}]}`` where a matrix is either N rows
     of N numbers or ``{"circulant": [generator]}``; a flat row-major list is
-    refused.  N is read by :func:`_size`.
+    refused.  N is read by :func:`~.floatlaw._count`, at least 3.
     """
     required = {"N", "m_rho_sq", "u", "C0", "terms"}
     missing = required - set(data.keys())
     if missing:
         raise ValueError(f"family document missing keys: {sorted(missing)}")
-    n = _size(data["N"])
+    n = _count(data["N"], "N", 3)
     u = data["u"]
     if not isinstance(u, list) or len(u) != n:
         raise ValueError(f"u must be a list of {n} numbers")
@@ -653,8 +642,7 @@ def kappa_convexity_scan(
     """Centered second differences of κ_Schur; a violation is a second
     difference below ``−CONVEXITY_RTOL·max(1, |κ|)`` at its center point,
     with CONVEXITY_RTOL = 1e-8."""
-    if points < 3:
-        raise ValueError("scan needs at least 3 grid points")
+    points = _count(points, "points", 3)
     for name, bound in (("theta_min", theta_min), ("theta_max", theta_max)):
         if not math.isfinite(bound):
             raise ValueError(f"{name} = {bound} is not finite")

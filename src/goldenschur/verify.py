@@ -22,7 +22,7 @@ from operator import mul, sub
 from typing import Iterable, Sequence
 
 from . import reference
-from .floatlaw import quadratic_law_fit
+from .floatlaw import _count, quadratic_law_fit
 from .folded import moments, sums_closed
 from .golden import golden_power_table, lambda_n
 from .lockin import (
@@ -656,10 +656,9 @@ _SUITE_FUNCS = {
 def run_suite(name: str, seed: int = 0) -> ReportDocument:
     """Run one named suite (or ``all``) and return its report.
 
-    ``seed`` must be a non-negative int: :class:`random.Random` would replay
-    the stream of ``-seed`` for a negative one, and accept a float."""
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {seed!r}")
+    ``seed`` is a count (:func:`~.floatlaw._count`): :class:`random.Random`
+    would replay the stream of ``-seed`` for a negative one, and take a float."""
+    seed = _count(seed, "seed", 0)
     if name != "all" and name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if name == "all":

@@ -151,7 +151,7 @@ def test_verify_rejects_negative_seed(capsys, suite):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1")
     assert code == 2
     assert out == ""
-    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert err == "error: seed must be an integer >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("seed", [-7, True, False, 1.0, 7.5], ids=repr)
@@ -163,7 +163,7 @@ def test_run_suite_rejects_a_seed_that_is_not_a_non_negative_int(suite, seed):
     # random.Random(-7) would replay the draws of seed 7, and take a float
     from goldenschur.verify import run_suite
 
-    message = f"--seed must be a non-negative integer, got {seed!r}"
+    message = f"seed must be an integer >= 0, got {seed!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_suite(suite, seed)
 
@@ -379,7 +379,7 @@ def test_lambda_rejects_degenerate(capsys):
 def test_lambda_rejects_a_nonpositive_size(capsys, n):
     code, out, err = run_cli(capsys, "lambda", "--N", n)
     assert (code, out) == (2, "")
-    assert err == f"error: family size must be a positive integer, got {n}\n"
+    assert err == f"error: N must be an integer >= 1, got {n}\n"
 
 
 @pytest.mark.parametrize(
@@ -395,7 +395,7 @@ def test_lambda_rejects_a_nonpositive_size(capsys, n):
 def test_negative_digits_rejected_in_every_format(capsys, argv):
     # rejected before anything is computed or printed, whatever the format
     code, out, err = run_cli(capsys, *argv, "--digits", "-1")
-    assert (code, out, err) == (2, "", "error: digits must be >= 0\n")
+    assert (code, out, err) == (2, "", "error: digits must be an integer >= 0, got -1\n")
 
 
 def test_golden_table(capsys):
@@ -1158,7 +1158,7 @@ def test_schur_rejects_invalid_family(capsys, tmp_path):
 @pytest.mark.parametrize(
     "grid, message",
     [
-        (["-2.0", "-0.1", "2"], "at least 3 grid points"),
+        (["-2.0", "-0.1", "2"], "points must be an integer >= 3, got 2"),
         (["-0.1", "-2.0", "11"], "theta_min < theta_max"),
         (["-0.5", "-0.5", "11"], "theta_min < theta_max"),
         (["--", "-inf", "-0.1", "11"], "theta_min = -inf is not finite"),

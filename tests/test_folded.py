@@ -325,7 +325,7 @@ def test_domain_rejects_bad_n():
     ids=["sums_closed", "sums_bruteforce", "moments", "folded_weights", "sums_at_qstar"],
 )
 def test_size_guards_reject_bool(route, flag):
-    with pytest.raises(ValueError, match=f"family size must be a positive integer, got {flag}"):
+    with pytest.raises(ValueError, match=f"N must be an integer >= 1, got {flag}"):
         route(flag)
 
 

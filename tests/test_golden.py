@@ -88,7 +88,7 @@ def test_golden_power_table_rejects_negative():
 @pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
 def test_golden_power_table_rejects_a_non_integer_size(bad):
     # a bool is not a table size: True would give two rows
-    with pytest.raises(ValueError, match="max_m must be an integer"):
+    with pytest.raises(ValueError, match="max_m must be an integer >= 0"):
         golden_power_table(bad)
 
 
@@ -264,14 +264,14 @@ def test_lambda_rejects_degenerate():
         lambda_n(1)
     # the size guard runs first: N <= 0 is no family at all, not a zero variance
     for n in (0, -3):
-        with pytest.raises(ValueError, match=f"^family size must be a positive integer, got {n}$"):
+        with pytest.raises(ValueError, match=f"^N must be an integer >= 1, got {n}$"):
             lambda_n(n)
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, 12.0, "12", None])
 def test_lambda_rejects_a_non_integer_size(bad):
     # checked before any arithmetic, with the message of every size guard
-    with pytest.raises(ValueError, match="family size must be a positive integer"):
+    with pytest.raises(ValueError, match="N must be an integer >= 1"):
         lambda_n(bad)
 
 

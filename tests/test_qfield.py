@@ -179,6 +179,21 @@ def test_field_axioms_random():
             assert (x / y) * y == x
 
 
+def test_pow_reads_its_exponent_as_the_other_operators_read_an_operand():
+    # QSTAR ** True was QSTAR, while QSTAR + True raised TypeError
+    import numpy as np
+
+    for flag in (True, False, np.True_):
+        with pytest.raises(TypeError):
+            QSTAR**flag
+    for exponent in (np.int64(-5), np.uint8(5), Fraction(-5), Q5(5, 0), Fraction(np.int64(5))):
+        got = QSTAR**exponent
+        assert type(got) is Q5 and got == QSTAR ** (5 if exponent > 0 else -5)
+    for exponent in (Fraction(1, 2), SQRT5, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(TypeError):
+            QSTAR**exponent
+
+
 def test_pow_matches_repeated_multiplication():
     rng = random.Random(7)
     for _ in range(30):

@@ -945,7 +945,7 @@ def test_ldl_verdict_is_the_sign_of_the_smallest_eigenvalue(seed):
 @pytest.mark.parametrize("trials", [0, -3])
 def test_variational_check_rejects_no_trials(trials):
     fam = ring_family()
-    with pytest.raises(ValueError, match="trials must be >= 1"):
+    with pytest.raises(ValueError, match=f"^trials must be an integer >= 1, got {trials}$"):
         variational_check(fam, -0.5, trials=trials, rng=random.Random(0))
 
 
@@ -1493,7 +1493,12 @@ def test_strict_convexity_witness_degenerate():
 
 @pytest.mark.parametrize("index", [-1, 2])
 def test_strict_convexity_witness_rejects_a_bad_term_index(index):
-    with pytest.raises(ValueError, match=f"^term index {index} out of range$"):
+    # a negative index is no count; one past the terms is out of range
+    if index < 0:
+        message = f"term_index must be an integer >= 0, got {index}"
+    else:
+        message = f"term index {index} out of range"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         strict_convexity_witness(ring_family(), index, -1.0, 0.0)
 
 

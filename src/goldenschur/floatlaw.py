@@ -138,7 +138,8 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
     Each sample's I₁ and Var are the moments at its q, in the lane of that
     q: a float q takes :func:`_float_moments`, and any other q
     :func:`~.folded.moments`, with an exact κ read on Python ints
-    (:func:`~.qfield._exact_value`).
+    (:func:`~.qfield._exact_value`).  A κ that is a NaN or an infinity is a
+    ValueError.
     """
     if len(points) < 2:
         raise ValueError("need at least two (q, kappa) samples")
@@ -156,6 +157,8 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
             i1, var = mom.i1, mom.var
             exact = _exact_value(kappa)  # on Python ints: a numpy integer wraps
             kappa = kappa if exact is None else exact
+        if kappa != kappa or kappa in (math.inf, -math.inf):  # a NaN is unequal to itself
+            raise ValueError(f"kappa sample must be finite, got {kappa!r}")
         ms.append(i1 * i1)
         vs.append(var)
         ks.append(kappa)

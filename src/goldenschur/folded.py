@@ -177,6 +177,8 @@ def _exact_numerators(n: int, q: Fraction | Q5) -> tuple[_Ring, int, _Ring, tupl
     ``g_k = a·Ã_k/c^{k+1}`` with ``Ã_k = b^k·A_k(a/b)``, the Eulerian
     polynomials homogenised, and ``e_k = a·shift(Ã, N·c)_k/c^{k+1}``, so
     ``S_k = g_k − q^N·e_k`` gives ``X_k = b^N·Ã_k − a^N·shift(Ã, N·c)_k``.
+    Only :func:`_sums_closed_exact` and :func:`_moments_exact` read these
+    numerators; every other module takes the normalised sums and moments.
     """
     if isinstance(q, Q5):
         a, b = q, 1

@@ -31,7 +31,8 @@ Coefficients are exact, and q picks the lane in one place, ``_route``:
 an exact q (or a given Λ), read on Python ints by :mod:`.qfield`, keeps the
 whole computation exact, and any other enters through
 :func:`~.floatlaw._as_float` and runs in floats on the coefficients rounded
-once.
+once.  κ, F_red and F′_red are each read off :func:`~.folded.moments` in
+that lane, so only :mod:`.folded` knows how exact sums are normalised.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .floatlaw import _as_float, _count
-from .folded import FoldedMoments, Scalar, _check_domain, _exact_numerators, _is_golden, moments
+from .folded import FoldedMoments, Scalar, moments
 from .golden import lambda_n
-from .qfield import QSTAR, Q5, _coords, _exact_value, _q5
+from .qfield import QSTAR, Q5, _exact_value
 
 __all__ = [
     "QuadLawCoeffs",
@@ -172,69 +173,39 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     Λ(θ) = I₂′/I₁′ is defined, and identically zero at N = 1.  Differs from
     the chain-rule derivative of :func:`f_red_q` by ``B·I₂′·(I₁−1)/N``.
 
-    An exact q stays exact.  One other than q⋆ reads the numerators X₀…X₃
-    of the power sums (:func:`~.folded._exact_numerators`, with q = a/b and
-    c = b − a) and normalises once: with s = 2A − 2B − 8/m_ρ²,
-    ``F′ = X₁·(B·(X₃X₀ − X₁X₂) + s·c·(X₂X₀ − X₁²))/(N·X₀³·c⁴)``, for a
-    Fraction q over the integer coordinates of B and s, so one Fraction or
-    one Q5 is formed.  q⋆ reads its moments off their forms.
-
-    An inexact q takes the float moments, and the
+    It is read off :func:`~.folded.moments` in every lane, with I₁′ = Var:
+    an exact q stays exact.  An inexact q takes the float moments, and the
     slope s is formed exactly and rounded once: a synthesized
     A = (8/m_ρ² − B·Λ + 2B)/2 rounded to a float loses B·Λ once |B| is below
     about 1e-16 of 8/m_ρ², and a slope formed from it is −2B, not −B·Λ.  A
     slope too large for a float is a ValueError, as a coefficient is.
     """
-    return _f_red_prime(coeffs, q, _slope(coeffs))
-
-
-def _slope(coeffs: QuadLawCoeffs) -> Fraction | Q5:
-    """The exact slope ``2A − 2B − 8/m_ρ²`` of :func:`f_red_prime_q`."""
-    return 2 * coeffs.a - 2 * coeffs.b - 8 / coeffs.m_rho_sq
-
-
-def _f_red_prime(coeffs: QuadLawCoeffs, q: Scalar, slope: Fraction | Q5) -> Scalar:
-    """:func:`f_red_prime_q` with its slope given, for a scan that forms it
-    once."""
     (_, b, _), q = _route(coeffs, q)
-    n = coeffs.n
+    slope = _slope(coeffs)
     if isinstance(q, float):  # _route's float lane
         try:
             slope = float(slope)
         except OverflowError:
             raise ValueError("slope 2A - 2B - 8/m_rho_sq is too large for a float") from None
-    elif not _is_golden(q):
-        _check_domain(n, q)
-        return _f_red_prime_exact(n, q, b, slope)
-    m = moments(n, q)
-    return (b * m.i2_prime + slope * m.var) * m.i1 / n
+    m = moments(coeffs.n, q)
+    return (b * m.i2_prime + slope * m.var) * m.i1 / coeffs.n
 
 
-def _f_red_prime_exact(
-    n: int, q: Fraction | Q5, b: Fraction | Q5, slope: Fraction | Q5
-) -> Fraction | Q5:
-    """:func:`f_red_prime_q` at an exact q ≠ q⋆ from the numerators of the
-    power sums, normalised once."""
-    _, _, c, (x0, x1, x2, x3) = _exact_numerators(n, q)
-    u, v = x3 * x0 - x1 * x2, c * (x2 * x0 - x1 * x1)
-    den = n * x0**3 * c**4
-    if type(c) is not int:  # a Q5 q: the numerators are field elements
-        return x1 * (b * u + slope * v) / den
-    (bp, bq, bd), (sp, sq, sd) = _coords(b), _coords(slope)
-    u, v, den = u * sd, v * bd, den * bd * sd
-    p = x1 * (bp * u + sp * v)
-    if type(b) is type(slope) is Fraction:
-        return Fraction(p, den)
-    return _q5(p, x1 * (bq * u + sq * v), den)
+def _slope(coeffs: QuadLawCoeffs) -> Fraction | Q5:
+    """The exact slope ``2A − 2B − 8/m_ρ²`` of the bracket and of F′_red."""
+    return 2 * coeffs.a - 2 * coeffs.b - 8 / coeffs.m_rho_sq
 
 
 def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Scalar:
     """``B·Λ + 2A − 2B − 8/m_ρ²``, with Λ = Λ(N) unless given — zero exactly
-    for consistent coefficients."""
+    for consistent coefficients.  A given Λ that is a NaN or an infinity is a
+    ValueError."""
     if lam is None:
         lam = lambda_n(coeffs.n)
-    (a, b, m2), lam = _route(coeffs, lam)
-    return b * lam + 2 * a - 2 * b - 8 / m2
+    (a, b, m2), x = _route(coeffs, lam)
+    if isinstance(x, float) and not math.isfinite(x):  # an exact Λ is finite
+        raise ValueError(f"lam must be finite, got {lam!r}")
+    return b * x + 2 * a - 2 * b - 8 / m2
 
 
 def synthesize_consistent_ab(

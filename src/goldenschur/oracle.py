@@ -18,12 +18,13 @@ independent route here.  Each oracle, and the library route it checks:
   rows of :func:`.golden.golden_power_table`.
 * :func:`sums_at_qstar`, integer sums over those rows with no field
   division: ``sums_closed(N, QSTAR)``, and so :func:`.golden.lambda_n`.
-* :func:`f_red_prime_direct_q`, the chain rule on :func:`.lockin.f_red_q`:
-  the bracket form :func:`.lockin.f_red_prime_q`, which differs from it by
-  exactly ``B·I₂′·(I₁ − 1)/N``.
-* :func:`exact_sign_changes`, the exact signs of :func:`.lockin.f_red_prime_q`
-  at q = k/64: the number and place of F′_red's zeros that
-  :func:`.lockin.stationarity_check` decides from the monotonicity of Λ.
+* :func:`f_red_prime_direct_q`, the chain rule on :func:`.lockin.f_red_q`
+  over direct sums: the bracket form :func:`.lockin.f_red_prime_q`, which
+  differs from it by exactly ``B·I₂′·(I₁ − 1)/N``.
+* :func:`exact_sign_changes`, exact signs of F′_red at q = k/64 from the
+  integers of :func:`_bruteforce_numerators`: the number and place of
+  F′_red's zeros that :func:`.lockin.stationarity_check` decides from the
+  monotonicity of Λ.
 * :func:`dense_curvature`, the trace of the dense Schur complement
   (:func:`assemble_hessian`, :func:`band_basis`, :func:`block_hessian`,
   :func:`schur_complement`): the spectral :func:`.schur.schur_curvature`,
@@ -75,9 +76,9 @@ from operator import mul, truediv
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .floatlaw import _count
-from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain, sums_closed
+from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain
 from .golden import golden_power_table
-from .lockin import QuadLawCoeffs, _f_red_prime, _route, _slope
+from .lockin import QuadLawCoeffs, _route, _slope
 from .qfield import QSTAR, GoldenBasis, Q5, _coords
 
 if TYPE_CHECKING:
@@ -211,23 +212,26 @@ def f_red_prime_direct_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     """Chain-rule θ-derivative of :func:`.lockin.f_red_q` (matches finite differences)."""
     (a, b, m2), qq = _route(coeffs, q)
     n = coeffs.n
-    m = moments_from_sums(sums_closed(n, qq))
+    m = moments_from_sums(sums_bruteforce(n, qq))
     kappa_p = b * m.i2_prime + (2 * a - 2 * b) * m.i1 * m.var
     return -8 * m.i1 * m.var / (n * m2) + kappa_p / n
 
 
 def exact_sign_changes(coeffs: QuadLawCoeffs) -> list[tuple[Fraction, Fraction]]:
     """The q-intervals ``(k/64, j/64)`` over which F′_red changes sign: a flip
-    between consecutive nonzero values at q = k/64, k = 1..63.  Coefficients
-    are exact and each q is a Fraction, so every value is exact.  A zero on
-    the grid is spanned by the flip around it; a zero in (0, 1/64) or
+    between consecutive nonzero values at q = k/64, k = 1..63.  F′_red is
+    ``h₁·(B·(h₃h₀ − h₁h₂) + s·(h₂h₀ − h₁²))/(N·h₀³)`` over the integers h of
+    :func:`_bruteforce_numerators`, with s = 2A − 2B − 8/m_ρ²; h₀ and h₁ are
+    positive, so the exact sum in parentheses has its sign.  A zero on the
+    grid is spanned by the flip around it; a zero in (0, 1/64) or
     (63/64, 1) is not seen."""
     intervals = []
     last, last_positive = None, False
-    slope = _slope(coeffs)
+    b, slope = coeffs.b, _slope(coeffs)
     for k in range(1, 64):
         q = Fraction(k, 64)
-        value = _f_red_prime(coeffs, q, slope)
+        _, (h0, h1, h2, h3) = _bruteforce_numerators(coeffs.n, q)
+        value = b * (h3 * h0 - h1 * h2) + slope * (h2 * h0 - h1 * h1)
         if value == 0:
             continue
         if last is not None and (value > 0) != last_positive:
@@ -271,6 +275,7 @@ def random_symmetric_psd_circulant(n: int, rng: random.Random) -> list[float]:
     autocorrelation ``r_j = Σ_t g_t·g_{(t+j) mod n}/n`` of a standard normal
     vector g.  circ(r) is circ(g)·circ(g)ᵀ/n, whose spectrum |ĝ|²/n is
     nonnegative, so r is PSD by construction; r_{n−j} is r_j, bit for bit."""
+    n = _count(n, "n", 1)
     g = [rng.gauss(0.0, 1.0) for _ in range(n)]
     half = [sum(map(mul, g, g[j:] + g[:j])) / n for j in range(n // 2 + 1)]
     return half + half[1 : (n + 1) // 2][::-1]
@@ -281,11 +286,13 @@ def random_family(n: int, rng: random.Random, *, n_terms: int = 2) -> HessianFam
     ``H_OO`` well conditioned.
 
     u, C₀ and then each term, its exponent ±uniform(0.3, 2) first, are drawn
-    in that order from ``rng``.  Each coefficient reaches
-    :func:`.schur.make_family` as its row, an exact symmetric circulant.
+    in that order from ``rng``, after N (at least 3) and ``n_terms`` are
+    read.  Each coefficient reaches :func:`.schur.make_family` as its row,
+    an exact symmetric circulant.
     """
     from .schur import make_family
 
+    n, n_terms = _count(n, "N", 3), _count(n_terms, "n_terms", 0)
     u_raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
     while max(u_raw) - min(u_raw) < 1e-6:  # nearly parallel to the uniform vector
         u_raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
@@ -293,18 +300,20 @@ def random_family(n: int, rng: random.Random, *, n_terms: int = 2) -> HessianFam
     c0[0] += 0.5
     terms = [
         (rng.uniform(0.3, 2.0) * rng.choice((-1.0, 1.0)), random_symmetric_psd_circulant(n, rng))
-        for _ in range(_count(n_terms, "n_terms", 0))
+        for _ in range(n_terms)
     ]
     return make_family(n, 2.0, u_raw, c0, terms)
 
 
 def shift_matrix(n: int) -> Matrix:
     """Cyclic shift permutation ``(Sx)_i = x_{(i+1) mod n}``."""
+    n = _count(n, "n", 1)
     return [[float(j == (i + 1) % n) for j in range(n)] for i in range(n)]
 
 
 def reversal_matrix(n: int) -> Matrix:
     """Index reversal ``(Rx)_i = x_{(n−i) mod n}``."""
+    n = _count(n, "n", 1)
     return [[float(j == (n - i) % n) for j in range(n)] for i in range(n)]
 
 

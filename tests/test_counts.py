@@ -21,6 +21,9 @@ from goldenschur.oracle import (
     fibonacci,
     matrix_convexity_check,
     random_family,
+    random_symmetric_psd_circulant,
+    reversal_matrix,
+    shift_matrix,
     strict_convexity_witness,
     sums_at_qstar,
     sums_bruteforce,
@@ -99,6 +102,13 @@ SITES = [
         "random_family", "n_terms", 0, 2,
         lambda k: family_view(random_family(5, random.Random(0), n_terms=k)),
     ),
+    ("random_family-N", "N", 3, 5, lambda n: family_view(random_family(n, random.Random(0)))),
+    (
+        "random_symmetric_psd_circulant", "n", 1, 5,
+        lambda n: random_symmetric_psd_circulant(n, random.Random(0)),
+    ),
+    ("shift_matrix", "n", 1, 5, shift_matrix),
+    ("reversal_matrix", "n", 1, 5, reversal_matrix),
     (
         "matrix_convexity_check", "t_grid", 0, 5,
         lambda t: matrix_convexity_check(ring_family(), -1.0, 0.5, t),
@@ -177,3 +187,14 @@ def test_strict_convexity_witness_refuses_a_bool_term_index():
 def test_run_suite_reads_a_numpy_seed_as_the_int():
     # a numpy seed was refused
     assert run_suite("all", np.int64(3)).render("json") == run_suite("all", 3).render("json")
+
+
+@pytest.mark.parametrize("n, n_terms", [(2, 2), (True, 2), (5, -1)])
+def test_a_refused_random_family_draws_nothing(n, n_terms):
+    # N = 2 was refused by make_family only after u and C₀ were drawn, and
+    # N = True redrew its one-entry u forever
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="must be an integer >= "):
+        random_family(n, rng, n_terms=n_terms)
+    assert rng.getstate() == state

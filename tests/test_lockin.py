@@ -22,7 +22,12 @@ from goldenschur.lockin import (
     stationarity_check,
     synthesize_consistent_ab,
 )
-from goldenschur.oracle import exact_sign_changes, f_red_prime_direct_q
+from goldenschur.oracle import (
+    exact_sign_changes,
+    f_red_prime_direct_q,
+    moments_from_sums,
+    sums_bruteforce,
+)
 from goldenschur.qfield import Q5, QSTAR, decimal_str
 
 # Reported reference constants for the N = 12 lock-in discussion; the
@@ -316,16 +321,34 @@ def _q_and_coeffs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_q_and_coeffs())
-def test_f_red_prime_reads_the_numerators_as_the_moments_give_it(case):
-    # the numerator route at an exact q ≠ q⋆ against the bracket form built
-    # from the moments, exactly and in the same type
+def test_f_red_prime_is_the_bracket_form_on_direct_sums(case):
+    # the library route at an exact q ≠ q⋆ against the bracket form built
+    # from the moments of direct sums, exactly and in the same type
     q, c = case
-    m = moments(c.n, q)
+    m = moments_from_sums(sums_bruteforce(c.n, q))
     slope = 2 * c.a - 2 * c.b - 8 / c.m_rho_sq
     want = (c.b * m.i2_prime + slope * m.var) * m.i1 / c.n
     got = f_red_prime_q(c, q)
     assert type(got) is type(want)
     assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_q_and_coeffs())
+def test_f_red_prime_flips_sign_on_the_k64_grid_where_the_oracle_does(case):
+    # the oracle signs the integer numerators of direct sums; the library
+    # route reads the moments
+    _, c = case
+    flips, last = [], None
+    for k in range(1, 64):
+        q = Fraction(k, 64)
+        value = f_red_prime_q(c, q)
+        if value == 0:
+            continue
+        if last is not None and (value > 0) != (last[1] > 0):
+            flips.append((last[0], q))
+        last = q, value
+    assert flips == exact_sign_changes(c)
 
 
 @pytest.mark.parametrize(
@@ -335,8 +358,7 @@ def test_f_red_prime_reads_the_numerators_as_the_moments_give_it(case):
     ids=repr,
 )
 def test_f_red_prime_rejects_an_exact_q_outside_the_domain(q):
-    # the numerator route raises the message of moments, which the route
-    # through the moments raised
+    # f_red_prime_q reads the moments at every q, and so raises their message
     c = synthesize_consistent_ab(Fraction(-1), 12)
     with pytest.raises(ValueError) as want:
         moments(12, q)
@@ -415,6 +437,13 @@ def test_bracket_residual_values():
     assert bracket_residual(c) == lam + 2 - 2 - 4
     # passing Λ(N) explicitly is the default
     assert bracket_residual(c, lam) == bracket_residual(c)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf], ids=repr)
+def test_bracket_residual_rejects_a_lambda_that_is_not_finite(lam):
+    # a NaN Λ gave nan, and an infinite one ±inf
+    with pytest.raises(ValueError, match=f"^lam must be finite, got {re.escape(repr(lam))}$"):
+        bracket_residual(QuadLawCoeffs(1, 2, 12), lam)
 
 
 def test_reported_constants_residual():

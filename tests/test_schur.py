@@ -1546,6 +1546,15 @@ def test_quadratic_law_fit_float_points():
     assert fit.max_abs_residual < 1e-9
 
 
+@pytest.mark.parametrize("q", [0.5, Fraction(1, 2)], ids=repr)
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, np.float32("nan")], ids=repr)
+def test_quadratic_law_fit_rejects_a_kappa_that_is_not_finite(kappa, q):
+    # in either lane of q a NaN κ gave a NaN fit, and an infinite one ±inf
+    message = f"kappa sample must be finite, got {kappa!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        quadratic_law_fit([(q, kappa), (0.3, 1.0)], 12)
+
+
 @pytest.mark.parametrize("scalar", [np.float32, Decimal])
 def test_quadratic_law_fit_reads_a_q_that_a_float_equals_as_that_float(scalar):
     # a numpy.float32 q runs in double precision, and a Decimal q as the

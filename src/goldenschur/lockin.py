@@ -26,13 +26,13 @@ every N ≥ 3, is the one zero of the bracket-form derivative
 from it by ``B·I₂′·(I₁ − 1)/N``, and where its zeros lie is not decided here
 (ROADMAP item 16).
 
-Coefficients are exact, and q picks the lane in one place, ``_route``:
-:class:`QuadLawCoeffs` stores an int or a float as the Fraction it equals,
-an exact q (or a given Λ), read on Python ints by :mod:`.qfield`, keeps the
-whole computation exact, and any other enters through
-:func:`~.floatlaw._as_float` and runs in floats on the coefficients rounded
-once.  κ, F_red and F′_red are each read off :func:`~.folded.moments` in
-that lane, so only :mod:`.folded` knows how exact sums are normalised.
+Coefficients are exact, a given Λ is read exactly as a coefficient is, and
+q alone picks the lane, in one place, ``_route``: an exact q, read on Python
+ints by :mod:`.qfield`, keeps the whole computation exact, and any other
+enters through :func:`~.floatlaw._as_float` and runs in floats on the
+coefficients rounded once.  κ, F_red and F′_red are each read off
+:func:`~.folded.moments` in that lane, so only :mod:`.folded` knows how
+exact sums are normalised.
 """
 
 from __future__ import annotations
@@ -61,26 +61,34 @@ __all__ = [
 _Triple = tuple[Scalar, Scalar, Scalar]
 
 
-def _exact(name: str, x: Scalar) -> Fraction | Q5:
-    """A coefficient as the exact value it equals.  A Q5, a Fraction and an
-    integer of any type but bool are exact, read on Python ints by
-    :func:`~.qfield._exact_value` (a numpy integer would wrap): a Q5 is kept
-    as it is, and a rational as a Fraction.  Any other number is the
-    Fraction of the float it enters as (:func:`~.floatlaw._as_float`).  A
-    bool (numpy's too), a NaN, an infinity or a number that no float equals
-    is a ValueError."""
+def _exact(label: str, x: Scalar) -> Fraction | Q5:
+    """A coefficient or a given Λ, named by ``label``, as the exact value it
+    equals.  A Q5, a Fraction and an integer of any type but bool are exact,
+    read on Python ints by :func:`~.qfield._exact_value` (a numpy integer
+    would wrap); any other number is the Fraction of the float it enters as
+    (:func:`~.floatlaw._as_float`).  A bool (numpy's too), a NaN, an
+    infinity or a number that no float equals is a ValueError."""
     exact = _exact_value(x)
     if exact is not None:
         return exact if type(exact) is Fraction or isinstance(exact, Q5) else Fraction(exact)
     if isinstance(x, bool) or not isinstance(x, numbers.Number):
-        raise ValueError(f"coefficient {name} must be a number, got {x!r}")
+        raise ValueError(f"{label} must be a number, got {x!r}")
     try:
         f = _as_float(x)
     except ValueError as exc:
-        raise ValueError(f"coefficient {name}: {exc}") from None
+        raise ValueError(f"{label}: {exc}") from None
     if not math.isfinite(f):
-        raise ValueError(f"coefficient {name} must be finite, got {x!r}")
+        raise ValueError(f"{label} must be finite, got {x!r}")
     return Fraction(f)
+
+
+def _float(x: Fraction | Q5) -> tuple[float, str]:
+    """x rounded to a float, with "" or why that float does not stand for x."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return math.inf, "is too large for a float"
+    return f, "is nonzero but underflows to 0.0 as a float" if f == 0.0 and x != 0 else ""
 
 
 class _QuadLawFields(NamedTuple):
@@ -103,10 +111,10 @@ class QuadLawCoeffs(_QuadLawFields):
 
     def __new__(cls, a: Scalar, b: Scalar, n: int, m_rho_sq: Scalar = Fraction(2)) -> QuadLawCoeffs:
         n = _count(n, "N", 1)
-        m2 = _exact("m_rho_sq", m_rho_sq)
+        m2 = _exact("coefficient m_rho_sq", m_rho_sq)
         if not m2 > 0:  # exact for a Q5
             raise ValueError(f"m_rho_sq must be positive, got {m2}")
-        return super().__new__(cls, _exact("A", a), _exact("B", b), n, m2)
+        return super().__new__(cls, _exact("coefficient A", a), _exact("coefficient B", b), n, m2)
 
     @classmethod
     def _make(cls, fields: Sequence[object]) -> QuadLawCoeffs:
@@ -123,28 +131,23 @@ class QuadLawCoeffs(_QuadLawFields):
         coefficient is not."""
         values, lost = [], []
         for name, x in (("A", self.a), ("B", self.b), ("m_rho_sq", self.m_rho_sq)):
-            try:
-                f = float(x)
-            except OverflowError:
-                f = math.inf
-            if not math.isfinite(f):
-                lost.append(f"{name} is too large for a float")
-            elif f == 0.0 and x != 0:
-                lost.append(f"{name} is nonzero but underflows to 0.0 as a float")
+            f, loss = _float(x)
             values.append(f)
+            if loss:
+                lost.append(f"{name} {loss}")
         if lost:
             raise ValueError("coefficient " + "; coefficient ".join(lost))
         return tuple(values)
 
 
-def _route(coeffs: QuadLawCoeffs, x: Scalar) -> tuple[_Triple, Scalar]:
-    """``(A, B, m_ρ²)`` and one scalar (q or Λ) in the lane of that scalar:
-    as they are for an exact x, which is read on Python ints
-    (:func:`~.qfield._exact_value`), and as Python floats for any other."""
-    exact = _exact_value(x)
+def _route(coeffs: QuadLawCoeffs, q: Scalar) -> tuple[_Triple, Scalar]:
+    """``(A, B, m_ρ²)`` and q in the lane that q alone picks: as they are for
+    an exact q, which is read on Python ints (:func:`~.qfield._exact_value`),
+    and as Python floats for any other."""
+    exact = _exact_value(q)
     if exact is not None:
         return (coeffs.a, coeffs.b, coeffs.m_rho_sq), exact
-    return coeffs.as_floats(), float(_as_float(x))
+    return coeffs.as_floats(), float(_as_float(q))
 
 
 def _kappa(a: Scalar, b: Scalar, m: FoldedMoments) -> Scalar:
@@ -173,20 +176,19 @@ def f_red_prime_q(coeffs: QuadLawCoeffs, q: Scalar) -> Scalar:
     Λ(θ) = I₂′/I₁′ is defined, and identically zero at N = 1.  Differs from
     the chain-rule derivative of :func:`f_red_q` by ``B·I₂′·(I₁−1)/N``.
 
-    It is read off :func:`~.folded.moments` in every lane, with I₁′ = Var:
-    an exact q stays exact.  An inexact q takes the float moments, and the
-    slope s is formed exactly and rounded once: a synthesized
-    A = (8/m_ρ² − B·Λ + 2B)/2 rounded to a float loses B·Λ once |B| is below
-    about 1e-16 of 8/m_ρ², and a slope formed from it is −2B, not −B·Λ.  A
-    slope too large for a float is a ValueError, as a coefficient is.
+    It is read off :func:`~.folded.moments` in the lane q picks, with
+    I₁′ = Var.  An inexact q takes the float moments, and the slope s is
+    formed exactly and rounded once: a synthesized A = (8/m_ρ² − B·Λ + 2B)/2
+    rounded to a float loses B·Λ once |B| is below about 1e-16 of 8/m_ρ²,
+    and a slope formed from it is −2B, not −B·Λ.  A slope that overflows, or
+    that is nonzero but 0.0 as a float, is a ValueError, as a coefficient is.
     """
     (_, b, _), q = _route(coeffs, q)
     slope = _slope(coeffs)
     if isinstance(q, float):  # _route's float lane
-        try:
-            slope = float(slope)
-        except OverflowError:
-            raise ValueError("slope 2A - 2B - 8/m_rho_sq is too large for a float") from None
+        slope, loss = _float(slope)
+        if loss:
+            raise ValueError(f"slope 2A - 2B - 8/m_rho_sq {loss}")
     m = moments(coeffs.n, q)
     return (b * m.i2_prime + slope * m.var) * m.i1 / coeffs.n
 
@@ -196,16 +198,13 @@ def _slope(coeffs: QuadLawCoeffs) -> Fraction | Q5:
     return 2 * coeffs.a - 2 * coeffs.b - 8 / coeffs.m_rho_sq
 
 
-def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Scalar:
-    """``B·Λ + 2A − 2B − 8/m_ρ²``, with Λ = Λ(N) unless given — zero exactly
-    for consistent coefficients.  A given Λ that is a NaN or an infinity is a
-    ValueError."""
-    if lam is None:
-        lam = lambda_n(coeffs.n)
-    (a, b, m2), x = _route(coeffs, lam)
-    if isinstance(x, float) and not math.isfinite(x):  # an exact Λ is finite
-        raise ValueError(f"lam must be finite, got {lam!r}")
-    return b * x + 2 * a - 2 * b - 8 / m2
+def bracket_residual(coeffs: QuadLawCoeffs, lam: Optional[Scalar] = None) -> Fraction | Q5:
+    """``B·Λ + 2A − 2B − 8/m_ρ²``, exact, with Λ = Λ(N) unless given — zero
+    for consistent coefficients.  A given Λ is read exactly, as a coefficient
+    is (a float as the Fraction it equals); a bool, a NaN, an infinity or a
+    number that no float equals is a ValueError naming ``lam``."""
+    x = lambda_n(coeffs.n) if lam is None else _exact("lam", lam)
+    return coeffs.b * x + _slope(coeffs)
 
 
 def synthesize_consistent_ab(

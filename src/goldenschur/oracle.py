@@ -22,9 +22,9 @@ independent route here.  Each oracle, and the library route it checks:
   over direct sums: the bracket form :func:`.lockin.f_red_prime_q`, which
   differs from it by exactly ``B·I₂′·(I₁ − 1)/N``.
 * :func:`exact_sign_changes`, exact signs of F′_red at q = k/64 from the
-  integers of :func:`_bruteforce_numerators`: the number and place of
-  F′_red's zeros that :func:`.lockin.stationarity_check` decides from the
-  monotonicity of Λ.
+  integers of :func:`_bruteforce_numerators` and a slope of its own, not
+  :mod:`.lockin`'s: the number and place of F′_red's zeros that
+  :func:`.lockin.stationarity_check` decides from the monotonicity of Λ.
 * :func:`dense_curvature`, the trace of the dense Schur complement
   (:func:`assemble_hessian`, :func:`band_basis`, :func:`block_hessian`,
   :func:`schur_complement`): the spectral :func:`.schur.schur_curvature`,
@@ -78,7 +78,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .floatlaw import _count
 from .folded import FoldedMoments, FoldedSums, Scalar, _check_domain
 from .golden import golden_power_table
-from .lockin import QuadLawCoeffs, _route, _slope
+from .lockin import QuadLawCoeffs, _route
 from .qfield import QSTAR, GoldenBasis, Q5, _coords
 
 if TYPE_CHECKING:
@@ -221,13 +221,14 @@ def exact_sign_changes(coeffs: QuadLawCoeffs) -> list[tuple[Fraction, Fraction]]
     """The q-intervals ``(k/64, j/64)`` over which F′_red changes sign: a flip
     between consecutive nonzero values at q = k/64, k = 1..63.  F′_red is
     ``h₁·(B·(h₃h₀ − h₁h₂) + s·(h₂h₀ − h₁²))/(N·h₀³)`` over the integers h of
-    :func:`_bruteforce_numerators`, with s = 2A − 2B − 8/m_ρ²; h₀ and h₁ are
-    positive, so the exact sum in parentheses has its sign.  A zero on the
-    grid is spanned by the flip around it; a zero in (0, 1/64) or
-    (63/64, 1) is not seen."""
+    :func:`_bruteforce_numerators`, with s = 2A − 2B − 8/m_ρ² written here,
+    not read from :mod:`.lockin`; h₀ and h₁ are positive, so the exact sum in
+    parentheses has its sign.  A zero on the grid is spanned by the flip
+    around it; a zero in (0, 1/64) or (63/64, 1) is not seen."""
     intervals = []
     last, last_positive = None, False
-    b, slope = coeffs.b, _slope(coeffs)
+    b = coeffs.b
+    slope = 2 * coeffs.a - 2 * b - 8 / coeffs.m_rho_sq
     for k in range(1, 64):
         q = Fraction(k, 64)
         _, (h0, h1, h2, h3) = _bruteforce_numerators(coeffs.n, q)

@@ -12,7 +12,25 @@ The central quantity is the band-normalized Schur curvature
 
     κ_Schur(θ) = Tr(H_BB − H_BO H_OO⁻¹ H_OB) / dim B,
 
-and its convexity in θ.
+and its convexity in θ.  That is claim (i) of the paper, and it does not
+hold for every valid family: the two ``concave-n4`` test fixtures are
+concave in θ in places.  κ reads only H and u, not m_ρ² nor any
+normalisation of the C_s, and the valid families are closed under two maps
+(q = e^θ):
+
+* shift: C_s → r^s·C_s with r > 0 and C₀ fixed, so that H(q) → H(r·q) and
+  κ(q) → κ(r·q);
+* scale: every C → c·C with c > 0, C₀ included, so that κ → c·κ (the Schur
+  complement of c·H is c times that of H).
+
+For claim (ii), a shift places a family's one stationary point at q⋆ or
+anywhere else, with the same N, u and m_ρ², so "the unique stationary point
+is at q⋆" cannot hold for every valid family.  For claim (iii), a family and
+its double share N and m_ρ², so the law's A and B cannot be functions of
+(N, m_ρ²) alone.  The tests check both maps as exact Fraction identities of
+:func:`.oracle.exact_kappa`, with κ(1/8) = 19/11 on ``concave-n4-s-minus1``
+and 38/11 on its double.  In floats the maps hold only where neither the
+weights e^{sθ} nor the mapped rows overflow, which they do separately.
 
 The DFT diagonalizes every symmetric circulant, so a family is kept as the
 K generator rows of its coefficients, whose real DFT gives their spectra ĉ_k.

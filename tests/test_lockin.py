@@ -249,12 +249,14 @@ def test_a_scalar_that_a_float_equals_runs_as_that_float():
 
 
 def test_a_scalar_that_no_float_equals_is_refused():
-    # as a q and as a given Λ, Decimal("0.1") would lose digits on its way
-    # into the float lane
-    message = r"^no float equals Decimal\('0\.1'\); pass a Fraction to stay exact$"
+    # as a q, Decimal("0.1") would lose digits on its way into the float
+    # lane, and as a given Λ on its way to the Fraction it is read as
+    message = r"no float equals Decimal\('0\.1'\); pass a Fraction to stay exact$"
     coeffs = QuadLawCoeffs(Fraction(7, 3), Fraction(-5, 4), 12)
-    for route in (kappa_quadratic, f_red_q, f_red_prime_q, bracket_residual):
-        with pytest.raises(ValueError, match=message):
+    for route, label in (
+        (kappa_quadratic, ""), (f_red_q, ""), (f_red_prime_q, ""), (bracket_residual, "lam: "),
+    ):
+        with pytest.raises(ValueError, match="^" + label + message):
             route(coeffs, Decimal("0.1"))
 
 
@@ -290,6 +292,26 @@ def test_f_red_prime_float_lane_rejects_a_slope_too_large_for_a_float(b):
     assert f_red_prime_q(c, QSTAR) == 0
     with pytest.raises(ValueError, match="^slope 2A - 2B - 8/m_rho_sq is too large for a float$"):
         f_red_prime_q(c, 0.5)
+
+
+def test_f_red_prime_float_lane_rejects_a_slope_that_underflows():
+    # the slope 2·10⁻⁴⁰⁰ is 0.0 as a float, which gave F′ = 0.0 where F′ > 0
+    c = QuadLawCoeffs(2 + Fraction(1, 10**400), 0, 12)
+    assert f_red_prime_q(c, Fraction(1, 2)) > 0
+    with pytest.raises(
+        ValueError, match="^slope 2A - 2B - 8/m_rho_sq is nonzero but underflows to 0.0 as a float$"
+    ):
+        f_red_prime_q(c, 0.5)
+
+
+def test_f_red_prime_float_lane_rounds_a_q5_slope():
+    # synthesized coefficients are Q5s: their slope is rounded to a float
+    # before it meets the float moments
+    c = synthesize_consistent_ab(Fraction(-1), 12)
+    assert isinstance(c.a, Q5)
+    got = f_red_prime_q(c, 0.5)
+    assert type(got) is float
+    assert math.isclose(got, float(f_red_prime_q(c, Fraction(1, 2))), rel_tol=1e-12)
 
 
 _fractions_in_unit = st.builds(
@@ -446,6 +468,23 @@ def test_bracket_residual_rejects_a_lambda_that_is_not_finite(lam):
         bracket_residual(QuadLawCoeffs(1, 2, 12), lam)
 
 
+@pytest.mark.parametrize("lam", [True, False, "3"], ids=repr)
+def test_bracket_residual_rejects_a_lambda_that_is_not_a_number(lam):
+    # True ran as Λ = 1.0, where every coefficient refuses a bool
+    with pytest.raises(ValueError, match=f"^lam must be a number, got {re.escape(repr(lam))}$"):
+        bracket_residual(QuadLawCoeffs(1, 2, 12), lam)
+
+
+@pytest.mark.parametrize("lam", [3.0, 10.0, 5.458324276165522])
+def test_bracket_residual_reads_a_float_lambda_exactly(lam):
+    # with B = 1e-20, the float lane added B·Λ to the rounded 2A and lost it:
+    # it gave 0.0 at Λ = 3.0 and 10.0, where the bracket is B·(Λ − Λ(12))
+    c = synthesize_consistent_ab(Fraction(1, 10**20), 12)
+    got = bracket_residual(c, lam)
+    assert isinstance(got, Q5) and got == bracket_residual(c, Fraction(lam))
+    assert got == Fraction(1, 10**20) * (Fraction(lam) - lambda_n(12)) != 0
+
+
 def test_reported_constants_residual():
     # The reference constants do not satisfy the bracket: read as the binary
     # rationals their floats are, or as the decimals they were printed as,
@@ -458,9 +497,11 @@ def test_reported_constants_residual():
     )
     assert decimal_str(exact, 7) == "-6.2514498"
     assert math.isclose(res, float(exact), rel_tol=1e-9)
-    # a float Λ picks the float lane
-    approx = bracket_residual(REPORTED, float(lambda_n(12)))
-    assert isinstance(approx, float) and math.isclose(approx, float(res), rel_tol=1e-12)
+    # a float Λ is read exactly, as the binary rational it equals
+    lam = float(lambda_n(12))
+    approx = bracket_residual(REPORTED, lam)
+    assert type(approx) is Fraction and approx == bracket_residual(REPORTED, Fraction(lam))
+    assert math.isclose(approx, float(res), rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -626,18 +667,51 @@ def test_stationarity_check_brackets_golden_ratio(b):
 
 
 def test_sign_scan_forms_the_slope_once(monkeypatch):
+    # the oracle writes its own slope 2A − 2B − 8/m_ρ², once per scan: it
+    # reads A and m_ρ² once, and lockin's slope not at all, under any name
     from goldenschur import lockin, oracle
 
-    c = synthesize_consistent_ab(Fraction(-1), 12)
-    calls = []
+    reads = []
 
-    def counted(coeffs):
-        calls.append(coeffs)
-        return lockin._slope(coeffs)
+    class Counted(QuadLawCoeffs):
+        __slots__ = ()
+        a = property(lambda self: reads.append("a") or self[0])
+        m_rho_sq = property(lambda self: reads.append("m_rho_sq") or self[3])
 
-    monkeypatch.setattr(oracle, "_slope", counted)
+    def refused(coeffs):
+        pytest.fail("lockin's slope was read")
+
+    c = Counted(*synthesize_consistent_ab(Fraction(-1), 12))
+    for module in (lockin, oracle):
+        monkeypatch.setattr(module, "_slope", refused, raising=False)
     assert exact_sign_changes(c) == [(Fraction(24, 64), Fraction(25, 64))]
-    assert calls == [c]
+    assert sorted(reads) == ["a", "m_rho_sq"]
+
+
+def _one_zero_at(q0):
+    """B = 1, m_ρ² = 2 and s = −Λ(q₀), with Λ = I₂′/Var at N = 12: F′_red
+    has the sign of Λ(q) − Λ(q₀), which rises strictly, so its one zero is
+    at q₀."""
+    m = moments(12, q0)
+    s = -m.i2_prime / m.var
+    return QuadLawCoeffs((s + 6) / 2, 1, 12, 2)
+
+
+def test_sign_scan_skips_a_zero_on_the_grid():
+    # F′_red(5/64) = 0 exactly: the flip is spanned from 4/64 to 6/64
+    c = _one_zero_at(Fraction(5, 64))
+    assert f_red_prime_q(c, Fraction(5, 64)) == 0
+    assert exact_sign_changes(c) == [(Fraction(4, 64), Fraction(6, 64))]
+
+
+@pytest.mark.parametrize("k", [1, 62])
+def test_sign_scan_reaches_both_ends_of_the_grid(k):
+    # the zero at (2k + 1)/128 lies between the first two grid points, or
+    # the last two
+    lo, hi = Fraction(k, 64), Fraction(k + 1, 64)
+    c = _one_zero_at((lo + hi) / 2)
+    assert f_red_prime_q(c, lo) < 0 < f_red_prime_q(c, hi)
+    assert exact_sign_changes(c) == [(lo, hi)]
 
 
 def test_zero_coefficients_have_no_stationary_point():

@@ -1194,6 +1194,93 @@ def test_concave_fixture_has_an_exact_nonconvexity_witness():
     assert (left + right) / 2 == Fraction(227, 133) < mid
 
 
+# ---------------------------------------------------------------------------
+# two maps of the family class: a shift along q and a scale of κ
+# ---------------------------------------------------------------------------
+
+
+def shifted_family(fam, u_raw, r):
+    """Each term's row times r^{s_k}, C₀ fixed: H at q is the family's H at
+    r·q, so κ_shift(q) = κ(r·q) (integer exponents)."""
+    terms = [(t.s, [x * r ** int(t.s) for x in t.c]) for t in fam.terms]
+    return make_family(fam.n, fam.split.m_rho_sq, u_raw, fam.base.c, terms)
+
+
+def scaled_family(fam, u_raw, c):
+    """Every row times c, C₀'s included: H → c·H, so κ → c·κ."""
+    terms = [(t.s, [x * c for x in t.c]) for t in fam.terms]
+    return make_family(fam.n, fam.split.m_rho_sq, u_raw, [x * c for x in fam.base.c], terms)
+
+
+def integer_exponent_family(seed):
+    """A validated family with m_ρ² = 2, drawn as ``random_family`` draws
+    one, but with exponents in {±1, ±2}; returns it and its raw u."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    u_raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    c0 = random_symmetric_psd_circulant(n, rng)
+    c0[0] += 0.5
+    terms = [
+        (rng.choice((-2.0, -1.0, 1.0, 2.0)), random_symmetric_psd_circulant(n, rng))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return make_family(n, 2.0, u_raw, c0, terms), u_raw
+
+
+def family_case(case):
+    """A fixture file's family and raw u, or a seeded integer-exponent family."""
+    if isinstance(case, int):
+        return integer_exponent_family(case)
+    return load_family(FIXTURES / case), json.loads((FIXTURES / case).read_text())["u"]
+
+
+_SYMMETRY_CASES = ["concave-n4-s-minus1.json", "concave-n4-s-plus1.json", *range(8)]
+_RATIONAL_QS = (Fraction(1, 8), Fraction(1, 3), Fraction(3, 4))
+
+
+@pytest.mark.parametrize("case", _SYMMETRY_CASES)
+@pytest.mark.parametrize("r", [2.0, 0.25])
+def test_shifting_a_family_moves_kappa_along_q(case, r):
+    # a power of 2 scales the stored rows exactly, and κ_shift(q) = κ(r·q)
+    fam, u_raw = family_case(case)
+    moved = shifted_family(fam, u_raw, r)
+    assert moved.base.c == fam.base.c
+    assert [t.c for t in moved.terms] == [
+        tuple(x * r ** int(t.s) for x in t.c) for t in fam.terms
+    ]
+    for q in _RATIONAL_QS:
+        assert exact_kappa(moved, u_raw, rational_weights(moved, q)) == exact_kappa(
+            fam, u_raw, rational_weights(fam, Fraction(r) * q)
+        )
+
+
+@pytest.mark.parametrize("case", _SYMMETRY_CASES)
+@pytest.mark.parametrize("c", [2.0, 0.125])
+def test_scaling_a_family_scales_kappa(case, c):
+    fam, u_raw = family_case(case)
+    big = scaled_family(fam, u_raw, c)
+    assert [t.c for t in (big.base, *big.terms)] == [
+        tuple(x * c for x in t.c) for t in (fam.base, *fam.terms)
+    ]
+    for q in _RATIONAL_QS:
+        assert exact_kappa(big, u_raw, rational_weights(big, q)) == Fraction(c) * exact_kappa(
+            fam, u_raw, rational_weights(fam, q)
+        )
+
+
+def test_a_family_and_its_double_share_n_u_and_m_rho_sq_but_not_kappa():
+    # so a law A·I₁² + B·Var with A and B functions of (N, m_ρ²) alone cannot
+    # give κ for both: the witness κ(1/8) = 19/11 against 38/11
+    fam, u_raw = family_case("concave-n4-s-minus1.json")
+    double = scaled_family(fam, u_raw, 2.0)
+    assert (double.n, double.split.m_rho_sq, double.split.u) == (
+        fam.n, fam.split.m_rho_sq, fam.split.u
+    )
+    q = Fraction(1, 8)
+    assert exact_kappa(fam, u_raw, rational_weights(fam, q)) == Fraction(19, 11)
+    assert exact_kappa(double, u_raw, rational_weights(double, q)) == Fraction(38, 11)
+
+
 def test_kappa_scan_rejects_theta_range_too_wide_for_a_float():
     # both bounds are finite, but their difference overflows; pytest turns
     # numpy's RuntimeWarning into an error, so only this message may surface

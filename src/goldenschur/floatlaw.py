@@ -1,9 +1,10 @@
 """The float lane of the folded moments, and the two-point fit of the quadratic law.
 
 An inexact scalar, one that :func:`~.qfield._coords` does not read as
-exact, enters the float lane through :func:`_as_float` only.  For such a q
-the power sums ``S_k = Σ_{s=1}^N s^k q^s``, k = 0..3, run their closed forms as
-written (:func:`_closed_sums`), and the moments divide them by S₀
+exact, enters the float lane through :func:`_as_float` only, the one
+refusal of what is not a real number.  For such a q the power sums
+``S_k = Σ_{s=1}^N s^k q^s``, k = 0..3, run their closed forms as written
+(:func:`_closed_sums`), and the moments divide them by S₀
 (:func:`_float_moments`).  :func:`~.folded.sums_closed` and
 :func:`~.folded.moments` take these for an inexact q, so each is written
 once.
@@ -16,7 +17,7 @@ which fits the κ curve on floats, loads none of the exact layers (``qfield``, `
 
 :func:`_count` is the package's one reader of counts (N, digits, seeds, grid
 sizes, indices); it lives here, in a module that imports only :mod:`math` and
-:mod:`operator`, so that every layer, ``schur`` and ``golden`` too, may load it.
+:mod:`operator` at load, so that every layer, ``schur`` and ``golden`` too, may load it.
 """
 
 from __future__ import annotations
@@ -47,24 +48,32 @@ def _count(value: object, name: str, least: int) -> int:
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_domain(n: int, q: Scalar) -> int:
+def _check_domain(n: int, q: Scalar, inexact: bool = True) -> int:
+    """N read by :func:`_count`, and 0 < q < 1 checked (on :func:`_as_float`'s q if ``inexact``)."""
     n = _count(n, "N", 1)
-    if not 0 < q < 1:  # exact for a Q5, and False for a NaN
+    if not 0 < (_as_float(q) if inexact else q) < 1:  # exact for a Q5, and False for a NaN
         raise ValueError(f"weight ratio must satisfy 0 < q < 1, got {q!r}")
     return n
 
 
-def _as_float(x: object) -> float:
-    """An inexact scalar (q, Λ or a coefficient) as it enters the float lane:
-    a float, ``numpy.float64`` included, as it is; any other as the float
-    that equals it, or as a NaN or an infinity, which the callers' checks
-    name; and anything else, such as ``Decimal("0.1")``, is a ValueError."""
+def _as_float(x: object, name: str = "q") -> float:
+    """An inexact scalar (q, Λ, a coefficient or a κ sample) as it enters the
+    float lane: a float, ``numpy.float64`` included, as it is; any other real
+    number as the float that equals it, or as a NaN or an infinity, which the
+    callers' checks name; anything else, a bool, a complex, a str, None or
+    ``Decimal("0.1")``, is a ValueError naming the field, ``name``."""
     if isinstance(x, float):
         return x
+    import numbers  # not loaded by schur, whose float lane reads only floats
+
+    if isinstance(x, bool) or not isinstance(x, numbers.Number) or (
+        isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real)
+    ):
+        raise ValueError(f"{name} must be a number, got {x!r}")
     f = float(x)
     if f == x or not math.isfinite(f):
         return f
-    raise ValueError(f"no float equals {x!r}; pass a Fraction to stay exact")
+    raise ValueError(f"{name}: no float equals {x!r}; pass a Fraction to stay exact")
 
 
 def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
@@ -136,9 +145,10 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
     q = 0.999, 5e-5 at 0.9999 and 0.17 at 0.99999 (ROADMAP item 3).
 
     Each sample's I₁ and Var are the moments at its q, in the lane of that
-    q: a float q takes :func:`_float_moments`, and any other q
-    :func:`~.folded.moments`, with an exact κ read on Python ints
-    (:func:`~.qfield._exact_value`).  A κ that is a NaN or an infinity is a
+    q, and its κ is read as that lane reads a scalar: a float q takes
+    :func:`_float_moments`, and any other q :func:`~.folded.moments` with an
+    exact κ read on Python ints (:func:`~.qfield._exact_value`); any other κ
+    enters through :func:`_as_float`.  A κ that is a NaN or an infinity is a
     ValueError.
     """
     if len(points) < 2:
@@ -149,6 +159,7 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
         if isinstance(q, float):
             _check_domain(n, q)
             i1, _, _, var, _ = _float_moments(n, q)
+            exact = None
         else:
             from .folded import moments
             from .qfield import _exact_value
@@ -156,12 +167,12 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
             mom = moments(n, q)
             i1, var = mom.i1, mom.var
             exact = _exact_value(kappa)  # on Python ints: a numpy integer wraps
-            kappa = kappa if exact is None else exact
-        if kappa != kappa or kappa in (math.inf, -math.inf):  # a NaN is unequal to itself
+        k = _as_float(kappa, "kappa sample") if exact is None else exact
+        if k != k or k in (math.inf, -math.inf):  # a NaN is unequal to itself
             raise ValueError(f"kappa sample must be finite, got {kappa!r}")
         ms.append(i1 * i1)
         vs.append(var)
-        ks.append(kappa)
+        ks.append(k)
     delta = ms[0] * vs[1] - ms[1] * vs[0]
     if isinstance(delta, float):
         degenerate = abs(delta) <= DEGENERACY_RTOL * (abs(ms[0] * vs[1]) + abs(ms[1] * vs[0]))

@@ -102,7 +102,7 @@ def _check_domain(n: int, q: Scalar) -> int:
     # a normalised Fraction has a positive denominator: its integers decide
     if isinstance(q, Fraction) and 0 < q.numerator < q.denominator:
         return floatlaw._count(n, "N", 1)
-    return floatlaw._check_domain(n, q)
+    return floatlaw._check_domain(n, q, _coords(q) is None)
 
 
 class FoldedSums(NamedTuple):

@@ -38,7 +38,6 @@ exact sums are normalised.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -65,18 +64,13 @@ def _exact(label: str, x: Scalar) -> Fraction | Q5:
     """A coefficient or a given Λ, named by ``label``, as the exact value it
     equals.  A Q5, a Fraction and an integer of any type but bool are exact,
     read on Python ints by :func:`~.qfield._exact_value` (a numpy integer
-    would wrap); any other number is the Fraction of the float it enters as
-    (:func:`~.floatlaw._as_float`).  A bool (numpy's too), a NaN, an
-    infinity or a number that no float equals is a ValueError."""
+    would wrap); any other value is the Fraction of the float it enters as
+    (:func:`~.floatlaw._as_float`, which refuses what is not a real number
+    or equals no float).  A NaN or an infinity is a ValueError."""
     exact = _exact_value(x)
     if exact is not None:
         return exact if type(exact) is Fraction or isinstance(exact, Q5) else Fraction(exact)
-    if isinstance(x, bool) or not isinstance(x, numbers.Number):
-        raise ValueError(f"{label} must be a number, got {x!r}")
-    try:
-        f = _as_float(x)
-    except ValueError as exc:
-        raise ValueError(f"{label}: {exc}") from None
+    f = _as_float(x, label)
     if not math.isfinite(f):
         raise ValueError(f"{label} must be finite, got {x!r}")
     return Fraction(f)

@@ -56,7 +56,7 @@ This is the one module that builds N×N matrices, as lists of rows of floats;
 a family keeps only its rows.  Besides the oracles it holds:
 
 * the dense views :func:`circulant`, of a row, and :func:`band_projector`,
-  the P_B of a split;
+  the P_B of a split (for ``s.q-class-uniform`` and the tests);
 * the random families :func:`random_symmetric_psd_circulant` and
   :func:`random_family`, drawn from a :class:`random.Random`, and
   :func:`strict_convexity_witness`.

@@ -68,7 +68,6 @@ in :mod:`.oracle`, the one module that builds them.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from functools import cached_property, lru_cache
@@ -217,6 +216,8 @@ def _number(value: object, field: str) -> float:
         except OverflowError:
             reason = "integer too large for a float"
     else:
+        import json  # only here and in load_family: verify loads no json
+
         reason = f"expected a number, got {json.dumps(value, default=repr)}"
     raise ValueError(f"{field}: {reason}")
 
@@ -541,6 +542,8 @@ def family_from_dict(data: dict) -> HessianFamily:
 
 def load_family(path: str | PathLike[str]) -> HessianFamily:
     """Load and validate a family from a JSON file (see :func:`family_from_dict`)."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

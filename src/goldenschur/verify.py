@@ -9,7 +9,8 @@ construction is out of scope are informational and never fail.
 Every suite runs on the standard library alone.  The seeded ones draw from
 :class:`random.Random`: ``appendix-b`` and ``lockin`` their integers, and
 ``schur-properties`` its random families, directions and couplings, whose
-dense checks run on the list-of-rows matrices of :mod:`.oracle`.
+dense checks run on the list-of-rows matrices of :mod:`.oracle`; P_B is
+checked through three scalars of each split's u, with no matrix.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import chain
-from operator import mul, sub
-from typing import Iterable, Sequence
+from operator import mul
 
 from . import reference
 from .floatlaw import _count, quadratic_law_fit
@@ -326,37 +325,29 @@ def _trace(a: list[list[float]]) -> float:
     return sum(row[i] for i, row in enumerate(a))
 
 
-def _max_abs_diff(a: Iterable[Sequence[float]], b: Iterable[Sequence[float]]) -> float:
-    """The largest entrywise difference of two matrices of the same shape."""
-    return max(map(abs, map(sub, chain.from_iterable(a), chain.from_iterable(b))))
-
-
 def _suite_schur_properties(seed: int) -> ReportDocument:
     doc = ReportDocument("schur-properties", seed)
     rng = random.Random(seed)
 
+    # P_B = I − 11ᵀ/N − uuᵀ is symmetric, and P_B² − P_B = (uᵀu − 1)·uuᵀ +
+    # (1ᵀu/N)·(1uᵀ + u1ᵀ), P_B·1 = −(1ᵀu)·u, P_B·u = (1 − uᵀu)·u − (1ᵀu/N)·1
+    # and Tr P_B − (N − 2) = 1 − uᵀu, so |1ᵀu| and |uᵀu − 1| decide every
+    # defect of P_B; given them, |1 − uᵀv/‖v‖|, v = u_raw − mean(u_raw),
+    # vanishes only for u = v/‖v‖, the direction build_split must return
     worst_split = 0.0
     for _ in range(40):
         n = rng.randrange(3, 13)
-        split = build_split(n, 2.0, [rng.gauss(0.0, 1.0) for _ in range(n)])
-        pb = band_projector(split)
-        # with P = Pᵀ checked beside it, P² = P·Pᵀ, which is symmetric: the
-        # lower triangles of P·Pᵀ and P are compared
-        worst_split = max(
-            worst_split,
-            _max_abs_diff(pb, zip(*pb)),
-            max(
-                abs(sum(map(mul, ri, rj)) - x)
-                for i, ri in enumerate(pb)
-                for rj, x in zip(pb[: i + 1], ri)
-            ),
-            math.hypot(*map(sum, pb)),
-            math.hypot(*(sum(map(mul, row, split.u)) for row in pb)),
-            abs(_trace(pb) - (n - 2)),
-        )
+        u_raw = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        u = build_split(n, 2.0, u_raw).u
+        mean = math.fsum(u_raw) / n
+        v = [x - mean for x in u_raw]
+        cos = math.fsum(map(mul, u, v)) / math.hypot(*v)
+        defects = (math.fsum(u), math.fsum(map(mul, u, u)) - 1, 1 - cos)
+        worst_split = max(worst_split, *map(abs, defects))
     _add_bound(
         doc, "s.split-projector",
-        "P_B is a symmetric projector of rank N−2 killing the uniform and collective directions",
+        "the collective direction is the unit, mean-zero multiple of the raw direction, "
+        "so P_B is a symmetric projector of rank N−2 killing 1 and u",
         "worst defect", worst_split, 1e-10,
     )
 

@@ -138,6 +138,59 @@ def test_closed_vs_brute_fails_when_one_closed_sum_is_off(monkeypatch):
     assert all(r.status == "pass" for k, r in records.items() if k != "b.closed-vs-brute")
 
 
+def _mean_kept(split, u_raw):
+    return [x / math.hypot(*u_raw) for x in u_raw]
+
+
+def _norm_kept(split, u_raw):
+    mean = math.fsum(u_raw) / len(u_raw)
+    return [x - mean for x in u_raw]
+
+
+def _reversed(split, u_raw):
+    return [-x for x in split.u]
+
+
+def _tilted_toward_1(split, u_raw):
+    # a unit u with 1 − uᵀv/‖v‖ ≈ 5e-13: only |1ᵀu| ≈ 1e-6·√N sees it
+    n, t = len(split.u), 1e-6
+    return [(x + t / math.sqrt(n)) / math.sqrt(1 + t * t) for x in split.u]
+
+
+def _lengthened_across(split, u_raw):
+    # u plus 1e-4 times a unit w ⟂ 1, u: 1ᵀu = 0 and uᵀv/‖v‖ = 1, so only
+    # |uᵀu − 1| = 1e-8 sees it
+    u = split.u
+    z = [float(i == 0) - 1 / len(u) for i in range(len(u))]
+    c = sum(a * b for a, b in zip(z, u))
+    w = [a - c * b for a, b in zip(z, u)]
+    return [b + 1e-4 * a / math.hypot(*w) for a, b in zip(w, u)]
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [_mean_kept, _norm_kept, _reversed, _tilted_toward_1, _lengthened_across],
+    ids=lambda f: f.__name__,
+)
+def test_split_projector_fails_a_split_that_breaks_its_contract(monkeypatch, broken):
+    # u must be v/‖v‖ with v = u_raw − mean(u_raw).  The reversed direction
+    # is a unit, mean-zero vector, so P_B = I − 11ᵀ/N − uuᵀ is the same
+    # projector for it: only the direction defect |1 − uᵀv/‖v‖| = 2 sees it.
+    # The last two each break one of the record's other two scalars only
+    from goldenschur import verify
+    from goldenschur.schur import SplitGeometry
+
+    right = verify.build_split
+
+    def wrong(n, m_rho_sq, u_raw):
+        split = right(n, m_rho_sq, u_raw)
+        return SplitGeometry(n, m_rho_sq, broken(split, list(u_raw)))
+
+    monkeypatch.setattr(verify, "build_split", wrong)
+    records = {r.check_id: r for r in verify.run_suite("schur-properties", 7).records}
+    assert records["s.split-projector"].status == "fail"
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "appendix-z"])

@@ -153,7 +153,8 @@ def test_a_scalar_that_a_float_equals_runs_as_that_float(q):
 
 
 def test_a_scalar_that_no_float_equals_is_refused():
-    message = r"^no float equals Decimal\('0\.1'\); pass a Fraction to stay exact$"
+    # the message names q, as a coefficient's names the coefficient
+    message = r"^q: no float equals Decimal\('0\.1'\); pass a Fraction to stay exact$"
     for route in (sums_closed, moments):
         with pytest.raises(ValueError, match=message):
             route(12, Decimal("0.1"))

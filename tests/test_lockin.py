@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from goldenschur.folded import moments
+from goldenschur.floatlaw import quadratic_law_fit
+from goldenschur.folded import moments, sums_closed
 from goldenschur.golden import lambda_n
 from goldenschur.lockin import (
     QuadLawCoeffs,
@@ -248,13 +249,65 @@ def test_a_scalar_that_a_float_equals_runs_as_that_float():
         assert [x.hex() for x in got] == want
 
 
+_C = QuadLawCoeffs(1, 2, 12)
+#: each scalar field of the float lane, as a call on the value it reads
+_FIELDS = {
+    "coefficient": (lambda x: QuadLawCoeffs(x, 0, 12), "coefficient A", 1),
+    "lam": (lambda x: bracket_residual(_C, x), "lam", 3),
+    "kappa_quadratic-q": (lambda x: kappa_quadratic(_C, x), "q", 0.5),
+    "f_red_prime_q-q": (lambda x: f_red_prime_q(_C, x), "q", 0.5),
+    "moments-q": (lambda x: moments(12, x), "q", 0.5),
+    "sums_closed-q": (lambda x: sums_closed(12, x), "q", 0.5),
+    "fit-kappa": (lambda x: quadratic_law_fit([(0.5, x), (0.25, 2.0)], 12), "kappa sample", 1.0),
+}
+
+
+@pytest.mark.parametrize("field", list(_FIELDS))
+def test_a_complex_scalar_is_refused_by_its_field(field):
+    # each raised a bare TypeError from float() or from <, and the fit
+    # returned a complex A and B; numpy's complex64 is no Python complex
+    import numpy as np
+
+    call, name, x = _FIELDS[field]
+    for z in (x + 0j, np.complex64(x)):
+        with pytest.raises(
+            ValueError, match=rf"^{name} must be a number, got {re.escape(repr(z))}$"
+        ):
+            call(z)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    # a Λ of None is bracket_residual's default, Λ(N)
+    [(f, v) for v in ("0.5", None) for f in _FIELDS if (f, v) != ("lam", None)],
+    ids=repr,
+)
+def test_a_scalar_that_is_not_a_real_number_is_refused_by_its_field(field, value):
+    call, name, _ = _FIELDS[field]
+    with pytest.raises(
+        ValueError, match=rf"^{name} must be a number, got {re.escape(repr(value))}$"
+    ):
+        call(value)
+
+
+def test_quadratic_law_fit_reads_a_kappa_at_a_float_q_as_the_float_lane_reads_a_scalar():
+    # 1/3 at q = 0.5 would lose digits on its way into the float fit; one
+    # that a float equals runs as that float
+    with pytest.raises(ValueError, match=r"^kappa sample: no float equals Fraction\(1, 3\); "):
+        quadratic_law_fit([(0.5, Fraction(1, 3)), (0.25, 2.0)], 12)
+    got = quadratic_law_fit([(0.5, Fraction(1, 2)), (0.25, 2)], 12)
+    assert got == quadratic_law_fit([(0.5, 0.5), (0.25, 2.0)], 12)
+    assert type(got.a) is float and type(got.b) is float
+
+
 def test_a_scalar_that_no_float_equals_is_refused():
     # as a q, Decimal("0.1") would lose digits on its way into the float
     # lane, and as a given Λ on its way to the Fraction it is read as
     message = r"no float equals Decimal\('0\.1'\); pass a Fraction to stay exact$"
     coeffs = QuadLawCoeffs(Fraction(7, 3), Fraction(-5, 4), 12)
     for route, label in (
-        (kappa_quadratic, ""), (f_red_q, ""), (f_red_prime_q, ""), (bracket_residual, "lam: "),
+        (kappa_quadratic, "q: "), (f_red_q, "q: "), (f_red_prime_q, "q: "),
+        (bracket_residual, "lam: "),
     ):
         with pytest.raises(ValueError, match="^" + label + message):
             route(coeffs, Decimal("0.1"))

@@ -282,6 +282,25 @@ def test_build_split_mean_removal():
     assert np.allclose(band_projector(s1), band_projector(s2))
 
 
+@settings(max_examples=200)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=24))
+def test_build_split_returns_the_unit_mean_zero_multiple_of_the_raw_direction(u_raw):
+    # the contract that s.split-projector checks: with v = u_raw − mean(u_raw)
+    # in Fractions, 1ᵀu ≈ 0, uᵀu ≈ 1 and u·‖v‖ ≈ v.  Rounding the mean moves
+    # each v_i by about ε·|mean| ≤ ε·‖u_raw‖/√N, and the rest by a few ε·‖v‖,
+    # so each defect is within 4N·ε·(1 + ‖u_raw‖/‖v‖) relative to ‖v‖
+    n = len(u_raw)
+    mean = sum(map(Fraction, u_raw)) / n
+    v = [Fraction(x) - mean for x in u_raw]
+    norm, scale = math.sqrt(sum(x * x for x in v)), math.hypot(*u_raw)
+    assume(norm > 1e-10 * max(scale, 1.0))  # build_split refuses below 1e-12
+    u = build_split(n, 2.0, u_raw).u
+    tol = 4 * n * sys.float_info.epsilon * (1 + scale / norm)
+    assert abs(math.fsum(u)) <= tol
+    assert abs(math.fsum(x * x for x in u) - 1) <= tol
+    assert max(abs(x * norm - float(y)) for x, y in zip(u, v)) <= tol * norm
+
+
 def test_build_split_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_split(2, 2.0, [1.0, -1.0])  # needs n ≥ 3
@@ -1279,6 +1298,60 @@ def test_a_family_and_its_double_share_n_u_and_m_rho_sq_but_not_kappa():
     q = Fraction(1, 8)
     assert exact_kappa(fam, u_raw, rational_weights(fam, q)) == Fraction(19, 11)
     assert exact_kappa(double, u_raw, rational_weights(double, q)) == Fraction(38, 11)
+
+
+def rebuilt(fam, factors):
+    """fam through make_family from its own u, with C₀'s row times factors[0]
+    and term k's row times factors[k + 1]."""
+    rows = [[x * f for x in t.c] for t, f in zip((fam.base, *fam.terms), factors)]
+    terms = [(t.s, row) for t, row in zip(fam.terms, rows[1:])]
+    return make_family(fam.n, fam.split.m_rho_sq, fam.split.u, rows[0], terms)
+
+
+_FLOAT_FAMILY = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12), n_terms=st.integers(0, 3),
+    theta=st.floats(-6.0, 6.0),
+)
+
+
+@settings(max_examples=100)
+@given(k=st.integers(-20, 20), **_FLOAT_FAMILY)
+def test_scaling_a_float_exponent_family_scales_kappa_bit_for_bit(k, seed, n, n_terms, theta):
+    # c = 2^k scales every row, spectrum and sum of the kernel exactly, and
+    # its guard ratio and bound are unchanged where no weight nears e^t
+    fam = random_family(n, random.Random(seed), n_terms=n_terms)
+    c = 2.0**k
+    base = rebuilt(fam, [1.0] * (n_terms + 1))
+    big = rebuilt(fam, [c] * (n_terms + 1))
+    assert schur_curvature(big, theta) == c * schur_curvature(base, theta)
+
+
+@settings(max_examples=100)
+@given(delta=st.floats(-6.0, 6.0), **_FLOAT_FAMILY)
+def test_shifting_a_float_exponent_family_moves_kappa_along_theta(delta, seed, n, n_terms, theta):
+    # each term's row times e^{s·δ}, C₀ fixed: κ_δ(θ) = κ(θ + δ) exactly, and
+    # no weight passes e^24 here.  In floats each side is within 16 ulps of
+    # exact_kappa at its own inputs (the schur module's documented bound at
+    # any θ).  Those inputs differ, per term, by a relative ρ: the weights
+    # e^{sθ}, e^{s(θ+δ)} and the factor e^{sδ} round their arguments and
+    # themselves, |s|·(|θ| + |δ| + 2|θ + δ|)/2 + 3 units of ε in all, and
+    # each moved entry rounds once, which moves bin j of the spectrum by
+    # at most ε/2·‖c‖₁, relative ε·‖c‖₁/(2·ĉ_j).  (N − 2)·κ = wᵀMw/hᵀw is a
+    # ratio of sums of nonnegative products of two and of one weighted
+    # spectrum entry (bin 0 enters neither), so κ moves by at most 3ρ
+    fam = random_family(n, random.Random(seed), n_terms=n_terms)
+    base = rebuilt(fam, [1.0] * (n_terms + 1))
+    moved = rebuilt(fam, [1.0, *(math.exp(t.s * delta) for t in fam.terms)])
+    here, there = schur_curvature(moved, theta), schur_curvature(base, theta + delta)
+    rho = max(
+        [0.0, *(
+            abs(t.s) * (abs(theta) + abs(delta) + 2 * abs(theta + delta)) / 2 + 3
+            + sum(map(abs, t.c)) / (2 * min(t.spectrum[1:]))
+            if min(t.spectrum[1:]) > 0 else math.inf
+            for t in base.terms
+        )]
+    )
+    assert abs(here - there) <= (32 + 3 * rho) * sys.float_info.epsilon * there
 
 
 def test_kappa_scan_rejects_theta_range_too_wide_for_a_float():

@@ -149,7 +149,7 @@ def _print_payload(payload: dict[str, object], fmt: str, table_lines: list[str])
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     from .floatlaw import _count
-    from .folded import moments, sums_closed
+    from .folded import _golden_decimals, moments, sums_closed
     from .qfield import Q5, decimal_str
 
     _count(args.digits, "digits", 0)  # before anything prints, whatever the format
@@ -160,11 +160,14 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     q_label = "q⋆ = (3 − √5)/2" if isinstance(q, Q5) else str(q)
     print(f"N = {args.N}, q = {q_label}")
     columns = []
+    names = s._fields[2:] + m._fields[2:]  # s0…s3, i1, i2, i3, var, i2_prime
     if args.format != "decimal":
-        names = s._fields[2:] + m._fields[2:]  # s0…s3, i1, i2, i3, var, i2_prime
         columns.append(_exact_strs(values, (args.N, names) if isinstance(q, Q5) else None))
     if args.format != "exact":
-        columns.append([decimal_str(v, args.digits) for v in values])
+        if isinstance(q, Q5):  # q⋆: the decimals are read off the forms' leads
+            columns.append(_golden_decimals(args.N, names, args.digits))
+        else:
+            columns.append([decimal_str(v, args.digits) for v in values])
     shown = [" ≈ ".join(texts) for texts in zip(*columns)]
     shown.insert(8, shown[7])  # I1' is Var
     labels = ("S0", "S1", "S2", "S3", "I1", "I2", "I3", "Var", "I1'", "I2'")
@@ -250,6 +253,7 @@ def _cmd_schur(args: argparse.Namespace) -> int:
 
 
 def _cmd_stationarity(args: argparse.Namespace) -> int:
+    from .folded import _golden_decimals
     from .golden import lambda_n
     from .lockin import stationarity_check, synthesize_consistent_ab
     from .qfield import decimal_str
@@ -266,6 +270,7 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
     lam = lambda_n(args.N)
     rep = stationarity_check(coeffs)
     a_exact, lam_exact = _exact_strs([coeffs.a]) + _exact_strs([lam], (args.N, ["lambda"]))
+    (lam_decimal,) = _golden_decimals(args.N, ["lambda"], 10)
     payload = {
         "N": args.N,
         "B": str(b),
@@ -273,7 +278,7 @@ def _cmd_stationarity(args: argparse.Namespace) -> int:
         "A_exact": a_exact,
         "A_decimal": decimal_str(coeffs.a, 12),
         "lambda_exact": lam_exact,
-        "lambda_decimal": decimal_str(lam, 10),
+        "lambda_decimal": lam_decimal,
         "bracket_residual": str(rep.bracket),
         "f_prime_at_golden_point": str(rep.f_prime_at_star),
         "stationary": rep.stationary,
@@ -353,27 +358,31 @@ def _cmd_golden_table(args: argparse.Namespace) -> int:
 
     rows = golden_power_table(args.max_m)
     if args.format == "json":
-        lines = [_json([{"m": r.m, "a": r.a, "b": r.b} for r in rows], indent=2)]
-    elif args.format == "csv":
-        lines = ["m,a,b"] + [f"{r.m},{r.a},{r.b}" for r in rows]
+        print(_json([{"m": r.m, "a": r.a, "b": r.b} for r in rows], indent=2))
+        return 0
+    # q⋆^{m+1} = a_m·q⋆² + b_m·q⋆ with q⋆² = 3q⋆ − 1, so b_{m+1} = −a_m: each
+    # integer is converted to digits once, and b₀ = 1, b₁ = 0 (never "-0")
+    a = [str(r.a) for r in rows]
+    b = ["1", "0", *(f"-{x}" for x in a[1:-1])]
+    if args.format == "csv":
+        lines = ["m,a,b"] + [f"{m},{x},{y}" for m, (x, y) in enumerate(zip(a, b))]
     else:
-        width = len(str(rows[-1].a))
+        width = len(a[-1])
         lines = [f"{'m':>4}  {'a_m':>{width}}  {'b_m':>{width + 1}}"]
-        lines += [f"{r.m:>4}  {r.a:>{width}}  {r.b:>{width + 1}}" for r in rows]
+        lines += [f"{m:>4}  {x:>{width}}  {y:>{width + 1}}" for m, (x, y) in enumerate(zip(a, b))]
     print("\n".join(lines))
     return 0
 
 
 def _cmd_lambda(args: argparse.Namespace) -> int:
     from .floatlaw import _count
-    from .folded import _golden_exact_forms
+    from .folded import _golden_decimals, _golden_exact_forms
     from .golden import lambda_n
-    from .qfield import decimal_str
 
     _count(args.digits, "digits", 0)  # before anything prints, whatever the format
-    lam = lambda_n(args.N)
+    lambda_n(args.N)  # reads N, and refuses N = 1
     sqrt5_basis, golden_basis = _golden_exact_forms(args.N, ["lambda"])
-    decimal = decimal_str(lam, args.digits)
+    (decimal,) = _golden_decimals(args.N, ["lambda"], args.digits)
     payload = {"N": args.N, "sqrt5_basis": sqrt5_basis, "golden_basis": golden_basis, "decimal": decimal}
     table = [f"Λ({args.N}) = {sqrt5_basis} = {golden_basis} ≈ {decimal}"]
     _print_payload(payload, args.format, table)
@@ -465,10 +474,25 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand and return its exit code: 2 for bad input, an
+    unreadable file included, and 1 for a failed computation or a stdout
+    that its reader closed (``goldenschur golden-table --max-m 2000 | head -1``).
+
+    In that last case nothing is printed, and stdout is pointed at devnull,
+    as the note on SIGPIPE in Python's :mod:`signal` docs does, so that no
+    later flush fails: a caller's stdout writes nowhere from then on.
+    """
     args = _parser().parse_args(argv)
     try:
         with _unlimited_int_digits():
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
+            return code
+    except BrokenPipeError:
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

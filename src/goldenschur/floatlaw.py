@@ -56,12 +56,13 @@ def _check_domain(n: int, q: Scalar, inexact: bool = True) -> int:
     return n
 
 
-def _as_float(x: object, name: str = "q") -> float:
+def _as_float(x: object, name: str = "q", remedy: str = "pass a Fraction to stay exact") -> float:
     """An inexact scalar (q, Λ, a coefficient or a κ sample) as it enters the
     float lane: a float, ``numpy.float64`` included, as it is; any other real
     number as the float that equals it, or as a NaN or an infinity, which the
     callers' checks name; anything else, a bool, a complex, a str, None or
-    ``Decimal("0.1")``, is a ValueError naming the field, ``name``."""
+    ``Decimal("0.1")``, is a ValueError naming the field, ``name``, and for
+    a number that no float equals, the ``remedy``."""
     if isinstance(x, float):
         return x
     import numbers  # not loaded by schur, whose float lane reads only floats
@@ -73,7 +74,7 @@ def _as_float(x: object, name: str = "q") -> float:
     f = float(x)
     if f == x or not math.isfinite(f):
         return f
-    raise ValueError(f"{name}: no float equals {x!r}; pass a Fraction to stay exact")
+    raise ValueError(f"{name}: no float equals {x!r}; {remedy}")
 
 
 def _closed_sums(n: int, q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
@@ -148,8 +149,10 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
     q, and its κ is read as that lane reads a scalar: a float q takes
     :func:`_float_moments`, and any other q :func:`~.folded.moments` with an
     exact κ read on Python ints (:func:`~.qfield._exact_value`); any other κ
-    enters through :func:`_as_float`.  A κ that is a NaN or an infinity is a
-    ValueError.
+    enters through :func:`_as_float`.  At a float q, a κ that no float equals,
+    a Fraction too, is refused with the remedy of passing q exactly, since
+    the float q is what takes the sample to the float lane.  A κ that is a
+    NaN or an infinity is a ValueError.
     """
     if len(points) < 2:
         raise ValueError("need at least two (q, kappa) samples")
@@ -159,15 +162,21 @@ def quadratic_law_fit(points: Sequence[tuple[Scalar, Scalar]], n: int) -> QuadLa
         if isinstance(q, float):
             _check_domain(n, q)
             i1, _, _, var, _ = _float_moments(n, q)
-            exact = None
+            # a float κ, as schur --fit-law passes, needs no refusal message
+            k = kappa if isinstance(kappa, float) else _as_float(
+                kappa, "kappa sample",
+                f"the float q = {q!r} takes this sample to the float lane: pass q exactly, "
+                "as a Fraction, to stay exact",
+            )
         else:
             from .folded import moments
             from .qfield import _exact_value
 
             mom = moments(n, q)
             i1, var = mom.i1, mom.var
-            exact = _exact_value(kappa)  # on Python ints: a numpy integer wraps
-        k = _as_float(kappa, "kappa sample") if exact is None else exact
+            k = _exact_value(kappa)  # on Python ints: a numpy integer wraps
+            if k is None:
+                k = _as_float(kappa, "kappa sample")
         if k != k or k in (math.inf, -math.inf):  # a NaN is unequal to itself
             raise ValueError(f"kappa sample must be finite, got {kappa!r}")
         ms.append(i1 * i1)

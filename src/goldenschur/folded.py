@@ -60,6 +60,17 @@ integers of over 3000 bits, where :func:`~.qfield.exact_forms` converts 36.
 ``lambda`` and ``stationarity`` print Λ this way too.  ``exact_forms``, which
 prints every other exact value, is the oracle the tests hold this route to.
 
+Their decimals are read off the forms' leading terms under a certified tail
+bound (:func:`_golden_decimals`).  Each value is its N → ∞ limit ℓ, the
+top coefficient of its form (φ⁻¹, 1, √5, 7, φ, √5·φ, 7φ, 1 and 1 + 2√5),
+plus a tail below ``2^−tail``, an integer built with the form and cached
+with it.  Where that bound is at most ``ε = 2^−(⌈10d/3⌉ + 64)`` for d digits
+and ``decimal_str(ℓ ± ε, d)`` agree, they are the value's d digits;
+otherwise, and so for every value of N below about 93 at 12 digits, the
+value prints as ``decimal_str(v, d)``, the oracle of this route.  At
+N = 10⁴ the nine decimals of ``moments --q phi^-2`` take 0.05 ms instead of
+0.54 ms, and at N = 10⁵ 0.09 ms instead of 18 ms (in process, best of 20).
+
 Both lanes and the q⋆ forms fill one :class:`FoldedMoments` record, I₂′
 included, so :func:`moments` is the one route to the moments.
 """
@@ -75,7 +86,7 @@ from typing import NamedTuple, Sequence, Union
 from . import floatlaw
 from .qfield import (
     PHI, QSTAR, Q5, SQRT5, _coords, _Digits, _exact_value, _format_linear, _int_max_str_digits,
-    _q5,
+    _q5, decimal_str,
 )
 
 __all__ = [
@@ -239,7 +250,9 @@ class _Form(NamedTuple):
     vector over the basis of :class:`_GoldenPoint`, with ``d = k·Dᵖᵒʷᵉʳ`` and
     ``reduction = (D, λ, i, e, c)``: modulo D, ``L_2N ≡ λ`` and
     ``e·w² ≡ c`` for the basis integer w at index i, and every other basis
-    integer with an entry in p or q vanishes (see :func:`_common_factor`)."""
+    integer with an entry in p or q vanishes (see :func:`_common_factor`).
+    Its N → ∞ limit is ``lead``, and ``|value − lead| < 2^−tail`` where
+    ``tail ≥ 0`` (see :func:`_golden_forms`)."""
 
     p: list[int]
     q: list[int]
@@ -247,6 +260,8 @@ class _Form(NamedTuple):
     k: int
     power: int
     reduction: tuple[int, int, int, int, int]
+    lead: _Ring
+    tail: int
 
 
 class _GoldenPoint(NamedTuple):
@@ -254,9 +269,9 @@ class _GoldenPoint(NamedTuple):
 
     basis: _Basis
     forms: dict[str, _Form]
+    values: dict[str, Q5]  # by the names of the forms, Λ's "lambda" for N ≥ 2
     sums: FoldedSums
     moments: FoldedMoments
-    lam: Q5 | None  # Λ, for N ≥ 2
 
 
 def _dot(vector: Sequence[int], basis: Sequence) -> int:
@@ -280,10 +295,9 @@ def _golden_point(n: int) -> _GoldenPoint:
         for name, form in forms.items()
     }
     return _GoldenPoint(
-        basis, forms,
+        basis, forms, values,
         FoldedSums(n, QSTAR, *map(values.get, FoldedSums._fields[2:])),
         FoldedMoments(n, QSTAR, *map(values.get, FoldedMoments._fields[2:])),
-        values.get("lambda"),
     )
 
 
@@ -307,6 +321,20 @@ def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
     ``z^{±2} = (L_2N ± F_2N·√5)/2``, each coordinate is an integer vector over
     ``(1, F_N, L_N, F_2N, L_2N)``, over a small integer times 1, Y₀, Y₀² or R;
     its entries have at most 44 bits up to N = 10⁴ + 1.
+
+    Each value is ``v = Σ n_j·z^j / Σ d_j·z^j`` over a divisor monic of
+    degree D (1, Y₀, Y₀² or R), so its lead, its N → ∞ limit, is ``ℓ = n_D``
+    (g_k, φ·g_k, 1 or 1 + 2√5), and ``v − ℓ = Σ_{j<D} r_j·z^j / Σ d_j·z^j``
+    with ``r_j = n_j − ℓ·d_j``.  Every j below D is at most ``D − s``, with
+    s = 2 here, as each polynomial's degrees have one parity.  For z ≥ 1 the
+    top is at most ``U·z^{D−s}`` and, where ``z^s ≥ 2K``, the divisor at least
+    ``z^D/2``, with ``K = Σ_{j<D}|d_j|`` and ``U = Σ_{j<D}|n_j| + K·|ℓ|``, at
+    least ``Σ|r_j|``, both bounded above in integers (√5 < 3): so
+    ``|v − ℓ| ≤ 2U/z^s``.  As ``z ≥ F_N ≥ 2^b`` for ``b = bits(F_N) − 1``,
+    ``tail = s·b − 1 − max(bits(U), bits(K))`` gives ``|v − ℓ| < 2^−tail``
+    whenever it is not negative, within 9 bits of the true distance: at
+    N = 10⁴, Λ is within 2^−13 841 of 1 + 2√5.  :func:`_golden_decimals`
+    prints from these bounds.
     """
     odd, nn = n & 1, n * n
     sign = -1 if odd else 1
@@ -315,12 +343,14 @@ def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
         0: ((0, 2), (0, 0)), 1: ((2, 1), (1, 1)), -1: ((2, sign), (1, -sign)),
         2: ((4, 1), (3, 1)), -2: ((4, 1), (3, -1)),
     }
+    bits = basis[1].bit_length() - 1  # z = φᴺ ≥ F_N ≥ 2^bits
 
-    def form(terms: dict[int, _Ring], over: tuple) -> _Form:
-        """``Σ c_j·z^j`` divided by ``over``: the divisor as a basis vector,
-        its quotient by ``modulusᵖᵒʷᵉʳ``, that power, and the reduction modulo
-        the modulus."""
-        coords = [(j, _coords(c)) for j, c in terms.items()]
+    def form(terms: dict[int, _Ring], over: tuple, root: _Ring = 1) -> _Form:
+        """``Σ c_j·z^j`` divided by ``over``'s monic Laurent polynomial Y, whose
+        basis vector is ``root·Y``: the divisor as a basis vector, its
+        quotient by ``modulusᵖᵒʷᵉʳ``, that power, the reduction modulo the
+        modulus, and the lead and the tail of the value."""
+        coords = [(j, _coords(c if root == 1 else c * root)) for j, c in terms.items()]
         den = math.lcm(*(2 * d for _, (_, _, d) in coords))
         p, q = [0] * 5, [0] * 5
         for j, (cp, cq, cd) in coords:
@@ -330,8 +360,14 @@ def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
             p[k] += 5 * w * sk * cq
             q[i] += w * si * cq
             q[k] += w * sk * cp
-        vector, unit, power, reduction = over
-        return _Form(p, q, [den * x for x in vector], den * unit, power, reduction)
+        vector, unit, power, reduction, laurent = over
+        top = max(laurent)
+        lead = terms[top]
+        step = top - max(j for j in (*terms, *laurent) if j < top)
+        lower = sum(abs(c) for j, c in laurent.items() if j < top)  # K
+        rest = _bound(c for j, c in terms.items() if j < top) + lower * _bound((lead,))  # U
+        tail = step * bits - 1 - max(rest, lower).bit_length()
+        return _Form(p, q, [den * x for x in vector], den * unit, power, reduction, lead, tail)
 
     # Y₀ is A = L_N (odd N) or √5·A with A = F_N (even N): Y₀² = y·A², and
     # modulo A, L_2N = Y₀² + 2 ≡ 2 while the other of F_N, L_N, w, has
@@ -340,10 +376,10 @@ def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
     on_a = (basis[a], 2, 3 - a, 5 // y, 4)
     # modulo R, L_2N ≡ N² + 2 and 5·F_2N² = L_2N² − 4 ≡ N²(N² + 4)
     on_r = (basis[4] - 2 - nn, nn + 2, 3, 5, nn * (nn + 4))
-    one = ([1, 0, 0, 0, 0], 1, 1, (1, 0, 0, 0, 0))
-    y0 = ([y * (i == a) for i in range(5)], y, 1, on_a)  # y·A
-    y0_squared = ([-2, 0, 0, 0, 1], y, 2, on_a)
-    r = ([-2 - nn, 0, 0, 0, 1], 1, 1, on_r)
+    one = ([1, 0, 0, 0, 0], 1, 1, (1, 0, 0, 0, 0), {0: 1})
+    y0 = ([y * (i == a) for i in range(5)], y, 1, on_a, {1: 1, -1: -1})  # y·A = root·Y₀
+    y0_squared = ([-2, 0, 0, 0, 1], y, 2, on_a, {2: 1, 0: -2, -2: 1})
+    r = ([-2 - nn, 0, 0, 0, 1], 1, 1, on_r, {2: 1, 0: -2 - nn, -2: 1})
     g = (PHI - 1, 1, SQRT5, 7)
     e = _shift(g, n)
     t = {2: 1 + 2 * SQRT5, 0: -(n + 1) * (nn + 2) - (nn + 4) * SQRT5, -2: 2 * n + 1 + 2 * SQRT5}
@@ -353,12 +389,20 @@ def _golden_forms(n: int, basis: _Basis) -> dict[str, _Form]:
     }
     if n > 1:  # R = 0 at N = 1
         forms["lambda"] = form(t, r)
-    phi_root = PHI * root  # φ/Y₀ = φ·root/(y·A)
     for k in range(4):
         forms[f"s{k}"] = form({0: g[k], -2: -e[k]}, one)
         if k:
-            forms[f"i{k}"] = form({1: phi_root * g[k], -1: -phi_root * e[k]}, y0)
+            forms[f"i{k}"] = form({1: PHI * g[k], -1: -PHI * e[k]}, y0, root)
     return forms
+
+
+def _bound(values) -> int:
+    """An integer at least ``Σ|x|`` over ints and Q5s x, as √5 < 3."""
+    total = 0
+    for x in values:
+        p, q, d = _coords(x)
+        total += -(-(abs(p) + 3 * abs(q)) // d)
+    return total
 
 
 def _common_factor(x: int, vector: Sequence[int], form: _Form) -> int:
@@ -426,6 +470,36 @@ def _golden_exact_forms(n: int, names: Sequence[str]) -> tuple[str, ...]:
             derive(d, pairs[-1][1], g)
         forms += ((pairs[0], pairs[1], "√5"), (pairs[2], pairs[3], "q⋆"))
     return tuple(_format_linear(*forms, digits=digits))
+
+
+def _golden_decimals(n: int, names: Sequence[str], digits: int) -> list[str]:
+    """:func:`~.qfield.decimal_str` of the golden-point values of N named by
+    ``names`` (keys of :func:`_golden_forms`), read off their forms' leads.
+
+    Each value v lies within ``2^−tail`` of its lead ℓ (:class:`_Form`).  With
+    ``ε = 2^−e`` for ``e = ⌈10·digits/3⌉ + 64``, some 64 bits below the last
+    digit, and ``tail ≥ e``, v lies between ``ℓ − ε`` and ``ℓ + ε``;
+    rounding is monotone, so when both ends print alike, v prints so too
+    (Ziv's strategy, as in :mod:`.qfield`), from integers of about e bits.
+    Every other value prints as ``decimal_str(v, digits)``, the oracle of
+    this route: at 12 digits, each value of N below about 93.  So the √5
+    expansion stays at 187 bits at N = 10⁴, where enclosing each value
+    itself grew it to 14 830.
+    """
+    digits = floatlaw._count(digits, "digits", 0)
+    point = _golden_point(n)
+    e = -(-10 * digits // 3) + 64
+    eps = Fraction(1, 1 << e)
+    out = []
+    for name in names:
+        form = point.forms[name]
+        if form.tail >= e:
+            text = decimal_str(form.lead - eps, digits)
+            if text == decimal_str(form.lead + eps, digits):
+                out.append(text)
+                continue
+        out.append(decimal_str(point.values[name], digits))
+    return out
 
 
 def moments(n: int, q: Scalar) -> FoldedMoments:

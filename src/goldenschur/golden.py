@@ -12,9 +12,12 @@ built from the four constants ``g_k = Σ_{t≥1} t^k·q⋆^t = (φ⁻¹, 1, √5
 N per process, in one cache that keeps the last 32 sizes.  Λ prints from the
 digits of F_N and L_N, as the moments do, in both the ``lambda`` and the
 ``stationarity`` subcommands: at N = 10⁴ that converts those two integers
-only.  The table is integer arithmetic and loads only :mod:`.floatlaw`, the
-reader of counts: :mod:`.qfield` and :mod:`.folded` are imported by the
-functions that compute with them.
+only.  Its decimal, like the moments', is read off its form's leading term
+1 + 2√5 under a certified bound on the rest, where that bound decides the
+digits, and through :func:`~.qfield.decimal_str` otherwise.  The table is
+integer arithmetic and loads only :mod:`.floatlaw`, the reader of counts:
+:mod:`.qfield` and :mod:`.folded` are imported by the functions that compute
+with them.
 """
 
 from __future__ import annotations
@@ -83,4 +86,4 @@ def lambda_n(n: int) -> Q5:
     n = _count(n, "N", 1)
     if n == 1:
         raise ValueError("Λ(N) needs N >= 2 (zero variance at N=1)")
-    return _golden_point(n).lam
+    return _golden_point(n).values["lambda"]

@@ -26,6 +26,18 @@ and happens at most once: ``5a² − m²`` is a nonzero integer, so
 ``|a·√5 − m| = |5a² − m²|/(a·√5 + m) > 2^−(bits(a)+3)`` for every integer
 ``0 ≤ m < a·√5 + 1``, and ``bits(a) + 3`` guard bits decide the floor.
 
+The decimals of the golden-point values (``moments --q phi^-2``, and Λ in
+``lambda`` and ``stationarity``) apply the same strategy one level up
+(:func:`~.folded._golden_decimals`): each value is within a certified
+``2^−tail`` of its form's leading term ℓ, a constant such as 1 + 2√5, and
+where ``decimal_str(ℓ − ε)`` and ``decimal_str(ℓ + ε)`` agree for a
+dyadic ε at or above that bound, they are the value's digits.  Every other
+value, those of N below about 93 at 12 digits included, prints through
+:func:`decimal_str`, which is that route's oracle.  At N = 10⁴ the nine
+decimals of ``moments`` take 0.05 ms instead of 0.54 ms, and at N = 10⁵
+0.09 ms instead of 18 ms, and the expansion stays at 187 bits where it grew
+to 14 830 and 147 603 bits.
+
 Exact forms (``str`` of a Q5 and of a GoldenBasis, and :func:`exact_forms`,
 which renders both forms of any number of values in one call) are rendered
 by ``_format_linear`` from reduced integer pairs, each distinct integer

@@ -489,6 +489,58 @@ def test_golden_table_output_pinned(capsys, fmt):
     assert out == GOLDEN_TABLE_5_OUTPUT[fmt]
 
 
+def _golden_table_by_rows(max_m, fmt):
+    """``golden-table`` stdout with each row's integers rendered by ``str``."""
+    from goldenschur.golden import golden_power_table
+
+    rows = golden_power_table(max_m)
+    if fmt == "json":
+        return json.dumps([{"a": r.a, "b": r.b, "m": r.m} for r in rows], indent=2) + "\n"
+    if fmt == "csv":
+        return "m,a,b\n" + "".join(f"{r.m},{r.a},{r.b}\n" for r in rows)
+    width = len(str(rows[-1].a))
+    lines = [f"{'m':>4}  {'a_m':>{width}}  {'b_m':>{width + 1}}"]
+    lines += [f"{r.m:>4}  {str(r.a):>{width}}  {str(r.b):>{width + 1}}" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("max_m", [0, 1, 2, 12, 500])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_golden_table_prints_each_row_as_str_renders_it(capsys, fmt, max_m):
+    # csv and table print b_{m+1} from the digits of a_m; b₀ = 1 and b₁ = 0
+    code, out, err = run_cli(capsys, "golden-table", "--max-m", str(max_m), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _golden_table_by_rows(max_m, fmt)
+    assert "-0" not in re.split(r"[\s,]+", out)
+
+
+def test_a_closed_stdout_exits_1_quietly():
+    # the reader of the pipe stops after one line: nothing on stderr, exit 1,
+    # where the closed pipe was reported as bad input (exit 2)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "goldenschur", "golden-table", "--max-m", "2000"],
+        cwd=FIXTURES.parent.parent, env={**os.environ, "PYTHONPATH": "src"},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"m,a,b\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit-ab", "--points", "{missing}"], ["schur", "{missing}", "-2", "-0.1", "3"]],
+    ids=["fit-ab", "schur"],
+)
+def test_an_unreadable_input_file_is_bad_input(capsys, tmp_path, argv):
+    missing = tmp_path / "missing.csv"
+    code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
 # ---------------------------------------------------------------------------
 # stationarity
 # ---------------------------------------------------------------------------

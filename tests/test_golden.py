@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldenschur import folded, qfield
 from goldenschur.folded import _golden_point, moments, sums_closed
@@ -385,6 +387,94 @@ def test_lambda_bounds_are_integer_inequalities():
 
 
 # ---------------------------------------------------------------------------
+# golden-point decimals, read off the forms' leads
+# ---------------------------------------------------------------------------
+
+#: digit counts at which the route is held to decimal_str
+_DECIMAL_DIGITS = (0, 1, 12, 30, 60)
+
+
+def _check_decimals(n):
+    point = _golden_point(n)
+    names = list(point.forms)
+    for digits in _DECIMAL_DIGITS:
+        want = [decimal_str(point.values[name], digits) for name in names]
+        assert folded._golden_decimals(n, names, digits) == want, (n, digits)
+
+
+def test_golden_decimals_equal_decimal_str_up_to_400():
+    for n in [*range(1, 401), 1000, 10_000]:
+        _check_decimals(n)
+
+
+@settings(max_examples=30)
+@given(st.integers(401, 20_000))
+def test_golden_decimals_equal_decimal_str_at_drawn_sizes(n):
+    _check_decimals(n)
+
+
+def test_golden_forms_bound_their_tails():
+    # |v − lead| < 2^−tail wherever tail ≥ 0, and the bound is within a few
+    # bits of the true distance, about 2^−1.39N (the tail shrinks as φ^−2N)
+    for n in [*range(1, 301), 1000, 10_001]:
+        point = _golden_point(n)
+        for name, form in point.forms.items():
+            distance = abs(point.values[name] - form.lead)
+            if form.tail >= 0:
+                assert 0 < distance < Fraction(1, 1 << form.tail), (n, name)
+                assert distance > Fraction(1, 1 << (form.tail + 16)), (n, name)
+
+
+def test_golden_decimals_at_10000_are_read_off_the_forms(monkeypatch):
+    # at 12 digits every value, Λ included, is certified by its lead: no
+    # decimal_str call sees a value of the point
+    point = _golden_point(10_000)
+    names = list(point.forms)
+    seen = []
+    real = folded.decimal_str
+    monkeypatch.setattr(folded, "decimal_str", lambda x, d: seen.append(x) or real(x, d))
+    got = folded._golden_decimals(10_000, names, 12)
+    assert len(seen) == 2 * len(names)
+    assert not any(x is v or x == v for x in seen for v in point.values.values())
+    assert got[names.index("lambda")] == "5.472135955000"
+    leads = {name: form.lead for name, form in point.forms.items()}
+    assert leads == {
+        "s0": PHI - 1, "s1": 1, "s2": SQRT5, "s3": 7, "i1": PHI, "i2": PHI * SQRT5, "i3": 7 * PHI,
+        "var": 1, "i2_prime": 1 + 2 * SQRT5, "lambda": 1 + 2 * SQRT5,
+    }
+
+
+def test_golden_decimals_fall_back_below_the_tail(monkeypatch):
+    # at N = 12 no tail reaches 2^−104, so each value prints as decimal_str
+    point = _golden_point(12)
+    seen = []
+    real = folded.decimal_str
+    monkeypatch.setattr(folded, "decimal_str", lambda x, d: seen.append(x) or real(x, d))
+    assert folded._golden_decimals(12, ["lambda", "var"], 12) == ["5.458324276166", "0.998611111111"]
+    assert seen == [point.values["lambda"], point.values["var"]]
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_golden_decimals_fall_back_where_the_ends_round_apart(monkeypatch, side):
+    # a lead on a rounding boundary: ℓ ± ε print "0" and "1", so neither end
+    # is the value's decimal, and the value itself decides
+    point = _golden_point(10_000)
+    form = point.forms["var"]._replace(lead=Fraction(1, 2), tail=1000)
+    value = Fraction(1, 2) + side * Fraction(1, 1 << 2000)
+    monkeypatch.setattr(
+        folded, "_golden_point", lambda n: point._replace(forms={"x": form}, values={"x": value})
+    )
+    assert folded._golden_decimals(10_000, ["x"], 0) == [decimal_str(value, 0)] == [
+        "0" if side < 0 else "1"
+    ]
+
+
+def test_golden_decimals_read_digits_as_a_count():
+    with pytest.raises(ValueError, match=r"^digits must be an integer >= 0, got -1$"):
+        folded._golden_decimals(10_000, ["lambda"], -1)
+
+
+# ---------------------------------------------------------------------------
 # the golden-point caches
 # ---------------------------------------------------------------------------
 
@@ -410,7 +500,7 @@ def test_golden_caches_are_shared_and_bounded():
     assert lambda_n(12) is lambda_n(12)
     point = folded._golden_point(12)
     assert (sums_closed(12, QSTAR), moments(12, QSTAR), lambda_n(12)) == (
-        point.sums, point.moments, point.lam,
+        point.sums, point.moments, point.values["lambda"],
     )
     assert folded._golden_point.cache_info().maxsize is not None
 

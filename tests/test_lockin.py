@@ -291,10 +291,22 @@ def test_a_scalar_that_is_not_a_real_number_is_refused_by_its_field(field, value
 
 
 def test_quadratic_law_fit_reads_a_kappa_at_a_float_q_as_the_float_lane_reads_a_scalar():
-    # 1/3 at q = 0.5 would lose digits on its way into the float fit; one
-    # that a float equals runs as that float
-    with pytest.raises(ValueError, match=r"^kappa sample: no float equals Fraction\(1, 3\); "):
+    # 1/3 at q = 0.5 would lose digits on its way into the float fit, and the
+    # float q, not κ, is what sends it there; one that a float equals runs as
+    # that float
+    message = (
+        "kappa sample: no float equals Fraction(1, 3); the float q = 0.5 takes this sample "
+        "to the float lane: pass q exactly, as a Fraction, to stay exact"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         quadratic_law_fit([(0.5, Fraction(1, 3)), (0.25, 2.0)], 12)
+    exact = quadratic_law_fit([(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), 2)], 12)
+    assert type(exact.a) is Fraction and type(exact.b) is Fraction
+    # at an exact q, a κ that no float equals is the κ to pass exactly
+    with pytest.raises(
+        ValueError, match=r"^kappa sample: no float equals Decimal\('0\.1'\); pass a Fraction"
+    ):
+        quadratic_law_fit([(Fraction(1, 2), Decimal("0.1")), (Fraction(1, 4), 2)], 12)
     got = quadratic_law_fit([(0.5, Fraction(1, 2)), (0.25, 2)], 12)
     assert got == quadratic_law_fit([(0.5, 0.5), (0.25, 2.0)], 12)
     assert type(got.a) is float and type(got.b) is float

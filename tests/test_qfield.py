@@ -1090,7 +1090,8 @@ def test_golden_route_prints_what_exact_forms_prints():
 def test_golden_commands_print_the_bytes_of_exact_forms(monkeypatch, capsys):
     # the stdout of every format of `moments --q phi^-2`, `lambda` and
     # `stationarity` (N ≥ 3), with the golden-point values printed from F_N
-    # and L_N and through exact_forms
+    # and L_N and through exact_forms, and their decimals read off the forms'
+    # leads and through decimal_str
     from goldenschur import folded
 
     def outputs():
@@ -1110,6 +1111,11 @@ def test_golden_commands_print_the_bytes_of_exact_forms(monkeypatch, capsys):
         folded,
         "_golden_exact_forms",
         lambda n, names: exact_forms(*map(golden_values(n).__getitem__, names)),
+    )
+    monkeypatch.setattr(
+        folded,
+        "_golden_decimals",
+        lambda n, names, digits: [decimal_str(golden_values(n)[name], digits) for name in names],
     )
     for new, old in zip(printed, outputs()):
         assert new == old, new[:2]
@@ -1150,15 +1156,13 @@ def test_golden_moments_print_with_at_most_one_isqrt(monkeypatch, capsys):
         return real(n)
 
     monkeypatch.setattr(qfield.math, "isqrt", counted)
+    monkeypatch.setattr(qfield, "_sqrt5_cache", (0, 2))  # as in a fresh process
     assert cli.main(["moments", "--q", "phi^-2", "--N", "10000"]) == 0
     assert capsys.readouterr().out.count("≈") == 10
     assert len(calls) <= 1
-    # and the expansion stops a little past the bits the largest value needs
-    s = sums_closed(10_000, QSTAR)
-    m = moments(10_000, QSTAR)
-    values = (*s.as_tuple(), *m[2:])
-    needed = max((2 * abs(v._q) * 10**12).bit_length() + 32 for v in values)
-    assert needed <= qfield._sqrt5_cache[0] < 1.1 * needed
+    # and the expansion stays short: the decimals are read off the forms'
+    # leads, where enclosing each value itself needed some 14 000 bits
+    assert qfield._sqrt5_cache[0] < 256
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,11 @@ immutable values, so they are computed once per N per process, in one cache
 The same forms print them.  :func:`_golden_exact_forms` prints them from one
 radix conversion each of F_N and L_N, in Decimal arithmetic linear in the
 digits, and reduces each fraction by gcds with small integers only
-(:func:`_common_factor`).  At N = 10⁴, ``moments --q phi^-2`` converts 2
-integers of over 3000 bits, where :func:`~.qfield.exact_forms` converts 36.
+(:func:`_common_factor`).  The point keeps the Decimals of its basis and the
+divisor of each printed coordinate from its first print on, so those
+conversions and gcds happen once per N: at N = 10⁴, ``moments --q phi^-2``
+converts 2 integers of over 3000 bits on its first print and none on a
+later one, where :func:`~.qfield.exact_forms` converts 36 per print.
 ``lambda`` and ``stationarity`` print Λ this way too.  ``exact_forms``, which
 prints every other exact value, is the oracle the tests hold this route to.
 
@@ -235,9 +238,11 @@ def _moments_exact(n: int, q: Fraction | Q5) -> FoldedMoments:
 _GOLDEN_CACHE_SIZE = 32
 #: Printed integers of at most this many bits are converted to digits
 #: directly: there a conversion costs no more than a derivation from the
-#: Decimals of F_N and L_N (about 18 µs each at 3000 bits, Python 3.11, 2-CPU
-#: Xeon host).
-_DIRECT_BITS = 3000
+#: Decimals of the basis kept with the point (both about 3.7 µs at 1750 bits;
+#: at 3000 bits str takes 12 µs and a derivation 4.5 µs; Python 3.11, 2-CPU
+#: Xeon host).  A first print also makes those Decimals, so the bound sits a
+#: little above the crossover.
+_DIRECT_BITS = 2000
 #: Exact integer arithmetic on Decimals: no result here has MAX_PREC digits.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC)
 #: ``(1, F_N, L_N, F_2N, L_2N)``: every coordinate of a golden-point value of
@@ -265,13 +270,26 @@ class _Form(NamedTuple):
 
 
 class _GoldenPoint(NamedTuple):
-    """The golden-point values of N, each read off its form, once per N."""
+    """The golden-point values of N, each read off its form, once per N.
+
+    ``decimals`` and ``coordinates`` start empty and are filled by the first
+    print that needs them (:func:`_golden_exact_forms`), so callers that never
+    print compute nothing for them; they are evicted with the point.
+    ``decimals`` holds the :class:`decimal.Decimal` images of the basis once an
+    integer is derived from them, and ``coordinates`` the divisors of the four
+    printed coordinates of each printed name (:func:`_coordinates`), integers
+    of under 32 bits up to N = 10⁵.  At N = 10⁴ they take about 7 KiB once
+    every value is printed, next to the point's 53 KiB, and at N = 10⁵ 60 KiB
+    next to 452 KiB (``tracemalloc``, Python 3.11).
+    """
 
     basis: _Basis
     forms: dict[str, _Form]
     values: dict[str, Q5]  # by the names of the forms, Λ's "lambda" for N ≥ 2
     sums: FoldedSums
     moments: FoldedMoments
+    decimals: list[decimal.Decimal | int]
+    coordinates: dict[str, tuple[int, int, int, int]]
 
 
 def _dot(vector: Sequence[int], basis: Sequence) -> int:
@@ -298,6 +316,7 @@ def _golden_point(n: int) -> _GoldenPoint:
         basis, forms, values,
         FoldedSums(n, QSTAR, *map(values.get, FoldedSums._fields[2:])),
         FoldedMoments(n, QSTAR, *map(values.get, FoldedMoments._fields[2:])),
+        [], {},
     )
 
 
@@ -431,17 +450,21 @@ def _golden_exact_forms(n: int, names: Sequence[str]) -> tuple[str, ...]:
     Each printed integer is ``x/g`` for a form's ``x = vector·basis`` and
     ``g`` from :func:`_common_factor`.  One above ``_DIRECT_BITS`` bits is
     derived in :class:`decimal.Decimal` arithmetic, linear in the digits:
-    F_N and L_N are converted once, F_2N = F_N·L_N and L_2N = L_N² ∓ 2 are
-    multiplied once, and every integer is a sum of small multiples of them,
-    divided by g.  So ``moments --q phi^-2 --N 10000`` converts 2 integers of
-    over 3000 bits, not 36, and takes no gcd of two large integers.  Under a
-    set int→str digit limit, a derived string past it is replaced by
-    ``str(k)``, which raises as str does.
+    every integer is a sum of small multiples of F_N, L_N, F_2N = F_N·L_N and
+    L_2N = L_N² ∓ 2, divided by g.  The point keeps what a print needs past
+    its values: the Decimals of the basis, made once per N (F_N and L_N
+    converted, F_2N and L_2N multiplied), and the divisors g of each printed
+    name.  So ``moments --q phi^-2 --N 10000`` converts 2 integers of over
+    3000 bits once per N, where :func:`~.qfield.exact_forms` converts 36 per
+    print, and takes no gcd of two large integers; a later print does one dot
+    product, its divisions by the kept g and one digit derivation per
+    coordinate.  No text is kept: the int→str digit limit is read on every
+    print, and a derived string past it is replaced by ``str(k)``, which
+    raises as str does.
     """
     point = _golden_point(n)
-    basis = point.basis
+    basis, decimals = point.basis, point.decimals
     digits = _Digits()
-    decimals: list = []
     limit = _int_max_str_digits()
 
     def derive(vector: Sequence[int], k: int, g: int) -> None:
@@ -451,7 +474,7 @@ def _golden_exact_forms(n: int, names: Sequence[str]) -> tuple[str, ...]:
         if not decimals:
             f, lucas = (decimal.Decimal(digits[x]) for x in basis[1:3])
             lucas2 = _EXACT.add(_EXACT.multiply(lucas, lucas), 2 if n & 1 else -2)
-            decimals.extend((1, f, lucas, _EXACT.multiply(f, lucas), lucas2))
+            decimals[:] = (1, f, lucas, _EXACT.multiply(f, lucas), lucas2)
         terms = [_EXACT.multiply(x, c) for c, x in zip(vector, decimals) if c]
         text = str(_EXACT.divide_int(reduce(_EXACT.add, terms), g).copy_abs())
         digits[k] = str(k) if 0 < limit < len(text) else text  # str(k) raises there
@@ -459,17 +482,39 @@ def _golden_exact_forms(n: int, names: Sequence[str]) -> tuple[str, ...]:
     forms = []
     for name in names:
         form = point.forms[name]
-        p, q, d = form.p, form.q, form.d
-        den = _dot(d, basis)
+        den = _dot(form.d, basis)
         pairs = []
-        for vector in (p, q, [x + 3 * y for x, y in zip(p, q)], [-2 * y for y in q]):
-            x = _dot(vector, basis)
-            g = _common_factor(x, vector, form)
+        for vector, x, g in _coordinates(point, name, den):
             pairs.append((x // g, den // g))
             derive(vector, abs(pairs[-1][0]), g)
-            derive(d, pairs[-1][1], g)
+            derive(form.d, pairs[-1][1], g)
         forms += ((pairs[0], pairs[1], "√5"), (pairs[2], pairs[3], "q⋆"))
     return tuple(_format_linear(*forms, digits=digits))
+
+
+def _coordinates(point: _GoldenPoint, name: str, den: int) -> list[tuple[list[int], int, int]]:
+    """``(vector, x, g)`` for the four printed coordinates of the value
+    ``(p + q·√5)/d`` named ``name`` — p, q and the golden coordinates
+    ``p + 3q`` and ``−2q`` — with ``x = vector·basis``, ``den = d·basis`` and
+    ``g`` from :func:`_common_factor`.
+
+    From the first print of ``name`` on, the point keeps each g, or ``−den/g``
+    where that is the shorter integer: a coordinate that is 0, or a multiple
+    of Y₀'s integer over a divisor of Y₀, has a g about as long as den."""
+    form, basis = point.forms[name], point.basis
+    p, q = form.p, form.q
+    vectors = (p, q, [x + 3 * y for x, y in zip(p, q)], [-2 * y for y in q])
+    known = point.coordinates.get(name)
+    if known is not None:
+        return [(v, _dot(v, basis), g if g > 0 else den // -g) for v, g in zip(vectors, known)]
+    found = []
+    for vector in vectors:
+        x = _dot(vector, basis)
+        found.append((vector, x, _common_factor(x, vector, form)))
+    point.coordinates[name] = tuple(
+        g if 2 * g.bit_length() <= den.bit_length() else -(den // g) for _, _, g in found
+    )
+    return found
 
 
 def _golden_decimals(n: int, names: Sequence[str], digits: int) -> list[str]:

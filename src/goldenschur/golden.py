@@ -12,9 +12,10 @@ built from the four constants ``g_k = Σ_{t≥1} t^k·q⋆^t = (φ⁻¹, 1, √5
 N per process, in one cache that keeps the last 32 sizes.  Λ prints from the
 digits of F_N and L_N, as the moments do, in both the ``lambda`` and the
 ``stationarity`` subcommands: at N = 10⁴ that converts those two integers
-only.  Its decimal, like the moments', is read off its form's leading term
-1 + 2√5 under a certified bound on the rest, where that bound decides the
-digits, and through :func:`~.qfield.decimal_str` otherwise.  The table is
+only, on the first print at that N.  Its decimal, like the moments', is read
+off its form's leading term 1 + 2√5 under a certified bound on the rest,
+where that bound decides the digits, and through
+:func:`~.qfield.decimal_str` otherwise.  The table is
 integer arithmetic and loads only :mod:`.floatlaw`, the reader of counts:
 :mod:`.qfield` and :mod:`.folded` are imported by the functions that compute
 with them.
@@ -52,13 +53,14 @@ class GoldenPower(NamedTuple):
 
 def golden_power_table(max_m: int) -> list[GoldenPower]:
     """Rows ``(m, a_m, b_m)`` for m = 0..max_m, from the recurrence
-    ``c_{m+2} = 3c_{m+1} − c_m``, the one place it is written."""
+    ``a_{m+2} = 3a_{m+1} − a_m``, the one place it is written.  Since
+    ``q⋆^{m+1} = a_m·q⋆² + b_m·q⋆ = (3a_m + b_m)·q⋆ − a_m``, b follows a:
+    ``b₀ = 1`` and ``b_{m+1} = −a_m``."""
     rows = []
-    a, b, a1, b1 = 0, 1, 1, 0  # q⋆^0 = 1 and q⋆^1 = q⋆
+    a, a1, b = 0, 1, 1  # q⋆^0 = 1 and q⋆^1 = q⋆
     for m in range(_count(max_m, "max_m", 0) + 1):
         rows.append(GoldenPower(m, a, b))
-        a, a1 = a1, 3 * a1 - a
-        b, b1 = b1, 3 * b1 - b
+        a, a1, b = a1, 3 * a1 - a, -a
     return rows
 
 

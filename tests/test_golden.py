@@ -67,6 +67,14 @@ def test_recurrence():
         assert hi.b == 3 * mid.b - lo.b
 
 
+def test_golden_power_table_is_fibonacci_up_to_2000():
+    # a_m = F_2m and b_m = −F_{2m−2} (F_{−2} = −1), by fast doubling, which
+    # shares no recurrence with the table
+    for m, p in enumerate(golden_power_table(2000)):
+        assert (p.m, p.a, p.b) == (m, fibonacci(2 * m), -fibonacci(2 * m - 2)), m
+        assert type(p.b) is int
+
+
 def test_golden_power_table_rows_are_qstar_powers():
     for m, p in enumerate(golden_power_table(200)):
         assert p.m == m
@@ -503,6 +511,47 @@ def test_golden_caches_are_shared_and_bounded():
         point.sums, point.moments, point.values["lambda"],
     )
     assert folded._golden_point.cache_info().maxsize is not None
+
+
+def test_golden_print_state_lives_and_dies_with_its_point():
+    # the Decimals of the basis and the divisors of each printed name are
+    # filled by the first print that needs them, never by the values alone,
+    # and they are cleared and evicted with the point, whose LRU keeps
+    # _GOLDEN_CACHE_SIZE sizes
+    assert folded._golden_point.cache_info().maxsize == folded._GOLDEN_CACHE_SIZE
+    n = 10_000
+    _clear_golden_cache()
+    moments(n, QSTAR)
+    sums_closed(n, QSTAR)
+    lambda_n(n)
+    point = folded._golden_point(n)
+    assert point.decimals == [] and point.coordinates == {}
+    folded._golden_exact_forms(n, ["lambda"])
+    assert [int(x) for x in point.decimals] == list(point.basis)
+    assert list(point.coordinates) == ["lambda"]
+    _clear_golden_cache()
+    fresh = folded._golden_point(n)
+    assert fresh is not point and fresh.decimals == [] and fresh.coordinates == {}
+    folded._golden_exact_forms(n, ["lambda"])
+    for other in range(2, 2 + folded._GOLDEN_CACHE_SIZE):
+        folded._golden_point(other)
+    evicted = folded._golden_point(n)
+    assert evicted is not fresh and evicted.decimals == [] and evicted.coordinates == {}
+
+
+@pytest.mark.parametrize("n", [10_000, 10_001])
+def test_golden_print_state_keeps_short_divisors(n):
+    # a divisor g as long as its denominator (a zero coordinate, or one that
+    # is a multiple of Y₀'s integer) is kept as the short cofactor −den/g, so
+    # every kept integer is small, and the state is mostly the Decimals of the
+    # basis
+    _clear_golden_cache()
+    names = ["s0", "s1", "s2", "s3", "i1", "i2", "i3", "var", "i2_prime", "lambda"]
+    folded._golden_exact_forms(n, names)
+    point = folded._golden_point(n)
+    kept = [g for divisors in point.coordinates.values() for g in divisors]
+    assert len(kept) == 40 and max(abs(g).bit_length() for g in kept) < 64
+    assert any(g < 0 for g in kept)
 
 
 def test_golden_caches_leak_no_state_into_verify():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from goldenschur import cli, qfield
+from goldenschur import cli, folded, qfield
 from goldenschur.cli import _exact_strs, _unlimited_int_digits
 from goldenschur.floatlaw import quadratic_law_fit
 from goldenschur.folded import _golden_exact_forms, moments, sums_closed
@@ -1045,12 +1045,19 @@ def _spy_int_str(monkeypatch):
     ],
 )
 def test_golden_values_print_from_one_conversion_per_coordinate(monkeypatch, capsys, argv, most):
+    # from a cleared cache; a second print reads the Decimals of the basis
+    # that the point keeps, and converts no large integer at all
+    folded._golden_point.cache_clear()
     converted = _spy_int_str(monkeypatch)
     assert cli.main(argv) == 0
     capsys.readouterr()
     big = [n for n in converted if abs(n).bit_length() > 3000]
     assert 0 < len(big) <= most
     assert len(set(map(abs, big))) == len(big)  # none twice
+    converted.clear()
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert [n for n in converted if abs(n).bit_length() > 3000] == []
 
 
 @pytest.mark.parametrize(
@@ -1058,12 +1065,18 @@ def test_golden_values_print_from_one_conversion_per_coordinate(monkeypatch, cap
 )
 def test_golden_values_print_from_the_digits_of_f_n_and_l_n(monkeypatch, capsys, argv):
     # every printed integer derives from F_N and L_N, converted once each (18
-    # and 2 conversions of ints above 3000 bits when each coordinate was)
+    # and 2 conversions of ints above 3000 bits when each coordinate was) on
+    # the first print from a cleared cache, and not again on the second
+    folded._golden_point.cache_clear()
     converted = _spy_int_str(monkeypatch)
     assert cli.main(argv) == 0
     capsys.readouterr()
     big = sorted(abs(n) for n in converted if abs(n).bit_length() > 3000)
     assert big == [fibonacci(10_000), fibonacci(9_999) + fibonacci(10_001)]
+    converted.clear()
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert [n for n in converted if abs(n).bit_length() > 3000] == []
 
 
 #: sizes whose golden-point values print through both routes in the tests:
@@ -1144,6 +1157,66 @@ def test_golden_values_keep_the_digit_limit():
         outcomes = [_str_outcome(lambda v: _golden_exact_forms(n, [v]), v) for v in named]
         assert outcomes == [_str_outcome(exact_forms, value) for value in named.values()]
     assert outcomes[0][0] == "ValueError" != outcomes[4][0]  # S₀ raises, I₁ prints
+
+
+def test_golden_values_keep_the_digit_limit_on_a_filled_cache():
+    # the point keeps the Decimals of its basis, not digits: filled by a print
+    # with no digit limit set, it prints under a limit as exact_forms does
+    n = 10_500
+    named = golden_values(n)
+    folded._golden_point.cache_clear()
+    with _unlimited_int_digits():
+        _golden_exact_forms(n, list(named))
+    assert folded._golden_point(n).decimals  # the cache is filled
+    with _int_digit_limit(4300):
+        outcomes = [_str_outcome(lambda v: _golden_exact_forms(n, [v]), v) for v in named]
+        assert outcomes == [_str_outcome(exact_forms, value) for value in named.values()]
+    assert outcomes[0][0] == "ValueError" != outcomes[4][0]  # S₀ raises, I₁ prints
+
+
+#: sizes at which the largest printed integers of the sums, of Var, of I₂′
+#: and Λ, and of I₁…I₃ first pass ``folded._DIRECT_BITS`` (2000 bits), and
+#: the sizes before them: from N = 1418 on, a print derives digits
+DIRECT_BOUND_SIZES = [1417, 1418, 1432, 1433, 1434, 1435, 2832, 2833]
+
+
+def test_golden_route_prints_what_exact_forms_prints_from_a_cleared_and_a_filled_cache():
+    # each size prints Λ alone from a cleared cache (as `lambda` does), then
+    # every value (the others first printed), then every value again (all
+    # kept); the Decimals of the basis are made once an integer is derived
+    with _unlimited_int_digits():
+        for n in [*GOLDEN_SIZES, *DIRECT_BOUND_SIZES]:
+            named = golden_values(n)
+            want = exact_forms(*named.values())
+            folded._golden_point.cache_clear()
+            if n >= 2:
+                assert _golden_exact_forms(n, ["lambda"]) == want[-2:], n
+            for _ in ("partly filled", "filled"):
+                assert _golden_exact_forms(n, list(named)) == want, n
+            point = folded._golden_point(n)
+            assert set(point.coordinates) == set(named), n
+            assert bool(point.decimals) == (n >= 1418), n
+            assert point.decimals == [] or [int(x) for x in point.decimals] == list(point.basis)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["lambda"], ["s0", "s1", "s2", "s3", "i1", "i2", "i3", "var", "i2_prime", "lambda"]],
+    ids=["lambda", "all"],
+)
+def test_a_second_golden_print_finds_no_divisor_and_converts_no_basis(monkeypatch, names):
+    n = 10_000
+    folded._golden_point.cache_clear()
+    basis = folded._golden_point(n).basis
+    divisors, common_factor = [], folded._common_factor
+    monkeypatch.setattr(folded, "_common_factor", lambda *a: divisors.append(a) or common_factor(*a))
+    converted = _spy_int_str(monkeypatch)
+    first = _golden_exact_forms(n, names)
+    assert len(divisors) == 4 * len(names) and set(basis[1:3]) <= set(converted)
+    divisors.clear()
+    converted.clear()
+    assert _golden_exact_forms(n, names) == first
+    assert divisors == [] and not set(basis[1:3]) & set(converted)
 
 
 @pytest.mark.usefixtures("cleared_sqrt5_cache")
